@@ -6,10 +6,12 @@ namespace cm::core {
 // message handler (or stub) runs to completion on its processor, so
 // concurrent activations queue FCFS behind whole handlers rather than
 // interleaving at instruction granularity. The per-category cycles are still
-// recorded individually for the Table-5 breakdown.
+// recorded individually for the Table-5 breakdown. They are plain functions,
+// not coroutines: each books its categories when called and returns the
+// charge for its caller to await, so a stub takes no coroutine frame.
 
-sim::Task<> Runtime::receive_request(ProcId at, unsigned words,
-                                     Dispatch how) {
+sim::Machine::Compute Runtime::receive_request(ProcId at, unsigned words,
+                                               Dispatch how) {
   const bool create_thread = how != Dispatch::kShortMethod;
   if (create_thread) {
     if (sim::Tracer* tr = tracer()) {
@@ -31,24 +33,24 @@ sim::Task<> Runtime::receive_request(ProcId at, unsigned words,
     bd.add(Category::kGeneralStub, cost_.rpc_stub_extra(words));
     total += cost_.rpc_stub_extra(words);
   }
-  co_await machine_->compute(at, total);
+  return machine_->compute(at, total);
 }
 
-sim::Task<> Runtime::receive_reply(ProcId at, unsigned words) {
+sim::Machine::Compute Runtime::receive_reply(ProcId at, unsigned words) {
   Breakdown& bd = mutable_stats().breakdown;
   bd.add(Category::kCopyPacket, cost_.copy(words));
   bd.add(Category::kUnmarshal, cost_.unmarshal(words));
   bd.add(Category::kScheduler, cost_.scheduler);
-  co_await machine_->compute(at, cost_.reply_receive(words));
+  return machine_->compute(at, cost_.reply_receive(words));
 }
 
-sim::Task<> Runtime::send_path(ProcId at, unsigned words) {
+sim::Machine::Compute Runtime::send_path(ProcId at, unsigned words) {
   Breakdown& bd = mutable_stats().breakdown;
   bd.add(Category::kSendLinkage, cost_.send_linkage);
   bd.add(Category::kMarshal, cost_.marshal(words));
   bd.add(Category::kSendAllocPacket, cost_.alloc_packet_send());
   bd.add(Category::kMessageSend, cost_.message_send);
-  co_await machine_->compute(at, cost_.sender_total(words));
+  return machine_->compute(at, cost_.sender_total(words));
 }
 
 sim::Task<bool> Runtime::transfer_impl(ProcId src, ProcId dst, unsigned words,

@@ -367,12 +367,12 @@ class Runtime {
     kContinuation,  // migration: unmarshal into the activation (§3.3)
   };
   /// Receiver-side software path for an incoming request message.
-  [[nodiscard]] sim::Task<> receive_request(ProcId at, unsigned words,
-                                            Dispatch how);
+  [[nodiscard]] sim::Machine::Compute receive_request(ProcId at, unsigned words,
+                                                      Dispatch how);
   /// Receiver-side path for a reply delivered to a blocked thread.
-  [[nodiscard]] sim::Task<> receive_reply(ProcId at, unsigned words);
+  [[nodiscard]] sim::Machine::Compute receive_reply(ProcId at, unsigned words);
   /// Sender-side stub path (linkage + marshal + packet + launch), atomic.
-  [[nodiscard]] sim::Task<> send_path(ProcId at, unsigned words);
+  [[nodiscard]] sim::Machine::Compute send_path(ProcId at, unsigned words);
   /// Transfer with an attempt budget (0 = unbounded) under the reliable
   /// transport; raw send when reliability is disabled.
   [[nodiscard]] sim::Task<bool> transfer_impl(ProcId src, ProcId dst,

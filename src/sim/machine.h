@@ -44,11 +44,25 @@ class Machine {
                    [h] { h.resume(); });
   }
 
+  /// Awaiter of `compute`. A named type rather than a `suspend_to` lambda,
+  /// so that plain functions in other translation units — the runtime's
+  /// stubs — can book their costs and return the charge for their caller
+  /// to await.
+  struct Compute {
+    Machine* machine;
+    ProcId p;
+    Cycles cost;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      machine->resume_on(p, cost, h);
+    }
+    void await_resume() const noexcept {}
+  };
+
   /// Awaitable: occupy processor `p` for `cost` busy cycles.
-  [[nodiscard]] auto compute(ProcId p, Cycles cost) {
-    return suspend_to([this, p, cost](std::coroutine_handle<> h) {
-      resume_on(p, cost, h);
-    });
+  [[nodiscard]] Compute compute(ProcId p, Cycles cost) {
+    return Compute{this, p, cost};
   }
 
   /// Awaitable: wall-clock delay of `d` cycles that does NOT occupy the CPU

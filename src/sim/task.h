@@ -9,20 +9,34 @@
 //
 // `Task<T>` is a lazy awaitable coroutine with symmetric transfer.
 // `Detached` is a fire-and-forget root used to launch top-level threads.
+// Both take their frames from `FramePool` (frame_pool.h) rather than the
+// global allocator.
 // `suspend_to(f)` is the escape hatch: suspends the current coroutine and
 // hands its handle to `f`, which arranges resumption via the event engine.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
+#include "sim/frame_pool.h"
+
 namespace cm::sim {
 
 namespace detail {
+
+/// Frame allocation for both coroutine types: the compiler finds these in
+/// the promise type and passes each of them the frame's size.
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+};
 
 template <class T>
 struct ValueStore {
@@ -47,7 +61,7 @@ class [[nodiscard]] Task {
  public:
   using value_type = T;
 
-  struct promise_type : detail::ValueStore<T> {
+  struct promise_type : detail::ValueStore<T>, detail::PooledFrame {
     std::coroutine_handle<> continuation;  // who awaits us (may be null)
     std::exception_ptr exception;
 
@@ -122,7 +136,7 @@ class [[nodiscard]] Task {
 
 /// Fire-and-forget root coroutine; self-destroys on completion.
 struct Detached {
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
