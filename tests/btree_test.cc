@@ -315,20 +315,25 @@ TEST_P(BTreeConcurrency, RandomStreamsConvergeToOracle) {
   EXPECT_TRUE(std::equal(keys.begin(), keys.end(), oracle.begin()));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, BTreeConcurrency,
-    ::testing::Values(ConcurrencyCase{Mechanism::kRpc, 1, false},
-                      ConcurrencyCase{Mechanism::kRpc, 2, true},
-                      ConcurrencyCase{Mechanism::kMigration, 3, false},
-                      ConcurrencyCase{Mechanism::kMigration, 4, true},
-                      ConcurrencyCase{Mechanism::kMigration, 5, true},
-                      ConcurrencyCase{Mechanism::kSharedMemory, 6, false},
-                      ConcurrencyCase{Mechanism::kSharedMemory, 7, false},
-                      ConcurrencyCase{Mechanism::kRpc, 8, false},
-                      ConcurrencyCase{Mechanism::kMigration, 9, false},
-                      ConcurrencyCase{Mechanism::kObjectMigration, 10, false},
-                      ConcurrencyCase{Mechanism::kObjectMigration, 11, false},
-                      ConcurrencyCase{Mechanism::kThreadMigration, 12, false}));
+// gtest names each case by dumping its bytes, padding included. A static
+// table has zeroed padding; stack temporaries would leak stack contents
+// (ASLR-randomised addresses among them) into the test names.
+constexpr ConcurrencyCase kConcurrencyCases[] = {
+    {Mechanism::kRpc, 1, false},
+    {Mechanism::kRpc, 2, true},
+    {Mechanism::kMigration, 3, false},
+    {Mechanism::kMigration, 4, true},
+    {Mechanism::kMigration, 5, true},
+    {Mechanism::kSharedMemory, 6, false},
+    {Mechanism::kSharedMemory, 7, false},
+    {Mechanism::kRpc, 8, false},
+    {Mechanism::kMigration, 9, false},
+    {Mechanism::kObjectMigration, 10, false},
+    {Mechanism::kObjectMigration, 11, false},
+    {Mechanism::kThreadMigration, 12, false}};
+
+INSTANTIATE_TEST_SUITE_P(Cases, BTreeConcurrency,
+                         ::testing::ValuesIn(kConcurrencyCases));
 
 Task<> partition_stream(World* w, Mechanism mech, ProcId home, unsigned tid,
                         unsigned nthreads, int nops,
