@@ -66,8 +66,7 @@ std::uint32_t DistributedBTree::alloc_node(bool leaf, unsigned level) {
   }
   nodes_.push_back(std::move(n));
   Node& placed = nodes_.back();
-  // Split-born nodes join the policy's managed set as they appear (ignored
-  // mid-run on multi-shard engines; see PolicyEngine::manage).
+  // Split-born nodes join the policy's managed set as they appear.
   if (policy_ != nullptr) {
     policy_->manage(placed.oid, placed.mobile.get(), 2 + 3 * p_.max_entries,
                     /*replicable=*/!placed.leaf);

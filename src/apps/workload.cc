@@ -1,12 +1,9 @@
 #include "apps/workload.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "apps/btree.h"
@@ -40,15 +37,9 @@ using sim::Task;
 /// at setup time), so they run before any same-cycle runtime event — an op
 /// or word landing exactly on a boundary cycle is therefore counted by
 /// exactly one window.
-///
-/// Sharded runs (DESIGN.md §12): every mutable field a requester touches
-/// mid-run lives in its shard's ShardCtl slice, indexed by the engine's
-/// ambient shard, so kThreads workers never share a counter; run totals sum
-/// the slices after the engine drains. The sums are shard-count invariant:
-/// each op / word is counted on the shard of the event that produced it,
-/// and event placement is a pure function of the simulation's causal
-/// history.
-struct ShardCtl {
+struct RunCtl {
+  Cycles warm_at = 0;
+  Cycles end_at = 0;
   bool stop = false;
   long ops = 0;
   // Fail-stop bookkeeping: operations abandoned with a typed core::FtError.
@@ -57,85 +48,39 @@ struct ShardCtl {
   std::uint64_t msgs_at_warm = 0;
   std::uint64_t words_at_end = 0;
   std::uint64_t msgs_at_end = 0;
-};
-
-struct RunCtl {
-  Cycles warm_at = 0;
-  Cycles end_at = 0;
-  std::vector<ShardCtl> shard;  // indexed by engine shard
-  // Live-requester count, decremented from any shard; the detector to shut
-  // down when the last requester exits (its periodic sweep would otherwise
-  // keep the event queue alive forever).
-  std::atomic<unsigned> live{0};
+  // Live-requester count; the detector to shut down when the last requester
+  // exits (its periodic sweep would otherwise keep the event queue alive
+  // forever).
+  unsigned live = 0;
   ft::FtLayer* ftl = nullptr;
-
-  [[nodiscard]] long total_ops() const {
-    long n = 0;
-    for (const ShardCtl& sc : shard) n += sc.ops;
-    return n;
-  }
-  [[nodiscard]] long total_lost_ops() const {
-    long n = 0;
-    for (const ShardCtl& sc : shard) n += sc.lost_ops;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t window_words() const {
-    std::uint64_t n = 0;
-    for (const ShardCtl& sc : shard) n += sc.words_at_end - sc.words_at_warm;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t window_msgs() const {
-    std::uint64_t n = 0;
-    for (const ShardCtl& sc : shard) n += sc.msgs_at_end - sc.msgs_at_warm;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t warm_words() const {
-    std::uint64_t n = 0;
-    for (const ShardCtl& sc : shard) n += sc.words_at_warm;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t warm_msgs() const {
-    std::uint64_t n = 0;
-    for (const ShardCtl& sc : shard) n += sc.msgs_at_warm;
-    return n;
-  }
 };
-
-/// The calling context's slice of the control block.
-ShardCtl& my_shard(RunCtl& ctl, const sim::Engine& eng) {
-  return ctl.shard[eng.current_shard()];
-}
 
 /// A requester finished: the last one out stops the failure detector so the
 /// engine can drain.
 void requester_exit(RunCtl& ctl) {
-  if (ctl.live.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      ctl.ftl != nullptr) {
-    ctl.ftl->stop();
-  }
+  if (--ctl.live == 0 && ctl.ftl != nullptr) ctl.ftl->stop();
 }
 
 void count_op(RunCtl& ctl, const sim::Engine& eng) {
   const Cycles now = eng.now();
-  if (now >= ctl.warm_at && now < ctl.end_at) ++my_shard(ctl, eng).ops;
+  if (now >= ctl.warm_at && now < ctl.end_at) ++ctl.ops;
 }
 
-/// Config combinations the conservative windows cannot serve (global FIFO
-/// timelines, cross-shard mutable state, zero-lookahead paths) are rejected
-/// loudly rather than silently desharded.
-void require_for_shards(bool ok, const char* what) {
-  if (ok) return;
-  std::fprintf(stderr, "workload: multi-shard run rejected: %s\n", what);
-  std::abort();
-}
-
-/// Lowest-numbered processor living on shard `s` — where that shard's
-/// window snapshot events are homed.
-ProcId first_proc_of_shard(const sim::Engine& eng, ProcId nprocs, unsigned s) {
-  for (ProcId p = 0; p < nprocs; ++p) {
-    if (eng.shard_of(p) == s) return p;
-  }
-  return 0;
+/// Schedule the warm/end traffic snapshots that bound the measurement
+/// window; the end snapshot also stops the requesters.
+void schedule_window(sim::Engine& eng, const net::Network& network,
+                     RunCtl& ctl) {
+  eng.at(ctl.warm_at, [&network, &ctl] {
+    const net::NetStats& ns = network.stats();
+    ctl.words_at_warm = ns.words;
+    ctl.msgs_at_warm = ns.messages;
+  });
+  eng.at(ctl.end_at, [&network, &ctl] {
+    const net::NetStats& ns = network.stats();
+    ctl.words_at_end = ns.words;
+    ctl.msgs_at_end = ns.messages;
+    ctl.stop = true;
+  });
 }
 
 Task<> counting_requester(core::Runtime* rt, CountingNetwork* cn,
@@ -144,7 +89,7 @@ Task<> counting_requester(core::Runtime* rt, CountingNetwork* cn,
   Ctx ctx{rt, home};
   sim::Rng rng(seed);
   const sim::Engine& eng = rt->machine().engine();
-  for (long done = 0; !my_shard(*ctl, eng).stop; ++done) {
+  for (long done = 0; !ctl->stop; ++done) {
     if (fixed_ops > 0 && done >= fixed_ops) break;
     // Each request enters on a (deterministically) random wire, as counting
     // network clients do in practice.
@@ -158,7 +103,7 @@ Task<> counting_requester(core::Runtime* rt, CountingNetwork* cn,
       // Only thrown with fault tolerance installed: the operation touched a
       // lost object or exhausted its retry budget. Abandon it gracefully
       // and carry on from home.
-      ++my_shard(*ctl, eng).lost_ops;
+      ++ctl->lost_ops;
       ctx.proc = home;
     }
     if (think > 0) co_await rt->machine().sleep(think);
@@ -175,7 +120,7 @@ Task<> btree_requester(core::Runtime* rt, DistributedBTree* bt,
   Ctx ctx{rt, home};
   sim::Rng rng(seed);
   const sim::Engine& eng = rt->machine().engine();
-  for (long done = 0; !my_shard(*ctl, eng).stop; ++done) {
+  for (long done = 0; !ctl->stop; ++done) {
     if (fixed_ops > 0 && done >= fixed_ops) break;
     // Key skew: the affinity test must not touch the RNG when the knob is
     // off, so affinity == 0 draws stay bit-identical to the pre-knob runs.
@@ -197,7 +142,7 @@ Task<> btree_requester(core::Runtime* rt, DistributedBTree* bt,
       // (never condemn it — an ObjectLostError unwinding past a held node
       // lock would strand its waiters), so this catch only fires on
       // retry-budget exhaustion.
-      ++my_shard(*ctl, eng).lost_ops;
+      ++ctl->lost_ops;
       ctx.proc = home;
     }
     if (think > 0) co_await rt->machine().sleep(think);
@@ -208,7 +153,7 @@ Task<> btree_requester(core::Runtime* rt, DistributedBTree* bt,
 }  // namespace
 
 RunStats run_counting(const CountingConfig& cfg) {
-  sim::Engine eng(cfg.queue_backend);
+  sim::Engine eng;
   CountingNetwork::Params np;
   np.width = cfg.width;
   np.first_balancer_proc = 0;
@@ -217,28 +162,6 @@ RunStats run_counting(const CountingConfig& cfg) {
   const unsigned balancers =
       BitonicWiring::build(cfg.width).balancers.size();
   const auto nprocs = static_cast<ProcId>(balancers + cfg.requesters);
-  if (cfg.nshards > 1) {
-    require_for_shards(cfg.scheme.mechanism == Mechanism::kRpc ||
-                           cfg.scheme.mechanism == Mechanism::kMigration ||
-                           cfg.scheme.mechanism ==
-                               Mechanism::kThreadMigration,
-                       "mechanism must route all cross-processor work "
-                       "through the network (kRpc/kMigration/"
-                       "kThreadMigration)");
-    require_for_shards(!cfg.scheme.replication,
-                       "software replication keeps cross-shard copy tables");
-    require_for_shards(!cfg.faults.active(), "chaos runs are single-shard");
-    require_for_shards(!cfg.ft.enabled, "ft runs are single-shard");
-    require_for_shards(cfg.locator.mode != loc::Locality::kDistributed,
-                       "the distributed locator is single-shard");
-    require_for_shards(!cfg.policy.enabled || cfg.policy.observe_only,
-                       "an actuating placement policy mutates global "
-                       "placement tables; multi-shard policy runs are "
-                       "observe-only");
-  }
-  // Shards must be carved before anything schedules or sizes per-shard
-  // state (tracer buffers, checker logs, network stat slots).
-  eng.configure_shards(cfg.nshards, nprocs);
   std::unique_ptr<sim::Tracer> tracer;
   if (!cfg.trace_path.empty()) {
     tracer = std::make_unique<sim::Tracer>(eng);
@@ -251,12 +174,7 @@ RunStats run_counting(const CountingConfig& cfg) {
     eng.set_checker(checker.get());
   }
   net::ConstantNetwork constant_net(eng);
-  // Multi-shard runs drop mesh link contention: its per-link FIFO timeline
-  // is one global, order-sensitive structure no conservative window can
-  // partition (documented on MeshNetwork::min_cross_latency).
-  net::MeshConfig mesh_cfg;
-  mesh_cfg.contention = eng.shards() == 1;
-  net::MeshNetwork mesh_net(eng, nprocs, mesh_cfg);
+  net::MeshNetwork mesh_net(eng, nprocs);
   net::Network& base_network =
       cfg.mesh ? static_cast<net::Network&>(mesh_net)
                : static_cast<net::Network&>(constant_net);
@@ -308,7 +226,6 @@ RunStats run_counting(const CountingConfig& cfg) {
   RunCtl ctl;
   ctl.warm_at = fixed ? 0 : cfg.window.warmup;
   ctl.end_at = fixed ? ~Cycles{0} : cfg.window.warmup + cfg.window.measure;
-  ctl.shard.resize(eng.shards());
   ctl.live = cfg.requesters;
   ctl.ftl = ftl.get();
 
@@ -318,58 +235,26 @@ RunStats run_counting(const CountingConfig& cfg) {
                                    cfg.seed * 7919 + i, cfg.think,
                                    cfg.ops_per_requester, &ctl));
   }
-  if (!fixed) {
-    // One warm/end snapshot pair per shard, homed on that shard and reading
-    // its own traffic slot; run totals are the slice sums, which match the
-    // single-shard numbers because every send is slotted by the shard that
-    // executed it. Chaos runs (single-shard) keep reading the merged stats
-    // so the fault decorator's override stays in the loop.
-    for (unsigned s = 0; s < eng.shards(); ++s) {
-      ShardCtl& sc = ctl.shard[s];
-      const ProcId snap_home = first_proc_of_shard(eng, nprocs, s);
-      const bool merged = eng.shards() == 1;
-      eng.at_on(snap_home, ctl.warm_at, [&network, &sc, s, merged] {
-        const net::NetStats& ns =
-            merged ? network.stats() : network.stats_of_shard(s);
-        sc.words_at_warm = ns.words;
-        sc.msgs_at_warm = ns.messages;
-      });
-      eng.at_on(snap_home, ctl.end_at, [&network, &sc, s, merged] {
-        const net::NetStats& ns =
-            merged ? network.stats() : network.stats_of_shard(s);
-        sc.words_at_end = ns.words;
-        sc.msgs_at_end = ns.messages;
-        sc.stop = true;
-      });
-    }
-  }
-  {
-    sim::ShardedEngine driver(
-        eng, sim::ShardOptions{cfg.shard_backend,
-                               base_network.min_cross_latency(), cfg.seed});
-    driver.run();
-  }
+  if (!fixed) schedule_window(eng, network, ctl);
+  eng.run();
 
   RunStats out;
-  out.ops = ctl.total_ops();
-  out.window = fixed ? eng.last_dispatch_time() : cfg.window.measure;
-  out.words = fixed ? network.stats().words - ctl.warm_words()
-                    : ctl.window_words();
-  out.messages = fixed ? network.stats().messages - ctl.warm_msgs()
-                       : ctl.window_msgs();
+  out.ops = ctl.ops;
+  out.window = fixed ? eng.now() : cfg.window.measure;
+  out.words = (fixed ? network.stats().words : ctl.words_at_end) -
+              ctl.words_at_warm;
+  out.messages = (fixed ? network.stats().messages : ctl.msgs_at_end) -
+                 ctl.msgs_at_warm;
   if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
   out.migrations = rt.stats().migrations;
   out.remote_calls = rt.stats().remote_calls;
   out.runtime = rt.stats();
   out.net = network.stats();
-  out.completed_at = eng.last_dispatch_time();
-  // Exclude the driver's own snapshot events (2 per shard) so the count
-  // covers workload events only and is identical at every shard count.
-  out.events_executed =
-      eng.events_executed() - (fixed ? 0 : 2ull * eng.shards());
+  out.completed_at = eng.now();
+  // Exclude the driver's two snapshot events so the count covers workload
+  // events only.
+  out.events_executed = eng.events_executed() - (fixed ? 0 : 2);
   out.clamped_events = eng.clamped_events();
-  out.cross_shard_msgs = eng.cross_shard_msgs();
-  out.window_count = eng.window_count();
   out.total_exited = cn.total_exited();
   out.step_property = cn.has_step_property();
   if (pol != nullptr) {
@@ -379,7 +264,7 @@ RunStats run_counting(const CountingConfig& cfg) {
   if (ftl != nullptr) {
     out.ft_enabled = true;
     out.ft = ftl->stats();
-    out.ft_lost_ops = ctl.total_lost_ops();
+    out.ft_lost_ops = ctl.lost_ops;
   }
   if (locator != nullptr) {
     out.locator_enabled = true;
@@ -398,31 +283,8 @@ RunStats run_counting(const CountingConfig& cfg) {
 }
 
 RunStats run_btree(const BTreeConfig& cfg) {
-  sim::Engine eng(cfg.queue_backend);
+  sim::Engine eng;
   const auto nprocs = static_cast<ProcId>(cfg.node_procs + cfg.requesters);
-  if (cfg.nshards > 1) {
-    require_for_shards(cfg.scheme.mechanism == Mechanism::kRpc ||
-                           cfg.scheme.mechanism == Mechanism::kMigration ||
-                           cfg.scheme.mechanism ==
-                               Mechanism::kThreadMigration,
-                       "mechanism must route all cross-processor work "
-                       "through the network (kRpc/kMigration/"
-                       "kThreadMigration)");
-    require_for_shards(!cfg.scheme.replication,
-                       "software replication keeps cross-shard copy tables");
-    require_for_shards(!cfg.faults.active(), "chaos runs are single-shard");
-    require_for_shards(!cfg.ft.enabled, "ft runs are single-shard");
-    require_for_shards(cfg.locator.mode != loc::Locality::kDistributed,
-                       "the distributed locator is single-shard");
-    require_for_shards(cfg.insert_ratio == 0.0,
-                       "B-tree splits mutate tree topology no single shard "
-                       "owns; multi-shard runs are lookup-only");
-    require_for_shards(!cfg.policy.enabled || cfg.policy.observe_only,
-                       "an actuating placement policy mutates global "
-                       "placement tables; multi-shard policy runs are "
-                       "observe-only");
-  }
-  eng.configure_shards(cfg.nshards, nprocs);
   std::unique_ptr<sim::Tracer> tracer;
   if (!cfg.trace_path.empty()) {
     tracer = std::make_unique<sim::Tracer>(eng);
@@ -435,10 +297,7 @@ RunStats run_btree(const BTreeConfig& cfg) {
     eng.set_checker(checker.get());
   }
   net::ConstantNetwork constant_net(eng);
-  // See run_counting: multi-shard runs drop mesh link contention.
-  net::MeshConfig mesh_cfg;
-  mesh_cfg.contention = eng.shards() == 1;
-  net::MeshNetwork mesh_net(eng, nprocs, mesh_cfg);
+  net::MeshNetwork mesh_net(eng, nprocs);
   net::Network& base_network =
       cfg.mesh ? static_cast<net::Network&>(mesh_net)
                : static_cast<net::Network&>(constant_net);
@@ -499,7 +358,6 @@ RunStats run_btree(const BTreeConfig& cfg) {
   RunCtl ctl;
   ctl.warm_at = fixed ? 0 : cfg.window.warmup;
   ctl.end_at = fixed ? ~Cycles{0} : cfg.window.warmup + cfg.window.measure;
-  ctl.shard.resize(eng.shards());
   ctl.live = cfg.requesters;
   ctl.ftl = ftl.get();
 
@@ -514,53 +372,25 @@ RunStats run_btree(const BTreeConfig& cfg) {
                                 cfg.seed * 1000003 + i,
                                 cfg.ops_per_requester, &ctl));
   }
-  if (!fixed) {
-    // See run_counting: one snapshot pair per shard, homed on that shard.
-    for (unsigned s = 0; s < eng.shards(); ++s) {
-      ShardCtl& sc = ctl.shard[s];
-      const ProcId snap_home = first_proc_of_shard(eng, nprocs, s);
-      const bool merged = eng.shards() == 1;
-      eng.at_on(snap_home, ctl.warm_at, [&network, &sc, s, merged] {
-        const net::NetStats& ns =
-            merged ? network.stats() : network.stats_of_shard(s);
-        sc.words_at_warm = ns.words;
-        sc.msgs_at_warm = ns.messages;
-      });
-      eng.at_on(snap_home, ctl.end_at, [&network, &sc, s, merged] {
-        const net::NetStats& ns =
-            merged ? network.stats() : network.stats_of_shard(s);
-        sc.words_at_end = ns.words;
-        sc.msgs_at_end = ns.messages;
-        sc.stop = true;
-      });
-    }
-  }
-  {
-    sim::ShardedEngine driver(
-        eng, sim::ShardOptions{cfg.shard_backend,
-                               base_network.min_cross_latency(), cfg.seed});
-    driver.run();
-  }
+  if (!fixed) schedule_window(eng, network, ctl);
+  eng.run();
 
   RunStats out;
-  out.ops = ctl.total_ops();
-  out.window = fixed ? eng.last_dispatch_time() : cfg.window.measure;
-  out.words = fixed ? network.stats().words - ctl.warm_words()
-                    : ctl.window_words();
-  out.messages = fixed ? network.stats().messages - ctl.warm_msgs()
-                       : ctl.window_msgs();
+  out.ops = ctl.ops;
+  out.window = fixed ? eng.now() : cfg.window.measure;
+  out.words = (fixed ? network.stats().words : ctl.words_at_end) -
+              ctl.words_at_warm;
+  out.messages = (fixed ? network.stats().messages : ctl.msgs_at_end) -
+                 ctl.msgs_at_warm;
   if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
   out.migrations = rt.stats().migrations;
   out.remote_calls = rt.stats().remote_calls;
   out.runtime = rt.stats();
   out.net = network.stats();
-  out.completed_at = eng.last_dispatch_time();
-  // See run_counting: driver snapshot events excluded for shard-invariance.
-  out.events_executed =
-      eng.events_executed() - (fixed ? 0 : 2ull * eng.shards());
+  out.completed_at = eng.now();
+  // See run_counting: the driver's snapshot events are excluded.
+  out.events_executed = eng.events_executed() - (fixed ? 0 : 2);
   out.clamped_events = eng.clamped_events();
-  out.cross_shard_msgs = eng.cross_shard_msgs();
-  out.window_count = eng.window_count();
   out.btree_keys = bt.num_keys();
   out.btree_digest = bt.digest_host();
   out.invariants_ok = bt.check_invariants();
@@ -571,7 +401,7 @@ RunStats run_btree(const BTreeConfig& cfg) {
   if (ftl != nullptr) {
     out.ft_enabled = true;
     out.ft = ftl->stats();
-    out.ft_lost_ops = ctl.total_lost_ops();
+    out.ft_lost_ops = ctl.lost_ops;
   }
   if (locator != nullptr) {
     out.locator_enabled = true;
@@ -600,8 +430,6 @@ void put_run_stats(core::Metrics& m, const RunStats& s) {
   m.put("completed_at", s.completed_at);
   m.put("sim.events_executed", s.events_executed);
   m.put("sim.clamped_events", s.clamped_events);
-  m.put("sim.cross_shard_msgs", s.cross_shard_msgs);
-  m.put("sim.window_count", s.window_count);
   m.put("total_exited", s.total_exited);
   m.put("step_property", s.step_property);
   m.put("btree_keys", static_cast<std::uint64_t>(s.btree_keys));

@@ -25,8 +25,6 @@
 #include "loc/locator.h"
 #include "net/faulty_net.h"
 #include "policy/policy.h"
-#include "sim/event_queue.h"
-#include "sim/sharded_engine.h"
 #include "sim/types.h"
 
 namespace cm::apps {
@@ -50,9 +48,6 @@ struct RunStats {
   std::uint64_t events_executed = 0;  // engine events the run dispatched
   std::uint64_t clamped_events = 0;   // past-time schedules clamped to now()
                                       // (nonzero = causality bug upstream)
-  std::uint64_t cross_shard_msgs = 0;  // events routed through shard inboxes
-                                       // (0 for classic single-shard runs)
-  std::uint64_t window_count = 0;      // conservative windows executed
 
   // Application-level end state, for chaos invariant checks (identical
   // under any fault plan when requesters do fixed work).
@@ -145,33 +140,13 @@ struct CountingConfig {
   // planned NIC deaths. Disabled (default) keeps the run bit-identical to a
   // build without the layer. Pair with `faults.nic_fail_at` and fixed-work
   // mode so the run drains deterministically.
-  // Event-queue backend: kCalendar (default) is the calendar/arena hot
-  // path; kHeap is the legacy binary heap kept as the conformance
-  // reference and host-perf baseline. Same-seed runs are bit-identical
-  // across backends.
-  sim::QueueBackend queue_backend = sim::QueueBackend::kCalendar;
   ft::FtConfig ft;
   // Placement policy (DESIGN.md §13): with `policy.enabled` a
   // policy::PolicyEngine samples per-processor load, rebalances hot objects
   // and (optionally) phase-flips read-mostly ones into replication mode.
   // Disabled (default) constructs nothing — runs are bit-identical to a
-  // build without the subsystem. Actuating mode (observe_only == false) is
-  // single-shard only; observe mode is legal at any shard count.
+  // build without the subsystem.
   policy::PolicyConfig policy;
-  // Sharded engine (DESIGN.md §12): partition the machine's processors
-  // across `nshards` conservative-parallel shards, each running its own
-  // event loop; kSequential round-robins windows on one host thread (the
-  // conformance reference), kThreads runs one host thread per shard. Same-
-  // seed results are bit-identical across shard counts and backends.
-  // Multi-shard runs are restricted to mechanisms whose cross-processor
-  // interactions all flow through the network (kRpc / kMigration /
-  // kThreadMigration) with no chaos, ft, distributed locator or
-  // replication; a mesh additionally loses link contention (its per-link
-  // FIFO timeline is inherently global). kThreads with nshards == 1 runs
-  // the classic loop on one worker thread (how chaos soaks ride under
-  // TSan) and allows everything.
-  unsigned nshards = 1;
-  sim::ShardBackend shard_backend = sim::ShardBackend::kSequential;
 };
 
 [[nodiscard]] RunStats run_counting(const CountingConfig& cfg);
@@ -205,12 +180,6 @@ struct BTreeConfig {
   check::CheckConfig check_cfg;
   ft::FtConfig ft;  // see CountingConfig
   policy::PolicyConfig policy;  // see CountingConfig
-  sim::QueueBackend queue_backend = sim::QueueBackend::kCalendar;
-  // See CountingConfig. Multi-shard B-tree runs must additionally be
-  // lookup-only (insert_ratio == 0): splits mutate tree topology through
-  // state no single shard owns.
-  unsigned nshards = 1;
-  sim::ShardBackend shard_backend = sim::ShardBackend::kSequential;
 };
 
 [[nodiscard]] RunStats run_btree(const BTreeConfig& cfg);

@@ -33,24 +33,12 @@
 // Violations are recorded (bounded) and counted; in Debug builds they
 // abort by default so a broken protocol cannot masquerade as a slow one.
 //
-// Sharded runs (DESIGN.md §12): the checker's tables are global, so hooks
-// fired concurrently from kThreads shard workers cannot mutate them
-// directly. During a multi-shard window loop every hook instead appends a
-// deferred closure to the calling shard's private log, tagged with the
-// emitting event's (cycle, label); the window barrier's serial phase
-// replays all logs merged in (cycle, label) order — exactly the order a
-// one-shard run fires the hooks in — so stats, violation records and their
-// timestamps are byte-identical for every shard count and backend.
-// Caller-visible ids (send tokens, chase ids, call ids) are minted
-// immediately from per-lane counters, `(lane << 40) | count`, making them
-// pure functions of causal history rather than of replay timing. Outside a
-// sharded run (every pre-shard unit test) hooks apply directly and the
-// checker behaves exactly as before.
+// Caller-visible ids (send tokens, chase ids, call ids) are minted from
+// per-lane counters, `(lane << 40) | count`, keyed on the calling event's
+// label lane (engine.h), making them pure functions of causal history.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -176,13 +164,10 @@ struct CheckStats {
 
 class Checker {
  public:
-  /// Violations are timestamped with `engine.now()` at record time (or the
-  /// emitting event's cycle when replayed from a shard log). The caller
-  /// installs the checker with `engine.set_checker(&c)` (mirroring Tracer)
-  /// and should call `finalize()` once the run has drained. Construction
-  /// registers the engine's window-barrier hook for deferred replay.
+  /// Violations are timestamped with `engine.now()` at record time. The
+  /// caller installs the checker with `engine.set_checker(&c)` (mirroring
+  /// Tracer) and should call `finalize()` once the run has drained.
   Checker(sim::Engine& engine, ProcId nprocs, CheckConfig cfg = {});
-  ~Checker();
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
@@ -332,50 +317,9 @@ class Checker {
     Cycles sent_at;
   };
 
-  /// One hook occurrence captured during a sharded window, replayed at the
-  /// next barrier. (t, label) is the emitting event's identity — the merge
-  /// key that reconstructs the one-shard hook order.
-  struct Deferred {
-    Cycles t;
-    std::uint64_t label;
-    std::function<void()> fn;
-  };
-  struct ShardLog {
-    std::vector<Deferred> entries;
-  };
-
-  /// Run `fn` now (classic runs) or append it to the calling shard's log
-  /// (multi-shard window loops); the barrier replay applies it later under
-  /// the emitting event's timestamp.
-  template <class F>
-  void dispatch(F&& fn) {
-    if (!engine_->in_sharded_run()) {
-      fn();
-      return;
-    }
-    const unsigned s = engine_->current_shard();
-    if (s >= logs_.size()) [[unlikely]] {
-      assert(!engine_->threads_active());
-      logs_.resize(s + 1);
-    }
-    logs_[s].entries.push_back(
-        Deferred{engine_->now(), engine_->current_label(),
-                 std::function<void()>(std::forward<F>(fn))});
-  }
-
-  /// Apply every deferred hook, merged across shard logs by (t, label).
-  /// Serial phase only (window barrier / finalize).
-  void replay();
-
-  /// Mint a caller-visible id from the calling lane's counter: shard-count
-  /// invariant, and the legacy sequence 1, 2, 3, ... for lane-0 programs.
+  /// Mint a caller-visible id from the calling lane's counter: the
+  /// sequence 1, 2, 3, ... for lane-0 programs.
   std::uint64_t fresh_id(std::vector<std::uint64_t>& cnt);
-
-  /// The cycle a violation or edge is stamped with: the engine clock, or
-  /// the emitting event's cycle while replaying a shard log.
-  [[nodiscard]] Cycles now_() const noexcept {
-    return replaying_ ? replay_now_ : engine_->now();
-  }
 
   void violate(Violation v, ProcId proc, std::string detail);
   void tick(ProcId p) { ++clocks_[p][p]; }
@@ -397,13 +341,10 @@ class Checker {
   CheckStats stats_;
   std::vector<ViolationRecord> records_;
 
-  // deferred-mode state (sharded runs)
-  std::vector<ShardLog> logs_;               // one per shard
-  std::vector<std::uint64_t> send_cnt_;      // per-lane id counters
+  // per-lane id counters
+  std::vector<std::uint64_t> send_cnt_;
   std::vector<std::uint64_t> chase_cnt_;
   std::vector<std::uint64_t> call_cnt_;
-  bool replaying_ = false;
-  Cycles replay_now_ = 0;
 
   // happens-before
   std::vector<std::vector<std::uint64_t>> clocks_;
@@ -448,7 +389,7 @@ class Checker {
   std::map<std::uint64_t, bool> policy_mode_;  // true = replicated
 
   // transport + replies; calls_ is ordered by the (lane-structured) call id
-  // so finalize walks windows in a shard-count-invariant order.
+  // so finalize walks windows in a deterministic order.
   std::map<std::pair<ProcId, ProcId>, Channel> channels_;
   std::map<std::uint64_t, Call> calls_;
 };

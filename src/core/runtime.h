@@ -80,26 +80,18 @@ class Runtime {
   Runtime(sim::Machine& machine, net::Network& network, ObjectSpace& objects,
           CostModel cost)
       : machine_(&machine), network_(&network), objects_(&objects),
-        cost_(cost), stats_shards_(machine.engine().shards()) {}
+        cost_(cost) {}
 
   [[nodiscard]] sim::Machine& machine() noexcept { return *machine_; }
   [[nodiscard]] net::Network& network() noexcept { return *network_; }
   [[nodiscard]] ObjectSpace& objects() noexcept { return *objects_; }
   [[nodiscard]] const CostModel& cost() const noexcept { return cost_; }
 
-  /// Whole-machine runtime counters (all shard slices merged).
-  [[nodiscard]] const RtStats& stats() const noexcept {
-    merged_stats_ = RtStats{};
-    for (const RtStats& s : stats_shards_) merged_stats_.add(s);
-    return merged_stats_;
-  }
+  /// Whole-machine runtime counters.
+  [[nodiscard]] const RtStats& stats() const noexcept { return stats_; }
 
-  /// The executing shard's slice of the counters: runtime layers increment
-  /// through here so shards never write each other's cache lines (and so
-  /// counts attribute deterministically regardless of shard count).
-  [[nodiscard]] RtStats& mutable_stats() noexcept {
-    return stats_shards_[machine_->engine().current_shard()];
-  }
+  /// The counters runtime layers (mobile objects, replication) increment.
+  [[nodiscard]] RtStats& mutable_stats() noexcept { return stats_; }
 
   /// The engine's tracer, or null when tracing is disabled.
   [[nodiscard]] sim::Tracer* tracer() const noexcept {
@@ -129,13 +121,9 @@ class Runtime {
   /// event sequence is bit-identical to the pre-reliability runtime, so
   /// every fault-free figure is unchanged.
   void enable_reliability(ReliableConfig cfg = {}) {
-    // The transport keeps global per-peer sequence state; chaos runs are
-    // restricted to a single shard, whose slice it charges directly.
-    assert(machine_->engine().shards() == 1 &&
-           "reliable transport requires a single-shard engine");
     reliable_cfg_ = cfg;
-    reliable_ = std::make_unique<ReliableTransport>(
-        machine_->engine(), *network_, stats_shards_[0], cfg);
+    reliable_ = std::make_unique<ReliableTransport>(machine_->engine(),
+                                                    *network_, stats_, cfg);
     if (ft_ != nullptr) reliable_->set_fault_tolerance(ft_);
   }
   [[nodiscard]] bool reliability_enabled() const noexcept {
@@ -385,8 +373,7 @@ class Runtime {
   net::Network* network_;
   ObjectSpace* objects_;
   CostModel cost_;
-  std::vector<RtStats> stats_shards_;    // one slice per engine shard
-  mutable RtStats merged_stats_;         // snapshot storage for stats()
+  RtStats stats_;
   ReliableConfig reliable_cfg_;
   std::unique_ptr<ReliableTransport> reliable_;
   LocationService* locator_ = nullptr;   // null = oracle mode

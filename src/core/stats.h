@@ -120,39 +120,6 @@ struct RtStats {
                                            // committed exactly once)
   std::uint64_t ft_evacuations = 0;      // activations rebound off dead procs
   Breakdown breakdown;
-
-  /// Accumulate another counter set (merging per-shard slices).
-  void add(const RtStats& o) noexcept {
-    local_calls += o.local_calls;
-    remote_calls += o.remote_calls;
-    fast_path_calls += o.fast_path_calls;
-    threads_created += o.threads_created;
-    migrations += o.migrations;
-    migrations_local += o.migrations_local;
-    migrated_words += o.migrated_words;
-    replies += o.replies;
-    replica_hits += o.replica_hits;
-    replica_fetches += o.replica_fetches;
-    replica_invalidations += o.replica_invalidations;
-    object_moves += o.object_moves;
-    moved_object_words += o.moved_object_words;
-    reliable_sends += o.reliable_sends;
-    retransmits += o.retransmits;
-    timeouts_fired += o.timeouts_fired;
-    acks_sent += o.acks_sent;
-    dedup_hits += o.dedup_hits;
-    stale_deliveries += o.stale_deliveries;
-    delivery_failures += o.delivery_failures;
-    migration_fallbacks += o.migration_fallbacks;
-    ft_suspect_aborts += o.ft_suspect_aborts;
-    ft_deadline_aborts += o.ft_deadline_aborts;
-    ft_call_retries += o.ft_call_retries;
-    ft_recovered_replies += o.ft_recovered_replies;
-    ft_evacuations += o.ft_evacuations;
-    for (std::size_t c = 0; c < breakdown.cycles.size(); ++c) {
-      breakdown.cycles[c] += o.breakdown.cycles[c];
-    }
-  }
 };
 
 }  // namespace cm::core

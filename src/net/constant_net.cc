@@ -13,7 +13,7 @@ void ConstantNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     engine_->after(0, std::move(deliver));
     return;
   }
-  slot(engine_->current_shard()).record(kind, words);
+  record(kind, words);
   if (sim::Tracer* tr = engine_->tracer()) {
     const std::uint64_t id = tr->next_msg_id();
     tr->record(sim::TraceEvent::kMsgSend, src,
@@ -36,9 +36,8 @@ void ConstantNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
       d();
     };
   }
-  // Deliveries are homed at the destination, which is also the cross-shard
-  // hop: the latency here is >= min_cross_latency(), the sharded run's
-  // window lookahead, so the event always lands beyond the current window.
+  // Deliveries are homed at the destination: the receiver's lane labels
+  // whatever the delivery schedules.
   engine_->after_on(dst, latency(src, dst, words), std::move(deliver));
 }
 

@@ -17,19 +17,13 @@ struct ConstantNetConfig {
 class ConstantNetwork final : public Network {
  public:
   ConstantNetwork(sim::Engine& engine, ConstantNetConfig cfg = {})
-      : Network(engine.shards()), engine_(&engine), cfg_(cfg) {}
+      : engine_(&engine), cfg_(cfg) {}
 
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
             std::function<void()> deliver) override;
 
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;
-
-  /// Every cross-processor message pays at least the launch cost,
-  /// independent of payload — the sharded run's lookahead.
-  [[nodiscard]] sim::Cycles min_cross_latency() const override {
-    return cfg_.launch;
-  }
 
  private:
   sim::Engine* engine_;

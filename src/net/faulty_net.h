@@ -83,11 +83,6 @@ class FaultyNetwork final : public Network {
     return inner_->latency(src, dst, words);
   }
 
-  /// Faults only ever add delay (or erase the message), never shorten it.
-  [[nodiscard]] sim::Cycles min_cross_latency() const override {
-    return inner_->min_cross_latency();
-  }
-
   /// The wrapped network's traffic counters with this layer's fault
   /// counters merged in.
   [[nodiscard]] const NetStats& stats() const noexcept override;

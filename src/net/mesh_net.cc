@@ -9,17 +9,11 @@
 namespace cm::net {
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg)
-    : Network(engine.shards()), engine_(&engine), cfg_(cfg) {
+    : engine_(&engine), cfg_(cfg) {
   assert(cfg_.width > 0);
-  // Link occupancy is one global FIFO timeline per link — meaningless (and
-  // racy) when shards run their own clocks; the workload layer rejects the
-  // combination, this assert backs it up.
-  assert((engine.shards() == 1 || !cfg_.contention) &&
-         "mesh contention modelling requires a single shard");
   height_ = (nprocs + cfg_.width - 1) / cfg_.width;
   if (height_ == 0) height_ = 1;
   links_.resize(static_cast<std::size_t>(cfg_.width) * height_ * 4);
-  link_words_.resize(links_.size() * engine.shards());
 }
 
 unsigned MeshNetwork::hops(sim::ProcId src, sim::ProcId dst) const {
@@ -40,22 +34,12 @@ sim::Cycles MeshNetwork::route(sim::ProcId src, sim::ProcId dst,
   unsigned x = src % cfg_.width, y = src / cfg_.width;
   const unsigned dx = dst % cfg_.width, dy = dst / cfg_.width;
 
-  // This shard's slab of per-link word counters (slab 0 for classic runs).
-  std::uint64_t* const shard_words =
-      link_words_.data() + static_cast<std::size_t>(engine_->current_shard()) *
-                               links_.size();
-
   auto cross = [&](unsigned dir, unsigned& coord, bool forward) {
-    const std::size_t li = link_index(x, y, dir);
-    if (cfg_.contention) {
-      Link& link = links_[li];
-      const sim::Cycles begin = std::max(head, link.free_at);
-      link.free_at = begin + occupancy;
-      head = begin + cfg_.per_hop;
-    } else {
-      head += cfg_.per_hop;
-    }
-    shard_words[li] += words;
+    Link& link = links_[link_index(x, y, dir)];
+    const sim::Cycles begin = std::max(head, link.free_at);
+    link.free_at = begin + occupancy;
+    head = begin + cfg_.per_hop;
+    link.words += words;
     coord = forward ? coord + 1 : coord - 1;
   };
 
@@ -84,7 +68,7 @@ void MeshNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     engine_->after(0, std::move(deliver));
     return;
   }
-  slot(engine_->current_shard()).record(kind, words);
+  record(kind, words);
   if (sim::Tracer* tr = engine_->tracer()) {
     const std::uint64_t id = tr->next_msg_id();
     tr->record(sim::TraceEvent::kMsgSend, src,
@@ -106,9 +90,7 @@ void MeshNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
       d();
     };
   }
-  // Home the delivery at the destination — the cross-shard hop. Without
-  // contention, arrive >= now + launch + per_hop = now + min_cross_latency,
-  // so the event always lands beyond the current window.
+  // Home the delivery at the destination, as ConstantNetwork does.
   const sim::Cycles arrive = route(src, dst, words, engine_->now());
   engine_->at_on(dst, arrive, std::move(deliver));
 }
@@ -126,13 +108,7 @@ sim::Cycles MeshNetwork::latency(sim::ProcId src, sim::ProcId dst,
 
 std::uint64_t MeshNetwork::max_link_words() const {
   std::uint64_t best = 0;
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < link_words_.size() / links_.size(); ++s) {
-      total += link_words_[s * links_.size() + li];
-    }
-    best = std::max(best, total);
-  }
+  for (const Link& link : links_) best = std::max(best, link.words);
   return best;
 }
 

@@ -1,7 +1,7 @@
 // 2-D mesh interconnect with dimension-ordered (X-then-Y) wormhole routing,
 // in the style of the machines Proteus modelled (Alewife, J-Machine).
 //
-// Latency = launch + per_hop * hops + per_word * words, plus optional link
+// Latency = launch + per_hop * hops + per_word * words, plus link
 // contention: each unidirectional link is a FIFO server occupied for
 // (words * per_word + per_hop) cycles per message crossing it, so hot links
 // (e.g. around a B-tree root's home node, or under shared-memory coherence
@@ -22,7 +22,6 @@ struct MeshConfig {
   sim::Cycles launch = 4;    // injection overhead
   sim::Cycles per_hop = 2;   // router/wire latency per hop
   sim::Cycles per_word = 1;  // serialisation cycles per word
-  bool contention = true;    // model per-link FIFO occupancy
 };
 
 class MeshNetwork final : public Network {
@@ -37,15 +36,6 @@ class MeshNetwork final : public Network {
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;
 
-  /// One hop is the cheapest cross-processor trip — the sharded lookahead.
-  /// Valid only without contention modelling (which is why contention is
-  /// restricted to single-shard runs: queueing delays have no lower bound
-  /// a conservative window could rely on... they only ever add latency,
-  /// but the per-link FIFO state itself is global and order-sensitive).
-  [[nodiscard]] sim::Cycles min_cross_latency() const override {
-    return cfg_.launch + cfg_.per_hop;
-  }
-
   /// Manhattan distance between two nodes under X-then-Y routing.
   [[nodiscard]] unsigned hops(sim::ProcId src, sim::ProcId dst) const;
 
@@ -56,12 +46,9 @@ class MeshNetwork final : public Network {
   [[nodiscard]] unsigned height() const noexcept { return height_; }
 
  private:
-  // Occupancy is contention-only state; contention (and therefore free_at)
-  // is restricted to single-shard runs. Per-link word counters are kept in
-  // per-shard slabs (link_words_) so sends on different shards never touch
-  // the same cache line.
   struct Link {
-    sim::Cycles free_at = 0;
+    sim::Cycles free_at = 0;  // when the link's FIFO next falls idle
+    std::uint64_t words = 0;  // words that crossed it
   };
 
   // Links are indexed by (node, direction): 0=+x, 1=-x, 2=+y, 3=-y.
@@ -82,8 +69,6 @@ class MeshNetwork final : public Network {
   MeshConfig cfg_;
   unsigned height_;
   std::vector<Link> links_;
-  // Per-shard word counters: shard s owns [s * links_.size(), (s+1) * ...).
-  std::vector<std::uint64_t> link_words_;
 };
 
 }  // namespace cm::net

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/types.h"
 
@@ -48,20 +47,6 @@ struct NetStats {
       coherence_words += w;
     }
   }
-
-  /// Accumulate another counter set (merging per-shard slices).
-  void add(const NetStats& o) noexcept {
-    messages += o.messages;
-    words += o.words;
-    runtime_messages += o.runtime_messages;
-    runtime_words += o.runtime_words;
-    coherence_messages += o.coherence_messages;
-    coherence_words += o.coherence_words;
-    faults_dropped += o.faults_dropped;
-    faults_duplicated += o.faults_duplicated;
-    faults_delayed += o.faults_delayed;
-    faults_nic_dropped += o.faults_nic_dropped;
-  }
 };
 
 class Network {
@@ -81,41 +66,20 @@ class Network {
   [[nodiscard]] virtual sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                             unsigned words) const = 0;
 
-  /// Smallest latency any cross-processor message can ever experience: the
-  /// conservative lookahead that bounds a sharded run's barrier-free
-  /// windows (DESIGN.md §12). Concrete networks override with a closed
-  /// form; the default is the zero-load latency of a minimal message.
-  [[nodiscard]] virtual sim::Cycles min_cross_latency() const {
-    return latency(0, 1, 1);
-  }
-
-  /// Whole-machine traffic counters (all shard slices merged). Virtual so
-  /// decorators (FaultyNetwork) can fold their fault counters in.
+  /// Whole-machine traffic counters. Virtual so decorators (FaultyNetwork)
+  /// can fold their fault counters in.
   [[nodiscard]] virtual const NetStats& stats() const noexcept {
-    merged_ = NetStats{};
-    for (const NetStats& s : shard_stats_) merged_.add(s);
-    return merged_;
-  }
-
-  /// One shard's slice of the counters: traffic whose send executed on that
-  /// shard. Measurement snapshots in sharded runs read only their own
-  /// shard's slice, so they never race with (or observe mid-window state
-  /// of) other shards.
-  [[nodiscard]] const NetStats& stats_of_shard(unsigned s) const noexcept {
-    return shard_stats_[s];
+    return stats_;
   }
 
  protected:
-  /// `shard_slots` comes from the owning engine's shard count; sends record
-  /// into the slice of the shard they execute on.
-  explicit Network(unsigned shard_slots = 1)
-      : shard_stats_(shard_slots != 0 ? shard_slots : 1) {}
-
-  [[nodiscard]] NetStats& slot(unsigned s) noexcept { return shard_stats_[s]; }
+  /// Concrete networks count each wire message here.
+  void record(Traffic kind, unsigned words) noexcept {
+    stats_.record(kind, words);
+  }
 
  private:
-  std::vector<NetStats> shard_stats_;
-  mutable NetStats merged_;  // snapshot storage for stats()
+  NetStats stats_;
 };
 
 }  // namespace cm::net

@@ -36,9 +36,7 @@ void put_policy_stats(core::Metrics& m, const PolicyStats& s) {
 PolicyEngine::PolicyEngine(core::Runtime& rt, PolicyConfig cfg)
     : rt_(&rt), cfg_(cfg), nprocs_(rt.machine().size()),
       samplers_(rt.machine().size()),
-      slices_(rt.machine().engine().shards()),
-      choosers_(rt.machine().engine().shards(),
-                core::AdaptiveChooser(cfg.chooser)),
+      chooser_(cfg.chooser),
       views_(rt.machine().size()),
       board_levels_(rt.machine().size(), 0) {
   for (Sampler& s : samplers_) {
@@ -48,9 +46,6 @@ PolicyEngine::PolicyEngine(core::Runtime& rt, PolicyConfig cfg)
 
 void PolicyEngine::manage(core::ObjectId id, core::MobileObject* mobile,
                           unsigned object_words, bool replicable) {
-  // Mid-run registration on a multi-shard engine would race readers on
-  // other shards; those runs profile the setup-time population only.
-  if (engine().shards() > 1 && engine().in_sharded_run()) return;
   if (index_.contains(id)) return;
   index_.emplace(id, static_cast<std::uint32_t>(objects_.size()));
   Managed& m = objects_.emplace_back();
@@ -81,17 +76,16 @@ void PolicyEngine::on_access(core::ObjectId id, ProcId accessor, bool write) {
   auto it = index_.find(id);
   if (it == index_.end()) return;
   Managed& m = objects_[it->second];
-  PolicyStats& st = slice();
-  ++st.accesses;
+  ++stats_.accesses;
   if (write) {
-    ++st.writes;
+    ++stats_.writes;
     ++m.win_writes;
   } else {
     ++m.win_reads;
   }
   const ProcId home = rt_->objects().home_of(id);
   if (accessor != home) {
-    ++st.remote_accesses;
+    ++stats_.remote_accesses;
     ++m.win_remote;
     std::uint64_t& c = m.win_by_accessor[accessor];
     ++c;
@@ -102,12 +96,12 @@ void PolicyEngine::on_access(core::ObjectId id, ProcId accessor, bool write) {
       m.win_top = accessor;
     }
   }
-  chooser_slice().record(id, accessor, write);
+  chooser_.record(id, accessor, write);
   Sampler& s = samplers_[home];
   ++s.accesses_since;
   if (s.parked && started_) {
     // Revive the home's sampler from the home's own event context (the
-    // method body executes there), keeping the tick on the home's shard.
+    // method body executes there), homing the tick at the home.
     s.parked = false;
     s.idle = 0;
     engine().after_on(home, cfg_.sample_interval, [this, home] {
@@ -130,8 +124,7 @@ sim::Task<> PolicyEngine::write_barrier(core::Ctx& ctx, core::ObjectId id) {
 }
 
 PolicyStats PolicyEngine::stats() const {
-  PolicyStats out;
-  for (const PolicyStats& s : slices_) out.add(s);
+  PolicyStats out = stats_;
   out.managed = objects_.size();
   return out;
 }
@@ -149,13 +142,12 @@ bool PolicyEngine::replicated_mode(core::ObjectId id) const {
 void PolicyEngine::tick(ProcId p) {
   Sampler& s = samplers_[p];
   ++s.ticks;
-  PolicyStats& st = slice();
-  ++st.samples;
+  ++stats_.samples;
   sim::Engine& eng = engine();
   const Cycles now = eng.now();
   const Cycles free_at = rt_->machine().proc(p).free_at();
   const Cycles backlog = free_at > now ? free_at - now : 0;
-  if (backlog > st.max_backlog) st.max_backlog = backlog;
+  if (backlog > stats_.max_backlog) stats_.max_backlog = backlog;
   const bool global = (s.ticks % cfg_.global_every) == 0;
   if (sim::Tracer* tr = eng.tracer()) {
     tr->record(sim::TraceEvent::kPolicySample, p,
@@ -181,8 +173,8 @@ void PolicyEngine::tick(ProcId p) {
               static_cast<double>(m.win_top_count) /
                       static_cast<double>(total) >=
                   cfg_.attract_share) {
-            chooser_slice().record_bounce(m.id);
-            ++st.rebounces;
+            chooser_.record_bounce(m.id);
+            ++stats_.rebounces;
           }
         }
         maybe_move(p, m, total, moved);
@@ -192,10 +184,10 @@ void PolicyEngine::tick(ProcId p) {
   }
 
   if (global) {
-    ++st.global_passes;
+    ++stats_.global_passes;
     const auto level = static_cast<std::uint8_t>(
         std::min<Cycles>(backlog / cfg_.load_quantum, 255));
-    ++st.load_reports;
+    ++stats_.load_reports;
     if (p == cfg_.coordinator) {
       board_note(p, level);
     } else {
@@ -228,13 +220,12 @@ void PolicyEngine::evaluate_phase(ProcId p, Managed& m, std::uint64_t total) {
     next = Phase::kUpdate;
   }
   if (next == m.phase) return;
-  PolicyStats& st = slice();
   m.phase = next;
   const bool read_edge = next == Phase::kRead;
   if (read_edge) {
-    ++st.phase_read_edges;
+    ++stats_.phase_read_edges;
   } else {
-    ++st.phase_update_edges;
+    ++stats_.phase_update_edges;
   }
   sim::Engine& eng = engine();
   if (sim::Tracer* tr = eng.tracer()) {
@@ -247,14 +238,14 @@ void PolicyEngine::evaluate_phase(ProcId p, Managed& m, std::uint64_t total) {
   if (m.replica == nullptr) return;  // observe-only / not phase-adaptive
   if (read_edge && !m.flipped) {
     m.flipped = true;
-    ++st.flips_on;
+    ++stats_.flips_on;
     if (check::Checker* ck = rt_->checker()) ck->on_policy_flip(m.id, true);
     if (sim::Tracer* tr = eng.tracer()) {
       tr->record(sim::TraceEvent::kPolicyFlip, p, {{"obj", m.id}, {"on", 1}});
     }
   } else if (!read_edge && m.flipped) {
     m.flipped = false;
-    ++st.flips_off;
+    ++stats_.flips_off;
     if (check::Checker* ck = rt_->checker()) ck->on_policy_flip(m.id, false);
     if (sim::Tracer* tr = eng.tracer()) {
       tr->record(sim::TraceEvent::kPolicyFlip, p, {{"obj", m.id}, {"on", 0}});
@@ -274,8 +265,7 @@ void PolicyEngine::maybe_move(ProcId p, Managed& m, std::uint64_t total,
       static_cast<double>(m.win_top_count) / static_cast<double>(total);
   if (share < cfg_.attract_share) return;
 
-  PolicyStats& st = slice();
-  ++st.decisions;
+  ++stats_.decisions;
   sim::Engine& eng = engine();
   if (sim::Tracer* tr = eng.tracer()) {
     tr->record(sim::TraceEvent::kPolicyDecision, p,
@@ -286,29 +276,30 @@ void PolicyEngine::maybe_move(ProcId p, Managed& m, std::uint64_t total,
   }
   const Cycles now = eng.now();
   if (m.ever_moved && now - m.last_move_at < cfg_.cooldown) {
-    ++st.suppressed_cooldown;
+    ++stats_.suppressed_cooldown;
     return;
   }
-  if (chooser_slice().bounce_rate(m.id) > cfg_.chooser.bounce_rate_cap) {
-    ++st.suppressed_bounce;
+  if (chooser_.bounce_rate(m.id) > cfg_.chooser.bounce_rate_cap) {
+    ++stats_.suppressed_bounce;
     return;
   }
   const View& v = views_[p];
   if (v.round > 0 && v.levels[m.win_top] > v.levels[p] + cfg_.load_slack) {
-    ++st.suppressed_load;  // digest says the target is already overloaded
+    ++stats_.suppressed_load;  // digest says the target is already overloaded
     return;
   }
   if (moved >= cfg_.degree_of_migration) {
-    ++st.suppressed_cap;
+    ++stats_.suppressed_cap;
     return;
   }
   ++moved;
   // Cooldown opens at the committed decision, observe mode included, so
-  // the decision stream keeps its hysteresis shape at every shard count.
+  // the decision stream has the same hysteresis shape whether or not the
+  // policy acts.
   m.last_move_at = now;
   m.ever_moved = true;
   if (cfg_.observe_only) return;
-  ++st.moves_issued;
+  ++stats_.moves_issued;
   m.probe_rebounce = true;
   if (check::Checker* ck = rt_->checker()) ck->on_policy_move(m.id);
   if (sim::Tracer* tr = eng.tracer()) {
@@ -332,10 +323,9 @@ void PolicyEngine::board_note(ProcId from, std::uint8_t level) {
   if (++board_reports_ < nprocs_) return;
   board_reports_ = 0;
   ++round_;
-  PolicyStats& st = slice();
-  ++st.broadcast_rounds;
+  ++stats_.broadcast_rounds;
   for (ProcId q = 0; q < nprocs_; ++q) {
-    ++st.digests;
+    ++stats_.digests;
     if (q == cfg_.coordinator) {
       views_[q].round = round_;
       views_[q].levels = board_levels_;
@@ -360,7 +350,7 @@ sim::Task<> PolicyEngine::do_move(Managed* m, ProcId from, ProcId to) {
   // Keep the replica set's notion of the primary's home current, so a
   // later phase flip serves from the right processor.
   if (m->replica != nullptr) m->replica->rehome(ctx.proc);
-  ++slice().moves_completed;
+  ++stats_.moves_completed;
 }
 
 sim::Task<> PolicyEngine::send_report(ProcId from, std::uint8_t level) {

@@ -15,8 +15,7 @@
 //    that processor; every `global_every`-th sample is a global pass that
 //    reports a quantized load level to a coordinator, which broadcasts a
 //    digest back (all cross-processor load knowledge travels in messages,
-//    never via host-side shared reads — that is what keeps multi-shard
-//    observe runs deterministic). Moves respect migration hysteresis: a
+//    never via host-side shared reads). Moves respect migration hysteresis: a
 //    per-object cooldown, a `degree_of_migration` cap per pass, a chooser
 //    bounce-rate veto, and a digest-based target-overload veto.
 //  * ACTUATING — a bounded batch of MobileObject::attract re-homes, and a
@@ -27,18 +26,11 @@
 // constructed, every app-side site is a single pointer test and runs are
 // byte-identical to a build that never heard of policy.
 //
-// Determinism rules:
-//  * `on_access` is called from the method body executing at the object's
-//    home, so each object's window profile is single-writer (its home
-//    shard); the dominant accessor is tracked with an incremental argmax
-//    (first to reach a count wins — never a hash-map iteration).
-//  * Actual moves and replication flips mutate global tables (ObjectSpace,
-//    the replica registry), so actuating mode is single-shard only;
-//    `observe_only` senses, decides and traces without actuating and is
-//    safe — and byte-identical — at every shard count and backend.
-//  * Mid-run `manage()` calls are ignored on multi-shard engines (the
-//    registration tables would race); multi-shard observe runs profile the
-//    setup-time object population.
+// Determinism: `on_access` is called from the method body executing at the
+// object's home, and the dominant accessor is tracked with an incremental
+// argmax (first to reach a count wins — never a hash-map iteration).
+// `observe_only` senses, decides and traces without moving or flipping
+// anything.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +58,7 @@ using sim::ProcId;
 
 struct PolicyConfig {
   bool enabled = false;
-  /// Sense, decide and trace but never move or flip anything. The only
-  /// policy mode legal on a multi-shard engine (see header comment).
+  /// Sense, decide and trace but never move or flip anything.
   bool observe_only = false;
 
   // ---- sampler ----
@@ -95,13 +86,12 @@ struct PolicyConfig {
   double update_phase_ratio = 0.25;  // write ratio at/above this -> UPDATE
   std::uint64_t update_min_writes = 3;  // window writes for an UPDATE edge
 
-  /// Tunables for the per-shard chooser slices the policy feeds (accesses,
-  /// rebalance bounces) and consults (`bounce_rate_cap` vetoes moves).
+  /// Tunables for the chooser the policy feeds (accesses, rebalance
+  /// bounces) and consults (`bounce_rate_cap` vetoes moves).
   core::AdaptiveChooser::Tunables chooser{};
 };
 
-/// Flat counters exported under "policy.*" keys (put_policy_stats). Kept
-/// per engine shard and merged on read, the RtStats pattern.
+/// Flat counters exported under "policy.*" keys (put_policy_stats).
 struct PolicyStats {
   std::uint64_t samples = 0;        // local sampler passes
   std::uint64_t global_passes = 0;  // ... of which global
@@ -124,32 +114,8 @@ struct PolicyStats {
   std::uint64_t writes = 0;
   std::uint64_t remote_accesses = 0;
   Cycles max_backlog = 0;           // worst sampled queue backlog
-  std::uint64_t managed = 0;        // objects under policy (set on merge)
+  std::uint64_t managed = 0;        // objects under policy (set by stats())
 
-  void add(const PolicyStats& o) {
-    samples += o.samples;
-    global_passes += o.global_passes;
-    load_reports += o.load_reports;
-    broadcast_rounds += o.broadcast_rounds;
-    digests += o.digests;
-    decisions += o.decisions;
-    moves_issued += o.moves_issued;
-    moves_completed += o.moves_completed;
-    suppressed_cooldown += o.suppressed_cooldown;
-    suppressed_bounce += o.suppressed_bounce;
-    suppressed_load += o.suppressed_load;
-    suppressed_cap += o.suppressed_cap;
-    rebounces += o.rebounces;
-    phase_read_edges += o.phase_read_edges;
-    phase_update_edges += o.phase_update_edges;
-    flips_on += o.flips_on;
-    flips_off += o.flips_off;
-    accesses += o.accesses;
-    writes += o.writes;
-    remote_accesses += o.remote_accesses;
-    if (o.max_backlog > max_backlog) max_backlog = o.max_backlog;
-    managed += o.managed;
-  }
 };
 
 /// Flat "policy.*" keys in the unified metrics schema.
@@ -170,8 +136,8 @@ class PolicyEngine {
 
   /// Put an object under policy management. `mobile` is the handle the
   /// rebalancer actuates through (must outlive the engine); `replicable`
-  /// opts the object into phase-adaptive replication. Ignored mid-run on
-  /// multi-shard engines (see header), and for already-managed ids.
+  /// opts the object into phase-adaptive replication. Ignored for
+  /// already-managed ids.
   void manage(core::ObjectId id, core::MobileObject* mobile,
               unsigned object_words, bool replicable);
 
@@ -198,14 +164,10 @@ class PolicyEngine {
   [[nodiscard]] sim::Task<> write_barrier(core::Ctx& ctx, core::ObjectId id);
 
   [[nodiscard]] const PolicyConfig& config() const noexcept { return cfg_; }
-  /// All shard slices merged, plus the managed-object count.
+  /// The counters, plus the managed-object count.
   [[nodiscard]] PolicyStats stats() const;
-  /// The shard-0 chooser slice, for single-shard consumers (the locator's
-  /// `set_chooser`, tests). Policy decisions always use the calling
-  /// shard's own slice.
-  [[nodiscard]] core::AdaptiveChooser& chooser() noexcept {
-    return choosers_[0];
-  }
+  /// The chooser the policy feeds, shared with the locator's `set_chooser`.
+  [[nodiscard]] core::AdaptiveChooser& chooser() noexcept { return chooser_; }
 
   // ---- introspection for tests --------------------------------------------
   [[nodiscard]] std::size_t managed_count() const noexcept {
@@ -217,7 +179,7 @@ class PolicyEngine {
 
  private:
   /// One object under management. Window counters are written only from
-  /// events at the object's home (single-writer per shard).
+  /// events at the object's home.
   struct Managed {
     core::ObjectId id = 0;
     core::MobileObject* mobile = nullptr;
@@ -257,13 +219,6 @@ class PolicyEngine {
   [[nodiscard]] sim::Engine& engine() const noexcept {
     return rt_->machine().engine();
   }
-  [[nodiscard]] PolicyStats& slice() noexcept {
-    return slices_[engine().current_shard()];
-  }
-  [[nodiscard]] core::AdaptiveChooser& chooser_slice() noexcept {
-    return choosers_[engine().current_shard()];
-  }
-
   void tick(ProcId p);
   void evaluate_phase(ProcId p, Managed& m, std::uint64_t total);
   void maybe_move(ProcId p, Managed& m, std::uint64_t total, unsigned& moved);
@@ -286,8 +241,8 @@ class PolicyEngine {
   std::deque<Managed> objects_;  // deque: stable addresses for coroutines
   std::unordered_map<core::ObjectId, std::uint32_t> index_;
   std::vector<Sampler> samplers_;             // one per processor
-  std::vector<PolicyStats> slices_;           // one per engine shard
-  std::vector<core::AdaptiveChooser> choosers_;  // one per engine shard
+  PolicyStats stats_;
+  core::AdaptiveChooser chooser_;
   std::vector<View> views_;                   // one per processor
   // -- coordinator load board; touched only at the coordinator's events --
   std::vector<std::uint8_t> board_levels_;

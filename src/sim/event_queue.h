@@ -1,24 +1,25 @@
-// Event-queue backends for the simulation engine.
+// Event-queue implementations for the simulation engine.
 //
-// Two interchangeable backends with one ordering contract — lexicographic
-// (t, seq): earlier timestamps first, FIFO by insertion sequence within a
-// timestamp. That contract is the determinism invariant every experiment in
-// this repo leans on, so both backends must agree event-for-event (the
-// conformance suite in tests/queue_conformance_test.cc checks exactly this).
+// Both implement one ordering contract — lexicographic (t, seq): earlier
+// timestamps first, then smaller labels (FIFO by insertion sequence for
+// events scheduled from one lane). That contract is the determinism
+// invariant every experiment in this repo leans on.
 //
-// `HeapEventQueue` is the classic binary-heap priority queue over full event
-// records, kept both as the reference implementation for conformance tests
-// and as the measured baseline for the host-performance harness. Unlike
-// `std::priority_queue` — whose `top()` is const and therefore cannot hand
-// out its payload without a copy or a const_cast — it is built directly on
-// `std::push_heap`/`std::pop_heap` and exposes a real `pop_move()`: the heap
-// algorithms rotate the minimum element to the back of the vector, from
-// where it is legitimately moved out.
+// `CalendarQueue` + `EventArena` are the engine's queue: a two-level ladder
+// queue over 24-byte POD keys (the callback lives in a slab arena and never
+// moves) specialised for the engine's near-monotone timestamps, replacing
+// both the O(log n) heap churn and the per-event `std::function` heap
+// allocation.
 //
-// `CalendarQueue` + `EventArena` are the hot path: a two-level ladder queue
-// over 24-byte POD keys (the callback lives in a slab arena and never moves)
-// specialised for the engine's near-monotone timestamps, replacing both the
-// O(log n) heap churn and the per-event `std::function` heap allocation.
+// `HeapEventQueue` is the classic binary-heap priority queue over full
+// event records. The engine does not use it: it is the reference that
+// tests/queue_conformance_test.cc checks the engine against, event for
+// event, and the baseline bench/host_perf measures the calendar queue
+// against. Unlike `std::priority_queue` — whose `top()` is const and
+// therefore cannot hand out its payload without a copy or a const_cast — it
+// is built directly on `std::push_heap`/`std::pop_heap` and exposes a real
+// `pop_move()`: the heap algorithms rotate the minimum element to the back
+// of the vector, from where it is legitimately moved out.
 #pragma once
 
 #include <algorithm>
@@ -36,25 +37,17 @@
 
 namespace cm::sim {
 
-/// Which event-queue implementation an Engine runs on. `kCalendar` is the
-/// default hot path; `kHeap` is the legacy binary heap kept as the measured
-/// baseline and conformance reference.
-enum class QueueBackend : std::uint8_t { kCalendar, kHeap };
-
-/// A scheduled closure with its (time, label) ordering key and the simulated
-/// processor the event is homed at (kNoProc-as-uint32 for setup events).
+/// A scheduled closure with its (time, label) ordering key.
 struct HeapEvent {
   Cycles t;
   std::uint64_t seq;
-  std::uint32_t home;
   std::function<void()> fn;
 };
 
 class HeapEventQueue {
  public:
-  void push(Cycles t, std::uint64_t seq, std::uint32_t home,
-            std::function<void()> fn) {
-    heap_.push_back(HeapEvent{t, seq, home, std::move(fn)});
+  void push(Cycles t, std::uint64_t seq, std::function<void()> fn) {
+    heap_.push_back(HeapEvent{t, seq, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
@@ -237,8 +230,9 @@ static_assert(sizeof(EventKey) == 24, "home must fit in the old padding");
 /// whatever timestamp density the workload exhibits), partitions `far_`
 /// once, and sorts the new rung. Each event is therefore touched by at most
 /// one partition pass plus one O(log r) sort of a small rung — and the
-/// (t, seq) sort makes the pop order *exactly* the total order the heap
-/// backend produces, so same-seed runs are bit-identical across backends.
+/// (t, seq) sort makes the pop order *exactly* the total order a binary heap
+/// produces (HeapEventQueue, the reference the conformance tests compare
+/// against).
 class CalendarQueue {
  public:
   void push(Cycles t, std::uint64_t seq, std::uint32_t idx,

@@ -13,7 +13,7 @@
 // Threads. Each host thread owns its lists, so no lock is taken and nothing
 // is shared. Every block is a separate `::operator new` allocation of its
 // class's size, which leaves any thread free to keep or release it:
-//  * a frame destroyed on a different kThreads worker from the one that
+//  * a frame destroyed on a different host thread from the one that
 //    created it joins the destroying thread's list;
 //  * when a thread exits, its lists go back to the system;
 //  * a frame freed after that — during static destruction, say — bypasses
@@ -151,8 +151,8 @@ class FramePool {
   }
 
   // Per host thread by design: a thread pops and pushes only its own lists,
-  // so kThreads workers never share one, and no simulated result depends on
-  // which block a frame gets. Zero-initialised and trivially destructible,
+  // so two threads running simulations never share one, and no simulated
+  // result depends on which block a frame gets. Zero-initialised and trivially destructible,
   // so the hot path needs no TLS guard and the lists stay readable after
   // the thread's destructors have run.
   // simlint: allow SS001

@@ -1,7 +1,6 @@
 // The simulated multiprocessor: P processors sharing one event engine.
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <utility>
@@ -25,13 +24,10 @@ class Machine {
   }
 
   /// Run `fn` on processor `p`: the CPU is occupied for `cost` cycles
-  /// starting when it is free, and `fn` runs at the completion time. The
-  /// event is homed at `p`, so it executes on `p`'s shard; during sharded
-  /// runs callers must already be on that shard (cross-shard hand-off is
-  /// the network's job — it re-homes delivery via Engine::at_on).
+  /// starting when it is free, and `fn` runs at the completion time, in an
+  /// event homed at `p`.
   template <class F>
   void exec(ProcId p, Cycles cost, F&& fn) {
-    assert_local(p);
     engine_->at_on(p, procs_.acquire(p, engine_->now(), cost),
                    std::forward<F>(fn));
   }
@@ -39,7 +35,6 @@ class Machine {
   /// Resume a suspended coroutine on processor `p`, charging `cost` cycles
   /// of CPU first (e.g. scheduler/dispatch overhead).
   void resume_on(ProcId p, Cycles cost, std::coroutine_handle<> h) {
-    assert_local(p);
     engine_->at_on(p, procs_.acquire(p, engine_->now(), cost),
                    [h] { h.resume(); });
   }
@@ -77,14 +72,6 @@ class Machine {
   [[nodiscard]] Cycles total_busy() const { return procs_.total_busy(); }
 
  private:
-  /// Processor accounts are shard-partitioned state: touching `p`'s account
-  /// from another shard mid-run would race under kThreads and read the
-  /// wrong local clock under any backend.
-  void assert_local([[maybe_unused]] ProcId p) const noexcept {
-    assert(!engine_->in_sharded_run() ||
-           engine_->shard_of(p) == engine_->current_shard());
-  }
-
   Engine* engine_;
   ProcessorFile procs_;
 };

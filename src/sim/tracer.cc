@@ -8,46 +8,27 @@ namespace cm::sim {
 void Tracer::record(TraceEvent ev, ProcId track,
                     std::initializer_list<TraceArg> args) {
   assert(args.size() <= kMaxArgs && "raise Tracer::kMaxArgs");
-  const unsigned s = engine_->current_shard();
-  if (s >= shards_.size()) [[unlikely]] {
-    // Only reachable when shards were configured after the tracer; that
-    // ordering is single-threaded by construction.
-    assert(!engine_->threads_active());
-    shards_.resize(s + 1);
-  }
-  ShardBuf& sb = shards_[s];
   Record r;
   r.t = engine_->now();
-  r.label = engine_->current_label();
   r.ev = ev;
   r.track = track;
   r.nargs = static_cast<std::uint8_t>(args.size());
   std::size_t i = 0;
   for (const TraceArg& a : args) r.args[i++] = a;
-  sb.records.push_back(r);
-  ++sb.counts[static_cast<unsigned>(ev)];
-  if (track > sb.max_track) sb.max_track = track;
+  records_.push_back(r);
+  ++counts_[static_cast<unsigned>(ev)];
+  if (track > max_track_) max_track_ = track;
 }
 
 std::uint64_t Tracer::next_msg_id() {
-  const ProcId home = engine_->current_home();
-  const unsigned lane = home == kNoProc ? 0u : static_cast<unsigned>(home) + 1u;
-  if (lane >= msg_cnt_.size()) [[unlikely]] {
-    assert(!engine_->threads_active());
-    msg_cnt_.resize(lane + 1, 0);
-  }
+  const unsigned lane = engine_->current_lane();
+  if (lane >= msg_cnt_.size()) [[unlikely]] msg_cnt_.resize(lane + 1, 0);
   return (std::uint64_t{lane} << 40) | ++msg_cnt_[lane];
 }
 
 std::string Tracer::chrome_json() const {
-  std::size_t total = 0;
-  ProcId max_track = 0;
-  for (const ShardBuf& sb : shards_) {
-    total += sb.records.size();
-    if (sb.max_track > max_track) max_track = sb.max_track;
-  }
   std::string out;
-  out.reserve(96 * (total + max_track + 2));
+  out.reserve(96 * (records_.size() + max_track_ + 2));
   char buf[256];
   out += "{\"traceEvents\":[\n";
   // Track metadata first: one named thread per simulated processor, all in
@@ -56,33 +37,15 @@ std::string Tracer::chrome_json() const {
                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
                 "\"tid\":0,\"args\":{\"name\":\"machine\"}}");
   out += buf;
-  for (ProcId p = 0; p <= max_track; ++p) {
+  for (ProcId p = 0; p <= max_track_; ++p) {
     std::snprintf(buf, sizeof buf,
                   ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
                   "\"tid\":%u,\"args\":{\"name\":\"proc %u\"}}",
                   p, p);
     out += buf;
   }
-  // Instant events, merged across shard buffers by (t, label). Each buffer
-  // is already sorted: a shard executes events in (t, label) order and all
-  // records of one event share its (t, label). Labels are globally unique
-  // per event, so equal keys only ever meet inside one buffer, where the
-  // merge preserves their relative order — the result is byte-identical
-  // for every shard count (one shard degenerates to plain buffer order).
-  std::vector<std::size_t> pos(shards_.size(), 0);
-  for (std::size_t emitted = 0; emitted < total; ++emitted) {
-    std::size_t best = shards_.size();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (pos[s] >= shards_[s].records.size()) continue;
-      if (best == shards_.size()) {
-        best = s;
-        continue;
-      }
-      const Record& a = shards_[s].records[pos[s]];
-      const Record& b = shards_[best].records[pos[best]];
-      if (a.t < b.t || (a.t == b.t && a.label < b.label)) best = s;
-    }
-    const Record& r = shards_[best].records[pos[best]++];
+  // Instant events, in the order they were recorded.
+  for (const Record& r : records_) {
     std::snprintf(buf, sizeof buf,
                   ",\n{\"name\":\"%.*s\",\"cat\":\"%.*s\",\"ph\":\"i\","
                   "\"s\":\"t\",\"ts\":%llu,\"pid\":0,\"tid\":%u",

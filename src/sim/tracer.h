@@ -11,14 +11,9 @@
 // a single pointer test and all outputs are bit-identical to a build that
 // never heard of tracing.
 //
-// Sharded runs (DESIGN.md §12): each shard appends to its own record
-// buffer, so concurrent kThreads workers never share a cache line, and
-// `chrome_json()` merges the buffers by (cycle, event label) — the same
-// deterministic order the sharded engine itself guarantees — so the JSON
-// is byte-identical for every shard count and backend at the same seed.
 // Msg ids come from per-lane counters keyed on the *sending* context's
-// lane, making them a pure function of causal history (shard-count
-// invariant); a single-lane program sees the legacy sequence 1, 2, 3, ...
+// label lane (engine.h), making them a pure function of causal history; a
+// single-lane program sees the sequence 1, 2, 3, ...
 #pragma once
 
 #include <array>
@@ -198,44 +193,28 @@ struct TraceArg {
 
 class Tracer {
  public:
-  /// Events are timestamped with `engine.now()` at record time. Construct
-  /// after `Engine::configure_shards` (the workload layer does) so the
-  /// per-shard buffers and per-lane msg-id counters are pre-sized; an
-  /// unconfigured engine gets one shard / one lane and grows lazily.
-  explicit Tracer(Engine& engine)
-      : engine_(&engine),
-        shards_(engine.shards()),
-        msg_cnt_(engine.configured_lanes()) {}
+  /// Events are timestamped with `engine.now()` at record time.
+  explicit Tracer(Engine& engine) : engine_(&engine) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   /// Record `ev` on processor `track` at the current cycle, with up to
-  /// `kMaxArgs` annotations. Appends to the calling shard's buffer.
+  /// `kMaxArgs` annotations.
   void record(TraceEvent ev, ProcId track,
               std::initializer_list<TraceArg> args = {});
 
   /// Fresh id linking a msg.send to its msg.deliver:
-  /// (sender lane << 40) | per-lane count, shard-count invariant.
+  /// (sender lane << 40) | per-lane count.
   [[nodiscard]] std::uint64_t next_msg_id();
 
-  /// Total records across all shard buffers.
-  [[nodiscard]] std::size_t size() const noexcept {
-    std::size_t n = 0;
-    for (const ShardBuf& sb : shards_) n += sb.records.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] std::uint64_t count(TraceEvent ev) const noexcept {
-    std::uint64_t n = 0;
-    for (const ShardBuf& sb : shards_) {
-      n += sb.counts[static_cast<unsigned>(ev)];
-    }
-    return n;
+    return counts_[static_cast<unsigned>(ev)];
   }
 
   /// The whole trace as a Chrome trace-event JSON object
-  /// ({"traceEvents": [...]}) with per-processor thread tracks. Shard
-  /// buffers are merged by (cycle, label), so the bytes are identical for
-  /// every shard count at the same seed.
+  /// ({"traceEvents": [...]}) with per-processor thread tracks, in record
+  /// order.
   [[nodiscard]] std::string chrome_json() const;
 
   /// Write `chrome_json()` to `path`; false on I/O failure.
@@ -246,23 +225,17 @@ class Tracer {
  private:
   struct Record {
     Cycles t;
-    std::uint64_t label;  // of the emitting event; the cross-shard merge key
     TraceEvent ev;
     ProcId track;
     std::uint8_t nargs;
     std::array<TraceArg, kMaxArgs> args;
   };
 
-  /// One shard's private trace state; shards never share one.
-  struct ShardBuf {
-    std::vector<Record> records;
-    std::array<std::uint64_t, static_cast<unsigned>(TraceEvent::kCount)>
-        counts{};
-    ProcId max_track = 0;
-  };
-
   Engine* engine_;
-  std::vector<ShardBuf> shards_;
+  std::vector<Record> records_;
+  std::array<std::uint64_t, static_cast<unsigned>(TraceEvent::kCount)>
+      counts_{};
+  ProcId max_track_ = 0;
   std::vector<std::uint64_t> msg_cnt_;  // per-lane msg-id counters
 };
 

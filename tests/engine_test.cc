@@ -147,6 +147,19 @@ TEST(Engine, RunBoundedLimitsEventCount) {
   EXPECT_EQ(count, 25);
 }
 
+TEST(Engine, SameCycleEventsRunInCreatorLaneOrder) {
+  // Labels are (lane << 40) | count, where the lane is the creating event's
+  // home processor + 1. So at one cycle, an event created by a
+  // lower-numbered processor runs first, even when it was scheduled later.
+  Engine eng;
+  std::vector<char> order;
+  constexpr Cycles kT = 100;
+  eng.at_on(5, 10, [&] { eng.at(kT, [&] { order.push_back('X'); }); });
+  eng.at_on(2, 20, [&] { eng.at(kT, [&] { order.push_back('Y'); }); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<char>{'Y', 'X'}));
+}
+
 TEST(Engine, InterleavedTimesAndInsertions) {
   // Stress the (time, seq) ordering with a deterministic pseudo-random
   // insertion pattern.

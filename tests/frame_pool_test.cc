@@ -96,9 +96,7 @@ struct World {
   explicit World(ProcId nprocs)
       : machine(eng, nprocs),
         mesh(eng, nprocs),
-        rt(machine, mesh, objects, core::CostModel::software()) {
-    eng.configure_shards(1, nprocs);
-  }
+        rt(machine, mesh, objects, core::CostModel::software()) {}
 };
 
 struct Measured {

@@ -68,8 +68,7 @@ TEST(MeshNetwork, HopsAreManhattanDistance) {
 
 TEST(MeshNetwork, ZeroLoadLatencyScalesWithHopsAndWords) {
   Engine eng;
-  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1,
-                 .contention = false};
+  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1};
   MeshNetwork net(eng, 16, cfg);
   // 0 -> 3: 3 hops. latency = 4 + 3*2 + 5 = 15.
   EXPECT_EQ(net.latency(0, 3, 5), 15u);
@@ -81,8 +80,7 @@ TEST(MeshNetwork, ZeroLoadLatencyScalesWithHopsAndWords) {
 
 TEST(MeshNetwork, LatencyQueryIsPureUnderLoad) {
   Engine eng;
-  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1,
-                 .contention = true};
+  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1};
   MeshNetwork net(eng, 16, cfg);
   const Cycles zero_load = net.latency(0, 3, 8);
   // Saturate the 0 -> 3 row, then re-query: latency() is a zero-load
@@ -107,8 +105,7 @@ TEST(MeshNetwork, DeliveryMatchesLatencyUnderZeroLoad) {
 
 TEST(MeshNetwork, ContentionDelaysSecondMessageOnSharedLink) {
   Engine eng;
-  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1,
-                 .contention = true};
+  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1};
   MeshNetwork net(eng, 16, cfg);
   Cycles first = 0, second = 0;
   // Both messages cross link (0 -> 1); the second must queue behind the
@@ -121,7 +118,7 @@ TEST(MeshNetwork, ContentionDelaysSecondMessageOnSharedLink) {
 
 TEST(MeshNetwork, DisjointPathsDoNotInterfere) {
   Engine eng;
-  MeshConfig cfg{.width = 4, .contention = true};
+  MeshConfig cfg{.width = 4};
   MeshNetwork net(eng, 16, cfg);
   Cycles a = 0, b = 0;
   net.send(0, 1, 10, Traffic::kRuntime, [&] { a = eng.now(); });

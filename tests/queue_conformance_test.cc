@@ -1,44 +1,41 @@
-// Conformance suite for the engine's two event-queue backends.
+// Conformance suite for the engine's event queue.
 //
-// The calendar/arena hot path (QueueBackend::kCalendar) and the legacy
-// binary heap of std::functions (kHeap) must implement one contract:
-// events fire in (time, insertion-sequence) order, equal timestamps FIFO,
-// and run()/run_until()/run_bounded()/idle()/pending() observe identical
-// states. The heap is the reference implementation; these tests pit the
-// two against each other on hand-built schedules, randomized schedules
-// (including events scheduled from inside handlers), and the full fig2 /
-// table1_2 workload configurations, where the exported metric JSON must be
-// byte-identical across backends.
+// The engine runs on a calendar queue over a slab arena (event_queue.h).
+// Its contract: events fire in (time, insertion-sequence) order, equal
+// timestamps FIFO, and run()/run_until()/run_bounded()/idle()/pending()
+// observe the states a plain priority queue would. These tests check the
+// contract on hand-built schedules, and pit the engine against a small
+// reference loop over HeapEventQueue on randomized schedules (including
+// events scheduled from inside handlers). Every schedule here runs on label
+// lane 0, whose labels follow insertion order, so the reference loop needs
+// only one insertion counter. The bench goldens pin the engine on the full
+// workloads.
 
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "apps/workload.h"
-#include "core/metrics.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 
 namespace cm::sim {
 namespace {
 
-class QueueConformance : public ::testing::TestWithParam<QueueBackend> {};
+// One instantiation, named so each case keeps its historical test id.
+enum class Queue : std::uint8_t { kCalendar };
+
+class QueueConformance : public ::testing::TestWithParam<Queue> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, QueueConformance,
-                         ::testing::Values(QueueBackend::kCalendar,
-                                           QueueBackend::kHeap),
-                         [](const auto& info) {
-                           return info.param == QueueBackend::kCalendar
-                                      ? "Calendar"
-                                      : "Heap";
-                         });
+                         ::testing::Values(Queue::kCalendar),
+                         [](const auto&) { return "Calendar"; });
 
 TEST_P(QueueConformance, EqualTimestampsFireInInsertionOrder) {
-  Engine eng(GetParam());
+  Engine eng;
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
     eng.at(100, [&order, i] { order.push_back(i); });
@@ -49,7 +46,7 @@ TEST_P(QueueConformance, EqualTimestampsFireInInsertionOrder) {
 }
 
 TEST_P(QueueConformance, InterleavedTimesStillFifoWithinATime) {
-  Engine eng(GetParam());
+  Engine eng;
   std::vector<std::pair<Cycles, int>> order;
   // Alternate between two timestamps so same-time events are separated by
   // other insertions — FIFO must hold per timestamp, not just globally.
@@ -74,7 +71,7 @@ TEST_P(QueueConformance, InterleavedTimesStillFifoWithinATime) {
 }
 
 TEST_P(QueueConformance, EventsScheduledFromHandlersKeepOrdering) {
-  Engine eng(GetParam());
+  Engine eng;
   std::vector<int> order;
   eng.at(10, [&] {
     order.push_back(0);
@@ -93,7 +90,7 @@ TEST_P(QueueConformance, EventsScheduledFromHandlersKeepOrdering) {
 }
 
 // A deterministic xorshift so the "random" schedules are identical across
-// both backends and across runs.
+// both loops and across runs.
 struct Rand {
   std::uint64_t s = 0x9E3779B97F4A7C15ull;
   std::uint64_t next() {
@@ -110,8 +107,46 @@ struct Fired {
   bool operator==(const Fired&) const = default;
 };
 
-// Drive one engine through a randomized schedule: a seed set of events, a
-// fraction of which schedule follow-up events (some at the current time,
+/// The reference: the engine's scheduling and run-loop contract over a
+/// binary heap, with one insertion counter for labels.
+class HeapLoop {
+ public:
+  [[nodiscard]] Cycles now() const { return now_; }
+  [[nodiscard]] bool idle() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::size_t events_executed() const { return executed_; }
+
+  void at(Cycles t, std::function<void()> fn) {
+    heap_.push(t < now_ ? now_ : t, seq_++, std::move(fn));
+  }
+
+  void run() {
+    while (!heap_.empty()) step();
+  }
+  void run_until(Cycles t) {
+    while (!heap_.empty() && heap_.min_time() <= t) step();
+    if (heap_.empty() && now_ < t) now_ = t;
+  }
+  void run_bounded(std::size_t n) {
+    for (std::size_t i = 0; i < n && !heap_.empty(); ++i) step();
+  }
+
+ private:
+  void step() {
+    HeapEvent ev = heap_.pop_move();
+    now_ = ev.t;
+    ++executed_;
+    ev.fn();
+  }
+
+  HeapEventQueue heap_;
+  Cycles now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::size_t executed_ = 0;
+};
+
+// Drive one event loop through a randomized schedule: a seed set of events,
+// a fraction of which schedule follow-up events (some at the current time,
 // some ahead) from inside their handlers. Interleave run_until /
 // run_bounded and snapshot (now, pending, idle) at every checkpoint.
 struct Observed {
@@ -119,15 +154,16 @@ struct Observed {
   std::vector<std::tuple<Cycles, std::size_t, bool>> checkpoints;
 };
 
-Observed drive(QueueBackend backend, std::uint64_t seed) {
-  Engine eng(backend);
+template <class Loop>
+Observed drive(std::uint64_t seed) {
+  Loop eng;
   Observed obs;
   Rand rng{seed};
   int next_id = 0;
   // Self-referential scheduling needs a stable callable; recursion depth is
   // bounded by `budget`.
   struct Spawner {
-    Engine* eng;
+    Loop* eng;
     Observed* obs;
     Rand* rng;
     int* next_id;
@@ -162,8 +198,8 @@ Observed drive(QueueBackend backend, std::uint64_t seed) {
 
 TEST(QueueAgreement, RandomizedSchedulesAgreeAcrossBackends) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1993ull}) {
-    const Observed cal = drive(QueueBackend::kCalendar, seed);
-    const Observed heap = drive(QueueBackend::kHeap, seed);
+    const Observed cal = drive<Engine>(seed);
+    const Observed heap = drive<HeapLoop>(seed);
     ASSERT_EQ(cal.fired.size(), heap.fired.size()) << "seed " << seed;
     EXPECT_EQ(cal.fired, heap.fired) << "seed " << seed;
     EXPECT_EQ(cal.checkpoints, heap.checkpoints) << "seed " << seed;
@@ -174,9 +210,9 @@ TEST(QueueAgreement, LargeMonotoneBurstsAgree) {
   // Stress the calendar's refill path: bursts far beyond the current
   // horizon followed by full drains, repeated so the rung is rebuilt many
   // times with varying widths. The schedule (deltas from now) is generated
-  // once and replayed into both backends.
-  Engine cal(QueueBackend::kCalendar);
-  Engine heap(QueueBackend::kHeap);
+  // once and replayed into both loops.
+  Engine cal;
+  HeapLoop heap;
   std::vector<Fired> a;
   std::vector<Fired> b;
   Rand rng{99};
@@ -201,50 +237,3 @@ TEST(QueueAgreement, LargeMonotoneBurstsAgree) {
 
 }  // namespace
 }  // namespace cm::sim
-
-namespace cm::apps {
-namespace {
-
-// The strongest conformance statement: the full fig2 / table1_2 workloads
-// produce byte-identical metric exports (every counter, cycle total, and
-// checker report field) whichever backend runs them. The bench goldens pin
-// the calendar backend to the committed outputs; this pins the two
-// backends to each other at test speed.
-std::string metrics_json(const RunStats& s, const char* label) {
-  core::MetricsRegistry reg;
-  put_run_stats(reg.record(label), s);
-  return reg.to_json();
-}
-
-TEST(WorkloadAgreement, Fig2CountingConfigIsByteIdenticalAcrossBackends) {
-  CountingConfig cfg;
-  cfg.scheme = core::Scheme{core::Mechanism::kMigration, false, false};
-  cfg.requesters = 16;
-  cfg.window = Window{5'000, 40'000};
-  cfg.queue_backend = sim::QueueBackend::kCalendar;
-  const RunStats cal = run_counting(cfg);
-  cfg.queue_backend = sim::QueueBackend::kHeap;
-  const RunStats heap = run_counting(cfg);
-  EXPECT_EQ(metrics_json(cal, "fig2"), metrics_json(heap, "fig2"));
-  EXPECT_EQ(cal.events_executed, heap.events_executed);
-  EXPECT_EQ(cal.completed_at, heap.completed_at);
-}
-
-TEST(WorkloadAgreement, Table12BTreeWithCheckerIsByteIdenticalAcrossBackends) {
-  BTreeConfig cfg;
-  cfg.scheme = core::Scheme{core::Mechanism::kRpc, false, false};
-  cfg.requesters = 8;
-  cfg.nkeys = 500;
-  cfg.window = Window{5'000, 30'000};
-  cfg.check = true;  // checker reports must agree byte-for-byte too
-  cfg.queue_backend = sim::QueueBackend::kCalendar;
-  const RunStats cal = run_btree(cfg);
-  cfg.queue_backend = sim::QueueBackend::kHeap;
-  const RunStats heap = run_btree(cfg);
-  EXPECT_EQ(metrics_json(cal, "table1_2"), metrics_json(heap, "table1_2"));
-  EXPECT_EQ(cal.btree_digest, heap.btree_digest);
-  EXPECT_EQ(cal.check_violations.size(), heap.check_violations.size());
-}
-
-}  // namespace
-}  // namespace cm::apps

@@ -1,8 +1,8 @@
 // coro_lint fixture: event callbacks that touch an Engine other than the
 // one they are scheduled on. NOT compiled — pattern food for the
-// --self-test. Under the kThreads backend the callback body runs on the
-// host thread of the shard owning its home processor; poking a different
-// engine from there bypasses the inbox/window machinery.
+// --self-test. Two engines are two independent simulations: a callback
+// running on one reads and schedules against the other's clock, which
+// is not its own.
 #include <cstdint>
 
 namespace fixture {

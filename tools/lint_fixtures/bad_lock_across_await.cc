@@ -1,8 +1,8 @@
 // simlint fixture: host lock guards held across a co_await suspension.
-// NOT compiled — pattern food for tools/simlint --self-test. The coroutine
-// frame resumes on whichever host thread runs the owning shard, so a
-// std::mutex guard that survives the suspension unlocks on a thread that
-// never locked it (UB) or deadlocks the shard worker.
+// NOT compiled — pattern food for tools/simlint --self-test. A std::mutex
+// guard that survives the suspension stays locked while the engine runs
+// other events, and any of them that takes the mutex deadlocks the one
+// event loop.
 #include <mutex>
 
 namespace fixture {

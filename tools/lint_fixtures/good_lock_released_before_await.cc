@@ -26,8 +26,8 @@ void good_scope_closes_before_await(Channel& ch) {
   co_await await_something();
 }
 
-// The engine drains shard inboxes under a lock with no coroutine in sight;
-// plain host functions are never CL004 business.
+// A host function takes a lock with no coroutine in sight; plain host
+// functions are never CL004 business.
 void good_host_only_function(Channel& ch) {
   const std::lock_guard<std::mutex> g(ch.mu);
   ch.backlog++;
