@@ -89,7 +89,7 @@ void print_policy_row(const char* label, const RunStats& st) {
       st.policy.suppressed_load + st.policy.suppressed_cap;
   std::printf("%-18s%10.2f%14llu%8llu%8llu%12llu%10llu\n", label,
               st.throughput_per_1000(),
-              static_cast<unsigned long long>(st.remote_calls),
+              static_cast<unsigned long long>(st.runtime.remote_calls),
               static_cast<unsigned long long>(st.policy.moves_completed),
               static_cast<unsigned long long>(st.policy.flips_on),
               static_cast<unsigned long long>(st.policy.decisions),
@@ -142,7 +142,7 @@ void section_affinity(const Options& opt, cm::core::MetricsRegistry* reg) {
     const RunStats st = cm::apps::run_btree(cfg);
     std::printf("%-10.2f%10.2f%14llu%8llu%12llu\n", affinity,
                 st.throughput_per_1000(),
-                static_cast<unsigned long long>(st.remote_calls),
+                static_cast<unsigned long long>(st.runtime.remote_calls),
                 static_cast<unsigned long long>(st.policy.moves_completed),
                 static_cast<unsigned long long>(st.policy.decisions));
     char label[64];
@@ -165,7 +165,7 @@ void section_counting(const Options& opt, cm::core::MetricsRegistry* reg) {
     const RunStats st = cm::apps::run_counting(base);
     std::printf("%-22s%10.2f%14llu%8llu%12llu\n", "static",
                 st.throughput_per_1000(),
-                static_cast<unsigned long long>(st.remote_calls),
+                static_cast<unsigned long long>(st.runtime.remote_calls),
                 static_cast<unsigned long long>(st.policy.moves_completed),
                 static_cast<unsigned long long>(st.policy.decisions));
     put_row(reg, "counting/static", st);
@@ -178,7 +178,7 @@ void section_counting(const Options& opt, cm::core::MetricsRegistry* reg) {
     const RunStats st = cm::apps::run_counting(cfg);
     std::printf("%-22s%10.2f%14llu%8llu%12llu\n", "rebalance (default)",
                 st.throughput_per_1000(),
-                static_cast<unsigned long long>(st.remote_calls),
+                static_cast<unsigned long long>(st.runtime.remote_calls),
                 static_cast<unsigned long long>(st.policy.moves_completed),
                 static_cast<unsigned long long>(st.policy.decisions));
     put_row(reg, "counting/rebalance-default", st);
@@ -189,7 +189,7 @@ void section_counting(const Options& opt, cm::core::MetricsRegistry* reg) {
     const RunStats st = cm::apps::run_counting(cfg);
     std::printf("%-22s%10.2f%14llu%8llu%12llu\n", "rebalance (aggressive)",
                 st.throughput_per_1000(),
-                static_cast<unsigned long long>(st.remote_calls),
+                static_cast<unsigned long long>(st.runtime.remote_calls),
                 static_cast<unsigned long long>(st.policy.moves_completed),
                 static_cast<unsigned long long>(st.policy.decisions));
     put_row(reg, "counting/rebalance-aggressive", st);
@@ -207,7 +207,7 @@ void section_degree(const Options& opt, cm::core::MetricsRegistry* reg) {
     const RunStats st = cm::apps::run_btree(cfg);
     std::printf("%-8u%10.2f%14llu%8llu%12llu%12llu\n", degree,
                 st.throughput_per_1000(),
-                static_cast<unsigned long long>(st.remote_calls),
+                static_cast<unsigned long long>(st.runtime.remote_calls),
                 static_cast<unsigned long long>(st.policy.moves_completed),
                 static_cast<unsigned long long>(st.policy.decisions),
                 static_cast<unsigned long long>(st.policy.suppressed_cap));

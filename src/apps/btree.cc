@@ -313,25 +313,6 @@ sim::Task<> DistributedBTree::charge_modify(Ctx& ctx, Mechanism mech,
   }
 }
 
-sim::Task<> DistributedBTree::approach(Ctx& ctx, Mechanism mech,
-                                       std::uint32_t nid) {
-  switch (mech) {
-    case Mechanism::kMigration:
-      // <<< the annotation: move this activation to the node >>>
-      co_await rt_->migrate(ctx, nodes_[nid].oid, p_.frame_words);
-      break;
-    case Mechanism::kThreadMigration:
-      co_await rt_->migrate(ctx, nodes_[nid].oid, p_.thread_state_words);
-      break;
-    case Mechanism::kObjectMigration:
-      co_await nodes_[nid].mobile->attract(ctx);
-      break;
-    case Mechanism::kRpc:
-    case Mechanism::kSharedMemory:
-      break;
-  }
-}
-
 sim::Task<DistributedBTree::Step> DistributedBTree::visit_node(
     Ctx& ctx, Mechanism mech, std::uint32_t nid, std::uint64_t key) {
   const ProcId requester = ctx.proc;
@@ -357,7 +338,11 @@ sim::Task<DistributedBTree::Step> DistributedBTree::visit_node(
       co_return search_step(n, key);
     }
   }
-  co_await approach(ctx, mech, nid);
+  if (core::moves_to_data(mech)) {
+    // <<< the annotation: move this activation to the node >>>
+    co_await core::approach(ctx, mech, *nodes_[nid].mobile,
+                            p_.frame_words, p_.thread_state_words);
+  }
   const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
                             /*short_method=*/false};
   co_return co_await rt_->call(
@@ -441,7 +426,10 @@ sim::Task<DistributedBTree::InsertOutcome> DistributedBTree::insert_into_leaf(
     std::uint64_t value) {
   const ProcId requester = ctx.proc;
   for (;;) {
-    co_await approach(ctx, mech, leaf);
+    if (core::moves_to_data(mech)) {
+      co_await core::approach(ctx, mech, *nodes_[leaf].mobile,
+                              p_.frame_words, p_.thread_state_words);
+    }
     // Under RPC/CM the locked section below runs as a method at the leaf's
     // home; under SM it runs at the requester against coherent memory. The
     // body is identical either way (the annotation changes nothing
@@ -521,7 +509,10 @@ sim::Task<> DistributedBTree::install_split(Ctx& ctx, Mechanism mech,
 
     std::optional<SplitInfo> cascade;
     for (;;) {  // lateral loop at the parent level
-      co_await approach(ctx, mech, parent);
+      if (core::moves_to_data(mech)) {
+        co_await core::approach(ctx, mech, *nodes_[parent].mobile,
+                                p_.frame_words, p_.thread_state_words);
+      }
       struct Attempt {
         bool lateral = false;
         std::uint32_t next = kNone;
@@ -683,7 +674,10 @@ sim::Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
 
   bool removed = false;
   for (;;) {  // lateral loop at the leaf level
-    co_await approach(ctx, mech, cur);
+    if (core::moves_to_data(mech)) {
+      co_await core::approach(ctx, mech, *nodes_[cur].mobile,
+                              p_.frame_words, p_.thread_state_words);
+    }
     struct Attempt {
       bool lateral = false;
       std::uint32_t next = kNone;

@@ -171,12 +171,6 @@ class DistributedBTree {
   [[nodiscard]] sim::Task<> charge_search(core::Ctx& ctx,
                                           core::Mechanism mech,
                                           std::uint32_t nid, bool optimistic);
-  /// Bring computation and data together before a node access, according
-  /// to the mechanism: migrate the activation (CM), migrate the whole
-  /// thread (TM), attract the object (Emerald-style), or do nothing
-  /// (RPC/SM).
-  [[nodiscard]] sim::Task<> approach(core::Ctx& ctx, core::Mechanism mech,
-                                     std::uint32_t nid);
   /// Visit a node read-only under RPC/CM (method at the node's home).
   [[nodiscard]] sim::Task<Step> visit_node(core::Ctx& ctx,
                                            core::Mechanism mech,

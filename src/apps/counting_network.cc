@@ -178,38 +178,28 @@ sim::Task<int> CountingNetwork::visit_balancer(core::Ctx& ctx,
     tr->record(sim::TraceEvent::kBalancerVisit, ctx.proc,
                {{"balancer", b}, {"stage", wiring_.balancers[b].stage}});
   }
-  switch (mech) {
-    case core::Mechanism::kSharedMemory: {
-      // A balancer is a lock-protected record: acquire its spin lock (the
-      // contended-handoff invalidation storms are the heart of shared
-      // memory's bandwidth appetite here), read the read-shared wiring
-      // line, update the write-shared toggle line, release.
-      co_await rtb.lock->acquire(ctx.proc);
-      co_await mem_->read(ctx.proc, rtb.config_addr, 16);
-      co_await mem_->write(ctx.proc, rtb.toggle_addr, 4);
-      co_await rt_->compute(
-          ctx, p_.balancer_work +
-                   jitter(p_.work_jitter, b, static_cast<std::uint64_t>(rtb.passed)));
-      const int port = rtb.toggle;
-      rtb.toggle ^= 1;
-      ++rtb.passed;
-      co_await rtb.lock->release(ctx.proc);
-      co_return port;
-    }
-    case core::Mechanism::kMigration:
-      // <<< the annotation: move this activation to the balancer >>>
-      co_await rt_->migrate(ctx, rtb.oid, p_.frame_words);
-      break;
-    case core::Mechanism::kThreadMigration:
-      // Whole-thread migration: same mechanics, whole-thread payload.
-      co_await rt_->migrate(ctx, rtb.oid, p_.thread_state_words);
-      break;
-    case core::Mechanism::kObjectMigration:
-      // Emerald-style: drag the balancer to this processor instead.
-      co_await rtb.mobile->attract(ctx);
-      break;
-    case core::Mechanism::kRpc:
-      break;
+  if (mech == core::Mechanism::kSharedMemory) {
+    // A balancer is a lock-protected record: acquire its spin lock (the
+    // contended-handoff invalidation storms are the heart of shared
+    // memory's bandwidth appetite here), read the read-shared wiring
+    // line, update the write-shared toggle line, release.
+    co_await rtb.lock->acquire(ctx.proc);
+    co_await mem_->read(ctx.proc, rtb.config_addr, 16);
+    co_await mem_->write(ctx.proc, rtb.toggle_addr, 4);
+    co_await rt_->compute(
+        ctx, p_.balancer_work +
+                 jitter(p_.work_jitter, b,
+                        static_cast<std::uint64_t>(rtb.passed)));
+    const int port = rtb.toggle;
+    rtb.toggle ^= 1;
+    ++rtb.passed;
+    co_await rtb.lock->release(ctx.proc);
+    co_return port;
+  }
+  if (core::moves_to_data(mech)) {
+    // <<< the annotation: move this activation to the balancer >>>
+    co_await core::approach(ctx, mech, *rtb.mobile, p_.frame_words,
+                            p_.thread_state_words);
   }
   // The instance-method call (local after a migration or attraction).
   const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
@@ -238,24 +228,15 @@ sim::Task<long> CountingNetwork::visit_counter(core::Ctx& ctx,
                                                unsigned wire) {
   CounterRt& c = counters_[wire];
   const sim::ProcId requester = ctx.proc;
-  switch (mech) {
-    case core::Mechanism::kSharedMemory: {
-      co_await mem_->write(ctx.proc, c.addr, 4);
-      co_await rt_->compute(ctx, p_.counter_work);
-      co_return static_cast<long>(wire) +
-          static_cast<long>(p_.width) * counts_[wire]++;
-    }
-    case core::Mechanism::kMigration:
-      co_await rt_->migrate(ctx, c.oid, p_.frame_words);
-      break;
-    case core::Mechanism::kThreadMigration:
-      co_await rt_->migrate(ctx, c.oid, p_.thread_state_words);
-      break;
-    case core::Mechanism::kObjectMigration:
-      co_await c.mobile->attract(ctx);
-      break;
-    case core::Mechanism::kRpc:
-      break;
+  if (mech == core::Mechanism::kSharedMemory) {
+    co_await mem_->write(ctx.proc, c.addr, 4);
+    co_await rt_->compute(ctx, p_.counter_work);
+    co_return static_cast<long>(wire) +
+        static_cast<long>(p_.width) * counts_[wire]++;
+  }
+  if (core::moves_to_data(mech)) {
+    co_await core::approach(ctx, mech, *c.mobile, p_.frame_words,
+                            p_.thread_state_words);
   }
   const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
                             p_.rpc_short_methods};

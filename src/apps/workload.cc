@@ -44,10 +44,8 @@ struct RunCtl {
   long ops = 0;
   // Fail-stop bookkeeping: operations abandoned with a typed core::FtError.
   long lost_ops = 0;
-  std::uint64_t words_at_warm = 0;
-  std::uint64_t msgs_at_warm = 0;
-  std::uint64_t words_at_end = 0;
-  std::uint64_t msgs_at_end = 0;
+  net::NetStats at_warm;  // traffic snapshots at the window's bounds
+  net::NetStats at_end;
   // Live-requester count; the detector to shut down when the last requester
   // exits (its periodic sweep would otherwise keep the event queue alive
   // forever).
@@ -64,23 +62,6 @@ void requester_exit(RunCtl& ctl) {
 void count_op(RunCtl& ctl, const sim::Engine& eng) {
   const Cycles now = eng.now();
   if (now >= ctl.warm_at && now < ctl.end_at) ++ctl.ops;
-}
-
-/// Schedule the warm/end traffic snapshots that bound the measurement
-/// window; the end snapshot also stops the requesters.
-void schedule_window(sim::Engine& eng, const net::Network& network,
-                     RunCtl& ctl) {
-  eng.at(ctl.warm_at, [&network, &ctl] {
-    const net::NetStats& ns = network.stats();
-    ctl.words_at_warm = ns.words;
-    ctl.msgs_at_warm = ns.messages;
-  });
-  eng.at(ctl.end_at, [&network, &ctl] {
-    const net::NetStats& ns = network.stats();
-    ctl.words_at_end = ns.words;
-    ctl.msgs_at_end = ns.messages;
-    ctl.stop = true;
-  });
 }
 
 Task<> counting_requester(core::Runtime* rt, CountingNetwork* cn,
@@ -150,18 +131,89 @@ Task<> btree_requester(core::Runtime* rt, DistributedBTree* bt,
   requester_exit(*ctl);
 }
 
-}  // namespace
+/// The counting network behind run_stack's four calls: build it (the
+/// constructor), hand it the placement policy, spawn requester `i` on the
+/// runtime, read its end state. Balancers occupy the first processors;
+/// requesters follow.
+class CountingApp {
+ public:
+  using Config = CountingConfig;
+  static ProcId procs(const Config& cfg) {
+    return static_cast<ProcId>(
+        BitonicWiring::build(cfg.width).balancers.size());
+  }
+  CountingApp(const Config& cfg, core::Runtime& rt, shmem::CoherentMemory* mem)
+      : cfg_(cfg), cn_(rt, mem, {.width = cfg.width}) {}
+  void set_policy(policy::PolicyEngine* pol) { cn_.set_policy(pol); }
+  Task<> requester(core::Runtime& rt, unsigned i, ProcId home, RunCtl& ctl) {
+    return counting_requester(&rt, &cn_, cfg_.scheme.mechanism, home,
+                              cfg_.seed * 7919 + i, cfg_.think,
+                              cfg_.ops_per_requester, &ctl);
+  }
+  void end_state(RunStats& out) const {
+    out.total_exited = cn_.total_exited();
+    out.step_property = cn_.has_step_property();
+  }
 
-RunStats run_counting(const CountingConfig& cfg) {
+ private:
+  const Config& cfg_;
+  CountingNetwork cn_;
+};
+
+/// The B-tree behind run_stack's four calls. Building it also bulk-loads the
+/// paper's tree, so the policy and ft layers that follow see every node.
+/// Node processors come first; requesters follow.
+class BTreeApp {
+ public:
+  using Config = BTreeConfig;
+  static ProcId procs(const Config& cfg) { return cfg.node_procs; }
+  BTreeApp(const Config& cfg, core::Runtime& rt, shmem::CoherentMemory* mem)
+      : cfg_(cfg),
+        bt_(rt, mem,
+            {.max_entries = cfg.max_entries,
+             .node_procs = cfg.node_procs,
+             .seed = cfg.seed,
+             .replication = cfg.scheme.replication}) {
+    // Even keys only, so later random inserts (any key in [0, 2n)) hit a
+    // 50% fresh-key rate.
+    std::vector<std::uint64_t> keys(cfg.nkeys);
+    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
+    bt_.bulk_load(keys);
+  }
+  void set_policy(policy::PolicyEngine* pol) { bt_.set_policy(pol); }
+  Task<> requester(core::Runtime& rt, unsigned i, ProcId home, RunCtl& ctl) {
+    const std::uint64_t key_space = 2 * std::uint64_t{cfg_.nkeys};
+    const std::uint64_t slice =
+        std::max<std::uint64_t>(1, key_space / cfg_.requesters);
+    return btree_requester(&rt, &bt_, cfg_.scheme.mechanism, home,
+                           cfg_.think, cfg_.insert_ratio, key_space,
+                           cfg_.key_affinity, i * slice, slice,
+                           cfg_.seed * 1000003 + i, cfg_.ops_per_requester,
+                           &ctl);
+  }
+  void end_state(RunStats& out) const {
+    out.btree_keys = bt_.num_keys();
+    out.btree_digest = bt_.digest_host();
+    out.invariants_ok = bt_.check_invariants();
+  }
+
+ private:
+  const Config& cfg_;
+  DistributedBTree bt_;
+};
+
+/// Assemble the machine for one run, run it, and collect its RunStats. The
+/// construction order is the contract: the tracer and checker precede
+/// everything they observe; the locator precedes the application so its
+/// create hook sees every object; the policy and ft layers follow the
+/// application so every object they manage already exists. Optional layers
+/// are built only when enabled, so an off knob leaves the run bit-identical
+/// to a build without that layer.
+template <class App>
+RunStats run_stack(const typename App::Config& cfg) {
   sim::Engine eng;
-  CountingNetwork::Params np;
-  np.width = cfg.width;
-  np.first_balancer_proc = 0;
-
-  // Balancers occupy the first B processors; requesters get their own.
-  const unsigned balancers =
-      BitonicWiring::build(cfg.width).balancers.size();
-  const auto nprocs = static_cast<ProcId>(balancers + cfg.requesters);
+  const ProcId app_procs = App::procs(cfg);
+  const auto nprocs = static_cast<ProcId>(app_procs + cfg.requesters);
   std::unique_ptr<sim::Tracer> tracer;
   if (!cfg.trace_path.empty()) {
     tracer = std::make_unique<sim::Tracer>(eng);
@@ -173,17 +225,20 @@ RunStats run_counting(const CountingConfig& cfg) {
     checker = std::make_unique<check::Checker>(eng, nprocs, cfg.check_cfg);
     eng.set_checker(checker.get());
   }
-  net::ConstantNetwork constant_net(eng);
-  net::MeshNetwork mesh_net(eng, nprocs);
-  net::Network& base_network =
-      cfg.mesh ? static_cast<net::Network&>(mesh_net)
-               : static_cast<net::Network&>(constant_net);
+  std::unique_ptr<net::Network> base_network;
+  if (cfg.mesh) {
+    base_network = std::make_unique<net::MeshNetwork>(eng, nprocs);
+  } else {
+    base_network = std::make_unique<net::ConstantNetwork>(eng);
+  }
   // Chaos mode: only an active fault plan installs the fault injector and
   // the reliable transport, so fault-free runs stay bit-identical.
-  const bool chaos = cfg.faults.active();
-  net::FaultyNetwork faulty_net(eng, base_network, cfg.faults);
-  net::Network& network =
-      chaos ? static_cast<net::Network&>(faulty_net) : base_network;
+  std::unique_ptr<net::Network> faulty_net;
+  if (cfg.faults.active()) {
+    faulty_net =
+        std::make_unique<net::FaultyNetwork>(eng, *base_network, cfg.faults);
+  }
+  net::Network& network = faulty_net ? *faulty_net : *base_network;
   std::unique_ptr<shmem::CoherentMemory> mem;
   if (cfg.scheme.mechanism == Mechanism::kSharedMemory) {
     shmem::ProtocolParams pp;
@@ -193,28 +248,19 @@ RunStats run_counting(const CountingConfig& cfg) {
   }
   core::ObjectSpace objects;
   core::Runtime rt(machine, network, objects, cfg.scheme.cost_model());
-  if (chaos) rt.enable_reliability(cfg.reliable);
-  // Distributed object location: constructed before the application so its
-  // create-hook catches every object. In oracle mode the Locator is inert
-  // and the run is bit-identical to one without it.
+  if (faulty_net != nullptr) rt.enable_reliability(cfg.reliable);
   std::unique_ptr<loc::Locator> locator;
   if (cfg.locator.mode == loc::Locality::kDistributed) {
     locator = std::make_unique<loc::Locator>(rt, cfg.locator);
   }
-  CountingNetwork cn(rt, mem.get(), np);
-
-  // Placement policy: constructed only when enabled (the null-by-default
-  // pattern), after the application so `set_policy` sees every balancer.
+  App app(cfg, rt, mem.get());
   std::unique_ptr<policy::PolicyEngine> pol;
   if (cfg.policy.enabled) {
     pol = std::make_unique<policy::PolicyEngine>(rt, cfg.policy);
-    cn.set_policy(pol.get());
+    app.set_policy(pol.get());
     if (locator != nullptr) locator->set_chooser(&pol->chooser());
     pol->start();
   }
-
-  // Fail-stop tolerance: constructed after the application so the balancer
-  // objects exist when a suspicion scans for a dead processor's population.
   std::unique_ptr<ft::FtLayer> ftl;
   if (cfg.ft.enabled) {
     ftl = std::make_unique<ft::FtLayer>(rt, cfg.ft, locator.get());
@@ -228,26 +274,28 @@ RunStats run_counting(const CountingConfig& cfg) {
   ctl.end_at = fixed ? ~Cycles{0} : cfg.window.warmup + cfg.window.measure;
   ctl.live = cfg.requesters;
   ctl.ftl = ftl.get();
-
   for (unsigned i = 0; i < cfg.requesters; ++i) {
-    const ProcId home = static_cast<ProcId>(balancers + i);
-    sim::detach(counting_requester(&rt, &cn, cfg.scheme.mechanism, home,
-                                   cfg.seed * 7919 + i, cfg.think,
-                                   cfg.ops_per_requester, &ctl));
+    sim::detach(
+        app.requester(rt, i, static_cast<ProcId>(app_procs + i), ctl));
   }
-  if (!fixed) schedule_window(eng, network, ctl);
+  if (!fixed) {
+    // The warm/end traffic snapshots bound the measurement window; the end
+    // snapshot also stops the requesters.
+    eng.at(ctl.warm_at, [&network, &ctl] { ctl.at_warm = network.stats(); });
+    eng.at(ctl.end_at, [&network, &ctl] {
+      ctl.at_end = network.stats();
+      ctl.stop = true;
+    });
+  }
   eng.run();
 
   RunStats out;
   out.ops = ctl.ops;
   out.window = fixed ? eng.now() : cfg.window.measure;
-  out.words = (fixed ? network.stats().words : ctl.words_at_end) -
-              ctl.words_at_warm;
-  out.messages = (fixed ? network.stats().messages : ctl.msgs_at_end) -
-                 ctl.msgs_at_warm;
+  const net::NetStats& at_end = fixed ? network.stats() : ctl.at_end;
+  out.words = at_end.words - ctl.at_warm.words;
+  out.messages = at_end.messages - ctl.at_warm.messages;
   if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
-  out.migrations = rt.stats().migrations;
-  out.remote_calls = rt.stats().remote_calls;
   out.runtime = rt.stats();
   out.net = network.stats();
   out.completed_at = eng.now();
@@ -255,21 +303,16 @@ RunStats run_counting(const CountingConfig& cfg) {
   // events only.
   out.events_executed = eng.events_executed() - (fixed ? 0 : 2);
   out.clamped_events = eng.clamped_events();
-  out.total_exited = cn.total_exited();
-  out.step_property = cn.has_step_property();
-  if (pol != nullptr) {
-    out.policy_enabled = true;
-    out.policy = pol->stats();
-  }
+  app.end_state(out);
+  out.policy_enabled = pol != nullptr;
+  if (pol != nullptr) out.policy = pol->stats();
+  out.ft_enabled = ftl != nullptr;
   if (ftl != nullptr) {
-    out.ft_enabled = true;
     out.ft = ftl->stats();
     out.ft_lost_ops = ctl.lost_ops;
   }
-  if (locator != nullptr) {
-    out.locator_enabled = true;
-    out.loc = locator->stats();
-  }
+  out.locator_enabled = locator != nullptr;
+  if (locator != nullptr) out.loc = locator->stats();
   if (checker != nullptr) {
     checker->finalize();
     out.checker_enabled = true;
@@ -282,142 +325,13 @@ RunStats run_counting(const CountingConfig& cfg) {
   return out;
 }
 
-RunStats run_btree(const BTreeConfig& cfg) {
-  sim::Engine eng;
-  const auto nprocs = static_cast<ProcId>(cfg.node_procs + cfg.requesters);
-  std::unique_ptr<sim::Tracer> tracer;
-  if (!cfg.trace_path.empty()) {
-    tracer = std::make_unique<sim::Tracer>(eng);
-    eng.set_tracer(tracer.get());
-  }
-  sim::Machine machine(eng, nprocs);
-  std::unique_ptr<check::Checker> checker;
-  if (cfg.check) {
-    checker = std::make_unique<check::Checker>(eng, nprocs, cfg.check_cfg);
-    eng.set_checker(checker.get());
-  }
-  net::ConstantNetwork constant_net(eng);
-  net::MeshNetwork mesh_net(eng, nprocs);
-  net::Network& base_network =
-      cfg.mesh ? static_cast<net::Network&>(mesh_net)
-               : static_cast<net::Network&>(constant_net);
-  const bool chaos = cfg.faults.active();
-  net::FaultyNetwork faulty_net(eng, base_network, cfg.faults);
-  net::Network& network =
-      chaos ? static_cast<net::Network&>(faulty_net) : base_network;
-  std::unique_ptr<shmem::CoherentMemory> mem;
-  if (cfg.scheme.mechanism == Mechanism::kSharedMemory) {
-    shmem::ProtocolParams pp;
-    pp.hw_sharer_pointers = cfg.limitless_pointers;
-    mem = std::make_unique<shmem::CoherentMemory>(machine, network,
-                                                  shmem::CacheParams{}, pp);
-  }
-  core::ObjectSpace objects;
-  core::Runtime rt(machine, network, objects, cfg.scheme.cost_model());
-  if (chaos) rt.enable_reliability(cfg.reliable);
-  // See run_counting: the locator precedes the application so B-tree nodes
-  // (including ones born later in splits) get directory entries.
-  std::unique_ptr<loc::Locator> locator;
-  if (cfg.locator.mode == loc::Locality::kDistributed) {
-    locator = std::make_unique<loc::Locator>(rt, cfg.locator);
-  }
+}  // namespace
 
-  DistributedBTree::Params bp;
-  bp.max_entries = cfg.max_entries;
-  bp.node_procs = cfg.node_procs;
-  bp.seed = cfg.seed;
-  bp.replication = cfg.scheme.replication;
-  DistributedBTree bt(rt, mem.get(), bp);
-
-  // The paper builds a 10,000-key tree first; we load even keys so later
-  // random inserts (any key in [0, 2n)) hit a 50% fresh-key rate.
-  std::vector<std::uint64_t> keys(cfg.nkeys);
-  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
-  bt.bulk_load(keys);
-
-  // Placement policy: after bulk_load so every node of the built tree is
-  // registered at once; split-born nodes register from alloc_node.
-  std::unique_ptr<policy::PolicyEngine> pol;
-  if (cfg.policy.enabled) {
-    pol = std::make_unique<policy::PolicyEngine>(rt, cfg.policy);
-    bt.set_policy(pol.get());
-    if (locator != nullptr) locator->set_chooser(&pol->chooser());
-    pol->start();
-  }
-
-  // Fail-stop tolerance: after bulk_load so every node object (and the
-  // replicated root, if any) exists before a crash can be suspected.
-  std::unique_ptr<ft::FtLayer> ftl;
-  if (cfg.ft.enabled) {
-    ftl = std::make_unique<ft::FtLayer>(rt, cfg.ft, locator.get());
-    ftl->note_plan(cfg.faults);
-    ftl->start();
-  }
-
-  const bool fixed = cfg.ops_per_requester > 0;
-  RunCtl ctl;
-  ctl.warm_at = fixed ? 0 : cfg.window.warmup;
-  ctl.end_at = fixed ? ~Cycles{0} : cfg.window.warmup + cfg.window.measure;
-  ctl.live = cfg.requesters;
-  ctl.ftl = ftl.get();
-
-  const std::uint64_t key_space = 2 * static_cast<std::uint64_t>(cfg.nkeys);
-  const std::uint64_t slice =
-      std::max<std::uint64_t>(1, key_space / cfg.requesters);
-  for (unsigned i = 0; i < cfg.requesters; ++i) {
-    const ProcId home = static_cast<ProcId>(cfg.node_procs + i);
-    sim::detach(btree_requester(&rt, &bt, cfg.scheme.mechanism, home,
-                                cfg.think, cfg.insert_ratio, key_space,
-                                cfg.key_affinity, i * slice, slice,
-                                cfg.seed * 1000003 + i,
-                                cfg.ops_per_requester, &ctl));
-  }
-  if (!fixed) schedule_window(eng, network, ctl);
-  eng.run();
-
-  RunStats out;
-  out.ops = ctl.ops;
-  out.window = fixed ? eng.now() : cfg.window.measure;
-  out.words = (fixed ? network.stats().words : ctl.words_at_end) -
-              ctl.words_at_warm;
-  out.messages = (fixed ? network.stats().messages : ctl.msgs_at_end) -
-                 ctl.msgs_at_warm;
-  if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
-  out.migrations = rt.stats().migrations;
-  out.remote_calls = rt.stats().remote_calls;
-  out.runtime = rt.stats();
-  out.net = network.stats();
-  out.completed_at = eng.now();
-  // See run_counting: the driver's snapshot events are excluded.
-  out.events_executed = eng.events_executed() - (fixed ? 0 : 2);
-  out.clamped_events = eng.clamped_events();
-  out.btree_keys = bt.num_keys();
-  out.btree_digest = bt.digest_host();
-  out.invariants_ok = bt.check_invariants();
-  if (pol != nullptr) {
-    out.policy_enabled = true;
-    out.policy = pol->stats();
-  }
-  if (ftl != nullptr) {
-    out.ft_enabled = true;
-    out.ft = ftl->stats();
-    out.ft_lost_ops = ctl.lost_ops;
-  }
-  if (locator != nullptr) {
-    out.locator_enabled = true;
-    out.loc = locator->stats();
-  }
-  if (checker != nullptr) {
-    checker->finalize();
-    out.checker_enabled = true;
-    out.check = checker->stats();
-    out.check_violations = checker->records();
-  }
-  if (tracer != nullptr && tracer->write_chrome_json(cfg.trace_path)) {
-    out.trace_path = cfg.trace_path;
-  }
-  return out;
+RunStats run_counting(const CountingConfig& cfg) {
+  return run_stack<CountingApp>(cfg);
 }
+
+RunStats run_btree(const BTreeConfig& cfg) { return run_stack<BTreeApp>(cfg); }
 
 void put_run_stats(core::Metrics& m, const RunStats& s) {
   m.put("ops", s.ops);

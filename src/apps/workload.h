@@ -4,16 +4,15 @@
 //  * distributed B-tree, 16 requesters over a 10,000-key tree on 48 node
 //    processors (Tables 1-4 and the branching-factor ablation).
 //
-// Each driver builds a complete simulated machine (engine, processors,
-// network, optional coherent memory, runtime, application), runs requester
-// threads through a warmup + measurement window, and reports the paper's
-// two metrics: throughput (operations per 1000 cycles) and network bandwidth
-// (words sent per 10 cycles).
+// Both drivers assemble one simulated machine the same way (engine,
+// processors, network, optional coherent memory, runtime, application; see
+// StackConfig), run requester threads through a warmup + measurement window,
+// and report the paper's two metrics: throughput (operations per 1000
+// cycles) and network bandwidth (words sent per 10 cycles).
 #pragma once
 
 #include <cstdint>
 #include <string>
-
 #include <vector>
 
 #include "check/checker.h"
@@ -40,8 +39,6 @@ struct RunStats {
   std::uint64_t words = 0;   // network words sent inside the window
   std::uint64_t messages = 0;
   double cache_hit_rate = 0.0;  // shared-memory schemes only
-  std::uint64_t migrations = 0;
-  std::uint64_t remote_calls = 0;
   core::RtStats runtime;  // full runtime counters incl. Table-5 breakdown
   net::NetStats net;      // full network counters incl. injected faults
   sim::Cycles completed_at = 0;  // engine time when the run drained
@@ -95,7 +92,10 @@ struct RunStats {
   }
 };
 
-struct CountingConfig {
+/// The machine a run assembles, common to both applications: scheme,
+/// memory system, network, faults, observers and the optional subsystems.
+/// Every knob defaults to off, and an off knob constructs nothing.
+struct StackConfig {
   core::Scheme scheme;
   // Alewife's coherence protocol [CKA91] is LimitLESS with a handful of
   // hardware sharer pointers; 5 matches the Alewife design point the paper
@@ -103,9 +103,7 @@ struct CountingConfig {
   unsigned limitless_pointers = 5;
   bool mesh = true;   // route messages over a 2-D mesh with link
                       // contention instead of the uniform-latency model
-  unsigned requesters = 8;   // 8..64, each on its own processor
   sim::Cycles think = 0;     // 0 or 10,000 in the paper
-  unsigned width = 8;        // 8x8 network = 24 balancers on 24 processors
   Window window{};
   std::uint64_t seed = 1;
 
@@ -149,14 +147,15 @@ struct CountingConfig {
   policy::PolicyConfig policy;
 };
 
+struct CountingConfig : StackConfig {
+  unsigned requesters = 8;   // 8..64, each on its own processor
+  unsigned width = 8;        // 8x8 network = 24 balancers on 24 processors
+};
+
 [[nodiscard]] RunStats run_counting(const CountingConfig& cfg);
 
-struct BTreeConfig {
-  core::Scheme scheme;
-  unsigned limitless_pointers = 5;  // LimitLESS [CKA91]; 0 = full-map
-  bool mesh = true;                 // 2-D mesh instead of uniform latency
+struct BTreeConfig : StackConfig {
   unsigned requesters = 16;
-  sim::Cycles think = 0;
   unsigned max_entries = 100;  // paper: <=100; ablation: <=10
   unsigned nkeys = 10'000;
   double insert_ratio = 0.5;  // fraction of operations that are inserts
@@ -167,19 +166,6 @@ struct BTreeConfig {
   // dominant accessor — the workload the rebalancer is built for.
   double key_affinity = 0.0;
   sim::ProcId node_procs = 48;
-  Window window{};
-  std::uint64_t seed = 1;
-
-  // Chaos mode + fixed-work mode + tracing; see CountingConfig.
-  net::FaultPlan faults;
-  core::ReliableConfig reliable;
-  long ops_per_requester = 0;
-  std::string trace_path;
-  loc::LocatorConfig locator;  // see CountingConfig
-  bool check = false;          // see CountingConfig
-  check::CheckConfig check_cfg;
-  ft::FtConfig ft;  // see CountingConfig
-  policy::PolicyConfig policy;  // see CountingConfig
 };
 
 [[nodiscard]] RunStats run_btree(const BTreeConfig& cfg);

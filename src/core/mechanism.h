@@ -33,6 +33,15 @@ enum class Mechanism {
   return "?";
 }
 
+/// True for the mechanisms that bring an activation and its data together
+/// before each access (core::approach): the activation moves to the object
+/// (CP, TM) or the object moves to the activation (OBJ). RPC runs the
+/// method at the object's home, and shared memory caches the data.
+[[nodiscard]] constexpr bool moves_to_data(Mechanism m) {
+  return m == Mechanism::kMigration || m == Mechanism::kThreadMigration ||
+         m == Mechanism::kObjectMigration;
+}
+
 struct Scheme {
   Mechanism mechanism = Mechanism::kRpc;
   bool hw_support = false;   // register-mapped NI + hardware OID translation

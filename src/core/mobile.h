@@ -11,6 +11,7 @@
 // with their full state in tow.
 #pragma once
 
+#include "core/mechanism.h"
 #include "core/runtime.h"
 #include "sim/async_mutex.h"
 
@@ -40,5 +41,20 @@ class MobileObject {
   sim::AsyncMutex transfer_lock_;
   std::uint64_t moves_ = 0;
 };
+
+/// Bring the activation and `obj` together before an access; callers pass
+/// only a mechanism with moves_to_data(mech). Migrates the activation with
+/// its frame's `frame_words` live words (CP) or with the whole thread's
+/// `thread_words` (TM), or attracts the object to it (OBJ). A plain function
+/// returning the mechanism's own task, so it adds no coroutine frame.
+[[nodiscard]] inline sim::Task<> approach(Ctx& ctx, Mechanism mech,
+                                          MobileObject& obj,
+                                          unsigned frame_words,
+                                          unsigned thread_words) {
+  if (mech == Mechanism::kObjectMigration) return obj.attract(ctx);
+  return ctx.rt->migrate(
+      ctx, obj.id(),
+      mech == Mechanism::kMigration ? frame_words : thread_words);
+}
 
 }  // namespace cm::core

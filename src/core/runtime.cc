@@ -101,20 +101,22 @@ sim::Task<> Runtime::evacuate(Ctx& ctx) {
   ctx.proc = to;
 }
 
-sim::Task<> Runtime::migrate(Ctx& ctx, ObjectId obj, unsigned live_words) {
-  if (ft_ != nullptr && ft_->suspected(ctx.proc)) co_await evacuate(ctx);
+sim::Task<> Runtime::migrate_impl(Ctx* top, std::span<Ctx* const> group,
+                                  ObjectId obj, unsigned live_words) {
+  if (top == nullptr) co_return;  // an empty group
+  if (ft_ != nullptr && ft_->suspected(top->proc)) co_await evacuate(*top);
   // The locality check is shared with ordinary instance-method dispatch.
-  co_await charge(ctx.proc, cost_.locality_check, Category::kLocalityCheck);
+  co_await charge(top->proc, cost_.locality_check, Category::kLocalityCheck);
   ProcId dest;
   if (locator_ == nullptr) {
     dest = objects_->home_of(obj);
   } else {
-    dest = co_await locator_->resolve(ctx, obj);
+    dest = co_await locator_->resolve(*top, obj);
   }
-  if (dest == ctx.proc) {
+  if (dest == top->proc) {
     // Already local: the annotation costs nothing (paper §3.1).
     if (check::Checker* ck = checker()) {
-      ck->on_object_access(ctx.proc, obj, objects_->home_of(obj),
+      ck->on_object_access(top->proc, obj, objects_->home_of(obj),
                            /*write=*/false);
     }
     ++mutable_stats().migrations_local;
@@ -124,22 +126,34 @@ sim::Task<> Runtime::migrate(Ctx& ctx, ObjectId obj, unsigned live_words) {
   // Continuation client stub: marshal the live variables of this activation
   // and launch a single message. (§3.2: "the continuation procedure's body
   // is the continuation of the migrating procedure at the point of
-  // migration; its arguments are the live variables at that point".)
-  const ProcId from = ctx.proc;
+  // migration; its arguments are the live variables at that point".) A
+  // group's message carries the live words of every activation in it:
+  // marshaling/unmarshaling scale with the total, but the fixed per-message
+  // costs are paid once — the point of multi-activation migration.
+  const ProcId from = top->proc;
   if (sim::Tracer* tr = tracer()) {
-    tr->record(sim::TraceEvent::kMigrateBegin, from,
-               {{"obj", obj}, {"dest", dest}, {"words", live_words}});
+    if (group.empty()) {
+      tr->record(sim::TraceEvent::kMigrateBegin, from,
+                 {{"obj", obj}, {"dest", dest}, {"words", live_words}});
+    } else {
+      tr->record(sim::TraceEvent::kMigrateBegin, from,
+                 {{"obj", obj},
+                  {"dest", dest},
+                  {"words", live_words},
+                  {"group", group.size()}});
+    }
   }
-  co_await send_path(ctx.proc, live_words);
+  co_await send_path(from, live_words);
   const bool moved =
-      co_await transfer_impl(ctx.proc, dest, live_words,
+      co_await transfer_impl(from, dest, live_words,
                              reliable_ ? reliable_cfg_.move_retry_budget : 0);
   if (!moved) {
     // Recovery path: the MOVE exhausted its retry budget, so the activation
-    // stays where it is and subsequent accesses to the object go through
-    // plain RPC at its home — the annotation still changes only
-    // performance, never semantics, even on a faulty network. A late copy
-    // of the MOVE is discarded at the destination by the reliable layer.
+    // (and its group) stays where it is and subsequent accesses to the
+    // object go through plain RPC at its home — the annotation still
+    // changes only performance, never semantics, even on a faulty network.
+    // A late copy of the MOVE is discarded at the destination by the
+    // reliable layer.
     ++mutable_stats().migration_fallbacks;
     if (sim::Tracer* tr = tracer()) {
       tr->record(sim::TraceEvent::kMigrateFallback, from,
@@ -171,8 +185,9 @@ sim::Task<> Runtime::migrate(Ctx& ctx, ObjectId obj, unsigned live_words) {
                {{"obj", obj}, {"from", from}, {"words", live_words}});
   }
 
-  // The activation now runs at the data.
-  ctx.proc = dest;
+  // The activation (with the rest of its group) now runs at the data.
+  top->proc = dest;
+  for (Ctx* c : group) c->proc = dest;
 }
 
 sim::Task<> Runtime::return_home(Ctx& ctx, ProcId origin, unsigned ret_words) {
@@ -197,71 +212,6 @@ sim::Task<> Runtime::return_home(Ctx& ctx, ProcId origin, unsigned ret_words) {
   }
   co_await receive_reply(origin, ret_words);
   ctx.proc = origin;
-}
-
-sim::Task<> Runtime::migrate_group(const std::vector<Ctx*>& group,
-                                   ObjectId obj, unsigned live_words) {
-  if (group.empty()) co_return;
-  Ctx& top = *group.front();
-  if (ft_ != nullptr && ft_->suspected(top.proc)) co_await evacuate(top);
-  co_await charge(top.proc, cost_.locality_check, Category::kLocalityCheck);
-  ProcId dest;
-  if (locator_ == nullptr) {
-    dest = objects_->home_of(obj);
-  } else {
-    dest = co_await locator_->resolve(top, obj);
-  }
-  if (dest == top.proc) {
-    if (check::Checker* ck = checker()) {
-      ck->on_object_access(top.proc, obj, objects_->home_of(obj),
-                           /*write=*/false);
-    }
-    ++mutable_stats().migrations_local;
-    co_return;
-  }
-
-  // One message carries the live words of every activation in the group;
-  // marshaling/unmarshaling scale with the total, but the fixed per-message
-  // costs are paid once — the point of multi-activation migration.
-  const ProcId from = top.proc;
-  if (sim::Tracer* tr = tracer()) {
-    tr->record(sim::TraceEvent::kMigrateBegin, from,
-               {{"obj", obj},
-                {"dest", dest},
-                {"words", live_words},
-                {"group", group.size()}});
-  }
-  co_await send_path(top.proc, live_words);
-  const bool moved =
-      co_await transfer_impl(top.proc, dest, live_words,
-                             reliable_ ? reliable_cfg_.move_retry_budget : 0);
-  if (!moved) {
-    // Same recovery as single-activation migration: the whole group stays
-    // put and later accesses are plain RPCs.
-    ++mutable_stats().migration_fallbacks;
-    if (sim::Tracer* tr = tracer()) {
-      tr->record(sim::TraceEvent::kMigrateFallback, from,
-                 {{"obj", obj}, {"dest", dest}});
-    }
-    co_return;
-  }
-  ++mutable_stats().migrations;
-  mutable_stats().migrated_words += live_words;
-  if (locator_ != nullptr) {
-    dest = co_await locator_->forward(obj, dest, live_words, from);
-    if (check::Checker* ck = checker()) {
-      ck->on_object_access(dest, obj, objects_->home_of(obj),
-                           /*write=*/false);
-    }
-  }
-  co_await receive_request(dest, live_words, Dispatch::kContinuation);
-  ++mutable_stats().threads_created;
-  if (sim::Tracer* tr = tracer()) {
-    tr->record(sim::TraceEvent::kMigrateArrive, dest,
-               {{"obj", obj}, {"from", from}, {"words", live_words}});
-  }
-
-  for (Ctx* c : group) c->proc = dest;
 }
 
 }  // namespace cm::core

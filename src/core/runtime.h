@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -176,7 +177,9 @@ class Runtime {
   /// the object is already local — the annotation affects performance only,
   /// never semantics, and costs local accesses nothing.
   [[nodiscard]] sim::Task<> migrate(Ctx& ctx, ObjectId obj,
-                                    unsigned live_words);
+                                    unsigned live_words) {
+    return migrate_impl(&ctx, {}, obj, live_words);
+  }
 
   /// Finish a migratory procedure: if the activation ended away from
   /// `origin`, send its result (`ret_words`) back in a single message — the
@@ -187,9 +190,14 @@ class Runtime {
 
   /// Future-work extension (§6): migrate a group of activations together
   /// (e.g. caller + callee). Ships the summed live words in one message and
-  /// re-binds every context in `group` to the destination.
+  /// re-binds every context in `group` to the destination. The same
+  /// protocol as `migrate`, run by the group's first activation; an empty
+  /// group is a no-op. `group` must outlive the returned task.
   [[nodiscard]] sim::Task<> migrate_group(const std::vector<Ctx*>& group,
-                                          ObjectId obj, unsigned live_words);
+                                          ObjectId obj, unsigned live_words) {
+    return migrate_impl(group.empty() ? nullptr : group.front(), group, obj,
+                        live_words);
+  }
 
   /// Invoke an instance method on `obj`. The body always executes at the
   /// object's home processor (Prelude semantics); if the caller is not
@@ -365,6 +373,12 @@ class Runtime {
   /// transport; raw send when reliability is disabled.
   [[nodiscard]] sim::Task<bool> transfer_impl(ProcId src, ProcId dst,
                                               unsigned words, unsigned budget);
+  /// The migration protocol: `top` (null for an empty group) runs the stubs
+  /// and every context in `group` follows it; a non-empty `group` also tags
+  /// kMigrateBegin with its size.
+  [[nodiscard]] sim::Task<> migrate_impl(Ctx* top,
+                                         std::span<Ctx* const> group,
+                                         ObjectId obj, unsigned live_words);
   /// Rebind an activation stranded on a suspected processor to its
   /// evacuation target, charging thread re-creation there. Requires ft_.
   [[nodiscard]] sim::Task<> evacuate(Ctx& ctx);

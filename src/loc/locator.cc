@@ -121,7 +121,10 @@ ProcId Locator::owner_truth(ObjectId id) const {
 void Locator::cache_put(ProcId p, ObjectId id, ProcId where) {
   // Never cache a hint naming the holder itself: local objects are found
   // through the local table, and such an entry would only go stale.
-  if (where == p) {
+  // Nor one naming a suspected processor: crash recovery scrubs those, and
+  // a directory answer read before the re-home but delivered after it
+  // would otherwise route every later call into the dead NIC.
+  if (where == p || (ft_ != nullptr && ft_->suspected(where))) {
     procs_[p].cache.erase(id);
     return;
   }

@@ -372,5 +372,41 @@ TEST(FtLayer, LocatorFailsOverQueriesAndScrubsRehomedEntries) {
   EXPECT_EQ(ftl.stats().recoveries, 1u);
 }
 
+Task<> resolve_from(FtWorld* w, loc::Locator* locator, ObjectId id,
+                    ProcId from, ProcId* out) {
+  Ctx ctx{&w->rt, from};
+  *out = co_await locator->resolve(ctx, id);
+}
+
+TEST(FtLayer, LocatorNeverCachesAHintNamingASuspectedHost) {
+  // Between suspicion and the re-home commit the directory still names the
+  // dead host. A hint cached from such an answer would outlive the commit's
+  // scrub whenever the answer lands after it, and then route every retry of
+  // a call into the dead NIC until the call's retry budget ran out.
+  FtWorld w(4, kill_at(2, 5'000));
+  const ObjectId victim = w.objects.create(2);  // shard 0: proc 0 asks
+  loc::LocatorConfig loc_cfg;
+  loc_cfg.mode = loc::Locality::kDistributed;
+  loc::Locator locator(w.rt, loc_cfg);
+  FtLayer ftl(w.rt, enabled_cfg(), &locator);
+  ftl.note_plan(w.net.plan());
+  ftl.start();
+
+  Cycles t = 5'000;
+  while (!ftl.suspected(2)) w.eng.run_until(t += 10);
+  ProcId answer = sim::kNoProc;
+  sim::detach(resolve_from(&w, &locator, victim, 0, &answer));
+  while (answer == sim::kNoProc) w.eng.run_until(t += 10);
+  ASSERT_TRUE(ftl.recovery_pending(victim));  // still before the commit
+
+  EXPECT_EQ(answer, 2u);  // the directory's stale answer is returned...
+  EXPECT_EQ(locator.cached_hint(0, victim), std::nullopt);  // ...not cached
+
+  w.eng.run_until(80'000);
+  ftl.stop();
+  w.eng.run();
+  EXPECT_NE(w.objects.home_of(victim), 2u);
+}
+
 }  // namespace
 }  // namespace cm::ft

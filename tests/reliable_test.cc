@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/metrics.h"
 #include "core/object.h"
 #include "core/runtime.h"
 #include "net/constant_net.h"
@@ -146,6 +151,41 @@ TEST(ReliableTransport, MoveBudgetExhaustionFallsBackToStayingPut) {
   EXPECT_EQ(w.rt.stats().migration_fallbacks, 1u);
   EXPECT_EQ(w.rt.stats().delivery_failures, 1u);
   EXPECT_EQ(w.rt.stats().retransmits, 2u);  // budget 3 = 1 try + 2 retries
+}
+
+/// A MOVE from processor 0 to processor 3 over a dead link, with a budget
+/// of 3 attempts, through `migrate` or as a `migrate_group` of one: the
+/// traffic, the exported runtime counters and the end processor.
+std::tuple<std::uint64_t, std::string, ProcId> exhausted_move(bool as_group) {
+  net::FaultPlan plan;
+  plan.link_overrides[{0, 3}] = net::FaultRates{.drop = 1.0};
+  ChaosWorld w(4, plan,
+               ReliableConfig{.base_timeout = 50, .move_retry_budget = 3});
+  const ObjectId obj = w.objects.create(3);
+  ProcId end = 99;
+  sim::detach([](Runtime* rt, ObjectId obj, bool as_group,
+                 ProcId* end) -> Task<> {
+    Ctx ctx{rt, 0};
+    std::vector<Ctx*> group{&ctx};
+    if (as_group) {
+      co_await rt->migrate_group(group, obj, 8);
+    } else {
+      co_await rt->migrate(ctx, obj, 8);
+    }
+    *end = ctx.proc;
+  }(&w.rt, obj, as_group, &end));
+  w.eng.run();
+  Metrics m;
+  put_rt_stats(m, w.rt.stats());
+  std::string stats;
+  m.append_json_fields(stats);
+  return {w.net.stats().messages, stats, end};
+}
+
+TEST(ReliableTransport, ExhaustedMoveIsTheSameForMigrateAndAGroupOfOne) {
+  const auto alone = exhausted_move(false);
+  EXPECT_EQ(alone, exhausted_move(true));
+  EXPECT_EQ(std::get<2>(alone), 0u);  // never moved
 }
 
 TEST(ReliableTransport, GroupMoveFallsBackTogether) {

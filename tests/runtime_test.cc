@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/metrics.h"
 #include "core/object.h"
 #include "net/constant_net.h"
 #include "sim/engine.h"
@@ -330,6 +332,59 @@ TEST(Runtime, GroupMigrationMovesAllFramesInOneMessage) {
   EXPECT_EQ(b, 3u);
   EXPECT_EQ(w.net.stats().messages, 1u);
   EXPECT_EQ(w.rt.stats().migrated_words, 20u);
+}
+
+/// What one migration leaves behind: its traffic, the runtime counters as
+/// exported (Table-5 breakdown included), where the activation ended and
+/// when the run drained.
+struct MigrationOutcome {
+  std::uint64_t messages = 0;
+  std::uint64_t words = 0;
+  std::string rt_stats;
+  ProcId end = 99;
+  Cycles drained_at = 0;
+  bool operator==(const MigrationOutcome&) const = default;
+};
+
+/// Migrate an activation at processor 0 to an object homed at `home`,
+/// through `migrate` or as a `migrate_group` of one.
+MigrationOutcome migrate_alone_or_as_group(ProcId home, bool as_group) {
+  World w(4);
+  const ObjectId obj = w.objects.create(home);
+  MigrationOutcome out;
+  sim::detach([](World* w, ObjectId obj, bool as_group,
+                 ProcId* end) -> Task<> {
+    Ctx ctx{&w->rt, 0};
+    std::vector<Ctx*> group{&ctx};
+    if (as_group) {
+      co_await w->rt.migrate_group(group, obj, 8);
+    } else {
+      co_await w->rt.migrate(ctx, obj, 8);
+    }
+    *end = ctx.proc;
+  }(&w, obj, as_group, &out.end));
+  w.eng.run();
+  out.messages = w.net.stats().messages;
+  out.words = w.net.stats().words;
+  Metrics m;
+  put_rt_stats(m, w.rt.stats());
+  m.append_json_fields(out.rt_stats);
+  out.drained_at = w.eng.now();
+  return out;
+}
+
+TEST(Runtime, MigrateIsAGroupOfOneForALocalObject) {
+  const MigrationOutcome alone = migrate_alone_or_as_group(0, false);
+  EXPECT_EQ(alone, migrate_alone_or_as_group(0, true));
+  EXPECT_EQ(alone.end, 0u);
+  EXPECT_EQ(alone.messages, 0u);
+}
+
+TEST(Runtime, MigrateIsAGroupOfOneForARemoteObject) {
+  const MigrationOutcome alone = migrate_alone_or_as_group(3, false);
+  EXPECT_EQ(alone, migrate_alone_or_as_group(3, true));
+  EXPECT_EQ(alone.end, 3u);
+  EXPECT_EQ(alone.messages, 1u);
 }
 
 TEST(Runtime, BreakdownAccumulatesPerCategory) {

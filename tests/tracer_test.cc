@@ -25,7 +25,12 @@
 
 #include "apps/workload.h"
 #include "core/metrics.h"
+#include "core/object.h"
+#include "core/runtime.h"
+#include "net/constant_net.h"
 #include "sim/engine.h"
+#include "sim/machine.h"
+#include "sim/task.h"
 
 namespace cm {
 namespace {
@@ -294,6 +299,51 @@ TEST(Tracer, RecordsCountsAndEmitsValidJson) {
   EXPECT_EQ(counts.at("msg.send"), 1);
   EXPECT_EQ(counts.at("msg.deliver"), 1);
   EXPECT_EQ(tids, (std::set<double>{1.0, 2.0}));
+}
+
+/// For each migrate.begin record of one migration from processor 0 to an
+/// object at processor 3, whether it carries the `group` key. `migrate` is
+/// a group of one without the tag; `migrate_group` tags even a group of one.
+std::vector<bool> migrate_begin_has_group(bool as_group) {
+  sim::Engine eng;
+  sim::Tracer tracer(eng);
+  eng.set_tracer(&tracer);
+  sim::Machine machine(eng, 4);
+  net::ConstantNetwork net(eng);
+  core::ObjectSpace objects;
+  core::Runtime rt(machine, net, objects, core::CostModel::software());
+  const core::ObjectId obj = objects.create(3);
+  sim::detach([](core::Runtime* rt, core::ObjectId obj,
+                 bool as_group) -> sim::Task<> {
+    core::Ctx ctx{rt, 0};
+    std::vector<core::Ctx*> group{&ctx};
+    if (as_group) {
+      co_await rt->migrate_group(group, obj, 8);
+    } else {
+      co_await rt->migrate(ctx, obj, 8);
+    }
+  }(&rt, obj, as_group));
+  eng.run();
+
+  bool ok = false;
+  const std::string json = tracer.chrome_json();  // parser keeps a view
+  JsonParser parser(json);
+  const JsonValue root = parser.parse(ok);
+  EXPECT_TRUE(ok);
+  std::vector<bool> tagged;
+  for (const JsonValue& ev : root.object().at("traceEvents").array()) {
+    const JsonObject& o = ev.object();
+    if (o.at("ph").str() != "i" || o.at("name").str() != "migrate.begin") {
+      continue;
+    }
+    tagged.push_back(o.at("args").object().count("group") == 1);
+  }
+  return tagged;
+}
+
+TEST(Tracer, MigrateBeginCarriesGroupOnlyFromMigrateGroup) {
+  EXPECT_EQ(migrate_begin_has_group(false), std::vector<bool>{false});
+  EXPECT_EQ(migrate_begin_has_group(true), std::vector<bool>{true});
 }
 
 TEST(Tracer, EngineDefaultsToNoTracer) {

@@ -114,7 +114,7 @@ TEST(BTreeWorkload, ProducesThroughputAndStaysValid) {
   cfg.window = quick();
   const RunStats s = run_btree(cfg);
   EXPECT_GT(s.ops, 0);
-  EXPECT_GT(s.migrations, 0u);
+  EXPECT_GT(s.runtime.migrations, 0u);
 }
 
 TEST(BTreeWorkload, Deterministic) {

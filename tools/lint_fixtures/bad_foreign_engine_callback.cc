@@ -1,4 +1,4 @@
-// coro_lint fixture: event callbacks that touch an Engine other than the
+// simlint fixture: event callbacks that touch an Engine other than the
 // one they are scheduled on. NOT compiled — pattern food for the
 // --self-test. Two engines are two independent simulations: a callback
 // running on one reads and schedules against the other's clock, which

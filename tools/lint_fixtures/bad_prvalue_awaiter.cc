@@ -1,5 +1,5 @@
-// coro_lint fixture: the GCC 12.2 prvalue-awaiter double-destroy hazard.
-// NOT compiled — pattern food for tools/coro_lint --self-test.
+// simlint fixture: the GCC 12.2 prvalue-awaiter double-destroy hazard.
+// NOT compiled — pattern food for tools/simlint --self-test.
 #include <memory>
 
 #include "sim/task.h"

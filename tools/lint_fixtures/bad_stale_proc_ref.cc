@@ -1,5 +1,5 @@
-// coro_lint fixture: a reference to processor-local state held across a
-// migration. NOT compiled — pattern food for tools/coro_lint --self-test.
+// simlint fixture: a reference to processor-local state held across a
+// migration. NOT compiled — pattern food for tools/simlint --self-test.
 #include <cstdint>
 
 namespace fixture {
@@ -11,6 +11,8 @@ struct Slot {
 struct Ctx {
   unsigned proc;
 };
+
+struct Obj {};
 
 struct Rt {
   Slot procs_[64];
@@ -28,6 +30,14 @@ void bad_ptr_across_migrate_group(Rt* rt, Ctx& ctx) {
   Slot* here = &rt->procs_[ctx.proc];
   co_await rt->migrate_group(ctx, 7, 16);
   here->count++;  // EXPECT-LINT: CL002
+}
+
+// core::approach is how the applications migrate: it moves the activation
+// (or the object) before each access, so it re-binds ctx.proc too.
+void bad_ref_across_approach(Rt* rt, Ctx& ctx, int mech, Obj& obj) {
+  auto& slot = rt->procs_[ctx.proc];
+  co_await core::approach(ctx, mech, obj, 8, 96);
+  slot.count++;  // EXPECT-LINT: CL002
 }
 
 }  // namespace fixture

@@ -1,6 +1,6 @@
-// coro_lint fixture: the two sanctioned suspend_to idioms — a named-lvalue
+// simlint fixture: the two sanctioned suspend_to idioms — a named-lvalue
 // awaiter for owning captures, and direct awaits for trivially-destructible
-// ones. NOT compiled — pattern food for tools/coro_lint --self-test.
+// ones. NOT compiled — pattern food for tools/simlint --self-test.
 #include <memory>
 
 #include "sim/task.h"

@@ -1,4 +1,4 @@
-// coro_lint fixture: proc-local references handled correctly around a
+// simlint fixture: proc-local references handled correctly around a
 // migration — re-derived afterwards, or never used again. NOT compiled.
 #include <cstdint>
 

@@ -1,4 +1,4 @@
-// coro_lint fixture: event callbacks that stay on their own engine — the
+// simlint fixture: event callbacks that stay on their own engine — the
 // common, correct shapes CL003 must not flag. NOT compiled.
 #include <cstdint>
 

@@ -1,18 +1,11 @@
 // simlint fixture: the suppression machinery. A `// simlint: allow RULE`
 // directive silences exactly that rule on exactly one line (trailing form:
-// its own line; standalone-comment form: the next line); the legacy
-// `// coro-lint: allow CLnnn` spelling still works; and a directive never
-// bleeds onto other lines or other rules. NOT compiled.
+// its own line; standalone-comment form: the next line); and a directive
+// never bleeds onto other lines or other rules. NOT compiled.
+#include <cstdint>
 #include <cstdlib>
-#include <memory>
-
-#include "sim/task.h"
 
 namespace fixture {
-
-struct WaiterState {
-  std::coroutine_handle<> waiter;
-};
 
 unsigned trailing_form_silences_ds002() {
   return static_cast<unsigned>(rand());  // simlint: allow DS002
@@ -32,12 +25,6 @@ unsigned directive_does_not_bleed_to_later_lines() {
 std::uint64_t wrong_rule_id_silences_nothing() {
   static std::uint64_t calls = 0;  // simlint: allow DS002  // EXPECT-LINT: SS001
   return ++calls;
-}
-
-cm::sim::Task<> legacy_coro_lint_spelling(std::shared_ptr<WaiterState> st) {
-  co_await cm::sim::suspend_to([st](std::coroutine_handle<> h) {  // coro-lint: allow CL001
-    st->waiter = h;
-  });
 }
 
 }  // namespace fixture
