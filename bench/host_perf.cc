@@ -4,8 +4,9 @@
 // loop, so its host-side throughput — simulated events per wall second —
 // is the quantity that decides how far the system scales (1000+ simulated
 // processors, parameter sweeps, chaos soaks). This harness times fixed-seed
-// fig2 (counting network, 64 and 256 requesters) and table1_2 (B-tree)
-// workload configurations, plus a hold model that drives the engine's
+// fig2 (counting network, 64 and 256 requesters) and table1_2 (B-tree,
+// under computation migration and under shared memory) workload
+// configurations, plus a hold model that drives the engine's
 // calendar queue and the binary-heap reference queue directly, and writes
 // BENCH_host_perf.json in the unified metrics schema:
 //
@@ -105,6 +106,14 @@ BTreeConfig table1_2() {
   return cfg;
 }
 
+// The same tree under shared memory: the row that times the coherence
+// layer (src/shmem).
+BTreeConfig table1_2_sm() {
+  BTreeConfig cfg = table1_2();
+  cfg.scheme = Scheme{Mechanism::kSharedMemory, false, false};
+  return cfg;
+}
+
 // 4x the requesters of fig2_64, on the uniform-latency network.
 CountingConfig fig2_256() {
   CountingConfig cfg;
@@ -191,6 +200,8 @@ int main(int argc, char** argv) {
          best_of([] { return run_counting(fig2_64()); }));
   report(reg, "table1_2/calendar",
          best_of([] { return run_btree(table1_2()); }));
+  report(reg, "table1_2_sm/calendar",
+         best_of([] { return run_btree(table1_2_sm()); }));
   report(reg, "fig2_256/calendar",
          best_of([] { return run_counting(fig2_256()); }));
 

@@ -633,6 +633,7 @@ sim::Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
   // also what keeps replica invalidation on the writer's path).
   const bool use_repl = false;
   std::vector<std::uint32_t> stack;
+  stack.reserve(8);  // one allocation per insert: these trees are 2-4 deep
   std::uint32_t cur = root_;
   while (!nodes_[cur].leaf) {
     Step s{};

@@ -8,8 +8,8 @@
 // traffic/latency for the address ranges the application touches.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/types.h"
@@ -33,6 +33,10 @@ inline constexpr unsigned kHomeShift = 32;  // home proc in bits [32..)
 [[nodiscard]] inline sim::ProcId home_of_line(Line l) noexcept {
   return static_cast<sim::ProcId>(l >> (kHomeShift - kLineShift));
 }
+/// Index of a line within its home region.
+[[nodiscard]] inline std::uint64_t line_offset(Line l) noexcept {
+  return l & ((Line{1} << (kHomeShift - kLineShift)) - 1);
+}
 
 /// Number of lines an access [a, a+bytes) touches.
 [[nodiscard]] inline unsigned lines_touched(Addr a, unsigned bytes) noexcept {
@@ -49,13 +53,29 @@ class GlobalHeap {
  public:
   explicit GlobalHeap(sim::ProcId nprocs) : next_(nprocs, 0) {}
 
+  /// Throws std::invalid_argument if `home` is outside the machine or its
+  /// region cannot hold `bytes` more.
   [[nodiscard]] Addr alloc(sim::ProcId home, std::uint64_t bytes) {
-    assert(home < next_.size());
-    const std::uint64_t aligned = (bytes + kLineBytes - 1) & ~static_cast<std::uint64_t>(kLineBytes - 1);
+    if (home >= next_.size()) {
+      throw std::invalid_argument(
+          "GlobalHeap::alloc: home outside the machine");
+    }
     const std::uint64_t off = next_[home];
+    // off never exceeds the region size, so the subtraction cannot wrap;
+    // every address handed out keeps its home's bits.
+    constexpr std::uint64_t kRegion = std::uint64_t{1} << kHomeShift;
+    if (off == kRegion || bytes > kRegion - off) {
+      throw std::invalid_argument("GlobalHeap::alloc: home region exhausted");
+    }
+    const std::uint64_t aligned =
+        (bytes + kLineBytes - 1) & ~std::uint64_t{kLineBytes - 1};
     next_[home] = off + aligned;
-    assert(next_[home] < (1ull << kHomeShift) && "home region exhausted");
     return (static_cast<Addr>(home) << kHomeShift) | off;
+  }
+
+  /// Bytes allocated so far in `home`'s region (a multiple of kLineBytes).
+  [[nodiscard]] std::uint64_t used(sim::ProcId home) const {
+    return next_.at(home);
   }
 
  private:

@@ -1,17 +1,23 @@
 #include "shmem/cache.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace cm::shmem {
 
 Cache::Cache(CacheParams params) : params_(params) {
-  assert(params_.associativity > 0);
-  assert(params_.size_bytes % (kLineBytes * params_.associativity) == 0);
-  ways_.resize(static_cast<std::size_t>(params_.num_sets()) *
-               params_.associativity);
+  const std::uint64_t set_bytes =
+      std::uint64_t{kLineBytes} * params_.associativity;
+  if (set_bytes == 0 || params_.size_bytes == 0 ||
+      params_.size_bytes % set_bytes != 0) {
+    throw std::invalid_argument(
+        "CacheParams: size_bytes must be a positive multiple of "
+        "line bytes * associativity");
+  }
 }
 
 Cache::Way* Cache::find(Line line) {
+  if (ways_.empty()) return nullptr;
   const std::size_t base =
       static_cast<std::size_t>(set_of(line)) * params_.associativity;
   for (std::uint32_t w = 0; w < params_.associativity; ++w) {
@@ -33,6 +39,10 @@ LineState Cache::lookup(Line line) const {
 std::optional<Eviction> Cache::install(Line line, LineState state) {
   assert(state != LineState::kInvalid);
   assert(find(line) == nullptr && "line already present");
+  if (ways_.empty()) {
+    ways_.resize(static_cast<std::size_t>(params_.num_sets()) *
+                 params_.associativity);
+  }
   const std::size_t base =
       static_cast<std::size_t>(set_of(line)) * params_.associativity;
 

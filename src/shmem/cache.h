@@ -1,6 +1,8 @@
 // Per-processor hardware cache model: 64 KB, 16-byte lines, set-associative
 // with LRU replacement (paper §4: "each processor has a 64K shared-memory
-// cache with a line size of 16 bytes").
+// cache with a line size of 16 bytes"). A cache allocates its ways on its
+// first install: processors that never touch shared memory (the B-tree's
+// node processors, say) cost nothing.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,8 @@ struct Eviction {
 
 class Cache {
  public:
+  /// Throws std::invalid_argument unless the associativity is nonzero and
+  /// the size a positive multiple of kLineBytes * associativity.
   explicit Cache(CacheParams params = {});
 
   /// Current state of `line` in this cache (kInvalid if absent).
@@ -68,7 +72,8 @@ class Cache {
   [[nodiscard]] const Way* find(Line line) const;
 
   CacheParams params_;
-  std::vector<Way> ways_;  // num_sets * associativity, set-major
+  std::vector<Way> ways_;  // num_sets * associativity, set-major; empty
+                           // until the first install
   std::uint64_t clock_ = 0;
   std::uint64_t present_ = 0;
 };

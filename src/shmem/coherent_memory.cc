@@ -1,7 +1,6 @@
 #include "shmem/coherent_memory.h"
 
-#include <bit>
-#include <cassert>
+#include <stdexcept>
 
 #include "check/checker.h"
 
@@ -27,12 +26,31 @@ CoherentMemory::CoherentMemory(sim::Machine& machine, net::Network& network,
       network_(&network),
       params_(params),
       heap_(machine.size()),
-      controllers_(machine.size()) {
-  assert(machine.size() <= kMaxProcs &&
-         "full-map directory sharer vector is fixed-width");
-  caches_.reserve(machine.size());
-  for (sim::ProcId p = 0; p < machine.size(); ++p) {
-    caches_.emplace_back(cache_params);
+      caches_(machine.size(), Cache(cache_params)),
+      controllers_(machine.size()),
+      dirs_(machine.size()),
+      in_flight_(machine.size(), nullptr) {
+  if (machine.size() > kMaxProcs) {
+    throw std::invalid_argument(
+        "CoherentMemory: more processors than the directory's kMaxProcs");
+  }
+}
+
+Addr CoherentMemory::alloc(sim::ProcId home, std::uint64_t bytes) {
+  const Addr a = heap_.alloc(home, bytes);
+  // Growing at the end never moves an existing entry (std::deque).
+  dirs_[home].resize(heap_.used(home) >> kLineShift);
+  return a;
+}
+
+bool CoherentMemory::allocated(Line line) const {
+  const sim::ProcId home = home_of_line(line);
+  return home < dirs_.size() && line_offset(line) < dirs_[home].size();
+}
+
+void CoherentMemory::require_allocated(Line line) const {
+  if (!allocated(line)) {
+    throw std::out_of_range("CoherentMemory: access to unallocated memory");
   }
 }
 
@@ -46,22 +64,19 @@ auto CoherentMemory::controller(sim::ProcId p) {
 
 auto CoherentMemory::transfer(sim::ProcId src, sim::ProcId dst,
                               unsigned words) {
+  // Coherence traffic models the lossless hardware fabric: FaultyNetwork
+  // never faults Traffic::kCoherence unless a plan opts in with
+  // affect_coherence, and nothing composes that flag with this protocol
+  // (pinned by FaultyNetwork.CoherenceTrafficUntouchedByDefault).
   return sim::suspend_to([this, src, dst, words](std::coroutine_handle<> h) {
     network_->send(src, dst, words, net::Traffic::kCoherence,
                    [h] { h.resume(); });
   });
 }
 
-sim::Task<> CoherentMemory::maybe_trap(sim::ProcId home,
-                                       std::size_t sharers) {
-  if (params_.hw_sharer_pointers == 0 ||
-      sharers <= params_.hw_sharer_pointers) {
-    co_return;
-  }
-  // The overflowed sharer set lives in software: the home CPU (not the
-  // memory controller) runs the LimitLESS extension handler.
+sim::Machine::Compute CoherentMemory::trap(sim::ProcId home) {
   ++stats_.limitless_traps;
-  co_await machine_->compute(home, params_.limitless_trap);
+  return machine_->compute(home, params_.limitless_trap);
 }
 
 sim::Task<> CoherentMemory::read(sim::ProcId p, Addr a, unsigned bytes) {
@@ -76,6 +91,15 @@ sim::Task<> CoherentMemory::write(sim::ProcId p, Addr a, unsigned bytes) {
   for (Line l = first; l <= last; ++l) co_await acquire(p, l, true);
 }
 
+CoherentMemory::Txn* CoherentMemory::in_flight(sim::ProcId p,
+                                               Line line) const {
+  // Caches block, so the list holds one entry unless prefetches add more.
+  for (Txn* t = in_flight_[p]; t != nullptr; t = t->next_in_flight) {
+    if (t->line == line) return t;
+  }
+  return nullptr;
+}
+
 sim::Task<> CoherentMemory::acquire(sim::ProcId p, Line line, bool exclusive) {
   Cache& c = caches_[p];
   {
@@ -88,6 +112,7 @@ sim::Task<> CoherentMemory::acquire(sim::ProcId p, Line line, bool exclusive) {
       c.touch(line);
       co_return;
     }
+    require_allocated(line);
     if (exclusive) {
       ++stats_.write_misses;
       if (st == LineState::kShared) ++stats_.upgrades;
@@ -108,35 +133,39 @@ sim::Task<> CoherentMemory::acquire(sim::ProcId p, Line line, bool exclusive) {
     // Merge with any in-flight transaction for this line (MSHR): wait for
     // it, then re-evaluate (a read in flight does not satisfy a write; the
     // loop issues the upgrade afterwards).
-    const std::uint64_t key = mshr_key(p, line);
-    if (auto it = mshrs_.find(key); it != mshrs_.end()) {
+    if (Txn* ongoing = in_flight(p, line)) {
       ++stats_.mshr_merges;
-      Mshr* m = &it->second;
-      co_await sim::suspend_to(
-          [m](std::coroutine_handle<> h) { m->waiters.push_back(h); });
+      Merge m;
+      co_await sim::suspend_to([ongoing, &m](std::coroutine_handle<> h) {
+        m.waiter = h;
+        if (ongoing->merged_tail != nullptr) {
+          ongoing->merged_tail->next = &m;
+        } else {
+          ongoing->merged_head = &m;
+        }
+        ongoing->merged_tail = &m;
+      });
       continue;
     }
-    mshrs_.emplace(key, Mshr{exclusive, {}});
 
-    const sim::ProcId home = home_of_line(line);
-    sim::OneShot<sim::Unit> done;
-    // Coherence traffic models the lossless hardware fabric: FaultyNetwork
-    // never faults Traffic::kCoherence unless a plan opts in with
-    // affect_coherence, and nothing composes that flag with this protocol
-    // (pinned by FaultyNetwork.CoherenceTrafficUntouchedByDefault).
-    // simlint: allow SS002
-    network_->send(p, home, params_.words_request, net::Traffic::kCoherence,
-                   [this, p, line, exclusive, done] {
-                     on_request(p, line, exclusive, done);
-                   });
-    co_await done.get();
+    Txn t{p, line, exclusive};
+    t.next_in_flight = in_flight_[p];
+    in_flight_[p] = &t;
+    co_await transfer(p, home_of_line(line), params_.words_request);
+    co_await sim::suspend_to([this, &t](std::coroutine_handle<> h) {
+      t.waiter = h;
+      enqueue(t);
+    });
 
     // Install (re-check defensively).
     const LineState now_st = c.lookup(line);
     if (now_st == LineState::kInvalid) {
-      auto victim = c.install(
+      const auto victim = c.install(
           line, exclusive ? LineState::kModified : LineState::kShared);
-      if (victim) handle_eviction(p, *victim);
+      if (victim) {
+        ++stats_.evictions;
+        if (victim->dirty) writeback(p, victim->line);  // clean ones drop
+      }
     } else if (exclusive && now_st == LineState::kShared) {
       c.set_state(line, LineState::kModified);
       c.touch(line);
@@ -144,9 +173,17 @@ sim::Task<> CoherentMemory::acquire(sim::ProcId p, Line line, bool exclusive) {
       c.touch(line);
     }
 
-    // Retire the MSHR and wake everyone who merged with us.
-    auto node = mshrs_.extract(key);
-    for (auto h : node.mapped().waiters) h.resume();
+    // Retire the MSHR, then wake everyone who merged with us, in order. A
+    // woken access may finish (freeing its frame) or merge anew, so read
+    // its successor first.
+    Txn** link = &in_flight_[p];
+    while (*link != &t) link = &(*link)->next_in_flight;
+    *link = t.next_in_flight;
+    for (Merge* m = t.merged_head; m != nullptr;) {
+      Merge* const next = m->next;
+      m->waiter.resume();
+      m = next;
+    }
     co_return;
   }
 }
@@ -157,29 +194,30 @@ void CoherentMemory::prefetch(sim::ProcId p, Addr a, unsigned bytes) {
   const Line last = line_of(a + bytes - 1);
   for (Line l = first; l <= last; ++l) {
     if (caches_[p].lookup(l) != LineState::kInvalid) continue;
-    if (mshrs_.contains(mshr_key(p, l))) continue;  // already in flight
+    if (in_flight(p, l) != nullptr) continue;  // already in flight
+    require_allocated(l);
     ++stats_.prefetches;
     // Fire-and-forget read acquisition; demand accesses merge via the MSHR.
     sim::detach(acquire(p, l, /*exclusive=*/false));
   }
 }
 
-void CoherentMemory::on_request(sim::ProcId p, Line line, bool exclusive,
-                                sim::OneShot<sim::Unit> done) {
-  Dir& d = dirs_[line];
-  d.queue.push_back(Waiter{p, exclusive, done});
-  if (!d.busy) {
-    d.busy = true;
-    sim::detach(serve_front(line));
+void CoherentMemory::enqueue(Txn& t) {
+  Dir& d = dir(t.line);
+  if (d.tail != nullptr) {
+    d.tail->next_in_dir = &t;
+    d.tail = &t;
+    return;
   }
+  d.head = d.tail = &t;
+  serve_front(t.line);
 }
 
-sim::Task<> CoherentMemory::serve_front(Line line) {
+sim::Detached CoherentMemory::serve_front(Line line) {
   const sim::ProcId home = home_of_line(line);
+  Dir& d = dir(line);
   for (;;) {
-    Dir& d = dirs_[line];
-    assert(d.busy && !d.queue.empty());
-    const Waiter w = d.queue.front();
+    const Txn& w = *d.head;
 
     co_await controller(home);  // home handles the request message
 
@@ -201,37 +239,14 @@ sim::Task<> CoherentMemory::serve_front(Line line) {
         if (n > 0) {
           // Invalidating an overflowed sharer set walks the software
           // directory extension.
-          co_await maybe_trap(home, d.sharers.count());
+          if (overflows(d.sharers.count())) co_await trap(home);
           stats_.invalidations += static_cast<std::uint64_t>(n);
-          auto remaining = std::make_shared<int>(n);
-          sim::OneShot<sim::Unit> all_acked;
+          InvRound round{n, {}};
           for (sim::ProcId s = 0; s < machine_->size(); ++s) {
-            if (!to_inval.test(s)) continue;
-            // Lossless hardware fabric (see acquire): kCoherence traffic
-            // is never faulted in any composed configuration.
-            // simlint: allow SS002
-            network_->send(
-                home, s, params_.words_request, net::Traffic::kCoherence,
-                [this, s, line, home, remaining, all_acked] {
-                  // At the sharer: controller handles INV, then acks. A
-                  // stale sharer (silent eviction) acks without effect.
-                  const sim::Cycles fin = controllers_.acquire(s,
-                      machine_->engine().now(), params_.controller_occupancy);
-                  machine_->engine().at(fin, [this, s, line, home, remaining,
-                                              all_acked] {
-                    caches_[s].set_state(line, LineState::kInvalid);
-                    // Lossless hardware fabric (see acquire).
-                    // simlint: allow SS002
-                    network_->send(s, home, params_.words_request,
-                                   net::Traffic::kCoherence,
-                                   [remaining, all_acked] {
-                                     if (--*remaining == 0)
-                                       all_acked.set(sim::Unit{});
-                                   });
-                  });
-                });
+            if (to_inval.test(s)) invalidate(&round, line, home, s);
           }
-          co_await all_acked.get();
+          co_await sim::suspend_to(
+              [&round](std::coroutine_handle<> h) { round.waiter = h; });
           co_await controller(home);  // process the final ack
         }
       }
@@ -271,53 +286,53 @@ sim::Task<> CoherentMemory::serve_front(Line line) {
                  d.sharers.count(), d.owner != sim::kNoProc,
                  d.owner != sim::kNoProc && d.sharers.test(d.owner));
       // Adding a sharer beyond the hardware pointer set traps to software.
-      co_await maybe_trap(home, d.sharers.count());
+      if (overflows(d.sharers.count())) co_await trap(home);
       co_await transfer(home, w.requester, params_.words_data);
     }
 
-    w.done.set(sim::Unit{});
-
-    d.queue.pop_front();
-    if (d.queue.empty()) {
-      d.busy = false;
-      co_return;
-    }
+    // Dequeue before the grant: `w` lives in the requester's frame, which
+    // may be freed while it runs.
+    const std::coroutine_handle<> requester = w.waiter;
+    d.head = w.next_in_dir;
+    if (d.head == nullptr) d.tail = nullptr;
+    requester.resume();
+    if (d.head == nullptr) co_return;
     // Loop to serve the next queued transaction on this line.
   }
 }
 
-void CoherentMemory::handle_eviction(sim::ProcId p, const Eviction& victim) {
-  ++stats_.evictions;
-  if (!victim.dirty) return;  // clean lines drop silently
+sim::Detached CoherentMemory::invalidate(InvRound* round, Line line,
+                                         sim::ProcId home,
+                                         sim::ProcId sharer) {
+  co_await transfer(home, sharer, params_.words_request);
+  // At the sharer: the controller handles INV, then acks. A stale sharer
+  // (silent eviction) acks without effect.
+  co_await controller(sharer);
+  caches_[sharer].set_state(line, LineState::kInvalid);
+  co_await transfer(sharer, home, params_.words_request);
+  // The last ack resumes serve_front, which then leaves `round`'s scope.
+  if (--round->pending == 0) round->waiter.resume();
+}
+
+sim::Detached CoherentMemory::writeback(sim::ProcId p, Line line) {
   ++stats_.writebacks;
-  const Line line = victim.line;
   const sim::ProcId home = home_of_line(line);
-  // Lossless hardware fabric (see acquire); a writeback additionally has
-  // no waiter to strand — the directory update is its only effect.
-  // simlint: allow SS002
-  network_->send(p, home, params_.words_data, net::Traffic::kCoherence,
-                 [this, p, line, home] {
-                   const sim::Cycles fin = controllers_.acquire(home,
-                       machine_->engine().now(), params_.controller_occupancy);
-                   machine_->engine().at(fin, [this, p, line] {
-                     Dir& d = dirs_[line];
-                     if (d.modified && d.owner == p) {
-                       d.modified = false;
-                       d.owner = sim::kNoProc;
-                       d.sharers.reset();
-                       check_line(machine_->engine().checker(), line,
-                                  d.modified, d.sharers.count(),
-                                  d.owner != sim::kNoProc, false);
-                     }
-                   });
-                 });
+  co_await transfer(p, home, params_.words_data);
+  co_await controller(home);
+  Dir& d = dir(line);
+  if (d.modified && d.owner == p) {
+    d.modified = false;
+    d.owner = sim::kNoProc;
+    d.sharers.reset();
+    check_line(machine_->engine().checker(), line, d.modified,
+               d.sharers.count(), d.owner != sim::kNoProc, false);
+  }
 }
 
 CoherentMemory::DirSnapshot CoherentMemory::dir_snapshot(Line line) const {
-  auto it = dirs_.find(line);
-  if (it == dirs_.end()) return {};
-  return DirSnapshot{it->second.modified, it->second.owner, it->second.sharers,
-                     it->second.busy};
+  if (!allocated(line)) return {};
+  const Dir& d = dirs_[home_of_line(line)][line_offset(line)];
+  return DirSnapshot{d.modified, d.owner, d.sharers, d.head != nullptr};
 }
 
 }  // namespace cm::shmem

@@ -20,21 +20,33 @@
 //
 // Each directory entry serialises transactions FIFO; each protocol message
 // occupies the home/remote memory controller for a fixed occupancy.
+//
+// Host representation: a miss allocates nothing and hashes nothing.
+//  * A transaction (`Txn`) lives in the frame of the acquire() that issued
+//    it. It is the processor's MSHR entry, the node of its line's directory
+//    FIFO, and the completion signal the grant resumes. Accesses merged
+//    into it park nodes from their own frames on it.
+//  * An invalidation round's ack count lives in the frame of the directory
+//    coroutine that serves the write; each INV/ACK leg and each dirty
+//    writeback is a coroutine of its own, with a pooled frame.
+//  * The directory is dense: one table per home, indexed by the line's
+//    offset in the home region and grown by alloc(). Entries never move,
+//    because a directory coroutine holds one across suspensions while a
+//    B-tree split allocates.
+//  * A cache allocates its ways on its first install (cache.h).
 #pragma once
 
 #include <bitset>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
 #include "shmem/addr.h"
 #include "shmem/cache.h"
 #include "sim/machine.h"
-#include "sim/oneshot.h"
 #include "sim/task.h"
 
 namespace cm::shmem {
@@ -85,16 +97,20 @@ using SharerSet = std::bitset<kMaxProcs>;
 
 class CoherentMemory {
  public:
+  /// Throws std::invalid_argument on a machine of more than kMaxProcs
+  /// processors or on bad `cache_params` (see Cache).
   CoherentMemory(sim::Machine& machine, net::Network& network,
                  CacheParams cache_params = {}, ProtocolParams params = {});
 
   /// Allocate `bytes` of shared memory homed on `home` (line-aligned).
-  [[nodiscard]] Addr alloc(sim::ProcId home, std::uint64_t bytes) {
-    return heap_.alloc(home, bytes);
-  }
+  /// Throws std::invalid_argument if `home` is outside the machine or its
+  /// home region cannot hold `bytes` more.
+  [[nodiscard]] Addr alloc(sim::ProcId home, std::uint64_t bytes);
 
   /// Processor `p` reads [a, a+bytes): every touched line is brought to at
   /// least Shared in p's cache. Completes when all lines are present.
+  /// A miss on a line that alloc() never handed out throws
+  /// std::out_of_range (as do write and prefetch).
   [[nodiscard]] sim::Task<> read(sim::ProcId p, Addr a, unsigned bytes);
 
   /// Processor `p` writes [a, a+bytes): every touched line is brought to
@@ -122,41 +138,72 @@ class CoherentMemory {
   [[nodiscard]] DirSnapshot dir_snapshot(Line line) const;
 
  private:
-  struct Waiter {
-    sim::ProcId requester;
-    bool exclusive;
-    sim::OneShot<sim::Unit> done;
+  /// An access merged into an in-flight transaction (MSHR merge); lives in
+  /// the merging acquire()'s frame.
+  struct Merge {
+    std::coroutine_handle<> waiter;
+    Merge* next = nullptr;
   };
+
+  /// One coherence transaction, from the miss to the grant. It lives in the
+  /// frame of the acquire() that issued it and is at once the requester's
+  /// MSHR entry (`in_flight_`), a node of the line's directory FIFO
+  /// (`Dir::head`) and the completion signal (the grant resumes `waiter`).
+  struct Txn {
+    sim::ProcId requester;
+    Line line;
+    bool exclusive;
+    std::coroutine_handle<> waiter = nullptr;  // the issuing acquire()
+    Txn* next_in_dir = nullptr;
+    Txn* next_in_flight = nullptr;
+    Merge* merged_head = nullptr;  // FIFO of merged accesses
+    Merge* merged_tail = nullptr;
+  };
+
   struct Dir {
-    bool modified = false;
+    SharerSet sharers;     // full-map presence vector
+    Txn* head = nullptr;   // FIFO of transactions; the head is being served
+    Txn* tail = nullptr;
     sim::ProcId owner = sim::kNoProc;
-    SharerSet sharers;  // full-map presence vector
-    bool busy = false;
-    std::deque<Waiter> queue;
+    bool modified = false;
+  };
+
+  /// One invalidation round; lives in serve_front()'s frame.
+  struct InvRound {
+    int pending;  // acks outstanding
+    std::coroutine_handle<> waiter;
   };
 
   [[nodiscard]] sim::Task<> acquire(sim::ProcId p, Line line, bool exclusive);
+  /// `p`'s in-flight transaction for `line`, if any.
+  [[nodiscard]] Txn* in_flight(sim::ProcId p, Line line) const;
+  /// Join `t` to its line's directory FIFO; start serving if it was idle.
+  void enqueue(Txn& t);
+  /// Serve the FIFO of `line` until it drains.
+  sim::Detached serve_front(Line line);
+  /// One INV -> sharer controller -> ACK leg of `round`.
+  sim::Detached invalidate(InvRound* round, Line line, sim::ProcId home,
+                           sim::ProcId sharer);
+  /// A dirty victim's data travels home and clears its ownership there.
+  sim::Detached writeback(sim::ProcId p, Line line);
 
-  /// Per-(processor, line) miss-status holding register: concurrent
-  /// requests for a line already in flight park here instead of issuing a
-  /// duplicate transaction.
-  struct Mshr {
-    bool exclusive = false;
-    std::vector<std::coroutine_handle<>> waiters;
-  };
-  [[nodiscard]] static std::uint64_t mshr_key(sim::ProcId p, Line line) {
-    return (static_cast<std::uint64_t>(p) << 56) ^ line;
+  [[nodiscard]] bool allocated(Line line) const;
+  void require_allocated(Line line) const;
+  [[nodiscard]] Dir& dir(Line line) {
+    return dirs_[home_of_line(line)][line_offset(line)];
   }
-  void on_request(sim::ProcId p, Line line, bool exclusive,
-                  sim::OneShot<sim::Unit> done);
-  [[nodiscard]] sim::Task<> serve_front(Line line);
-  void handle_eviction(sim::ProcId p, const Eviction& victim);
 
   /// Awaitable: occupy proc `p`'s memory controller for one message.
   [[nodiscard]] auto controller(sim::ProcId p);
-  /// LimitLESS software trap on the home CPU when the hardware pointer set
-  /// overflows (no-op under a full-map configuration).
-  [[nodiscard]] sim::Task<> maybe_trap(sim::ProcId home, std::size_t sharers);
+  /// LimitLESS: does a set of `sharers` overflow the hardware pointers
+  /// (never under a full-map configuration)?
+  [[nodiscard]] bool overflows(std::size_t sharers) const {
+    return params_.hw_sharer_pointers != 0 &&
+           sharers > params_.hw_sharer_pointers;
+  }
+  /// Awaitable: the software trap that handles an overflow runs on the
+  /// home CPU (not the memory controller).
+  [[nodiscard]] sim::Machine::Compute trap(sim::ProcId home);
   /// Awaitable: coherence message src -> dst, resume at delivery.
   [[nodiscard]] auto transfer(sim::ProcId src, sim::ProcId dst, unsigned words);
 
@@ -166,8 +213,8 @@ class CoherentMemory {
   GlobalHeap heap_;
   std::vector<Cache> caches_;
   sim::ProcessorFile controllers_;  // FCFS memory controllers
-  std::unordered_map<Line, Dir> dirs_;
-  std::unordered_map<std::uint64_t, Mshr> mshrs_;
+  std::vector<std::deque<Dir>> dirs_;  // per home, by line offset
+  std::vector<Txn*> in_flight_;        // per processor: its MSHR list
   MemStats stats_;
 };
 

@@ -1,9 +1,24 @@
 #include "shmem/sync.h"
 
 #include <cassert>
-#include <utility>
 
 namespace cm::shmem {
+namespace {
+
+/// Resume every parked coroutine in parking order. The list's buffer goes
+/// back to `parked` if nobody re-parked meanwhile, so the next waiter to
+/// park does not allocate.
+void wake_all(std::vector<std::coroutine_handle<>>& parked) {
+  std::vector<std::coroutine_handle<>> woken;
+  woken.swap(parked);
+  for (const std::coroutine_handle<> h : woken) h.resume();
+  if (parked.empty()) {
+    woken.clear();
+    parked.swap(woken);
+  }
+}
+
+}  // namespace
 
 sim::Task<> SpinLock::acquire(sim::ProcId p) {
   for (;;) {
@@ -32,8 +47,7 @@ sim::Task<> SpinLock::release(sim::ProcId p) {
   // The releasing store invalidates every spinner's Shared copy (the
   // coherence traffic of a contended handoff).
   co_await mem_->write(p, addr_, 4);
-  auto woken = std::exchange(spinners_, {});
-  for (auto h : woken) h.resume();
+  wake_all(spinners_);
 }
 
 sim::Task<std::uint64_t> SeqLock::begin_read(sim::ProcId p) {
@@ -62,8 +76,7 @@ sim::Task<> SeqLock::end_write(sim::ProcId p) {
   assert((version_ & 1) == 1);
   ++version_;
   co_await mem_->write(p, addr_, 8);
-  auto woken = std::exchange(waiters_, {});
-  for (auto h : woken) h.resume();
+  wake_all(waiters_);
 }
 
 }  // namespace cm::shmem

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "shmem/addr.h"
 
 namespace cm::shmem {
@@ -20,6 +23,25 @@ TEST(AddrHelpers, AllocationsDoNotShareLines) {
   const Addr a = heap.alloc(0, 1);
   const Addr b = heap.alloc(0, 1);
   EXPECT_NE(line_of(a), line_of(b));
+}
+
+TEST(AddrHelpers, AllocRejectsHomeOutsideTheMachine) {
+  GlobalHeap heap(4);
+  EXPECT_THROW((void)heap.alloc(4, 16), std::invalid_argument);
+}
+
+TEST(AddrHelpers, AllocRejectsAnExhaustedRegion) {
+  GlobalHeap heap(2);
+  const std::uint64_t region = std::uint64_t{1} << kHomeShift;
+  EXPECT_THROW((void)heap.alloc(0, region + 1), std::invalid_argument);
+  EXPECT_THROW((void)heap.alloc(0, ~std::uint64_t{0}), std::invalid_argument);
+  (void)heap.alloc(0, region - 32);
+  EXPECT_THROW((void)heap.alloc(0, 33), std::invalid_argument);
+  const Addr last = heap.alloc(0, 32);  // fills the region exactly
+  EXPECT_EQ(home_of_addr(last + 31), 0u);
+  EXPECT_EQ(heap.used(0), region);
+  EXPECT_THROW((void)heap.alloc(0, 0), std::invalid_argument);
+  EXPECT_EQ(heap.used(1), 0u);  // other homes untouched
 }
 
 TEST(AddrHelpers, LinesTouched) {
@@ -52,6 +74,20 @@ TEST(Cache, SetStateTransitions) {
   EXPECT_EQ(c.lookup(5), LineState::kInvalid);
   EXPECT_EQ(c.occupancy(), 0u);
   EXPECT_FALSE(c.set_state(999, LineState::kShared));  // absent line
+}
+
+TEST(Cache, RejectsBadGeometry) {
+  EXPECT_THROW(Cache(CacheParams{.size_bytes = 64, .associativity = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(Cache(CacheParams{.size_bytes = 0, .associativity = 2}),
+               std::invalid_argument);
+  EXPECT_THROW(Cache(CacheParams{.size_bytes = 48, .associativity = 2}),
+               std::invalid_argument);  // not a multiple of 16 * 2
+  // line bytes * associativity wraps to 0 in 32-bit arithmetic
+  EXPECT_THROW(Cache(CacheParams{.size_bytes = 64,
+                                 .associativity = std::uint32_t{1} << 28}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Cache(CacheParams{.size_bytes = 48, .associativity = 3}));
 }
 
 TEST(Cache, GeometryMatchesPaper) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/constant_net.h"
@@ -393,6 +394,158 @@ TEST(Mshr, WriteAfterInFlightReadUpgrades) {
   const auto d = w.mem.dir_snapshot(line_of(a));
   EXPECT_TRUE(d.modified);
   EXPECT_EQ(d.owner, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Directory FIFOs, MSHR merge lists and the dense directory table
+// ---------------------------------------------------------------------------
+
+/// Waits `delay` cycles, writes or reads one line, then records `id`.
+Task<> access_then_log(World* w, Cycles delay, ProcId p, Addr a, bool write,
+                       int id, std::vector<int>* order) {
+  if (delay > 0) co_await w->machine.sleep(delay);
+  if (write) {
+    co_await w->mem.write(p, a, 16);
+  } else {
+    co_await w->mem.read(p, a, 16);
+  }
+  order->push_back(id);
+}
+
+TEST(Directory, QueuedWriteMissesAreGrantedInArrivalOrder) {
+  World w(4);
+  const Addr a = w.mem.alloc(0, 16);
+  std::vector<int> order;
+  // Requests reach the home one cycle apart, 3 then 1 then 2, all while
+  // the first is still being served.
+  sim::detach(access_then_log(&w, 0, 3, a, true, 3, &order));
+  sim::detach(access_then_log(&w, 1, 1, a, true, 1, &order));
+  sim::detach(access_then_log(&w, 2, 2, a, true, 2, &order));
+  w.eng.run_until(14);
+  EXPECT_TRUE(w.mem.dir_snapshot(line_of(a)).busy);
+  w.eng.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(w.mem.stats().write_misses, 3u);
+  EXPECT_EQ(w.mem.stats().fetches, 2u);  // ownership passed twice
+  const auto d = w.mem.dir_snapshot(line_of(a));
+  EXPECT_FALSE(d.busy);
+  EXPECT_TRUE(d.modified);
+  EXPECT_EQ(d.owner, 2u);
+  EXPECT_EQ(w.mem.cache(2).lookup(line_of(a)), LineState::kModified);
+}
+
+TEST(Mshr, MergedAccessesResumeInMergeOrder) {
+  World w(4);
+  const Addr a = w.mem.alloc(3, 16);
+  std::vector<int> order;
+  w.mem.prefetch(0, a, 16);  // the in-flight transaction
+  // Three accesses from processor 0 merge into it, in this order.
+  sim::detach(access_then_log(&w, 0, 0, a, false, 1, &order));
+  sim::detach(access_then_log(&w, 0, 0, a, false, 2, &order));
+  sim::detach(access_then_log(&w, 0, 0, a, false, 3, &order));
+  w.eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(w.mem.stats().mshr_merges, 3u);
+  EXPECT_EQ(w.net.stats().messages, 2u);  // one request, one data reply
+}
+
+TEST(Directory, AllocGrowsTheTableUnderQueuedTransactions) {
+  World w(8);
+  const Addr a = w.mem.alloc(0, 16);
+  std::vector<int> order;
+  for (ProcId p = 1; p < 8; ++p) {
+    sim::detach(access_then_log(&w, p, p, a, p % 2 == 1, static_cast<int>(p),
+                                &order));
+  }
+  w.eng.run_until(20);
+  ASSERT_TRUE(w.mem.dir_snapshot(line_of(a)).busy);
+  // A B-tree split allocating on the same home mid-transaction: the table
+  // grows by far more than any initial capacity.
+  const Addr big = w.mem.alloc(0, 1u << 20);
+  sim::detach(access_then_log(&w, 0, 4, big + (1u << 20) - 16, true, 0,
+                              &order));
+  w.eng.run();
+  EXPECT_EQ(order.size(), 8u);
+  // Processor 7's write arrived last, so it owns the line.
+  const auto d = w.mem.dir_snapshot(line_of(a));
+  EXPECT_FALSE(d.busy);
+  EXPECT_TRUE(d.modified);
+  EXPECT_EQ(d.owner, 7u);
+  EXPECT_EQ(d.sharers.count(), 1u);
+  for (ProcId p = 0; p < 8; ++p) {
+    EXPECT_EQ(w.mem.cache(p).lookup(line_of(a)),
+              p == 7 ? LineState::kModified : LineState::kInvalid)
+        << p;
+  }
+  const auto e = w.mem.dir_snapshot(line_of(big + (1u << 20) - 16));
+  EXPECT_TRUE(e.modified);
+  EXPECT_EQ(e.owner, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Configuration and address errors are typed, in every build type
+// ---------------------------------------------------------------------------
+
+TEST(CoherenceConfig, RejectsMoreProcessorsThanTheSharerVector) {
+  sim::Engine eng;
+  sim::Machine machine(eng, kMaxProcs + 1);
+  net::ConstantNetwork net(eng);
+  EXPECT_THROW(CoherentMemory(machine, net), std::invalid_argument);
+  sim::Machine largest(eng, kMaxProcs);
+  EXPECT_NO_THROW(CoherentMemory(largest, net));
+}
+
+TEST(CoherenceConfig, RejectsBadCacheGeometry) {
+  sim::Engine eng;
+  sim::Machine machine(eng, 4);
+  net::ConstantNetwork net(eng);
+  EXPECT_THROW(CoherentMemory(machine, net,
+                              CacheParams{.size_bytes = 4096,
+                                          .associativity = 0}),
+               std::invalid_argument);
+}
+
+TEST(CoherenceConfig, AllocRejectsAHomeOutsideTheMachine) {
+  World w(4);
+  EXPECT_THROW((void)w.mem.alloc(4, 16), std::invalid_argument);
+  EXPECT_THROW((void)w.mem.alloc(sim::kNoProc, 16), std::invalid_argument);
+}
+
+TEST(CoherenceConfig, AllocRejectsAnExhaustedHomeRegion) {
+  World w(4);
+  const std::uint64_t region = std::uint64_t{1} << kHomeShift;
+  EXPECT_THROW((void)w.mem.alloc(1, region + 1), std::invalid_argument);
+  EXPECT_THROW((void)w.mem.alloc(1, ~std::uint64_t{0}), std::invalid_argument);
+  // The region is intact after a rejected request.
+  const Addr a = w.mem.alloc(1, 16);
+  EXPECT_EQ(home_of_addr(a), 1u);
+  EXPECT_EQ(a & (region - 1), 0u);
+}
+
+Task<> read_catching(CoherentMemory* mem, ProcId p, Addr a, bool* threw) {
+  try {
+    co_await mem->read(p, a, 16);
+  } catch (const std::out_of_range&) {
+    *threw = true;
+  }
+}
+
+TEST(CoherenceConfig, AccessToUnallocatedMemoryThrows) {
+  World w(4);
+  const Addr a = w.mem.alloc(1, 16);
+  const Addr past = a + 16;        // beyond home 1's allocations
+  const Addr nowhere = a + (Addr{7} << kHomeShift);  // home 8: no such proc
+  for (const Addr bad : {past, nowhere}) {
+    bool threw = false;
+    sim::detach(read_catching(&w.mem, 0, bad, &threw));
+    w.eng.run();
+    EXPECT_TRUE(threw);
+    EXPECT_THROW(w.mem.prefetch(0, bad, 16), std::out_of_range);
+  }
+  EXPECT_EQ(w.net.stats().messages, 0u);
+  EXPECT_EQ(w.mem.stats().misses(), 0u);
+  EXPECT_EQ(w.mem.stats().prefetches, 0u);
+  EXPECT_FALSE(w.mem.dir_snapshot(line_of(past)).busy);
 }
 
 // ---------------------------------------------------------------------------
