@@ -56,9 +56,10 @@ void CoherentMemory::require_allocated(Line line) const {
 
 auto CoherentMemory::controller(sim::ProcId p) {
   return sim::suspend_to([this, p](std::coroutine_handle<> h) {
-    const sim::Cycles done = controllers_.acquire(p,
-        machine_->engine().now(), params_.controller_occupancy);
-    machine_->engine().at(done, [h] { h.resume(); });
+    sim::Engine& engine = machine_->engine();
+    const sim::Cycles occupancy = params_.controller_occupancy;
+    const sim::Cycles done = controllers_.acquire(p, engine.now(), occupancy);
+    engine.resume_at_on(engine.current_home(), done, h);
   });
 }
 

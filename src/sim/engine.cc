@@ -6,8 +6,14 @@
 namespace cm::sim {
 
 Engine::~Engine() {
-  // Destroy (without running) any callbacks still queued in the arena.
-  while (!queue_.empty()) arena_.destroy(queue_.pop_move().idx);
+  // Destroy (without running) any closures still queued in the arena. A
+  // pending resume event is dropped: its coroutine is never resumed.
+  while (!queue_.empty()) {
+    const std::uint64_t payload = queue_.pop_move().payload;
+    if ((payload & kClosureTag) != 0) {
+      arena_.destroy(static_cast<std::uint32_t>(payload >> 1));
+    }
+  }
 }
 
 void Engine::past_schedule_assert([[maybe_unused]] Cycles distance) noexcept {
@@ -22,13 +28,18 @@ void Engine::past_schedule_assert([[maybe_unused]] Cycles distance) noexcept {
 
 void Engine::step() {
   // Pop before invoking so the handler may schedule new events freely. The
-  // pop moves a 24-byte key out of the queue; the callback stays in its
+  // pop copies a 32-byte record out of the queue; a closure stays in its
   // arena slot until it has run.
   const EventKey k = queue_.pop_move();
   now_ = k.t;
   current_home_ = static_cast<ProcId>(k.home);
   ++executed_;
-  arena_.run(k.idx);
+  if ((k.payload & kClosureTag) != 0) {
+    arena_.run(static_cast<std::uint32_t>(k.payload >> 1));
+  } else {
+    void* const frame = reinterpret_cast<void*>(k.payload);
+    std::coroutine_handle<>::from_address(frame).resume();
+  }
 }
 
 void Engine::run() {

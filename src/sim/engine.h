@@ -8,8 +8,16 @@
 // private counter. Labels are a pure function of the simulation's causal
 // history. A program that only ever schedules from lane 0 (most unit tests)
 // sees labels 0, 1, 2, ... — plain insertion order.
+//
+// An event is either a closure, stored in the event arena, or a resume
+// event: a bare coroutine handle, stored in the queue record itself
+// (`resume_at_on`). The record's 64-bit payload tells them apart by its low
+// bit: an arena index shifted left with the bit set, or a frame address,
+// which is at least 16-byte aligned, with the bit clear.
 #pragma once
 
+#include <cassert>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -28,8 +36,9 @@ class Tracer;
 
 /// The heart of the Proteus-style simulator. Client code schedules closures
 /// at absolute or relative cycle times; `run()` drains the queue in
-/// (time, label) order, advancing the clock as it goes. Callbacks live in a
-/// slab arena behind a two-level calendar queue (see event_queue.h).
+/// (time, label) order, advancing the clock as it goes. Closures live in a
+/// slab arena behind a timing-wheel calendar queue (see event_queue.h);
+/// coroutine resumes skip the arena.
 class Engine {
  public:
   Engine() = default;
@@ -86,6 +95,15 @@ class Engine {
     at_on(home, now_ + d, std::forward<F>(fn));
   }
 
+  /// Resume coroutine `h` at absolute time `t`, homed at `home`. The same
+  /// label and clamp contract as `at_on(home, t, [h] { h.resume(); })`, but
+  /// the handle rides in the queue record, so the event takes no arena slot.
+  void resume_at_on(ProcId home, Cycles t, std::coroutine_handle<> h) {
+    const auto frame = reinterpret_cast<std::uintptr_t>(h.address());
+    assert((frame & kClosureTag) == 0 && "coroutine frames are aligned");
+    enqueue(t, home, frame);
+  }
+
   // -- Run loops -----------------------------------------------------------
 
   /// Run until the event queue is empty.
@@ -130,7 +148,8 @@ class Engine {
   [[nodiscard]] check::Checker* checker() const noexcept { return checker_; }
 
  private:
-  static constexpr unsigned kLaneShift = 40;  // 2^40 events per lane
+  static constexpr unsigned kLaneShift = 40;       // 2^40 events per lane
+  static constexpr std::uint64_t kClosureTag = 1;  // payload low bit
 
   /// Debug-only half of the past-schedule diagnostic: prints the clamp
   /// distance to stderr, then asserts. The caller increments `clamped_`
@@ -139,6 +158,11 @@ class Engine {
 
   template <class F>
   void schedule(Cycles t, ProcId home, F&& fn) {
+    const std::uint64_t idx = arena_.emplace(std::forward<F>(fn));
+    enqueue(t, home, (idx << 1) | kClosureTag);
+  }
+
+  void enqueue(Cycles t, ProcId home, std::uint64_t payload) {
     if (t < now_) [[unlikely]] {
       ++clamped_;
       past_schedule_assert(now_ - t);
@@ -148,8 +172,7 @@ class Engine {
     if (lane >= lane_cnt_.size()) [[unlikely]] lane_cnt_.resize(lane + 1, 0);
     const std::uint64_t label =
         (std::uint64_t{lane} << kLaneShift) | lane_cnt_[lane]++;
-    queue_.push(t, label, arena_.emplace(std::forward<F>(fn)),
-                static_cast<std::uint32_t>(home));
+    queue_.push(t, label, payload, static_cast<std::uint32_t>(home));
   }
 
   void step();

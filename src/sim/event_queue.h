@@ -5,11 +5,12 @@
 // events scheduled from one lane). That contract is the determinism
 // invariant every experiment in this repo leans on.
 //
-// `CalendarQueue` + `EventArena` are the engine's queue: a two-level ladder
-// queue over 24-byte POD keys (the callback lives in a slab arena and never
-// moves) specialised for the engine's near-monotone timestamps, replacing
-// both the O(log n) heap churn and the per-event `std::function` heap
-// allocation.
+// `CalendarQueue` is the engine's queue: a timing wheel of 4,096 one-cycle
+// slots over 32-byte POD records, plus a binary-heap overflow for events
+// further ahead. A record's 64-bit payload is opaque to the queue; the
+// engine stores either an `EventArena` index (a closure, which lives in a
+// slab slot and never moves) or a bare coroutine frame address (a resume
+// event, which needs no slot at all) there.
 //
 // `HeapEventQueue` is the classic binary-heap priority queue over full
 // event records. The engine does not use it: it is the reference that
@@ -23,6 +24,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -200,68 +204,82 @@ class EventArena {
   std::size_t live_ = 0;
 };
 
-/// Ordering key for an arena-resident event: 24 bytes of POD, cheap to
-/// shuffle during sorts while the callback stays put in its slab slot. The
-/// `home` field (the simulated processor the event is homed at) rides in
-/// what used to be padding, so the key stays 24 bytes.
+/// One pending event as the calendar queue holds it: 32 bytes of POD. The
+/// queue orders on (t, seq) and never looks inside `payload`; the engine
+/// stores either a tagged `EventArena` index or a coroutine frame address
+/// there (engine.h). `home` is the simulated processor the event is homed
+/// at. `next` links the record into its wheel slot and means nothing once
+/// the record has been popped.
 struct EventKey {
   Cycles t;
   std::uint64_t seq;
-  std::uint32_t idx;
+  std::uint64_t payload;
   std::uint32_t home;
+  std::uint32_t next;
 };
-static_assert(sizeof(EventKey) == 24, "home must fit in the old padding");
+static_assert(sizeof(EventKey) == 32, "two queue records per cache line");
 
-/// Two-level calendar/ladder queue specialised for a discrete-event engine
-/// whose timestamps are near-monotone (events are overwhelmingly scheduled
-/// a short, bounded distance into the future).
+/// Timing-wheel event queue (Brown's calendar queue with one-cycle days, or
+/// a Varghese–Lauck hashed wheel) specialised for a discrete-event engine
+/// whose events are overwhelmingly scheduled a short distance ahead.
 ///
-///  * `near_` — the current "rung": every pending event with t <= horizon_,
-///    kept sorted descending by (t, seq) so the minimum pops from the back
-///    in O(1). Inserts below the horizon binary-search their slot; because
-///    new events carry the largest seq so far, a same-cycle insert lands at
-///    (or next to) the back and moves almost nothing.
-///  * `far_` — everything past the horizon, completely unsorted: insertion
-///    is O(1) and no comparison work is done for events that are not about
-///    to execute.
+///  * The wheel: `kSlots` one-cycle slots covering [last pop, last pop +
+///    kSlots), so slot `t mod kSlots` holds events at exactly time `t`. A
+///    64-word occupancy bitmap and one summary word find the next
+///    non-empty slot with two count-trailing-zeros.
+///  * Within a slot, records form a circular singly linked list in
+///    ascending label order, reached through its tail (the largest label).
+///    A label larger than the tail's is appended in O(1) — the common case,
+///    since each lane's labels only grow — and any other walks from the
+///    head.
+///  * The overflow: events `kSlots` or more cycles ahead go to a binary
+///    heap over (t, seq). They stay there until popped, so one timestamp
+///    may have events in both structures; each pop compares the heap's top
+///    with the wheel's first record, which keeps the pop order *exactly*
+///    the (t, seq) order a binary heap produces (HeapEventQueue, the
+///    reference the conformance tests compare against).
 ///
-/// When the rung drains, the queue re-spills: it picks a fresh horizon so
-/// that roughly `kSpillTarget` of the far events fall below it (adapting to
-/// whatever timestamp density the workload exhibits), partitions `far_`
-/// once, and sorts the new rung. Each event is therefore touched by at most
-/// one partition pass plus one O(log r) sort of a small rung — and the
-/// (t, seq) sort makes the pop order *exactly* the total order a binary heap
-/// produces (HeapEventQueue, the reference the conformance tests compare
-/// against).
+/// Wheel records live in one vector and are recycled through a LIFO
+/// freelist, so a steady-state simulation stops allocating.
 class CalendarQueue {
  public:
-  void push(Cycles t, std::uint64_t seq, std::uint32_t idx,
+  static constexpr std::uint32_t kSlots = 4096;
+
+  CalendarQueue() { tail_.fill(kNil); }
+
+  /// Enqueue `payload` at (t, seq). `t` must not precede the last popped
+  /// time: the wheel files `t` under `t mod kSlots`, so an earlier event
+  /// would pop out of order. Such a push throws std::invalid_argument in
+  /// every build type (the engine never makes one: it clamps to `now()`).
+  void push(Cycles t, std::uint64_t seq, std::uint64_t payload,
             std::uint32_t home) {
-    ++size_;
-    if (t <= horizon_) {
-      const EventKey k{t, seq, idx, home};
-      near_.insert(std::upper_bound(near_.begin(), near_.end(), k, Greater{}),
-                   k);
-    } else {
-      if (t < far_min_) far_min_ = t;
-      if (t > far_max_) far_max_ = t;
-      far_.push_back(EventKey{t, seq, idx, home});
+    if (t < base_) [[unlikely]] {
+      throw std::invalid_argument(
+          "CalendarQueue: push before the last popped time");
     }
+    ++size_;
+    if (t - base_ >= kSlots) {
+      overflow_.push_back(EventKey{t, seq, payload, home, kNil});
+      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+      return;
+    }
+    const std::uint32_t n = allocate(EventKey{t, seq, payload, home, kNil});
+    link(static_cast<std::uint32_t>(t) & kMask, n);
   }
 
-  /// Earliest pending timestamp; undefined when empty. May re-spill (hence
-  /// non-const), but never changes the pop order.
-  [[nodiscard]] Cycles min_time() {
-    if (near_.empty()) refill();
-    return near_.back().t;
+  /// Earliest pending timestamp; undefined when empty.
+  [[nodiscard]] Cycles min_time() const noexcept {
+    const std::uint32_t slot = first_slot();
+    return overflow_next(slot) ? overflow_.front().t : nodes_[head(slot)].t;
   }
 
-  /// Remove and return the earliest (t, seq) key.
+  /// Remove and return the earliest (t, seq) record.
   [[nodiscard]] EventKey pop_move() {
-    if (near_.empty()) refill();
-    const EventKey k = near_.back();
-    near_.pop_back();
+    assert(size_ > 0 && "pop on an empty CalendarQueue");
     --size_;
+    const std::uint32_t slot = first_slot();
+    const EventKey k = overflow_next(slot) ? pop_overflow() : unlink_head(slot);
+    base_ = k.t;
     return k;
   }
 
@@ -269,60 +287,130 @@ class CalendarQueue {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  // Strictly-descending order; (t, seq) pairs are unique by construction.
-  struct Greater {
+  static constexpr std::uint32_t kMask = kSlots - 1;
+  static constexpr std::uint32_t kWords = kSlots / 64;
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  static_assert((kSlots & kMask) == 0 && kWords <= 64,
+                "a power-of-two wheel whose bitmap one summary word covers");
+
+  // Max-heap comparator inverted into a min-heap on (t, seq); (t, seq)
+  // pairs are unique by construction.
+  struct Later {
     bool operator()(const EventKey& a, const EventKey& b) const noexcept {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;
     }
   };
 
-  static constexpr std::size_t kSpillTarget = 64;
-
-  void refill() {
-    assert(!far_.empty() && "pop/min on an empty CalendarQueue");
-    if (far_.size() <= 2 * kSpillTarget) {
-      near_.swap(far_);
-      far_.clear();
-      std::sort(near_.begin(), near_.end(), Greater{});
-      horizon_ = near_.front().t;  // max t now owned by the rung
-      far_min_ = std::numeric_limits<Cycles>::max();
-      far_max_ = 0;
-      return;
-    }
-    // Aim the new horizon so ~kSpillTarget events spill: assume timestamps
-    // spread evenly over [far_min_, far_max_] and take a proportional slice
-    // of the span. Dense clusters just spill a bigger rung once; the rung
-    // is still sorted exactly, so only speed — never order — is heuristic.
-    const Cycles span = far_max_ - far_min_;
-    const Cycles width =
-        std::max<Cycles>(1, span / (far_.size() / kSpillTarget));
-    const Cycles h =
-        far_max_ - far_min_ < width ? far_max_ : far_min_ + width;
-    Cycles nmin = std::numeric_limits<Cycles>::max();
-    Cycles nmax = 0;
-    std::size_t keep = 0;
-    for (EventKey& k : far_) {
-      if (k.t <= h) {
-        near_.push_back(k);
-      } else {
-        if (k.t < nmin) nmin = k.t;
-        if (k.t > nmax) nmax = k.t;
-        far_[keep++] = k;
-      }
-    }
-    far_.resize(keep);
-    std::sort(near_.begin(), near_.end(), Greater{});
-    horizon_ = h;
-    far_min_ = nmin;
-    far_max_ = nmax;
+  [[nodiscard]] std::uint32_t head(std::uint32_t slot) const noexcept {
+    return nodes_[tail_[slot]].next;
   }
 
-  std::vector<EventKey> near_;  // sorted descending (t, seq); pop from back
-  std::vector<EventKey> far_;   // unsorted overflow, all t > horizon_
-  Cycles horizon_ = 0;
-  Cycles far_min_ = std::numeric_limits<Cycles>::max();
-  Cycles far_max_ = 0;
+  /// The first non-empty slot at or after the last pop, wrapping around
+  /// the wheel; kNil when the wheel is empty.
+  [[nodiscard]] std::uint32_t first_slot() const noexcept {
+    const std::uint32_t from = static_cast<std::uint32_t>(base_) & kMask;
+    const std::uint32_t w = from >> 6;
+    if (const std::uint64_t bits = occupied_[w] & (~0ull << (from & 63))) {
+      return lowest(w, bits);
+    }
+    std::uint64_t words = summary_ & (~1ull << w);  // the words after w
+    if (words == 0) words = summary_;               // wrap to slot 0
+    if (words == 0) return kNil;
+    const auto first = static_cast<std::uint32_t>(std::countr_zero(words));
+    return lowest(first, occupied_[first]);
+  }
+
+  /// The slot of the lowest set bit in occupancy word `word`, whose bits
+  /// are `bits` (non-zero).
+  static std::uint32_t lowest(std::uint32_t word, std::uint64_t bits) {
+    return (word << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
+  }
+
+  /// Whether the overflow heap holds the next event, given the wheel's
+  /// first non-empty slot (kNil when the wheel is empty).
+  [[nodiscard]] bool overflow_next(std::uint32_t slot) const noexcept {
+    if (overflow_.empty()) return false;
+    return slot == kNil || Later{}(nodes_[head(slot)], overflow_.front());
+  }
+
+  [[nodiscard]] std::uint32_t allocate(const EventKey& k) {
+    if (free_ == kNil) {
+      nodes_.push_back(k);
+      return static_cast<std::uint32_t>(nodes_.size() - 1);
+    }
+    const std::uint32_t n = free_;
+    free_ = nodes_[n].next;
+    nodes_[n] = k;
+    return n;
+  }
+
+  /// Insert record `n` into `slot`'s list in label order.
+  void link(std::uint32_t slot, std::uint32_t n) {
+    EventKey& node = nodes_[n];
+    std::uint32_t& tail = tail_[slot];
+    if (tail == kNil) {
+      node.next = n;
+      tail = n;
+      occupied_[slot >> 6] |= 1ull << (slot & 63);
+      summary_ |= 1ull << (slot >> 6);
+      return;
+    }
+    EventKey& last = nodes_[tail];
+    if (node.seq > last.seq) {  // the O(1) append
+      node.next = last.next;
+      last.next = n;
+      tail = n;
+      return;
+    }
+    std::uint32_t prev = tail;
+    std::uint32_t cur = last.next;
+    while (nodes_[cur].seq < node.seq) {  // stops at the tail at the latest
+      prev = cur;
+      cur = nodes_[cur].next;
+    }
+    node.next = cur;
+    nodes_[prev].next = n;
+  }
+
+  EventKey pop_overflow() {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+    const EventKey k = overflow_.back();
+    overflow_.pop_back();
+    return k;
+  }
+
+  /// Remove and return `slot`'s first record, recycling its storage.
+  EventKey unlink_head(std::uint32_t slot) noexcept {
+    std::uint32_t& tail = tail_[slot];
+    const std::uint32_t h = nodes_[tail].next;
+    if (h == tail) {
+      tail = kNil;
+      std::uint64_t& word = occupied_[slot >> 6];
+      word &= ~(1ull << (slot & 63));
+      if (word == 0) summary_ &= ~(1ull << (slot >> 6));
+    } else {
+      nodes_[tail].next = nodes_[h].next;
+    }
+    const EventKey k = nodes_[h];
+    nodes_[h].next = free_;
+    free_ = h;
+    return k;
+  }
+
+  // Each slot's list tail (kNil when empty); one occupancy bit per slot;
+  // one summary bit per non-zero occupancy word.
+  std::array<std::uint32_t, kSlots> tail_;
+  std::array<std::uint64_t, kWords> occupied_{};
+  std::uint64_t summary_ = 0;
+  // Wheel records, addressed by index, and the head of their LIFO freelist
+  // (linked through `next`).
+  std::vector<EventKey> nodes_;
+  std::uint32_t free_ = kNil;
+  // Events kSlots or more cycles past `base_` when pushed, as a heap.
+  std::vector<EventKey> overflow_;
+  Cycles base_ = 0;  // the last popped time
   std::size_t size_ = 0;
 };
 

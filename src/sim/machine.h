@@ -35,8 +35,7 @@ class Machine {
   /// Resume a suspended coroutine on processor `p`, charging `cost` cycles
   /// of CPU first (e.g. scheduler/dispatch overhead).
   void resume_on(ProcId p, Cycles cost, std::coroutine_handle<> h) {
-    engine_->at_on(p, procs_.acquire(p, engine_->now(), cost),
-                   [h] { h.resume(); });
+    engine_->resume_at_on(p, procs_.acquire(p, engine_->now(), cost), h);
   }
 
   /// Awaiter of `compute`. A named type rather than a `suspend_to` lambda,
@@ -64,7 +63,7 @@ class Machine {
   /// (e.g. waiting on a hardware resource, backoff between spin probes).
   [[nodiscard]] auto sleep(Cycles d) {
     return suspend_to([this, d](std::coroutine_handle<> h) {
-      engine_->after(d, [h] { h.resume(); });
+      engine_->resume_at_on(engine_->current_home(), engine_->now() + d, h);
     });
   }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <functional>
+#include <string>
+#include <tuple>
 #include <vector>
+
+#include "sim/task.h"
 
 namespace cm::sim {
 namespace {
@@ -180,6 +186,143 @@ TEST(Engine, InterleavedTimesAndInsertions) {
       EXPECT_LT(fired[i - 1].second, fired[i].second);  // FIFO within a tick
     }
   }
+}
+
+TEST(Engine, SameCycleEventsFromFallingLanesRunInLaneOrder) {
+  // Processors 9, 8, ..., 0 each schedule one event at kT, in that order,
+  // so the labels reach kT's slot falling and each one walks to the head.
+  Engine eng;
+  std::vector<ProcId> order;
+  constexpr Cycles kT = 100;
+  for (ProcId p = 0; p < 10; ++p) {
+    eng.at_on(p, 10 + (9 - p), [&eng, &order, p] {
+      eng.at(kT, [&order, p] { order.push_back(p); });
+    });
+  }
+  eng.run();
+  EXPECT_EQ(order, (std::vector<ProcId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(Engine, ThousandSameCycleEventsFromOneLaneRunFifo) {
+  // One lane's labels only grow, so each arrival appends at its slot's
+  // tail; the order out is the order in.
+  Engine eng;
+  std::vector<int> order;
+  eng.at_on(3, 7, [&] {
+    for (int i = 0; i < 1'000; ++i) {
+      eng.at(50, [&order, i] { order.push_back(i); });
+    }
+  });
+  eng.run();
+  ASSERT_EQ(order.size(), 1'000u);
+  for (int i = 0; i < 1'000; ++i) EXPECT_EQ(order[i], i);
+}
+
+using Log = std::vector<std::tuple<char, ProcId, Cycles>>;
+
+/// Suspends once, as a resume event homed at `home` at time `t`, and logs
+/// where and when it came back.
+Task<> resume_at(Engine* eng, Log* log, char tag, ProcId home, Cycles t) {
+  co_await suspend_to([eng, home, t](std::coroutine_handle<> h) {
+    eng->resume_at_on(home, t, h);
+  });
+  log->emplace_back(tag, eng->current_home(), eng->now());
+}
+
+TEST(Engine, ResumeEventsAndClosuresShareOneLabelOrder) {
+  // Lane 0 schedules closures and resume events at one cycle, alternately;
+  // they run in scheduling order, each homed where it was scheduled.
+  Engine eng;
+  Log log;
+  auto closure = [&](char tag, ProcId home) {
+    eng.at_on(home, 50, [&eng, &log, tag] {
+      log.emplace_back(tag, eng.current_home(), eng.now());
+    });
+  };
+  closure('a', 2);
+  Task<> b = resume_at(&eng, &log, 'b', 4, 50);
+  b.start();
+  closure('c', 1);
+  Task<> d = resume_at(&eng, &log, 'd', kNoProc, 50);
+  d.start();
+  eng.run();
+  std::string tags;
+  std::vector<ProcId> homes;
+  for (const auto& [tag, home, t] : log) {
+    tags += tag;
+    homes.push_back(home);
+    EXPECT_EQ(t, 50u);
+  }
+  EXPECT_EQ(tags, "abcd");
+  EXPECT_EQ(homes, (std::vector<ProcId>{2, 4, 1, kNoProc}));
+  EXPECT_TRUE(b.done());
+  EXPECT_TRUE(d.done());
+  EXPECT_EQ(eng.events_executed(), 4u);
+}
+
+TEST(Engine, ResumeEventsClampLikeClosures) {
+  // A resume event in the past is the same causality bug as a closure in
+  // the past: clamped to now() and counted (Release), asserted (Debug).
+  Engine eng;
+  Log log;
+  Task<> late = resume_at(&eng, &log, 'r', 0, 10);
+  eng.at(100, [&late] { late.start(); });
+#ifdef NDEBUG
+  eng.run();
+  EXPECT_EQ(log, (Log{{'r', 0, 100}}));
+  EXPECT_EQ(eng.clamped_events(), 1u);
+#else
+  EXPECT_DEATH(eng.run(), "scheduled in the past");
+#endif
+}
+
+Task<> flag_on_resume(Engine* eng, Cycles t, bool* resumed) {
+  co_await suspend_to([eng, t](std::coroutine_handle<> h) {
+    eng->resume_at_on(0, t, h);
+  });
+  *resumed = true;
+}
+
+TEST(Engine, DestroyedEngineNeverResumesPendingCoroutines) {
+  // A closure and two resume events are pending: one in the overflow heap,
+  // whose frame outlives the engine, and one in the wheel, whose frame is
+  // freed first, so the engine holds a dangling handle when it is
+  // destroyed (AddressSanitizer reports any touch of it).
+  bool kept_resumed = false;
+  bool freed_resumed = false;
+  Task<> kept;
+  {
+    Engine eng;
+    kept = flag_on_resume(&eng, 5'000, &kept_resumed);
+    kept.start();
+    {
+      Task<> t = flag_on_resume(&eng, 20, &freed_resumed);
+      t.start();
+    }
+    eng.at(10, [] {});
+    EXPECT_EQ(eng.pending(), 3u);
+  }
+  EXPECT_FALSE(kept_resumed);
+  EXPECT_FALSE(freed_resumed);
+  EXPECT_FALSE(kept.done());
+}
+
+TEST(Engine, RunUntilStopsShortOfAnEventInTheOverflow) {
+  // 9,000 cycles ahead is past the wheel: the next event sits in the
+  // overflow heap, and run_until must neither run it early nor move the
+  // clock past the last executed event.
+  Engine eng;
+  std::vector<Cycles> fired;
+  eng.at(10, [&] { fired.push_back(eng.now()); });
+  eng.at(9'000, [&] { fired.push_back(eng.now()); });
+  eng.run_until(8'999);
+  EXPECT_EQ(fired, (std::vector<Cycles>{10}));
+  EXPECT_EQ(eng.now(), 10u);
+  EXPECT_EQ(eng.pending(), 1u);
+  eng.run_until(9'000);
+  EXPECT_EQ(fired, (std::vector<Cycles>{10, 9'000}));
+  EXPECT_EQ(eng.now(), 9'000u);
+  EXPECT_TRUE(eng.idle());
 }
 
 }  // namespace

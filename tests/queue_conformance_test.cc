@@ -1,18 +1,22 @@
 // Conformance suite for the engine's event queue.
 //
-// The engine runs on a calendar queue over a slab arena (event_queue.h).
-// Its contract: events fire in (time, insertion-sequence) order, equal
-// timestamps FIFO, and run()/run_until()/run_bounded()/idle()/pending()
-// observe the states a plain priority queue would. These tests check the
-// contract on hand-built schedules, and pit the engine against a small
-// reference loop over HeapEventQueue on randomized schedules (including
-// events scheduled from inside handlers). Every schedule here runs on label
-// lane 0, whose labels follow insertion order, so the reference loop needs
-// only one insertion counter. The bench goldens pin the engine on the full
-// workloads.
+// The engine runs on a timing-wheel calendar queue with a heap overflow
+// (event_queue.h). Its contract: events fire in (time, label) order, equal
+// timestamps FIFO within a lane, and run()/run_until()/run_bounded()/
+// idle()/pending() observe the states a plain priority queue would. These
+// tests check the contract on hand-built schedules, and pit the engine
+// against a small reference loop over HeapEventQueue on randomized
+// schedules (including events scheduled from inside handlers, and delays
+// that straddle the wheel's edge). Every engine-vs-reference schedule runs
+// on label lane 0, whose labels follow insertion order, so the reference
+// loop needs only one insertion counter. The `CalendarWheel` cases drive
+// the bare queue with hand-picked labels. The bench goldens pin the engine
+// on the full workloads.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -154,8 +158,21 @@ struct Observed {
   std::vector<std::tuple<Cycles, std::size_t, bool>> checkpoints;
 };
 
+/// Delays a short way ahead: every event lands in the wheel.
+Cycles near_delay(Rand& rng) { return rng.next() % 400; }
+
+/// Delays spanning three wheel turns, a quarter of them clustered on the
+/// wheel's edge: 4,095 cycles past the last pop is the wheel's last slot,
+/// 4,096 and 4,097 go to the overflow heap.
+Cycles wide_delay(Rand& rng) {
+  constexpr Cycles kSlots = CalendarQueue::kSlots;
+  const std::uint64_t r = rng.next();
+  if (r % 4 == 0) return kSlots - 1 + (r >> 2) % 3;
+  return (r >> 2) % (3 * kSlots);
+}
+
 template <class Loop>
-Observed drive(std::uint64_t seed) {
+Observed drive(std::uint64_t seed, Cycles (*delay)(Rand&)) {
   Loop eng;
   Observed obs;
   Rand rng{seed};
@@ -167,9 +184,10 @@ Observed drive(std::uint64_t seed) {
     Observed* obs;
     Rand* rng;
     int* next_id;
+    Cycles (*delay)(Rand&);
     void spawn(int budget) const {
       const int id = (*next_id)++;
-      const Cycles t = eng->now() + (rng->next() % 400);
+      const Cycles t = eng->now() + delay(*rng);
       eng->at(t, [this, id, budget] {
         obs->fired.push_back({eng->now(), id});
         if (budget > 0 && rng->next() % 4 == 0) spawn(budget - 1);
@@ -183,7 +201,7 @@ Observed drive(std::uint64_t seed) {
       });
     }
   };
-  Spawner sp{&eng, &obs, &rng, &next_id};
+  Spawner sp{&eng, &obs, &rng, &next_id, delay};
   for (int i = 0; i < 200; ++i) sp.spawn(3);
   while (!eng.idle()) {
     if (rng.next() % 2 == 0) {
@@ -198,8 +216,22 @@ Observed drive(std::uint64_t seed) {
 
 TEST(QueueAgreement, RandomizedSchedulesAgreeAcrossBackends) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1993ull}) {
-    const Observed cal = drive<Engine>(seed);
-    const Observed heap = drive<HeapLoop>(seed);
+    const Observed cal = drive<Engine>(seed, near_delay);
+    const Observed heap = drive<HeapLoop>(seed, near_delay);
+    ASSERT_EQ(cal.fired.size(), heap.fired.size()) << "seed " << seed;
+    EXPECT_EQ(cal.fired, heap.fired) << "seed " << seed;
+    EXPECT_EQ(cal.checkpoints, heap.checkpoints) << "seed " << seed;
+  }
+}
+
+TEST(QueueAgreement, SchedulesAcrossTheWheelEdgeAgree) {
+  // Delays from 0 to three wheel turns, clustered at 4,095 / 4,096 / 4,097
+  // past the last pop, many of them scheduled from handlers: the wheel's
+  // window slides past events waiting in the overflow heap, and wheel and
+  // overflow events meet at one timestamp.
+  for (std::uint64_t seed : {3ull, 11ull, 4096ull, 31337ull}) {
+    const Observed cal = drive<Engine>(seed, wide_delay);
+    const Observed heap = drive<HeapLoop>(seed, wide_delay);
     ASSERT_EQ(cal.fired.size(), heap.fired.size()) << "seed " << seed;
     EXPECT_EQ(cal.fired, heap.fired) << "seed " << seed;
     EXPECT_EQ(cal.checkpoints, heap.checkpoints) << "seed " << seed;
@@ -207,10 +239,10 @@ TEST(QueueAgreement, RandomizedSchedulesAgreeAcrossBackends) {
 }
 
 TEST(QueueAgreement, LargeMonotoneBurstsAgree) {
-  // Stress the calendar's refill path: bursts far beyond the current
-  // horizon followed by full drains, repeated so the rung is rebuilt many
-  // times with varying widths. The schedule (deltas from now) is generated
-  // once and replayed into both loops.
+  // Stress the overflow heap: bursts reaching far past the wheel followed
+  // by full drains, repeated so the wheel's window slides many times over
+  // events that wait in the overflow. The schedule (deltas from now) is
+  // generated once and replayed into both loops.
   Engine cal;
   HeapLoop heap;
   std::vector<Fired> a;
@@ -233,6 +265,82 @@ TEST(QueueAgreement, LargeMonotoneBurstsAgree) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a, b);
   EXPECT_EQ(cal.events_executed(), heap.events_executed());
+}
+
+// --- The bare wheel, with hand-picked labels -------------------------------
+
+/// Pop everything; return the (t, seq) order.
+std::vector<std::pair<Cycles, std::uint64_t>> drain(CalendarQueue& q) {
+  std::vector<std::pair<Cycles, std::uint64_t>> out;
+  while (!q.empty()) {
+    const EventKey k = q.pop_move();
+    out.emplace_back(k.t, k.seq);
+  }
+  return out;
+}
+
+TEST(CalendarWheel, OneTimestampInWheelAndOverflowPopsInLabelOrder) {
+  // t = 5,000 is past the wheel while the last pop is 0, so label 10 goes
+  // to the overflow. After a pop at 1,000 the same time is in range, and
+  // labels 5 and 20 go to the wheel. The three must pop 5, 10, 20.
+  CalendarQueue q;
+  q.push(5'000, 10, 0, 0);
+  q.push(1'000, 1, 0, 0);
+  EXPECT_EQ(q.pop_move().t, 1'000u);
+  q.push(5'000, 20, 0, 0);
+  q.push(5'000, 5, 0, 0);
+  EXPECT_EQ(q.min_time(), 5'000u);
+  using P = std::pair<Cycles, std::uint64_t>;
+  EXPECT_EQ(drain(q), (std::vector<P>{{5'000, 5}, {5'000, 10}, {5'000, 20}}));
+}
+
+TEST(CalendarWheel, FallingLabelsWithinASlotWalkIntoPlace) {
+  // Labels that arrive in falling or mixed order take the walk from the
+  // slot's head rather than the tail append.
+  CalendarQueue q;
+  const std::vector<std::uint64_t> labels = {9, 8, 7, 3, 5, 1, 6, 2, 0, 4};
+  for (const std::uint64_t l : labels) q.push(42, l, l, 0);
+  std::vector<std::uint64_t> seqs;
+  for (const auto& [t, seq] : drain(q)) {
+    EXPECT_EQ(t, 42u);
+    seqs.push_back(seq);
+  }
+  std::vector<std::uint64_t> sorted = labels;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(seqs, sorted);
+}
+
+TEST(CalendarWheel, EdgeSlotsMapToExactTimes) {
+  // 4,095 cycles past the last pop is the wheel's last slot, which shares
+  // its index with the slot just behind the last pop; 4,096 and 4,097 go
+  // to the overflow and come back in order after it.
+  CalendarQueue q;
+  q.push(100, 0, 0, 0);
+  EXPECT_EQ(q.pop_move().t, 100u);
+  const Cycles last = 100;
+  for (const Cycles d : {4'097u, 4'095u, 4'096u, 0u, 1u}) {
+    q.push(last + d, d + 1, 0, 0);
+  }
+  for (const Cycles d : {0u, 1u, 4'095u, 4'096u, 4'097u}) {
+    const EventKey k = q.pop_move();
+    EXPECT_EQ(k.t, last + d);
+    EXPECT_EQ(k.seq, d + 1);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarWheel, PushBeforeTheLastPopThrows) {
+  // The wheel would file an earlier time under a later slot and pop it out
+  // of order, so the queue refuses it in every build type. The engine
+  // never gets here: it clamps to now() first (Engine tests).
+  CalendarQueue q;
+  q.push(100, 0, 0, 0);
+  EXPECT_EQ(q.pop_move().t, 100u);
+  EXPECT_THROW(q.push(99, 1, 0, 0), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  q.push(100, 2, 0, 0);  // the last popped time itself is fine
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop_move().seq, 2u);
 }
 
 }  // namespace
