@@ -5,7 +5,8 @@
 // is the quantity that decides how far the system scales (1000+ simulated
 // processors, parameter sweeps, chaos soaks). This harness times fixed-seed
 // fig2 (counting network, 64 and 256 requesters) and table1_2 (B-tree,
-// under computation migration and under shared memory) workload
+// under computation migration, under shared memory, and under RPC and
+// computation migration with the root replicated) workload
 // configurations, the bare engine on two burst sizes, plus a hold model
 // that drives the engine's calendar queue and the binary-heap reference
 // queue directly, and writes BENCH_host_perf.json in the unified metrics
@@ -147,6 +148,21 @@ BTreeConfig table1_2_sm() {
   return cfg;
 }
 
+// The same tree under RPC and under computation migration, each with the
+// root replicated in software: the rows that time the remote-call path and
+// the replica protocol (src/core).
+BTreeConfig table1_2_rpc_repl() {
+  BTreeConfig cfg = table1_2();
+  cfg.scheme = Scheme{Mechanism::kRpc, false, true};
+  return cfg;
+}
+
+BTreeConfig table1_2_cp_repl() {
+  BTreeConfig cfg = table1_2();
+  cfg.scheme = Scheme{Mechanism::kMigration, false, true};
+  return cfg;
+}
+
 // 4x the requesters of fig2_64, on the uniform-latency network.
 CountingConfig fig2_256() {
   CountingConfig cfg;
@@ -263,6 +279,12 @@ int main(int argc, char** argv) {
          time_reps([] { return workload_run(run_btree(table1_2())); }));
   report(reg, "table1_2_sm/calendar",
          time_reps([] { return workload_run(run_btree(table1_2_sm())); }));
+  report(reg, "table1_2_rpc_repl/calendar", time_reps([] {
+           return workload_run(run_btree(table1_2_rpc_repl()));
+         }));
+  report(reg, "table1_2_cp_repl/calendar", time_reps([] {
+           return workload_run(run_btree(table1_2_cp_repl()));
+         }));
   report(reg, "fig2_256/calendar",
          time_reps([] { return workload_run(run_counting(fig2_256())); }));
 

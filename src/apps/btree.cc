@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <functional>
+#include <stdexcept>
 
 #include "policy/policy.h"
 
@@ -23,6 +25,12 @@ unsigned log2probes(std::size_t n) {
 DistributedBTree::DistributedBTree(core::Runtime& rt,
                                    shmem::CoherentMemory* mem, Params p)
     : rt_(&rt), mem_(mem), p_(p), rng_(p.seed) {
+  if (p_.max_entries == 0) {
+    throw std::invalid_argument("DistributedBTree: max_entries must be > 0");
+  }
+  if (p_.node_procs == 0) {
+    throw std::invalid_argument("DistributedBTree: node_procs must be > 0");
+  }
   if (mem_ != nullptr) anchor_addr_ = mem_->alloc(0, 8);
   root_ = alloc_node(/*leaf=*/true, /*level=*/0);
   if (p_.replication) {
@@ -54,6 +62,10 @@ std::uint32_t DistributedBTree::alloc_node(bool leaf, unsigned level) {
   n.level = level;
   n.home = home;
   n.oid = rt_->objects().create(home);
+  // Sized once: a node holds at most max_entries + 1 entries, the overflow
+  // that makes it split.
+  n.maxkey.reserve(p_.max_entries + 1);
+  n.payload.reserve(p_.max_entries + 1);
   n.mutex = std::make_unique<sim::AsyncMutex>();
   // A moved node ships its full entry array (3 words per entry + header).
   n.mobile = std::make_unique<core::MobileObject>(
@@ -86,9 +98,16 @@ void DistributedBTree::set_policy(policy::PolicyEngine* pol) {
 }
 
 void DistributedBTree::bulk_load(const std::vector<std::uint64_t>& keys) {
-  assert(std::is_sorted(keys.begin(), keys.end()));
-  assert(nodes_.size() == 1 && nodes_[root_].maxkey.empty() &&
-         "bulk_load must run on a fresh tree");
+  if (nodes_.size() != 1 || !nodes_[root_].maxkey.empty()) {
+    throw std::invalid_argument("bulk_load: the tree is not fresh");
+  }
+  if (std::adjacent_find(keys.begin(), keys.end(),
+                         std::greater_equal<>()) != keys.end()) {
+    throw std::invalid_argument("bulk_load: keys must strictly increase");
+  }
+  if (!keys.empty() && keys.back() == kMaxKey) {
+    throw std::invalid_argument("bulk_load: the maximum key is reserved");
+  }
   nodes_.clear();
 
   const auto per_node = std::max<std::size_t>(
@@ -734,7 +753,13 @@ sim::Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
 // Host-level inspection
 // ---------------------------------------------------------------------------
 
-std::size_t DistributedBTree::num_keys() const { return keys_host().size(); }
+std::size_t DistributedBTree::num_keys() const {
+  std::size_t n = 0;
+  for (std::uint32_t l = leftmost_leaf(); l != kNone; l = nodes_[l].right) {
+    n += nodes_[l].maxkey.size();
+  }
+  return n;
+}
 
 unsigned DistributedBTree::height() const {
   return nodes_[root_].level + 1;

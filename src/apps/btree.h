@@ -71,10 +71,13 @@ class DistributedBTree {
     unsigned rpc_ret_words = 12;
   };
 
+  /// Throws std::invalid_argument if `max_entries` or `node_procs` is 0.
   DistributedBTree(core::Runtime& rt, shmem::CoherentMemory* mem, Params p);
 
   /// Build the initial tree from sorted unique keys (host-level, free):
-  /// the paper "first constructed a B-tree with ten thousand keys".
+  /// the paper "first constructed a B-tree with ten thousand keys". Throws
+  /// std::invalid_argument, leaving the tree as it was, unless the tree is
+  /// fresh and the keys strictly increase without the reserved key ~0.
   void bulk_load(const std::vector<std::uint64_t>& keys);
 
   [[nodiscard]] sim::Task<bool> lookup(core::Ctx& ctx, core::Mechanism mech,

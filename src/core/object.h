@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,6 +37,8 @@ class ObjectSpace {
     return id;
   }
 
+  /// Throws std::out_of_range for an id `create` never returned (as does
+  /// `move`).
   [[nodiscard]] sim::ProcId home_of(ObjectId id) const {
     check(id, "home_of");
     return homes_[id];
@@ -54,14 +56,14 @@ class ObjectSpace {
 
  private:
   /// An out-of-range ObjectId is always a caller bug (a stale or corrupted
-  /// global id); aborting beats the silent out-of-bounds read a bare assert
-  /// would permit in Release builds.
+  /// global id); a typed error beats the silent out-of-bounds read a bare
+  /// assert would permit in Release builds.
   void check(ObjectId id, const char* what) const {
     if (id >= homes_.size()) {
-      std::fprintf(stderr,
-                   "ObjectSpace::%s: object id %u out of range (size %zu)\n",
-                   what, id, homes_.size());
-      std::abort();
+      throw std::out_of_range("ObjectSpace::" + std::string(what) +
+                              ": object id " + std::to_string(id) +
+                              " out of range (size " +
+                              std::to_string(homes_.size()) + ")");
     }
   }
 

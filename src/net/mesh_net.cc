@@ -1,7 +1,7 @@
 #include "net/mesh_net.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "check/checker.h"
 #include "sim/tracer.h"
@@ -10,7 +10,9 @@ namespace cm::net {
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg)
     : engine_(&engine), cfg_(cfg) {
-  assert(cfg_.width > 0);
+  if (cfg_.width == 0) {
+    throw std::invalid_argument("MeshNetwork: width must be > 0");
+  }
   height_ = (nprocs + cfg_.width - 1) / cfg_.width;
   if (height_ == 0) height_ = 1;
   links_.resize(static_cast<std::size_t>(cfg_.width) * height_ * 4);

@@ -27,7 +27,8 @@ struct MeshConfig {
 class MeshNetwork final : public Network {
  public:
   /// `nprocs` must be <= width * ceil(nprocs/width); nodes are numbered
-  /// row-major: proc p sits at (p % width, p / width).
+  /// row-major: proc p sits at (p % width, p / width). Throws
+  /// std::invalid_argument if `cfg.width` is 0.
   MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg = {});
 
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,

@@ -68,6 +68,51 @@ TEST(AsyncMutex, HandoffKeepsHeld) {
   EXPECT_FALSE(m.held());
 }
 
+TEST(AsyncMutex, QueueRefillsAfterDraining) {
+  AsyncMutex m;
+  Engine eng;
+  Machine mach(eng, 6);
+  std::vector<int> order;
+  int inside = 0, max_inside = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const int id = 3 * round + i;
+      detach(hold(&m, &mach, static_cast<ProcId>(id), 10, &order, id, &inside,
+                  &max_inside));
+    }
+    EXPECT_EQ(m.waiters(), 2u);
+    eng.run();
+    EXPECT_EQ(m.waiters(), 0u);
+  }
+  EXPECT_EQ(max_inside, 1);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(m.held());
+}
+
+Task<> hold_twice(AsyncMutex* m, Machine* mach, ProcId p,
+                  std::vector<int>* order, int id) {
+  for (int pass = 0; pass < 2; ++pass) {
+    co_await m->lock();
+    order->push_back(id);
+    co_await mach->compute(p, 10);
+    m->unlock();
+  }
+}
+
+TEST(AsyncMutex, RelockingHolderQueuesBehindTheWaiters) {
+  AsyncMutex m;
+  Engine eng;
+  Machine mach(eng, 3);
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    detach(hold_twice(&m, &mach, static_cast<ProcId>(i), &order, i));
+  }
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
+  EXPECT_FALSE(m.held());
+  EXPECT_EQ(m.waiters(), 0u);
+}
+
 TEST(AsyncMutex, ReacquireAfterRelease) {
   AsyncMutex m;
   Engine eng;

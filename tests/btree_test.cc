@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "net/constant_net.h"
@@ -117,6 +118,56 @@ TEST(BTreeBuild, SmallBranchingGivesDeeperTreeWithWiderRoot) {
   EXPECT_TRUE(w.bt.check_invariants());
   EXPECT_GT(w.bt.height(), 3u);
   EXPECT_GE(w.bt.root_children(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Rejected configurations: a typed error in every build type
+// ---------------------------------------------------------------------------
+
+TEST(BTreeValidation, RejectsZeroMaxEntries) {
+  DistributedBTree::Params p = small_params();
+  p.max_entries = 0;
+  EXPECT_THROW(World w(p), std::invalid_argument);
+}
+
+TEST(BTreeValidation, RejectsZeroNodeProcs) {
+  DistributedBTree::Params p = small_params();
+  p.node_procs = 0;
+  EXPECT_THROW(World w(p), std::invalid_argument);
+}
+
+TEST(BTreeValidation, BulkLoadRejectsKeysThatDoNotStrictlyIncrease) {
+  World w(small_params());
+  EXPECT_THROW(w.bt.bulk_load({1, 5, 3}), std::invalid_argument);
+  EXPECT_THROW(w.bt.bulk_load({1, 3, 3, 5}), std::invalid_argument);
+  // A rejected load leaves the fresh tree as it was.
+  EXPECT_EQ(w.bt.num_nodes(), 1u);
+  EXPECT_TRUE(w.bt.check_invariants());
+  w.bt.bulk_load(make_keys(20));
+  EXPECT_EQ(w.bt.keys_host(), make_keys(20));
+}
+
+TEST(BTreeValidation, BulkLoadRejectsTheReservedMaxKey) {
+  World w(small_params());
+  EXPECT_THROW(w.bt.bulk_load({1, 2, ~std::uint64_t{0}}),
+               std::invalid_argument);
+  EXPECT_EQ(w.bt.num_keys(), 0u);
+  w.bt.bulk_load({1, 2, ~std::uint64_t{0} - 1});
+  EXPECT_EQ(w.bt.num_keys(), 3u);
+  EXPECT_TRUE(w.bt.check_invariants());
+}
+
+TEST(BTreeValidation, BulkLoadRejectsATreeThatIsNotFresh) {
+  World loaded(small_params());
+  loaded.bt.bulk_load(make_keys(20));
+  EXPECT_THROW(loaded.bt.bulk_load(make_keys(20)), std::invalid_argument);
+  EXPECT_EQ(loaded.bt.keys_host(), make_keys(20));
+
+  World grown(small_params());
+  sim::detach(do_insert(&grown, Mechanism::kRpc, 12, 5, 5));
+  grown.eng.run();
+  EXPECT_THROW(grown.bt.bulk_load(make_keys(20)), std::invalid_argument);
+  EXPECT_EQ(grown.bt.keys_host(), (std::vector<std::uint64_t>{5}));
 }
 
 // ---------------------------------------------------------------------------
@@ -278,6 +329,27 @@ Task<> op_stream(World* w, Mechanism mech, ProcId home, std::uint64_t seed,
       const bool found = co_await w->bt.lookup(ctx, mech, key, &val);
       if (found && val != key) ++*bad_lookups;
     }
+  }
+}
+
+TEST(BTreeInspection, NumKeysAgreesWithKeysHostAfterSplits) {
+  for (const Mechanism mech : {Mechanism::kRpc, Mechanism::kMigration}) {
+    World w(small_params(4));
+    w.bt.bulk_load(make_keys(20));  // odd keys 1..39
+    const std::size_t nodes0 = w.bt.num_nodes();
+    // Four requesters insert 40 fresh even keys at once, contending for
+    // node locks while the leaves split.
+    for (ProcId t = 0; t < 4; ++t) {
+      for (std::uint64_t k = 0; k < 10; ++k) {
+        const std::uint64_t key = 2 * (4 * k + t + 1);
+        sim::detach(do_insert(&w, mech, 8 + t, key, key));
+      }
+    }
+    w.eng.run();
+    EXPECT_GT(w.bt.num_nodes(), nodes0);
+    EXPECT_EQ(w.bt.num_keys(), w.bt.keys_host().size());
+    EXPECT_EQ(w.bt.num_keys(), 60u);
+    EXPECT_TRUE(w.bt.check_invariants());
   }
 }
 

@@ -1,7 +1,8 @@
 // Allocation regression test for the coroutine frame pool
-// (sim/frame_pool.h). A binary of its own, because it replaces the global
-// operator new with one that counts: once warm, a simulation whose frames
-// all come from the pool makes no global allocation at all.
+// (sim/frame_pool.h) and the host structures built per simulated object. A
+// binary of its own, because it replaces the global operator new with one
+// that counts: once warm, a simulation whose frames all come from the pool
+// makes no global allocation at all.
 #include "sim/frame_pool.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/btree.h"
 #include "apps/counting_network.h"
 #include "core/mechanism.h"
 #include "core/object.h"
@@ -23,6 +25,7 @@
 #include "net/mesh_net.h"
 #include "shmem/coherent_memory.h"
 #include "shmem/sync.h"
+#include "sim/async_mutex.h"
 #include "sim/engine.h"
 #include "sim/machine.h"
 #include "sim/rng.h"
@@ -270,6 +273,64 @@ TEST(FramePool, WarmCoherentMemoryMakesNoGlobalAllocation) {
   EXPECT_GT(b.limitless_traps, a.limitless_traps);
   EXPECT_GT(b.mshr_merges, a.mshr_merges);
   EXPECT_FALSE(w.lock.held());
+}
+
+// ---------------------------------------------------------------------------
+// Host structures built per object: the FIFO mutex and the B-tree's nodes.
+
+struct HandOff {
+  std::array<ProcId, 8> order{};
+  std::size_t done = 0;
+};
+
+Task<> contend(sim::AsyncMutex* m, sim::Machine* mach, ProcId p,
+               HandOff* h) {
+  co_await m->lock();
+  h->order[h->done++] = p;
+  co_await mach->compute(p, 10);
+  m->unlock();
+}
+
+TEST(FramePool, AsyncMutexAllocatesNothingConstructedOrHandedOff) {
+  constexpr ProcId kLockers = 8;
+  sim::Engine eng;
+  sim::Machine mach(eng, kLockers);
+  // Eight lockers of one fresh mutex; the first holds it, seven queue.
+  auto run_round = [&](HandOff& h) {
+    sim::AsyncMutex m;
+    for (ProcId p = 0; p < kLockers; ++p) {
+      sim::detach(contend(&m, &mach, p, &h));
+    }
+    const std::size_t queued = m.waiters();
+    eng.run();
+    return queued;
+  };
+  HandOff warm;
+  (void)run_round(warm);  // the frame pool and the event queue warm up
+
+  HandOff h;
+  const std::size_t allocs0 = allocs();
+  const std::size_t queued = run_round(h);
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_EQ(made, 0u);
+  EXPECT_EQ(queued, kLockers - 1);
+  ASSERT_EQ(h.done, kLockers);
+  for (ProcId p = 0; p < kLockers; ++p) EXPECT_EQ(h.order[p], p);  // FIFO
+}
+
+TEST(FramePool, BTreeBulkLoadMakesAtMostFiveAllocationsPerNode) {
+  // The benchmark's tree: 10,000 keys, fanout <= 100, 48 node processors.
+  World w(48 + 16);
+  std::vector<std::uint64_t> keys(10'000);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
+  const std::size_t allocs0 = allocs();
+  apps::DistributedBTree bt(w.rt, nullptr, apps::DistributedBTree::Params{});
+  bt.bulk_load(keys);
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_EQ(bt.num_keys(), keys.size());
+  EXPECT_EQ(bt.height(), 3u);
+  EXPECT_LE(made, 5 * bt.num_nodes())
+      << made << " allocations for " << bt.num_nodes() << " nodes";
 }
 
 // ---------------------------------------------------------------------------

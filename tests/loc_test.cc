@@ -284,21 +284,5 @@ TEST(Locator, DistributedRunsAreDeterministic) {
   EXPECT_TRUE(a.locator_enabled);
 }
 
-// ---------------------------------------------------------------------------
-// ObjectSpace hard-abort on out-of-range ids (all build types)
-
-using ObjectSpaceDeathTest = ::testing::Test;
-
-TEST(ObjectSpaceDeathTest, HomeOfOutOfRangeAborts) {
-  core::ObjectSpace space;
-  (void)space.create(0);
-  EXPECT_DEATH((void)space.home_of(7), "out of range");
-}
-
-TEST(ObjectSpaceDeathTest, MoveOutOfRangeAborts) {
-  core::ObjectSpace space;
-  EXPECT_DEATH(space.move(0, 1), "out of range");
-}
-
 }  // namespace
 }  // namespace cm::loc

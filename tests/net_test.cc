@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "net/constant_net.h"
 #include "net/mesh_net.h"
 #include "sim/engine.h"
@@ -145,6 +147,12 @@ TEST(MeshNetwork, NonSquareMachineRoutes) {
   net.send(0, 23, 4, Traffic::kCoherence, [&] { got = eng.now(); });
   eng.run();
   EXPECT_GT(got, 0u);
+}
+
+TEST(MeshNetwork, RejectsZeroWidth) {
+  Engine eng;
+  EXPECT_THROW(MeshNetwork(eng, 16, {.width = 0}), std::invalid_argument);
+  EXPECT_THROW(MeshNetwork(eng, 0, {.width = 0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,23 @@ TEST(ObjectSpace, AssignsIdsAndHomes) {
   EXPECT_EQ(os.home_of(a), 3u);
   EXPECT_EQ(os.home_of(b), 7u);
   EXPECT_EQ(os.size(), 2u);
+}
+
+TEST(ObjectSpace, HomeOfAnUnknownIdThrowsOutOfRange) {
+  ObjectSpace os;
+  EXPECT_THROW((void)os.home_of(0), std::out_of_range);
+  (void)os.create(0);
+  EXPECT_EQ(os.home_of(0), 0u);
+  EXPECT_THROW((void)os.home_of(7), std::out_of_range);
+}
+
+TEST(ObjectSpace, MoveOfAnUnknownIdThrowsOutOfRange) {
+  ObjectSpace os;
+  EXPECT_THROW(os.move(0, 1), std::out_of_range);
+  const ObjectId a = os.create(2);
+  EXPECT_THROW(os.move(a + 1, 1), std::out_of_range);
+  EXPECT_EQ(os.home_of(a), 2u);  // the failed move changed nothing
+  EXPECT_EQ(os.size(), 1u);
 }
 
 Task<> call_once(World* w, ObjectId obj, ProcId from, int* result,
