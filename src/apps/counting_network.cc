@@ -1,7 +1,8 @@
 #include "apps/counting_network.h"
 
-#include <cassert>
+#include <bit>
 #include <functional>
+#include <stdexcept>
 
 #include "policy/policy.h"
 
@@ -34,8 +35,10 @@ struct Net {
 }  // namespace
 
 BitonicWiring BitonicWiring::build(unsigned width) {
-  assert(width >= 2 && (width & (width - 1)) == 0 &&
-         "bitonic networks require power-of-two width");
+  if (width < 2 || !std::has_single_bit(width)) {
+    throw std::invalid_argument(
+        "BitonicWiring: width must be a power of two >= 2");
+  }
   BitonicWiring w;
   w.width = width;
 
@@ -255,7 +258,9 @@ sim::Task<long> CountingNetwork::visit_counter(core::Ctx& ctx,
 sim::Task<long> CountingNetwork::get_next(core::Ctx& ctx,
                                           core::Mechanism mech,
                                           unsigned enter_wire) {
-  assert(enter_wire < wiring_.width);
+  if (enter_wire >= wiring_.width) {
+    throw std::out_of_range("CountingNetwork::get_next: no such entry wire");
+  }
   Target t{false, wiring_.entry[enter_wire]};
   while (!t.is_output) {
     const unsigned b = t.index;

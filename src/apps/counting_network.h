@@ -59,7 +59,8 @@ struct BitonicWiring {
   unsigned width = 0;
   unsigned depth = 0;  // number of stages
 
-  /// Build Bitonic[width]; width must be a power of two >= 2.
+  /// Build Bitonic[width]. Throws std::invalid_argument unless width is a
+  /// power of two >= 2.
   static BitonicWiring build(unsigned width);
 };
 
@@ -91,12 +92,14 @@ class CountingNetwork {
   };
 
   /// `mem` may be null if the shared-memory mechanism is never used.
+  /// Throws std::invalid_argument for a width BitonicWiring rejects.
   CountingNetwork(core::Runtime& rt, shmem::CoherentMemory* mem, Params p);
 
   /// The traversal procedure: inject a token on `enter_wire`, traverse to an
   /// output wire, take the next value there. Under kMigration the activation
   /// ends at the final balancer's processor — callers that need the value
-  /// back home follow with `return_home` (or use apps::Requester).
+  /// back home follow with `return_home` (or use apps::Requester). An
+  /// `enter_wire` of width() or more throws std::out_of_range when awaited.
   [[nodiscard]] sim::Task<long> get_next(core::Ctx& ctx, core::Mechanism mech,
                                          unsigned enter_wire);
 

@@ -1,5 +1,6 @@
 #include "shmem/cache.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -14,56 +15,90 @@ Cache::Cache(CacheParams params) : params_(params) {
         "CacheParams: size_bytes must be a positive multiple of "
         "line bytes * associativity");
   }
+  if (params_.associativity > kMaxAssociativity) {
+    throw std::invalid_argument(
+        "CacheParams: associativity above Cache::kMaxAssociativity");
+  }
+  if (!std::has_single_bit(params_.num_sets())) {
+    throw std::invalid_argument(
+        "CacheParams: the set count must be a power of two");
+  }
+  set_mask_ = params_.num_sets() - 1;
 }
 
 Cache::Way* Cache::find(Line line) {
-  if (ways_.empty()) return nullptr;
-  const std::size_t base =
-      static_cast<std::size_t>(set_of(line)) * params_.associativity;
+  Way* const set = set_of(line);
+  if (set == nullptr) return nullptr;
   for (std::uint32_t w = 0; w < params_.associativity; ++w) {
-    Way& way = ways_[base + w];
-    if (way.state != LineState::kInvalid && way.line == line) return &way;
+    if ((set[w] & kTagMask) == line && (set[w] & kStateMask) != 0) {
+      return &set[w];
+    }
   }
   return nullptr;
 }
 
-const Cache::Way* Cache::find(Line line) const {
-  return const_cast<Cache*>(this)->find(line);
+void Cache::promote(Way* set, Way* way) {
+  const std::uint32_t rank = rank_of(*way);
+  if (rank == 0) return;
+  for (std::uint32_t w = 0; w < params_.associativity; ++w) {
+    if (rank_of(set[w]) < rank) set[w] += Way{1} << kRankShift;
+  }
+  *way &= kKeyMask;
 }
 
 LineState Cache::lookup(Line line) const {
-  const Way* w = find(line);
-  return w ? w->state : LineState::kInvalid;
+  const Way* w = const_cast<Cache*>(this)->find(line);
+  return w ? state_of(*w) : LineState::kInvalid;
+}
+
+bool Cache::hit(Line line, bool exclusive) {
+  Way* const set = set_of(line);
+  // A line wider than the tag would alias a present one in its state bits.
+  if (set == nullptr || line > kTagMask) return false;
+  const Way modified = key(line, LineState::kModified);
+  const Way shared = key(line, LineState::kShared);
+  for (std::uint32_t w = 0; w < params_.associativity; ++w) {
+    const Way k = set[w] & kKeyMask;
+    if (k == modified || (!exclusive && k == shared)) {
+      promote(set, &set[w]);
+      return true;
+    }
+  }
+  return false;
 }
 
 std::optional<Eviction> Cache::install(Line line, LineState state) {
   assert(state != LineState::kInvalid);
   assert(find(line) == nullptr && "line already present");
-  if (ways_.empty()) {
-    ways_.resize(static_cast<std::size_t>(params_.num_sets()) *
-                 params_.associativity);
+  if (line > kTagMask) {
+    throw std::invalid_argument("Cache::install: line wider than kTagBits");
   }
-  const std::size_t base =
-      static_cast<std::size_t>(set_of(line)) * params_.associativity;
+  const std::uint32_t ways = params_.associativity;
+  if (ways_.empty()) {
+    ways_.resize(static_cast<std::size_t>(params_.num_sets()) * ways);
+    for (std::size_t i = 0; i < ways_.size(); ++i) {
+      ways_[i] = static_cast<Way>(i % ways) << kRankShift;
+    }
+  }
+  Way* const set = set_of(line);
 
+  // The first invalid way, else the least recently used.
   Way* victim = nullptr;
-  for (std::uint32_t w = 0; w < params_.associativity; ++w) {
-    Way& way = ways_[base + w];
-    if (way.state == LineState::kInvalid) {
-      victim = &way;
+  for (std::uint32_t w = 0; w < ways; ++w) {
+    if ((set[w] & kStateMask) == 0) {
+      victim = &set[w];
       break;
     }
-    if (victim == nullptr || way.lru < victim->lru) victim = &way;
+    if (rank_of(set[w]) == ways - 1) victim = &set[w];
   }
 
   std::optional<Eviction> evicted;
-  if (victim->state != LineState::kInvalid) {
-    evicted = Eviction{victim->line, victim->state == LineState::kModified};
+  if (const LineState old = state_of(*victim); old != LineState::kInvalid) {
+    evicted = Eviction{*victim & kTagMask, old == LineState::kModified};
     --present_;
   }
-  victim->line = line;
-  victim->state = state;
-  victim->lru = ++clock_;
+  *victim = (*victim & ~kKeyMask) | key(line, state);
+  promote(set, victim);
   ++present_;
   return evicted;
 }
@@ -74,13 +109,13 @@ bool Cache::set_state(Line line, LineState state) {
   if (state == LineState::kInvalid) {
     --present_;
   }
-  w->state = state;
+  *w = (*w & ~kStateMask) | static_cast<Way>(state) << kStateShift;
   return true;
 }
 
 void Cache::touch(Line line) {
   Way* w = find(line);
-  if (w != nullptr) w->lru = ++clock_;
+  if (w != nullptr) promote(set_of(line), w);
 }
 
 }  // namespace cm::shmem

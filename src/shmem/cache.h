@@ -1,8 +1,14 @@
 // Per-processor hardware cache model: 64 KB, 16-byte lines, set-associative
 // with LRU replacement (paper §4: "each processor has a 64K shared-memory
-// cache with a line size of 16 bytes"). A cache allocates its ways on its
-// first install: processors that never touch shared memory (the B-tree's
-// node processors, say) cost nothing.
+// cache with a line size of 16 bytes").
+//
+// Host representation: a way is one 8-byte word holding the line, its state
+// and its recency rank within the set, so a 64 KB cache costs 32 KB of host
+// memory and a set of up to 8 ways fits one host cache line. The set index
+// is a mask (set counts are powers of two), and `hit` looks a line up and
+// marks it most-recently-used in one pass. A cache allocates its ways on
+// its first install: processors that never touch shared memory (the
+// B-tree's node processors, say) cost nothing.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +38,29 @@ struct Eviction {
 
 class Cache {
  public:
-  /// Throws std::invalid_argument unless the associativity is nonzero and
-  /// the size a positive multiple of kLineBytes * associativity.
+  /// Width of the line tag a way holds: any line of a machine of up to
+  /// 2^(kTagBits - 28) processors (coherent_memory.h ties it to kMaxProcs).
+  static constexpr unsigned kTagBits = 36;
+  /// Most ways a set can rank: a way's rank has the bits that its tag and
+  /// its 2-bit state leave.
+  static constexpr std::uint32_t kMaxAssociativity = std::uint32_t{1}
+                                                     << (64 - kTagBits - 2);
+
+  /// Throws std::invalid_argument unless the associativity is in
+  /// [1, kMaxAssociativity], the size a positive multiple of
+  /// kLineBytes * associativity, and the set count a power of two.
   explicit Cache(CacheParams params = {});
 
   /// Current state of `line` in this cache (kInvalid if absent).
   [[nodiscard]] LineState lookup(Line line) const;
 
+  /// Does `line`'s state satisfy an access (Modified, or Shared for a
+  /// read)? If so, also mark it most-recently-used.
+  bool hit(Line line, bool exclusive);
+
   /// Install `line` with `state`, possibly evicting an LRU victim from the
-  /// line's set. Touches LRU. `line` must not already be present.
+  /// line's set. Touches LRU. `line` must not already be present. Throws
+  /// std::invalid_argument if `line` is wider than kTagBits.
   std::optional<Eviction> install(Line line, LineState state);
 
   /// Change the state of a present line (e.g. S->M on upgrade, M->S on a
@@ -55,26 +75,45 @@ class Cache {
   [[nodiscard]] std::uint64_t occupancy() const { return present_; }
 
  private:
-  struct Way {
-    Line line = 0;
-    LineState state = LineState::kInvalid;
-    std::uint64_t lru = 0;  // higher = more recent
-  };
+  // A way: the line in bits [0, kTagBits), its LineState in the next two
+  // bits and its recency rank above them. The ranks of a set's ways are a
+  // permutation of [0, associativity), 0 = most recently used; a way never
+  // installed ranks below every way that was.
+  using Way = std::uint64_t;
+  static constexpr unsigned kStateShift = kTagBits;
+  static constexpr unsigned kRankShift = kTagBits + 2;
+  static constexpr Way kTagMask = (Way{1} << kTagBits) - 1;
+  static constexpr Way kStateMask = Way{3} << kStateShift;
+  static constexpr Way kKeyMask = kTagMask | kStateMask;
 
-  [[nodiscard]] std::uint32_t set_of(Line line) const {
+  [[nodiscard]] static Way key(Line line, LineState state) {
+    return line | static_cast<Way>(state) << kStateShift;
+  }
+  [[nodiscard]] static LineState state_of(Way w) {
+    return static_cast<LineState>((w & kStateMask) >> kStateShift);
+  }
+  [[nodiscard]] static std::uint32_t rank_of(Way w) {
+    return static_cast<std::uint32_t>(w >> kRankShift);
+  }
+
+  /// The first way of `line`'s set, or null before the first install.
+  [[nodiscard]] Way* set_of(Line line) {
+    if (ways_.empty()) return nullptr;
     // Fold the home-processor bits (bit 28 up in a line address) into the
     // index: home regions are 4 GiB-aligned, so without this the first
     // lines of every region would all collide in set 0.
-    return static_cast<std::uint32_t>((line ^ (line >> 24)) %
-                                      params_.num_sets());
+    const std::size_t set = (line ^ (line >> 24)) & set_mask_;
+    return &ways_[set * params_.associativity];
   }
+  /// `line`'s way, if it is present.
   [[nodiscard]] Way* find(Line line);
-  [[nodiscard]] const Way* find(Line line) const;
+  /// Make `way` of `set` the most recently used.
+  void promote(Way* set, Way* way);
 
   CacheParams params_;
+  std::uint64_t set_mask_ = 0;
   std::vector<Way> ways_;  // num_sets * associativity, set-major; empty
                            // until the first install
-  std::uint64_t clock_ = 0;
   std::uint64_t present_ = 0;
 };
 

@@ -5,20 +5,6 @@
 #include "check/checker.h"
 
 namespace cm::shmem {
-namespace {
-
-/// Directory-state facts at a transition's commit point, for the invariant
-/// "Modified implies a valid owner that is the sole sharer; clean implies no
-/// owner". Called wherever a transaction finishes mutating a Dir entry.
-void check_line(check::Checker* ck, Line line, bool modified,
-                std::size_t sharer_count, bool owner_valid,
-                bool owner_is_sharer) {
-  if (ck == nullptr) return;
-  ck->on_line_state(line, modified, static_cast<unsigned>(sharer_count),
-                    owner_valid, owner_is_sharer);
-}
-
-}  // namespace
 
 CoherentMemory::CoherentMemory(sim::Machine& machine, net::Network& network,
                                CacheParams cache_params, ProtocolParams params)
@@ -28,6 +14,8 @@ CoherentMemory::CoherentMemory(sim::Machine& machine, net::Network& network,
       heap_(machine.size()),
       caches_(machine.size(), Cache(cache_params)),
       controllers_(machine.size()),
+      sharer_words_((machine.size() + 63) / 64),
+      dir_stride_(sizeof(Dir) + sharer_words_ * sizeof(std::uint64_t)),
       dirs_(machine.size()),
       in_flight_(machine.size(), nullptr) {
   if (machine.size() > kMaxProcs) {
@@ -38,20 +26,48 @@ CoherentMemory::CoherentMemory(sim::Machine& machine, net::Network& network,
 
 Addr CoherentMemory::alloc(sim::ProcId home, std::uint64_t bytes) {
   const Addr a = heap_.alloc(home, bytes);
-  // Growing at the end never moves an existing entry (std::deque).
-  dirs_[home].resize(heap_.used(home) >> kLineShift);
+  // Add chunks until the home's records cover its allocated lines. A chunk
+  // starts as zero bytes (empty sharer bitmaps) with a fresh Dir at the
+  // head of each record; existing chunks never move.
+  auto& chunks = dirs_[home];
+  const std::uint64_t lines = heap_.used(home) >> kLineShift;
+  while (chunks.size() * kDirChunk < lines) {
+    auto chunk = std::make_unique<std::byte[]>(kDirChunk * dir_stride_);
+    for (std::uint64_t r = 0; r < kDirChunk; ++r) {
+      new (chunk.get() + r * dir_stride_) Dir{};
+    }
+    chunks.push_back(std::move(chunk));
+  }
   return a;
 }
 
 bool CoherentMemory::allocated(Line line) const {
   const sim::ProcId home = home_of_line(line);
-  return home < dirs_.size() && line_offset(line) < dirs_[home].size();
+  return home < dirs_.size() &&
+         line_offset(line) < heap_.used(home) >> kLineShift;
 }
 
 void CoherentMemory::require_allocated(Line line) const {
   if (!allocated(line)) {
     throw std::out_of_range("CoherentMemory: access to unallocated memory");
   }
+}
+
+Cache& CoherentMemory::cache_of(sim::ProcId p) {
+  if (p >= caches_.size()) {
+    throw std::out_of_range("CoherentMemory: processor outside the machine");
+  }
+  return caches_[p];
+}
+
+void CoherentMemory::check_line(Line line, const Dir& d, Sharers s) const {
+  // The invariant "Modified implies a valid owner that is the sole sharer;
+  // clean implies no owner", at a transition's commit point.
+  check::Checker* ck = machine_->engine().checker();
+  if (ck == nullptr) return;
+  const bool owner_valid = d.owner != sim::kNoProc;
+  ck->on_line_state(line, d.modified, s.count(), owner_valid,
+                    owner_valid && s.test(d.owner));
 }
 
 auto CoherentMemory::controller(sim::ProcId p) {
@@ -81,15 +97,27 @@ sim::Machine::Compute CoherentMemory::trap(sim::ProcId home) {
 }
 
 sim::Task<> CoherentMemory::read(sim::ProcId p, Addr a, unsigned bytes) {
-  const Line first = line_of(a);
-  const Line last = line_of(a + (bytes == 0 ? 0 : bytes - 1));
-  for (Line l = first; l <= last; ++l) co_await acquire(p, l, false);
+  return access(p, a, bytes, false);
 }
 
 sim::Task<> CoherentMemory::write(sim::ProcId p, Addr a, unsigned bytes) {
+  return access(p, a, bytes, true);
+}
+
+sim::Task<> CoherentMemory::access(sim::ProcId p, Addr a, unsigned bytes,
+                                   bool exclusive) {
+  Cache& c = cache_of(p);
   const Line first = line_of(a);
   const Line last = line_of(a + (bytes == 0 ? 0 : bytes - 1));
-  for (Line l = first; l <= last; ++l) co_await acquire(p, l, true);
+  for (Line l = first; l <= last; ++l) {
+    if (c.hit(l, exclusive)) {
+      // The (1-2 cycle) hit latency is folded into the user-code cycle
+      // charges, as instruction timing is in Proteus.
+      exclusive ? ++stats_.write_hits : ++stats_.read_hits;
+      continue;
+    }
+    co_await acquire(p, l, exclusive);
+  }
 }
 
 CoherentMemory::Txn* CoherentMemory::in_flight(sim::ProcId p,
@@ -102,34 +130,19 @@ CoherentMemory::Txn* CoherentMemory::in_flight(sim::ProcId p,
 }
 
 sim::Task<> CoherentMemory::acquire(sim::ProcId p, Line line, bool exclusive) {
+  // Called on a miss: `line` is absent from p's cache, or Shared for a write.
   Cache& c = caches_[p];
-  {
-    const LineState st = c.lookup(line);
-    if (st == LineState::kModified ||
-        (!exclusive && st == LineState::kShared)) {
-      // Cache hit: the (1-2 cycle) hit latency is folded into the user-code
-      // cycle charges, as instruction timing is in Proteus.
-      exclusive ? ++stats_.write_hits : ++stats_.read_hits;
-      c.touch(line);
-      co_return;
-    }
-    require_allocated(line);
-    if (exclusive) {
-      ++stats_.write_misses;
-      if (st == LineState::kShared) ++stats_.upgrades;
-    } else {
-      ++stats_.read_misses;
-    }
+  require_allocated(line);
+  if (exclusive) {
+    ++stats_.write_misses;
+    if (c.lookup(line) == LineState::kShared) ++stats_.upgrades;
+  } else {
+    ++stats_.read_misses;
   }
 
   for (;;) {
-    const LineState st = c.lookup(line);
-    if (st == LineState::kModified ||
-        (!exclusive && st == LineState::kShared)) {
-      // Satisfied by a transaction we merged with.
-      c.touch(line);
-      co_return;
-    }
+    // Satisfied by a transaction we merged with?
+    if (c.hit(line, exclusive)) co_return;
 
     // Merge with any in-flight transaction for this line (MSHR): wait for
     // it, then re-evaluate (a read in flight does not satisfy a write; the
@@ -190,11 +203,12 @@ sim::Task<> CoherentMemory::acquire(sim::ProcId p, Line line, bool exclusive) {
 }
 
 void CoherentMemory::prefetch(sim::ProcId p, Addr a, unsigned bytes) {
+  const Cache& c = cache_of(p);
   if (bytes == 0) return;
   const Line first = line_of(a);
   const Line last = line_of(a + bytes - 1);
   for (Line l = first; l <= last; ++l) {
-    if (caches_[p].lookup(l) != LineState::kInvalid) continue;
+    if (c.lookup(l) != LineState::kInvalid) continue;
     if (in_flight(p, l) != nullptr) continue;  // already in flight
     require_allocated(l);
     ++stats_.prefetches;
@@ -217,6 +231,7 @@ void CoherentMemory::enqueue(Txn& t) {
 sim::Detached CoherentMemory::serve_front(Line line) {
   const sim::ProcId home = home_of_line(line);
   Dir& d = dir(line);
+  const Sharers sharers = sharers_of(d);
   for (;;) {
     const Txn& w = *d.head;
 
@@ -234,17 +249,23 @@ sim::Detached CoherentMemory::serve_front(Line line) {
         co_await controller(home);
       } else if (!d.modified) {
         // Invalidate every other sharer and gather acks.
-        SharerSet to_inval = d.sharers;
-        to_inval.reset(w.requester);
-        const int n = static_cast<int>(to_inval.count());
+        const unsigned count = sharers.count();
+        const int n =
+            static_cast<int>(count) - (sharers.test(w.requester) ? 1 : 0);
         if (n > 0) {
           // Invalidating an overflowed sharer set walks the software
           // directory extension.
-          if (overflows(d.sharers.count())) co_await trap(home);
+          if (overflows(count)) co_await trap(home);
           stats_.invalidations += static_cast<std::uint64_t>(n);
           InvRound round{n, {}};
-          for (sim::ProcId s = 0; s < machine_->size(); ++s) {
-            if (to_inval.test(s)) invalidate(&round, line, home, s);
+          // Sharers in ascending order; each leg runs to its first send.
+          for (unsigned i = 0; i < sharers.n; ++i) {
+            for (std::uint64_t bits = sharers.words[i]; bits != 0;
+                 bits &= bits - 1) {
+              const auto s =
+                  static_cast<sim::ProcId>(64 * i + std::countr_zero(bits));
+              if (s != w.requester) invalidate(&round, line, home, s);
+            }
           }
           co_await sim::suspend_to(
               [&round](std::coroutine_handle<> h) { round.waiter = h; });
@@ -252,14 +273,12 @@ sim::Detached CoherentMemory::serve_front(Line line) {
         }
       }
       // Grant: full line unless the requester held a Shared copy (upgrade).
-      const bool upgrade = d.sharers.test(w.requester) && !d.modified;
+      const bool upgrade = sharers.test(w.requester) && !d.modified;
       d.modified = true;
       d.owner = w.requester;
-      d.sharers.reset();
-      d.sharers.set(w.requester);
-      check_line(machine_->engine().checker(), line, d.modified,
-                 d.sharers.count(), d.owner != sim::kNoProc,
-                 d.owner != sim::kNoProc && d.sharers.test(d.owner));
+      sharers.clear();
+      sharers.set(w.requester);
+      check_line(line, d, sharers);
       co_await transfer(home, w.requester,
                         upgrade ? params_.words_request : params_.words_data);
     } else {
@@ -274,20 +293,18 @@ sim::Detached CoherentMemory::serve_front(Line line) {
         co_await controller(home);
         d.modified = false;
         d.owner = sim::kNoProc;
-        d.sharers.reset();
-        d.sharers.set(owner);
+        sharers.clear();
+        sharers.set(owner);
       } else if (d.modified) {
         // Owner re-reading its own dirty line should have been a hit, but a
         // race with eviction can surface here; treat as a plain grant.
         d.modified = false;
         d.owner = sim::kNoProc;
       }
-      d.sharers.set(w.requester);
-      check_line(machine_->engine().checker(), line, d.modified,
-                 d.sharers.count(), d.owner != sim::kNoProc,
-                 d.owner != sim::kNoProc && d.sharers.test(d.owner));
+      sharers.set(w.requester);
+      check_line(line, d, sharers);
       // Adding a sharer beyond the hardware pointer set traps to software.
-      if (overflows(d.sharers.count())) co_await trap(home);
+      if (overflows(sharers.count())) co_await trap(home);
       co_await transfer(home, w.requester, params_.words_data);
     }
 
@@ -324,16 +341,21 @@ sim::Detached CoherentMemory::writeback(sim::ProcId p, Line line) {
   if (d.modified && d.owner == p) {
     d.modified = false;
     d.owner = sim::kNoProc;
-    d.sharers.reset();
-    check_line(machine_->engine().checker(), line, d.modified,
-               d.sharers.count(), d.owner != sim::kNoProc, false);
+    const Sharers s = sharers_of(d);
+    s.clear();
+    check_line(line, d, s);
   }
 }
 
 CoherentMemory::DirSnapshot CoherentMemory::dir_snapshot(Line line) const {
   if (!allocated(line)) return {};
-  const Dir& d = dirs_[home_of_line(line)][line_offset(line)];
-  return DirSnapshot{d.modified, d.owner, d.sharers, d.head != nullptr};
+  Dir& d = dir(line);
+  const Sharers s = sharers_of(d);
+  DirSnapshot snap{d.modified, d.owner, {}, d.head != nullptr};
+  for (sim::ProcId p = 0; p < machine_->size(); ++p) {
+    if (s.test(p)) snap.sharers.set(p);
+  }
+  return snap;
 }
 
 }  // namespace cm::shmem

@@ -21,7 +21,8 @@
 // Each directory entry serialises transactions FIFO; each protocol message
 // occupies the home/remote memory controller for a fixed occupancy.
 //
-// Host representation: a miss allocates nothing and hashes nothing.
+// Host representation: a miss allocates nothing and hashes nothing, and a
+// hit touches one host cache line.
 //  * A transaction (`Txn`) lives in the frame of the acquire() that issued
 //    it. It is the processor's MSHR entry, the node of its line's directory
 //    FIFO, and the completion signal the grant resumes. Accesses merged
@@ -29,18 +30,28 @@
 //  * An invalidation round's ack count lives in the frame of the directory
 //    coroutine that serves the write; each INV/ACK leg and each dirty
 //    writeback is a coroutine of its own, with a pooled frame.
-//  * The directory is dense: one table per home, indexed by the line's
-//    offset in the home region and grown by alloc(). Entries never move,
-//    because a directory coroutine holds one across suspensions while a
-//    B-tree split allocates.
-//  * A cache allocates its ways on its first install (cache.h).
+//  * The directory is dense and sized to the machine: each allocated line
+//    has a record of its FIFO head and tail, owner, modified flag and a
+//    sharer bitmap of ceil(P/64) words on a P-processor machine (32 bytes
+//    at P = 64), indexed by the line's offset in its home region. Records
+//    sit in chunks of kDirChunk that alloc() adds and that never move,
+//    because a directory coroutine holds a record across suspensions while
+//    a B-tree split allocates.
+//  * A read or write looks each line up in its cache once (Cache::hit) and
+//    starts an acquire() only on a miss. Caches pack a way into 8 bytes
+//    and allocate their ways on their first install (cache.h).
+//
+// A processor outside the machine throws std::out_of_range from read,
+// write and prefetch, in every build type.
 #pragma once
 
+#include <bit>
 #include <bitset>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "net/network.h"
@@ -91,9 +102,13 @@ struct MemStats {
   }
 };
 
-/// Upper bound on machine size for the full-map directory's sharer vector.
+/// Upper bound on machine size: the width of DirSnapshot's sharer set and
+/// of a cache way's line tag.
 inline constexpr unsigned kMaxProcs = 256;
 using SharerSet = std::bitset<kMaxProcs>;
+static_assert((kHomeShift - kLineShift) + std::bit_width(kMaxProcs - 1) <=
+                  Cache::kTagBits,
+              "a cache way's tag must hold every line of a kMaxProcs machine");
 
 class CoherentMemory {
  public:
@@ -109,8 +124,8 @@ class CoherentMemory {
 
   /// Processor `p` reads [a, a+bytes): every touched line is brought to at
   /// least Shared in p's cache. Completes when all lines are present.
-  /// A miss on a line that alloc() never handed out throws
-  /// std::out_of_range (as do write and prefetch).
+  /// A miss on a line that alloc() never handed out, or a processor outside
+  /// the machine, throws std::out_of_range (as do write and prefetch).
   [[nodiscard]] sim::Task<> read(sim::ProcId p, Addr a, unsigned bytes);
 
   /// Processor `p` writes [a, a+bytes): every touched line is brought to
@@ -160,13 +175,41 @@ class CoherentMemory {
     Merge* merged_tail = nullptr;
   };
 
+  /// A line's directory record. Its sharer bitmap, sharer_words_ words
+  /// with processor p at bit p % 64 of word p / 64, follows it in its
+  /// chunk (sharers_of()).
   struct Dir {
-    SharerSet sharers;     // full-map presence vector
-    Txn* head = nullptr;   // FIFO of transactions; the head is being served
+    Txn* head = nullptr;  // FIFO of transactions; the head is being served
     Txn* tail = nullptr;
     sim::ProcId owner = sim::kNoProc;
     bool modified = false;
   };
+  static_assert(sizeof(Dir) % alignof(std::uint64_t) == 0,
+                "the sharer bitmap after a Dir must be word-aligned");
+
+  /// A record's full-map presence vector, as a view of its words.
+  struct Sharers {
+    std::uint64_t* words;
+    unsigned n;
+
+    [[nodiscard]] bool test(sim::ProcId p) const {
+      return ((words[p / 64] >> (p % 64)) & 1) != 0;
+    }
+    void set(sim::ProcId p) const {
+      words[p / 64] |= std::uint64_t{1} << (p % 64);
+    }
+    void clear() const {
+      for (unsigned i = 0; i < n; ++i) words[i] = 0;
+    }
+    [[nodiscard]] unsigned count() const {
+      unsigned c = 0;
+      for (unsigned i = 0; i < n; ++i) c += std::popcount(words[i]);
+      return c;
+    }
+  };
+
+  /// Directory records per chunk.
+  static constexpr std::uint64_t kDirChunk = 256;
 
   /// One invalidation round; lives in serve_front()'s frame.
   struct InvRound {
@@ -189,9 +232,25 @@ class CoherentMemory {
 
   [[nodiscard]] bool allocated(Line line) const;
   void require_allocated(Line line) const;
-  [[nodiscard]] Dir& dir(Line line) {
-    return dirs_[home_of_line(line)][line_offset(line)];
+  /// `p`'s cache; throws std::out_of_range if `p` is outside the machine.
+  [[nodiscard]] Cache& cache_of(sim::ProcId p);
+  /// Read or write every line of [a, a+bytes) at `p`.
+  [[nodiscard]] sim::Task<> access(sim::ProcId p, Addr a, unsigned bytes,
+                                   bool exclusive);
+  [[nodiscard]] Dir& dir(Line line) const {
+    const std::uint64_t off = line_offset(line);
+    std::byte* const record =
+        dirs_[home_of_line(line)][off / kDirChunk].get() +
+        off % kDirChunk * dir_stride_;
+    return *std::launder(reinterpret_cast<Dir*>(record));
   }
+  [[nodiscard]] Sharers sharers_of(Dir& d) const {
+    return {std::launder(reinterpret_cast<std::uint64_t*>(
+                reinterpret_cast<std::byte*>(&d) + sizeof(Dir))),
+            sharer_words_};
+  }
+  /// Report `line`'s directory state to the checker, if one is attached.
+  void check_line(Line line, const Dir& d, Sharers s) const;
 
   /// Awaitable: occupy proc `p`'s memory controller for one message.
   [[nodiscard]] auto controller(sim::ProcId p);
@@ -213,7 +272,10 @@ class CoherentMemory {
   GlobalHeap heap_;
   std::vector<Cache> caches_;
   sim::ProcessorFile controllers_;  // FCFS memory controllers
-  std::vector<std::deque<Dir>> dirs_;  // per home, by line offset
+  unsigned sharer_words_;            // ceil(P / 64)
+  std::size_t dir_stride_;           // bytes per record, bitmap included
+  // Per home: chunks of kDirChunk records, by line offset.
+  std::vector<std::vector<std::unique_ptr<std::byte[]>>> dirs_;
   std::vector<Txn*> in_flight_;        // per processor: its MSHR list
   MemStats stats_;
 };

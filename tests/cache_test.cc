@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "shmem/addr.h"
+#include "sim/rng.h"
 
 namespace cm::shmem {
 namespace {
@@ -87,7 +90,29 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(Cache(CacheParams{.size_bytes = 64,
                                  .associativity = std::uint32_t{1} << 28}),
                std::invalid_argument);
+  EXPECT_THROW(Cache(CacheParams{.size_bytes = 96, .associativity = 2}),
+               std::invalid_argument);  // 3 sets: not a power of two
   EXPECT_NO_THROW(Cache(CacheParams{.size_bytes = 48, .associativity = 3}));
+}
+
+TEST(Cache, RejectsWhatAWayCannotHold) {
+  // More ways in a set than a way's rank field can order.
+  const std::uint32_t ways = Cache::kMaxAssociativity * 2;
+  EXPECT_THROW(Cache(CacheParams{.size_bytes = ways * kLineBytes,
+                                 .associativity = ways}),
+               std::invalid_argument);
+  // A line wider than the tag; the widest line that fits installs.
+  Cache c;
+  const Line widest = (Line{1} << Cache::kTagBits) - 1;
+  EXPECT_THROW((void)c.install(widest + 1, LineState::kShared),
+               std::invalid_argument);
+  EXPECT_FALSE(c.install(widest, LineState::kShared).has_value());
+  EXPECT_EQ(c.lookup(widest), LineState::kShared);
+  EXPECT_EQ(c.lookup(widest + 1), LineState::kInvalid);
+  EXPECT_FALSE(c.hit(widest + 1, false));
+  // Same tag bits, one bit above the tag: the Shared line must not alias.
+  EXPECT_FALSE(c.hit(widest | Line{1} << Cache::kTagBits, false));
+  EXPECT_EQ(c.occupancy(), 1u);
 }
 
 TEST(Cache, GeometryMatchesPaper) {
@@ -132,6 +157,38 @@ TEST(Cache, DisjointSetsDoNotConflict) {
   EXPECT_TRUE(c.install(4, LineState::kShared).has_value());  // now full
 }
 
+TEST(Cache, FourWayLruEvictsInRecencyOrder) {
+  Cache c(CacheParams{.size_bytes = 64, .associativity = 4});  // one set
+  for (Line l = 0; l < 4; ++l) c.install(l, LineState::kShared);
+  c.touch(0);                    // most recent first: 0 3 2 1
+  EXPECT_TRUE(c.hit(2, false));  // 2 0 3 1
+  EXPECT_FALSE(c.hit(3, true));  // Shared cannot serve a write: no touch
+  const Line evicted[] = {1, 3, 0, 2};
+  for (Line i = 0; i < 4; ++i) {
+    const auto ev = c.install(4 + i, LineState::kShared);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->line, evicted[i]);
+  }
+}
+
+TEST(Cache, InvalidatedWayIsReusedBeforeAnyEviction) {
+  Cache c(CacheParams{.size_bytes = 48, .associativity = 3});  // one set
+  c.install(0, LineState::kShared);
+  c.install(1, LineState::kModified);
+  c.install(2, LineState::kShared);  // most recent first: 2 1 0
+  EXPECT_TRUE(c.set_state(1, LineState::kInvalid));
+  EXPECT_EQ(c.occupancy(), 2u);
+  EXPECT_FALSE(c.install(3, LineState::kShared).has_value());  // 3 2 0
+  EXPECT_EQ(c.lookup(1), LineState::kInvalid);
+  const Line evicted[] = {0, 2, 3};
+  for (Line i = 0; i < 3; ++i) {
+    const auto ev = c.install(10 + i, LineState::kShared);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->line, evicted[i]);
+    EXPECT_FALSE(ev->dirty);
+  }
+}
+
 // Property: a cache never holds more lines than its capacity, and occupancy
 // equals installs minus evictions minus invalidations.
 TEST(Cache, OccupancyNeverExceedsCapacity) {
@@ -144,6 +201,145 @@ TEST(Cache, OccupancyNeverExceedsCapacity) {
   }
   EXPECT_EQ(c.occupancy(), 1000 - evictions);
 }
+
+// ---------------------------------------------------------------------------
+// Differential test: Cache against the plainest model of its specification.
+
+/// Each set keeps its present lines, most recently used first.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(CacheParams p)
+      : ways_(p.associativity), sets_(p.num_sets()) {}
+
+  [[nodiscard]] LineState lookup(Line l) const {
+    for (const Entry& e : sets_[set_of(l)]) {
+      if (e.line == l) return e.state;
+    }
+    return LineState::kInvalid;
+  }
+
+  bool hit(Line l, bool exclusive) {
+    const LineState st = lookup(l);
+    if (st != LineState::kModified &&
+        (exclusive || st != LineState::kShared)) {
+      return false;
+    }
+    touch(l);
+    return true;
+  }
+
+  std::optional<Eviction> install(Line l, LineState state) {
+    std::vector<Entry>& set = sets_[set_of(l)];
+    std::optional<Eviction> ev;
+    if (set.size() == ways_) {
+      ev = Eviction{set.back().line, set.back().state == LineState::kModified};
+      set.pop_back();
+    }
+    set.insert(set.begin(), Entry{l, state});
+    return ev;
+  }
+
+  bool set_state(Line l, LineState state) {
+    std::vector<Entry>& set = sets_[set_of(l)];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (it->line != l) continue;
+      if (state == LineState::kInvalid) {
+        set.erase(it);
+      } else {
+        it->state = state;
+      }
+      return true;
+    }
+    return false;
+  }
+
+  void touch(Line l) {
+    std::vector<Entry>& set = sets_[set_of(l)];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (it->line != l) continue;
+      const Entry e = *it;
+      set.erase(it);
+      set.insert(set.begin(), e);
+      return;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t occupancy() const {
+    std::uint64_t n = 0;
+    for (const auto& set : sets_) n += set.size();
+    return n;
+  }
+
+ private:
+  struct Entry {
+    Line line;
+    LineState state;
+  };
+  [[nodiscard]] std::size_t set_of(Line l) const {
+    return (l ^ (l >> 24)) % sets_.size();
+  }
+
+  std::size_t ways_;
+  std::vector<std::vector<Entry>> sets_;
+};
+
+class CacheAgainstReference : public ::testing::TestWithParam<std::uint32_t> {
+};
+
+TEST_P(CacheAgainstReference, AgreesOnEveryLookupEvictionAndOccupancy) {
+  const std::uint32_t ways = GetParam();
+  const CacheParams p{.size_bytes = 4 * kLineBytes * ways,
+                      .associativity = ways};  // 4 sets
+  Cache c(p);
+  ReferenceCache ref(p);
+  // Twelve lines in each of four home regions, up to the tag's top bit:
+  // lines that differ only in their home bits meet in one set.
+  std::vector<Line> lines;
+  for (const Line home : {0, 1, 64, 255}) {
+    for (Line off = 0; off < 12; ++off) {
+      lines.push_back(home << (kHomeShift - kLineShift) | off);
+    }
+  }
+  sim::Rng rng(0x5eed + ways);
+  for (int step = 0; step < 20'000; ++step) {
+    const Line l = lines[rng.below(lines.size())];
+    switch (rng.below(4)) {
+      case 0:
+      case 1:
+        if (ref.lookup(l) == LineState::kInvalid) {
+          const LineState st =
+              rng.chance(0.5) ? LineState::kShared : LineState::kModified;
+          const auto got = c.install(l, st);
+          const auto want = ref.install(l, st);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+          if (want) {
+            ASSERT_EQ(got->line, want->line) << "step " << step;
+            ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+          }
+        } else {
+          const bool exclusive = rng.chance(0.5);
+          ASSERT_EQ(c.hit(l, exclusive), ref.hit(l, exclusive))
+              << "step " << step;
+        }
+        break;
+      case 2:
+        c.touch(l);
+        ref.touch(l);
+        break;
+      default: {
+        const auto st = static_cast<LineState>(rng.below(3));
+        ASSERT_EQ(c.set_state(l, st), ref.set_state(l, st)) << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(c.lookup(l), ref.lookup(l)) << "step " << step;
+    ASSERT_EQ(c.occupancy(), ref.occupancy()) << "step " << step;
+  }
+  for (const Line l : lines) EXPECT_EQ(c.lookup(l), ref.lookup(l)) << l;
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheAgainstReference,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace cm::shmem

@@ -530,6 +530,34 @@ Task<> read_catching(CoherentMemory* mem, ProcId p, Addr a, bool* threw) {
   }
 }
 
+Task<> write_catching(CoherentMemory* mem, ProcId p, Addr a, bool* threw) {
+  try {
+    co_await mem->write(p, a, 16);
+  } catch (const std::out_of_range&) {
+    *threw = true;
+  }
+}
+
+TEST(CoherenceConfig, RejectsAProcessorOutsideTheMachine) {
+  World w(2);
+  const Addr a = w.mem.alloc(1, 16);
+  for (const ProcId bad : {ProcId{2}, ProcId{7}, ProcId{100'000}, sim::kNoProc}) {
+    bool read_threw = false;
+    bool write_threw = false;
+    sim::detach(read_catching(&w.mem, bad, a, &read_threw));
+    sim::detach(write_catching(&w.mem, bad, a, &write_threw));
+    w.eng.run();
+    EXPECT_TRUE(read_threw) << bad;
+    EXPECT_TRUE(write_threw) << bad;
+    EXPECT_THROW(w.mem.prefetch(bad, a, 16), std::out_of_range) << bad;
+    EXPECT_THROW(w.mem.prefetch(bad, a, 0), std::out_of_range) << bad;
+  }
+  EXPECT_EQ(w.net.stats().messages, 0u);
+  EXPECT_EQ(w.mem.stats().hits() + w.mem.stats().misses(), 0u);
+  EXPECT_EQ(w.mem.stats().prefetches, 0u);
+  EXPECT_FALSE(w.mem.dir_snapshot(line_of(a)).busy);
+}
+
 TEST(CoherenceConfig, AccessToUnallocatedMemoryThrows) {
   World w(4);
   const Addr a = w.mem.alloc(1, 16);
@@ -547,6 +575,78 @@ TEST(CoherenceConfig, AccessToUnallocatedMemoryThrows) {
   EXPECT_EQ(w.mem.stats().prefetches, 0u);
   EXPECT_FALSE(w.mem.dir_snapshot(line_of(past)).busy);
 }
+
+// ---------------------------------------------------------------------------
+// A directory sized to the machine: sharer bitmaps of ceil(P / 64) words
+// ---------------------------------------------------------------------------
+
+Task<> read_each(CoherentMemory* mem, std::vector<ProcId> readers, Addr a) {
+  for (const ProcId p : readers) co_await mem->read(p, a, 16);
+}
+
+class WideDirectory : public ::testing::TestWithParam<ProcId> {};
+
+TEST_P(WideDirectory, WriteInvalidatesReadersInEverySharerWord) {
+  const ProcId nprocs = GetParam();
+  World w(nprocs);
+  std::vector<ProcId> readers;
+  for (const ProcId p : {0u, 63u, 64u, 65u, 255u}) {
+    if (p < nprocs) readers.push_back(p);
+  }
+  const auto n = static_cast<std::uint64_t>(readers.size());
+
+  // Both lines live on processor 2, which neither reads nor writes them, so
+  // every protocol message crosses the network.
+  constexpr ProcId kHome = 2;
+
+  // A writer that holds no copy invalidates every reader: a request, an
+  // INV and an ACK per reader, and the data.
+  const ProcId writer = 1;
+  const Addr a = w.mem.alloc(kHome, 16);
+  sim::detach(read_each(&w.mem, readers, a));
+  w.eng.run();
+  const auto shared = w.mem.dir_snapshot(line_of(a));
+  EXPECT_EQ(shared.sharers.count(), readers.size());
+  for (const ProcId p : readers) EXPECT_TRUE(shared.sharers.test(p)) << p;
+  std::uint64_t sent = w.net.stats().coherence_messages;
+  sim::detach(do_write(&w.mem, writer, a, 16, nullptr, &w.eng));
+  w.eng.run();
+  EXPECT_EQ(w.mem.stats().invalidations, n);
+  EXPECT_EQ(w.net.stats().coherence_messages - sent, 2 * n + 2);
+  const auto d = w.mem.dir_snapshot(line_of(a));
+  EXPECT_TRUE(d.modified);
+  EXPECT_EQ(d.owner, writer);
+  EXPECT_EQ(d.sharers, SharerSet{}.set(writer));
+  for (const ProcId p : readers) {
+    EXPECT_EQ(w.mem.cache(p).lookup(line_of(a)), LineState::kInvalid) << p;
+  }
+
+  // The highest reader upgrades: every other reader is invalidated, and
+  // the grant is a header.
+  const ProcId upgrader = readers.back();
+  const Addr b = w.mem.alloc(kHome, 16);
+  sim::detach(read_each(&w.mem, readers, b));
+  w.eng.run();
+  sent = w.net.stats().coherence_messages;
+  sim::detach(do_write(&w.mem, upgrader, b, 16, nullptr, &w.eng));
+  w.eng.run();
+  EXPECT_EQ(w.mem.stats().invalidations, n + n - 1);
+  EXPECT_EQ(w.mem.stats().upgrades, 1u);
+  EXPECT_EQ(w.net.stats().coherence_messages - sent, 2 * n);
+  const auto e = w.mem.dir_snapshot(line_of(b));
+  EXPECT_TRUE(e.modified);
+  EXPECT_EQ(e.owner, upgrader);
+  EXPECT_EQ(e.sharers, SharerSet{}.set(upgrader));
+  for (const ProcId p : readers) {
+    EXPECT_EQ(w.mem.cache(p).lookup(line_of(b)),
+              p == upgrader ? LineState::kModified : LineState::kInvalid)
+        << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Procs, WideDirectory,
+                         ::testing::Values(ProcId{64}, ProcId{65},
+                                           ProcId{kMaxProcs}));
 
 // ---------------------------------------------------------------------------
 // LimitLESS limited directories [CKA91]

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "net/constant_net.h"
@@ -75,6 +76,13 @@ TEST_P(WiringWidths, StagesOnlyIncreaseAlongEdges) {
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, WiringWidths,
                          ::testing::Values(2u, 4u, 8u, 16u, 32u));
 
+TEST(BitonicWiring, RejectsAWidthThatIsNotAPowerOfTwoAtLeastTwo) {
+  for (const unsigned width : {0u, 1u, 3u, 6u, 12u, 0x80000001u}) {
+    EXPECT_THROW((void)BitonicWiring::build(width), std::invalid_argument)
+        << width;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Counting semantics under every mechanism
 // ---------------------------------------------------------------------------
@@ -115,6 +123,30 @@ Task<> take_values(World* w, Mechanism mech, ProcId home, unsigned wire,
     co_await w->rt.return_home(ctx, home, 2);
     out->push_back(v);
   }
+}
+
+Task<> take_catching(World* w, Mechanism mech, unsigned wire, bool* threw) {
+  Ctx ctx{&w->rt, w->requester_proc(0)};
+  try {
+    (void)co_await w->cn.get_next(ctx, mech, wire);
+  } catch (const std::out_of_range&) {
+    *threw = true;
+  }
+}
+
+TEST(CountingNetwork, GetNextRejectsAnEntryWireOutsideTheNetwork) {
+  World w(8, 1);
+  for (const Mechanism mech :
+       {Mechanism::kRpc, Mechanism::kMigration, Mechanism::kSharedMemory}) {
+    for (const unsigned wire : {8u, 9u, ~0u}) {
+      bool threw = false;
+      sim::detach(take_catching(&w, mech, wire, &threw));
+      w.eng.run();
+      EXPECT_TRUE(threw) << wire;
+    }
+  }
+  EXPECT_EQ(w.cn.total_exited(), 0);
+  EXPECT_EQ(w.net.stats().messages, 0u);
 }
 
 class Mechanisms : public ::testing::TestWithParam<Mechanism> {};

@@ -276,7 +276,8 @@ TEST(FramePool, WarmCoherentMemoryMakesNoGlobalAllocation) {
 }
 
 // ---------------------------------------------------------------------------
-// Host structures built per object: the FIFO mutex and the B-tree's nodes.
+// Host structures built per object: the FIFO mutex, the B-tree's nodes and
+// the shared-memory directory.
 
 struct HandOff {
   std::array<ProcId, 8> order{};
@@ -331,6 +332,31 @@ TEST(FramePool, BTreeBulkLoadMakesAtMostFiveAllocationsPerNode) {
   EXPECT_EQ(bt.height(), 3u);
   EXPECT_LE(made, 5 * bt.num_nodes())
       << made << " allocations for " << bt.num_nodes() << " nodes";
+}
+
+TEST(FramePool, BTreeSizedDirectoryMakesAtMost250Allocations) {
+  // The shared-memory B-tree's machine, 48 node homes and 16 requesters,
+  // and about 20,000 lines in its blocks: per node, a header line and 101
+  // entries (1,632 bytes), a SeqLock (8) and a SpinLock (4).
+  constexpr ProcId kHomes = 48;
+  constexpr ProcId kProcs = kHomes + 16;
+  constexpr unsigned kNodes = 192;
+  sim::Engine eng;
+  sim::Machine machine(eng, kProcs);
+  net::MeshNetwork mesh(eng, kProcs);
+  const std::size_t allocs0 = allocs();
+  shmem::CoherentMemory mem(machine, mesh);
+  shmem::Addr last = 0;
+  for (unsigned i = 0; i < kNodes; ++i) {
+    const ProcId home = i % kHomes;
+    (void)mem.alloc(home, 16 + 16 * 101);
+    (void)mem.alloc(home, 8);
+    last = mem.alloc(home, 4);
+  }
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_LE(made, 250u) << made << " allocations for " << kNodes * 104
+                        << " lines";
+  EXPECT_EQ(mem.dir_snapshot(shmem::line_of(last)).owner, sim::kNoProc);
 }
 
 // ---------------------------------------------------------------------------
