@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/btree.h"
@@ -211,6 +212,15 @@ class BTreeApp {
 /// to a build without that layer.
 template <class App>
 RunStats run_stack(const typename App::Config& cfg) {
+  if (cfg.scheme.mechanism == Mechanism::kSharedMemory &&
+      cfg.faults.active() && cfg.faults.affect_coherence) {
+    // Coherence messages resume their requesters directly, with nothing to
+    // retransmit or deduplicate them: one drop strands a requester, one
+    // duplicate resumes a frame that has already finished.
+    throw std::invalid_argument(
+        "shared memory cannot run under a fault plan that faults coherence "
+        "traffic (FaultPlan::affect_coherence)");
+  }
   sim::Engine eng;
   const ProcId app_procs = App::procs(cfg);
   const auto nprocs = static_cast<ProcId>(app_procs + cfg.requesters);

@@ -110,7 +110,9 @@ struct StackConfig {
   // Chaos mode: when `faults.active()`, the interconnect is wrapped in a
   // FaultyNetwork and the runtime's reliable transport is enabled. With an
   // inactive plan neither layer is installed, keeping fault-free runs
-  // bit-identical to the pre-fault-injection system.
+  // bit-identical to the pre-fault-injection system. The coherence protocol
+  // has no reliable transport, so shared memory under an active plan that
+  // sets `affect_coherence` throws std::invalid_argument.
   net::FaultPlan faults;
   core::ReliableConfig reliable;
   // Fixed-work mode: > 0 makes each requester perform exactly this many

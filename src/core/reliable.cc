@@ -31,17 +31,6 @@ struct ReliableTransport::SendState {
 sim::Task<bool> ReliableTransport::send(sim::ProcId src, sim::ProcId dst,
                                         unsigned words, unsigned budget,
                                         sim::Cycles deadline) {
-  if (ft_ != nullptr && (ft_->suspected(dst) || ft_->suspected(src))) {
-    // The peer (or our own NIC) is already known dead: fail fast instead of
-    // burning a full timeout ladder on a message that can never be acked.
-    ++stats_->ft_suspect_aborts;
-    ++stats_->delivery_failures;
-    if (sim::Tracer* tr = engine_->tracer()) {
-      tr->record(sim::TraceEvent::kFtAbort, src,
-                 {{"dst", dst}, {"why", 0}});
-    }
-    co_return false;
-  }
   auto st = std::make_shared<SendState>(*engine_);
   st->src = src;
   st->dst = dst;

@@ -68,7 +68,9 @@ class ReliableTransport {
   /// before any copy arrived, in which case a late copy is discarded at the
   /// receiver rather than resuming anything. `deadline` (absolute cycle,
   /// 0 = none) bounds how long an unacked send may keep retrying when a
-  /// FaultTolerance service is installed; it is ignored otherwise.
+  /// FaultTolerance service is installed; it is ignored otherwise. The
+  /// caller refuses a send to an endpoint already suspected (Runtime's
+  /// `Transfer` fails it fast), so every send reaches the wire.
   [[nodiscard]] sim::Task<bool> send(sim::ProcId src, sim::ProcId dst,
                                      unsigned words, unsigned budget = 0,
                                      sim::Cycles deadline = 0);

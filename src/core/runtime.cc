@@ -53,36 +53,43 @@ sim::Machine::Compute Runtime::send_path(ProcId at, unsigned words) {
   return machine_->compute(at, cost_.sender_total(words));
 }
 
-sim::Task<bool> Runtime::transfer_impl(ProcId src, ProcId dst, unsigned words,
-                                       unsigned budget) {
-  const unsigned total = words + cost_.header_words;
-  mutable_stats().breakdown.add(Category::kNetworkTransit,
-                       network_->latency(src, dst, total));
-  if (reliable_ == nullptr) {
-    if (ft_ != nullptr && (ft_->suspected(src) || ft_->suspected(dst))) {
-      // Raw fire-and-forget sends have no timeout to cancel from: a send
-      // touching a suspected NIC would simply never resume its awaiter.
-      // Fail fast instead (the reliable path makes the same call inside
-      // ReliableTransport::send).
-      ++mutable_stats().delivery_failures;
-      ++mutable_stats().ft_suspect_aborts;
-      if (sim::Tracer* tr = tracer()) {
-        tr->record(sim::TraceEvent::kFtAbort, src, {{"dst", dst}, {"why", 0}});
-      }
-      co_return false;
+bool Runtime::Transfer::await_suspend(std::coroutine_handle<> caller) {
+  const unsigned total = words + rt->cost_.header_words;
+  rt->stats_.breakdown.add(Category::kNetworkTransit,
+                           rt->network_->latency(src, dst, total));
+  FaultTolerance* const ft = rt->ft_;
+  if (ft != nullptr && (ft->suspected(src) || ft->suspected(dst))) {
+    // A message touching a suspected NIC can never be delivered or acked:
+    // fail fast instead of sending it. A raw send would never resume its
+    // awaiter, and a reliable one would burn a full timeout ladder.
+    ++rt->stats_.delivery_failures;
+    ++rt->stats_.ft_suspect_aborts;
+    if (sim::Tracer* tr = rt->tracer()) {
+      tr->record(sim::TraceEvent::kFtAbort, src, {{"dst", dst}, {"why", 0}});
     }
-    co_await sim::suspend_to([this, src, dst,
-                              total](std::coroutine_handle<> h) {
-      network_->send(src, dst, total, net::Traffic::kRuntime,
-                     [h] { h.resume(); });
-    });
-    co_return true;
+    return false;
+  }
+  if (rt->reliable_ == nullptr) {
+    delivered = true;
+    rt->network_->send_resume(src, dst, total, net::Traffic::kRuntime,
+                              caller);
+    return true;
   }
   Cycles deadline = 0;
-  if (ft_ != nullptr && ft_->send_deadline() != 0) {
-    deadline = machine_->engine().now() + ft_->send_deadline();
+  if (ft != nullptr && ft->send_deadline() != 0) {
+    deadline = rt->machine_->engine().now() + ft->send_deadline();
   }
-  co_return co_await reliable_->send(src, dst, total, budget, deadline);
+  // A later delivery or timeout event resumes the caller.
+  rt->send_reliably(*this, caller, total, deadline);
+  return true;
+}
+
+sim::Detached Runtime::send_reliably(Transfer& t,
+                                     std::coroutine_handle<> caller,
+                                     unsigned total, Cycles deadline) {
+  t.delivered =
+      co_await reliable_->send(t.src, t.dst, total, t.budget, deadline);
+  caller.resume();
 }
 
 sim::Task<> Runtime::evacuate(Ctx& ctx) {
@@ -144,9 +151,8 @@ sim::Task<> Runtime::migrate_impl(Ctx* top, std::span<Ctx* const> group,
     }
   }
   co_await send_path(from, live_words);
-  const bool moved =
-      co_await transfer_impl(from, dest, live_words,
-                             reliable_ ? reliable_cfg_.move_retry_budget : 0);
+  const bool moved = co_await Transfer{this, from, dest, live_words,
+                                       reliable_cfg_.move_retry_budget};
   if (!moved) {
     // Recovery path: the MOVE exhausted its retry budget, so the activation
     // (and its group) stays where it is and subsequent accesses to the

@@ -27,6 +27,7 @@
 // multi-activation migration move a parent Ctx along (§6 future work).
 #pragma once
 
+#include <coroutine>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -163,13 +164,37 @@ class Runtime {
     return replicated_;
   }
 
-  /// Awaitable runtime message src -> dst carrying `words` payload words
-  /// (header added here); resumes at delivery time. Returns true once
-  /// delivered — always, on this unbounded-retry path; only the bounded
-  /// migration MOVE path can report failure.
-  [[nodiscard]] sim::Task<bool> transfer(ProcId src, ProcId dst,
-                                         unsigned words) {
-    return transfer_impl(src, dst, words, /*budget=*/0);
+  /// The awaiter of one runtime message: `co_await` books its network
+  /// transit, sends it and suspends the caller until it is delivered, then
+  /// yields whether it was. It is a plain struct in the caller's frame, not
+  /// a coroutine. Without a reliable transport the message is a resume
+  /// delivery (`Network::send_resume`), so the caller wakes from one engine
+  /// resume event. With one, a pooled `sim::Detached` coroutine awaits
+  /// `ReliableTransport::send`, writes its result here and resumes the
+  /// caller. A message touching a processor the FaultTolerance service
+  /// suspects yields false at once, without suspending or sending.
+  struct [[nodiscard]] Transfer {
+    Runtime* rt;
+    ProcId src;
+    ProcId dst;
+    unsigned words;   // payload; the header is added on sending
+    unsigned budget;  // reliable send attempts; 0 = retry forever
+    bool delivered = false;
+
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> caller);
+    bool await_resume() const noexcept { return delivered; }
+  };
+  // `co_await rt.transfer(...)` awaits a prvalue: safe from GCC 12.2's
+  // double destruction only while this holds (see `suspend_to`, task.h).
+  static_assert(std::is_trivially_destructible_v<Transfer>);
+
+  /// Awaitable runtime message src -> dst carrying `words` payload words;
+  /// resumes at delivery time. Yields true once delivered: always, unless a
+  /// FaultTolerance service gives up on it. (Only the bounded migration MOVE
+  /// can fail otherwise.)
+  [[nodiscard]] Transfer transfer(ProcId src, ProcId dst, unsigned words) {
+    return Transfer{this, src, dst, words, /*budget=*/0};
   }
 
   /// THE ANNOTATION (paper §3.1): migrate the current activation to `obj`'s
@@ -369,10 +394,10 @@ class Runtime {
   [[nodiscard]] sim::Machine::Compute receive_reply(ProcId at, unsigned words);
   /// Sender-side stub path (linkage + marshal + packet + launch), atomic.
   [[nodiscard]] sim::Machine::Compute send_path(ProcId at, unsigned words);
-  /// Transfer with an attempt budget (0 = unbounded) under the reliable
-  /// transport; raw send when reliability is disabled.
-  [[nodiscard]] sim::Task<bool> transfer_impl(ProcId src, ProcId dst,
-                                              unsigned words, unsigned budget);
+  /// The reliable path of `t`: awaits the transport's send of `total`
+  /// words, stores its result in `t` and resumes `caller`.
+  sim::Detached send_reliably(Transfer& t, std::coroutine_handle<> caller,
+                              unsigned total, Cycles deadline);
   /// The migration protocol: `top` (null for an empty group) runs the stubs
   /// and every context in `group` follows it; a non-empty `group` also tags
   /// kMigrateBegin with its size.

@@ -1,8 +1,5 @@
 #include "net/constant_net.h"
 
-#include "check/checker.h"
-#include "sim/tracer.h"
-
 namespace cm::net {
 
 void ConstantNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
@@ -13,32 +10,27 @@ void ConstantNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     engine_->after(0, std::move(deliver));
     return;
   }
-  record(kind, words);
-  if (sim::Tracer* tr = engine_->tracer()) {
-    const std::uint64_t id = tr->next_msg_id();
-    tr->record(sim::TraceEvent::kMsgSend, src,
-               {{"dst", dst},
-                {"words", words},
-                {"coherence", kind == Traffic::kCoherence},
-                {"msg", id}});
-    deliver = [tr, dst, id, d = std::move(deliver)] {
-      tr->record(sim::TraceEvent::kMsgDeliver, dst, {{"msg", id}});
-      d();
-    };
-  }
-  if (check::Checker* ck = engine_->checker()) {
-    // Every cross-processor delivery is a happens-before edge: the token
-    // snapshots the sender's vector clock now, the wrapper joins it into the
-    // receiver's clock at delivery time. Loopback above is program order.
-    const std::uint64_t hb = ck->on_send(src, dst);
-    deliver = [ck, dst, hb, d = std::move(deliver)] {
-      ck->on_deliver(dst, hb);
-      d();
-    };
-  }
+  depart(*engine_, src, dst, words, kind, deliver);
   // Deliveries are homed at the destination: the receiver's lane labels
   // whatever the delivery schedules.
   engine_->after_on(dst, latency(src, dst, words), std::move(deliver));
+}
+
+void ConstantNetwork::send_resume(sim::ProcId src, sim::ProcId dst,
+                                  unsigned words, Traffic kind,
+                                  std::coroutine_handle<> h) {
+  if (observed(*engine_)) {
+    send(src, dst, words, kind, [h] { h.resume(); });
+    return;
+  }
+  // The events `send` schedules: loopback at now(), homed at the current
+  // home; a wire message at the destination, after its latency.
+  if (src == dst) {
+    engine_->resume_at_on(engine_->current_home(), engine_->now(), h);
+    return;
+  }
+  record(kind, words);
+  engine_->resume_at_on(dst, engine_->now() + latency(src, dst, words), h);
 }
 
 sim::Cycles ConstantNetwork::latency(sim::ProcId src, sim::ProcId dst,

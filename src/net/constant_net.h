@@ -21,6 +21,8 @@ class ConstantNetwork final : public Network {
 
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
             std::function<void()> deliver) override;
+  void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
+                   Traffic kind, std::coroutine_handle<> h) override;
 
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;

@@ -20,11 +20,14 @@ bool FaultyNetwork::nic_dead(sim::ProcId p) const noexcept {
   return it != plan_.nic_fail_at.end() && engine_->now() >= it->second;
 }
 
+bool FaultyNetwork::faultable(sim::ProcId src, sim::ProcId dst,
+                              Traffic kind) const noexcept {
+  return src != dst && (kind == Traffic::kRuntime || plan_.affect_coherence);
+}
+
 void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
                          Traffic kind, std::function<void()> deliver) {
-  const bool faultable =
-      src != dst && (kind == Traffic::kRuntime || plan_.affect_coherence);
-  if (!faultable) {
+  if (!faultable(src, dst, kind)) {
     inner_->send(src, dst, words, kind, std::move(deliver));
     return;
   }
@@ -84,6 +87,16 @@ void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     return;
   }
   inner_->send(src, dst, words, kind, std::move(deliver));
+}
+
+void FaultyNetwork::send_resume(sim::ProcId src, sim::ProcId dst,
+                                unsigned words, Traffic kind,
+                                std::coroutine_handle<> h) {
+  if (!faultable(src, dst, kind)) {
+    inner_->send_resume(src, dst, words, kind, h);
+    return;
+  }
+  send(src, dst, words, kind, [h] { h.resume(); });
 }
 
 const NetStats& FaultyNetwork::stats() const noexcept {

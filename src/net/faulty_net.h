@@ -8,8 +8,11 @@
 // a hardware network with link-level retry, while the software runtime layer
 // must survive an unreliable interconnect via core::ReliableTransport. A
 // duplicated message invokes its `deliver` callback twice — layers above
-// must deduplicate (the reliable transport does); never point raw coroutine
-// resumption at a faulty network.
+// must deduplicate (the reliable transport does). So never point raw
+// coroutine resumption at traffic a plan can fault: `send_resume` wraps such
+// a message in a closure, and its duplicate would resume a frame that has
+// already finished. For that reason the workload harness rejects shared
+// memory under a plan that sets `affect_coherence`.
 //
 // With an inactive plan (all rates zero, no overrides, no NIC failures) the
 // decorator forwards every message untouched and draws no random numbers, so
@@ -75,6 +78,10 @@ class FaultyNetwork final : public Network {
 
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
             std::function<void()> deliver) override;
+  /// A message this plan can never fault goes to the inner network's
+  /// `send_resume` untouched; any other is wrapped in a closure and sent.
+  void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
+                   Traffic kind, std::coroutine_handle<> h) override;
 
   /// Timing queries see the fault-free network: faults change delivery, not
   /// the zero-load latency model.
@@ -90,6 +97,10 @@ class FaultyNetwork final : public Network {
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
  private:
+  /// Whether this plan may perturb the message: loopback never, coherence
+  /// traffic only under `affect_coherence`.
+  [[nodiscard]] bool faultable(sim::ProcId src, sim::ProcId dst,
+                               Traffic kind) const noexcept;
   [[nodiscard]] const FaultRates& rates_for(sim::ProcId src,
                                             sim::ProcId dst) const;
   [[nodiscard]] bool in_window() const noexcept;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-
-#include "check/checker.h"
-#include "sim/tracer.h"
+#include <string>
 
 namespace cm::net {
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg)
-    : engine_(&engine), cfg_(cfg) {
+    : engine_(&engine), cfg_(cfg), nprocs_(nprocs) {
   if (cfg_.width == 0) {
     throw std::invalid_argument("MeshNetwork: width must be > 0");
   }
@@ -63,38 +61,39 @@ sim::Cycles MeshNetwork::route(sim::ProcId src, sim::ProcId dst,
   return head + static_cast<sim::Cycles>(cfg_.per_word) * words;
 }
 
+void MeshNetwork::throw_outside(sim::ProcId src, sim::ProcId dst) const {
+  throw std::out_of_range("MeshNetwork: message " + std::to_string(src) +
+                          " -> " + std::to_string(dst) + " leaves the " +
+                          std::to_string(nprocs_) + "-processor machine");
+}
+
 void MeshNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
                        Traffic kind, std::function<void()> deliver) {
+  check_endpoints(src, dst);
   if (src == dst) {
     // Loopback: local delivery, not network traffic.
     engine_->after(0, std::move(deliver));
     return;
   }
-  record(kind, words);
-  if (sim::Tracer* tr = engine_->tracer()) {
-    const std::uint64_t id = tr->next_msg_id();
-    tr->record(sim::TraceEvent::kMsgSend, src,
-               {{"dst", dst},
-                {"words", words},
-                {"coherence", kind == Traffic::kCoherence},
-                {"msg", id}});
-    deliver = [tr, dst, id, d = std::move(deliver)] {
-      tr->record(sim::TraceEvent::kMsgDeliver, dst, {{"msg", id}});
-      d();
-    };
-  }
-  if (check::Checker* ck = engine_->checker()) {
-    // Same happens-before edge as ConstantNetwork: snapshot the sender's
-    // clock on send, join it into the receiver's on delivery.
-    const std::uint64_t hb = ck->on_send(src, dst);
-    deliver = [ck, dst, hb, d = std::move(deliver)] {
-      ck->on_deliver(dst, hb);
-      d();
-    };
-  }
+  depart(*engine_, src, dst, words, kind, deliver);
   // Home the delivery at the destination, as ConstantNetwork does.
   const sim::Cycles arrive = route(src, dst, words, engine_->now());
   engine_->at_on(dst, arrive, std::move(deliver));
+}
+
+void MeshNetwork::send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
+                              Traffic kind, std::coroutine_handle<> h) {
+  if (observed(*engine_)) {
+    send(src, dst, words, kind, [h] { h.resume(); });
+    return;
+  }
+  check_endpoints(src, dst);
+  if (src == dst) {
+    engine_->resume_at_on(engine_->current_home(), engine_->now(), h);
+    return;
+  }
+  record(kind, words);
+  engine_->resume_at_on(dst, route(src, dst, words, engine_->now()), h);
 }
 
 sim::Cycles MeshNetwork::latency(sim::ProcId src, sim::ProcId dst,

@@ -31,8 +31,12 @@ class MeshNetwork final : public Network {
   /// std::invalid_argument if `cfg.width` is 0.
   MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg = {});
 
+  /// Both delivery kinds throw std::out_of_range when `src` or `dst` is not
+  /// below the machine's processor count.
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
             std::function<void()> deliver) override;
+  void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
+                   Traffic kind, std::coroutine_handle<> h) override;
 
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;
@@ -66,8 +70,17 @@ class MeshNetwork final : public Network {
   sim::Cycles route(sim::ProcId src, sim::ProcId dst, unsigned words,
                     sim::Cycles start);
 
+  /// Throw std::out_of_range unless both endpoints are in the machine.
+  void check_endpoints(sim::ProcId src, sim::ProcId dst) const {
+    if (src >= nprocs_ || dst >= nprocs_) [[unlikely]] {
+      throw_outside(src, dst);
+    }
+  }
+  [[noreturn]] void throw_outside(sim::ProcId src, sim::ProcId dst) const;
+
   sim::Engine* engine_;
   MeshConfig cfg_;
+  unsigned nprocs_;
   unsigned height_;
   std::vector<Link> links_;
 };

@@ -2,11 +2,19 @@
 // migrated activations) and cache-coherence protocol messages travel through
 // the same Network object, so the bandwidth numbers reported for Figure 3 /
 // Tables 2 and 4 account for *all* traffic, exactly as in the paper.
+//
+// A message is delivered in one of two ways. `send` runs a closure at the
+// arrival time. `send_resume` resumes a suspended coroutine instead, as an
+// engine resume event (Engine::resume_at_on): no `std::function`, no arena
+// slot. Both count and time a message alike, and the arrival event has the
+// same cycle, home and label either way.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 
+#include "sim/engine.h"
 #include "sim/types.h"
 
 namespace cm::net {
@@ -61,6 +69,13 @@ class Network {
   virtual void send(sim::ProcId src, sim::ProcId dst, unsigned words,
                     Traffic kind, std::function<void()> deliver) = 0;
 
+  /// `send` for a receiver that is a suspended coroutine: `h` resumes at the
+  /// arrival time, as if `deliver` were `[h] { h.resume(); }`. With a tracer
+  /// or checker installed the message takes that closure path, so the
+  /// observers see every message as before.
+  virtual void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
+                           Traffic kind, std::coroutine_handle<> h) = 0;
+
   /// Pure timing query: cycles a `words`-word message takes src -> dst under
   /// zero load. Used by analytic checks and tests.
   [[nodiscard]] virtual sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
@@ -77,6 +92,19 @@ class Network {
   void record(Traffic kind, unsigned words) noexcept {
     stats_.record(kind, words);
   }
+
+  /// Whether a resume delivery must take the closure path: a tracer or
+  /// checker is installed and hooks every message.
+  [[nodiscard]] static bool observed(const sim::Engine& engine) noexcept {
+    return engine.tracer() != nullptr || engine.checker() != nullptr;
+  }
+
+  /// Count a message that crosses the wire and run the installed observers'
+  /// send hooks. The tracer records the send and the checker snapshots the
+  /// sender's clock; each wraps `deliver` so that its deliver hook runs
+  /// first at arrival. Routing and scheduling stay with the caller.
+  void depart(sim::Engine& engine, sim::ProcId src, sim::ProcId dst,
+              unsigned words, Traffic kind, std::function<void()>& deliver);
 
  private:
   NetStats stats_;

@@ -75,9 +75,14 @@ std::optional<Eviction> Cache::install(Line line, LineState state) {
   }
   const std::uint32_t ways = params_.associativity;
   if (ways_.empty()) {
-    ways_.resize(static_cast<std::size_t>(params_.num_sets()) * ways);
-    for (std::size_t i = 0; i < ways_.size(); ++i) {
-      ways_[i] = static_cast<Way>(i % ways) << kRankShift;
+    // Every way starts invalid, way w of each set ranked w.
+    const std::size_t sets = params_.num_sets();
+    ways_.resize(sets * ways);
+    Way* w = ways_.data();
+    for (std::size_t set = 0; set < sets; ++set) {
+      for (std::uint32_t rank = 0; rank < ways; ++rank) {
+        *w++ = static_cast<Way>(rank) << kRankShift;
+      }
     }
   }
   Way* const set = set_of(line);

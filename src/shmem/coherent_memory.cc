@@ -83,11 +83,12 @@ auto CoherentMemory::transfer(sim::ProcId src, sim::ProcId dst,
                               unsigned words) {
   // Coherence traffic models the lossless hardware fabric: FaultyNetwork
   // never faults Traffic::kCoherence unless a plan opts in with
-  // affect_coherence, and nothing composes that flag with this protocol
-  // (pinned by FaultyNetwork.CoherenceTrafficUntouchedByDefault).
+  // affect_coherence (pinned by
+  // FaultyNetwork.CoherenceTrafficUntouchedByDefault), and the workload
+  // harness rejects shared memory under a plan that does. The delivery is a
+  // resume event: no closure, no arena slot.
   return sim::suspend_to([this, src, dst, words](std::coroutine_handle<> h) {
-    network_->send(src, dst, words, net::Traffic::kCoherence,
-                   [h] { h.resume(); });
+    network_->send_resume(src, dst, words, net::Traffic::kCoherence, h);
   });
 }
 

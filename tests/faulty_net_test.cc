@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <vector>
 
 #include "net/constant_net.h"
 #include "sim/engine.h"
+#include "sim/task.h"
 
 namespace cm::net {
 namespace {
@@ -80,6 +82,52 @@ TEST(FaultyNetwork, CoherenceTrafficUntouchedByDefault) {
   net2.send(0, 1, 4, Traffic::kCoherence, [&] { ++delivered2; });
   w.eng.run();
   EXPECT_EQ(delivered2, 0);
+}
+
+/// A receiver coroutine woken by a resume delivery of one message.
+sim::Detached receive(Network& net, sim::ProcId src, sim::ProcId dst,
+                      Traffic kind, const sim::Engine& eng,
+                      sim::Cycles* arrived) {
+  co_await sim::suspend_to([&net, src, dst, kind](std::coroutine_handle<> h) {
+    net.send_resume(src, dst, 4, kind, h);
+  });
+  *arrived = eng.now();
+}
+
+TEST(FaultyNetwork, CoherenceResumeDeliveryPassesThroughUntouched) {
+  // A plan that would eat every faultable message leaves coherence traffic
+  // alone: the resume delivery reaches the inner network as it is, and
+  // arrives at its zero-load latency, resumed exactly once.
+  World w;
+  FaultPlan plan;
+  plan.rates.drop = 1.0;
+  plan.rates.duplicate = 1.0;
+  FaultyNetwork net(w.eng, w.inner, plan);
+  sim::Cycles arrived = 0;
+  receive(net, 0, 1, Traffic::kCoherence, w.eng, &arrived);
+  w.eng.run();
+  EXPECT_EQ(arrived, w.inner.latency(0, 1, 4));
+  EXPECT_EQ(net.stats().coherence_messages, 1u);
+  EXPECT_EQ(net.stats().faults_dropped, 0u);
+  EXPECT_EQ(net.stats().faults_duplicated, 0u);
+  EXPECT_EQ(w.eng.events_executed(), 1u);
+}
+
+TEST(FaultyNetwork, RuntimeResumeDeliveryIsFaultedLikeASend) {
+  // Runtime traffic a plan can fault takes the closure path through the
+  // fault layer: here it is held back past its zero-load latency.
+  World w;
+  FaultPlan plan;
+  plan.rates.delay = 1.0;
+  plan.max_extra_delay = 100;
+  FaultyNetwork net(w.eng, w.inner, plan);
+  sim::Cycles arrived = 0;
+  receive(net, 0, 1, Traffic::kRuntime, w.eng, &arrived);
+  w.eng.run();
+  EXPECT_GT(arrived, net.latency(0, 1, 4));
+  EXPECT_LE(arrived, net.latency(0, 1, 4) + 100);
+  EXPECT_EQ(net.stats().faults_delayed, 1u);
+  EXPECT_EQ(net.stats().runtime_messages, 1u);
 }
 
 TEST(FaultyNetwork, LoopbackNeverFaulted) {

@@ -36,8 +36,8 @@ FtConfig enabled_cfg() {
 }
 
 // A small machine whose interconnect can fail-stop NICs. Reliability is on
-// (as in every chaos run) so sends to a dead peer retransmit until the
-// detector cancels them instead of silently vanishing.
+// by default (as in every chaos run) so sends to a dead peer retransmit
+// until the detector cancels them instead of silently vanishing.
 struct FtWorld {
   sim::Engine eng;
   sim::Machine machine;
@@ -46,12 +46,12 @@ struct FtWorld {
   core::ObjectSpace objects;
   core::Runtime rt;
 
-  FtWorld(ProcId nprocs, net::FaultPlan plan)
+  FtWorld(ProcId nprocs, net::FaultPlan plan, bool reliable = true)
       : machine(eng, nprocs),
         base(eng),
         net(eng, base, std::move(plan)),
         rt(machine, net, objects, core::CostModel::software()) {
-    rt.enable_reliability();
+    if (reliable) rt.enable_reliability();
   }
 };
 
@@ -187,6 +187,36 @@ TEST(FtLayer, SuspectedPeerAbortsUnboundedSend) {
   EXPECT_FALSE(post_suspicion);
   EXPECT_GE(w.rt.stats().ft_suspect_aborts, 2u);
   EXPECT_GE(w.rt.stats().delivery_failures, 2u);
+}
+
+TEST(FtLayer, TransferToSuspectedPeerFailsWithoutSchedulingAnEvent) {
+  // Once the detector suspects a peer, a transfer to it yields false before
+  // `co_await` returns: it suspends nothing, sends nothing and schedules no
+  // event, on the raw path and the reliable one alike.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "raw");
+    FtWorld w(4, kill_at(2, 1'000), reliable);
+    FtLayer ftl(w.rt, enabled_cfg());
+    ftl.note_plan(w.net.plan());
+    ftl.start();
+    w.eng.run_until(20'000);
+    ftl.stop();
+    w.eng.run();
+    ASSERT_TRUE(ftl.suspected(2));
+
+    const std::size_t executed = w.eng.events_executed();
+    const std::uint64_t messages = w.net.stats().messages;
+    const std::uint64_t aborts = w.rt.stats().ft_suspect_aborts;
+    bool delivered = true;
+    sim::detach(send_from(&w, 0, 2, 4, &delivered));
+    EXPECT_FALSE(delivered);
+    EXPECT_TRUE(w.eng.idle());
+    w.eng.run();
+    EXPECT_EQ(w.eng.events_executed(), executed);
+    EXPECT_EQ(w.net.stats().messages, messages);
+    EXPECT_EQ(w.rt.stats().ft_suspect_aborts, aborts + 1);
+    EXPECT_EQ(w.rt.stats().reliable_sends, 0u);
+  }
 }
 
 TEST(FtLayer, DeadlineExpiryAbortsSendBeforeSuspicion) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "net/constant_net.h"
 #include "net/mesh_net.h"
 #include "sim/engine.h"
+#include "sim/task.h"
 
 namespace cm::net {
 namespace {
@@ -12,6 +16,52 @@ namespace {
 using sim::Cycles;
 using sim::Engine;
 using sim::ProcId;
+
+/// The two ways a network delivers a message: `send` runs a closure,
+/// `send_resume` resumes a suspended coroutine.
+enum class Delivery { kClosure, kResume };
+constexpr Delivery kDeliveries[] = {Delivery::kClosure, Delivery::kResume};
+
+const char* name_of(Delivery how) {
+  return how == Delivery::kClosure ? "closure" : "resume";
+}
+
+/// A receiver coroutine: it suspends until a resume delivery of one message
+/// wakes it, then runs `on_arrival`.
+template <class F>
+sim::Detached receive(Network& net, ProcId src, ProcId dst, unsigned words,
+                      Traffic kind, F on_arrival) {
+  co_await sim::suspend_to(
+      [&net, src, dst, words, kind](std::coroutine_handle<> h) {
+        net.send_resume(src, dst, words, kind, h);
+      });
+  on_arrival();
+}
+
+/// Send one message by `how`; `on_arrival` runs when it is delivered.
+template <class F>
+void send_by(Delivery how, Network& net, ProcId src, ProcId dst,
+             unsigned words, Traffic kind, F on_arrival) {
+  if (how == Delivery::kClosure) {
+    net.send(src, dst, words, kind, on_arrival);
+  } else {
+    receive(net, src, dst, words, kind, on_arrival);
+  }
+}
+
+/// What a test observes of one run: arrival cycles and traffic counters.
+struct Seen {
+  std::vector<Cycles> arrivals;
+  NetStats stats;
+};
+
+void expect_same(const Seen& a, const Seen& b) {
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.stats.messages, b.stats.messages);
+  EXPECT_EQ(a.stats.words, b.stats.words);
+  EXPECT_EQ(a.stats.runtime_messages, b.stats.runtime_messages);
+  EXPECT_EQ(a.stats.coherence_messages, b.stats.coherence_messages);
+}
 
 TEST(ConstantNetwork, LatencyIsLaunchPlusPerWord) {
   Engine eng;
@@ -22,12 +72,21 @@ TEST(ConstantNetwork, LatencyIsLaunchPlusPerWord) {
 }
 
 TEST(ConstantNetwork, DeliversAtLatency) {
-  Engine eng;
-  ConstantNetwork net(eng, {.launch = 9, .per_word = 1});
-  Cycles delivered = 0;
-  net.send(0, 1, 8, Traffic::kRuntime, [&] { delivered = eng.now(); });
-  eng.run();
-  EXPECT_EQ(delivered, 17u);
+  Seen seen[2];
+  for (const Delivery how : kDeliveries) {
+    SCOPED_TRACE(name_of(how));
+    Engine eng;
+    ConstantNetwork net(eng, {.launch = 9, .per_word = 1});
+    Cycles delivered = 0;
+    send_by(how, net, 0, 1, 8, Traffic::kRuntime,
+            [&] { delivered = eng.now(); });
+    eng.run();
+    EXPECT_EQ(delivered, 17u);
+    EXPECT_EQ(net.stats().messages, 1u);
+    EXPECT_EQ(net.stats().runtime_words, 8u);
+    seen[static_cast<int>(how)] = {{delivered}, net.stats()};
+  }
+  expect_same(seen[0], seen[1]);
 }
 
 TEST(ConstantNetwork, CountsMessagesAndWordsByKind) {
@@ -46,15 +105,59 @@ TEST(ConstantNetwork, CountsMessagesAndWordsByKind) {
   EXPECT_EQ(s.coherence_words, 10u);
 }
 
-TEST(ConstantNetwork, LoopbackIsFreeAndUncounted) {
-  Engine eng;
-  ConstantNetwork net(eng);
+/// A loopback message 4 -> 4 sent at cycle 5 by an event homed at
+/// processor 2: delivered at once, in an event homed where the sender's
+/// event was, and never counted as traffic.
+Seen loopback(Delivery how, Engine& eng, Network& net) {
   Cycles delivered = 99;
-  net.send(4, 4, 8, Traffic::kRuntime, [&] { delivered = eng.now(); });
+  ProcId home = 99;
+  eng.at_on(2, 5, [&] {
+    send_by(how, net, 4, 4, 8, Traffic::kRuntime, [&] {
+      delivered = eng.now();
+      home = eng.current_home();
+    });
+  });
   eng.run();
-  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(delivered, 5u);
+  EXPECT_EQ(home, 2u);
   EXPECT_EQ(net.stats().messages, 0u);
   EXPECT_EQ(net.stats().words, 0u);
+  return {{delivered}, net.stats()};
+}
+
+TEST(ConstantNetwork, LoopbackIsFreeAndUncounted) {
+  Seen seen[2];
+  for (const Delivery how : kDeliveries) {
+    SCOPED_TRACE(name_of(how));
+    Engine eng;
+    ConstantNetwork net(eng);
+    seen[static_cast<int>(how)] = loopback(how, eng, net);
+  }
+  expect_same(seen[0], seen[1]);
+}
+
+TEST(ConstantNetwork, ResumeAndClosureDeliveriesInOneCycleRunInLabelOrder) {
+  Engine eng;
+  ConstantNetwork net(eng, {.launch = 9, .per_word = 1});
+  std::vector<int> order;
+  auto arrive = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  // From lane 0, in this order: a plain event, a closure delivery, a resume
+  // delivery and a plain event, all due at cycle 17.
+  eng.at(17, arrive(1));
+  net.send(0, 1, 8, Traffic::kRuntime, arrive(2));
+  receive(net, 0, 1, 8, Traffic::kCoherence, arrive(3));
+  eng.at(17, arrive(4));
+  // Two messages sent at cycle 7, due at 17: first from processor 3's lane
+  // (a resume delivery), then from processor 1's (a closure). Processor 1's
+  // lane is lower, so its delivery runs first, after every lane-0 event.
+  eng.at_on(3, 7, [&] {
+    receive(net, 3, 2, 1, Traffic::kRuntime, arrive(6));
+  });
+  eng.at_on(1, 7, [&] { net.send(1, 2, 1, Traffic::kRuntime, arrive(5)); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(MeshNetwork, HopsAreManhattanDistance) {
@@ -96,26 +199,57 @@ TEST(MeshNetwork, LatencyQueryIsPureUnderLoad) {
 }
 
 TEST(MeshNetwork, DeliveryMatchesLatencyUnderZeroLoad) {
-  Engine eng;
-  MeshNetwork net(eng, 16, {.width = 4});
-  const Cycles expect = net.latency(1, 14, 6);
-  Cycles got = 0;
-  net.send(1, 14, 6, Traffic::kRuntime, [&] { got = eng.now(); });
-  eng.run();
-  EXPECT_EQ(got, expect);
+  Seen seen[2];
+  for (const Delivery how : kDeliveries) {
+    SCOPED_TRACE(name_of(how));
+    Engine eng;
+    MeshNetwork net(eng, 16, {.width = 4});
+    const Cycles expect = net.latency(1, 14, 6);
+    Cycles got = 0;
+    send_by(how, net, 1, 14, 6, Traffic::kCoherence,
+            [&] { got = eng.now(); });
+    eng.run();
+    EXPECT_EQ(got, expect);
+    EXPECT_EQ(net.stats().coherence_messages, 1u);
+    EXPECT_EQ(net.stats().coherence_words, 6u);
+    seen[static_cast<int>(how)] = {{got}, net.stats()};
+  }
+  expect_same(seen[0], seen[1]);
 }
 
 TEST(MeshNetwork, ContentionDelaysSecondMessageOnSharedLink) {
-  Engine eng;
-  MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1};
-  MeshNetwork net(eng, 16, cfg);
-  Cycles first = 0, second = 0;
-  // Both messages cross link (0 -> 1); the second must queue behind the
-  // first's occupancy.
-  net.send(0, 1, 10, Traffic::kRuntime, [&] { first = eng.now(); });
-  net.send(0, 1, 10, Traffic::kRuntime, [&] { second = eng.now(); });
-  eng.run();
-  EXPECT_GT(second, first);
+  Seen seen[2];
+  std::uint64_t link_words[2] = {0, 0};
+  for (const Delivery how : kDeliveries) {
+    SCOPED_TRACE(name_of(how));
+    Engine eng;
+    MeshConfig cfg{.width = 4, .launch = 4, .per_hop = 2, .per_word = 1};
+    MeshNetwork net(eng, 16, cfg);
+    Cycles first = 0, second = 0;
+    // Both messages cross link (0 -> 1); the second must queue behind the
+    // first's occupancy.
+    send_by(how, net, 0, 1, 10, Traffic::kRuntime,
+            [&] { first = eng.now(); });
+    send_by(how, net, 0, 1, 10, Traffic::kRuntime,
+            [&] { second = eng.now(); });
+    eng.run();
+    EXPECT_GT(second, first);
+    seen[static_cast<int>(how)] = {{first, second}, net.stats()};
+    link_words[static_cast<int>(how)] = net.max_link_words();
+  }
+  expect_same(seen[0], seen[1]);
+  EXPECT_EQ(link_words[0], link_words[1]);
+}
+
+TEST(MeshNetwork, LoopbackIsFreeAndUncounted) {
+  Seen seen[2];
+  for (const Delivery how : kDeliveries) {
+    SCOPED_TRACE(name_of(how));
+    Engine eng;
+    MeshNetwork net(eng, 16, {.width = 4});
+    seen[static_cast<int>(how)] = loopback(how, eng, net);
+  }
+  expect_same(seen[0], seen[1]);
 }
 
 TEST(MeshNetwork, DisjointPathsDoNotInterfere) {
@@ -153,6 +287,29 @@ TEST(MeshNetwork, RejectsZeroWidth) {
   Engine eng;
   EXPECT_THROW(MeshNetwork(eng, 16, {.width = 0}), std::invalid_argument);
   EXPECT_THROW(MeshNetwork(eng, 0, {.width = 0}), std::invalid_argument);
+}
+
+TEST(MeshNetwork, RejectsProcessorsOutsideTheMachine) {
+  Engine eng;
+  MeshNetwork net(eng, 4);
+  // Processor 4 and up have no node, on either delivery kind and whichever
+  // endpoint names them; loopback included.
+  const std::coroutine_handle<> never = std::noop_coroutine();
+  const std::pair<ProcId, ProcId> outside[] = {
+      {0, 20}, {20, 0}, {0, 4}, {4, 4}};
+  for (const auto& [src, dst] : outside) {
+    EXPECT_THROW(net.send(src, dst, 2, Traffic::kRuntime, [] {}),
+                 std::out_of_range);
+    EXPECT_THROW(net.send_resume(src, dst, 2, Traffic::kCoherence, never),
+                 std::out_of_range);
+  }
+  EXPECT_EQ(net.stats().messages, 0u);
+  EXPECT_EQ(net.max_link_words(), 0u);
+  EXPECT_TRUE(eng.idle());
+  // The last processor in the machine is fine.
+  net.send(0, 3, 2, Traffic::kRuntime, [] {});
+  eng.run();
+  EXPECT_EQ(net.stats().messages, 1u);
 }
 
 }  // namespace
