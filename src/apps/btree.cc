@@ -20,6 +20,21 @@ namespace {
 unsigned log2probes(std::size_t n) {
   return n == 0 ? 0u : static_cast<unsigned>(std::bit_width(n));
 }
+
+/// Index of the first of the `n` sorted keys at `a` that is >= `key` (`n`
+/// if none), as std::lower_bound finds it. Each step halves the range with
+/// a conditional move instead of a data-dependent branch.
+std::size_t lower_index(const std::uint64_t* a, std::size_t n,
+                        std::uint64_t key) {
+  if (n == 0) return 0;
+  const std::uint64_t* base = a;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < key ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - a) + (*base < key ? 1 : 0);
+}
 }  // namespace
 
 DistributedBTree::DistributedBTree(core::Runtime& rt,
@@ -30,6 +45,10 @@ DistributedBTree::DistributedBTree(core::Runtime& rt,
   }
   if (p_.node_procs == 0) {
     throw std::invalid_argument("DistributedBTree: node_procs must be > 0");
+  }
+  if (!(p_.bulk_fill > 0.0 && p_.bulk_fill <= 1.0)) {  // NaN fails too
+    throw std::invalid_argument(
+        "DistributedBTree: bulk_fill must be in (0, 1]");
   }
   if (mem_ != nullptr) anchor_addr_ = mem_->alloc(0, 8);
   root_ = alloc_node(/*leaf=*/true, /*level=*/0);
@@ -57,31 +76,24 @@ std::uint32_t DistributedBTree::alloc_node(bool leaf, unsigned level) {
       home = static_cast<ProcId>((home + 1) % p_.node_procs);
     }
   }
-  Node n;
-  n.leaf = leaf;
-  n.level = level;
-  n.home = home;
-  n.oid = rt_->objects().create(home);
+  const core::ObjectId oid = rt_->objects().create(home);
+  // A moved node ships its full entry array (3 words per entry + header).
+  Node& n = nodes_.emplace_back(leaf, level, oid, home, *rt_,
+                                2 + 3 * p_.max_entries);
   // Sized once: a node holds at most max_entries + 1 entries, the overflow
   // that makes it split.
   n.maxkey.reserve(p_.max_entries + 1);
   n.payload.reserve(p_.max_entries + 1);
-  n.mutex = std::make_unique<sim::AsyncMutex>();
-  // A moved node ships its full entry array (3 words per entry + header).
-  n.mobile = std::make_unique<core::MobileObject>(
-      *rt_, n.oid, 2 + 3 * p_.max_entries);
   if (mem_ != nullptr) {
-    // header line + (key, payload) pairs, one entry per 16 bytes.
-    n.base = mem_->alloc(home, 16 + 16ull * (p_.max_entries + 1));
-    n.seq = std::make_unique<shmem::SeqLock>(*mem_, home);
-    n.sm_lock = std::make_unique<shmem::SpinLock>(*mem_, home);
+    // header line + (key, payload) pairs, one entry per 16 bytes; then the
+    // SeqLock's word and the SpinLock's.
+    sm_.emplace_back(*mem_, home,
+                     mem_->alloc(home, 16 + 16ull * (p_.max_entries + 1)));
   }
-  nodes_.push_back(std::move(n));
-  Node& placed = nodes_.back();
   // Split-born nodes join the policy's managed set as they appear.
   if (policy_ != nullptr) {
-    policy_->manage(placed.oid, placed.mobile.get(), 2 + 3 * p_.max_entries,
-                    /*replicable=*/!placed.leaf);
+    policy_->manage(n.oid, &n.mobile, 2 + 3 * p_.max_entries,
+                    /*replicable=*/!n.leaf);
   }
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
@@ -91,8 +103,8 @@ void DistributedBTree::set_policy(policy::PolicyEngine* pol) {
   if (pol == nullptr) return;
   // Internal nodes are read-mostly routers and may be flipped into
   // replication mode; leaves take the entry writes and only ever move.
-  for (const Node& n : nodes_) {
-    pol->manage(n.oid, n.mobile.get(), 2 + 3 * p_.max_entries,
+  for (Node& n : nodes_) {
+    pol->manage(n.oid, &n.mobile, 2 + 3 * p_.max_entries,
                 /*replicable=*/!n.leaf);
   }
 }
@@ -109,6 +121,7 @@ void DistributedBTree::bulk_load(const std::vector<std::uint64_t>& keys) {
     throw std::invalid_argument("bulk_load: the maximum key is reserved");
   }
   nodes_.clear();
+  sm_.clear();
 
   const auto per_node = std::max<std::size_t>(
       2, static_cast<std::size_t>(static_cast<double>(p_.max_entries) *
@@ -119,10 +132,10 @@ void DistributedBTree::bulk_load(const std::vector<std::uint64_t>& keys) {
   for (std::size_t i = 0; i < keys.size() || level_nodes.empty();) {
     const std::uint32_t id = alloc_node(true, 0);
     Node& n = nodes_[id];
-    for (std::size_t j = 0; j < per_node && i < keys.size(); ++j, ++i) {
-      n.maxkey.push_back(keys[i]);
-      n.payload.push_back(keys[i]);  // value := key for bulk-loaded data
-    }
+    const std::size_t end = std::min(keys.size(), i + per_node);
+    n.maxkey.assign(keys.data() + i, keys.data() + end);
+    n.payload.assign(keys.data() + i, keys.data() + end);  // value := key
+    i = end;
     n.high_key = n.maxkey.empty() ? kMaxKey : n.maxkey.back();
     level_nodes.push_back(id);
     if (keys.empty()) break;
@@ -175,13 +188,11 @@ DistributedBTree::Step DistributedBTree::search_step(
   if (key > n.high_key && n.right != kNone) {
     return Step{Step::Kind::kLateral, n.right, false, 0};
   }
-  const auto it = std::lower_bound(n.maxkey.begin(), n.maxkey.end(), key);
+  std::size_t idx = lower_index(n.maxkey.data(), n.maxkey.size(), key);
   if (n.leaf) {
-    const bool found = it != n.maxkey.end() && *it == key;
-    const auto idx = static_cast<std::size_t>(it - n.maxkey.begin());
+    const bool found = idx != n.maxkey.size() && n.maxkey[idx] == key;
     return Step{Step::Kind::kLeaf, kNone, found, found ? n.payload[idx] : 0};
   }
-  auto idx = static_cast<std::size_t>(it - n.maxkey.begin());
   if (idx == n.maxkey.size()) idx = n.maxkey.size() - 1;  // high_key == MAX
   return Step{Step::Kind::kDescend,
               static_cast<std::uint32_t>(n.payload[idx]), false, 0};
@@ -189,6 +200,29 @@ DistributedBTree::Step DistributedBTree::search_step(
 
 unsigned DistributedBTree::probes(const Node& n) const {
   return log2probes(n.maxkey.size());
+}
+
+sim::Cycles DistributedBTree::search_cycles(const Node& n) const {
+  // Search work scales with the node: the binary-search probes plus the
+  // dense scan/compare over the located region. For the paper's 100-entry
+  // nodes this dominates ("activations accessing smaller nodes require less
+  // time to service", §4.2).
+  return p_.search_base + p_.search_per_probe * probes(n) +
+         p_.search_per_entry * static_cast<sim::Cycles>(n.maxkey.size());
+}
+
+sim::Cycles DistributedBTree::modify_cycles(const Node& n, bool split) const {
+  // Shifting the entry array costs work proportional to the node size.
+  return p_.modify_work +
+         p_.modify_per_entry * static_cast<sim::Cycles>(n.maxkey.size()) +
+         (split ? p_.split_work : 0);
+}
+
+void DistributedBTree::require_memory(Mechanism mech) const {
+  if (mech == Mechanism::kSharedMemory && mem_ == nullptr) {
+    throw std::invalid_argument(
+        "DistributedBTree: shared memory needs a CoherentMemory");
+  }
 }
 
 bool DistributedBTree::apply_entry_insert(Node& n, std::uint64_t key,
@@ -219,7 +253,6 @@ bool DistributedBTree::apply_entry_remove(Node& n, std::uint64_t key) {
 }
 
 std::uint32_t DistributedBTree::apply_split(std::uint32_t nid) {
-  // Note: alloc_node may reallocate bookkeeping, so take references after.
   const std::uint32_t sid = alloc_node(nodes_[nid].leaf, nodes_[nid].level);
   Node& n = nodes_[nid];
   Node& s = nodes_[sid];
@@ -258,27 +291,17 @@ void DistributedBTree::apply_parent_update(Node& parent,
 // Simulation adapters
 // ---------------------------------------------------------------------------
 
-sim::Task<> DistributedBTree::charge_search(Ctx& ctx, Mechanism mech,
-                                            std::uint32_t nid,
-                                            bool optimistic) {
-  Node& n = nodes_[nid];
+sim::Task<> DistributedBTree::charge_search_sm(Ctx& ctx, std::uint32_t nid,
+                                               bool optimistic) {
+  const Node& n = nodes_[nid];
+  SmNode& sm = sm_[nid];
   const unsigned np = probes(n);
-  // Search work scales with the node: the binary-search probes plus the
-  // dense scan/compare over the located region. For the paper's 100-entry
-  // nodes this dominates ("activations accessing smaller nodes require less
-  // time to service", §4.2).
-  const sim::Cycles search_cycles =
-      p_.search_base + p_.search_per_probe * np +
-      p_.search_per_entry * static_cast<sim::Cycles>(n.maxkey.size());
-  if (mech != Mechanism::kSharedMemory) {
-    co_await rt_->compute(ctx, search_cycles);
-    co_return;
-  }
-  // Shared memory: the requester reads the node's lines coherently. The
-  // search touches the header plus a dense slice of the entry array — a
-  // binary search's probes plus the final scan/copy region; for the
-  // 100-entry nodes of §4.2 this is a substantial fraction of the node,
-  // which is why the paper's SM caches hit so rarely on leaf data.
+  const sim::Cycles cycles = search_cycles(n);
+  // The requester reads the node's lines coherently. The search touches
+  // the header plus a dense slice of the entry array — a binary search's
+  // probes plus the final scan/copy region; for the 100-entry nodes of
+  // §4.2 this is a substantial fraction of the node, which is why the
+  // paper's SM caches hit so rarely on leaf data.
   const ProcId p = ctx.proc;
   for (;;) {
     std::uint64_t v = 0;
@@ -288,47 +311,42 @@ sim::Task<> DistributedBTree::charge_search(Ctx& ctx, Mechanism mech,
       // ping-pongs among all requesters -- the "data contention" the paper
       // describes at the root. Consistency of the snapshot itself is
       // enforced by the version check below.
-      co_await mem_->write(p, n.sm_lock->addr(), 4);
-      v = co_await n.seq->begin_read(p);
+      co_await mem_->write(p, sm.lock.addr(), 4);
+      v = co_await sm.seq.begin_read(p);
     }
-    co_await mem_->read(p, n.base, 16);  // header
+    co_await mem_->read(p, sm.base, 16);  // header
     const auto entries = static_cast<unsigned>(n.maxkey.size());
     const unsigned nreads = std::max({1u, np, entries / 3});
     const std::uint64_t entry_bytes = 16ull * (p_.max_entries + 1);
     const std::uint64_t stride = std::max<std::uint64_t>(16, entry_bytes / nreads);
     for (unsigned i = 0; i < nreads; ++i) {
-      co_await mem_->read(p, n.base + 16 + i * stride, 8);
+      co_await mem_->read(p, sm.base + 16 + i * stride, 8);
     }
-    co_await rt_->compute(ctx, search_cycles);
+    co_await rt_->compute(ctx, cycles);
     if (!optimistic) co_return;
-    co_await mem_->write(p, n.sm_lock->addr(), 4);  // release the read lock
-    if (co_await n.seq->validate(p, v)) co_return;
+    co_await mem_->write(p, sm.lock.addr(), 4);  // release the read lock
+    if (co_await sm.seq.validate(p, v)) co_return;
     // Torn read: a writer intervened; retry (charges again, as real
     // optimistic readers do).
   }
 }
 
-sim::Task<> DistributedBTree::charge_modify(Ctx& ctx, Mechanism mech,
-                                            std::uint32_t nid, bool split) {
-  Node& n = nodes_[nid];
-  // Shifting the entry array costs work proportional to the node size.
-  co_await rt_->compute(
-      ctx, p_.modify_work +
-               p_.modify_per_entry * static_cast<sim::Cycles>(n.maxkey.size()) +
-               (split ? p_.split_work : 0));
-  if (mech != Mechanism::kSharedMemory) co_return;
+sim::Task<> DistributedBTree::charge_modify_sm(Ctx& ctx, std::uint32_t nid,
+                                               bool split) {
+  const Node& n = nodes_[nid];
+  const shmem::Addr base = sm_[nid].base;
   const ProcId p = ctx.proc;
   // Entry insertion dirties the header plus the shifted tail of the entry
   // array (half the entries on average); a split additionally writes the
   // new sibling's half of the node.
-  co_await mem_->write(p, n.base, 16);
+  co_await mem_->write(p, base, 16);
   const auto entries = static_cast<unsigned>(n.maxkey.size());
   const unsigned shifted = std::max(2u, entries / 4);
-  co_await mem_->write(p, n.base + 16, shifted * 16);
+  co_await mem_->write(p, base + 16, shifted * 16);
   if (split) {
     const Node& s = nodes_[n.right];  // freshly created sibling
     const std::uint64_t bytes = 16 + 16ull * s.maxkey.size();
-    co_await mem_->write(p, s.base, static_cast<unsigned>(bytes));
+    co_await mem_->write(p, sm_[n.right].base, static_cast<unsigned>(bytes));
   }
 }
 
@@ -340,7 +358,7 @@ sim::Task<DistributedBTree::Step> DistributedBTree::visit_node(
                {{"node", nid}, {"level", nodes_[nid].level}});
   }
   if (mech == Mechanism::kSharedMemory) {
-    co_await charge_search(ctx, mech, nid, /*optimistic=*/true);
+    co_await charge_search_sm(ctx, nid, /*optimistic=*/true);
     co_return search_step(nodes_[nid], key);
   }
   if (policy_ != nullptr) {
@@ -350,30 +368,29 @@ sim::Task<DistributedBTree::Step> DistributedBTree::visit_node(
     if (core::Replicated* pr = policy_->replica_of(nodes_[nid].oid)) {
       co_await pr->ensure(ctx);
       const Node& n = nodes_[nid];
-      co_await rt_->compute(
-          ctx, p_.search_base + p_.search_per_probe * probes(n) +
-                   p_.search_per_entry * static_cast<sim::Cycles>(n.maxkey.size()));
+      co_await rt_->compute(ctx, search_cycles(n));
       policy_->on_access(n.oid, requester, /*write=*/false);
       co_return search_step(n, key);
     }
   }
   if (core::moves_to_data(mech)) {
     // <<< the annotation: move this activation to the node >>>
-    co_await core::approach(ctx, mech, *nodes_[nid].mobile,
-                            p_.frame_words, p_.thread_state_words);
+    co_await core::approach(ctx, mech, nodes_[nid].mobile, p_.frame_words,
+                            p_.thread_state_words);
   }
   const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
                             /*short_method=*/false};
   co_return co_await rt_->call(
       ctx, nodes_[nid].oid, opts,
-      [this, mech, nid, key, requester](Ctx& callee) -> Task<Step> {
+      [this, nid, key, requester](Ctx& callee) -> Task<Step> {
+        const Node& n = nodes_[nid];
         if (policy_ != nullptr) {
           // The body runs at the node's home; the requester captured at
           // procedure entry is the profile's accessor.
-          policy_->on_access(nodes_[nid].oid, requester, /*write=*/false);
+          policy_->on_access(n.oid, requester, /*write=*/false);
         }
-        co_await charge_search(callee, mech, nid, false);
-        co_return search_step(nodes_[nid], key);
+        co_await rt_->compute(callee, search_cycles(n));
+        co_return search_step(n, key);
       });
 }
 
@@ -384,19 +401,17 @@ sim::Task<DistributedBTree::Step> DistributedBTree::visit_root_replicated(
   // is safe because B-link descents tolerate stale routing (lateral moves
   // recover).
   co_await repl_->ensure(ctx);
-  const std::uint32_t r = root_;
-  co_await rt_->compute(
-      ctx, p_.search_base + p_.search_per_probe * probes(nodes_[r]) +
-               p_.search_per_entry *
-                   static_cast<sim::Cycles>(nodes_[r].maxkey.size()));
-  co_return search_step(nodes_[r], key);
+  const Node& r = nodes_[root_];
+  co_await rt_->compute(ctx, search_cycles(r));
+  co_return search_step(r, key);
 }
 
 sim::Task<bool> DistributedBTree::lookup(Ctx& ctx, Mechanism mech,
                                          std::uint64_t key,
                                          std::uint64_t* value_out) {
+  require_memory(mech);
   const ProcId origin = ctx.proc;
-  if (mech == Mechanism::kSharedMemory && mem_ != nullptr) {
+  if (mech == Mechanism::kSharedMemory) {
     co_await mem_->read(ctx.proc, anchor_addr_, 8);  // root pointer
   }
   std::uint32_t cur = root_;
@@ -425,18 +440,18 @@ sim::Task<bool> DistributedBTree::lookup(Ctx& ctx, Mechanism mech,
 sim::Task<> DistributedBTree::lock_node(Ctx& ctx, Mechanism mech,
                                         std::uint32_t nid) {
   if (mech == Mechanism::kSharedMemory) {
-    co_await nodes_[nid].sm_lock->acquire(ctx.proc);
+    co_await sm_[nid].lock.acquire(ctx.proc);
   } else {
-    co_await nodes_[nid].mutex->lock();
+    co_await nodes_[nid].mutex.lock();
   }
 }
 
 sim::Task<> DistributedBTree::unlock_node(Ctx& ctx, Mechanism mech,
                                           std::uint32_t nid) {
   if (mech == Mechanism::kSharedMemory) {
-    co_await nodes_[nid].sm_lock->release(ctx.proc);
+    co_await sm_[nid].lock.release(ctx.proc);
   } else {
-    nodes_[nid].mutex->unlock();
+    nodes_[nid].mutex.unlock();
   }
 }
 
@@ -446,8 +461,8 @@ sim::Task<DistributedBTree::InsertOutcome> DistributedBTree::insert_into_leaf(
   const ProcId requester = ctx.proc;
   for (;;) {
     if (core::moves_to_data(mech)) {
-      co_await core::approach(ctx, mech, *nodes_[leaf].mobile,
-                              p_.frame_words, p_.thread_state_words);
+      co_await core::approach(ctx, mech, nodes_[leaf].mobile, p_.frame_words,
+                              p_.thread_state_words);
     }
     // Under RPC/CM the locked section below runs as a method at the leaf's
     // home; under SM it runs at the requester against coherent memory. The
@@ -471,25 +486,29 @@ sim::Task<DistributedBTree::InsertOutcome> DistributedBTree::insert_into_leaf(
         policy_->on_access(n.oid, requester, /*write=*/true);
         co_await policy_->write_barrier(at, n.oid);
       }
-      co_await charge_search(at, mech, leaf, /*optimistic=*/false);
+      if (mech == Mechanism::kSharedMemory) {
+        co_await charge_search_sm(at, leaf, /*optimistic=*/false);
+      } else {
+        co_await rt_->compute(at, search_cycles(n));
+      }
       if (repl_ != nullptr && leaf == root_) {
         co_await repl_->invalidate_all(at);
       }
-      if (n.seq != nullptr && mech == Mechanism::kSharedMemory) {
-        co_await n.seq->begin_write(at.proc);
+      if (mech == Mechanism::kSharedMemory) {
+        co_await sm_[leaf].seq.begin_write(at.proc);
       }
       InsertOutcome out;
       out.inserted = apply_entry_insert(n, key, value);
       const bool overflow = n.maxkey.size() > p_.max_entries;
       if (overflow) {
         const std::uint32_t sid = apply_split(leaf);
-        Node& left = nodes_[leaf];
-        out.split = SplitInfo{leaf, sid, left.high_key,
-                              nodes_[sid].high_key, left.level};
+        out.split = SplitInfo{leaf, sid, n.high_key, nodes_[sid].high_key,
+                              n.level};
       }
-      co_await charge_modify(at, mech, leaf, overflow);
-      if (nodes_[leaf].seq != nullptr && mech == Mechanism::kSharedMemory) {
-        co_await nodes_[leaf].seq->end_write(at.proc);
+      co_await rt_->compute(at, modify_cycles(n, overflow));
+      if (mech == Mechanism::kSharedMemory) {
+        co_await charge_modify_sm(at, leaf, overflow);
+        co_await sm_[leaf].seq.end_write(at.proc);
       }
       // A split keeps the left node locked until its separator is installed
       // in the parent (prevents racing double-splits from confusing the
@@ -515,21 +534,19 @@ sim::Task<DistributedBTree::InsertOutcome> DistributedBTree::insert_into_leaf(
 }
 
 sim::Task<> DistributedBTree::install_split(Ctx& ctx, Mechanism mech,
-                                            std::vector<std::uint32_t> stack,
-                                            SplitInfo info) {
+                                            Path path, SplitInfo info) {
   const ProcId requester = ctx.proc;
   for (;;) {
-    if (stack.empty()) {
+    if (path.empty()) {
       co_await split_root(ctx, mech, info);
       co_return;
     }
-    std::uint32_t parent = stack.back();
-    stack.pop_back();
+    std::uint32_t parent = path.pop();
 
     std::optional<SplitInfo> cascade;
     for (;;) {  // lateral loop at the parent level
       if (core::moves_to_data(mech)) {
-        co_await core::approach(ctx, mech, *nodes_[parent].mobile,
+        co_await core::approach(ctx, mech, nodes_[parent].mobile,
                                 p_.frame_words, p_.thread_state_words);
       }
       struct Attempt {
@@ -550,26 +567,29 @@ sim::Task<> DistributedBTree::install_split(Ctx& ctx, Mechanism mech,
           policy_->on_access(n.oid, requester, /*write=*/true);
           co_await policy_->write_barrier(at, n.oid);
         }
-        co_await charge_search(at, mech, parent, /*optimistic=*/false);
+        if (mech == Mechanism::kSharedMemory) {
+          co_await charge_search_sm(at, parent, /*optimistic=*/false);
+        } else {
+          co_await rt_->compute(at, search_cycles(n));
+        }
         if (repl_ != nullptr && parent == root_) {
           co_await repl_->invalidate_all(at);
         }
-        if (n.seq != nullptr && mech == Mechanism::kSharedMemory) {
-          co_await n.seq->begin_write(at.proc);
+        if (mech == Mechanism::kSharedMemory) {
+          co_await sm_[parent].seq.begin_write(at.proc);
         }
         apply_parent_update(n, info);
         Attempt a{};
         const bool overflow = n.maxkey.size() > p_.max_entries;
         if (overflow) {
           const std::uint32_t sid = apply_split(parent);
-          Node& left = nodes_[parent];
-          a.cascade = SplitInfo{parent, sid, left.high_key,
-                                nodes_[sid].high_key, left.level};
+          a.cascade = SplitInfo{parent, sid, n.high_key, nodes_[sid].high_key,
+                                n.level};
         }
-        co_await charge_modify(at, mech, parent, overflow);
-        if (nodes_[parent].seq != nullptr &&
-            mech == Mechanism::kSharedMemory) {
-          co_await nodes_[parent].seq->end_write(at.proc);
+        co_await rt_->compute(at, modify_cycles(n, overflow));
+        if (mech == Mechanism::kSharedMemory) {
+          co_await charge_modify_sm(at, parent, overflow);
+          co_await sm_[parent].seq.end_write(at.proc);
         }
         // The child's separator is installed: release the child.
         co_await unlock_node(at, mech, info.left);
@@ -605,7 +625,7 @@ sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
     // Someone grew the tree above us since the descent began: find the
     // parent one level above the split and fall back to the normal path.
     tree_lock_.unlock();
-    std::vector<std::uint32_t> stack;
+    Path path;
     std::uint32_t cur = root_;
     while (nodes_[cur].level > info.level + 1) {
       const Step s = search_step(nodes_[cur], info.left_max);
@@ -613,11 +633,11 @@ sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
         cur = s.next;
         continue;
       }
-      stack.push_back(cur);
+      path.push(cur);
       cur = s.next;
     }
-    stack.push_back(cur);
-    co_await install_split(ctx, mech, std::move(stack), info);
+    path.push(cur);
+    co_await install_split(ctx, mech, std::move(path), info);
     co_return;
   }
 
@@ -629,8 +649,8 @@ sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
   r.payload = {info.left, info.right};
   r.high_key = kMaxKey;
   co_await rt_->compute(ctx, p_.modify_work + p_.split_work);
-  if (mech == Mechanism::kSharedMemory && mem_ != nullptr) {
-    co_await mem_->write(ctx.proc, r.base, 48);
+  if (mech == Mechanism::kSharedMemory) {
+    co_await mem_->write(ctx.proc, sm_[nr].base, 48);
     co_await mem_->write(ctx.proc, anchor_addr_, 8);  // publish new root
   }
   root_ = nr;
@@ -642,17 +662,19 @@ sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
 sim::Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
                                          std::uint64_t key,
                                          std::uint64_t value) {
-  assert(key != kMaxKey && "the maximum key is reserved as a sentinel");
+  if (key == kMaxKey) {
+    throw std::invalid_argument("insert: the maximum key is reserved");
+  }
+  require_memory(mech);
   const ProcId origin = ctx.proc;
-  if (mech == Mechanism::kSharedMemory && mem_ != nullptr) {
+  if (mech == Mechanism::kSharedMemory) {
     co_await mem_->read(ctx.proc, anchor_addr_, 8);
   }
   // Updates route through the primary root: multi-version-memory replicas
   // serve reads, while writers descend via the authoritative copy (which is
   // also what keeps replica invalidation on the writer's path).
   const bool use_repl = false;
-  std::vector<std::uint32_t> stack;
-  stack.reserve(8);  // one allocation per insert: these trees are 2-4 deep
+  Path path;
   std::uint32_t cur = root_;
   while (!nodes_[cur].leaf) {
     Step s{};
@@ -662,7 +684,7 @@ sim::Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
       s = co_await visit_node(ctx, mech, cur, key);
     }
     if (s.kind == Step::Kind::kDescend) {
-      stack.push_back(cur);
+      path.push(cur);
       cur = s.next;
     } else if (s.kind == Step::Kind::kLateral) {
       cur = s.next;
@@ -674,7 +696,7 @@ sim::Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
   const InsertOutcome out = co_await insert_into_leaf(ctx, mech, cur, key,
                                                       value);
   if (out.split.has_value()) {
-    co_await install_split(ctx, mech, std::move(stack), *out.split);
+    co_await install_split(ctx, mech, std::move(path), *out.split);
   }
   co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
   co_return out.inserted;
@@ -682,8 +704,9 @@ sim::Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
 
 sim::Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
                                          std::uint64_t key) {
+  require_memory(mech);
   const ProcId origin = ctx.proc;
-  if (mech == Mechanism::kSharedMemory && mem_ != nullptr) {
+  if (mech == Mechanism::kSharedMemory) {
     co_await mem_->read(ctx.proc, anchor_addr_, 8);
   }
   std::uint32_t cur = root_;
@@ -695,8 +718,8 @@ sim::Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
   bool removed = false;
   for (;;) {  // lateral loop at the leaf level
     if (core::moves_to_data(mech)) {
-      co_await core::approach(ctx, mech, *nodes_[cur].mobile,
-                              p_.frame_words, p_.thread_state_words);
+      co_await core::approach(ctx, mech, nodes_[cur].mobile, p_.frame_words,
+                              p_.thread_state_words);
     }
     struct Attempt {
       bool lateral = false;
@@ -715,17 +738,22 @@ sim::Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
         policy_->on_access(n.oid, origin, /*write=*/true);
         co_await policy_->write_barrier(at, n.oid);
       }
-      co_await charge_search(at, mech, cur, /*optimistic=*/false);
+      if (mech == Mechanism::kSharedMemory) {
+        co_await charge_search_sm(at, cur, /*optimistic=*/false);
+      } else {
+        co_await rt_->compute(at, search_cycles(n));
+      }
       if (repl_ != nullptr && cur == root_) {
         co_await repl_->invalidate_all(at);
       }
-      if (n.seq != nullptr && mech == Mechanism::kSharedMemory) {
-        co_await n.seq->begin_write(at.proc);
+      if (mech == Mechanism::kSharedMemory) {
+        co_await sm_[cur].seq.begin_write(at.proc);
       }
       const bool did = apply_entry_remove(n, key);
-      co_await charge_modify(at, mech, cur, /*split=*/false);
-      if (n.seq != nullptr && mech == Mechanism::kSharedMemory) {
-        co_await n.seq->end_write(at.proc);
+      co_await rt_->compute(at, modify_cycles(n, /*split=*/false));
+      if (mech == Mechanism::kSharedMemory) {
+        co_await charge_modify_sm(at, cur, /*split=*/false);
+        co_await sm_[cur].seq.end_write(at.proc);
       }
       co_await unlock_node(at, mech, cur);
       co_return Attempt{false, kNone, did};
@@ -824,11 +852,16 @@ bool DistributedBTree::check_invariants(std::string* why) const {
     if (n.maxkey.size() > p_.max_entries + 1) {
       return fail("node over capacity at " + std::to_string(i));
     }
-    if (!std::is_sorted(n.maxkey.begin(), n.maxkey.end())) {
-      return fail("unsorted node " + std::to_string(i));
+    // One pass checks that the keys strictly increase. A descent anywhere
+    // in the node is reported before an equal pair anywhere in it.
+    bool duplicate = false;
+    for (std::size_t j = 1; j < n.maxkey.size(); ++j) {
+      if (n.maxkey[j] < n.maxkey[j - 1]) {
+        return fail("unsorted node " + std::to_string(i));
+      }
+      duplicate |= n.maxkey[j] == n.maxkey[j - 1];
     }
-    if (std::adjacent_find(n.maxkey.begin(), n.maxkey.end()) !=
-        n.maxkey.end()) {
+    if (duplicate) {
       return fail("duplicate bound in node " + std::to_string(i));
     }
     if (!n.maxkey.empty() && n.maxkey.back() > n.high_key) {
@@ -839,6 +872,9 @@ bool DistributedBTree::check_invariants(std::string* why) const {
     }
   }
   // Reachability, uniform depth, global ordering via each level's chain.
+  // Keys strictly increase within each node (above), so a level is in
+  // order when each non-empty node's first key exceeds the last key before
+  // it on the level.
   std::uint32_t level_head = root_;
   unsigned expect_level = nodes_[root_].level;
   while (true) {
@@ -847,9 +883,12 @@ bool DistributedBTree::check_invariants(std::string* why) const {
     std::uint32_t last = kNone;
     for (std::uint32_t n = level_head; n != kNone; n = nodes_[n].right) {
       if (nodes_[n].level != expect_level) return fail("ragged level");
-      for (const std::uint64_t k : nodes_[n].maxkey) {
-        if (!first && k <= prev) return fail("cross-node order violation");
-        prev = k;
+      const std::vector<std::uint64_t>& keys = nodes_[n].maxkey;
+      if (!keys.empty()) {
+        if (!first && keys.front() <= prev) {
+          return fail("cross-node order violation");
+        }
+        prev = keys.back();
         first = false;
       }
       if (nodes_[n].right != kNone &&

@@ -23,6 +23,7 @@
 //    node's coherence-level spin lock.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -71,7 +72,9 @@ class DistributedBTree {
     unsigned rpc_ret_words = 12;
   };
 
-  /// Throws std::invalid_argument if `max_entries` or `node_procs` is 0.
+  /// Throws std::invalid_argument if `max_entries` or `node_procs` is 0,
+  /// or if `bulk_fill` is not in (0, 1]. `mem` may be null when no
+  /// operation runs under shared memory.
   DistributedBTree(core::Runtime& rt, shmem::CoherentMemory* mem, Params p);
 
   /// Build the initial tree from sorted unique keys (host-level, free):
@@ -80,6 +83,9 @@ class DistributedBTree {
   /// fresh and the keys strictly increase without the reserved key ~0.
   void bulk_load(const std::vector<std::uint64_t>& keys);
 
+  /// The operations throw std::invalid_argument to their awaiter, before
+  /// any simulated step, if `mech` is shared memory and the tree was built
+  /// without a CoherentMemory; `insert` also if `key` is the reserved ~0.
   [[nodiscard]] sim::Task<bool> lookup(core::Ctx& ctx, core::Mechanism mech,
                                        std::uint64_t key,
                                        std::uint64_t* value_out = nullptr);
@@ -107,7 +113,8 @@ class DistributedBTree {
   /// never change application-level results.
   [[nodiscard]] std::uint64_t digest_host() const;
   /// Structural invariants: sortedness, entry bounds, high keys, right
-  /// links, uniform leaf depth. Returns true if all hold.
+  /// links, uniform leaf depth. Returns true if all hold; otherwise stores
+  /// the first violation found in `why`.
   [[nodiscard]] bool check_invariants(std::string* why = nullptr) const;
   [[nodiscard]] core::Replicated* root_replica() { return repl_.get(); }
 
@@ -118,26 +125,74 @@ class DistributedBTree {
   void set_policy(policy::PolicyEngine* pol);
 
  private:
+  friend class BTreeTestPeer;  // corrupts trees for check_invariants' tests
+
   static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
   static constexpr std::uint64_t kMaxKey = ~0ull;
 
+  // Host representation: nodes are built in place in a std::deque, which
+  // never moves an element, so a reference to a node stays valid across
+  // co_await while other operations allocate nodes. A node's shared-memory
+  // state lives beside it, at the same index, and only in a tree with a
+  // CoherentMemory: message-passing trees carry none of it.
   struct Node {
-    bool leaf = true;
-    unsigned level = 0;  // 0 = leaf
+    Node(bool is_leaf, unsigned lvl, core::ObjectId id, sim::ProcId at,
+         core::Runtime& rt, unsigned mobile_words)
+        : leaf(is_leaf), level(lvl), oid(id), home(at),
+          mobile(rt, id, mobile_words) {}
+
+    bool leaf;
+    unsigned level;                      // 0 = leaf
     std::vector<std::uint64_t> maxkey;   // sorted entry bounds
     std::vector<std::uint64_t> payload;  // child node id or value
     std::uint64_t high_key = kMaxKey;    // covers keys <= high_key
     std::uint32_t right = kNone;         // right sibling
 
     // runtime bindings
-    core::ObjectId oid = 0;
-    sim::ProcId home = 0;
-    std::unique_ptr<sim::AsyncMutex> mutex;  // RPC/CM insert lock
-    std::unique_ptr<core::MobileObject> mobile;  // Emerald-style mobility
-    // shared-memory bindings (null when SM unused)
-    shmem::Addr base = 0;
-    std::unique_ptr<shmem::SeqLock> seq;
-    std::unique_ptr<shmem::SpinLock> sm_lock;
+    core::ObjectId oid;
+    sim::ProcId home;
+    sim::AsyncMutex mutex;      // RPC/CM insert lock
+    core::MobileObject mobile;  // Emerald-style mobility
+  };
+
+  /// A node's shared-memory bindings: its entry block and its two locks.
+  struct SmNode {
+    SmNode(shmem::CoherentMemory& mem, sim::ProcId home, shmem::Addr at)
+        : base(at), seq(mem, home), lock(mem, home) {}
+
+    shmem::Addr base;  // header line, then the entries
+    shmem::SeqLock seq;
+    shmem::SpinLock lock;
+  };
+
+  /// The internal nodes an insert descended through, root first. Inline up
+  /// to kInline of them, so that an insert into a tree of up to kInline + 1
+  /// levels allocates nothing; a taller tree spills the rest to the heap.
+  class Path {
+   public:
+    void push(std::uint32_t id) {
+      if (size_ < kInline) {
+        inline_[size_] = id;
+      } else {
+        spill_.push_back(id);
+      }
+      ++size_;
+    }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    /// Removes and returns the deepest node.
+    std::uint32_t pop() {
+      --size_;
+      if (size_ < kInline) return inline_[size_];
+      const std::uint32_t id = spill_.back();
+      spill_.pop_back();
+      return id;
+    }
+
+   private:
+    static constexpr std::size_t kInline = 8;
+    std::array<std::uint32_t, kInline> inline_{};
+    std::vector<std::uint32_t> spill_;
+    std::size_t size_ = 0;
   };
 
   /// Outcome of examining one node during a traversal.
@@ -153,6 +208,11 @@ class DistributedBTree {
   // ---- host-level tree logic (pure; simulation charges wrap these) ----
   [[nodiscard]] Step search_step(const Node& n, std::uint64_t key) const;
   [[nodiscard]] unsigned probes(const Node& n) const;
+  /// User-code cycles to search `n`: per visit, per probe and per entry.
+  [[nodiscard]] sim::Cycles search_cycles(const Node& n) const;
+  /// User-code cycles to modify `n`, measured after the change, plus the
+  /// sibling's build when it split.
+  [[nodiscard]] sim::Cycles modify_cycles(const Node& n, bool split) const;
   [[nodiscard]] unsigned replica_words() const;
   std::uint32_t alloc_node(bool leaf, unsigned level);
   void link_level(const std::vector<std::uint32_t>& ids);
@@ -167,13 +227,12 @@ class DistributedBTree {
   void apply_parent_update(Node& parent, const SplitInfo& info);
 
   // ---- simulation adapters ----
-  /// Charge the cost of examining node `n` at the current site. Under SM
-  /// this issues the coherent reads (seqlock-validated when `optimistic`);
-  /// under RPC/CM it is user-code cycles only (the data is local to the
-  /// method).
-  [[nodiscard]] sim::Task<> charge_search(core::Ctx& ctx,
-                                          core::Mechanism mech,
-                                          std::uint32_t nid, bool optimistic);
+  /// Examine node `nid` at the requester under SM: the coherent reads
+  /// (seqlock-validated when `optimistic`) around the search's compute.
+  /// Under RPC/CM the data is local to the method, so the method body
+  /// awaits one rt_->compute of search_cycles instead, with no frame.
+  [[nodiscard]] sim::Task<> charge_search_sm(core::Ctx& ctx, std::uint32_t nid,
+                                             bool optimistic);
   /// Visit a node read-only under RPC/CM (method at the node's home).
   [[nodiscard]] sim::Task<Step> visit_node(core::Ctx& ctx,
                                            core::Mechanism mech,
@@ -197,8 +256,7 @@ class DistributedBTree {
       std::uint64_t key, std::uint64_t value);
   /// Install a split's separator into the parent level; may cascade.
   [[nodiscard]] sim::Task<> install_split(core::Ctx& ctx,
-                                          core::Mechanism mech,
-                                          std::vector<std::uint32_t> stack,
+                                          core::Mechanism mech, Path path,
                                           SplitInfo info);
   /// Split the root (under the tree lock).
   [[nodiscard]] sim::Task<> split_root(core::Ctx& ctx, core::Mechanism mech,
@@ -209,11 +267,12 @@ class DistributedBTree {
                                       std::uint32_t nid);
   [[nodiscard]] sim::Task<> unlock_node(core::Ctx& ctx, core::Mechanism mech,
                                         std::uint32_t nid);
-  /// Charge the writes a modification performs (SM: coherent writes +
-  /// seqlock bumps; RPC/CM: user code).
-  [[nodiscard]] sim::Task<> charge_modify(core::Ctx& ctx,
-                                          core::Mechanism mech,
-                                          std::uint32_t nid, bool split);
+  /// The coherent writes a modification of node `nid` performs under SM,
+  /// after the modify_cycles compute that every mechanism awaits.
+  [[nodiscard]] sim::Task<> charge_modify_sm(core::Ctx& ctx, std::uint32_t nid,
+                                             bool split);
+  /// Throws std::invalid_argument if `mech` needs memory the tree lacks.
+  void require_memory(core::Mechanism mech) const;
 
   /// Root-content descent via the software replica ("w/repl." schemes).
   [[nodiscard]] sim::Task<Step> visit_root_replicated(core::Ctx& ctx,
@@ -225,6 +284,7 @@ class DistributedBTree {
   Params p_;
   sim::Rng rng_;
   std::deque<Node> nodes_;  // stable references
+  std::deque<SmNode> sm_;   // nodes_[i]'s SM bindings; empty without mem_
   std::uint32_t root_ = kNone;
   sim::AsyncMutex tree_lock_;  // serialises root replacement
   std::unique_ptr<core::Replicated> repl_;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/constant_net.h"
@@ -14,6 +17,39 @@
 #include "sim/task.h"
 
 namespace cm::apps {
+
+/// Reaches inside a tree to break one invariant at a time.
+class BTreeTestPeer {
+ public:
+  explicit BTreeTestPeer(DistributedBTree& bt) : bt_(&bt) {}
+
+  /// Ids of the nodes on `level` (0 = leaves), left to right.
+  [[nodiscard]] std::vector<std::uint32_t> level(unsigned level) const {
+    std::uint32_t cur = bt_->root_;
+    while (bt_->nodes_[cur].level > level) {
+      cur = static_cast<std::uint32_t>(bt_->nodes_[cur].payload.front());
+    }
+    std::vector<std::uint32_t> ids;
+    for (; cur != DistributedBTree::kNone; cur = bt_->nodes_[cur].right) {
+      ids.push_back(cur);
+    }
+    return ids;
+  }
+  std::vector<std::uint64_t>& keys(std::uint32_t id) {
+    return bt_->nodes_[id].maxkey;
+  }
+  std::vector<std::uint64_t>& payload(std::uint32_t id) {
+    return bt_->nodes_[id].payload;
+  }
+  std::uint64_t& high_key(std::uint32_t id) {
+    return bt_->nodes_[id].high_key;
+  }
+  unsigned& level_of(std::uint32_t id) { return bt_->nodes_[id].level; }
+
+ private:
+  DistributedBTree* bt_;
+};
+
 namespace {
 
 using core::Ctx;
@@ -66,6 +102,17 @@ Task<> do_insert(World* w, Mechanism mech, ProcId home, std::uint64_t key,
   const bool f = co_await w->bt.insert(ctx, mech, key, value);
   if (fresh != nullptr) *fresh = f;
 }
+
+/// Awaits `op`, recording whether it threw std::invalid_argument.
+Task<> await_rejection(Task<bool> op, bool* threw) {
+  try {
+    (void)co_await std::move(op);
+  } catch (const std::invalid_argument&) {
+    *threw = true;
+  }
+}
+
+constexpr std::uint64_t kReservedKey = ~std::uint64_t{0};
 
 // ---------------------------------------------------------------------------
 // Construction / host-level logic
@@ -157,6 +204,73 @@ TEST(BTreeValidation, BulkLoadRejectsTheReservedMaxKey) {
   EXPECT_TRUE(w.bt.check_invariants());
 }
 
+TEST(BTreeValidation, RejectsBulkFillOutsideZeroToOne) {
+  for (const double fill :
+       {1.5, 0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    DistributedBTree::Params p = small_params(10);
+    p.bulk_fill = fill;
+    EXPECT_THROW(World w(p), std::invalid_argument) << fill;
+  }
+  // The closed end is a full packing: 1,000 keys in 100 nodes of 10.
+  DistributedBTree::Params p = small_params(10);
+  p.bulk_fill = 1.0;
+  World w(p);
+  w.bt.bulk_load(make_keys(1000));
+  EXPECT_TRUE(w.bt.check_invariants());
+  EXPECT_EQ(w.bt.num_keys(), 1000u);
+}
+
+TEST(BTreeValidation, InsertRejectsTheReservedMaxKey) {
+  for (const Mechanism mech :
+       {Mechanism::kRpc, Mechanism::kMigration, Mechanism::kSharedMemory}) {
+    World w(small_params());
+    w.bt.bulk_load(make_keys(40));
+    const std::uint64_t digest = w.bt.digest_host();
+    Ctx ctx{&w.rt, 12};
+    bool threw = false;
+    sim::detach(await_rejection(w.bt.insert(ctx, mech, kReservedKey, 1),
+                                &threw));
+    w.eng.run();
+    EXPECT_TRUE(threw);
+    // Rejected before any simulated step.
+    EXPECT_EQ(w.eng.events_executed(), 0u);
+    EXPECT_EQ(w.eng.now(), 0u);
+    EXPECT_EQ(w.bt.num_keys(), 40u);
+    EXPECT_EQ(w.bt.digest_host(), digest);
+    EXPECT_FALSE(w.bt.contains_host(kReservedKey));
+    EXPECT_TRUE(w.bt.check_invariants());
+  }
+}
+
+Task<> lookup_in(DistributedBTree* bt, core::Runtime* rt, Mechanism mech,
+                 std::uint64_t key, bool* found) {
+  Ctx ctx{rt, 12};
+  *found = co_await bt->lookup(ctx, mech, key);
+}
+
+TEST(BTreeValidation, SharedMemoryOperationsNeedACoherentMemory) {
+  World w(small_params());
+  DistributedBTree bare(w.rt, /*mem=*/nullptr, small_params());
+  bare.bulk_load(make_keys(20));
+  Ctx ctx{&w.rt, 12};
+  constexpr Mechanism kSm = Mechanism::kSharedMemory;
+  bool threw[3] = {false, false, false};
+  sim::detach(await_rejection(bare.lookup(ctx, kSm, 3), &threw[0]));
+  sim::detach(await_rejection(bare.insert(ctx, kSm, 4, 4), &threw[1]));
+  sim::detach(await_rejection(bare.remove(ctx, kSm, 3), &threw[2]));
+  w.eng.run();
+  EXPECT_TRUE(threw[0]);
+  EXPECT_TRUE(threw[1]);
+  EXPECT_TRUE(threw[2]);
+  EXPECT_EQ(w.eng.events_executed(), 0u);
+  EXPECT_EQ(bare.keys_host(), make_keys(20));
+  // Message passing needs no memory.
+  bool found = false;
+  sim::detach(lookup_in(&bare, &w.rt, Mechanism::kRpc, 3, &found));
+  w.eng.run();
+  EXPECT_TRUE(found);
+}
+
 TEST(BTreeValidation, BulkLoadRejectsATreeThatIsNotFresh) {
   World loaded(small_params());
   loaded.bt.bulk_load(make_keys(20));
@@ -234,6 +348,29 @@ TEST_P(BTreeMechanism, DuplicateInsertOverwritesValue) {
   EXPECT_TRUE(found);
   EXPECT_EQ(val, 999u);
   EXPECT_EQ(w.bt.num_keys(), 20u);
+}
+
+TEST_P(BTreeMechanism, SplitsCascadeThroughATallTree) {
+  // Two entries per node and 1,200 keys: 600 leaves under ten binary
+  // levels. An insert into the first leaf splits every node on its path,
+  // more nodes than an insert's path keeps inline, and then the root.
+  World w(small_params(2));
+  w.bt.bulk_load(make_keys(1200));
+  ASSERT_EQ(w.bt.height(), 11u);
+  bool fresh = false;
+  sim::detach(do_insert(&w, GetParam(), 12, 2, 2, &fresh));
+  w.eng.run();
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(w.bt.height(), 12u);
+  std::string why;
+  EXPECT_TRUE(w.bt.check_invariants(&why)) << why;
+  EXPECT_EQ(w.bt.num_keys(), 1201u);
+  bool found = false;
+  std::uint64_t value = 0;
+  sim::detach(do_lookup(&w, GetParam(), 13, 2, &found, &value));
+  w.eng.run();
+  EXPECT_TRUE(found);
+  EXPECT_EQ(value, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, BTreeMechanism,
@@ -330,6 +467,145 @@ Task<> op_stream(World* w, Mechanism mech, ProcId home, std::uint64_t seed,
       if (found && val != key) ++*bad_lookups;
     }
   }
+}
+
+TEST(BTreeInspection, DigestSeesContentsNotShape) {
+  // The same pairs in two shapes: bulk-loaded into wide nodes, and inserted
+  // one by one, in a scrambled order, into narrow ones that split.
+  const std::vector<std::uint64_t> keys = make_keys(60);
+  World wide(small_params(16));
+  wide.bt.bulk_load(keys);
+  World narrow(small_params(3));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t k = keys[(i * 37) % keys.size()];
+    sim::detach(do_insert(&narrow, Mechanism::kRpc, 12, k, k));
+    narrow.eng.run();
+  }
+  ASSERT_EQ(narrow.bt.keys_host(), keys);
+  EXPECT_NE(narrow.bt.num_nodes(), wide.bt.num_nodes());
+  EXPECT_EQ(narrow.bt.digest_host(), wide.bt.digest_host());
+  // One value changes: so does the digest. Restored, it matches again.
+  sim::detach(do_insert(&narrow, Mechanism::kRpc, 12, 31, 32));
+  narrow.eng.run();
+  EXPECT_NE(narrow.bt.digest_host(), wide.bt.digest_host());
+  sim::detach(do_insert(&narrow, Mechanism::kRpc, 12, 31, 31));
+  narrow.eng.run();
+  EXPECT_EQ(narrow.bt.digest_host(), wide.bt.digest_host());
+}
+
+// ---------------------------------------------------------------------------
+// check_invariants: each violation, planted in a valid tree, is reported
+// ---------------------------------------------------------------------------
+
+/// A valid three-level tree: 40 keys in 10 leaves of 4, under 3 internal
+/// nodes and the root.
+class BTreeInvariants : public ::testing::Test {
+ protected:
+  BTreeInvariants() : w_(small_params(6)), peer_(w_.bt) {
+    w_.bt.bulk_load(make_keys(40));
+  }
+  void SetUp() override {
+    ASSERT_EQ(w_.bt.height(), 3u);
+    ASSERT_EQ(peer_.level(0).size(), 10u);
+    ASSERT_EQ(peer_.level(1).size(), 3u);
+    ASSERT_EQ(violation(), "");
+  }
+  /// check_invariants' message, or "" if the tree is valid.
+  std::string violation() const {
+    std::string why;
+    return w_.bt.check_invariants(&why) ? "" : why;
+  }
+  std::uint32_t leaf(std::size_t i) const { return peer_.level(0).at(i); }
+  std::uint32_t inner(std::size_t i) const { return peer_.level(1).at(i); }
+  static std::string at(std::uint32_t id) { return std::to_string(id); }
+
+  World w_;
+  BTreeTestPeer peer_;
+};
+
+TEST_F(BTreeInvariants, EntryArraysOfDifferentLengths) {
+  peer_.payload(leaf(2)).pop_back();
+  EXPECT_EQ(violation(), "entry arrays disagree at node " + at(leaf(2)));
+}
+
+TEST_F(BTreeInvariants, NodeOverCapacity) {
+  // max_entries + 2 entries, still sorted.
+  const std::uint32_t l = leaf(2);
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    peer_.keys(l).push_back(peer_.keys(l).back() + 1);
+    peer_.payload(l).push_back(k);
+  }
+  EXPECT_EQ(violation(), "node over capacity at " + at(l));
+}
+
+TEST_F(BTreeInvariants, UnsortedNode) {
+  std::vector<std::uint64_t>& k = peer_.keys(leaf(2));
+  std::swap(k[1], k[2]);
+  EXPECT_EQ(violation(), "unsorted node " + at(leaf(2)));
+}
+
+TEST_F(BTreeInvariants, DuplicateBound) {
+  std::vector<std::uint64_t>& k = peer_.keys(leaf(2));
+  k[2] = k[1];
+  EXPECT_EQ(violation(), "duplicate bound in node " + at(leaf(2)));
+}
+
+TEST_F(BTreeInvariants, UnsortedIsReportedBeforeAnEarlierDuplicate) {
+  std::vector<std::uint64_t>& k = peer_.keys(leaf(2));
+  k[1] = k[0];  // a duplicate first, then a descent
+  std::swap(k[2], k[3]);
+  EXPECT_EQ(violation(), "unsorted node " + at(leaf(2)));
+}
+
+TEST_F(BTreeInvariants, EntryAboveTheHighKey) {
+  const std::uint32_t l = leaf(2);
+  peer_.high_key(l) = peer_.keys(l).back() - 1;
+  EXPECT_EQ(violation(), "entry exceeds high key at node " + at(l));
+}
+
+TEST_F(BTreeInvariants, InternalLastBoundBelowTheHighKey) {
+  const std::uint32_t n = inner(0);
+  peer_.high_key(n) = peer_.keys(n).back() + 1;
+  EXPECT_EQ(violation(), "internal last bound != high key at " + at(n));
+}
+
+TEST_F(BTreeInvariants, RaggedLevel) {
+  peer_.level_of(leaf(5)) = 1;
+  EXPECT_EQ(violation(), "ragged level");
+}
+
+TEST_F(BTreeInvariants, CrossNodeOrder) {
+  peer_.keys(leaf(3)).front() = peer_.keys(leaf(2)).back();
+  EXPECT_EQ(violation(), "cross-node order violation");
+}
+
+TEST_F(BTreeInvariants, EmptyLeafKeepsTheLevelInOrder) {
+  peer_.keys(leaf(3)).clear();
+  peer_.payload(leaf(3)).clear();
+  EXPECT_EQ(violation(), "");
+}
+
+TEST_F(BTreeInvariants, CrossNodeOrderAcrossAnEmptyLeaf) {
+  peer_.keys(leaf(3)).clear();
+  peer_.payload(leaf(3)).clear();
+  peer_.keys(leaf(4)).front() = peer_.keys(leaf(2)).back();
+  EXPECT_EQ(violation(), "cross-node order violation");
+}
+
+TEST_F(BTreeInvariants, OpenHighKeyBeforeTheRightmostNode) {
+  peer_.high_key(leaf(2)) = kReservedKey;
+  EXPECT_EQ(violation(), "non-rightmost node with open high key");
+}
+
+TEST_F(BTreeInvariants, RightmostNodeShortOfTheKeySpace) {
+  const std::uint32_t l = leaf(9);
+  peer_.high_key(l) = peer_.keys(l).back();
+  EXPECT_EQ(violation(), "rightmost node must cover the key space");
+}
+
+TEST_F(BTreeInvariants, ParentEntryDisagreesWithItsChild) {
+  peer_.keys(inner(0)).front() -= 1;
+  EXPECT_EQ(violation(), "child high key disagrees with parent entry");
 }
 
 TEST(BTreeInspection, NumKeysAgreesWithKeysHostAfterSplits) {

@@ -19,6 +19,7 @@
 
 #include "apps/btree.h"
 #include "apps/counting_network.h"
+#include "apps/workload.h"
 #include "core/mechanism.h"
 #include "core/object.h"
 #include "core/runtime.h"
@@ -332,6 +333,82 @@ TEST(FramePool, BTreeBulkLoadMakesAtMostFiveAllocationsPerNode) {
   EXPECT_EQ(bt.height(), 3u);
   EXPECT_LE(made, 5 * bt.num_nodes())
       << made << " allocations for " << bt.num_nodes() << " nodes";
+}
+
+TEST(FramePool, BTreeBulkLoadMakesAtMostThreeAllocationsPerNode) {
+  // Per node: its two entry arrays, and a share of the deque's blocks.
+  World w(48 + 16);
+  std::vector<std::uint64_t> keys(10'000);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
+  const std::size_t allocs0 = allocs();
+  apps::DistributedBTree bt(w.rt, nullptr, apps::DistributedBTree::Params{});
+  bt.bulk_load(keys);
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_EQ(bt.num_keys(), keys.size());
+  EXPECT_LE(made, 3 * bt.num_nodes())
+      << made << " allocations for " << bt.num_nodes() << " nodes";
+}
+
+Task<> rpc_insert(World* w, apps::DistributedBTree* bt, ProcId home,
+                  std::uint64_t key, bool* fresh) {
+  core::Ctx ctx{&w->rt, home};
+  *fresh = co_await bt->insert(ctx, core::Mechanism::kRpc, key, key);
+}
+
+TEST(FramePool, WarmRpcInsertWithoutSplitAllocatesNothing) {
+  // The benchmark's tree; requesters on processors 48 and up, so that every
+  // node visit is a remote call.
+  World w(48 + 16);
+  std::vector<std::uint64_t> keys(10'000);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
+  apps::DistributedBTree bt(w.rt, nullptr, apps::DistributedBTree::Params{});
+  bt.bulk_load(keys);
+  const std::size_t nodes = bt.num_nodes();
+  bool fresh = false;
+  sim::detach(rpc_insert(&w, &bt, 48, 1, &fresh));  // warms the pools
+  w.eng.run();
+  ASSERT_TRUE(fresh);
+  const std::size_t allocs0 = allocs();
+  sim::detach(rpc_insert(&w, &bt, 48, 3, &fresh));
+  w.eng.run();
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(bt.num_nodes(), nodes);  // neither insert split
+  EXPECT_EQ(made, 0u);
+  EXPECT_GT(w.rt.stats().remote_calls, 0u);
+}
+
+/// Global allocations made by the second of two identical benchmark-shaped
+/// workload calls: the tree is built, run for the paper's window, checked
+/// and freed in each.
+std::size_t warm_btree_call_allocs(core::Scheme scheme) {
+  apps::BTreeConfig cfg;
+  cfg.scheme = scheme;
+  cfg.requesters = 16;
+  cfg.nkeys = 10'000;
+  cfg.node_procs = 48;
+  cfg.window = apps::Window{30'000, 250'000};
+  cfg.seed = 4097;
+  const apps::RunStats first = apps::run_btree(cfg);
+  EXPECT_TRUE(first.invariants_ok);
+  const std::size_t allocs0 = allocs();
+  const apps::RunStats warm = apps::run_btree(cfg);
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_TRUE(warm.invariants_ok);
+  EXPECT_EQ(warm.ops, first.ops);
+  return made;
+}
+
+TEST(FramePool, WarmRpcReplicatedBTreeCallMakesAtMost500Allocations) {
+  const std::size_t made =
+      warm_btree_call_allocs(core::Scheme{core::Mechanism::kRpc, false, true});
+  EXPECT_LE(made, 500u) << made << " allocations";
+}
+
+TEST(FramePool, WarmSharedMemoryBTreeCallMakesAtMost1100Allocations) {
+  const std::size_t made = warm_btree_call_allocs(
+      core::Scheme{core::Mechanism::kSharedMemory, false, false});
+  EXPECT_LE(made, 1100u) << made << " allocations";
 }
 
 TEST(FramePool, BTreeSizedDirectoryMakesAtMost250Allocations) {
