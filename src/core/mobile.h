@@ -11,6 +11,9 @@
 // with their full state in tow.
 #pragma once
 
+#include <coroutine>
+#include <type_traits>
+
 #include "core/mechanism.h"
 #include "core/runtime.h"
 #include "sim/async_mutex.h"
@@ -42,19 +45,47 @@ class MobileObject {
   std::uint64_t moves_ = 0;
 };
 
+/// The awaiter of `approach`, in the activation's frame: a hop (CP, TM),
+/// which is a Runtime::Migrate and frame-free whenever `migrate` is, or an
+/// attraction (OBJ), which runs `MobileObject::attract`.
+class [[nodiscard]] Approach {
+ public:
+  /// `attract` is the object to pull for OBJ, else null.
+  Approach(Runtime::Migrate hop, Ctx* ctx, MobileObject* attract) noexcept
+      : hop_(hop), ctx_(ctx), attract_(attract) {}
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+    if (attract_ == nullptr) return hop_.await_suspend(caller);
+    return pull_.start(attract_->attract(*ctx_), caller);
+  }
+  void await_resume() {
+    if (attract_ == nullptr) {
+      hop_.await_resume();
+    } else {
+      pull_.take();
+    }
+  }
+
+ private:
+  Runtime::Migrate hop_;
+  Ctx* ctx_;
+  MobileObject* attract_;
+  sim::Started<void> pull_;  // attract()'s coroutine
+};
+static_assert(std::is_trivially_destructible_v<Approach>);
+
 /// Bring the activation and `obj` together before an access; callers pass
 /// only a mechanism with moves_to_data(mech). Migrates the activation with
 /// its frame's `frame_words` live words (CP) or with the whole thread's
-/// `thread_words` (TM), or attracts the object to it (OBJ). A plain function
-/// returning the mechanism's own task, so it adds no coroutine frame.
-[[nodiscard]] inline sim::Task<> approach(Ctx& ctx, Mechanism mech,
-                                          MobileObject& obj,
-                                          unsigned frame_words,
-                                          unsigned thread_words) {
-  if (mech == Mechanism::kObjectMigration) return obj.attract(ctx);
-  return ctx.rt->migrate(
-      ctx, obj.id(),
-      mech == Mechanism::kMigration ? frame_words : thread_words);
+/// `thread_words` (TM), or attracts the object to it (OBJ).
+[[nodiscard]] inline Approach approach(Ctx& ctx, Mechanism mech,
+                                       MobileObject& obj, unsigned frame_words,
+                                       unsigned thread_words) {
+  const unsigned words =
+      mech == Mechanism::kMigration ? frame_words : thread_words;
+  return Approach(ctx.rt->migrate(ctx, obj.id(), words), &ctx,
+                  mech == Mechanism::kObjectMigration ? &obj : nullptr);
 }
 
 }  // namespace cm::core

@@ -1,7 +1,5 @@
 #include "core/replication.h"
 
-#include <memory>
-
 namespace cm::core {
 
 Replicated::Replicated(Runtime& rt, ObjectId primary, unsigned object_words)
@@ -93,8 +91,7 @@ sim::Task<> Replicated::invalidate_all(Ctx& ctx) {
   }
 
   // Broadcast invalidations from the writer's processor and gather acks.
-  auto remaining = std::make_shared<int>(static_cast<int>(targets.size()));
-  sim::OneShot<sim::Unit> all_acked;
+  AckRound round{static_cast<int>(targets.size())};
   if (rt_->reliability_enabled()) {
     // Faulty network: raw fire-and-forget sends can drop an invalidation
     // or its ack, stranding this barrier (and the writer's call) forever.
@@ -105,9 +102,9 @@ sim::Task<> Replicated::invalidate_all(Ctx& ctx) {
       valid_[t] = false;
       co_await rt_->charge(ctx.proc, c.sender_total(1),
                            Category::kReplication);
-      sim::detach(invalidate_one(ctx.proc, t, remaining, all_acked));
+      sim::detach(invalidate_one(ctx.proc, t, &round));
     }
-    co_await all_acked.get();
+    co_await round;
     co_await rt_->charge(ctx.proc, c.reply_receive(1),
                          Category::kReplication);
     co_return;
@@ -122,36 +119,29 @@ sim::Task<> Replicated::invalidate_all(Ctx& ctx) {
     // simlint: allow SS002
     rt_->network().send(
         ctx.proc, t, 1 + c.header_words, net::Traffic::kRuntime,
-        [this, t, from = ctx.proc, remaining, all_acked, &c] {
+        [this, t, from = ctx.proc, r = &round, &c] {
           // At the replica holder: cheap handler, then ack.
           rt_->machine().exec(
-              t, c.receiver_total(1, false),
-              [this, t, from, remaining, all_acked, &c] {
+              t, c.receiver_total(1, false), [this, t, from, r, &c] {
                 // Ack on the same lossless-by-construction branch.
                 // simlint: allow SS002
                 rt_->network().send(t, from, 1 + c.header_words,
-                                    net::Traffic::kRuntime,
-                                    [remaining, all_acked] {
-                                      if (--*remaining == 0) {
-                                        all_acked.set(sim::Unit{});
-                                      }
-                                    });
+                                    net::Traffic::kRuntime, [r] { r->ack(); });
               });
         });
   }
-  co_await all_acked.get();
+  co_await round;
   co_await rt_->charge(ctx.proc, c.reply_receive(1), Category::kReplication);
 }
 
 sim::Task<> Replicated::invalidate_one(ProcId from, ProcId target,
-                                       std::shared_ptr<int> remaining,
-                                       sim::OneShot<sim::Unit> all_acked) {
+                                       AckRound* round) {
   const CostModel& c = rt_->cost();
   co_await rt_->transfer(from, target, 1);
   co_await rt_->charge(target, c.receiver_total(1, /*create_thread=*/false),
                        Category::kReplication);
   co_await rt_->transfer(target, from, 1);
-  if (--*remaining == 0) all_acked.set(sim::Unit{});
+  round->ack();  // the last ack resumes the writer, which frees `round`
 }
 
 }  // namespace cm::core

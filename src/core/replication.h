@@ -5,11 +5,11 @@
 // bottleneck. Writers invalidate every replica before modifying the object.
 #pragma once
 
-#include <memory>
+#include <coroutine>
+#include <type_traits>
 #include <vector>
 
 #include "core/runtime.h"
-#include "sim/oneshot.h"
 
 namespace cm::core {
 
@@ -48,11 +48,26 @@ class Replicated {
   void rehome(ProcId new_home);
 
  private:
+  /// The writer's gathered-ack barrier for one invalidation round. It lives
+  /// in invalidate_all's frame; the last ack resumes the writer inline, and
+  /// a writer whose acks are all in already does not suspend.
+  struct AckRound {
+    int pending;  // acks outstanding
+    std::coroutine_handle<> waiter = nullptr;
+
+    bool await_ready() const noexcept { return pending == 0; }
+    void await_suspend(std::coroutine_handle<> h) noexcept { waiter = h; }
+    void await_resume() const noexcept {}
+    void ack() {
+      if (--pending == 0 && waiter != nullptr) waiter.resume();
+    }
+  };
+  static_assert(std::is_trivially_destructible_v<AckRound>);
+
   /// One invalidate/ack round trip over the reliable transport (the
   /// drop-safe branch of invalidate_all; detached, one per target).
   [[nodiscard]] sim::Task<> invalidate_one(ProcId from, ProcId target,
-                                           std::shared_ptr<int> remaining,
-                                           sim::OneShot<sim::Unit> all_acked);
+                                           AckRound* round);
 
   Runtime* rt_;
   ObjectId primary_;

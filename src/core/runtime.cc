@@ -53,10 +53,15 @@ sim::Machine::Compute Runtime::send_path(ProcId at, unsigned words) {
   return machine_->compute(at, cost_.sender_total(words));
 }
 
+unsigned Runtime::book_transit(ProcId src, ProcId dst, unsigned words) {
+  const unsigned total = words + cost_.header_words;
+  stats_.breakdown.add(Category::kNetworkTransit,
+                       network_->latency(src, dst, total));
+  return total;
+}
+
 bool Runtime::Transfer::await_suspend(std::coroutine_handle<> caller) {
-  const unsigned total = words + rt->cost_.header_words;
-  rt->stats_.breakdown.add(Category::kNetworkTransit,
-                           rt->network_->latency(src, dst, total));
+  const unsigned total = rt->book_transit(src, dst, words);
   FaultTolerance* const ft = rt->ft_;
   if (ft != nullptr && (ft->suspected(src) || ft->suspected(dst))) {
     // A message touching a suspected NIC can never be delivered or acked:
@@ -107,6 +112,93 @@ sim::Task<> Runtime::evacuate(Ctx& ctx) {
   co_await machine_->compute(to, cost_.thread_creation + cost_.scheduler);
   ctx.proc = to;
 }
+
+// ---- The frame-free paths. Each step below is one engine event of the
+// coroutine it stands in for (migrate_impl, return_home_impl) in a run with
+// no optional service installed: the same charges through the same
+// functions, in the same order, from the same events. ----
+
+std::coroutine_handle<> Runtime::Migrate::await_suspend(
+    std::coroutine_handle<> caller) {
+  this->caller = caller;
+  if (!rt->frame_free()) {
+    return task_.start(rt->migrate_impl(top_, group_, obj_, live_words_),
+                       caller);
+  }
+  // The locality check is shared with ordinary instance-method dispatch.
+  next<&Migrate::checked>();
+  rt->charge(top_->proc, rt->cost_.locality_check, Category::kLocalityCheck)
+      .then(this);
+  return std::noop_coroutine();
+}
+
+void Runtime::Migrate::checked() {
+  dest_ = rt->objects_->home_of(obj_);
+  if (dest_ == top_->proc) {
+    // Already local: the annotation costs nothing (paper §3.1).
+    ++rt->stats_.migrations_local;
+    caller.resume();
+    return;
+  }
+  // Continuation client stub: marshal the live variables and launch one
+  // message.
+  next<&Migrate::sent>();
+  rt->send_path(top_->proc, live_words_).then(this);
+}
+
+void Runtime::Migrate::sent() {
+  const unsigned total = rt->book_transit(top_->proc, dest_, live_words_);
+  next<&Migrate::delivered>();
+  rt->network_->send_resume(top_->proc, dest_, total, net::Traffic::kRuntime,
+                            this);
+}
+
+void Runtime::Migrate::delivered() {
+  ++rt->stats_.migrations;
+  rt->stats_.migrated_words += live_words_;
+  // Continuation server stub: unmarshal into a fresh activation.
+  next<&Migrate::unpacked>();
+  rt->receive_request(dest_, live_words_, Dispatch::kContinuation).then(this);
+}
+
+void Runtime::Migrate::unpacked() {
+  ++rt->stats_.threads_created;
+  top_->proc = dest_;
+  for (Ctx* c : group_) c->proc = dest_;
+  caller.resume();  // the migrated frame runs on, at the data
+}
+
+std::coroutine_handle<> Runtime::ReturnHome::await_suspend(
+    std::coroutine_handle<> caller) {
+  this->caller = caller;
+  if (!frame_free_) {
+    return task_.start(rt->return_home_impl(*ctx_, origin_, ret_words_),
+                       caller);
+  }
+  ++rt->stats_.replies;
+  next<&ReturnHome::sent>();
+  rt->send_path(ctx_->proc, ret_words_).then(this);
+  return std::noop_coroutine();
+}
+
+void Runtime::ReturnHome::sent() {
+  const unsigned total = rt->book_transit(ctx_->proc, origin_, ret_words_);
+  next<&ReturnHome::delivered>();
+  rt->network_->send_resume(ctx_->proc, origin_, total,
+                            net::Traffic::kRuntime, this);
+}
+
+void Runtime::ReturnHome::delivered() {
+  next<&ReturnHome::received>();
+  rt->receive_reply(origin_, ret_words_).then(this);
+}
+
+void Runtime::ReturnHome::received() {
+  ctx_->proc = origin_;
+  caller.resume();
+}
+
+// ---- The coroutine paths. ----
 
 sim::Task<> Runtime::migrate_impl(Ctx* top, std::span<Ctx* const> group,
                                   ObjectId obj, unsigned live_words) {
@@ -196,7 +288,8 @@ sim::Task<> Runtime::migrate_impl(Ctx* top, std::span<Ctx* const> group,
   for (Ctx* c : group) c->proc = dest;
 }
 
-sim::Task<> Runtime::return_home(Ctx& ctx, ProcId origin, unsigned ret_words) {
+sim::Task<> Runtime::return_home_impl(Ctx& ctx, ProcId origin,
+                                      unsigned ret_words) {
   if (ft_ != nullptr && ft_->suspected(ctx.proc)) co_await evacuate(ctx);
   if (ctx.proc == origin) co_return;
   ++mutable_stats().replies;

@@ -18,19 +18,19 @@ void ConstantNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
 
 void ConstantNetwork::send_resume(sim::ProcId src, sim::ProcId dst,
                                   unsigned words, Traffic kind,
-                                  std::coroutine_handle<> h) {
+                                  sim::Wake w) {
   if (observed(*engine_)) {
-    send(src, dst, words, kind, [h] { h.resume(); });
+    send(src, dst, words, kind, [w] { w(); });
     return;
   }
   // The events `send` schedules: loopback at now(), homed at the current
   // home; a wire message at the destination, after its latency.
   if (src == dst) {
-    engine_->resume_at_on(engine_->current_home(), engine_->now(), h);
+    engine_->resume_at_on(engine_->current_home(), engine_->now(), w);
     return;
   }
   record(kind, words);
-  engine_->resume_at_on(dst, engine_->now() + latency(src, dst, words), h);
+  engine_->resume_at_on(dst, engine_->now() + latency(src, dst, words), w);
 }
 
 sim::Cycles ConstantNetwork::latency(sim::ProcId src, sim::ProcId dst,

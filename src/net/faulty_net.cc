@@ -91,12 +91,12 @@ void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
 
 void FaultyNetwork::send_resume(sim::ProcId src, sim::ProcId dst,
                                 unsigned words, Traffic kind,
-                                std::coroutine_handle<> h) {
+                                sim::Wake w) {
   if (!faultable(src, dst, kind)) {
-    inner_->send_resume(src, dst, words, kind, h);
+    inner_->send_resume(src, dst, words, kind, w);
     return;
   }
-  send(src, dst, words, kind, [h] { h.resume(); });
+  send(src, dst, words, kind, [w] { w(); });
 }
 
 const NetStats& FaultyNetwork::stats() const noexcept {

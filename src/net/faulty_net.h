@@ -8,11 +8,12 @@
 // a hardware network with link-level retry, while the software runtime layer
 // must survive an unreliable interconnect via core::ReliableTransport. A
 // duplicated message invokes its `deliver` callback twice — layers above
-// must deduplicate (the reliable transport does). So never point raw
-// coroutine resumption at traffic a plan can fault: `send_resume` wraps such
-// a message in a closure, and its duplicate would resume a frame that has
-// already finished. For that reason the workload harness rejects shared
-// memory under a plan that sets `affect_coherence`.
+// must deduplicate (the reliable transport does). So never point a raw
+// wake at traffic a plan can fault: `send_resume` wraps such a message in a
+// closure, and its duplicate would resume a frame that has already finished
+// (or rerun a Continuation that has moved on). For that reason the
+// workload harness rejects shared memory under a plan that sets
+// `affect_coherence`.
 //
 // With an inactive plan (all rates zero, no overrides, no NIC failures) the
 // decorator forwards every message untouched and draws no random numbers, so
@@ -81,7 +82,7 @@ class FaultyNetwork final : public Network {
   /// A message this plan can never fault goes to the inner network's
   /// `send_resume` untouched; any other is wrapped in a closure and sent.
   void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                   Traffic kind, std::coroutine_handle<> h) override;
+                   Traffic kind, sim::Wake w) override;
 
   /// Timing queries see the fault-free network: faults change delivery, not
   /// the zero-load latency model.

@@ -82,18 +82,18 @@ void MeshNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
 }
 
 void MeshNetwork::send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                              Traffic kind, std::coroutine_handle<> h) {
+                              Traffic kind, sim::Wake w) {
   if (observed(*engine_)) {
-    send(src, dst, words, kind, [h] { h.resume(); });
+    send(src, dst, words, kind, [w] { w(); });
     return;
   }
   check_endpoints(src, dst);
   if (src == dst) {
-    engine_->resume_at_on(engine_->current_home(), engine_->now(), h);
+    engine_->resume_at_on(engine_->current_home(), engine_->now(), w);
     return;
   }
   record(kind, words);
-  engine_->resume_at_on(dst, route(src, dst, words, engine_->now()), h);
+  engine_->resume_at_on(dst, route(src, dst, words, engine_->now()), w);
 }
 
 sim::Cycles MeshNetwork::latency(sim::ProcId src, sim::ProcId dst,

@@ -36,7 +36,7 @@ class MeshNetwork final : public Network {
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
             std::function<void()> deliver) override;
   void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                   Traffic kind, std::coroutine_handle<> h) override;
+                   Traffic kind, sim::Wake w) override;
 
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;

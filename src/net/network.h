@@ -4,13 +4,13 @@
 // Tables 2 and 4 account for *all* traffic, exactly as in the paper.
 //
 // A message is delivered in one of two ways. `send` runs a closure at the
-// arrival time. `send_resume` resumes a suspended coroutine instead, as an
-// engine resume event (Engine::resume_at_on): no `std::function`, no arena
-// slot. Both count and time a message alike, and the arrival event has the
-// same cycle, home and label either way.
+// arrival time. `send_resume` wakes a `sim::Wake` instead, a suspended
+// coroutine or a frame-free Continuation, as an engine resume event
+// (Engine::resume_at_on): no `std::function`, no arena slot. Both count and
+// time a message alike, and the arrival event has the same cycle, home and
+// label either way.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 
@@ -69,12 +69,12 @@ class Network {
   virtual void send(sim::ProcId src, sim::ProcId dst, unsigned words,
                     Traffic kind, std::function<void()> deliver) = 0;
 
-  /// `send` for a receiver that is a suspended coroutine: `h` resumes at the
-  /// arrival time, as if `deliver` were `[h] { h.resume(); }`. With a tracer
-  /// or checker installed the message takes that closure path, so the
-  /// observers see every message as before.
+  /// `send` for a receiver that is a suspended coroutine or a
+  /// Continuation: `w` wakes at the arrival time, as if `deliver` were
+  /// `[w] { w(); }`. With a tracer or checker installed the message takes
+  /// that closure path, so the observers see every message as before.
   virtual void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                           Traffic kind, std::coroutine_handle<> h) = 0;
+                           Traffic kind, sim::Wake w) = 0;
 
   /// Pure timing query: cycles a `words`-word message takes src -> dst under
   /// zero load. Used by analytic checks and tests.

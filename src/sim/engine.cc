@@ -7,11 +7,12 @@ namespace cm::sim {
 
 Engine::~Engine() {
   // Destroy (without running) any closures still queued in the arena. A
-  // pending resume event is dropped: its coroutine is never resumed.
+  // pending resume event is dropped: its coroutine is never resumed and its
+  // Continuation never runs.
   while (!queue_.empty()) {
     const std::uint64_t payload = queue_.pop_move().payload;
     if ((payload & kClosureTag) != 0) {
-      arena_.destroy(static_cast<std::uint32_t>(payload >> 1));
+      arena_.destroy(static_cast<std::uint32_t>(payload >> 2));
     }
   }
 }
@@ -34,11 +35,14 @@ void Engine::step() {
   now_ = k.t;
   current_home_ = static_cast<ProcId>(k.home);
   ++executed_;
-  if ((k.payload & kClosureTag) != 0) {
-    arena_.run(static_cast<std::uint32_t>(k.payload >> 1));
-  } else {
+  if ((k.payload & kTagMask) == 0) {
     void* const frame = reinterpret_cast<void*>(k.payload);
     std::coroutine_handle<>::from_address(frame).resume();
+  } else if ((k.payload & kClosureTag) != 0) {
+    arena_.run(static_cast<std::uint32_t>(k.payload >> 2));
+  } else {
+    auto* const c = reinterpret_cast<Continuation*>(k.payload & ~kTagMask);
+    c->run(c);
   }
 }
 

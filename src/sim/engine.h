@@ -9,11 +9,15 @@
 // history. A program that only ever schedules from lane 0 (most unit tests)
 // sees labels 0, 1, 2, ... — plain insertion order.
 //
-// An event is either a closure, stored in the event arena, or a resume
-// event: a bare coroutine handle, stored in the queue record itself
-// (`resume_at_on`). The record's 64-bit payload tells them apart by its low
-// bit: an arena index shifted left with the bit set, or a frame address,
-// which is at least 16-byte aligned, with the bit clear.
+// An event is one of three kinds. A closure is stored in the event arena. A
+// resume event (`resume_at_on`) carries a `Wake` in the queue record itself:
+// either a coroutine handle, or a `Continuation`, the frame-free kind, which
+// steps a protocol one event at a time from an object in a suspended
+// coroutine's frame (the runtime's migration and call awaiters). The
+// record's 64-bit payload tells the three apart by its two low bits: an
+// arena index shifted left by two with bit 0 set, a Continuation's address
+// (at least 8-byte aligned) with bit 1 set, or a frame address (at least
+// 16-byte aligned) with both clear, so a coroutine resume costs one test.
 #pragma once
 
 #include <cassert>
@@ -34,11 +38,55 @@ namespace cm::sim {
 
 class Tracer;
 
+/// The frame-free kind of resume event: an object, typically an awaiter in a
+/// suspended coroutine's frame, whose `run` the engine calls with the object
+/// itself when the event fires. Each call runs one step of the object's
+/// protocol and either schedules its next wake or resumes its coroutine;
+/// swapping `run` between steps is how the object keeps its place.
+struct Continuation {
+  void (*run)(Continuation*) = nullptr;
+};
+
+/// What a resume event wakes: a suspended coroutine or a Continuation.
+/// Coroutine handles convert implicitly, so every `resume_at_on`,
+/// `Machine::resume_on` and `Network::send_resume` caller that holds one
+/// passes it as it is.
+class Wake {
+ public:
+  template <class P>
+  Wake(std::coroutine_handle<P> h) noexcept  // NOLINT: implicit by design
+      : bits_(reinterpret_cast<std::uintptr_t>(h.address())) {
+    assert((bits_ & kTagMask) == 0 && "coroutine frames are aligned");
+  }
+  Wake(Continuation* c) noexcept  // NOLINT: implicit by design
+      : bits_(reinterpret_cast<std::uintptr_t>(c) | kContinuationTag) {}
+
+  /// Resume the coroutine or run the continuation, as its event would.
+  void operator()() const {
+    if ((bits_ & kContinuationTag) == 0) {
+      void* const frame = reinterpret_cast<void*>(bits_);
+      std::coroutine_handle<>::from_address(frame).resume();
+    } else {
+      auto* const c = reinterpret_cast<Continuation*>(bits_ & ~kTagMask);
+      c->run(c);
+    }
+  }
+
+ private:
+  friend class Engine;
+  static constexpr std::uint64_t kClosureTag = 1;  // engine-only
+  static constexpr std::uint64_t kContinuationTag = 2;
+  static constexpr std::uint64_t kTagMask = kClosureTag | kContinuationTag;
+
+  std::uint64_t bits_;
+};
+static_assert(alignof(Continuation) >= 4, "two tag bits stay free");
+
 /// The heart of the Proteus-style simulator. Client code schedules closures
 /// at absolute or relative cycle times; `run()` drains the queue in
 /// (time, label) order, advancing the clock as it goes. Closures live in a
 /// slab arena behind a timing-wheel calendar queue (see event_queue.h);
-/// coroutine resumes skip the arena.
+/// resume events skip the arena.
 class Engine {
  public:
   Engine() = default;
@@ -95,13 +143,12 @@ class Engine {
     at_on(home, now_ + d, std::forward<F>(fn));
   }
 
-  /// Resume coroutine `h` at absolute time `t`, homed at `home`. The same
-  /// label and clamp contract as `at_on(home, t, [h] { h.resume(); })`, but
-  /// the handle rides in the queue record, so the event takes no arena slot.
-  void resume_at_on(ProcId home, Cycles t, std::coroutine_handle<> h) {
-    const auto frame = reinterpret_cast<std::uintptr_t>(h.address());
-    assert((frame & kClosureTag) == 0 && "coroutine frames are aligned");
-    enqueue(t, home, frame);
+  /// Wake `w` (resume a coroutine or run a Continuation) at absolute time
+  /// `t`, homed at `home`. The same label and clamp contract as
+  /// `at_on(home, t, [w] { w(); })`, but the wake rides in the queue record,
+  /// so the event takes no arena slot.
+  void resume_at_on(ProcId home, Cycles t, Wake w) {
+    enqueue(t, home, w.bits_);
   }
 
   // -- Run loops -----------------------------------------------------------
@@ -148,8 +195,9 @@ class Engine {
   [[nodiscard]] check::Checker* checker() const noexcept { return checker_; }
 
  private:
-  static constexpr unsigned kLaneShift = 40;       // 2^40 events per lane
-  static constexpr std::uint64_t kClosureTag = 1;  // payload low bit
+  static constexpr unsigned kLaneShift = 40;  // 2^40 events per lane
+  static constexpr std::uint64_t kClosureTag = Wake::kClosureTag;
+  static constexpr std::uint64_t kTagMask = Wake::kTagMask;
 
   /// Debug-only half of the past-schedule diagnostic: prints the clamp
   /// distance to stderr, then asserts. The caller increments `clamped_`
@@ -159,7 +207,7 @@ class Engine {
   template <class F>
   void schedule(Cycles t, ProcId home, F&& fn) {
     const std::uint64_t idx = arena_.emplace(std::forward<F>(fn));
-    enqueue(t, home, (idx << 1) | kClosureTag);
+    enqueue(t, home, (idx << 2) | kClosureTag);
   }
 
   void enqueue(Cycles t, ProcId home, std::uint64_t payload) {

@@ -32,10 +32,10 @@ class Machine {
                    std::forward<F>(fn));
   }
 
-  /// Resume a suspended coroutine on processor `p`, charging `cost` cycles
-  /// of CPU first (e.g. scheduler/dispatch overhead).
-  void resume_on(ProcId p, Cycles cost, std::coroutine_handle<> h) {
-    engine_->resume_at_on(p, procs_.acquire(p, engine_->now(), cost), h);
+  /// Wake `w` (a suspended coroutine or a Continuation) on processor `p`,
+  /// charging `cost` cycles of CPU first (e.g. scheduler/dispatch overhead).
+  void resume_on(ProcId p, Cycles cost, Wake w) {
+    engine_->resume_at_on(p, procs_.acquire(p, engine_->now(), cost), w);
   }
 
   /// Awaiter of `compute`. A named type rather than a `suspend_to` lambda,
@@ -48,10 +48,12 @@ class Machine {
     Cycles cost;
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      machine->resume_on(p, cost, h);
-    }
+    void await_suspend(std::coroutine_handle<> h) const { then(h); }
     void await_resume() const noexcept {}
+
+    /// Occupy the processor, then wake `w`: what `co_await` does, for a
+    /// Continuation.
+    void then(Wake w) const { machine->resume_on(p, cost, w); }
   };
 
   /// Awaitable: occupy processor `p` for `cost` busy cycles.

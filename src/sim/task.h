@@ -10,7 +10,8 @@
 // `Task<T>` is a lazy awaitable coroutine with symmetric transfer.
 // `Detached` is a fire-and-forget root used to launch top-level threads.
 // Both take their frames from `FramePool` (frame_pool.h) rather than the
-// global allocator.
+// global allocator. `Started<T>` lets a trivially destructible awaiter run a
+// Task it starts itself.
 // `suspend_to(f)` is the escape hatch: suspends the current coroutine and
 // hands its handle to `f`, which arranges resumption via the event engine.
 #pragma once
@@ -52,6 +53,9 @@ struct ValueStore<void> {
 };
 
 }  // namespace detail
+
+template <class T>
+class Started;
 
 /// Lazy awaitable coroutine. Created suspended; starts when awaited (or when
 /// `start()` is called by a root). On completion, control transfers
@@ -124,6 +128,7 @@ class [[nodiscard]] Task {
   }
 
  private:
+  friend class Started<T>;
   explicit Task(std::coroutine_handle<promise_type> h) noexcept : handle_(h) {}
   void destroy() {
     if (handle_) {
@@ -132,6 +137,42 @@ class [[nodiscard]] Task {
     }
   }
   std::coroutine_handle<promise_type> handle_;
+};
+
+/// A Task run by an awaiter that must stay trivially destructible (see
+/// `suspend_to`): the awaiter holds the task's handle instead of the Task.
+/// `start` takes the frame over and makes the awaiting coroutine its
+/// continuation; `take`, called once the task has finished, yields its
+/// value or rethrows its exception and frees the frame. A frame that was
+/// started must be taken, or it leaks.
+template <class T>
+class Started {
+ public:
+  /// Own `t`'s frame, to run on behalf of `caller`; returns the handle that
+  /// starts it (return it from `await_suspend`, or resume it).
+  std::coroutine_handle<> start(Task<T> t,
+                                std::coroutine_handle<> caller) noexcept {
+    h_ = std::exchange(t.handle_, {});
+    h_.promise().continuation = caller;
+    return h_;
+  }
+
+  /// Whether `start` has handed a frame over that `take` has not freed.
+  [[nodiscard]] bool started() const noexcept { return h_ != nullptr; }
+
+  /// The finished task's value, or its exception rethrown.
+  T take() {
+    struct Free {
+      std::coroutine_handle<typename Task<T>::promise_type> h;
+      ~Free() { h.destroy(); }
+    } const frame{std::exchange(h_, {})};
+    auto& promise = frame.h.promise();
+    if (promise.exception) std::rethrow_exception(promise.exception);
+    return promise.take();
+  }
+
+ private:
+  std::coroutine_handle<typename Task<T>::promise_type> h_;
 };
 
 /// Fire-and-forget root coroutine; self-destroys on completion.

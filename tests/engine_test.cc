@@ -4,6 +4,7 @@
 
 #include <coroutine>
 #include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -229,9 +230,28 @@ Task<> resume_at(Engine* eng, Log* log, char tag, ProcId home, Cycles t) {
   log->emplace_back(tag, eng->current_home(), eng->now());
 }
 
+/// The frame-free kind of resume event: logs where and when it ran, and
+/// how often.
+struct Logger : Continuation {
+  Engine* eng;
+  Log* log;
+  char tag;
+  int runs = 0;
+
+  Logger(Engine* e, Log* l, char t) : eng(e), log(l), tag(t) {
+    run = [](Continuation* c) {
+      auto* const self = static_cast<Logger*>(c);
+      ++self->runs;
+      self->log->emplace_back(self->tag, self->eng->current_home(),
+                              self->eng->now());
+    };
+  }
+};
+
 TEST(Engine, ResumeEventsAndClosuresShareOneLabelOrder) {
-  // Lane 0 schedules closures and resume events at one cycle, alternately;
-  // they run in scheduling order, each homed where it was scheduled.
+  // Lane 0 schedules closures and both kinds of resume event at one cycle,
+  // in turn; they run in scheduling order, each homed where it was
+  // scheduled.
   Engine eng;
   Log log;
   auto closure = [&](char tag, ProcId home) {
@@ -239,12 +259,16 @@ TEST(Engine, ResumeEventsAndClosuresShareOneLabelOrder) {
       log.emplace_back(tag, eng.current_home(), eng.now());
     });
   };
+  Logger e(&eng, &log, 'e');
+  Logger f(&eng, &log, 'f');
   closure('a', 2);
   Task<> b = resume_at(&eng, &log, 'b', 4, 50);
   b.start();
+  eng.resume_at_on(3, 50, &e);
   closure('c', 1);
   Task<> d = resume_at(&eng, &log, 'd', kNoProc, 50);
   d.start();
+  eng.resume_at_on(kNoProc, 50, &f);
   eng.run();
   std::string tags;
   std::vector<ProcId> homes;
@@ -253,24 +277,29 @@ TEST(Engine, ResumeEventsAndClosuresShareOneLabelOrder) {
     homes.push_back(home);
     EXPECT_EQ(t, 50u);
   }
-  EXPECT_EQ(tags, "abcd");
-  EXPECT_EQ(homes, (std::vector<ProcId>{2, 4, 1, kNoProc}));
+  EXPECT_EQ(tags, "abecdf");
+  EXPECT_EQ(homes, (std::vector<ProcId>{2, 4, 3, 1, kNoProc, kNoProc}));
   EXPECT_TRUE(b.done());
   EXPECT_TRUE(d.done());
-  EXPECT_EQ(eng.events_executed(), 4u);
+  EXPECT_EQ(e.runs, 1);
+  EXPECT_EQ(f.runs, 1);
+  EXPECT_EQ(eng.events_executed(), 6u);
 }
 
 TEST(Engine, ResumeEventsClampLikeClosures) {
-  // A resume event in the past is the same causality bug as a closure in
-  // the past: clamped to now() and counted (Release), asserted (Debug).
+  // A resume event in the past, of either kind, is the same causality bug
+  // as a closure in the past: clamped to now() and counted (Release),
+  // asserted (Debug).
   Engine eng;
   Log log;
   Task<> late = resume_at(&eng, &log, 'r', 0, 10);
+  Logger c(&eng, &log, 'c');
   eng.at(100, [&late] { late.start(); });
+  eng.at_on(2, 100, [&eng, &c] { eng.resume_at_on(1, 20, &c); });
 #ifdef NDEBUG
   eng.run();
-  EXPECT_EQ(log, (Log{{'r', 0, 100}}));
-  EXPECT_EQ(eng.clamped_events(), 1u);
+  EXPECT_EQ(log, (Log{{'r', 0, 100}, {'c', 1, 100}}));
+  EXPECT_EQ(eng.clamped_events(), 2u);
 #else
   EXPECT_DEATH(eng.run(), "scheduled in the past");
 #endif
@@ -284,27 +313,39 @@ Task<> flag_on_resume(Engine* eng, Cycles t, bool* resumed) {
 }
 
 TEST(Engine, DestroyedEngineNeverResumesPendingCoroutines) {
-  // A closure and two resume events are pending: one in the overflow heap,
-  // whose frame outlives the engine, and one in the wheel, whose frame is
-  // freed first, so the engine holds a dangling handle when it is
-  // destroyed (AddressSanitizer reports any touch of it).
+  // A closure and four resume events are pending. Two are coroutines: one
+  // in the overflow heap, whose frame outlives the engine, and one in the
+  // wheel, whose frame is freed first, so the engine holds a dangling
+  // handle when it is destroyed (AddressSanitizer reports any touch of
+  // it). Two are Continuations, one in each structure, the wheel's freed
+  // first in the same way.
   bool kept_resumed = false;
   bool freed_resumed = false;
   Task<> kept;
+  Log log;
+  Logger kept_cont(nullptr, &log, 'k');
   {
     Engine eng;
+    kept_cont.eng = &eng;
     kept = flag_on_resume(&eng, 5'000, &kept_resumed);
     kept.start();
     {
       Task<> t = flag_on_resume(&eng, 20, &freed_resumed);
       t.start();
     }
+    eng.resume_at_on(0, 6'000, &kept_cont);
+    {
+      auto freed = std::make_unique<Logger>(&eng, &log, 'f');
+      eng.resume_at_on(0, 30, freed.get());
+    }
     eng.at(10, [] {});
-    EXPECT_EQ(eng.pending(), 3u);
+    EXPECT_EQ(eng.pending(), 5u);
   }
   EXPECT_FALSE(kept_resumed);
   EXPECT_FALSE(freed_resumed);
   EXPECT_FALSE(kept.done());
+  EXPECT_EQ(kept_cont.runs, 0);
+  EXPECT_TRUE(log.empty());
 }
 
 TEST(Engine, RunUntilStopsShortOfAnEventInTheOverflow) {

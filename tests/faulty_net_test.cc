@@ -130,6 +130,39 @@ TEST(FaultyNetwork, RuntimeResumeDeliveryIsFaultedLikeASend) {
   EXPECT_EQ(net.stats().runtime_messages, 1u);
 }
 
+/// A frame-free receiver that counts its wakes.
+struct Wakes : sim::Continuation {
+  int count = 0;
+  Wakes() {
+    run = [](sim::Continuation* c) { ++static_cast<Wakes*>(c)->count; };
+  }
+};
+
+TEST(FaultyNetwork, RuntimeContinuationIsWrappedInAClosureLikeAResume) {
+  // A Continuation on traffic the plan can fault takes the closure path
+  // through the fault layer, as a coroutine resume does: a certain
+  // duplicate runs it twice. On coherence traffic, which the plan cannot
+  // fault, the same wake reaches the inner network untouched and runs once.
+  World w;
+  FaultPlan plan;
+  plan.rates.duplicate = 1.0;
+  FaultyNetwork net(w.eng, w.inner, plan);
+  Wakes runtime;
+  net.send_resume(0, 1, 4, Traffic::kRuntime, &runtime);
+  w.eng.run();
+  EXPECT_EQ(runtime.count, 2);
+  EXPECT_EQ(net.stats().faults_duplicated, 1u);
+  EXPECT_EQ(net.stats().runtime_messages, 2u);
+
+  Wakes coherence;
+  const std::size_t events = w.eng.events_executed();
+  net.send_resume(0, 1, 4, Traffic::kCoherence, &coherence);
+  w.eng.run();
+  EXPECT_EQ(coherence.count, 1);
+  EXPECT_EQ(net.stats().faults_duplicated, 1u);
+  EXPECT_EQ(w.eng.events_executed(), events + 1);
+}
+
 TEST(FaultyNetwork, LoopbackNeverFaulted) {
   World w;
   FaultPlan plan;

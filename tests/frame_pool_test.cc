@@ -187,6 +187,79 @@ TEST(FramePool, WarmRemoteCallLoopMakesNoGlobalAllocation) {
   EXPECT_EQ(w.rt.stats().local_calls, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Frames per runtime operation. A host thread's frame pool starts empty, so
+// on a fresh thread each coroutine frame an operation makes is one global
+// allocation. A run of the same operation on this thread first warms
+// everything else (the event queue's records and lanes), so what the fresh
+// thread allocates is the operation's frames.
+
+/// The coroutine frames `op(&w)` makes, besides its own, when run to
+/// completion.
+template <class Op>
+std::size_t frames_of(World& w, Op op) {
+  sim::detach(op(&w));
+  w.eng.run();
+  std::size_t made = 0;
+  std::thread fresh([&w, &op, &made] {
+    Task<> t = op(&w);
+    const std::size_t allocs0 = allocs();
+    t.start();
+    w.eng.run();
+    made = allocs() - allocs0;
+    EXPECT_TRUE(t.done());
+  });
+  fresh.join();
+  return made;
+}
+
+Task<int> work_at_home(World* w, core::Ctx& callee) {
+  co_await w->rt.compute(callee, 10);
+  co_return 0;
+}
+
+TEST(FramePool, FrameFreeHopReturnAndLocalCallMakeNoFrameOfTheirOwn) {
+  World w(4);
+  const core::ObjectId there = w.objects.create(3);
+  const core::ObjectId here = w.objects.create(2);
+  const auto hop = [there](World* w) -> Task<> {
+    core::Ctx ctx{&w->rt, 0};
+    co_await w->rt.migrate(ctx, there, 8);
+    EXPECT_EQ(ctx.proc, 3u);
+  };
+  const auto group_hop = [there](World* w) -> Task<> {
+    core::Ctx a{&w->rt, 0};
+    core::Ctx b{&w->rt, 0};
+    const std::vector<core::Ctx*> group{&a, &b};
+    co_await w->rt.migrate_group(group, there, 8);
+    EXPECT_EQ(b.proc, 3u);
+  };
+  const auto short_circuit_return = [](World* w) -> Task<> {
+    core::Ctx ctx{&w->rt, 3};
+    co_await w->rt.return_home(ctx, 0, 2);
+    EXPECT_EQ(ctx.proc, 0u);
+  };
+  const auto local_call = [here](World* w) -> Task<> {
+    core::Ctx ctx{&w->rt, 2};
+    (void)co_await w->rt.call(ctx, here, core::CallOpts{},
+                              [w](core::Ctx& c) { return work_at_home(w, c); });
+  };
+  const auto remote_call = [here](World* w) -> Task<> {
+    core::Ctx ctx{&w->rt, 0};
+    (void)co_await w->rt.call(ctx, here, core::CallOpts{},
+                              [w](core::Ctx& c) { return work_at_home(w, c); });
+  };
+  EXPECT_EQ(frames_of(w, hop), 0u);
+  // The group vector is the one allocation that is not a frame.
+  EXPECT_EQ(frames_of(w, group_hop), 1u);
+  EXPECT_EQ(frames_of(w, short_circuit_return), 0u);
+  EXPECT_EQ(frames_of(w, local_call), 1u);   // the body's
+  EXPECT_EQ(frames_of(w, remote_call), 2u);  // call_remote's and the body's
+  EXPECT_EQ(w.rt.stats().migrations, 4u);
+  EXPECT_EQ(w.rt.stats().local_calls, 2u);
+  EXPECT_EQ(w.rt.stats().remote_calls, 2u);
+}
+
 /// The coherence layer under the shared-memory B-tree's load: LimitLESS
 /// directories and small caches, so that every kind of coherence work
 /// (misses, invalidations, dirty writebacks, software traps, MSHR merges,

@@ -17,13 +17,23 @@ using sim::Cycles;
 using sim::Engine;
 using sim::ProcId;
 
-/// The two ways a network delivers a message: `send` runs a closure,
-/// `send_resume` resumes a suspended coroutine.
-enum class Delivery { kClosure, kResume };
-constexpr Delivery kDeliveries[] = {Delivery::kClosure, Delivery::kResume};
+/// The ways a network delivers a message: `send` runs a closure, and
+/// `send_resume` resumes a suspended coroutine or runs a Continuation.
+enum class Delivery { kClosure, kResume, kContinuation };
+constexpr Delivery kDeliveries[] = {Delivery::kClosure, Delivery::kResume,
+                                    Delivery::kContinuation};
+constexpr int kKinds = 3;
 
 const char* name_of(Delivery how) {
-  return how == Delivery::kClosure ? "closure" : "resume";
+  switch (how) {
+    case Delivery::kClosure:
+      return "closure";
+    case Delivery::kResume:
+      return "resume";
+    case Delivery::kContinuation:
+      return "continuation";
+  }
+  return "?";
 }
 
 /// A receiver coroutine: it suspends until a resume delivery of one message
@@ -38,14 +48,34 @@ sim::Detached receive(Network& net, ProcId src, ProcId dst, unsigned words,
   on_arrival();
 }
 
+/// A frame-free receiver: a Continuation that runs `on_arrival` when a
+/// resume delivery wakes it, then frees itself.
+template <class F>
+struct Arrival : sim::Continuation {
+  F on_arrival;
+
+  explicit Arrival(F f) : on_arrival(std::move(f)) { run = &arrive; }
+  static void arrive(sim::Continuation* c) {
+    auto* const self = static_cast<Arrival*>(c);
+    self->on_arrival();
+    delete self;
+  }
+};
+
 /// Send one message by `how`; `on_arrival` runs when it is delivered.
 template <class F>
 void send_by(Delivery how, Network& net, ProcId src, ProcId dst,
              unsigned words, Traffic kind, F on_arrival) {
-  if (how == Delivery::kClosure) {
-    net.send(src, dst, words, kind, on_arrival);
-  } else {
-    receive(net, src, dst, words, kind, on_arrival);
+  switch (how) {
+    case Delivery::kClosure:
+      net.send(src, dst, words, kind, on_arrival);
+      return;
+    case Delivery::kResume:
+      receive(net, src, dst, words, kind, on_arrival);
+      return;
+    case Delivery::kContinuation:
+      net.send_resume(src, dst, words, kind, new Arrival<F>(on_arrival));
+      return;
   }
 }
 
@@ -63,6 +93,14 @@ void expect_same(const Seen& a, const Seen& b) {
   EXPECT_EQ(a.stats.coherence_messages, b.stats.coherence_messages);
 }
 
+/// Every delivery kind saw what the closure did.
+void expect_all_same(const Seen (&seen)[kKinds]) {
+  for (int k = 1; k < kKinds; ++k) {
+    SCOPED_TRACE(name_of(kDeliveries[k]));
+    expect_same(seen[0], seen[k]);
+  }
+}
+
 TEST(ConstantNetwork, LatencyIsLaunchPlusPerWord) {
   Engine eng;
   ConstantNetwork net(eng, {.launch = 9, .per_word = 1});
@@ -72,7 +110,7 @@ TEST(ConstantNetwork, LatencyIsLaunchPlusPerWord) {
 }
 
 TEST(ConstantNetwork, DeliversAtLatency) {
-  Seen seen[2];
+  Seen seen[kKinds];
   for (const Delivery how : kDeliveries) {
     SCOPED_TRACE(name_of(how));
     Engine eng;
@@ -86,7 +124,7 @@ TEST(ConstantNetwork, DeliversAtLatency) {
     EXPECT_EQ(net.stats().runtime_words, 8u);
     seen[static_cast<int>(how)] = {{delivered}, net.stats()};
   }
-  expect_same(seen[0], seen[1]);
+  expect_all_same(seen);
 }
 
 TEST(ConstantNetwork, CountsMessagesAndWordsByKind) {
@@ -126,14 +164,14 @@ Seen loopback(Delivery how, Engine& eng, Network& net) {
 }
 
 TEST(ConstantNetwork, LoopbackIsFreeAndUncounted) {
-  Seen seen[2];
+  Seen seen[kKinds];
   for (const Delivery how : kDeliveries) {
     SCOPED_TRACE(name_of(how));
     Engine eng;
     ConstantNetwork net(eng);
     seen[static_cast<int>(how)] = loopback(how, eng, net);
   }
-  expect_same(seen[0], seen[1]);
+  expect_all_same(seen);
 }
 
 TEST(ConstantNetwork, ResumeAndClosureDeliveriesInOneCycleRunInLabelOrder) {
@@ -199,7 +237,7 @@ TEST(MeshNetwork, LatencyQueryIsPureUnderLoad) {
 }
 
 TEST(MeshNetwork, DeliveryMatchesLatencyUnderZeroLoad) {
-  Seen seen[2];
+  Seen seen[kKinds];
   for (const Delivery how : kDeliveries) {
     SCOPED_TRACE(name_of(how));
     Engine eng;
@@ -214,12 +252,12 @@ TEST(MeshNetwork, DeliveryMatchesLatencyUnderZeroLoad) {
     EXPECT_EQ(net.stats().coherence_words, 6u);
     seen[static_cast<int>(how)] = {{got}, net.stats()};
   }
-  expect_same(seen[0], seen[1]);
+  expect_all_same(seen);
 }
 
 TEST(MeshNetwork, ContentionDelaysSecondMessageOnSharedLink) {
-  Seen seen[2];
-  std::uint64_t link_words[2] = {0, 0};
+  Seen seen[kKinds];
+  std::uint64_t link_words[kKinds] = {};
   for (const Delivery how : kDeliveries) {
     SCOPED_TRACE(name_of(how));
     Engine eng;
@@ -237,19 +275,20 @@ TEST(MeshNetwork, ContentionDelaysSecondMessageOnSharedLink) {
     seen[static_cast<int>(how)] = {{first, second}, net.stats()};
     link_words[static_cast<int>(how)] = net.max_link_words();
   }
-  expect_same(seen[0], seen[1]);
+  expect_all_same(seen);
   EXPECT_EQ(link_words[0], link_words[1]);
+  EXPECT_EQ(link_words[0], link_words[2]);
 }
 
 TEST(MeshNetwork, LoopbackIsFreeAndUncounted) {
-  Seen seen[2];
+  Seen seen[kKinds];
   for (const Delivery how : kDeliveries) {
     SCOPED_TRACE(name_of(how));
     Engine eng;
     MeshNetwork net(eng, 16, {.width = 4});
     seen[static_cast<int>(how)] = loopback(how, eng, net);
   }
-  expect_same(seen[0], seen[1]);
+  expect_all_same(seen);
 }
 
 TEST(MeshNetwork, DisjointPathsDoNotInterfere) {

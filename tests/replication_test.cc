@@ -30,9 +30,11 @@ Task<> ensure_at(World* w, Replicated* r, ProcId p) {
   co_await r->ensure(ctx);
 }
 
-Task<> invalidate_from(World* w, Replicated* r, ProcId p) {
+Task<> invalidate_from(World* w, Replicated* r, ProcId p,
+                       sim::Cycles* done_at = nullptr) {
   Ctx ctx{&w->rt, p};
   co_await r->invalidate_all(ctx);
+  if (done_at != nullptr) *done_at = w->eng.now();
 }
 
 TEST(Replicated, HomeAlwaysValidAndFree) {
@@ -76,6 +78,38 @@ TEST(Replicated, InvalidateAllClearsEveryRemoteReplica) {
   // 4 invalidations + 4 acks.
   EXPECT_EQ(w.net.stats().messages - msgs_before, 8u);
   EXPECT_EQ(w.rt.stats().replica_invalidations, 4u);
+}
+
+TEST(Replicated, WriterResumesAfterTheLastAckOnBothBranches) {
+  // Raw sends (no transport) and the reliable transport's round trips: on
+  // either branch the writer waits for every ack, then finishes with one
+  // reply-receive charge on its own processor, the run's last work.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "raw");
+    World w(8);
+    if (reliable) w.rt.enable_reliability();
+    Replicated r(w.rt, w.objects.create(0), 12);
+    for (ProcId p = 1; p < 5; ++p) {
+      sim::detach(ensure_at(&w, &r, p));
+      w.eng.run();
+    }
+    const sim::Cycles busy0 = w.machine.proc(0).busy_cycles();
+    const sim::Cycles t0 = w.eng.now();
+    sim::Cycles done_at = 0;
+    sim::detach(invalidate_from(&w, &r, 0, &done_at));
+    w.eng.run();
+    for (ProcId p = 1; p < 5; ++p) EXPECT_FALSE(r.valid_at(p));
+    const CostModel c = CostModel::software();
+    EXPECT_EQ(w.machine.proc(0).busy_cycles() - busy0,
+              4 * c.sender_total(1) + c.reply_receive(1));
+    EXPECT_GT(done_at, t0);
+    if (!reliable) {
+      // Four sends back to back, then the last target's round trip.
+      const sim::Cycles hop = w.net.latency(0, 4, 1 + c.header_words);
+      EXPECT_EQ(done_at, t0 + 4 * c.sender_total(1) + 2 * hop +
+                             c.receiver_total(1, false) + c.reply_receive(1));
+    }
+  }
 }
 
 TEST(Replicated, InvalidateWithNoReplicasIsFree) {

@@ -6,12 +6,15 @@
 #include <string>
 #include <vector>
 
+#include "core/mechanism.h"
 #include "core/metrics.h"
+#include "core/mobile.h"
 #include "core/object.h"
 #include "net/constant_net.h"
 #include "sim/engine.h"
 #include "sim/machine.h"
 #include "sim/task.h"
+#include "sim/tracer.h"
 
 namespace cm::core {
 namespace {
@@ -444,6 +447,231 @@ TEST(Runtime, ExceptionsInRemoteBodiesPropagateToCaller) {
   sim::detach(throwing_call(&w, obj, &caught));
   w.eng.run();
   EXPECT_TRUE(caught);
+}
+
+/// A body that throws where it runs, at the object's home.
+Task<int> faulty_body(Ctx&) {
+  throw std::runtime_error("server fault");
+  co_return 0;  // unreachable; makes this a coroutine
+}
+
+Task<> throwing_local_call(World* w, ObjectId obj, ProcId from,
+                           bool synchronous, bool* caught) {
+  Ctx ctx{&w->rt, from};
+  try {
+    if (synchronous) {
+      // Not a coroutine: the body callable throws before it makes a task.
+      (void)co_await w->rt.call(ctx, obj, CallOpts{},
+                                [](Ctx&) -> Task<int> {
+                                  throw std::runtime_error("no task");
+                                });
+    } else {
+      (void)co_await w->rt.call(ctx, obj, CallOpts{},
+                                [](Ctx& c) { return faulty_body(c); });
+    }
+  } catch (const std::runtime_error&) {
+    *caught = true;
+  }
+}
+
+TEST(Runtime, ExceptionsInLocalBodiesPropagateToCaller) {
+  // On both paths: frame-free (nothing installed) and coroutine (a tracer).
+  for (const bool traced : {false, true}) {
+    for (const bool synchronous : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "traced " << traced
+                                        << ", synchronous " << synchronous);
+      World w(4);
+      sim::Tracer tracer(w.eng);
+      if (traced) w.eng.set_tracer(&tracer);
+      ASSERT_EQ(w.rt.frame_free(), !traced);
+      const ObjectId obj = w.objects.create(2);
+      bool caught = false;
+      sim::detach(throwing_local_call(&w, obj, 2, synchronous, &caught));
+      EXPECT_NO_THROW(w.eng.run());
+      EXPECT_TRUE(caught);
+      EXPECT_EQ(w.rt.stats().local_calls, 1u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Errors reach the awaiting coroutine on both paths: an object id that the
+// ObjectSpace never created fails the dispatch, after its locality check,
+// with std::out_of_range, and never escapes the engine's run loop.
+
+enum class Access { kCall, kMigrate, kApproachCp, kApproachObj };
+
+Task<> access_unknown(World* w, Access how, ObjectId ghost,
+                      std::string* error) {
+  Ctx ctx{&w->rt, 0};
+  MobileObject mobile(w->rt, ghost, 8);
+  try {
+    switch (how) {
+      case Access::kCall:
+        (void)co_await w->rt.call(ctx, ghost, CallOpts{},
+                                  [](Ctx&) -> Task<int> { co_return 0; });
+        break;
+      case Access::kMigrate:
+        co_await w->rt.migrate(ctx, ghost, 8);
+        break;
+      case Access::kApproachCp:
+        co_await approach(ctx, Mechanism::kMigration, mobile, 8, 32);
+        break;
+      case Access::kApproachObj:
+        co_await approach(ctx, Mechanism::kObjectMigration, mobile, 8, 32);
+        break;
+    }
+  } catch (const std::out_of_range& e) {
+    *error = e.what();
+  }
+}
+
+TEST(Runtime, UnknownObjectsThrowOutOfRangeToTheAwaiterOnBothPaths) {
+  for (const Access how : {Access::kCall, Access::kMigrate,
+                           Access::kApproachCp, Access::kApproachObj}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "access " << static_cast<int>(how)
+                                        << ", traced " << traced);
+      World w(4);
+      sim::Tracer tracer(w.eng);
+      if (traced) w.eng.set_tracer(&tracer);
+      ASSERT_EQ(w.rt.frame_free(), !traced);
+      const ObjectId known = w.objects.create(1);
+      std::string error;
+      sim::detach(access_unknown(&w, how, known + 1, &error));
+      EXPECT_NO_THROW(w.eng.run());
+      EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+      // The locality check ran before the lookup failed, and nothing moved.
+      EXPECT_EQ(w.rt.stats().breakdown.get(Category::kLocalityCheck),
+                w.rt.cost().locality_check);
+      EXPECT_EQ(w.net.stats().messages, 0u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One protocol, two paths. With nothing installed the runtime runs frame-
+// free; an installed tracer selects the pooled coroutines. A scenario must
+// leave the same events, completion cycle, busy cycles on each processor,
+// runtime counters (Table-5 breakdown included) and traffic on both.
+
+struct PathOutcome {
+  std::size_t events = 0;
+  Cycles drained_at = 0;
+  std::vector<Cycles> busy;  // per processor
+  std::string rt_stats;
+  std::uint64_t messages = 0;
+  std::uint64_t words = 0;
+  std::uint64_t runtime_messages = 0;
+  std::uint64_t runtime_words = 0;
+  std::vector<ProcId> seen;  // what the scenario observed, in order
+  bool operator==(const PathOutcome&) const = default;
+};
+
+using Scenario = Task<> (*)(World*, std::vector<ProcId>*);
+
+/// Run `scenario` on a 4-processor machine with one object homed on each
+/// processor (object i on processor i).
+PathOutcome run_on_path(Scenario scenario, bool traced) {
+  World w(4);
+  sim::Tracer tracer(w.eng);
+  if (traced) w.eng.set_tracer(&tracer);
+  EXPECT_EQ(w.rt.frame_free(), !traced);
+  for (ProcId p = 0; p < 4; ++p) (void)w.objects.create(p);
+  PathOutcome out;
+  sim::detach(scenario(&w, &out.seen));
+  w.eng.run();
+  out.events = w.eng.events_executed();
+  out.drained_at = w.eng.now();
+  for (ProcId p = 0; p < 4; ++p) {
+    out.busy.push_back(w.machine.proc(p).busy_cycles());
+  }
+  Metrics m;
+  put_rt_stats(m, w.rt.stats());
+  m.append_json_fields(out.rt_stats);
+  const net::NetStats& ns = w.net.stats();
+  out.messages = ns.messages;
+  out.words = ns.words;
+  out.runtime_messages = ns.runtime_messages;
+  out.runtime_words = ns.runtime_words;
+  return out;
+}
+
+void expect_paths_agree(Scenario scenario) {
+  const PathOutcome frame_free = run_on_path(scenario, false);
+  EXPECT_GT(frame_free.events, 0u);
+  EXPECT_EQ(frame_free, run_on_path(scenario, true));
+}
+
+Task<> hop_scenario(World* w, std::vector<ProcId>* seen) {
+  Ctx ctx{&w->rt, 0};
+  co_await w->rt.migrate(ctx, 2, 8);
+  seen->push_back(ctx.proc);
+  co_await w->rt.migrate(ctx, 2, 8);  // already local
+  seen->push_back(ctx.proc);
+}
+
+Task<> group_hop_scenario(World* w, std::vector<ProcId>* seen) {
+  Ctx a{&w->rt, 0};
+  Ctx b{&w->rt, 0};
+  std::vector<Ctx*> group{&a, &b};
+  co_await w->rt.migrate_group(group, 3, 20);
+  seen->push_back(a.proc);
+  seen->push_back(b.proc);
+  co_await w->rt.migrate_group(group, 3, 20);  // already local
+}
+
+Task<> return_scenario(World* w, std::vector<ProcId>* seen) {
+  Ctx ctx{&w->rt, 0};
+  co_await w->rt.return_home(ctx, 0, 2);  // never left: free
+  co_await w->rt.migrate(ctx, 1, 8);
+  co_await w->rt.migrate(ctx, 3, 8);
+  co_await w->rt.return_home(ctx, 0, 2);
+  seen->push_back(ctx.proc);
+}
+
+Task<int> report_proc(World* w, Ctx& callee) {
+  co_await w->rt.compute(callee, 10);
+  co_return static_cast<int>(callee.proc);
+}
+
+Task<> local_call_scenario(World* w, std::vector<ProcId>* seen) {
+  Ctx ctx{&w->rt, 2};
+  const int at = co_await w->rt.call(
+      ctx, 2, CallOpts{}, [w](Ctx& c) { return report_proc(w, c); });
+  seen->push_back(static_cast<ProcId>(at));
+}
+
+Task<> remote_call_scenario(World* w, std::vector<ProcId>* seen) {
+  Ctx ctx{&w->rt, 0};
+  const int at = co_await w->rt.call(
+      ctx, 1, CallOpts{}, [w](Ctx& c) { return report_proc(w, c); });
+  seen->push_back(static_cast<ProcId>(at));
+  // A body that migrates on: its reply short-circuits from processor 3.
+  const int end = co_await w->rt.call(
+      ctx, 2, CallOpts{2, 2, true}, [w](Ctx& c) -> Task<int> {
+        co_await w->rt.migrate(c, 3, 8);
+        co_return co_await report_proc(w, c);
+      });
+  seen->push_back(static_cast<ProcId>(end));
+}
+
+TEST(Runtime, HopIsTheSameOnBothPaths) { expect_paths_agree(hop_scenario); }
+
+TEST(Runtime, GroupHopIsTheSameOnBothPaths) {
+  expect_paths_agree(group_hop_scenario);
+}
+
+TEST(Runtime, ReturnHomeIsTheSameOnBothPaths) {
+  expect_paths_agree(return_scenario);
+}
+
+TEST(Runtime, LocalCallIsTheSameOnBothPaths) {
+  expect_paths_agree(local_call_scenario);
+}
+
+TEST(Runtime, RemoteCallIsTheSameOnBothPaths) {
+  expect_paths_agree(remote_call_scenario);
 }
 
 Task<> deep_chain(World* w, std::vector<ObjectId> objs, std::size_t i,

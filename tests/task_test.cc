@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/engine.h"
-#include "sim/oneshot.h"
 
 namespace cm::sim {
 namespace {
@@ -106,61 +105,6 @@ TEST(Task, RepeatedSuspension) {
   t.start();
   eng.run();
   EXPECT_EQ(log, (std::vector<Cycles>{10, 20, 30}));
-}
-
-Task<> await_oneshot(OneShot<int> os, int* out) { *out = co_await os.get(); }
-
-TEST(OneShot, WakesWaiterOnSet) {
-  Engine eng;
-  OneShot<int> os;
-  int out = 0;
-  Task<> t = await_oneshot(os, &out);
-  t.start();
-  EXPECT_FALSE(t.done());
-  eng.after(5, [os] { os.set(99); });
-  eng.run();
-  EXPECT_TRUE(t.done());
-  EXPECT_EQ(out, 99);
-}
-
-TEST(OneShot, AlreadySetDoesNotSuspend) {
-  OneShot<int> os;
-  os.set(5);
-  int out = 0;
-  Task<> t = await_oneshot(os, &out);
-  t.start();
-  EXPECT_TRUE(t.done());
-  EXPECT_EQ(out, 5);
-}
-
-TEST(OneShot, ReadyReflectsState) {
-  OneShot<Unit> os;
-  EXPECT_FALSE(os.ready());
-  os.set(Unit{});
-  EXPECT_TRUE(os.ready());
-}
-
-// Two threads rendezvous through a pair of one-shots; checks symmetric
-// transfer does not lose either continuation.
-Task<> ping(OneShot<int> in, OneShot<int> out, std::vector<int>* log) {
-  out.set(1);
-  log->push_back(co_await in.get());
-}
-Task<> pong(OneShot<int> in, OneShot<int> out, std::vector<int>* log) {
-  log->push_back(co_await in.get());
-  out.set(2);
-}
-
-TEST(OneShot, PingPongRendezvous) {
-  std::vector<int> log;
-  OneShot<int> a, b;
-  Task<> t2 = pong(a, b, &log);
-  t2.start();  // waits on a
-  Task<> t1 = ping(b, a, &log);
-  t1.start();  // sets a, waits on b; pong resumes, sets b
-  EXPECT_TRUE(t1.done());
-  EXPECT_TRUE(t2.done());
-  EXPECT_EQ(log, (std::vector<int>{1, 2}));
 }
 
 TEST(Task, MoveTransfersOwnership) {
