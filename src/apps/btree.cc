@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <coroutine>
 #include <functional>
 #include <stdexcept>
 
+#include "apps/node_access.h"
 #include "policy/policy.h"
 
 namespace cm::apps {
@@ -53,15 +55,12 @@ DistributedBTree::DistributedBTree(core::Runtime& rt,
   if (mem_ != nullptr) anchor_addr_ = mem_->alloc(0, 8);
   root_ = alloc_node(/*leaf=*/true, /*level=*/0);
   if (p_.replication) {
-    repl_ = std::make_unique<core::Replicated>(rt, nodes_[root_].oid,
-                                               replica_words());
+    // A root fetch ships ~3 words per entry (a 64-bit key and a payload),
+    // bounded below for tiny roots.
+    repl_ = std::make_unique<core::Replicated>(
+        rt, nodes_[root_].oid,
+        std::max(8u, 3u * std::min<unsigned>(p_.max_entries, 16u)));
   }
-}
-
-unsigned DistributedBTree::replica_words() const {
-  // A root fetch ships the root's entries: ~3 words per entry (key is two
-  // 32-bit words + payload), bounded below for tiny roots.
-  return std::max(8u, 3u * std::min<unsigned>(p_.max_entries, 16u));
 }
 
 std::uint32_t DistributedBTree::alloc_node(bool leaf, unsigned level) {
@@ -78,8 +77,7 @@ std::uint32_t DistributedBTree::alloc_node(bool leaf, unsigned level) {
   }
   const core::ObjectId oid = rt_->objects().create(home);
   // A moved node ships its full entry array (3 words per entry + header).
-  Node& n = nodes_.emplace_back(leaf, level, oid, home, *rt_,
-                                2 + 3 * p_.max_entries);
+  Node& n = nodes_.emplace_back(leaf, level, oid, *rt_, 2 + 3 * p_.max_entries);
   // Sized once: a node holds at most max_entries + 1 entries, the overflow
   // that makes it split.
   n.maxkey.reserve(p_.max_entries + 1);
@@ -198,16 +196,12 @@ DistributedBTree::Step DistributedBTree::search_step(
               static_cast<std::uint32_t>(n.payload[idx]), false, 0};
 }
 
-unsigned DistributedBTree::probes(const Node& n) const {
-  return log2probes(n.maxkey.size());
-}
-
 sim::Cycles DistributedBTree::search_cycles(const Node& n) const {
   // Search work scales with the node: the binary-search probes plus the
   // dense scan/compare over the located region. For the paper's 100-entry
   // nodes this dominates ("activations accessing smaller nodes require less
   // time to service", §4.2).
-  return p_.search_base + p_.search_per_probe * probes(n) +
+  return p_.search_base + p_.search_per_probe * log2probes(n.maxkey.size()) +
          p_.search_per_entry * static_cast<sim::Cycles>(n.maxkey.size());
 }
 
@@ -218,41 +212,41 @@ sim::Cycles DistributedBTree::modify_cycles(const Node& n, bool split) const {
          (split ? p_.split_work : 0);
 }
 
-void DistributedBTree::require_memory(Mechanism mech) const {
-  if (mech == Mechanism::kSharedMemory && mem_ == nullptr) {
-    throw std::invalid_argument(
-        "DistributedBTree: shared memory needs a CoherentMemory");
-  }
-}
-
-bool DistributedBTree::apply_entry_insert(Node& n, std::uint64_t key,
-                                          std::uint64_t payload) {
+DistributedBTree::Update DistributedBTree::insert_entry(std::uint32_t nid,
+                                                       std::uint64_t key,
+                                                       std::uint64_t value) {
+  Node& n = nodes_[nid];
   assert(n.leaf);
   const auto it = std::lower_bound(n.maxkey.begin(), n.maxkey.end(), key);
   const auto idx = static_cast<std::size_t>(it - n.maxkey.begin());
-  if (it != n.maxkey.end() && *it == key) {
-    n.payload[idx] = payload;  // duplicate: overwrite
-    return false;
+  const bool fresh = it == n.maxkey.end() || *it != key;
+  if (fresh) {
+    n.maxkey.insert(it, key);
+    n.payload.insert(n.payload.begin() + static_cast<std::ptrdiff_t>(idx),
+                     value);
+  } else {
+    n.payload[idx] = value;  // duplicate: overwrite
   }
-  n.maxkey.insert(it, key);
-  n.payload.insert(n.payload.begin() + static_cast<std::ptrdiff_t>(idx),
-                   payload);
-  return true;
+  return Update{.changed = fresh, .split = split_if_full(nid)};
 }
 
-bool DistributedBTree::apply_entry_remove(Node& n, std::uint64_t key) {
+DistributedBTree::Update DistributedBTree::remove_entry(std::uint32_t nid,
+                                                       std::uint64_t key) {
+  Node& n = nodes_[nid];
   assert(n.leaf);
   const auto it = std::lower_bound(n.maxkey.begin(), n.maxkey.end(), key);
-  if (it == n.maxkey.end() || *it != key) return false;
+  if (it == n.maxkey.end() || *it != key) return Update{};
   const auto idx = static_cast<std::size_t>(it - n.maxkey.begin());
   n.maxkey.erase(it);
   n.payload.erase(n.payload.begin() + static_cast<std::ptrdiff_t>(idx));
   // Lazy deletion: high_key and parent separators are left as-is; an empty
   // leaf simply routes traversals onward.
-  return true;
+  return Update{.changed = true};
 }
 
-std::uint32_t DistributedBTree::apply_split(std::uint32_t nid) {
+std::optional<DistributedBTree::SplitInfo> DistributedBTree::split_if_full(
+    std::uint32_t nid) {
+  if (nodes_[nid].maxkey.size() <= p_.max_entries) return std::nullopt;
   const std::uint32_t sid = alloc_node(nodes_[nid].leaf, nodes_[nid].level);
   Node& n = nodes_[nid];
   Node& s = nodes_[sid];
@@ -267,11 +261,12 @@ std::uint32_t DistributedBTree::apply_split(std::uint32_t nid) {
   s.right = n.right;
   n.high_key = n.maxkey.back();
   n.right = sid;
-  return sid;
+  return SplitInfo{nid, sid, n.high_key, s.high_key, n.level};
 }
 
-void DistributedBTree::apply_parent_update(Node& parent,
-                                           const SplitInfo& info) {
+DistributedBTree::Update DistributedBTree::install_separator(
+    std::uint32_t nid, const SplitInfo& info) {
+  Node& parent = nodes_[nid];
   const auto it = std::lower_bound(parent.maxkey.begin(), parent.maxkey.end(),
                                    info.right_max);
   const auto idx = static_cast<std::size_t>(it - parent.maxkey.begin());
@@ -285,341 +280,358 @@ void DistributedBTree::apply_parent_update(Node& parent,
   parent.payload.insert(parent.payload.begin() +
                             static_cast<std::ptrdiff_t>(idx) + 1,
                         info.right);
+  return Update{.split = split_if_full(nid), .release = info.left};
 }
 
 // ---------------------------------------------------------------------------
-// Simulation adapters
+// The node-access layer: where a node access runs, and what locking,
+// searching and changing the node cost there
 // ---------------------------------------------------------------------------
 
-sim::Task<> DistributedBTree::charge_search_sm(Ctx& ctx, std::uint32_t nid,
-                                               bool optimistic) {
-  const Node& n = nodes_[nid];
-  SmNode& sm = sm_[nid];
-  const unsigned np = probes(n);
-  const sim::Cycles cycles = search_cycles(n);
-  // The requester reads the node's lines coherently. The search touches
-  // the header plus a dense slice of the entry array — a binary search's
-  // probes plus the final scan/copy region; for the 100-entry nodes of
-  // §4.2 this is a substantial fraction of the node, which is why the
-  // paper's SM caches hit so rarely on leaf data.
-  const ProcId p = ctx.proc;
-  for (;;) {
-    std::uint64_t v = 0;
-    if (optimistic) {
-      // Wang-era concurrent B-trees take a shared (read) lock per node
-      // visit: two read-modify-writes on the node's lock word, a line that
-      // ping-pongs among all requesters -- the "data contention" the paper
-      // describes at the root. Consistency of the snapshot itself is
-      // enforced by the version check below.
-      co_await mem_->write(p, sm.lock.addr(), 4);
-      v = co_await sm.seq.begin_read(p);
+/// Shared memory: an access runs at the requester against the node's
+/// coherent lines; an update holds its SpinLock and brackets the change with
+/// its SeqLock. Caches replicate read-shared lines; reads skip the profile.
+class DistributedBTree::Coherent {
+  using Id = std::uint32_t;
+
+ public:
+  static constexpr bool kReplicas = false;  // no replica_of
+
+  explicit Coherent(DistributedBTree* bt) : bt_(bt) {}
+
+  template <class F>
+  auto at_node(Ctx& ctx, Id, F body) const { return RunHere(ctx, body); }
+  Task<> lock(Ctx& at, Id n) const { return sm(n).lock.acquire(at.proc); }
+  Task<> unlock(Ctx& at, Id n) const { return sm(n).lock.release(at.proc); }
+  Task<> begin_write(Ctx& at, Id n) const {
+    return sm(n).seq.begin_write(at.proc);
+  }
+  Task<> end_write(Ctx& at, Id n) const { return sm(n).seq.end_write(at.proc); }
+  // The root pointer's word: read at each operation's start, written when a
+  // root split publishes the new root's lines.
+  Task<> read_root(Ctx& ctx) const { return anchor(ctx, false); }
+  Task<> write_root(Ctx& ctx) const { return anchor(ctx, true); }
+  Task<> write_node(Ctx& ctx, Id n, unsigned bytes) const {
+    return bt_->mem_->write(ctx.proc, sm(n).base, bytes);
+  }
+  core::Replicated* root_replica() const { return nullptr; }
+  void note_read(Id /*nid*/, ProcId /*requester*/) const {}
+
+  /// Examine node `nid` at the requester: the coherent reads
+  /// (seqlock-validated when `optimistic`) around the search's compute. Like
+  /// charge_modify, it is awaited by the body holding this layer object.
+  Task<> charge_search(Ctx& ctx, Id nid, bool optimistic) const {
+    DistributedBTree& bt = *bt_;
+    const Node& n = bt.nodes_[nid];
+    SmNode& sm = bt.sm_[nid];
+    const unsigned np = log2probes(n.maxkey.size());
+    const sim::Cycles cycles = bt.search_cycles(n);
+    // The requester reads the node's lines coherently. The search touches
+    // the header plus a dense slice of the entry array — a binary search's
+    // probes plus the final scan/copy region; for the 100-entry nodes of
+    // §4.2 this is a substantial fraction of the node, which is why the
+    // paper's SM caches hit so rarely on leaf data.
+    const ProcId p = ctx.proc;
+    for (;;) {
+      std::uint64_t v = 0;
+      if (optimistic) {
+        // Wang-era concurrent B-trees take a shared (read) lock per node
+        // visit: two read-modify-writes on the node's lock word, a line
+        // that ping-pongs among all requesters -- the "data contention" the
+        // paper describes at the root. Consistency of the snapshot itself
+        // is enforced by the version check below.
+        co_await bt.mem_->write(p, sm.lock.addr(), 4);
+        v = co_await sm.seq.begin_read(p);
+      }
+      co_await bt.mem_->read(p, sm.base, 16);  // header
+      const auto entries = static_cast<unsigned>(n.maxkey.size());
+      const unsigned nreads = std::max({1u, np, entries / 3});
+      const std::uint64_t entry_bytes = 16ull * (bt.p_.max_entries + 1);
+      const std::uint64_t stride =
+          std::max<std::uint64_t>(16, entry_bytes / nreads);
+      for (unsigned i = 0; i < nreads; ++i) {
+        co_await bt.mem_->read(p, sm.base + 16 + i * stride, 8);
+      }
+      co_await bt.rt_->compute(ctx, cycles);
+      if (!optimistic) co_return;
+      co_await bt.mem_->write(p, sm.lock.addr(), 4);  // release the read lock
+      if (co_await sm.seq.validate(p, v)) co_return;
+      // Torn read: a writer intervened; retry (charges again, as real
+      // optimistic readers do).
     }
-    co_await mem_->read(p, sm.base, 16);  // header
+  }
+
+  /// Modify node `nid`: the modify_cycles compute, then the coherent
+  /// writes. Entry insertion dirties the header plus the shifted tail of
+  /// the entry array (half the entries on average); a split additionally
+  /// writes the new sibling's half of the node.
+  Task<> charge_modify(Ctx& ctx, Id nid, bool split) const {
+    DistributedBTree& bt = *bt_;
+    const Node& n = bt.nodes_[nid];
+    const shmem::Addr base = bt.sm_[nid].base;
+    const ProcId p = ctx.proc;
+    co_await bt.rt_->compute(ctx, bt.modify_cycles(n, split));
+    co_await bt.mem_->write(p, base, 16);
     const auto entries = static_cast<unsigned>(n.maxkey.size());
-    const unsigned nreads = std::max({1u, np, entries / 3});
-    const std::uint64_t entry_bytes = 16ull * (p_.max_entries + 1);
-    const std::uint64_t stride = std::max<std::uint64_t>(16, entry_bytes / nreads);
-    for (unsigned i = 0; i < nreads; ++i) {
-      co_await mem_->read(p, sm.base + 16 + i * stride, 8);
+    const unsigned shifted = std::max(2u, entries / 4);
+    co_await bt.mem_->write(p, base + 16, shifted * 16);
+    if (split) {
+      const Node& s = bt.nodes_[n.right];  // freshly created sibling
+      const std::uint64_t bytes = 16 + 16ull * s.maxkey.size();
+      co_await bt.mem_->write(p, bt.sm_[n.right].base,
+                              static_cast<unsigned>(bytes));
     }
-    co_await rt_->compute(ctx, cycles);
-    if (!optimistic) co_return;
-    co_await mem_->write(p, sm.lock.addr(), 4);  // release the read lock
-    if (co_await sm.seq.validate(p, v)) co_return;
-    // Torn read: a writer intervened; retry (charges again, as real
-    // optimistic readers do).
   }
-}
 
-sim::Task<> DistributedBTree::charge_modify_sm(Ctx& ctx, std::uint32_t nid,
-                                               bool split) {
-  const Node& n = nodes_[nid];
-  const shmem::Addr base = sm_[nid].base;
-  const ProcId p = ctx.proc;
-  // Entry insertion dirties the header plus the shifted tail of the entry
-  // array (half the entries on average); a split additionally writes the
-  // new sibling's half of the node.
-  co_await mem_->write(p, base, 16);
-  const auto entries = static_cast<unsigned>(n.maxkey.size());
-  const unsigned shifted = std::max(2u, entries / 4);
-  co_await mem_->write(p, base + 16, shifted * 16);
-  if (split) {
-    const Node& s = nodes_[n.right];  // freshly created sibling
-    const std::uint64_t bytes = 16 + 16ull * s.maxkey.size();
-    co_await mem_->write(p, sm_[n.right].base, static_cast<unsigned>(bytes));
+ private:
+  SmNode& sm(Id n) const { return bt_->sm_[n]; }
+  Task<> anchor(Ctx& ctx, bool write) const {
+    return write ? bt_->mem_->write(ctx.proc, bt_->anchor_addr_, 8)
+                 : bt_->mem_->read(ctx.proc, bt_->anchor_addr_, 8);
   }
-}
 
-sim::Task<DistributedBTree::Step> DistributedBTree::visit_node(
-    Ctx& ctx, Mechanism mech, std::uint32_t nid, std::uint64_t key) {
-  const ProcId requester = ctx.proc;
+  DistributedBTree* bt_;
+};
+
+/// Message passing (RPC, CP, OBJ, TM): an access is a method at the node's
+/// home (apps::call_at), under its AsyncMutex; searching or changing the
+/// node costs one compute. Reads may use the root's or the policy's replica.
+class DistributedBTree::Messages {
+  using Id = std::uint32_t;
+
+ public:
+  static constexpr bool kReplicas = true;
+
+  Messages(DistributedBTree* bt, Mechanism mech) : bt_(bt), mech_(mech) {}
+
+  template <class F>
+  auto at_node(Ctx& ctx, Id n, F body) const {
+    const Params& p = bt_->p_;
+    return call_at(ctx, mech_, node(n).mobile,
+                   core::CallOpts{p.rpc_arg_words, p.rpc_ret_words, false},
+                   p.frame_words, p.thread_state_words, body);
+  }
+  sim::AsyncMutex::Awaiter lock(Ctx&, Id n) const {
+    return node(n).mutex.lock();
+  }
+  std::suspend_never unlock(Ctx&, Id n) const {
+    node(n).mutex.unlock();
+    return {};
+  }
+  std::suspend_never begin_write(Ctx&, Id) const { return {}; }
+  std::suspend_never end_write(Ctx&, Id) const { return {}; }
+  sim::Machine::Compute charge_search(Ctx& at, Id n, bool) const {
+    return bt_->rt_->compute(at, bt_->search_cycles(node(n)));
+  }
+  sim::Machine::Compute charge_modify(Ctx& at, Id n, bool split) const {
+    return bt_->rt_->compute(at, bt_->modify_cycles(node(n), split));
+  }
+  std::suspend_never read_root(Ctx&) const { return {}; }
+  std::suspend_never write_root(Ctx&) const { return {}; }
+  std::suspend_never write_node(Ctx&, Id, unsigned) const { return {}; }
+  core::Replicated* root_replica() const { return bt_->repl_.get(); }
+  core::Replicated* replica_of(Id n) const {
+    return bt_->policy_ == nullptr ? nullptr
+                                   : bt_->policy_->replica_of(node(n).oid);
+  }
+  void note_read(Id n, ProcId requester) const {
+    if (bt_->policy_ != nullptr) {
+      bt_->policy_->on_access(node(n).oid, requester, /*write=*/false);
+    }
+  }
+
+ private:
+  Node& node(Id n) const { return bt_->nodes_[n]; }
+
+  DistributedBTree* bt_;
+  Mechanism mech_;
+};
+
+// ---------------------------------------------------------------------------
+// Wang's algorithm, written once over the node-access layer
+// ---------------------------------------------------------------------------
+
+template <class A>
+auto DistributedBTree::visit_node(Ctx& ctx, A acc, std::uint32_t nid,
+                                  std::uint64_t key) {
   if (sim::Tracer* tr = rt_->tracer()) {
     tr->record(sim::TraceEvent::kBTreeNodeVisit, ctx.proc,
                {{"node", nid}, {"level", nodes_[nid].level}});
   }
-  if (mech == Mechanism::kSharedMemory) {
-    co_await charge_search_sm(ctx, nid, /*optimistic=*/true);
-    co_return search_step(nodes_[nid], key);
-  }
-  if (policy_ != nullptr) {
-    // Phase-flipped node: read it from the local replica instead of the
-    // primary — same timing model as visit_root_replicated, and B-link
-    // lateral moves absorb any staleness in the routing entries.
-    if (core::Replicated* pr = policy_->replica_of(nodes_[nid].oid)) {
-      co_await pr->ensure(ctx);
-      const Node& n = nodes_[nid];
-      co_await rt_->compute(ctx, search_cycles(n));
-      policy_->on_access(n.oid, requester, /*write=*/false);
-      co_return search_step(n, key);
+  if constexpr (A::kReplicas) {
+    // A phase-flipped node is read from the local replica instead of the
+    // primary: B-link lateral moves absorb any staleness in its routing.
+    if (core::Replicated* copy = acc.replica_of(nid)) {
+      return read_replica(ctx, *copy, nid, key);
     }
   }
-  if (core::moves_to_data(mech)) {
-    // <<< the annotation: move this activation to the node >>>
-    co_await core::approach(ctx, mech, nodes_[nid].mobile, p_.frame_words,
-                            p_.thread_state_words);
-  }
-  const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
-                            /*short_method=*/false};
-  co_return co_await rt_->call(
-      ctx, nodes_[nid].oid, opts,
-      [this, nid, key, requester](Ctx& callee) -> Task<Step> {
-        const Node& n = nodes_[nid];
-        if (policy_ != nullptr) {
-          // The body runs at the node's home; the requester captured at
-          // procedure entry is the profile's accessor.
-          policy_->on_access(n.oid, requester, /*write=*/false);
+  const ProcId requester = ctx.proc;
+  return acc.at_node(ctx, nid,
+                     [this, acc, nid, key, requester](Ctx& at) -> Task<Step> {
+                       acc.note_read(nid, requester);
+                       co_await acc.charge_search(at, nid, /*optimistic=*/true);
+                       co_return search_step(nodes_[nid], key);
+                     });
+}
+
+Task<DistributedBTree::Step> DistributedBTree::read_replica(
+    Ctx& ctx, core::Replicated& copy, std::uint32_t nid, std::uint64_t key) {
+  const ProcId requester = ctx.proc;
+  co_await copy.ensure(ctx);
+  const Node& n = nodes_[nid];
+  co_await rt_->compute(ctx, search_cycles(n));
+  policy_->on_access(n.oid, requester, /*write=*/false);
+  co_return search_step(n, key);
+}
+
+template <class A, class Edit>
+auto DistributedBTree::update_locked(Ctx& ctx, A acc, ProcId accessor,
+                                     std::uint32_t nid, std::uint64_t route_key,
+                                     Edit edit) {
+  return acc.at_node(
+      ctx, nid,
+      [this, acc, accessor, nid, route_key, edit](Ctx& at) -> Task<Update> {
+        co_await acc.lock(at, nid);
+        Node& n = nodes_[nid];
+        if (route_key > n.high_key && n.right != kNone) {
+          const std::uint32_t right = n.right;
+          co_await acc.unlock(at, nid);
+          co_return Update{.right = right};
         }
-        co_await rt_->compute(callee, search_cycles(n));
-        co_return search_step(n, key);
+        if (policy_ != nullptr) {
+          policy_->on_access(n.oid, accessor, /*write=*/true);
+          co_await policy_->write_barrier(at, n.oid);
+        }
+        co_await acc.charge_search(at, nid, /*optimistic=*/false);
+        if (repl_ != nullptr && nid == root_) {
+          co_await repl_->invalidate_all(at);
+        }
+        co_await acc.begin_write(at, nid);
+        const Update u = edit(nid);
+        co_await acc.charge_modify(at, nid, u.split.has_value());
+        co_await acc.end_write(at, nid);
+        // A split node stays locked until the edit that installs its
+        // separator in the parent releases it (no racing double-splits).
+        if (u.release != kNone) co_await acc.unlock(at, u.release);
+        if (!u.split.has_value()) co_await acc.unlock(at, nid);
+        co_return u;
       });
 }
 
-sim::Task<DistributedBTree::Step> DistributedBTree::visit_root_replicated(
-    Ctx& ctx, std::uint64_t key) {
-  // Read the local root replica (fetch it first if invalid). The replica's
-  // *timing* is simulated; its contents are read from the live node, which
-  // is safe because B-link descents tolerate stale routing (lateral moves
-  // recover).
-  co_await repl_->ensure(ctx);
-  const Node& r = nodes_[root_];
-  co_await rt_->compute(ctx, search_cycles(r));
-  co_return search_step(r, key);
+Task<bool> DistributedBTree::lookup(Ctx& ctx, Mechanism mech,
+                                    std::uint64_t key,
+                                    std::uint64_t* value_out) {
+  return with_access(
+      mech, mem_, Coherent{this}, Messages{this, mech},
+      [&](auto acc) { return lookup_via(ctx, acc, key, value_out); });
 }
 
-sim::Task<bool> DistributedBTree::lookup(Ctx& ctx, Mechanism mech,
-                                         std::uint64_t key,
-                                         std::uint64_t* value_out) {
-  require_memory(mech);
-  const ProcId origin = ctx.proc;
-  if (mech == Mechanism::kSharedMemory) {
-    co_await mem_->read(ctx.proc, anchor_addr_, 8);  // root pointer
+Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
+                                    std::uint64_t key, std::uint64_t value) {
+  if (key == kMaxKey) {
+    return rejected<bool>(
+        std::invalid_argument("insert: the maximum key is reserved"));
   }
+  return with_access(
+      mech, mem_, Coherent{this}, Messages{this, mech}, [&](auto acc) {
+        return write_via(ctx, acc, key, /*origin_profiles=*/false,
+                         [this, key, value](std::uint32_t nid) {
+                           return insert_entry(nid, key, value);
+                         });
+      });
+}
+
+Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
+                                    std::uint64_t key) {
+  return with_access(
+      mech, mem_, Coherent{this}, Messages{this, mech}, [&](auto acc) {
+        return write_via(
+            ctx, acc, key, /*origin_profiles=*/true,
+            [this, key](std::uint32_t nid) { return remove_entry(nid, key); });
+      });
+}
+
+template <class A>
+Task<bool> DistributedBTree::lookup_via(Ctx& ctx, A acc, std::uint64_t key,
+                                        std::uint64_t* value_out) {
+  const ProcId origin = ctx.proc;
+  co_await acc.read_root(ctx);
+  core::Replicated* const root_copy = acc.root_replica();
   std::uint32_t cur = root_;
-  bool use_repl = repl_ != nullptr && mech != Mechanism::kSharedMemory;
-  bool found = false;
-  std::uint64_t value = 0;
+  Step s{};
   for (;;) {
-    Step s{};
-    if (use_repl && cur == root_ && !nodes_[cur].leaf) {
-      s = co_await visit_root_replicated(ctx, key);
+    if (root_copy != nullptr && cur == root_ && !nodes_[cur].leaf) {
+      // Read the local root replica (fetch it first if invalid). Its timing
+      // is simulated; its contents are read from the live node, which is
+      // safe because B-link descents tolerate stale routing (lateral moves
+      // recover).
+      co_await root_copy->ensure(ctx);
+      const Node& r = nodes_[root_];
+      co_await rt_->compute(ctx, search_cycles(r));
+      s = search_step(r, key);
     } else {
-      s = co_await visit_node(ctx, mech, cur, key);
+      s = co_await visit_node(ctx, acc, cur, key);
     }
-    if (s.kind == Step::Kind::kLeaf) {
-      found = s.found;
-      value = s.value;
-      break;
-    }
+    if (s.kind == Step::Kind::kLeaf) break;
     cur = s.next;
   }
   co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
-  if (value_out != nullptr && found) *value_out = value;
-  co_return found;
+  if (value_out != nullptr && s.found) *value_out = s.value;
+  co_return s.found;
 }
 
-sim::Task<> DistributedBTree::lock_node(Ctx& ctx, Mechanism mech,
-                                        std::uint32_t nid) {
-  if (mech == Mechanism::kSharedMemory) {
-    co_await sm_[nid].lock.acquire(ctx.proc);
-  } else {
-    co_await nodes_[nid].mutex.lock();
+template <class A, class Edit>
+Task<bool> DistributedBTree::write_via(Ctx& ctx, A acc, std::uint64_t key,
+                                       bool origin_profiles, Edit edit) {
+  const ProcId origin = ctx.proc;
+  co_await acc.read_root(ctx);
+  // Updates route through the primary root: multi-version-memory replicas
+  // serve reads, while writers descend via the authoritative copy (which is
+  // also what keeps replica invalidation on the writer's path).
+  Path path;
+  std::uint32_t cur = root_;
+  while (!nodes_[cur].leaf) {
+    const Step s = co_await visit_node(ctx, acc, cur, key);
+    if (s.kind == Step::Kind::kDescend) path.push(cur);
+    cur = s.next;  // kDescend and kLateral both carry the next node
   }
-}
-
-sim::Task<> DistributedBTree::unlock_node(Ctx& ctx, Mechanism mech,
-                                          std::uint32_t nid) {
-  if (mech == Mechanism::kSharedMemory) {
-    co_await sm_[nid].lock.release(ctx.proc);
-  } else {
-    nodes_[nid].mutex.unlock();
+  const ProcId accessor = origin_profiles ? origin : ctx.proc;
+  Update u;
+  for (;;) {  // lateral moves at the leaf level
+    u = co_await update_locked(ctx, acc, accessor, cur, key, edit);
+    if (u.right == kNone) break;
+    cur = u.right;
   }
-}
-
-sim::Task<DistributedBTree::InsertOutcome> DistributedBTree::insert_into_leaf(
-    Ctx& ctx, Mechanism mech, std::uint32_t leaf, std::uint64_t key,
-    std::uint64_t value) {
-  const ProcId requester = ctx.proc;
-  for (;;) {
-    if (core::moves_to_data(mech)) {
-      co_await core::approach(ctx, mech, nodes_[leaf].mobile, p_.frame_words,
-                              p_.thread_state_words);
-    }
-    // Under RPC/CM the locked section below runs as a method at the leaf's
-    // home; under SM it runs at the requester against coherent memory. The
-    // body is identical either way (the annotation changes nothing
-    // semantically), so we share it and only route the execution site.
-    struct Attempt {
-      bool lateral = false;
-      std::uint32_t next = kNone;
-      InsertOutcome out;
-    };
-    auto body = [this, mech, leaf, key, value,
-                 requester](Ctx& at) -> Task<Attempt> {
-      co_await lock_node(at, mech, leaf);
-      Node& n = nodes_[leaf];
-      if (key > n.high_key && n.right != kNone) {
-        const std::uint32_t nxt = n.right;
-        co_await unlock_node(at, mech, leaf);
-        co_return Attempt{true, nxt, {}};
-      }
-      if (policy_ != nullptr) {
-        policy_->on_access(n.oid, requester, /*write=*/true);
-        co_await policy_->write_barrier(at, n.oid);
-      }
-      if (mech == Mechanism::kSharedMemory) {
-        co_await charge_search_sm(at, leaf, /*optimistic=*/false);
-      } else {
-        co_await rt_->compute(at, search_cycles(n));
-      }
-      if (repl_ != nullptr && leaf == root_) {
-        co_await repl_->invalidate_all(at);
-      }
-      if (mech == Mechanism::kSharedMemory) {
-        co_await sm_[leaf].seq.begin_write(at.proc);
-      }
-      InsertOutcome out;
-      out.inserted = apply_entry_insert(n, key, value);
-      const bool overflow = n.maxkey.size() > p_.max_entries;
-      if (overflow) {
-        const std::uint32_t sid = apply_split(leaf);
-        out.split = SplitInfo{leaf, sid, n.high_key, nodes_[sid].high_key,
-                              n.level};
-      }
-      co_await rt_->compute(at, modify_cycles(n, overflow));
-      if (mech == Mechanism::kSharedMemory) {
-        co_await charge_modify_sm(at, leaf, overflow);
-        co_await sm_[leaf].seq.end_write(at.proc);
-      }
-      // A split keeps the left node locked until its separator is installed
-      // in the parent (prevents racing double-splits from confusing the
-      // parent update).
-      if (!overflow) co_await unlock_node(at, mech, leaf);
-      co_return Attempt{false, kNone, out};
-    };
-
-    Attempt a{};
-    if (mech == Mechanism::kSharedMemory) {
-      Ctx here{rt_, ctx.proc};
-      a = co_await body(here);
-    } else {
-      const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words, false};
-      a = co_await rt_->call(ctx, nodes_[leaf].oid, opts, body);
-    }
-    if (a.lateral) {
-      leaf = a.next;
-      continue;
-    }
-    co_return a.out;
+  if (u.split.has_value()) {
+    co_await install_split(ctx, acc, std::move(path), *u.split);
   }
+  co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
+  co_return u.changed;
 }
 
-sim::Task<> DistributedBTree::install_split(Ctx& ctx, Mechanism mech,
-                                            Path path, SplitInfo info) {
-  const ProcId requester = ctx.proc;
-  for (;;) {
-    if (path.empty()) {
-      co_await split_root(ctx, mech, info);
-      co_return;
-    }
+template <class A>
+Task<> DistributedBTree::install_split(Ctx& ctx, A acc, Path path,
+                                       SplitInfo info) {
+  const ProcId accessor = ctx.proc;  // for the whole cascade
+  while (!path.empty()) {
     std::uint32_t parent = path.pop();
-
-    std::optional<SplitInfo> cascade;
-    for (;;) {  // lateral loop at the parent level
-      if (core::moves_to_data(mech)) {
-        co_await core::approach(ctx, mech, nodes_[parent].mobile,
-                                p_.frame_words, p_.thread_state_words);
-      }
-      struct Attempt {
-        bool lateral = false;
-        std::uint32_t next = kNone;
-        std::optional<SplitInfo> cascade;
-      };
-      auto body = [this, mech, parent, info,
-                   requester](Ctx& at) -> Task<Attempt> {
-        co_await lock_node(at, mech, parent);
-        Node& n = nodes_[parent];
-        if (info.right_max > n.high_key && n.right != kNone) {
-          const std::uint32_t nxt = n.right;
-          co_await unlock_node(at, mech, parent);
-          co_return Attempt{true, nxt, {}};
-        }
-        if (policy_ != nullptr) {
-          policy_->on_access(n.oid, requester, /*write=*/true);
-          co_await policy_->write_barrier(at, n.oid);
-        }
-        if (mech == Mechanism::kSharedMemory) {
-          co_await charge_search_sm(at, parent, /*optimistic=*/false);
-        } else {
-          co_await rt_->compute(at, search_cycles(n));
-        }
-        if (repl_ != nullptr && parent == root_) {
-          co_await repl_->invalidate_all(at);
-        }
-        if (mech == Mechanism::kSharedMemory) {
-          co_await sm_[parent].seq.begin_write(at.proc);
-        }
-        apply_parent_update(n, info);
-        Attempt a{};
-        const bool overflow = n.maxkey.size() > p_.max_entries;
-        if (overflow) {
-          const std::uint32_t sid = apply_split(parent);
-          a.cascade = SplitInfo{parent, sid, n.high_key, nodes_[sid].high_key,
-                                n.level};
-        }
-        co_await rt_->compute(at, modify_cycles(n, overflow));
-        if (mech == Mechanism::kSharedMemory) {
-          co_await charge_modify_sm(at, parent, overflow);
-          co_await sm_[parent].seq.end_write(at.proc);
-        }
-        // The child's separator is installed: release the child.
-        co_await unlock_node(at, mech, info.left);
-        if (!overflow) co_await unlock_node(at, mech, parent);
-        co_return a;
-      };
-
-      Attempt a{};
-      if (mech == Mechanism::kSharedMemory) {
-        Ctx here{rt_, ctx.proc};
-        a = co_await body(here);
-      } else {
-        const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words, false};
-        a = co_await rt_->call(ctx, nodes_[parent].oid, opts, body);
-      }
-      if (a.lateral) {
-        parent = a.next;
-        continue;
-      }
-      cascade = a.cascade;
-      break;
+    Update u;
+    for (;;) {  // lateral moves at the parent level
+      u = co_await update_locked(ctx, acc, accessor, parent, info.right_max,
+                                 [this, info](std::uint32_t nid) {
+                                   return install_separator(nid, info);
+                                 });
+      if (u.right == kNone) break;
+      parent = u.right;
     }
-
-    if (!cascade.has_value()) co_return;
-    info = *cascade;
+    if (!u.split.has_value()) co_return;
+    info = *u.split;
   }
+  co_await split_root(ctx, acc, info);
 }
 
-sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
-                                         SplitInfo info) {
+template <class A>
+Task<> DistributedBTree::split_root(Ctx& ctx, A acc, SplitInfo info) {
   co_await tree_lock_.lock();
   if (root_ != info.left) {
     // Someone grew the tree above us since the descent began: find the
@@ -629,15 +641,11 @@ sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
     std::uint32_t cur = root_;
     while (nodes_[cur].level > info.level + 1) {
       const Step s = search_step(nodes_[cur], info.left_max);
-      if (s.kind == Step::Kind::kLateral) {
-        cur = s.next;
-        continue;
-      }
-      path.push(cur);
+      if (s.kind == Step::Kind::kDescend) path.push(cur);
       cur = s.next;
     }
     path.push(cur);
-    co_await install_split(ctx, mech, std::move(path), info);
+    co_await install_split(ctx, acc, std::move(path), info);
     co_return;
   }
 
@@ -649,132 +657,12 @@ sim::Task<> DistributedBTree::split_root(Ctx& ctx, Mechanism mech,
   r.payload = {info.left, info.right};
   r.high_key = kMaxKey;
   co_await rt_->compute(ctx, p_.modify_work + p_.split_work);
-  if (mech == Mechanism::kSharedMemory) {
-    co_await mem_->write(ctx.proc, sm_[nr].base, 48);
-    co_await mem_->write(ctx.proc, anchor_addr_, 8);  // publish new root
-  }
+  co_await acc.write_node(ctx, nr, 48);
+  co_await acc.write_root(ctx);  // publish the new root
   root_ = nr;
   if (repl_ != nullptr) repl_->rebind(r.oid);
-  co_await unlock_node(ctx, mech, info.left);
+  co_await acc.unlock(ctx, info.left);
   tree_lock_.unlock();
-}
-
-sim::Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
-                                         std::uint64_t key,
-                                         std::uint64_t value) {
-  if (key == kMaxKey) {
-    throw std::invalid_argument("insert: the maximum key is reserved");
-  }
-  require_memory(mech);
-  const ProcId origin = ctx.proc;
-  if (mech == Mechanism::kSharedMemory) {
-    co_await mem_->read(ctx.proc, anchor_addr_, 8);
-  }
-  // Updates route through the primary root: multi-version-memory replicas
-  // serve reads, while writers descend via the authoritative copy (which is
-  // also what keeps replica invalidation on the writer's path).
-  const bool use_repl = false;
-  Path path;
-  std::uint32_t cur = root_;
-  while (!nodes_[cur].leaf) {
-    Step s{};
-    if (use_repl && cur == root_) {
-      s = co_await visit_root_replicated(ctx, key);
-    } else {
-      s = co_await visit_node(ctx, mech, cur, key);
-    }
-    if (s.kind == Step::Kind::kDescend) {
-      path.push(cur);
-      cur = s.next;
-    } else if (s.kind == Step::Kind::kLateral) {
-      cur = s.next;
-    } else {
-      break;  // defensive: cannot happen on internal nodes
-    }
-  }
-
-  const InsertOutcome out = co_await insert_into_leaf(ctx, mech, cur, key,
-                                                      value);
-  if (out.split.has_value()) {
-    co_await install_split(ctx, mech, std::move(path), *out.split);
-  }
-  co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
-  co_return out.inserted;
-}
-
-sim::Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
-                                         std::uint64_t key) {
-  require_memory(mech);
-  const ProcId origin = ctx.proc;
-  if (mech == Mechanism::kSharedMemory) {
-    co_await mem_->read(ctx.proc, anchor_addr_, 8);
-  }
-  std::uint32_t cur = root_;
-  while (!nodes_[cur].leaf) {
-    const Step s = co_await visit_node(ctx, mech, cur, key);
-    cur = s.next;  // kDescend and kLateral both carry the next node
-  }
-
-  bool removed = false;
-  for (;;) {  // lateral loop at the leaf level
-    if (core::moves_to_data(mech)) {
-      co_await core::approach(ctx, mech, nodes_[cur].mobile, p_.frame_words,
-                              p_.thread_state_words);
-    }
-    struct Attempt {
-      bool lateral = false;
-      std::uint32_t next = kNone;
-      bool removed = false;
-    };
-    auto body = [this, mech, cur, key, origin](Ctx& at) -> Task<Attempt> {
-      co_await lock_node(at, mech, cur);
-      Node& n = nodes_[cur];
-      if (key > n.high_key && n.right != kNone) {
-        const std::uint32_t nxt = n.right;
-        co_await unlock_node(at, mech, cur);
-        co_return Attempt{true, nxt, false};
-      }
-      if (policy_ != nullptr) {
-        policy_->on_access(n.oid, origin, /*write=*/true);
-        co_await policy_->write_barrier(at, n.oid);
-      }
-      if (mech == Mechanism::kSharedMemory) {
-        co_await charge_search_sm(at, cur, /*optimistic=*/false);
-      } else {
-        co_await rt_->compute(at, search_cycles(n));
-      }
-      if (repl_ != nullptr && cur == root_) {
-        co_await repl_->invalidate_all(at);
-      }
-      if (mech == Mechanism::kSharedMemory) {
-        co_await sm_[cur].seq.begin_write(at.proc);
-      }
-      const bool did = apply_entry_remove(n, key);
-      co_await rt_->compute(at, modify_cycles(n, /*split=*/false));
-      if (mech == Mechanism::kSharedMemory) {
-        co_await charge_modify_sm(at, cur, /*split=*/false);
-        co_await sm_[cur].seq.end_write(at.proc);
-      }
-      co_await unlock_node(at, mech, cur);
-      co_return Attempt{false, kNone, did};
-    };
-    Attempt a{};
-    if (mech == Mechanism::kSharedMemory) {
-      Ctx here{rt_, ctx.proc};
-      a = co_await body(here);
-    } else {
-      const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words, false};
-      a = co_await rt_->call(ctx, nodes_[cur].oid, opts, body);
-    }
-    if (a.lateral) {
-      cur = a.next;
-      continue;
-    }
-    removed = a.removed;
-    break;
-  }
-  co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
-  co_return removed;
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +687,9 @@ unsigned DistributedBTree::root_children() const {
 
 std::uint32_t DistributedBTree::leftmost_leaf() const {
   std::uint32_t cur = root_;
-  while (!nodes_[cur].leaf) cur = static_cast<std::uint32_t>(nodes_[cur].payload.front());
+  while (!nodes_[cur].leaf) {
+    cur = static_cast<std::uint32_t>(nodes_[cur].payload.front());
+  }
   return cur;
 }
 

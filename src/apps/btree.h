@@ -1,7 +1,7 @@
 // Distributed B-tree application (paper §4.2): a simplified version of
-// Wang's concurrent B-link-tree algorithm [Wan91] — `lookup` and `insert`,
-// no `delete` — with nodes scattered uniformly at random over the first
-// `node_procs` processors.
+// Wang's concurrent B-link-tree algorithm [Wan91] — `lookup`, `insert` and
+// a lazy `remove` that never merges nodes — with nodes scattered uniformly
+// at random over the first `node_procs` processors.
 //
 // Node representation (B-link, Lehman-Yao style): every node is a sorted
 // list of (max_key, payload) entries — in a leaf the payload is the stored
@@ -9,18 +9,22 @@
 // child and max_key is the largest key that child covers. `high_key` bounds
 // the node's range; a traversal that overshoots (key > high_key) moves right
 // through the `right` sibling link, which makes lookups lock-free and lets
-// inserts hold at most one node lock at a time.
+// updates lock one node at a time (two while a split reaches the parent).
 //
 // Mechanisms:
 //  * RPC: each node visit is a remote call to the node's home processor.
-//  * Computation migration: the operation's activation migrates node to node
-//    down the tree; the result returns straight to the requester. With
-//    software replication ("w/repl."), the root's contents are replicated on
-//    every processor (multi-version memory) so the first hop skips the root.
+//  * Computation migration (CP): the operation's activation migrates node
+//    to node down the tree; the result returns straight to the requester.
+//    With software replication ("w/repl."), the root's contents are
+//    replicated on every processor (multi-version memory) so the first hop
+//    skips the root. Thread migration (TM) ships the whole thread instead;
+//    under object migration (OBJ) each node moves to its visitor.
 //  * Shared memory: the traversal runs on the requester; node contents live
 //    in coherent shared memory; lookups are optimistic (per-node seqlock) so
-//    read-shared upper levels replicate in hardware caches; inserts take the
+//    read-shared upper levels replicate in hardware caches; updates take the
 //    node's coherence-level spin lock.
+// The algorithm is written once, over a node-access layer each operation
+// picks from its mechanism (node_access.h, btree.cc).
 #pragma once
 
 #include <array>
@@ -116,7 +120,6 @@ class DistributedBTree {
   /// links, uniform leaf depth. Returns true if all hold; otherwise stores
   /// the first violation found in `why`.
   [[nodiscard]] bool check_invariants(std::string* why = nullptr) const;
-  [[nodiscard]] core::Replicated* root_replica() { return repl_.get(); }
 
   /// Put every node under placement-policy management (null detaches).
   /// Internal nodes are read-mostly routers — phase-flip candidates; leaves
@@ -136,10 +139,9 @@ class DistributedBTree {
   // state lives beside it, at the same index, and only in a tree with a
   // CoherentMemory: message-passing trees carry none of it.
   struct Node {
-    Node(bool is_leaf, unsigned lvl, core::ObjectId id, sim::ProcId at,
-         core::Runtime& rt, unsigned mobile_words)
-        : leaf(is_leaf), level(lvl), oid(id), home(at),
-          mobile(rt, id, mobile_words) {}
+    Node(bool is_leaf, unsigned lvl, core::ObjectId id, core::Runtime& rt,
+         unsigned mobile_words)
+        : leaf(is_leaf), level(lvl), oid(id), mobile(rt, id, mobile_words) {}
 
     bool leaf;
     unsigned level;                      // 0 = leaf
@@ -150,8 +152,7 @@ class DistributedBTree {
 
     // runtime bindings
     core::ObjectId oid;
-    sim::ProcId home;
-    sim::AsyncMutex mutex;      // RPC/CM insert lock
+    sim::AsyncMutex mutex;      // message-passing update lock
     core::MobileObject mobile;  // Emerald-style mobility
   };
 
@@ -165,8 +166,8 @@ class DistributedBTree {
     shmem::SpinLock lock;
   };
 
-  /// The internal nodes an insert descended through, root first. Inline up
-  /// to kInline of them, so that an insert into a tree of up to kInline + 1
+  /// The internal nodes an update descended through, root first. Inline up
+  /// to kInline of them, so that an update of a tree of up to kInline + 1
   /// levels allocates nothing; a taller tree spills the rest to the heap.
   class Path {
    public:
@@ -203,43 +204,7 @@ class DistributedBTree {
     std::uint64_t value = 0;
   };
 
-  struct SplitInfo;  // forward: used by host-level helpers below
-
-  // ---- host-level tree logic (pure; simulation charges wrap these) ----
-  [[nodiscard]] Step search_step(const Node& n, std::uint64_t key) const;
-  [[nodiscard]] unsigned probes(const Node& n) const;
-  /// User-code cycles to search `n`: per visit, per probe and per entry.
-  [[nodiscard]] sim::Cycles search_cycles(const Node& n) const;
-  /// User-code cycles to modify `n`, measured after the change, plus the
-  /// sibling's build when it split.
-  [[nodiscard]] sim::Cycles modify_cycles(const Node& n, bool split) const;
-  [[nodiscard]] unsigned replica_words() const;
-  std::uint32_t alloc_node(bool leaf, unsigned level);
-  void link_level(const std::vector<std::uint32_t>& ids);
-  [[nodiscard]] std::uint32_t leftmost_leaf() const;
-  /// Insert (key,payload) into n (which must cover key); true if new.
-  bool apply_entry_insert(Node& n, std::uint64_t key, std::uint64_t payload);
-  /// Remove key from leaf n; true if it was present.
-  bool apply_entry_remove(Node& n, std::uint64_t key);
-  /// Split overflowing node n; returns the new right sibling's id.
-  std::uint32_t apply_split(std::uint32_t nid);
-  /// Rewrite the parent's entry for a split child and add its new sibling.
-  void apply_parent_update(Node& parent, const SplitInfo& info);
-
-  // ---- simulation adapters ----
-  /// Examine node `nid` at the requester under SM: the coherent reads
-  /// (seqlock-validated when `optimistic`) around the search's compute.
-  /// Under RPC/CM the data is local to the method, so the method body
-  /// awaits one rt_->compute of search_cycles instead, with no frame.
-  [[nodiscard]] sim::Task<> charge_search_sm(core::Ctx& ctx, std::uint32_t nid,
-                                             bool optimistic);
-  /// Visit a node read-only under RPC/CM (method at the node's home).
-  [[nodiscard]] sim::Task<Step> visit_node(core::Ctx& ctx,
-                                           core::Mechanism mech,
-                                           std::uint32_t nid,
-                                           std::uint64_t key);
-  /// Leaf-level insert attempt; loops laterally. Returns (inserted, split
-  /// separator info) via InsertOutcome.
+  /// A split node and its new right sibling, for the parent's update.
   struct SplitInfo {
     std::uint32_t left = kNone;
     std::uint32_t right = kNone;
@@ -247,36 +212,67 @@ class DistributedBTree {
     std::uint64_t right_max = 0;  // right's bound (inserted entry)
     unsigned level = 0;           // level of the split nodes
   };
-  struct InsertOutcome {
-    bool inserted = false;
-    std::optional<SplitInfo> split;
+
+  /// What a locked update did at its node: either the key lies further
+  /// right (`right` names the sibling to try), or the edit ran.
+  struct Update {
+    std::uint32_t right = kNone;
+    bool changed = false;              // insert: a new key; remove: one left
+    std::optional<SplitInfo> split{};  // the node split; it stays locked
+    std::uint32_t release = kNone;     // a split child this edit unlocks
   };
-  [[nodiscard]] sim::Task<InsertOutcome> insert_into_leaf(
-      core::Ctx& ctx, core::Mechanism mech, std::uint32_t leaf,
-      std::uint64_t key, std::uint64_t value);
+
+  // ---- host-level tree logic (pure; simulation charges wrap these) ----
+  [[nodiscard]] Step search_step(const Node& n, std::uint64_t key) const;
+  /// User-code cycles to search `n`: per visit, per probe and per entry.
+  [[nodiscard]] sim::Cycles search_cycles(const Node& n) const;
+  /// User-code cycles to modify `n`, measured after the change, plus the
+  /// sibling's build when it split.
+  [[nodiscard]] sim::Cycles modify_cycles(const Node& n, bool split) const;
+  std::uint32_t alloc_node(bool leaf, unsigned level);
+  void link_level(const std::vector<std::uint32_t>& ids);
+  [[nodiscard]] std::uint32_t leftmost_leaf() const;
+  /// update_locked's edits of node `nid`: put (key, value) into the leaf,
+  /// take the key out of it, or enter a split child's new sibling in the
+  /// parent. An edit that overfills the node splits it.
+  Update insert_entry(std::uint32_t nid, std::uint64_t key,
+                      std::uint64_t value);
+  Update remove_entry(std::uint32_t nid, std::uint64_t key);
+  Update install_separator(std::uint32_t nid, const SplitInfo& info);
+  /// Move the upper half of an overfull node `nid` to a new right sibling.
+  std::optional<SplitInfo> split_if_full(std::uint32_t nid);
+
+  // ---- Wang's algorithm over a node-access layer `A`: Coherent (shared
+  // memory) or Messages (RPC, CP, OBJ, TM), picked by apps::with_access ----
+  class Coherent;
+  class Messages;
+  template <class A>
+  sim::Task<bool> lookup_via(core::Ctx& ctx, A acc, std::uint64_t key,
+                             std::uint64_t* value_out);
+  /// insert's and remove's path: descend, `edit` the leaf under its lock,
+  /// install any split, return home. The policy profile's accessor is the
+  /// origin if `origin_profiles`, else the activation's processor there.
+  template <class A, class Edit>
+  sim::Task<bool> write_via(core::Ctx& ctx, A acc, std::uint64_t key,
+                            bool origin_profiles, Edit edit);
+  /// Read node `nid` where `acc` runs accesses, or from its policy replica.
+  template <class A>
+  auto visit_node(core::Ctx& ctx, A acc, std::uint32_t nid, std::uint64_t key);
+  sim::Task<Step> read_replica(core::Ctx& ctx, core::Replicated& copy,
+                               std::uint32_t nid, std::uint64_t key);
+  /// Wang's locked update of node `nid`: lock; if `route_key` lies beyond
+  /// the node, unlock and name its right sibling; else the policy hook for
+  /// `accessor`, the search charge, root-replica invalidation, `edit(nid)`
+  /// with its modify charge inside the write bracket, and the unlocks.
+  template <class A, class Edit>
+  auto update_locked(core::Ctx& ctx, A acc, sim::ProcId accessor,
+                     std::uint32_t nid, std::uint64_t route_key, Edit edit);
   /// Install a split's separator into the parent level; may cascade.
-  [[nodiscard]] sim::Task<> install_split(core::Ctx& ctx,
-                                          core::Mechanism mech, Path path,
-                                          SplitInfo info);
+  template <class A>
+  sim::Task<> install_split(core::Ctx& ctx, A acc, Path path, SplitInfo info);
   /// Split the root (under the tree lock).
-  [[nodiscard]] sim::Task<> split_root(core::Ctx& ctx, core::Mechanism mech,
-                                       SplitInfo info);
-
-  /// Per-mechanism node-lock helpers.
-  [[nodiscard]] sim::Task<> lock_node(core::Ctx& ctx, core::Mechanism mech,
-                                      std::uint32_t nid);
-  [[nodiscard]] sim::Task<> unlock_node(core::Ctx& ctx, core::Mechanism mech,
-                                        std::uint32_t nid);
-  /// The coherent writes a modification of node `nid` performs under SM,
-  /// after the modify_cycles compute that every mechanism awaits.
-  [[nodiscard]] sim::Task<> charge_modify_sm(core::Ctx& ctx, std::uint32_t nid,
-                                             bool split);
-  /// Throws std::invalid_argument if `mech` needs memory the tree lacks.
-  void require_memory(core::Mechanism mech) const;
-
-  /// Root-content descent via the software replica ("w/repl." schemes).
-  [[nodiscard]] sim::Task<Step> visit_root_replicated(core::Ctx& ctx,
-                                                      std::uint64_t key);
+  template <class A>
+  sim::Task<> split_root(core::Ctx& ctx, A acc, SplitInfo info);
 
   core::Runtime* rt_;
   shmem::CoherentMemory* mem_;

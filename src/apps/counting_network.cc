@@ -1,12 +1,17 @@
 #include "apps/counting_network.h"
 
 #include <bit>
+#include <coroutine>
 #include <functional>
 #include <stdexcept>
 
+#include "apps/node_access.h"
 #include "policy/policy.h"
 
 namespace cm::apps {
+
+using core::Ctx;
+using sim::Task;
 
 namespace {
 
@@ -139,7 +144,6 @@ CountingNetwork::CountingNetwork(core::Runtime& rt, shmem::CoherentMemory* mem,
   for (unsigned b = 0; b < brt_.size(); ++b) {
     const sim::ProcId home =
         p_.first_balancer_proc + static_cast<sim::ProcId>(b);
-    brt_[b].home = home;
     brt_[b].oid = rt_->objects().create(home);
     brt_[b].mobile =
         std::make_unique<core::MobileObject>(*rt_, brt_[b].oid, 8);
@@ -156,10 +160,10 @@ CountingNetwork::CountingNetwork(core::Runtime& rt, shmem::CoherentMemory* mem,
     for (const Target& t : wiring_.balancers[b].out) {
       if (!t.is_output) continue;
       CounterRt& c = counters_[t.index];
-      c.home = brt_[b].home;
-      c.oid = rt_->objects().create(c.home);
+      const sim::ProcId home = rt_->objects().home_of(brt_[b].oid);
+      c.oid = rt_->objects().create(home);
       c.mobile = std::make_unique<core::MobileObject>(*rt_, c.oid, 4);
-      if (mem_ != nullptr) c.addr = mem_->alloc(c.home, 4);
+      if (mem_ != nullptr) c.addr = mem_->alloc(home, 4);
     }
   }
 }
@@ -172,102 +176,125 @@ void CountingNetwork::set_policy(policy::PolicyEngine* pol) {
   for (CounterRt& c : counters_) pol->manage(c.oid, c.mobile.get(), 4, false);
 }
 
-sim::Task<int> CountingNetwork::visit_balancer(core::Ctx& ctx,
-                                               core::Mechanism mech,
-                                               unsigned b) {
-  BalancerRt& rtb = brt_[b];
-  const sim::ProcId requester = ctx.proc;
-  if (sim::Tracer* tr = rt_->tracer()) {
-    tr->record(sim::TraceEvent::kBalancerVisit, ctx.proc,
-               {{"balancer", b}, {"stage", wiring_.balancers[b].stage}});
-  }
-  if (mech == core::Mechanism::kSharedMemory) {
-    // A balancer is a lock-protected record: acquire its spin lock (the
-    // contended-handoff invalidation storms are the heart of shared
-    // memory's bandwidth appetite here), read the read-shared wiring
-    // line, update the write-shared toggle line, release.
-    co_await rtb.lock->acquire(ctx.proc);
-    co_await mem_->read(ctx.proc, rtb.config_addr, 16);
-    co_await mem_->write(ctx.proc, rtb.toggle_addr, 4);
-    co_await rt_->compute(
-        ctx, p_.balancer_work +
-                 jitter(p_.work_jitter, b,
-                        static_cast<std::uint64_t>(rtb.passed)));
-    const int port = rtb.toggle;
-    rtb.toggle ^= 1;
-    ++rtb.passed;
-    co_await rtb.lock->release(ctx.proc);
-    co_return port;
-  }
-  if (core::moves_to_data(mech)) {
-    // <<< the annotation: move this activation to the balancer >>>
-    co_await core::approach(ctx, mech, *rtb.mobile, p_.frame_words,
-                            p_.thread_state_words);
-  }
-  // The instance-method call (local after a migration or attraction).
-  const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
-                            p_.rpc_short_methods};
-  co_return co_await rt_->call(
-      ctx, rtb.oid, opts,
-      [this, b, &rtb, requester](core::Ctx& callee) -> sim::Task<int> {
-        if (policy_ != nullptr) {
-          // Toggling is a write; the requester captured at procedure entry
-          // is the profile's accessor (the body runs at the object's home).
-          policy_->on_access(rtb.oid, requester, /*write=*/true);
-        }
-        co_await rt_->compute(
-            callee, p_.balancer_work +
-                        jitter(p_.work_jitter, b,
-                               static_cast<std::uint64_t>(rtb.passed)));
-        const int port = rtb.toggle;
-        rtb.toggle ^= 1;
-        ++rtb.passed;
-        co_return port;
-      });
-}
+// ---------------------------------------------------------------------------
+// The node-access layer: where a visit runs, and which of its steps are
+// remote accesses there
+// ---------------------------------------------------------------------------
 
-sim::Task<long> CountingNetwork::visit_counter(core::Ctx& ctx,
-                                               core::Mechanism mech,
-                                               unsigned wire) {
-  CounterRt& c = counters_[wire];
-  const sim::ProcId requester = ctx.proc;
-  if (mech == core::Mechanism::kSharedMemory) {
-    co_await mem_->write(ctx.proc, c.addr, 4);
-    co_await rt_->compute(ctx, p_.counter_work);
-    co_return static_cast<long>(wire) +
-        static_cast<long>(p_.width) * counts_[wire]++;
-  }
-  if (core::moves_to_data(mech)) {
-    co_await core::approach(ctx, mech, *c.mobile, p_.frame_words,
-                            p_.thread_state_words);
-  }
-  const core::CallOpts opts{p_.rpc_arg_words, p_.rpc_ret_words,
-                            p_.rpc_short_methods};
-  co_return co_await rt_->call(
-      ctx, c.oid, opts,
-      [this, wire, &c, requester](core::Ctx& callee) -> sim::Task<long> {
-        if (policy_ != nullptr) {
-          policy_->on_access(c.oid, requester, /*write=*/true);
-        }
-        co_await rt_->compute(callee, p_.counter_work);
-        co_return static_cast<long>(wire) +
-            static_cast<long>(p_.width) * counts_[wire]++;
-      });
-}
+/// Shared memory: a visit runs at the requester, against coherent lines;
+/// a balancer's are under its SpinLock. Visits skip the policy's profile.
+class CountingNetwork::Coherent {
+ public:
+  explicit Coherent(CountingNetwork* cn) : cn_(cn) {}
 
-sim::Task<long> CountingNetwork::get_next(core::Ctx& ctx,
-                                          core::Mechanism mech,
-                                          unsigned enter_wire) {
+  template <class F>
+  auto at_node(Ctx& ctx, core::MobileObject&, F body) const {
+    return RunHere(ctx, body);
+  }
+  Task<> lock(Ctx& at, BalancerRt& b) const { return b.lock->acquire(at.proc); }
+  Task<> unlock(Ctx& at, BalancerRt& b) const {
+    return b.lock->release(at.proc);
+  }
+  Task<> read(Ctx& at, shmem::Addr a, unsigned n) const {
+    return cn_->mem_->read(at.proc, a, n);
+  }
+  Task<> write(Ctx& at, shmem::Addr a, unsigned n) const {
+    return cn_->mem_->write(at.proc, a, n);
+  }
+  void note_write(core::ObjectId, sim::ProcId) const {}
+
+ private:
+  CountingNetwork* cn_;
+};
+
+/// Message passing (RPC, CP, OBJ, TM): a visit is a method at the node's
+/// home (apps::call_at), where its state is local and the method runs
+/// alone. Every visit is a write in the placement policy's profile.
+class CountingNetwork::Messages {
+ public:
+  Messages(CountingNetwork* cn, core::Mechanism mech) : cn_(cn), mech_(mech) {}
+
+  template <class F>
+  auto at_node(Ctx& ctx, core::MobileObject& obj, F body) const {
+    const Params& p = cn_->p_;
+    return call_at(ctx, mech_, obj,
+                   core::CallOpts{p.rpc_arg_words, p.rpc_ret_words,
+                                  p.rpc_short_methods},
+                   p.frame_words, p.thread_state_words, body);
+  }
+  std::suspend_never lock(Ctx&, BalancerRt&) const { return {}; }
+  std::suspend_never unlock(Ctx&, BalancerRt&) const { return {}; }
+  std::suspend_never read(Ctx&, shmem::Addr, unsigned) const { return {}; }
+  std::suspend_never write(Ctx&, shmem::Addr, unsigned) const { return {}; }
+  void note_write(core::ObjectId id, sim::ProcId requester) const {
+    if (cn_->policy_ != nullptr) cn_->policy_->on_access(id, requester, true);
+  }
+
+ private:
+  CountingNetwork* cn_;
+  core::Mechanism mech_;
+};
+
+// ---------------------------------------------------------------------------
+// The traversal, written once over the node-access layer
+// ---------------------------------------------------------------------------
+
+Task<long> CountingNetwork::get_next(Ctx& ctx, core::Mechanism mech,
+                                     unsigned enter_wire) {
   if (enter_wire >= wiring_.width) {
-    throw std::out_of_range("CountingNetwork::get_next: no such entry wire");
+    return rejected<long>(
+        std::out_of_range("CountingNetwork::get_next: no such entry wire"));
   }
+  return with_access(
+      mech, mem_, Coherent{this}, Messages{this, mech},
+      [&](auto acc) { return traverse(ctx, acc, enter_wire); });
+}
+
+template <class A>
+Task<long> CountingNetwork::traverse(Ctx& ctx, A acc, unsigned enter_wire) {
   Target t{false, wiring_.entry[enter_wire]};
   while (!t.is_output) {
     const unsigned b = t.index;
-    const int port = co_await visit_balancer(ctx, mech, b);
+    BalancerRt& rtb = brt_[b];
+    if (sim::Tracer* tr = rt_->tracer()) {
+      tr->record(sim::TraceEvent::kBalancerVisit, ctx.proc,
+                 {{"balancer", b}, {"stage", wiring_.balancers[b].stage}});
+    }
+    const sim::ProcId requester = ctx.proc;
+    // A lock-protected record: read-shared wiring, write-shared toggle.
+    // Under shared memory, contended lock hand-offs and their invalidation
+    // storms are the heart of its bandwidth appetite.
+    const int port = co_await acc.at_node(
+        ctx, *rtb.mobile,
+        [this, acc, b, &rtb, requester](Ctx& at) -> Task<int> {
+          acc.note_write(rtb.oid, requester);
+          co_await acc.lock(at, rtb);
+          co_await acc.read(at, rtb.config_addr, 16);
+          co_await acc.write(at, rtb.toggle_addr, 4);
+          co_await rt_->compute(
+              at, p_.balancer_work +
+                      jitter(p_.work_jitter, b,
+                             static_cast<std::uint64_t>(rtb.passed)));
+          const int toggle = rtb.toggle;
+          rtb.toggle ^= 1;
+          ++rtb.passed;
+          co_await acc.unlock(at, rtb);
+          co_return toggle;
+        });
     t = wiring_.balancers[b].out[port];
   }
-  co_return co_await visit_counter(ctx, mech, t.index);
+  const unsigned wire = t.index;
+  CounterRt& c = counters_[wire];
+  const sim::ProcId requester = ctx.proc;
+  co_return co_await acc.at_node(
+      ctx, *c.mobile,
+      [this, acc, wire, &c, requester](Ctx& at) -> Task<long> {
+        acc.note_write(c.oid, requester);
+        co_await acc.write(at, c.addr, 4);
+        co_await rt_->compute(at, p_.counter_work);
+        co_return static_cast<long>(wire) +
+            static_cast<long>(p_.width) * counts_[wire]++;
+      });
 }
 
 long CountingNetwork::total_exited() const {

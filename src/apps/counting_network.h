@@ -7,10 +7,11 @@
 // previously out wire i). The bitonic construction of width 8 has 6 stages
 // of 4 balancers — 24 balancers, which the paper lays out one per processor.
 //
-// The traversal procedure below is written once, in shared-memory style, and
-// parameterised by the remote-access mechanism — mirroring the paper's claim
-// that the migration annotation (not program structure) chooses the
-// mechanism:
+// The traversal is written once, over a node-access layer that each
+// `get_next` picks from its mechanism (node_access.h) — mirroring the
+// paper's claim that the migration annotation (not program structure)
+// chooses the mechanism. Each visit has one body; the layer decides where
+// it runs:
 //  * RPC: each balancer access is a short-method remote call (2 messages).
 //  * Computation migration: `migrate(balancer)` before the access, so the
 //    activation hops balancer to balancer (1 message per hop) and the final
@@ -99,21 +100,18 @@ class CountingNetwork {
   /// output wire, take the next value there. Under kMigration the activation
   /// ends at the final balancer's processor — callers that need the value
   /// back home follow with `return_home` (or use apps::Requester). An
-  /// `enter_wire` of width() or more throws std::out_of_range when awaited.
+  /// `enter_wire` of width() or more throws std::out_of_range when awaited,
+  /// and so does shared memory on a network built without a CoherentMemory
+  /// (std::invalid_argument), both before any simulated step.
   [[nodiscard]] sim::Task<long> get_next(core::Ctx& ctx, core::Mechanism mech,
                                          unsigned enter_wire);
 
   [[nodiscard]] unsigned width() const noexcept { return wiring_.width; }
-  [[nodiscard]] unsigned depth() const noexcept { return wiring_.depth; }
   [[nodiscard]] unsigned num_balancers() const {
     return static_cast<unsigned>(wiring_.balancers.size());
   }
-  [[nodiscard]] const BitonicWiring& wiring() const noexcept { return wiring_; }
 
-  /// Tokens that have exited on each output wire.
-  [[nodiscard]] const std::vector<long>& counts() const noexcept {
-    return counts_;
-  }
+  /// Tokens that have exited, over all output wires.
   [[nodiscard]] long total_exited() const;
 
   /// Step property at quiescence: counts are non-increasing left to right
@@ -128,7 +126,6 @@ class CountingNetwork {
  private:
   struct BalancerRt {
     core::ObjectId oid = 0;
-    sim::ProcId home = 0;
     int toggle = 0;
     long passed = 0;
     shmem::Addr toggle_addr = 0;  // write-shared line
@@ -138,18 +135,16 @@ class CountingNetwork {
   };
   struct CounterRt {
     core::ObjectId oid = 0;
-    sim::ProcId home = 0;
     shmem::Addr addr = 0;
     std::unique_ptr<core::MobileObject> mobile;
   };
 
-  /// Toggle balancer `b` at the current site; returns the chosen port.
-  [[nodiscard]] sim::Task<int> visit_balancer(core::Ctx& ctx,
-                                              core::Mechanism mech,
-                                              unsigned b);
-  [[nodiscard]] sim::Task<long> visit_counter(core::Ctx& ctx,
-                                              core::Mechanism mech,
-                                              unsigned wire);
+  // The node-access layer (counting_network.cc), picked by with_access.
+  class Coherent;  // shared memory
+  class Messages;  // RPC, CP, OBJ and TM
+
+  template <class A>
+  sim::Task<long> traverse(core::Ctx& ctx, A acc, unsigned enter_wire);
 
   core::Runtime* rt_;
   shmem::CoherentMemory* mem_;

@@ -729,29 +729,77 @@ TEST_P(BTreeConcurrentRemoves, DisjointPartitionsStayExact) {
 INSTANTIATE_TEST_SUITE_P(All, BTreeConcurrentRemoves,
                          ::testing::Values(Mechanism::kRpc,
                                            Mechanism::kMigration,
-                                           Mechanism::kSharedMemory));
+                                           Mechanism::kSharedMemory,
+                                           Mechanism::kObjectMigration,
+                                           Mechanism::kThreadMigration));
+
+/// A requester's ops on keys that only it touches, and what each returned:
+/// 1 or 0 for an insert or remove, a lookup's value, or ~0 if not found.
+Task<> own_stream(World* w, Mechanism mech, ProcId home, unsigned tid,
+                  unsigned nthreads, std::vector<std::uint64_t>* results) {
+  Ctx ctx{&w->rt, home};
+  sim::Rng rng(77 + tid);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const std::uint64_t key = 1 + tid + nthreads * rng.below(30);
+    const std::uint64_t op = rng.below(3);
+    if (op == 0) {  // a present key takes a new value
+      results->push_back(co_await w->bt.insert(ctx, mech, key, key + i));
+    } else if (op == 1) {
+      results->push_back(co_await w->bt.remove(ctx, mech, key));
+    } else {
+      std::uint64_t value = 0;
+      const bool found = co_await w->bt.lookup(ctx, mech, key, &value);
+      results->push_back(found ? value : kReservedKey);
+    }
+  }
+}
 
 TEST(BTreeSemantics, MechanismsProduceIdenticalTrees) {
   // The annotation must not change results (paper §3.1): the same seeded
-  // concurrent workload leaves the same key set under every mechanism.
-  auto final_keys = [](Mechanism mech) {
-    World w(small_params(4));
+  // concurrent workload leaves the same keys and values, and gives every
+  // operation the same result, under every mechanism, with and without
+  // root replication. Each requester owns its keys, so its results depend
+  // on its own history alone, never on how the requesters interleave.
+  constexpr unsigned kThreads = 4;
+  struct Run {
+    std::vector<std::uint64_t> keys;
+    std::uint64_t digest = 0;
+    std::vector<std::uint64_t> results[kThreads];
+  };
+  auto final_keys = [](Mechanism mech, bool repl = false) {
+    World w(small_params(4, repl));
     w.bt.bulk_load(make_keys(30, 3));
-    std::set<std::uint64_t> sink[4];
-    int bad = 0;
-    for (int t = 0; t < 4; ++t) {
-      sim::detach(op_stream(&w, mech, static_cast<ProcId>(8 + t), 77 + t, 40,
-                            300, &sink[t], &bad));
+    Run run;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      sim::detach(own_stream(&w, mech, static_cast<ProcId>(8 + t), t,
+                             kThreads, &run.results[t]));
     }
     w.eng.run();
     EXPECT_TRUE(w.bt.check_invariants());
-    return w.bt.keys_host();
+    run.keys = w.bt.keys_host();
+    run.digest = w.bt.digest_host();
+    return run;
   };
-  const auto rpc = final_keys(Mechanism::kRpc);
-  const auto mig = final_keys(Mechanism::kMigration);
-  const auto sm = final_keys(Mechanism::kSharedMemory);
-  EXPECT_EQ(rpc, mig);
-  EXPECT_EQ(rpc, sm);
+  const Run rpc = final_keys(Mechanism::kRpc);
+  const Run mig = final_keys(Mechanism::kMigration);
+  const Run sm = final_keys(Mechanism::kSharedMemory);
+  EXPECT_EQ(rpc.keys, mig.keys);
+  EXPECT_EQ(rpc.keys, sm.keys);
+  const Run others[] = {mig,
+                        sm,
+                        final_keys(Mechanism::kObjectMigration),
+                        final_keys(Mechanism::kThreadMigration),
+                        final_keys(Mechanism::kRpc, /*repl=*/true),
+                        final_keys(Mechanism::kMigration, /*repl=*/true)};
+  for (std::size_t i = 0; i < std::size(others); ++i) {
+    EXPECT_EQ(others[i].keys, rpc.keys) << "run " << i;
+    EXPECT_EQ(others[i].digest, rpc.digest) << "run " << i;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(rpc.results[t].size(), 40u);
+      EXPECT_EQ(others[i].results[t], rpc.results[t])
+          << "run " << i << ", requester " << t;
+    }
+  }
 }
 
 TEST(BTreeTraffic, MigrationSendsFewerMessagesThanRpc) {

@@ -149,6 +149,38 @@ TEST(CountingNetwork, GetNextRejectsAnEntryWireOutsideTheNetwork) {
   EXPECT_EQ(w.net.stats().messages, 0u);
 }
 
+Task<> take_from(CountingNetwork* cn, core::Runtime* rt, Mechanism mech,
+                 ProcId home, long* value, bool* threw) {
+  Ctx ctx{rt, home};
+  try {
+    *value = co_await cn->get_next(ctx, mech, 0);
+  } catch (const std::invalid_argument&) {
+    *threw = true;
+  }
+}
+
+TEST(CountingNetwork, SharedMemoryNeedsACoherentMemory) {
+  World w(8, 1);
+  CountingNetwork bare(w.rt, /*mem=*/nullptr, World::make_params(8));
+  long value = -1;
+  bool threw = false;
+  sim::detach(take_from(&bare, &w.rt, Mechanism::kSharedMemory,
+                        w.requester_proc(0), &value, &threw));
+  w.eng.run();
+  EXPECT_TRUE(threw);
+  // Rejected before any simulated step.
+  EXPECT_EQ(w.eng.events_executed(), 0u);
+  EXPECT_EQ(bare.total_exited(), 0);
+  // Message passing needs no memory.
+  threw = false;
+  sim::detach(take_from(&bare, &w.rt, Mechanism::kMigration,
+                        w.requester_proc(0), &value, &threw));
+  w.eng.run();
+  EXPECT_FALSE(threw);
+  EXPECT_EQ(value, 0);
+  EXPECT_EQ(bare.total_exited(), 1);
+}
+
 class Mechanisms : public ::testing::TestWithParam<Mechanism> {};
 
 TEST_P(Mechanisms, SingleThreadCountsSequentially) {

@@ -260,6 +260,44 @@ TEST(FramePool, FrameFreeHopReturnAndLocalCallMakeNoFrameOfTheirOwn) {
   EXPECT_EQ(w.rt.stats().remote_calls, 2u);
 }
 
+/// The benchmark's B-tree (10,000 keys, fanout <= 100, 48 node processors)
+/// on the benchmark's machine, with a coherent memory for shared memory.
+struct TreeWorld : World {
+  shmem::CoherentMemory mem;
+  apps::DistributedBTree bt;
+
+  TreeWorld() : World(48 + 16), mem(machine, mesh), bt(rt, &mem, {}) {
+    std::vector<std::uint64_t> keys(10'000);
+    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
+    bt.bulk_load(keys);
+  }
+};
+
+TEST(FramePool, BTreeOperationsMakeAPinnedNumberOfFrames) {
+  TreeWorld tw;
+  apps::DistributedBTree* bt = &tw.bt;
+  // A requester past the node processors inserts a key that fits in its
+  // leaf (the second run overwrites it), or looks one up.
+  const auto insert = [bt](core::Mechanism mech) {
+    return [bt, mech](World* w) -> Task<> {
+      core::Ctx ctx{&w->rt, 48};
+      (void)co_await bt->insert(ctx, mech, 3, 3);
+    };
+  };
+  const auto cp_lookup = [bt](World* w) -> Task<> {
+    core::Ctx ctx{&w->rt, 48};
+    EXPECT_TRUE(co_await bt->lookup(ctx, core::Mechanism::kMigration, 4));
+  };
+  const std::size_t nodes = bt->num_nodes();
+  // A frame freed during the operation serves the next one of its size
+  // class, so these count the most frames of each class alive at once. The
+  // node locks take no frame of their own (8 and 9 when they did).
+  EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kRpc)), 7u);
+  EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kSharedMemory)), 7u);
+  EXPECT_EQ(frames_of(tw, cp_lookup), 3u);
+  EXPECT_EQ(bt->num_nodes(), nodes);  // nothing split
+}
+
 /// The coherence layer under the shared-memory B-tree's load: LimitLESS
 /// directories and small caches, so that every kind of coherence work
 /// (misses, invalidations, dirty writebacks, software traps, MSHR merges,

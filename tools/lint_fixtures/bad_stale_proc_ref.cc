@@ -40,4 +40,19 @@ void bad_ref_across_approach(Rt* rt, Ctx& ctx, int mech, Obj& obj) {
   slot.count++;  // EXPECT-LINT: CL002
 }
 
+// The applications reach core::approach through their node-access layer:
+// awaiting a locked update, a node visit or a layer's at_node (or call_at)
+// may leave the activation on the node's processor.
+void bad_ref_across_update_locked(Rt* rt, Ctx& ctx, int acc, Obj& edit) {
+  auto& slot = rt->procs_[ctx.proc];
+  const auto u = co_await update_locked(ctx, acc, ctx.proc, 3, 42, edit);
+  slot.count += u;  // EXPECT-LINT: CL002
+}
+
+void bad_ptr_across_at_node(Rt* rt, Ctx& ctx, int acc, Obj& body) {
+  Slot* here = &rt->procs_[ctx.proc];
+  const int port = co_await acc.at_node(ctx, 3, body);
+  here->count += port;  // EXPECT-LINT: CL002
+}
+
 }  // namespace fixture
