@@ -293,6 +293,7 @@ DistributedBTree::Update DistributedBTree::install_separator(
 /// its SeqLock. Caches replicate read-shared lines; reads skip the profile.
 class DistributedBTree::Coherent {
   using Id = std::uint32_t;
+  using Access = shmem::CoherentMemory::Access;
 
  public:
   static constexpr bool kReplicas = false;  // no replica_of
@@ -309,9 +310,9 @@ class DistributedBTree::Coherent {
   Task<> end_write(Ctx& at, Id n) const { return sm(n).seq.end_write(at.proc); }
   // The root pointer's word: read at each operation's start, written when a
   // root split publishes the new root's lines.
-  Task<> read_root(Ctx& ctx) const { return anchor(ctx, false); }
-  Task<> write_root(Ctx& ctx) const { return anchor(ctx, true); }
-  Task<> write_node(Ctx& ctx, Id n, unsigned bytes) const {
+  Access read_root(Ctx& ctx) const { return anchor(ctx, false); }
+  Access write_root(Ctx& ctx) const { return anchor(ctx, true); }
+  Access write_node(Ctx& ctx, Id n, unsigned bytes) const {
     return bt_->mem_->write(ctx.proc, sm(n).base, bytes);
   }
   core::Replicated* root_replica() const { return nullptr; }
@@ -385,7 +386,7 @@ class DistributedBTree::Coherent {
 
  private:
   SmNode& sm(Id n) const { return bt_->sm_[n]; }
-  Task<> anchor(Ctx& ctx, bool write) const {
+  Access anchor(Ctx& ctx, bool write) const {
     return write ? bt_->mem_->write(ctx.proc, bt_->anchor_addr_, 8)
                  : bt_->mem_->read(ctx.proc, bt_->anchor_addr_, 8);
   }
@@ -534,10 +535,9 @@ Task<bool> DistributedBTree::insert(Ctx& ctx, Mechanism mech,
   }
   return with_access(
       mech, mem_, Coherent{this}, Messages{this, mech}, [&](auto acc) {
-        return write_via(ctx, acc, key, /*origin_profiles=*/false,
-                         [this, key, value](std::uint32_t nid) {
-                           return insert_entry(nid, key, value);
-                         });
+        return write_via(ctx, acc, key, [this, key, value](std::uint32_t nid) {
+          return insert_entry(nid, key, value);
+        });
       });
 }
 
@@ -545,9 +545,9 @@ Task<bool> DistributedBTree::remove(Ctx& ctx, Mechanism mech,
                                     std::uint64_t key) {
   return with_access(
       mech, mem_, Coherent{this}, Messages{this, mech}, [&](auto acc) {
-        return write_via(
-            ctx, acc, key, /*origin_profiles=*/true,
-            [this, key](std::uint32_t nid) { return remove_entry(nid, key); });
+        return write_via(ctx, acc, key, [this, key](std::uint32_t nid) {
+          return remove_entry(nid, key);
+        });
       });
 }
 
@@ -582,7 +582,7 @@ Task<bool> DistributedBTree::lookup_via(Ctx& ctx, A acc, std::uint64_t key,
 
 template <class A, class Edit>
 Task<bool> DistributedBTree::write_via(Ctx& ctx, A acc, std::uint64_t key,
-                                       bool origin_profiles, Edit edit) {
+                                       Edit edit) {
   const ProcId origin = ctx.proc;
   co_await acc.read_root(ctx);
   // Updates route through the primary root: multi-version-memory replicas
@@ -595,7 +595,9 @@ Task<bool> DistributedBTree::write_via(Ctx& ctx, A acc, std::uint64_t key,
     if (s.kind == Step::Kind::kDescend) path.push(cur);
     cur = s.next;  // kDescend and kLateral both carry the next node
   }
-  const ProcId accessor = origin_profiles ? origin : ctx.proc;
+  // The leaf write comes from where the activation arrives from, as a
+  // visit's read does.
+  const ProcId accessor = ctx.proc;
   Update u;
   for (;;) {  // lateral moves at the leaf level
     u = co_await update_locked(ctx, acc, accessor, cur, key, edit);

@@ -250,11 +250,11 @@ class DistributedBTree {
   sim::Task<bool> lookup_via(core::Ctx& ctx, A acc, std::uint64_t key,
                              std::uint64_t* value_out);
   /// insert's and remove's path: descend, `edit` the leaf under its lock,
-  /// install any split, return home. The policy profile's accessor is the
-  /// origin if `origin_profiles`, else the activation's processor there.
+  /// install any split, return home. The policy profile's accessor of the
+  /// leaf write is the processor the activation arrives at the leaf from.
   template <class A, class Edit>
   sim::Task<bool> write_via(core::Ctx& ctx, A acc, std::uint64_t key,
-                            bool origin_profiles, Edit edit);
+                            Edit edit);
   /// Read node `nid` where `acc` runs accesses, or from its policy replica.
   template <class A>
   auto visit_node(core::Ctx& ctx, A acc, std::uint32_t nid, std::uint64_t key);

@@ -195,10 +195,12 @@ class CountingNetwork::Coherent {
   Task<> unlock(Ctx& at, BalancerRt& b) const {
     return b.lock->release(at.proc);
   }
-  Task<> read(Ctx& at, shmem::Addr a, unsigned n) const {
+  shmem::CoherentMemory::Access read(Ctx& at, shmem::Addr a,
+                                     unsigned n) const {
     return cn_->mem_->read(at.proc, a, n);
   }
-  Task<> write(Ctx& at, shmem::Addr a, unsigned n) const {
+  shmem::CoherentMemory::Access write(Ctx& at, shmem::Addr a,
+                                      unsigned n) const {
     return cn_->mem_->write(at.proc, a, n);
   }
   void note_write(core::ObjectId, sim::ProcId) const {}

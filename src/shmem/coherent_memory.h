@@ -21,25 +21,33 @@
 // Each directory entry serialises transactions FIFO; each protocol message
 // occupies the home/remote memory controller for a fixed occupancy.
 //
-// Host representation: a miss allocates nothing and hashes nothing, and a
-// hit touches one host cache line.
+// Host representation: a miss allocates nothing and hashes nothing, a hit
+// touches one host cache line, and neither makes a coroutine frame of its
+// own.
+//  * A read or write is an `Access` awaiter in the awaiting frame. It looks
+//    each line of its range up in its cache (Cache::hit) and, at the first
+//    miss, starts one acquire() coroutine that serves that line and then
+//    walks the rest of the range. A range that hits throughout makes no
+//    frame and schedules no event. Caches pack a way into 8 bytes and
+//    allocate their ways on their first install (cache.h).
 //  * A transaction (`Txn`) lives in the frame of the acquire() that issued
 //    it. It is the processor's MSHR entry, the node of its line's directory
-//    FIFO, and the completion signal the grant resumes. Accesses merged
-//    into it park nodes from their own frames on it.
-//  * An invalidation round's ack count lives in the frame of the directory
-//    coroutine that serves the write; each INV/ACK leg and each dirty
-//    writeback is a coroutine of its own, with a pooled frame.
+//    FIFO and the completion signal the grant resumes. It is also the
+//    directory's service of the transaction: a sim::Continuation that each
+//    controller, network and trap wake steps on (`Step`, `advance`), from
+//    the home's controller through any fetch, invalidation round and
+//    LimitLESS trap to the grant, which serves the line's next transaction.
+//    Accesses merged into it park nodes from their own frames on it.
+//  * An invalidation round's ack count lives in the `Txn`; each INV/ACK leg
+//    and each dirty writeback is a coroutine of its own, with a pooled
+//    frame, and the last ack steps the transaction inline.
 //  * The directory is dense and sized to the machine: each allocated line
 //    has a record of its FIFO head and tail, owner, modified flag and a
 //    sharer bitmap of ceil(P/64) words on a P-processor machine (32 bytes
 //    at P = 64), indexed by the line's offset in its home region. Records
 //    sit in chunks of kDirChunk that alloc() adds and that never move,
-//    because a directory coroutine holds a record across suspensions while
-//    a B-tree split allocates.
-//  * A read or write looks each line up in its cache once (Cache::hit) and
-//    starts an acquire() only on a miss. Caches pack a way into 8 bytes
-//    and allocate their ways on their first install (cache.h).
+//    because a transaction holds its record across suspensions while a
+//    B-tree split allocates.
 //
 // A processor outside the machine throws std::out_of_range from read,
 // write and prefetch, in every build type.
@@ -52,6 +60,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "net/network.h"
@@ -122,16 +131,56 @@ class CoherentMemory {
   /// home region cannot hold `bytes` more.
   [[nodiscard]] Addr alloc(sim::ProcId home, std::uint64_t bytes);
 
+  /// The awaiter of `read` and `write`, a plain struct in the awaiting
+  /// frame. `await_ready` looks every line up in turn, counting hits, and
+  /// completes without suspending if all of them hit. At the first miss the
+  /// awaiter starts one acquire() for the rest of the range and resumes the
+  /// awaiting coroutine when it is done, or rethrows its exception.
+  class [[nodiscard]] Access {
+   public:
+    Access(CoherentMemory* mem, sim::ProcId p, Addr a, unsigned bytes,
+           bool exclusive) noexcept
+        : mem_(mem),
+          p_(p),
+          exclusive_(exclusive),
+          line_(line_of(a)),
+          last_(line_of(a + (bytes == 0 ? 0 : bytes - 1))) {}
+
+    bool await_ready();
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+      return task_.start(mem_->acquire(p_, line_, last_, exclusive_), caller);
+    }
+    void await_resume() {
+      if (task_.started()) task_.take();
+    }
+
+   private:
+    CoherentMemory* mem_;
+    sim::ProcId p_;
+    bool exclusive_;
+    Line line_;  // the next line to look up; once suspended, the first miss
+    Line last_;
+    sim::Started<void> task_;  // acquire(), from the first miss on
+  };
+  // Awaited as a prvalue: safe from GCC 12.2's double destruction only
+  // while this holds (see suspend_to, task.h).
+  static_assert(std::is_trivially_destructible_v<Access>);
+
   /// Processor `p` reads [a, a+bytes): every touched line is brought to at
   /// least Shared in p's cache. Completes when all lines are present.
   /// A miss on a line that alloc() never handed out, or a processor outside
-  /// the machine, throws std::out_of_range (as do write and prefetch).
-  [[nodiscard]] sim::Task<> read(sim::ProcId p, Addr a, unsigned bytes);
+  /// the machine, throws std::out_of_range to the awaiter (as do write and,
+  /// to its caller, prefetch).
+  [[nodiscard]] Access read(sim::ProcId p, Addr a, unsigned bytes) {
+    return Access(this, p, a, bytes, false);
+  }
 
   /// Processor `p` writes [a, a+bytes): every touched line is brought to
   /// Modified in p's cache (read-modify-write and plain stores cost the
   /// same here).
-  [[nodiscard]] sim::Task<> write(sim::ProcId p, Addr a, unsigned bytes);
+  [[nodiscard]] Access write(sim::ProcId p, Addr a, unsigned bytes) {
+    return Access(this, p, a, bytes, true);
+  }
 
   /// Non-blocking prefetch (§2.5: "prefetching will lower the relative
   /// cost of performing data migration"): start read acquisitions for
@@ -160,20 +209,7 @@ class CoherentMemory {
     Merge* next = nullptr;
   };
 
-  /// One coherence transaction, from the miss to the grant. It lives in the
-  /// frame of the acquire() that issued it and is at once the requester's
-  /// MSHR entry (`in_flight_`), a node of the line's directory FIFO
-  /// (`Dir::head`) and the completion signal (the grant resumes `waiter`).
-  struct Txn {
-    sim::ProcId requester;
-    Line line;
-    bool exclusive;
-    std::coroutine_handle<> waiter = nullptr;  // the issuing acquire()
-    Txn* next_in_dir = nullptr;
-    Txn* next_in_flight = nullptr;
-    Merge* merged_head = nullptr;  // FIFO of merged accesses
-    Merge* merged_tail = nullptr;
-  };
+  struct Txn;
 
   /// A line's directory record. Its sharer bitmap, sharer_words_ words
   /// with processor p at bit p % 64 of word p / 64, follows it in its
@@ -186,6 +222,51 @@ class CoherentMemory {
   };
   static_assert(sizeof(Dir) % alignof(std::uint64_t) == 0,
                 "the sharer bitmap after a Dir must be word-aligned");
+
+  /// Where the directory's service of a transaction stands, in protocol
+  /// order: each wake of its Continuation runs `advance` from its step.
+  enum class Step : std::uint8_t {
+    kQueued,      // heads its line's FIFO: the home's controller takes it
+    kRequest,     // the home decides: fetch, invalidate or grant
+    kFetch,       // the FETCH reached the dirty owner: its controller takes it
+    kFetched,     // the owner gave the line up: its data goes home
+    kDataHome,    // the data reached the home: its controller takes it
+    kDataIn,      // the home has the data: grant
+    kInvalidate,  // an INV to every other sharer (after any overflow trap)
+    kAcked,       // the last ACK reached the home: its controller takes it
+    kGrantWrite,  // the line goes Modified to the requester
+    kShare,       // the requester joins the sharers (trap past the pointers)
+    kGrantRead,   // the data goes to the requester
+    kGranted,     // the grant arrived: resume the requester, serve the next
+  };
+
+  /// One coherence transaction, from the miss to the grant. It lives in the
+  /// frame of the acquire() that issued it and is at once the requester's
+  /// MSHR entry (`in_flight_`), a node of the line's directory FIFO
+  /// (`Dir::head`), the completion signal (the grant resumes `waiter`) and
+  /// the directory's service of it, a Continuation stepped by `advance`.
+  struct Txn : sim::Continuation {
+    Txn(CoherentMemory* m, sim::ProcId p, Line l, bool x) noexcept
+        : sim::Continuation{&CoherentMemory::on_wake},
+          mem(m),
+          line(l),
+          requester(p),
+          exclusive(x) {}
+
+    CoherentMemory* mem;
+    Line line;
+    sim::ProcId requester;
+    sim::ProcId owner = sim::kNoProc;  // the dirty owner a fetch visits
+    int pending = 0;                   // invalidation acks outstanding
+    bool exclusive;
+    Step step = Step::kQueued;
+    Dir* record = nullptr;  // the line's, once enqueued
+    std::coroutine_handle<> waiter = nullptr;  // the issuing acquire()
+    Txn* next_in_dir = nullptr;
+    Txn* next_in_flight = nullptr;
+    Merge* merged_head = nullptr;  // FIFO of merged accesses
+    Merge* merged_tail = nullptr;
+  };
 
   /// A record's full-map presence vector, as a view of its words.
   struct Sharers {
@@ -211,22 +292,27 @@ class CoherentMemory {
   /// Directory records per chunk.
   static constexpr std::uint64_t kDirChunk = 256;
 
-  /// One invalidation round; lives in serve_front()'s frame.
-  struct InvRound {
-    int pending;  // acks outstanding
-    std::coroutine_handle<> waiter;
-  };
-
-  [[nodiscard]] sim::Task<> acquire(sim::ProcId p, Line line, bool exclusive);
+  /// Serve [line, last] at `p`, starting from a miss on `line`.
+  [[nodiscard]] sim::Task<> acquire(sim::ProcId p, Line line, Line last,
+                                    bool exclusive);
+  /// Does `line` satisfy an access at `c`? Counts the hit.
+  bool hit(Cache& c, Line line, bool exclusive) {
+    if (!c.hit(line, exclusive)) return false;
+    // The (1-2 cycle) hit latency is folded into the user-code cycle
+    // charges, as instruction timing is in Proteus.
+    exclusive ? ++stats_.write_hits : ++stats_.read_hits;
+    return true;
+  }
   /// `p`'s in-flight transaction for `line`, if any.
   [[nodiscard]] Txn* in_flight(sim::ProcId p, Line line) const;
   /// Join `t` to its line's directory FIFO; start serving if it was idle.
   void enqueue(Txn& t);
-  /// Serve the FIFO of `line` until it drains.
-  sim::Detached serve_front(Line line);
-  /// One INV -> sharer controller -> ACK leg of `round`.
-  sim::Detached invalidate(InvRound* round, Line line, sim::ProcId home,
-                           sim::ProcId sharer);
+  /// A transaction's Continuation: `advance` the Txn it is.
+  static void on_wake(sim::Continuation* c) noexcept;
+  /// Run `t`'s service from its step to its next wake.
+  void advance(Txn& t);
+  /// One INV -> sharer controller -> ACK leg of `t`'s invalidation round.
+  sim::Detached invalidate(Txn* t, sim::ProcId sharer);
   /// A dirty victim's data travels home and clears its ownership there.
   sim::Detached writeback(sim::ProcId p, Line line);
 
@@ -234,9 +320,6 @@ class CoherentMemory {
   void require_allocated(Line line) const;
   /// `p`'s cache; throws std::out_of_range if `p` is outside the machine.
   [[nodiscard]] Cache& cache_of(sim::ProcId p);
-  /// Read or write every line of [a, a+bytes) at `p`.
-  [[nodiscard]] sim::Task<> access(sim::ProcId p, Addr a, unsigned bytes,
-                                   bool exclusive);
   [[nodiscard]] Dir& dir(Line line) const {
     const std::uint64_t off = line_offset(line);
     std::byte* const record =
@@ -252,7 +335,9 @@ class CoherentMemory {
   /// Report `line`'s directory state to the checker, if one is attached.
   void check_line(Line line, const Dir& d, Sharers s) const;
 
-  /// Awaitable: occupy proc `p`'s memory controller for one message.
+  /// Occupy proc `p`'s memory controller for one message, then wake `w`.
+  void occupy(sim::ProcId p, sim::Wake w);
+  /// Awaitable: `occupy` for a coroutine.
   [[nodiscard]] auto controller(sim::ProcId p);
   /// LimitLESS: does a set of `sharers` overflow the hardware pointers
   /// (never under a full-map configuration)?
@@ -263,7 +348,9 @@ class CoherentMemory {
   /// Awaitable: the software trap that handles an overflow runs on the
   /// home CPU (not the memory controller).
   [[nodiscard]] sim::Machine::Compute trap(sim::ProcId home);
-  /// Awaitable: coherence message src -> dst, resume at delivery.
+  /// Coherence message src -> dst; `w` wakes at delivery.
+  void send(sim::ProcId src, sim::ProcId dst, unsigned words, sim::Wake w);
+  /// Awaitable: `send` for a coroutine.
   [[nodiscard]] auto transfer(sim::ProcId src, sim::ProcId dst, unsigned words);
 
   sim::Machine* machine_;

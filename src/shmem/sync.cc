@@ -1,6 +1,6 @@
 #include "shmem/sync.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace cm::shmem {
 namespace {
@@ -41,7 +41,9 @@ sim::Task<> SpinLock::acquire(sim::ProcId p) {
 }
 
 sim::Task<> SpinLock::release(sim::ProcId p) {
-  assert(held_ && holder_ == p);
+  if (!held_ || holder_ != p) {
+    throw std::logic_error("SpinLock::release: the processor does not hold it");
+  }
   held_ = false;
   holder_ = sim::kNoProc;
   // The releasing store invalidates every spinner's Shared copy (the
@@ -67,13 +69,18 @@ sim::Task<bool> SeqLock::validate(sim::ProcId p, std::uint64_t v) {
 }
 
 sim::Task<> SeqLock::begin_write(sim::ProcId p) {
-  assert((version_ & 1) == 0 && "concurrent writers; guard with a SpinLock");
+  if ((version_ & 1) != 0) {
+    throw std::logic_error(
+        "SeqLock::begin_write: a write is open; guard writers with a SpinLock");
+  }
   ++version_;
   co_await mem_->write(p, addr_, 8);
 }
 
 sim::Task<> SeqLock::end_write(sim::ProcId p) {
-  assert((version_ & 1) == 1);
+  if ((version_ & 1) == 0) {
+    throw std::logic_error("SeqLock::end_write: no write is open");
+  }
   ++version_;
   co_await mem_->write(p, addr_, 8);
   wake_all(waiters_);

@@ -35,7 +35,8 @@ class SpinLock {
   /// Acquire from processor `p`; suspends while contended.
   [[nodiscard]] sim::Task<> acquire(sim::ProcId p);
 
-  /// Release from processor `p` (must be the holder).
+  /// Release from processor `p`. Throws std::logic_error to the awaiter,
+  /// before any state change or simulated step, unless `p` holds the lock.
   [[nodiscard]] sim::Task<> release(sim::ProcId p);
 
   [[nodiscard]] bool held() const noexcept { return held_; }
@@ -65,7 +66,9 @@ class SeqLock {
   [[nodiscard]] sim::Task<bool> validate(sim::ProcId p, std::uint64_t v);
 
   /// Writer entry/exit (the caller must provide mutual exclusion between
-  /// writers, e.g. with a SpinLock).
+  /// writers, e.g. with a SpinLock). `begin_write` while a write is open,
+  /// and `end_write` while none is, throw std::logic_error to the awaiter
+  /// before any state change or simulated step.
   [[nodiscard]] sim::Task<> begin_write(sim::ProcId p);
   [[nodiscard]] sim::Task<> end_write(sim::ProcId p);
 

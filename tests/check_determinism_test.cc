@@ -187,6 +187,28 @@ TEST(CheckDeterminism, CheckedLocatorSoakIsViolationFree) {
   maybe_write_report(on, "locator");
 }
 
+TEST(CheckDeterminism, CheckedSharedMemoryBTreeSoakIsViolationFree) {
+  // The B-tree under LimitLESS shared memory with 5 hardware pointers: every
+  // directory transition of its fetches, invalidation rounds, overflow traps
+  // and grants is checked, and the run is the unchecked one.
+  const BTreeConfig plain = btree_cfg(Mechanism::kSharedMemory);
+  ASSERT_EQ(plain.limitless_pointers, 5u);
+  const RunStats off = run_btree(plain);
+
+  BTreeConfig cfg = plain;
+  cfg.check = true;
+  const RunStats on = run_btree(cfg);
+
+  EXPECT_EQ(on.completed_at, off.completed_at);
+  EXPECT_EQ(on.net.messages, off.net.messages);
+  EXPECT_EQ(on.btree_keys, off.btree_keys);
+  EXPECT_EQ(on.btree_digest, off.btree_digest);
+  EXPECT_TRUE(on.invariants_ok);
+  EXPECT_EQ(on.check.total_violations, 0u);
+  EXPECT_GT(on.check.line_checks, 0u);  // directory transitions really seen
+  maybe_write_report(on, "sm_btree");
+}
+
 TEST(CheckDeterminism, RealChainChaseIsTracedAndClean) {
   // The locator's canonical stale-hint scenario (cf. loc_test): warm proc
   // 0's hint, drag the object 1 -> 2 -> 3 leaving a two-pointer chain, then

@@ -522,9 +522,10 @@ TEST(CoherenceConfig, AllocRejectsAnExhaustedHomeRegion) {
   EXPECT_EQ(a & (region - 1), 0u);
 }
 
-Task<> read_catching(CoherentMemory* mem, ProcId p, Addr a, bool* threw) {
+Task<> read_catching(CoherentMemory* mem, ProcId p, Addr a, bool* threw,
+                     unsigned bytes = 16) {
   try {
-    co_await mem->read(p, a, 16);
+    co_await mem->read(p, a, bytes);
   } catch (const std::out_of_range&) {
     *threw = true;
   }
@@ -574,6 +575,20 @@ TEST(CoherenceConfig, AccessToUnallocatedMemoryThrows) {
   EXPECT_EQ(w.mem.stats().misses(), 0u);
   EXPECT_EQ(w.mem.stats().prefetches, 0u);
   EXPECT_FALSE(w.mem.dir_snapshot(line_of(past)).busy);
+}
+
+TEST(CoherenceConfig, RangePastAllocatedMemoryThrowsAfterServingItsLines) {
+  // A two-line read whose second line was never allocated: the first line
+  // is served (one miss, one transaction), then the walk throws.
+  World w(4);
+  const Addr a = w.mem.alloc(1, 16);
+  bool threw = false;
+  sim::detach(read_catching(&w.mem, 0, a, &threw, 32));
+  w.eng.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(w.mem.stats().read_misses, 1u);
+  EXPECT_EQ(w.mem.cache(0).lookup(line_of(a)), LineState::kShared);
+  EXPECT_FALSE(w.mem.dir_snapshot(line_of(a)).busy);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "apps/btree.h"
 #include "check/checker.h"
 #include "core/adaptive.h"
+#include "core/mechanism.h"
 #include "core/mobile.h"
 #include "net/constant_net.h"
 #include "sim/engine.h"
@@ -253,6 +256,48 @@ TEST(PolicyPhase, ObserveOnlyTracksPhasesWithoutFlipping) {
   EXPECT_EQ(pol.phase_of(id), PolicyEngine::Phase::kRead);
   EXPECT_FALSE(pol.replicated_mode(id));
   EXPECT_EQ(pol.replica_of(id), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Profiles the B-tree feeds
+// ---------------------------------------------------------------------------
+
+sim::Task<> cp_update(World* w, apps::DistributedBTree* bt, bool insert,
+                      std::uint64_t key) {
+  core::Ctx ctx{&w->rt, 1};
+  const bool changed =
+      insert ? co_await bt->insert(ctx, core::Mechanism::kMigration, key, key)
+             : co_await bt->remove(ctx, core::Mechanism::kMigration, key);
+  EXPECT_TRUE(changed);
+}
+
+TEST(PolicyProfile, BTreeInsertAndRemoveProfileTheirLeafWriteAlike) {
+  // A two-level tree whose nodes all sit on processor 0, and a requester on
+  // processor 1. Under CP each update reads the root from processor 1 (a
+  // remote access) and writes its leaf from processor 0, where the
+  // activation arrives from the root (a local one), whether it inserts or
+  // removes.
+  World w(2);
+  apps::DistributedBTree::Params bp;
+  bp.max_entries = 4;
+  bp.node_procs = 1;
+  apps::DistributedBTree bt(w.rt, nullptr, bp);
+  bt.bulk_load({10, 20, 30, 40, 50, 60});
+  ASSERT_EQ(bt.height(), 2u);
+  PolicyEngine pol(w.rt, fast_cfg());  // never started: profiles only
+  bt.set_policy(&pol);
+
+  const auto remote_accesses_of = [&](bool insert) {
+    const std::uint64_t before = pol.stats().remote_accesses;
+    sim::detach(cp_update(&w, &bt, insert, 15));
+    w.eng.run();
+    return pol.stats().remote_accesses - before;
+  };
+  const std::uint64_t by_insert = remote_accesses_of(true);
+  const std::uint64_t by_remove = remote_accesses_of(false);
+  EXPECT_EQ(by_insert, 1u);
+  EXPECT_EQ(by_remove, by_insert);
+  EXPECT_EQ(pol.stats().accesses, 4u);  // a root read and a leaf write each
 }
 
 // ---------------------------------------------------------------------------

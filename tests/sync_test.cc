@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/constant_net.h"
@@ -166,6 +170,84 @@ TEST(SeqLock, VersionStartsEven) {
   World w(2);
   SeqLock sl(w.mem, 0);
   EXPECT_EQ(sl.version(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Misuse throws std::logic_error to the awaiter, in every build type, before
+// any state change or simulated step
+// ---------------------------------------------------------------------------
+
+Task<> catching_logic_error(Task<> t, bool* threw) {
+  try {
+    co_await std::move(t);
+  } catch (const std::logic_error&) {
+    *threw = true;
+  }
+}
+
+/// Shared-memory traffic and engine work so far: a rejected call adds none.
+struct Footprint {
+  std::uint64_t accesses;
+  std::uint64_t messages;
+  std::size_t events;
+
+  explicit Footprint(const World& w)
+      : accesses(w.mem.stats().hits() + w.mem.stats().misses()),
+        messages(w.net.stats().messages),
+        events(w.eng.events_executed()) {}
+  bool operator==(const Footprint&) const = default;
+};
+
+TEST(SpinLock, ReleaseByANonHolderThrowsToTheAwaiter) {
+  World w(4);
+  SpinLock lock(w.mem, 0);
+  sim::detach(lock.acquire(1));
+  w.eng.run();
+  ASSERT_TRUE(lock.held());
+  const Footprint before(w);
+  bool threw = false;
+  sim::detach(catching_logic_error(lock.release(2), &threw));
+  w.eng.run();
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(lock.held());  // no second holder
+  EXPECT_EQ(lock.holder(), 1u);
+  EXPECT_EQ(Footprint(w), before);
+  // The holder still releases it, and then nobody may.
+  sim::detach(lock.release(1));
+  w.eng.run();
+  EXPECT_FALSE(lock.held());
+  threw = false;
+  sim::detach(catching_logic_error(lock.release(1), &threw));
+  w.eng.run();
+  EXPECT_TRUE(threw);
+  EXPECT_FALSE(lock.held());
+}
+
+TEST(SeqLock, BeginWriteWhileAWriteIsOpenThrowsToTheAwaiter) {
+  World w(4);
+  SeqLock sl(w.mem, 0);
+  sim::detach(sl.begin_write(1));
+  w.eng.run();
+  ASSERT_EQ(sl.version(), 1u);
+  const Footprint before(w);
+  bool threw = false;
+  sim::detach(catching_logic_error(sl.begin_write(2), &threw));
+  w.eng.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(sl.version(), 1u);  // still odd: readers keep waiting
+  EXPECT_EQ(Footprint(w), before);
+}
+
+TEST(SeqLock, EndWriteWithoutAnOpenWriteThrowsToTheAwaiter) {
+  World w(4);
+  SeqLock sl(w.mem, 0);
+  const Footprint before(w);
+  bool threw = false;
+  sim::detach(catching_logic_error(sl.end_write(1), &threw));
+  w.eng.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(sl.version(), 0u);  // still even: readers are not parked
+  EXPECT_EQ(Footprint(w), before);
 }
 
 }  // namespace
