@@ -395,7 +395,7 @@ class DistributedBTree::Coherent {
 };
 
 /// Message passing (RPC, CP, OBJ, TM): an access is a method at the node's
-/// home (apps::call_at), under its AsyncMutex; searching or changing the
+/// home (core::visit), under its AsyncMutex; searching or changing the
 /// node costs one compute. Reads may use the root's or the policy's replica.
 class DistributedBTree::Messages {
   using Id = std::uint32_t;
@@ -408,9 +408,9 @@ class DistributedBTree::Messages {
   template <class F>
   auto at_node(Ctx& ctx, Id n, F body) const {
     const Params& p = bt_->p_;
-    return call_at(ctx, mech_, node(n).mobile,
-                   core::CallOpts{p.rpc_arg_words, p.rpc_ret_words, false},
-                   p.frame_words, p.thread_state_words, body);
+    return core::visit(ctx, mech_, node(n).mobile,
+                       core::CallOpts{p.rpc_arg_words, p.rpc_ret_words, false},
+                       p.frame_words, p.thread_state_words, body);
   }
   sim::AsyncMutex::Awaiter lock(Ctx&, Id n) const {
     return node(n).mutex.lock();
@@ -453,8 +453,8 @@ class DistributedBTree::Messages {
 // ---------------------------------------------------------------------------
 
 template <class A>
-auto DistributedBTree::visit_node(Ctx& ctx, A acc, std::uint32_t nid,
-                                  std::uint64_t key) {
+core::Replicated* DistributedBTree::start_visit(const Ctx& ctx, A acc,
+                                                std::uint32_t nid) const {
   if (sim::Tracer* tr = rt_->tracer()) {
     tr->record(sim::TraceEvent::kBTreeNodeVisit, ctx.proc,
                {{"node", nid}, {"level", nodes_[nid].level}});
@@ -462,10 +462,15 @@ auto DistributedBTree::visit_node(Ctx& ctx, A acc, std::uint32_t nid,
   if constexpr (A::kReplicas) {
     // A phase-flipped node is read from the local replica instead of the
     // primary: B-link lateral moves absorb any staleness in its routing.
-    if (core::Replicated* copy = acc.replica_of(nid)) {
-      return read_replica(ctx, *copy, nid, key);
-    }
+    return acc.replica_of(nid);
+  } else {
+    return nullptr;
   }
+}
+
+template <class A>
+auto DistributedBTree::visit_node(Ctx& ctx, A acc, std::uint32_t nid,
+                                  std::uint64_t key) {
   const ProcId requester = ctx.proc;
   return acc.at_node(ctx, nid,
                      [this, acc, nid, key, requester](Ctx& at) -> Task<Step> {
@@ -569,6 +574,8 @@ Task<bool> DistributedBTree::lookup_via(Ctx& ctx, A acc, std::uint64_t key,
       const Node& r = nodes_[root_];
       co_await rt_->compute(ctx, search_cycles(r));
       s = search_step(r, key);
+    } else if (core::Replicated* copy = start_visit(ctx, acc, cur)) {
+      s = co_await read_replica(ctx, *copy, cur, key);
     } else {
       s = co_await visit_node(ctx, acc, cur, key);
     }
@@ -591,7 +598,12 @@ Task<bool> DistributedBTree::write_via(Ctx& ctx, A acc, std::uint64_t key,
   Path path;
   std::uint32_t cur = root_;
   while (!nodes_[cur].leaf) {
-    const Step s = co_await visit_node(ctx, acc, cur, key);
+    Step s;
+    if (core::Replicated* copy = start_visit(ctx, acc, cur)) {
+      s = co_await read_replica(ctx, *copy, cur, key);
+    } else {
+      s = co_await visit_node(ctx, acc, cur, key);
+    }
     if (s.kind == Step::Kind::kDescend) path.push(cur);
     cur = s.next;  // kDescend and kLateral both carry the next node
   }

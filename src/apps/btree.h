@@ -255,7 +255,13 @@ class DistributedBTree {
   template <class A, class Edit>
   sim::Task<bool> write_via(core::Ctx& ctx, A acc, std::uint64_t key,
                             Edit edit);
-  /// Read node `nid` where `acc` runs accesses, or from its policy replica.
+  /// A descent's visit to node `nid` starts here: its trace record, then
+  /// the node's policy replica under `acc`, if it has one, which the descent
+  /// reads (read_replica) instead of visiting the node (visit_node).
+  template <class A>
+  core::Replicated* start_visit(const core::Ctx& ctx, A acc,
+                                std::uint32_t nid) const;
+  /// Read node `nid` where `acc` runs accesses.
   template <class A>
   auto visit_node(core::Ctx& ctx, A acc, std::uint32_t nid, std::uint64_t key);
   sim::Task<Step> read_replica(core::Ctx& ctx, core::Replicated& copy,

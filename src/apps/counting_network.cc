@@ -210,7 +210,7 @@ class CountingNetwork::Coherent {
 };
 
 /// Message passing (RPC, CP, OBJ, TM): a visit is a method at the node's
-/// home (apps::call_at), where its state is local and the method runs
+/// home (core::visit), where its state is local and the method runs
 /// alone. Every visit is a write in the placement policy's profile.
 class CountingNetwork::Messages {
  public:
@@ -219,10 +219,10 @@ class CountingNetwork::Messages {
   template <class F>
   auto at_node(Ctx& ctx, core::MobileObject& obj, F body) const {
     const Params& p = cn_->p_;
-    return call_at(ctx, mech_, obj,
-                   core::CallOpts{p.rpc_arg_words, p.rpc_ret_words,
-                                  p.rpc_short_methods},
-                   p.frame_words, p.thread_state_words, body);
+    return core::visit(ctx, mech_, obj,
+                       core::CallOpts{p.rpc_arg_words, p.rpc_ret_words,
+                                      p.rpc_short_methods},
+                       p.frame_words, p.thread_state_words, body);
   }
   std::suspend_never lock(Ctx&, BalancerRt&) const { return {}; }
   std::suspend_never unlock(Ctx&, BalancerRt&) const { return {}; }

@@ -2,8 +2,10 @@
 // operation picks its layer once, from its mechanism (`with_access`): under
 // shared memory a visit to a node (tree node, balancer, counter) runs at
 // the requester against the node's coherent lines (`RunHere`); under RPC,
-// CP, OBJ and TM it runs as a method at the node's home (`call_at`). Each
-// app writes its operations once, as templates over its two layers.
+// CP, OBJ and TM it runs as a method at the node's home (`core::visit`,
+// whose awaiter the operation awaits directly, so a visit makes no frame
+// beyond its body's and, for a remote call, `call_remote`'s). Each app
+// writes its operations once, as templates over its two layers.
 #pragma once
 
 #include <coroutine>
@@ -12,7 +14,6 @@
 #include <utility>
 
 #include "core/mechanism.h"
-#include "core/mobile.h"
 #include "core/runtime.h"
 #include "shmem/coherent_memory.h"
 #include "sim/task.h"
@@ -39,20 +40,6 @@ auto with_access(core::Mechanism mech, const shmem::CoherentMemory* mem, Sm sm,
         std::invalid_argument("shared memory needs a CoherentMemory"));
   }
   return op(sm);
-}
-
-/// The message-passing visit: `body` runs as a method at `obj`'s home,
-/// after core::approach under CP, TM and OBJ (the call is then local).
-template <class F>
-auto call_at(core::Ctx& ctx, core::Mechanism mech, core::MobileObject& obj,
-             core::CallOpts opts, unsigned frame_words, unsigned thread_words,
-             F body)
-    -> sim::Task<typename std::invoke_result_t<F, core::Ctx&>::value_type> {
-  if (core::moves_to_data(mech)) {
-    // <<< the annotation: move this activation to the node >>>
-    co_await core::approach(ctx, mech, obj, frame_words, thread_words);
-  }
-  co_return co_await ctx.rt->call(ctx, obj.id(), opts, body);
 }
 
 /// The shared-memory visit: runs `body` at the requester, and keeps `body`

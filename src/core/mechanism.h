@@ -34,7 +34,7 @@ enum class Mechanism {
 }
 
 /// True for the mechanisms that bring an activation and its data together
-/// before each access (core::approach): the activation moves to the object
+/// before each access (core::visit): the activation moves to the object
 /// (CP, TM) or the object moves to the activation (OBJ). RPC runs the
 /// method at the object's home, and shared memory caches the data.
 [[nodiscard]] constexpr bool moves_to_data(Mechanism m) {

@@ -9,6 +9,12 @@
 // great when one thread has an affinity run to the object, pathological for
 // write-shared objects (the balancers, the B-tree root), which ping-pong
 // with their full state in tow.
+//
+// `visit` is every message-passing mechanism's access to a mobile object:
+// the activation hops to it (CP, TM), or it is attracted to the activation
+// (OBJ), and the method then runs at its home (under RPC, remotely). Its
+// awaiter chains `Runtime::Migrate` and `Runtime::Call` without a frame of
+// its own whenever both are frame-free.
 #pragma once
 
 #include <coroutine>
@@ -45,47 +51,76 @@ class MobileObject {
   std::uint64_t moves_ = 0;
 };
 
-/// The awaiter of `approach`, in the activation's frame: a hop (CP, TM),
-/// which is a Runtime::Migrate and frame-free whenever `migrate` is, or an
-/// attraction (OBJ), which runs `MobileObject::attract`.
-class [[nodiscard]] Approach {
+/// The coroutine path of a visit, in one pooled frame: attract the object
+/// (OBJ) or hop (CP, TM), then call the method.
+template <class F>
+sim::Task<typename Runtime::Call<F>::R> visit_protocol(
+    Ctx& ctx, Mechanism mech, MobileObject& obj, Runtime::Migrate hop,
+    Runtime::Call<F> call) {
+  if (mech == Mechanism::kObjectMigration) {
+    co_await obj.attract(ctx);
+  } else if (moves_to_data(mech)) {
+    co_await hop;
+  }
+  co_return co_await call;
+}
+
+/// The awaiter of `visit`, in the visiting activation's frame. On a
+/// frame-free runtime under RPC, CP and TM it makes no frame of its own: a
+/// CP or TM hop runs `Migrate`'s steps and completes into the call's
+/// first step, and the call runs `Call`'s steps, resuming a local call
+/// straight into the body's frame and a remote one into `call_remote`. A
+/// hop that parks an exception never starts the call; `await_resume`
+/// rethrows it. OBJ, whose attraction is a coroutine, and an observed
+/// runtime run `visit_protocol` instead.
+template <class F>
+class [[nodiscard]] Visit {
  public:
-  /// `attract` is the object to pull for OBJ, else null.
-  Approach(Runtime::Migrate hop, Ctx* ctx, MobileObject* attract) noexcept
-      : hop_(hop), ctx_(ctx), attract_(attract) {}
+  using R = typename Runtime::Call<F>::R;
+
+  Visit(Ctx* ctx, Mechanism mech, MobileObject* obj, Runtime::Migrate hop,
+        Runtime::Call<F> call) noexcept
+      : hop_(hop), call_(call), ctx_(ctx), obj_(obj), mech_(mech) {}
 
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
-    if (attract_ == nullptr) return hop_.await_suspend(caller);
-    return pull_.start(attract_->attract(*ctx_), caller);
-  }
-  void await_resume() {
-    if (attract_ == nullptr) {
-      hop_.await_resume();
-    } else {
-      pull_.take();
+    if (mech_ == Mechanism::kObjectMigration || !ctx_->rt->frame_free()) {
+      return call_.delegate(visit_protocol(*ctx_, mech_, *obj_, hop_, call_),
+                            caller);
     }
+    const sim::Wake call = call_.follow(caller);
+    if (moves_to_data(mech_)) {
+      hop_.start(call);
+    } else {
+      call();
+    }
+    return std::noop_coroutine();
   }
+  R await_resume() { return call_.await_resume(); }
 
  private:
   Runtime::Migrate hop_;
+  Runtime::Call<F> call_;  // holds the body
   Ctx* ctx_;
-  MobileObject* attract_;
-  sim::Started<void> pull_;  // attract()'s coroutine
+  MobileObject* obj_;
+  Mechanism mech_;
 };
-static_assert(std::is_trivially_destructible_v<Approach>);
 
-/// Bring the activation and `obj` together before an access; callers pass
-/// only a mechanism with moves_to_data(mech). Migrates the activation with
+/// An access to `obj` under a message-passing mechanism: bring the
+/// activation and the object together, by migrating the activation with
 /// its frame's `frame_words` live words (CP) or with the whole thread's
-/// `thread_words` (TM), or attracts the object to it (OBJ).
-[[nodiscard]] inline Approach approach(Ctx& ctx, Mechanism mech,
-                                       MobileObject& obj, unsigned frame_words,
-                                       unsigned thread_words) {
+/// `thread_words` (TM), or by attracting the object to it (OBJ), and then
+/// run `body` as a method at the object's home (under RPC, a remote call).
+template <class F>
+[[nodiscard]] Visit<F> visit(Ctx& ctx, Mechanism mech, MobileObject& obj,
+                             CallOpts opts, unsigned frame_words,
+                             unsigned thread_words, F body) {
+  static_assert(std::is_trivially_destructible_v<Visit<F>>);
+  Runtime& rt = *ctx.rt;
   const unsigned words =
       mech == Mechanism::kMigration ? frame_words : thread_words;
-  return Approach(ctx.rt->migrate(ctx, obj.id(), words), &ctx,
-                  mech == Mechanism::kObjectMigration ? &obj : nullptr);
+  return Visit<F>(&ctx, mech, &obj, rt.migrate(ctx, obj.id(), words),
+                  rt.call(ctx, obj.id(), opts, body));
 }
 
 }  // namespace cm::core

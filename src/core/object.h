@@ -57,14 +57,17 @@ class ObjectSpace {
  private:
   /// An out-of-range ObjectId is always a caller bug (a stale or corrupted
   /// global id); a typed error beats the silent out-of-bounds read a bare
-  /// assert would permit in Release builds.
+  /// assert would permit in Release builds. The throw is out of line, so
+  /// that `home_of` inlines into every hop and call.
   void check(ObjectId id, const char* what) const {
-    if (id >= homes_.size()) {
-      throw std::out_of_range("ObjectSpace::" + std::string(what) +
-                              ": object id " + std::to_string(id) +
-                              " out of range (size " +
-                              std::to_string(homes_.size()) + ")");
-    }
+    if (id >= homes_.size()) [[unlikely]] throw_unknown(id, what);
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_unknown(
+      ObjectId id, const char* what) const {
+    throw std::out_of_range("ObjectSpace::" + std::string(what) +
+                            ": object id " + std::to_string(id) +
+                            " out of range (size " +
+                            std::to_string(homes_.size()) + ")");
   }
 
   std::vector<sim::ProcId> homes_;

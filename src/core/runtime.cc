@@ -120,16 +120,20 @@ sim::Task<> Runtime::evacuate(Ctx& ctx) {
 
 std::coroutine_handle<> Runtime::Migrate::await_suspend(
     std::coroutine_handle<> caller) {
-  this->caller = caller;
   if (!rt->frame_free()) {
     return task_.start(rt->migrate_impl(top_, group_, obj_, live_words_),
                        caller);
   }
+  start(caller);
+  return std::noop_coroutine();
+}
+
+void Runtime::Migrate::start(sim::Wake then) {
+  done = then;
   // The locality check is shared with ordinary instance-method dispatch.
   next<&Migrate::checked>();
   rt->charge(top_->proc, rt->cost_.locality_check, Category::kLocalityCheck)
       .then(this);
-  return std::noop_coroutine();
 }
 
 void Runtime::Migrate::checked() {
@@ -137,7 +141,7 @@ void Runtime::Migrate::checked() {
   if (dest_ == top_->proc) {
     // Already local: the annotation costs nothing (paper §3.1).
     ++rt->stats_.migrations_local;
-    caller.resume();
+    done();
     return;
   }
   // Continuation client stub: marshal the live variables and launch one
@@ -165,16 +169,16 @@ void Runtime::Migrate::unpacked() {
   ++rt->stats_.threads_created;
   top_->proc = dest_;
   for (Ctx* c : group_) c->proc = dest_;
-  caller.resume();  // the migrated frame runs on, at the data
+  done();  // the migrated frame (or its visit's call) runs on, at the data
 }
 
 std::coroutine_handle<> Runtime::ReturnHome::await_suspend(
     std::coroutine_handle<> caller) {
-  this->caller = caller;
   if (!frame_free_) {
     return task_.start(rt->return_home_impl(*ctx_, origin_, ret_words_),
                        caller);
   }
+  done = caller;
   ++rt->stats_.replies;
   next<&ReturnHome::sent>();
   rt->send_path(ctx_->proc, ret_words_).then(this);
@@ -195,7 +199,7 @@ void Runtime::ReturnHome::delivered() {
 
 void Runtime::ReturnHome::received() {
   ctx_->proc = origin_;
-  caller.resume();
+  done();
 }
 
 // ---- The coroutine paths. ----

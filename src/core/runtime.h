@@ -30,9 +30,12 @@
 // live in the awaiting frame. With no optional service installed they run
 // the protocol without a coroutine frame of their own (`frame_free()`): the
 // suspended frame is the continuation that travels, and a local call resumes
-// straight into the method body. Any service (ft, locator, reliable
-// transport, tracer, checker) selects the pooled coroutines that carry its
-// hooks; both paths book the same costs and schedule the same events.
+// straight into the method body. A frame-free protocol completes into a
+// `sim::Wake`, the awaiting coroutine or the next protocol's Continuation,
+// so core::visit (mobile.h) chains a hop and a call with no frame between
+// them. Any service (ft, locator, reliable transport, tracer, checker)
+// selects the pooled coroutines that carry its hooks; both paths book the
+// same costs and schedule the same events.
 #pragma once
 
 #include <coroutine>
@@ -185,16 +188,18 @@ class Runtime {
 
  private:
   /// The base of each frame-free awaiter below: the Continuation the engine
-  /// wakes, and the coroutine it resumes when the protocol is done. A step
-  /// `S` of awaiter `A` is a member function; `next<S>()` makes it the one
-  /// the next wake runs. An exception a step throws is parked in the
-  /// runtime and rethrown by the awaiter's `await_resume`, so it reaches the
-  /// awaiting coroutine, as it would from a coroutine, and never escapes
-  /// the engine's run loop.
+  /// wakes, and the wake it completes into when the protocol is done: the
+  /// awaiting coroutine, or the next protocol's Continuation (a visit's
+  /// call after its hop, core::Visit). A step `S` of awaiter `A` is a
+  /// member function; `next<S>()` makes it the one the next wake runs. An
+  /// exception a step throws is parked in the runtime and the protocol
+  /// completes at once; the awaiter's `await_resume` rethrows it, so it
+  /// reaches the awaiting coroutine, as it would from a coroutine, and
+  /// never escapes the engine's run loop.
   template <class A>
   struct FrameFree : sim::Continuation {
     Runtime* rt;
-    std::coroutine_handle<> caller = nullptr;
+    sim::Wake done = std::coroutine_handle<>();
 
     explicit FrameFree(Runtime* r) noexcept : rt(r) {}
 
@@ -214,11 +219,11 @@ class Runtime {
       A& a = static_cast<A&>(*c);
       try {
         (a.*S)();
-        return;  // `a` may be gone: the step may have resumed its caller
+        return;  // `a` may be gone: the step may have completed
       } catch (...) {
         a.rt->parked_ = std::current_exception();
       }
-      a.caller.resume();
+      a.done();
     }
   };
 
@@ -279,6 +284,11 @@ class Runtime {
       raise_parked();
       if (task_.started()) task_.take();
     }
+
+    /// Run the hop frame-free (on a frame-free runtime, with a non-empty
+    /// group) and wake `then` once the activation is at the data, or at
+    /// once when a step parks an exception.
+    void start(sim::Wake then);
 
    private:
     void checked();    // the locality check is done: go, or stay
@@ -355,16 +365,11 @@ class Runtime {
     bool await_ready() const noexcept { return false; }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
       Runtime& rt = *this->rt;
-      this->caller = caller;
       if (!rt.frame_free()) {
-        return task_.start(rt.call_impl<R>(*ctx_, obj_, opts_, body_, 0),
-                           caller);
+        return delegate(rt.call_impl<R>(*ctx_, obj_, opts_, body_, 0), caller);
       }
-      this->template next<&Call::dispatch>();
-      // Every instance-method call checks locality (so this is not an
-      // extra cost for computation migration).
-      rt.charge(ctx_->proc, rt.cost_.locality_check, Category::kLocalityCheck)
-          .then(this);
+      follow(caller);
+      check();
       return std::noop_coroutine();
     }
     R await_resume() {
@@ -372,21 +377,54 @@ class Runtime {
       return task_.take();
     }
 
+    /// Frame-free: ready the call to run for `caller`, and return the wake
+    /// that runs its first step, for the hop before it (core::Visit) to
+    /// complete into.
+    sim::Wake follow(std::coroutine_handle<> caller) noexcept {
+      caller_ = caller;
+      this->done = caller;
+      this->template next<&Call::check>();
+      return this;
+    }
+
+    /// Hand the call to `protocol` (call_impl, or a visit's coroutine
+    /// path), run for `caller`; returns the handle that starts it, and
+    /// `await_resume` yields its result.
+    std::coroutine_handle<> delegate(sim::Task<R> protocol,
+                                     std::coroutine_handle<> caller) noexcept {
+      return task_.start(std::move(protocol), caller);
+    }
+
    private:
+    void check() {
+      Runtime& rt = *this->rt;
+      if (rt.parked_ != nullptr) {
+        // The hop before this call failed: the call never starts.
+        caller_.resume();
+        return;
+      }
+      this->template next<&Call::dispatch>();
+      // Every instance-method call checks locality (so this is not an
+      // extra cost for computation migration).
+      rt.charge(ctx_->proc, rt.cost_.locality_check, Category::kLocalityCheck)
+          .then(this);
+    }
+
     void dispatch() {
       Runtime& rt = *this->rt;
       const ProcId home = rt.objects_->home_of(obj_);
       if (home == ctx_->proc) {
         ++rt.stats_.local_calls;
         callee_.proc = home;
-        task_.start(body_(callee_), this->caller).resume();
+        task_.start(body_(callee_), caller_).resume();
         return;
       }
       sim::Task<R> remote =
           rt.call_remote<R>(*ctx_, obj_, home, opts_, body_, 0);
-      task_.start(std::move(remote), this->caller).resume();
+      task_.start(std::move(remote), caller_).resume();
     }
 
+    std::coroutine_handle<> caller_;  // whom the body or call_remote resumes
     Ctx* ctx_;
     ObjectId obj_;
     CallOpts opts_;

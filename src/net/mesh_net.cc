@@ -1,6 +1,7 @@
 #include "net/mesh_net.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -13,52 +14,54 @@ MeshNetwork::MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg)
   }
   height_ = (nprocs + cfg_.width - 1) / cfg_.width;
   if (height_ == 0) height_ = 1;
+  coords_.reserve(nprocs);
+  for (unsigned p = 0; p < nprocs; ++p) {
+    coords_.push_back(Coord{p % cfg_.width, p / cfg_.width});
+  }
   links_.resize(static_cast<std::size_t>(cfg_.width) * height_ * 4);
 }
 
 unsigned MeshNetwork::hops(sim::ProcId src, sim::ProcId dst) const {
-  const unsigned sx = src % cfg_.width, sy = src / cfg_.width;
-  const unsigned dx = dst % cfg_.width, dy = dst / cfg_.width;
-  const unsigned ddx = sx > dx ? sx - dx : dx - sx;
-  const unsigned ddy = sy > dy ? sy - dy : dy - sy;
+  check_endpoints(src, dst);
+  const Coord s = coords_[src];
+  const Coord d = coords_[dst];
+  const unsigned ddx = s.x > d.x ? s.x - d.x : d.x - s.x;
+  const unsigned ddy = s.y > d.y ? s.y - d.y : d.y - s.y;
   return ddx + ddy;
 }
 
 sim::Cycles MeshNetwork::route(sim::ProcId src, sim::ProcId dst,
                                unsigned words, sim::Cycles start) {
+  const Coord s = coords_[src];
+  const Coord d = coords_[dst];
+  const sim::Cycles per_hop = cfg_.per_hop;
+  const sim::Cycles tail = static_cast<sim::Cycles>(cfg_.per_word) * words;
+  const sim::Cycles occupancy = per_hop + tail;
   // Head flit time at the current node; the tail lags by words*per_word.
   sim::Cycles head = start + cfg_.launch;
-  const sim::Cycles occupancy =
-      cfg_.per_hop + static_cast<sim::Cycles>(cfg_.per_word) * words;
-
-  unsigned x = src % cfg_.width, y = src / cfg_.width;
-  const unsigned dx = dst % cfg_.width, dy = dst / cfg_.width;
-
-  auto cross = [&](unsigned dir, unsigned& coord, bool forward) {
-    Link& link = links_[link_index(x, y, dir)];
+  auto cross = [&](Link& link) {
     const sim::Cycles begin = std::max(head, link.free_at);
     link.free_at = begin + occupancy;
-    head = begin + cfg_.per_hop;
+    head = begin + per_hop;
     link.words += words;
-    coord = forward ? coord + 1 : coord - 1;
   };
 
-  while (x != dx) {
-    if (x < dx) {
-      cross(0, x, true);
-    } else {
-      cross(1, x, false);
-    }
+  // The X leg along the source's row, then the Y leg along the
+  // destination's column; `at` is the current node's first link.
+  Link* at = links_.data() + std::size_t{src} * 4;
+  const std::ptrdiff_t row = std::ptrdiff_t{4} * cfg_.width;
+  if (s.x < d.x) {
+    for (unsigned i = s.x; i != d.x; ++i, at += 4) cross(at[0]);
+  } else {
+    for (unsigned i = d.x; i != s.x; ++i, at -= 4) cross(at[1]);
   }
-  while (y != dy) {
-    if (y < dy) {
-      cross(2, y, true);
-    } else {
-      cross(3, y, false);
-    }
+  if (s.y < d.y) {
+    for (unsigned i = s.y; i != d.y; ++i, at += row) cross(at[2]);
+  } else {
+    for (unsigned i = d.y; i != s.y; ++i, at -= row) cross(at[3]);
   }
   // Tail arrives after the payload has serialised through the final link.
-  return head + static_cast<sim::Cycles>(cfg_.per_word) * words;
+  return head + tail;
 }
 
 void MeshNetwork::throw_outside(sim::ProcId src, sim::ProcId dst) const {

@@ -41,7 +41,9 @@ class MeshNetwork final : public Network {
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;
 
-  /// Manhattan distance between two nodes under X-then-Y routing.
+  /// Manhattan distance between two nodes under X-then-Y routing. Throws
+  /// std::out_of_range when `src` or `dst` is outside the machine (as does
+  /// `latency`, unless they are equal).
   [[nodiscard]] unsigned hops(sim::ProcId src, sim::ProcId dst) const;
 
   /// Words that crossed the most heavily used link.
@@ -56,11 +58,11 @@ class MeshNetwork final : public Network {
     std::uint64_t words = 0;  // words that crossed it
   };
 
-  // Links are indexed by (node, direction): 0=+x, 1=-x, 2=+y, 3=-y.
-  [[nodiscard]] std::size_t link_index(unsigned x, unsigned y,
-                                       unsigned dir) const {
-    return (static_cast<std::size_t>(y) * cfg_.width + x) * 4 + dir;
-  }
+  /// A processor's place in the mesh, computed once.
+  struct Coord {
+    unsigned x;
+    unsigned y;
+  };
 
   /// Walk the dimension-ordered route for a real message leaving at
   /// `start`, updating link occupancy and per-link word counters; returns
@@ -82,6 +84,10 @@ class MeshNetwork final : public Network {
   MeshConfig cfg_;
   unsigned nprocs_;
   unsigned height_;
+  std::vector<Coord> coords_;  // processor p sits at (p % width, p / width)
+  // Four links leave each node of the width x height grid, row-major: node
+  // n's are at 4n + direction (0=+x, 1=-x, 2=+y, 3=-y), and processor p is
+  // node p.
   std::vector<Link> links_;
 };
 

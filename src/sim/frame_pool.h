@@ -4,7 +4,7 @@
 // (task.h), so each one allocates a frame. Taken from the global allocator,
 // those frames would be the largest per-message host cost above the engine
 // and the network. `FramePool` serves them from per-host-thread freelists
-// instead: a frame is rounded up to a 64-byte size class, up to 1 KB; when
+// instead: a frame is rounded up to a 64-byte size class, up to 2 KB; when
 // it is destroyed its block goes onto the destroying thread's list for that
 // class and is handed to the next frame of the class. A steady-state
 // simulation therefore takes no frame from the global allocator at all.
@@ -49,7 +49,10 @@ namespace cm::sim {
 class FramePool {
  public:
   static constexpr std::size_t kGranule = 64;      // size-class step
-  static constexpr std::size_t kMaxPooled = 1024;  // largest pooled frame
+  // Largest pooled frame. An operation's frame holds the awaiters of its
+  // visits (core::Visit, about 220 bytes each), so a B-tree update's frame
+  // under message passing takes about 1.1 KB.
+  static constexpr std::size_t kMaxPooled = 2048;
   static constexpr std::size_t kClasses = kMaxPooled / kGranule;
 
   [[nodiscard]] static void* allocate(std::size_t n) {

@@ -260,6 +260,54 @@ TEST(FramePool, FrameFreeHopReturnAndLocalCallMakeNoFrameOfTheirOwn) {
   EXPECT_EQ(w.rt.stats().remote_calls, 2u);
 }
 
+TEST(FramePool, FrameFreeVisitMakesOnlyItsBodysFrames) {
+  World w(4);
+  const core::ObjectId there = w.objects.create(3);
+  const core::ObjectId here = w.objects.create(2);
+  const auto visit = [](core::Mechanism mech, core::ObjectId obj,
+                        ProcId from) {
+    return [mech, obj, from](World* w) -> Task<> {
+      core::Ctx ctx{&w->rt, from};
+      core::MobileObject mobile(w->rt, obj, 8);
+      (void)co_await core::visit(
+          ctx, mech, mobile, core::CallOpts{}, 8, 32,
+          [w](core::Ctx& c) { return work_at_home(w, c); });
+    };
+  };
+  // The body's, after a hop or none.
+  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kMigration, there, 0)), 1u);
+  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kMigration, here, 2)), 1u);
+  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kThreadMigration, there, 0)),
+            1u);
+  // call_remote's and the body's.
+  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kRpc, there, 0)), 2u);
+  const core::RtStats& s = w.rt.stats();
+  EXPECT_EQ(s.migrations, 4u);
+  EXPECT_EQ(s.migrations_local, 2u);
+  EXPECT_EQ(s.local_calls, 6u);
+  EXPECT_EQ(s.remote_calls, 2u);
+}
+
+TEST(FramePool, CountingNetworkGetNextMakesAPinnedNumberOfFrames) {
+  constexpr ProcId kRequester = 24;  // past Bitonic[8]'s 24 balancers
+  World w(kRequester + 1);
+  apps::CountingNetwork cn(w.rt, nullptr, apps::CountingNetwork::Params{});
+  apps::CountingNetwork* const net = &cn;
+  // Six balancer visits, each a CP hop and a local call, a counter visit
+  // beside the last balancer, then the short-circuit return: the
+  // traversal's frame and one body frame at a time (3 when each visit
+  // made a frame of its own around the body's).
+  const auto get_next = [net](World* w) -> Task<> {
+    core::Ctx ctx{&w->rt, kRequester};
+    (void)co_await net->get_next(ctx, core::Mechanism::kMigration, 0);
+    co_await w->rt.return_home(ctx, kRequester, 2);
+  };
+  EXPECT_EQ(frames_of(w, get_next), 2u);
+  EXPECT_EQ(w.rt.stats().migrations, 12u);
+  EXPECT_EQ(w.rt.stats().migrations_local, 2u);
+  EXPECT_EQ(cn.total_exited(), 2);
+}
+
 /// A small machine with a coherent memory of two hardware sharer pointers
 /// per line. Its blocks of three lines, all homed on processor 7, are
 /// allocated up front; an operation takes a fresh one per run, so that its
@@ -389,14 +437,15 @@ TEST(FramePool, BTreeOperationsMakeAPinnedNumberOfFrames) {
   const std::size_t nodes = bt->num_nodes();
   // A frame freed during the operation serves the next one of its size
   // class, so these count the most frames of each class alive at once. The
-  // node locks take no frame of their own (8 and 9 when they did). Under
-  // shared memory the warm insert's accesses all hit and make no frame, but
-  // each frame that awaits memory holds a 40-byte Access per co_await, and
-  // SeqLock::begin_read moves up into the size class the access frames
-  // used, so the count stays 7.
-  EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kRpc)), 7u);
+  // node locks take no frame of their own (8 and 9 when they did), nor
+  // does a message-passing visit around its body and call_remote (7 and 3
+  // when it did). Under shared memory the warm insert's accesses all hit
+  // and make no frame, but each frame that awaits memory holds a 40-byte
+  // Access per co_await, and SeqLock::begin_read moves up into the size
+  // class the access frames used, so the count stays 7.
+  EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kRpc)), 5u);
   EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kSharedMemory)), 7u);
-  EXPECT_EQ(frames_of(tw, cp_lookup), 3u);
+  EXPECT_EQ(frames_of(tw, cp_lookup), 2u);
   EXPECT_EQ(bt->num_nodes(), nodes);  // nothing split
 }
 

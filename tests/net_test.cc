@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <coroutine>
+#include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -8,6 +11,7 @@
 #include "net/constant_net.h"
 #include "net/mesh_net.h"
 #include "sim/engine.h"
+#include "sim/rng.h"
 #include "sim/task.h"
 
 namespace cm::net {
@@ -349,6 +353,116 @@ TEST(MeshNetwork, RejectsProcessorsOutsideTheMachine) {
   net.send(0, 3, 2, Traffic::kRuntime, [] {});
   eng.run();
   EXPECT_EQ(net.stats().messages, 1u);
+  EXPECT_THROW((void)net.hops(0, 4), std::out_of_range);
+  EXPECT_THROW((void)net.latency(4, 0, 2), std::out_of_range);
+}
+
+/// An independent model of the mesh's dimension-ordered walk: X leg, then
+/// Y leg, each link a FIFO server, with its own link array indexed by
+/// coordinates and direction.
+struct ReferenceMesh {
+  struct Link {
+    Cycles free_at = 0;
+    std::uint64_t words = 0;
+  };
+  MeshConfig cfg;
+  unsigned height;
+  std::vector<Link> links;
+
+  ReferenceMesh(unsigned nprocs, MeshConfig c)
+      : cfg(c),
+        height(std::max(1u, (nprocs + c.width - 1) / c.width)),
+        links(std::size_t{c.width} * height * 4) {}
+
+  unsigned hops(ProcId src, ProcId dst) const {
+    const int dx = static_cast<int>(src % cfg.width) -
+                   static_cast<int>(dst % cfg.width);
+    const int dy = static_cast<int>(src / cfg.width) -
+                   static_cast<int>(dst / cfg.width);
+    return static_cast<unsigned>(std::abs(dx) + std::abs(dy));
+  }
+  Cycles latency(ProcId src, ProcId dst, unsigned words) const {
+    if (src == dst) return 0;
+    return cfg.launch + cfg.per_hop * hops(src, dst) + cfg.per_word * words;
+  }
+  Cycles route(ProcId src, ProcId dst, unsigned words, Cycles start) {
+    if (src == dst) return start;  // loopback
+    unsigned x = src % cfg.width;
+    unsigned y = src / cfg.width;
+    Cycles head = start + cfg.launch;
+    const auto cross = [&](unsigned dir) {
+      Link& l = links[(std::size_t{y} * cfg.width + x) * 4 + dir];
+      const Cycles begin = std::max(head, l.free_at);
+      l.free_at = begin + cfg.per_hop + cfg.per_word * words;
+      l.words += words;
+      head = begin + cfg.per_hop;
+    };
+    while (x != dst % cfg.width) {
+      const bool east = x < dst % cfg.width;
+      cross(east ? 0 : 1);
+      x = east ? x + 1 : x - 1;
+    }
+    while (y != dst / cfg.width) {
+      const bool south = y < dst / cfg.width;
+      cross(south ? 2 : 3);
+      y = south ? y + 1 : y - 1;
+    }
+    return head + cfg.per_word * words;
+  }
+  std::uint64_t max_link_words() const {
+    std::uint64_t best = 0;
+    for (const Link& l : links) best = std::max(best, l.words);
+    return best;
+  }
+};
+
+TEST(MeshNetwork, RouteMatchesAReferenceWalk) {
+  struct Shape {
+    unsigned nprocs;
+    unsigned width;
+  };
+  // A column, a 3-wide grid with a partial last row, the benchmark's full
+  // 8x8 grid, and 23 processors at width 8 (a partial last row).
+  const Shape shapes[] = {{7, 1}, {10, 3}, {64, 8}, {23, 8}};
+  for (const Shape shape : shapes) {
+    SCOPED_TRACE(::testing::Message() << shape.nprocs << " processors, width "
+                                      << shape.width);
+    const MeshConfig cfg{.width = shape.width, .launch = 3, .per_hop = 5,
+                         .per_word = 2};
+    Engine eng;
+    MeshNetwork net(eng, shape.nprocs, cfg);
+    ReferenceMesh ref(shape.nprocs, cfg);
+    ASSERT_EQ(net.height(), ref.height);
+    for (ProcId a = 0; a < shape.nprocs; ++a) {
+      for (ProcId b = 0; b < shape.nprocs; ++b) {
+        ASSERT_EQ(net.hops(a, b), ref.hops(a, b)) << a << " -> " << b;
+        ASSERT_EQ(net.latency(a, b, 6), ref.latency(a, b, 6))
+            << a << " -> " << b;
+      }
+    }
+    // Messages sent close together, so that they queue on shared links.
+    constexpr unsigned kMessages = 600;
+    sim::Rng rng(0x5eed + shape.nprocs * 31 + shape.width);
+    std::vector<Cycles> expected(kMessages, 0);
+    std::vector<Cycles> delivered(kMessages, 0);
+    unsigned link_mismatches = 0;
+    for (unsigned i = 0; i < kMessages; ++i) {
+      const Cycles at = rng.below(1500);
+      const auto src = static_cast<ProcId>(rng.below(shape.nprocs));
+      const auto dst = static_cast<ProcId>(rng.below(shape.nprocs));
+      const auto words = static_cast<unsigned>(rng.between(1, 24));
+      eng.at(at, [&, i, src, dst, words] {
+        expected[i] = ref.route(src, dst, words, eng.now());
+        net.send(src, dst, words, Traffic::kRuntime,
+                 [&, i] { delivered[i] = eng.now(); });
+        if (net.max_link_words() != ref.max_link_words()) ++link_mismatches;
+      });
+    }
+    eng.run();
+    EXPECT_EQ(delivered, expected);
+    EXPECT_EQ(link_mismatches, 0u);
+    EXPECT_GT(ref.max_link_words(), 0u);
+  }
 }
 
 }  // namespace

@@ -499,7 +499,9 @@ TEST(Runtime, ExceptionsInLocalBodiesPropagateToCaller) {
 // ObjectSpace never created fails the dispatch, after its locality check,
 // with std::out_of_range, and never escapes the engine's run loop.
 
-enum class Access { kCall, kMigrate, kApproachCp, kApproachObj };
+enum class Access { kCall, kMigrate, kVisitCp, kVisitObj };
+
+Task<int> no_work(Ctx&) { co_return 0; }
 
 Task<> access_unknown(World* w, Access how, ObjectId ghost,
                       std::string* error) {
@@ -514,11 +516,13 @@ Task<> access_unknown(World* w, Access how, ObjectId ghost,
       case Access::kMigrate:
         co_await w->rt.migrate(ctx, ghost, 8);
         break;
-      case Access::kApproachCp:
-        co_await approach(ctx, Mechanism::kMigration, mobile, 8, 32);
+      case Access::kVisitCp:
+        (void)co_await visit(ctx, Mechanism::kMigration, mobile, CallOpts{}, 8,
+                             32, no_work);
         break;
-      case Access::kApproachObj:
-        co_await approach(ctx, Mechanism::kObjectMigration, mobile, 8, 32);
+      case Access::kVisitObj:
+        (void)co_await visit(ctx, Mechanism::kObjectMigration, mobile,
+                             CallOpts{}, 8, 32, no_work);
         break;
     }
   } catch (const std::out_of_range& e) {
@@ -527,8 +531,8 @@ Task<> access_unknown(World* w, Access how, ObjectId ghost,
 }
 
 TEST(Runtime, UnknownObjectsThrowOutOfRangeToTheAwaiterOnBothPaths) {
-  for (const Access how : {Access::kCall, Access::kMigrate,
-                           Access::kApproachCp, Access::kApproachObj}) {
+  for (const Access how : {Access::kCall, Access::kMigrate, Access::kVisitCp,
+                           Access::kVisitObj}) {
     for (const bool traced : {false, true}) {
       SCOPED_TRACE(::testing::Message() << "access " << static_cast<int>(how)
                                         << ", traced " << traced);
@@ -672,6 +676,110 @@ TEST(Runtime, LocalCallIsTheSameOnBothPaths) {
 
 TEST(Runtime, RemoteCallIsTheSameOnBothPaths) {
   expect_paths_agree(remote_call_scenario);
+}
+
+Task<> visit_scenario(World* w, std::vector<ProcId>* seen) {
+  Ctx ctx{&w->rt, 0};
+  MobileObject one(w->rt, 1, 8);
+  MobileObject two(w->rt, 2, 8);
+  MobileObject three(w->rt, 3, 8);
+  const auto body = [w](Ctx& c) { return report_proc(w, c); };
+  const auto at = [&](Mechanism mech, MobileObject& obj) {
+    return visit(ctx, mech, obj, CallOpts{}, 8, 32, body);
+  };
+  // CP to a remote object, then to the one it is now beside.
+  seen->push_back(static_cast<ProcId>(co_await at(Mechanism::kMigration, one)));
+  seen->push_back(static_cast<ProcId>(co_await at(Mechanism::kMigration, one)));
+  // TM on to processor 2; RPC from there, remote and local.
+  seen->push_back(
+      static_cast<ProcId>(co_await at(Mechanism::kThreadMigration, two)));
+  seen->push_back(static_cast<ProcId>(co_await at(Mechanism::kRpc, three)));
+  seen->push_back(static_cast<ProcId>(co_await at(Mechanism::kRpc, two)));
+  // OBJ pulls object 3 to processor 2.
+  seen->push_back(
+      static_cast<ProcId>(co_await at(Mechanism::kObjectMigration, three)));
+  seen->push_back(w->objects.home_of(3));
+  co_await w->rt.return_home(ctx, 0, 2);
+  seen->push_back(ctx.proc);
+}
+
+TEST(Runtime, VisitIsTheSameOnBothPaths) {
+  const PathOutcome frame_free = run_on_path(visit_scenario, false);
+  EXPECT_EQ(frame_free.seen, (std::vector<ProcId>{1, 1, 2, 3, 2, 2, 2, 0}));
+  expect_paths_agree(visit_scenario);
+}
+
+// A visit chains a hop and a call; on both paths an error reaches the
+// visiting coroutine. One the hop raises ends the visit before the call
+// starts, so only the hop's locality check is charged.
+
+enum class VisitError { kHop, kCall, kBody };
+
+Task<int> throwing_body(Ctx&) {
+  throw std::runtime_error("body fault");
+  co_return 0;  // unreachable; makes this a coroutine
+}
+
+Task<> visit_failing(World* w, VisitError how, std::string* error) {
+  Ctx ctx{&w->rt, 0};
+  MobileObject ghost(w->rt, 7, 8);  // never created
+  MobileObject there(w->rt, 2, 8);
+  try {
+    switch (how) {
+      case VisitError::kHop:
+        (void)co_await visit(ctx, Mechanism::kMigration, ghost, CallOpts{}, 8,
+                             32, no_work);
+        break;
+      case VisitError::kCall:
+        (void)co_await visit(ctx, Mechanism::kRpc, ghost, CallOpts{}, 8, 32,
+                             no_work);
+        break;
+      case VisitError::kBody:
+        (void)co_await visit(ctx, Mechanism::kMigration, there, CallOpts{}, 8,
+                             32, throwing_body);
+        break;
+    }
+  } catch (const std::exception& e) {
+    *error = e.what();
+  }
+}
+
+TEST(Runtime, VisitErrorsReachTheAwaiterOnBothPaths) {
+  struct Expected {
+    VisitError how;
+    const char* error;
+    unsigned locality_checks;
+    std::uint64_t migrations;
+    std::uint64_t local_calls;
+    std::uint64_t messages;
+  };
+  const Expected cases[] = {
+      {VisitError::kHop, "out of range", 1, 0, 0, 0},
+      {VisitError::kCall, "out of range", 1, 0, 0, 0},
+      {VisitError::kBody, "body fault", 2, 1, 1, 1},
+  };
+  for (const Expected& e : cases) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "error " << static_cast<int>(e.how)
+                                        << ", traced " << traced);
+      World w(4);
+      sim::Tracer tracer(w.eng);
+      if (traced) w.eng.set_tracer(&tracer);
+      ASSERT_EQ(w.rt.frame_free(), !traced);
+      for (ProcId p = 0; p < 4; ++p) (void)w.objects.create(p);
+      std::string error;
+      sim::detach(visit_failing(&w, e.how, &error));
+      EXPECT_NO_THROW(w.eng.run());
+      EXPECT_NE(error.find(e.error), std::string::npos) << error;
+      const RtStats& s = w.rt.stats();
+      EXPECT_EQ(s.breakdown.get(Category::kLocalityCheck),
+                e.locality_checks * w.rt.cost().locality_check);
+      EXPECT_EQ(s.migrations, e.migrations);
+      EXPECT_EQ(s.local_calls, e.local_calls);
+      EXPECT_EQ(s.remote_calls, 0u);
+      EXPECT_EQ(w.net.stats().messages, e.messages);
+    }
+  }
 }
 
 Task<> deep_chain(World* w, std::vector<ObjectId> objs, std::size_t i,

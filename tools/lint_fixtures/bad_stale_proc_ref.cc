@@ -32,15 +32,23 @@ void bad_ptr_across_migrate_group(Rt* rt, Ctx& ctx) {
   here->count++;  // EXPECT-LINT: CL002
 }
 
-// core::approach is how the applications migrate: it moves the activation
-// (or the object) before each access, so it re-binds ctx.proc too.
+// core::approach was how the applications migrated: it moved the
+// activation (or the object) before each access, so it re-bound ctx.proc.
 void bad_ref_across_approach(Rt* rt, Ctx& ctx, int mech, Obj& obj) {
   auto& slot = rt->procs_[ctx.proc];
   co_await core::approach(ctx, mech, obj, 8, 96);
   slot.count++;  // EXPECT-LINT: CL002
 }
 
-// The applications reach core::approach through their node-access layer:
+// core::visit is how they migrate now: it hops (or attracts the object)
+// and then calls the method, so its body's result arrives at the data.
+void bad_ref_across_visit(Rt* rt, Ctx& ctx, int mech, Obj& obj, Obj& body) {
+  auto& slot = rt->procs_[ctx.proc];
+  const int got = co_await core::visit(ctx, mech, obj, {}, 8, 96, body);
+  slot.count += got;  // EXPECT-LINT: CL002
+}
+
+// The applications reach core::visit through their node-access layer:
 // awaiting a locked update, a node visit or a layer's at_node (or call_at)
 // may leave the activation on the node's processor.
 void bad_ref_across_update_locked(Rt* rt, Ctx& ctx, int acc, Obj& edit) {
