@@ -14,9 +14,9 @@
 // 12.2 double-destruction bug described at `suspend_to` (task.h).
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstddef>
+#include <stdexcept>
 #include <type_traits>
 
 namespace cm::sim {
@@ -57,9 +57,13 @@ class AsyncMutex {
   Awaiter lock() noexcept { return Awaiter{this}; }
 
   /// Release; if a waiter exists, ownership transfers to it and it resumes
-  /// immediately (same simulated instant).
+  /// immediately (same simulated instant). Unlocking a free mutex throws
+  /// std::logic_error in every build type, before any state change; the
+  /// callers are coroutines, so the error reaches their awaiters.
   void unlock() {
-    assert(held_);
+    if (!held_) {
+      throw std::logic_error("AsyncMutex::unlock: the mutex is not held");
+    }
     Awaiter* const front = head_;
     if (front == nullptr) {
       held_ = false;

@@ -29,8 +29,8 @@ void Engine::past_schedule_assert([[maybe_unused]] Cycles distance) noexcept {
 
 void Engine::step() {
   // Pop before invoking so the handler may schedule new events freely. The
-  // pop copies a 32-byte record out of the queue; a closure stays in its
-  // arena slot until it has run.
+  // pop copies the record out of the queue; a closure stays in its arena
+  // slot until it has run.
   const EventKey k = queue_.pop_move();
   now_ = k.t;
   current_home_ = static_cast<ProcId>(k.home);

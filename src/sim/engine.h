@@ -85,8 +85,9 @@ static_assert(alignof(Continuation) >= 4, "two tag bits stay free");
 /// The heart of the Proteus-style simulator. Client code schedules closures
 /// at absolute or relative cycle times; `run()` drains the queue in
 /// (time, label) order, advancing the clock as it goes. Closures live in a
-/// slab arena behind a timing-wheel calendar queue (see event_queue.h);
-/// resume events skip the arena.
+/// slab arena behind a timing-wheel calendar queue (see event_queue.h)
+/// whose slots each hold their first record inline, so most pops read one
+/// 24-byte record and most pushes write one; resume events skip the arena.
 class Engine {
  public:
   Engine() = default;

@@ -6,11 +6,12 @@
 // invariant every experiment in this repo leans on.
 //
 // `CalendarQueue` is the engine's queue: a timing wheel of 4,096 one-cycle
-// slots over 32-byte POD records, plus a binary-heap overflow for events
-// further ahead. A record's 64-bit payload is opaque to the queue; the
-// engine stores either an `EventArena` index (a closure, which lives in a
-// slab slot and never moves) or a bare coroutine frame address (a resume
-// event, which needs no slot at all) there.
+// slots, each holding its first 24-byte POD record inline with later ones
+// chained from it, plus a binary-heap overflow for events further ahead.
+// A record's 64-bit payload is opaque to the queue; the engine stores
+// either an `EventArena` index (a closure, which lives in a slab slot and
+// never moves) or a bare coroutine frame address (a resume event, which
+// needs no slot at all) there.
 //
 // `HeapEventQueue` is the classic binary-heap priority queue over full
 // event records. The engine does not use it: it is the reference that
@@ -25,6 +26,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -204,18 +206,16 @@ class EventArena {
   std::size_t live_ = 0;
 };
 
-/// One pending event as the calendar queue holds it: 32 bytes of POD. The
-/// queue orders on (t, seq) and never looks inside `payload`; the engine
-/// stores either a tagged `EventArena` index or a coroutine frame address
-/// there (engine.h). `home` is the simulated processor the event is homed
-/// at. `next` links the record into its wheel slot and means nothing once
-/// the record has been popped.
+/// One pending event as the calendar queue hands it out, and as its
+/// overflow heap holds it: 32 bytes of POD. The queue orders on (t, seq) and
+/// never looks inside `payload`; the engine stores either a tagged
+/// `EventArena` index or a coroutine frame address there (engine.h). `home`
+/// is the simulated processor the event is homed at.
 struct EventKey {
   Cycles t;
   std::uint64_t seq;
   std::uint64_t payload;
   std::uint32_t home;
-  std::uint32_t next;
 };
 static_assert(sizeof(EventKey) == 32, "two queue records per cache line");
 
@@ -227,25 +227,38 @@ static_assert(sizeof(EventKey) == 32, "two queue records per cache line");
 ///    kSlots), so slot `t mod kSlots` holds events at exactly time `t`. A
 ///    64-word occupancy bitmap and one summary word find the next
 ///    non-empty slot with two count-trailing-zeros.
-///  * Within a slot, records form a circular singly linked list in
-///    ascending label order, reached through its tail (the largest label).
-///    A label larger than the tail's is appended in O(1) — the common case,
-///    since each lane's labels only grow — and any other walks from the
-///    head.
+///  * A slot holds its first (smallest-label) record inline: label,
+///    payload, home and a chain link, 24 bytes. The record's time is
+///    implied by the slot and the last popped time, so a pop reads that one
+///    record. Most pushes land in an empty slot and write only it.
+///  * The second and later records of one time chain from the slot's first
+///    record in ascending label order. They live in one pooled vector,
+///    recycled through a LIFO freelist, so a steady-state simulation stops
+///    allocating. A per-slot tail index makes an arrival larger than every
+///    label in the chain an O(1) append — the common case, since each
+///    lane's labels only grow; an arrival smaller than the slot's first
+///    takes the slot's place and moves the old first to the chain's head;
+///    any other walks the chain from the first.
 ///  * The overflow: events `kSlots` or more cycles ahead go to a binary
-///    heap over (t, seq). They stay there until popped, so one timestamp
-///    may have events in both structures; each pop compares the heap's top
-///    with the wheel's first record, which keeps the pop order *exactly*
-///    the (t, seq) order a binary heap produces (HeapEventQueue, the
-///    reference the conformance tests compare against).
-///
-/// Wheel records live in one vector and are recycled through a LIFO
-/// freelist, so a steady-state simulation stops allocating.
+///    heap over (t, seq), whose earliest time is kept in a member. They
+///    stay there until popped, so one timestamp may have events in both
+///    structures; each pop compares that word with the wheel's first time
+///    and reads the two labels only on a tie, which keeps the pop order
+///    *exactly* the (t, seq) order a binary heap produces (HeapEventQueue,
+///    the reference the conformance tests compare against).
 class CalendarQueue {
  public:
   static constexpr std::uint32_t kSlots = 4096;
 
-  CalendarQueue() { tail_.fill(kNil); }
+  CalendarQueue() : wheel_(spare_.exchange(nullptr)) {
+    if (wheel_ == nullptr) wheel_ = new Wheel;  // not value-initialised
+  }
+  ~CalendarQueue() {
+    Wheel* none = nullptr;
+    if (!spare_.compare_exchange_strong(none, wheel_)) delete wheel_;
+  }
+  CalendarQueue(const CalendarQueue&) = delete;
+  CalendarQueue& operator=(const CalendarQueue&) = delete;
 
   /// Enqueue `payload` at (t, seq). `t` must not precede the last popped
   /// time: the wheel files `t` under `t mod kSlots`, so an earlier event
@@ -259,18 +272,28 @@ class CalendarQueue {
     }
     ++size_;
     if (t - base_ >= kSlots) {
-      overflow_.push_back(EventKey{t, seq, payload, home, kNil});
+      overflow_.push_back(EventKey{t, seq, payload, home});
       std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+      overflow_min_ = overflow_.front().t;
       return;
     }
-    const std::uint32_t n = allocate(EventKey{t, seq, payload, home, kNil});
-    link(static_cast<std::uint32_t>(t) & kMask, n);
+    const std::uint32_t slot = static_cast<std::uint32_t>(t) & kMask;
+    std::uint64_t& word = occupied_[slot >> 6];
+    const std::uint64_t bit = 1ull << (slot & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      summary_ |= 1ull << (slot >> 6);
+      wheel_->first[slot] = Record{seq, payload, home, kNil};
+      return;
+    }
+    chain(slot, seq, payload, home);
   }
 
   /// Earliest pending timestamp; undefined when empty.
   [[nodiscard]] Cycles min_time() const noexcept {
     const std::uint32_t slot = first_slot();
-    return overflow_next(slot) ? overflow_.front().t : nodes_[head(slot)].t;
+    return slot == kNil ? overflow_min_
+                        : std::min(slot_time(slot), overflow_min_);
   }
 
   /// Remove and return the earliest (t, seq) record.
@@ -278,9 +301,11 @@ class CalendarQueue {
     assert(size_ > 0 && "pop on an empty CalendarQueue");
     --size_;
     const std::uint32_t slot = first_slot();
-    const EventKey k = overflow_next(slot) ? pop_overflow() : unlink_head(slot);
-    base_ = k.t;
-    return k;
+    if (slot != kNil) {
+      const Cycles t = slot_time(slot);
+      if (wheel_next(slot, t)) return pop_slot(slot, t);
+    }
+    return pop_overflow();
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -291,8 +316,31 @@ class CalendarQueue {
   static constexpr std::uint32_t kWords = kSlots / 64;
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
+  static constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
   static_assert((kSlots & kMask) == 0 && kWords <= 64,
                 "a power-of-two wheel whose bitmap one summary word covers");
+
+  /// A wheel record: a slot's first, inline, or a chained one in `pool_`.
+  /// `next` is the pool index of the next record of the same time (kNil
+  /// ends the chain) and, for a free pool record, the next free one.
+  struct Record {
+    std::uint64_t seq;
+    std::uint64_t payload;
+    std::uint32_t home;
+    std::uint32_t next;
+  };
+  static_assert(sizeof(Record) == 24, "a slot's first record is 24 bytes");
+
+  /// Each slot's first record, and the pool index of its chain's last. Never
+  /// value-initialised: the occupancy bitmap says which first records are
+  /// live, and a tail index is read only while its slot has a chain. A
+  /// destroyed queue parks its wheel in `spare_` for the next queue, so a
+  /// program that builds an engine per run does not allocate the 112 KB and
+  /// fault its pages in again for each run.
+  struct Wheel {
+    Record first[kSlots];
+    std::uint32_t tail[kSlots];
+  };
 
   // Max-heap comparator inverted into a min-heap on (t, seq); (t, seq)
   // pairs are unique by construction.
@@ -302,10 +350,6 @@ class CalendarQueue {
       return a.seq > b.seq;
     }
   };
-
-  [[nodiscard]] std::uint32_t head(std::uint32_t slot) const noexcept {
-    return nodes_[tail_[slot]].next;
-  }
 
   /// The first non-empty slot at or after the last pop, wrapping around
   /// the wheel; kNil when the wheel is empty.
@@ -328,90 +372,108 @@ class CalendarQueue {
     return (word << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
   }
 
-  /// Whether the overflow heap holds the next event, given the wheel's
-  /// first non-empty slot (kNil when the wheel is empty).
-  [[nodiscard]] bool overflow_next(std::uint32_t slot) const noexcept {
-    if (overflow_.empty()) return false;
-    return slot == kNil || Later{}(nodes_[head(slot)], overflow_.front());
+  /// The time of `slot`'s records: the one in [base_, base_ + kSlots)
+  /// that the slot files.
+  [[nodiscard]] Cycles slot_time(std::uint32_t slot) const noexcept {
+    return base_ + ((slot - static_cast<std::uint32_t>(base_)) & kMask);
   }
 
-  [[nodiscard]] std::uint32_t allocate(const EventKey& k) {
+  /// Whether `slot`'s first record, at time `t`, precedes the overflow
+  /// heap's top. Only a tie reads a label; an empty heap's kNever ties no
+  /// wheel time.
+  [[nodiscard]] bool wheel_next(std::uint32_t slot, Cycles t) const noexcept {
+    if (t != overflow_min_) return t < overflow_min_;
+    return wheel_->first[slot].seq < overflow_.front().seq;
+  }
+
+  /// A pool record for a chain, recycled or new. Call it before taking any
+  /// pointer into the pool: a new record may move the pool.
+  [[nodiscard]] std::uint32_t allocate() {
     if (free_ == kNil) {
-      nodes_.push_back(k);
-      return static_cast<std::uint32_t>(nodes_.size() - 1);
+      pool_.emplace_back();
+      return static_cast<std::uint32_t>(pool_.size() - 1);
     }
     const std::uint32_t n = free_;
-    free_ = nodes_[n].next;
-    nodes_[n] = k;
+    free_ = pool_[n].next;
     return n;
   }
 
-  /// Insert record `n` into `slot`'s list in label order.
-  void link(std::uint32_t slot, std::uint32_t n) {
-    EventKey& node = nodes_[n];
-    std::uint32_t& tail = tail_[slot];
-    if (tail == kNil) {
-      node.next = n;
-      tail = n;
-      occupied_[slot >> 6] |= 1ull << (slot & 63);
-      summary_ |= 1ull << (slot >> 6);
+  /// File a record in `slot`, which already holds a first record, in label
+  /// order. The fields come as scalars: a 24-byte record passed by value
+  /// would go through the stack.
+  void chain(std::uint32_t slot, std::uint64_t seq, std::uint64_t payload,
+             std::uint32_t home) {
+    const std::uint32_t n = allocate();
+    Record& first = wheel_->first[slot];
+    if (seq < first.seq) {
+      // The arrival takes the slot's place; the old first, with its link,
+      // heads the chain.
+      if (first.next == kNil) wheel_->tail[slot] = n;
+      pool_[n] = first;
+      first = Record{seq, payload, home, n};
       return;
     }
-    EventKey& last = nodes_[tail];
-    if (node.seq > last.seq) {  // the O(1) append
-      node.next = last.next;
-      last.next = n;
-      tail = n;
-      return;
+    std::uint32_t* link = &first.next;
+    if (first.next != kNil) {
+      Record& last = pool_[wheel_->tail[slot]];
+      if (seq > last.seq) {  // the O(1) append
+        link = &last.next;
+      } else {
+        // Stops at the chain's last record at the latest.
+        while (pool_[*link].seq < seq) link = &pool_[*link].next;
+      }
     }
-    std::uint32_t prev = tail;
-    std::uint32_t cur = last.next;
-    while (nodes_[cur].seq < node.seq) {  // stops at the tail at the latest
-      prev = cur;
-      cur = nodes_[cur].next;
+    if (*link == kNil) wheel_->tail[slot] = n;
+    pool_[n] = Record{seq, payload, home, *link};
+    *link = n;
+  }
+
+  /// Remove and return `slot`'s first record, at time `t`; the chain's
+  /// second record, if any, moves up into the slot.
+  EventKey pop_slot(std::uint32_t slot, Cycles t) noexcept {
+    Record& first = wheel_->first[slot];
+    const EventKey k{t, first.seq, first.payload, first.home};
+    if (const std::uint32_t n = first.next; n != kNil) {
+      first = pool_[n];
+      pool_[n].next = free_;
+      free_ = n;
+    } else {
+      std::uint64_t& word = occupied_[slot >> 6];
+      word &= ~(1ull << (slot & 63));
+      if (word == 0) summary_ &= ~(1ull << (slot >> 6));
     }
-    node.next = cur;
-    nodes_[prev].next = n;
+    base_ = t;
+    return k;
   }
 
   EventKey pop_overflow() {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     const EventKey k = overflow_.back();
     overflow_.pop_back();
+    overflow_min_ = overflow_.empty() ? kNever : overflow_.front().t;
+    base_ = k.t;
     return k;
   }
 
-  /// Remove and return `slot`'s first record, recycling its storage.
-  EventKey unlink_head(std::uint32_t slot) noexcept {
-    std::uint32_t& tail = tail_[slot];
-    const std::uint32_t h = nodes_[tail].next;
-    if (h == tail) {
-      tail = kNil;
-      std::uint64_t& word = occupied_[slot >> 6];
-      word &= ~(1ull << (slot & 63));
-      if (word == 0) summary_ &= ~(1ull << (slot >> 6));
-    } else {
-      nodes_[tail].next = nodes_[h].next;
-    }
-    const EventKey k = nodes_[h];
-    nodes_[h].next = free_;
-    free_ = h;
-    return k;
-  }
-
-  // Each slot's list tail (kNil when empty); one occupancy bit per slot;
-  // one summary bit per non-zero occupancy word.
-  std::array<std::uint32_t, kSlots> tail_;
-  std::array<std::uint64_t, kWords> occupied_{};
-  std::uint64_t summary_ = 0;
-  // Wheel records, addressed by index, and the head of their LIFO freelist
-  // (linked through `next`).
-  std::vector<EventKey> nodes_;
+  Cycles base_ = 0;               // the last popped time
+  Cycles overflow_min_ = kNever;  // the overflow heap's earliest time
+  std::uint64_t summary_ = 0;     // one bit per non-zero occupancy word
+  std::size_t size_ = 0;
+  Wheel* wheel_;  // owned
+  // Chained records, addressed by index, and the head of their LIFO
+  // freelist (linked through `next`).
+  std::vector<Record> pool_;
   std::uint32_t free_ = kNil;
   // Events kSlots or more cycles past `base_` when pushed, as a heap.
   std::vector<EventKey> overflow_;
-  Cycles base_ = 0;  // the last popped time
-  std::size_t size_ = 0;
+  std::array<std::uint64_t, kWords> occupied_{};  // one bit per slot
+
+  // One parked wheel for the process, exchanged atomically, so that two
+  // simulations on different host threads never share one. No result
+  // depends on which wheel a queue gets: a slot is written before it is
+  // read.
+  // simlint: allow SS001
+  inline static std::atomic<Wheel*> spare_{nullptr};
 };
 
 }  // namespace cm::sim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -111,6 +113,41 @@ TEST(AsyncMutex, RelockingHolderQueuesBehindTheWaiters) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
   EXPECT_FALSE(m.held());
   EXPECT_EQ(m.waiters(), 0u);
+}
+
+Task<> unlock_free(AsyncMutex* m) {
+  m->unlock();
+  co_return;
+}
+
+Task<> catching_logic_error(Task<> t, bool* threw) {
+  try {
+    co_await std::move(t);
+  } catch (const std::logic_error&) {
+    *threw = true;
+  }
+}
+
+TEST(AsyncMutex, UnlockByANonHolderThrows) {
+  // The mutex records no holder, so the misuse it sees is an unlock while
+  // nobody holds it. It throws in every build type and changes nothing.
+  AsyncMutex m;
+  EXPECT_THROW(m.unlock(), std::logic_error);
+  EXPECT_FALSE(m.held());
+  EXPECT_EQ(m.waiters(), 0u);
+  // From a coroutine, the error reaches its awaiter.
+  bool threw = false;
+  detach(catching_logic_error(unlock_free(&m), &threw));
+  EXPECT_TRUE(threw);
+  EXPECT_FALSE(m.held());
+  // A later lock is immediate, and a second unlock after its own throws.
+  AsyncMutex::Awaiter a = m.lock();
+  EXPECT_TRUE(a.await_ready());
+  EXPECT_TRUE(m.held());
+  m.unlock();
+  EXPECT_FALSE(m.held());
+  EXPECT_THROW(m.unlock(), std::logic_error);
+  EXPECT_FALSE(m.held());
 }
 
 TEST(AsyncMutex, ReacquireAfterRelease) {

@@ -187,6 +187,60 @@ TEST(FramePool, WarmRemoteCallLoopMakesNoGlobalAllocation) {
   EXPECT_EQ(w.rt.stats().local_calls, 0u);
 }
 
+/// One of the hold loop's pending events: a Continuation that, each time it
+/// runs, schedules itself again from its own lane. A near holder comes back
+/// 0, 4 or 8 cycles later, so holders of many lanes meet in one cycle, in
+/// rising and falling label order; a far holder comes back past the wheel,
+/// on the same 4-cycle grid, so overflow events tie wheel events.
+struct Holder : sim::Continuation {
+  sim::Engine* eng = nullptr;
+  sim::Rng* rng = nullptr;
+  ProcId home = 0;
+  bool far = false;
+  long* fired = nullptr;
+
+  static constexpr Cycles kPastTheWheel = sim::CalendarQueue::kSlots;
+
+  static void step(sim::Continuation* c) {
+    auto* const h = static_cast<Holder*>(c);
+    ++*h->fired;
+    const Cycles d = h->far ? kPastTheWheel + 4 * h->rng->below(128)
+                            : 4 * h->rng->below(3);
+    h->eng->resume_at_on(h->home, h->eng->now() + d, h);
+  }
+};
+
+TEST(FramePool, WarmEngineHoldLoopMakesNoGlobalAllocation) {
+  // The event queue's own promise: its chain pool and overflow heap stop
+  // growing once warm, so a simulation that keeps the same number of
+  // events pending makes no allocation in the engine.
+  constexpr unsigned kHolders = 100;
+  constexpr unsigned kFar = 10;
+  constexpr Cycles kWarm = 20'000;
+  long fired = 0;
+  sim::Rng rng(26);
+  std::array<Holder, kHolders> holders;
+  sim::Engine eng;
+  for (unsigned i = 0; i < kHolders; ++i) {
+    Holder& h = holders[i];
+    h.run = &Holder::step;
+    h.eng = &eng;
+    h.rng = &rng;
+    h.home = static_cast<ProcId>(i);
+    h.far = i < kFar;
+    h.fired = &fired;
+    eng.resume_at_on(h.home, 4 * (i % 3), &h);
+  }
+  eng.run_until(kWarm);
+  const std::size_t allocs0 = allocs();
+  const long fired0 = fired;
+  eng.run_until(2 * kWarm);
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_EQ(made, 0u) << "over " << fired - fired0 << " events";
+  EXPECT_GT(fired - fired0, 100'000);
+  EXPECT_EQ(eng.pending(), kHolders);
+}
+
 // ---------------------------------------------------------------------------
 // Frames per runtime operation. A host thread's frame pool starts empty, so
 // on a fresh thread each coroutine frame an operation makes is one global

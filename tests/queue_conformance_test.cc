@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -327,6 +328,124 @@ TEST(CalendarWheel, EdgeSlotsMapToExactTimes) {
     EXPECT_EQ(k.seq, d + 1);
   }
   EXPECT_TRUE(q.empty());
+}
+
+/// The bare queue against an ordered reference of whole records: every pop
+/// must hand back the reference's first record, payload and home included,
+/// and `min_time()` and `size()` must agree before and after it. Each record
+/// gets a distinct payload and home, so a record that leaves either behind
+/// when it moves between a slot and its chain shows up.
+class WheelCheck {
+ public:
+  explicit WheelCheck(std::uint64_t seed) : rng_{seed} {}
+
+  [[nodiscard]] Cycles last() const { return last_; }
+  [[nodiscard]] bool empty() const { return ref_.empty(); }
+  Rand& rng() { return rng_; }
+
+  /// Push a fresh record at `t` with a label in lane `lane`: labels of one
+  /// lane rise, and a lower lane's label is smaller than a higher lane's.
+  void push(Cycles t, std::uint64_t lane) {
+    const std::uint64_t seq = (lane << 40) | count_;
+    const std::uint64_t payload = ~count_ * 0x9E3779B97F4A7C15ull;
+    const auto home = static_cast<std::uint32_t>(count_ ^ 0xA5A5u);
+    ++count_;
+    q_.push(t, seq, payload, home);
+    ref_.emplace(std::pair{t, seq}, Rec{payload, home});
+    ASSERT_EQ(q_.size(), ref_.size());
+    ASSERT_EQ(q_.min_time(), ref_.begin()->first.first);
+  }
+
+  void pop() {
+    ASSERT_FALSE(ref_.empty());
+    // Taken out first, so that a failing check cannot stall a drain loop.
+    const auto [key, rec] = *ref_.begin();
+    ref_.erase(ref_.begin());
+    ++pops_;
+    ASSERT_EQ(q_.min_time(), key.first);
+    const EventKey k = q_.pop_move();
+    last_ = k.t;
+    ASSERT_EQ(std::tuple(k.t, k.seq, k.payload, k.home),
+              std::tuple(key.first, key.second, rec.payload, rec.home))
+        << "pop " << pops_;
+    ASSERT_EQ(q_.size(), ref_.size());
+    if (!ref_.empty()) {
+      ASSERT_EQ(q_.min_time(), ref_.begin()->first.first);
+    }
+  }
+
+  /// Pop every record at or before `t`.
+  void pop_through(Cycles t) {
+    while (!ref_.empty() && ref_.begin()->first.first <= t) pop();
+  }
+
+ private:
+  struct Rec {
+    std::uint64_t payload;
+    std::uint32_t home;
+  };
+
+  CalendarQueue q_;
+  std::map<std::pair<Cycles, std::uint64_t>, Rec> ref_;  // by (t, label)
+  Rand rng_;
+  std::uint64_t count_ = 0;
+  std::uint64_t pops_ = 0;
+  Cycles last_ = 0;
+};
+
+TEST(CalendarWheel, PoppedRecordsKeepTheirPayloadAndHome) {
+  constexpr Cycles kSlots = CalendarQueue::kSlots;
+  for (const std::uint64_t seed : {1ull, 77ull, 4097ull}) {
+    SCOPED_TRACE(seed);
+    WheelCheck w(seed);
+    Rand& rng = w.rng();
+    for (int step = 0; step < 3'000; ++step) {
+      const Cycles last = w.last();
+      const Cycles t = last + rng.next() % 64;
+      switch (rng.next() % 7) {
+        case 0:  // most pushes land in an empty slot
+          w.push(last + rng.next() % (kSlots - 1), rng.next() % 8);
+          break;
+        case 1:  // one lane's burst: appends at the chain's tail
+          for (std::uint64_t n = 2 + rng.next() % 5; n > 0; --n) w.push(t, 3);
+          break;
+        case 2:  // falling labels: each displaces the slot's first record
+          for (std::uint64_t lane = 8; lane-- > 0;) w.push(t, lane);
+          break;
+        case 3:  // inserts into the middle of a chain
+          for (const std::uint64_t lane : {0u, 7u, 4u, 2u, 6u, 5u}) {
+            w.push(t, lane);
+          }
+          break;
+        case 4:  // the wheel's last slot, and the first two past it
+          for (const Cycles d : {kSlots - 1, kSlots, kSlots + 1}) {
+            w.push(last + d, rng.next() % 8);
+          }
+          break;
+        case 5: {
+          // An overflow record that wheel records later tie on both sides
+          // of its label: reach within the wheel of its time, then file
+          // smaller and larger labels at the same time.
+          const Cycles far = last + kSlots + rng.next() % 8;
+          w.push(far, 4);
+          w.push(far - 16, rng.next() % 8);
+          w.pop_through(far - 16);
+          for (const std::uint64_t lane : {6u, 2u, 7u, 0u}) w.push(far, lane);
+          break;
+        }
+        default:  // up to three wheel turns ahead
+          w.push(last + rng.next() % (3 * kSlots), rng.next() % 8);
+          break;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+      for (std::uint64_t n = rng.next() % 12; n > 0 && !w.empty(); --n) {
+        w.pop();
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!w.empty()) w.pop();
+    EXPECT_GT(w.last(), 10 * kSlots) << "the wheel turned fewer than 10 times";
+  }
 }
 
 TEST(CalendarWheel, PushBeforeTheLastPopThrows) {
