@@ -13,8 +13,8 @@
 // `visit` is every message-passing mechanism's access to a mobile object:
 // the activation hops to it (CP, TM), or it is attracted to the activation
 // (OBJ), and the method then runs at its home (under RPC, remotely). Its
-// awaiter chains `Runtime::Migrate` and `Runtime::Call` without a frame of
-// its own whenever both are frame-free.
+// awaiter chains `Runtime::Migrate`, or the attraction, and `Runtime::Call`
+// without a frame of its own.
 #pragma once
 
 #include <coroutine>
@@ -51,28 +51,13 @@ class MobileObject {
   std::uint64_t moves_ = 0;
 };
 
-/// The coroutine path of a visit, in one pooled frame: attract the object
-/// (OBJ) or hop (CP, TM), then call the method.
-template <class F>
-sim::Task<typename Runtime::Call<F>::R> visit_protocol(
-    Ctx& ctx, Mechanism mech, MobileObject& obj, Runtime::Migrate hop,
-    Runtime::Call<F> call) {
-  if (mech == Mechanism::kObjectMigration) {
-    co_await obj.attract(ctx);
-  } else if (moves_to_data(mech)) {
-    co_await hop;
-  }
-  co_return co_await call;
-}
-
-/// The awaiter of `visit`, in the visiting activation's frame. On a
-/// frame-free runtime under RPC, CP and TM it makes no frame of its own: a
-/// CP or TM hop runs `Migrate`'s steps and completes into the call's
-/// first step, and the call runs `Call`'s steps, resuming a local call
-/// straight into the body's frame and a remote one into `call_remote`. A
-/// hop that parks an exception never starts the call; `await_resume`
-/// rethrows it. OBJ, whose attraction is a coroutine, and an observed
-/// runtime run `visit_protocol` instead.
+/// The awaiter of `visit`, in the visiting activation's frame. It makes no
+/// frame of its own: a CP or TM hop runs `Migrate`'s steps and completes
+/// into the call's first step, OBJ's attraction (a coroutine) completes
+/// into it through the runtime's hook helper, and the call runs `Call`'s
+/// steps, resuming a local call straight into the body's frame and a
+/// remote one into `call_remote`. A hop or an attraction that fails never
+/// starts the call; `await_resume` rethrows its exception.
 template <class F>
 class [[nodiscard]] Visit {
  public:
@@ -82,19 +67,18 @@ class [[nodiscard]] Visit {
         Runtime::Call<F> call) noexcept
       : hop_(hop), call_(call), ctx_(ctx), obj_(obj), mech_(mech) {}
 
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
-    if (mech_ == Mechanism::kObjectMigration || !ctx_->rt->frame_free()) {
-      return call_.delegate(visit_protocol(*ctx_, mech_, *obj_, hop_, call_),
-                            caller);
-    }
+  /// With nothing to bring together first, a lost object fails the visit
+  /// before it starts, as it fails a call.
+  bool await_ready() { return !moves_to_data(mech_) && call_.await_ready(); }
+  void await_suspend(std::coroutine_handle<> caller) {
     const sim::Wake call = call_.follow(caller);
-    if (moves_to_data(mech_)) {
+    if (mech_ == Mechanism::kObjectMigration) {
+      ctx_->rt->await_hook(obj_->attract(*ctx_), nullptr, call, call);
+    } else if (moves_to_data(mech_)) {
       hop_.start(call);
     } else {
       call();
     }
-    return std::noop_coroutine();
   }
   R await_resume() { return call_.await_resume(); }
 

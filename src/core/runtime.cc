@@ -53,83 +53,50 @@ sim::Machine::Compute Runtime::send_path(ProcId at, unsigned words) {
   return machine_->compute(at, cost_.sender_total(words));
 }
 
-unsigned Runtime::book_transit(ProcId src, ProcId dst, unsigned words) {
+bool Runtime::send_message(ProcId src, ProcId dst, unsigned words,
+                           unsigned budget, bool* delivered, sim::Wake then,
+                           sim::Wake failed) {
+  // Table 5's network transit, booked for every message, sent or not.
   const unsigned total = words + cost_.header_words;
   stats_.breakdown.add(Category::kNetworkTransit,
                        network_->latency(src, dst, total));
-  return total;
-}
-
-bool Runtime::Transfer::await_suspend(std::coroutine_handle<> caller) {
-  const unsigned total = rt->book_transit(src, dst, words);
-  FaultTolerance* const ft = rt->ft_;
-  if (ft != nullptr && (ft->suspected(src) || ft->suspected(dst))) {
+  if (suspected(src) || suspected(dst)) {
     // A message touching a suspected NIC can never be delivered or acked:
-    // fail fast instead of sending it. A raw send would never resume its
-    // awaiter, and a reliable one would burn a full timeout ladder.
-    ++rt->stats_.delivery_failures;
-    ++rt->stats_.ft_suspect_aborts;
-    if (sim::Tracer* tr = rt->tracer()) {
+    // fail fast instead of sending it. A raw send would never wake its
+    // sender, and a reliable one would burn a full timeout ladder.
+    ++stats_.delivery_failures;
+    ++stats_.ft_suspect_aborts;
+    if (sim::Tracer* tr = tracer()) {
       tr->record(sim::TraceEvent::kFtAbort, src, {{"dst", dst}, {"why", 0}});
     }
+    *delivered = false;
     return false;
   }
-  if (rt->reliable_ == nullptr) {
-    delivered = true;
-    rt->network_->send_resume(src, dst, total, net::Traffic::kRuntime,
-                              caller);
+  if (reliable_ == nullptr) {
+    *delivered = true;
+    network_->send_resume(src, dst, total, net::Traffic::kRuntime, then);
     return true;
   }
   Cycles deadline = 0;
-  if (ft != nullptr && ft->send_deadline() != 0) {
-    deadline = rt->machine_->engine().now() + ft->send_deadline();
+  if (ft_ != nullptr && ft_->send_deadline() != 0) {
+    deadline = machine_->engine().now() + ft_->send_deadline();
   }
-  // A later delivery or timeout event resumes the caller.
-  rt->send_reliably(*this, caller, total, deadline);
+  // A later delivery or timeout event wakes `then`.
+  await_hook(reliable_->send(src, dst, total, budget, deadline), delivered,
+             then, failed);
   return true;
 }
 
-sim::Detached Runtime::send_reliably(Transfer& t,
-                                     std::coroutine_handle<> caller,
-                                     unsigned total, Cycles deadline) {
-  t.delivered =
-      co_await reliable_->send(t.src, t.dst, total, t.budget, deadline);
-  caller.resume();
-}
-
-sim::Task<> Runtime::evacuate(Ctx& ctx) {
-  const ProcId from = ctx.proc;
-  const ProcId to = ft_->evacuation_target(from);
-  ++mutable_stats().ft_evacuations;
-  if (sim::Tracer* tr = tracer()) {
-    tr->record(sim::TraceEvent::kFtEvacuate, from, {{"to", to}});
-  }
-  // The refuge processor restarts the activation from its coroutine frame
-  // (host-side state survives a NIC death): a fresh thread plus a
-  // scheduling pass, charged there.
-  mutable_stats().breakdown.add(Category::kThreadCreation, cost_.thread_creation);
-  mutable_stats().breakdown.add(Category::kScheduler, cost_.scheduler);
-  co_await machine_->compute(to, cost_.thread_creation + cost_.scheduler);
-  ctx.proc = to;
-}
-
-// ---- The frame-free paths. Each step below is one engine event of the
-// coroutine it stands in for (migrate_impl, return_home_impl) in a run with
-// no optional service installed: the same charges through the same
-// functions, in the same order, from the same events. ----
-
-std::coroutine_handle<> Runtime::Migrate::await_suspend(
-    std::coroutine_handle<> caller) {
-  if (!rt->frame_free()) {
-    return task_.start(rt->migrate_impl(top_, group_, obj_, live_words_),
-                       caller);
-  }
-  start(caller);
-  return std::noop_coroutine();
-}
+// ---- The protocols. Each step below is one engine event, or a hook's
+// sub-task, or a test inside one, in protocol order. ----
 
 void Runtime::Migrate::start(sim::Wake then) {
   done = then;
+  if (evacuate<&Migrate::check>(*top_)) return;
+  check();
+}
+
+void Runtime::Migrate::check() {
   // The locality check is shared with ordinary instance-method dispatch.
   next<&Migrate::checked>();
   rt->charge(top_->proc, rt->cost_.locality_check, Category::kLocalityCheck)
@@ -137,95 +104,21 @@ void Runtime::Migrate::start(sim::Wake then) {
 }
 
 void Runtime::Migrate::checked() {
-  dest_ = rt->objects_->home_of(obj_);
-  if (dest_ == top_->proc) {
+  locate<&Migrate::located>(*top_, obj_, &dest_);
+}
+
+void Runtime::Migrate::located() {
+  const ProcId from = top_->proc;
+  if (dest_ == from) {
     // Already local: the annotation costs nothing (paper §3.1).
+    if (check::Checker* ck = rt->checker()) {
+      ck->on_object_access(from, obj_, rt->objects_->home_of(obj_),
+                           /*write=*/false);
+    }
     ++rt->stats_.migrations_local;
     done();
     return;
   }
-  // Continuation client stub: marshal the live variables and launch one
-  // message.
-  next<&Migrate::sent>();
-  rt->send_path(top_->proc, live_words_).then(this);
-}
-
-void Runtime::Migrate::sent() {
-  const unsigned total = rt->book_transit(top_->proc, dest_, live_words_);
-  next<&Migrate::delivered>();
-  rt->network_->send_resume(top_->proc, dest_, total, net::Traffic::kRuntime,
-                            this);
-}
-
-void Runtime::Migrate::delivered() {
-  ++rt->stats_.migrations;
-  rt->stats_.migrated_words += live_words_;
-  // Continuation server stub: unmarshal into a fresh activation.
-  next<&Migrate::unpacked>();
-  rt->receive_request(dest_, live_words_, Dispatch::kContinuation).then(this);
-}
-
-void Runtime::Migrate::unpacked() {
-  ++rt->stats_.threads_created;
-  top_->proc = dest_;
-  for (Ctx* c : group_) c->proc = dest_;
-  done();  // the migrated frame (or its visit's call) runs on, at the data
-}
-
-std::coroutine_handle<> Runtime::ReturnHome::await_suspend(
-    std::coroutine_handle<> caller) {
-  if (!frame_free_) {
-    return task_.start(rt->return_home_impl(*ctx_, origin_, ret_words_),
-                       caller);
-  }
-  done = caller;
-  ++rt->stats_.replies;
-  next<&ReturnHome::sent>();
-  rt->send_path(ctx_->proc, ret_words_).then(this);
-  return std::noop_coroutine();
-}
-
-void Runtime::ReturnHome::sent() {
-  const unsigned total = rt->book_transit(ctx_->proc, origin_, ret_words_);
-  next<&ReturnHome::delivered>();
-  rt->network_->send_resume(ctx_->proc, origin_, total,
-                            net::Traffic::kRuntime, this);
-}
-
-void Runtime::ReturnHome::delivered() {
-  next<&ReturnHome::received>();
-  rt->receive_reply(origin_, ret_words_).then(this);
-}
-
-void Runtime::ReturnHome::received() {
-  ctx_->proc = origin_;
-  done();
-}
-
-// ---- The coroutine paths. ----
-
-sim::Task<> Runtime::migrate_impl(Ctx* top, std::span<Ctx* const> group,
-                                  ObjectId obj, unsigned live_words) {
-  if (top == nullptr) co_return;  // an empty group
-  if (ft_ != nullptr && ft_->suspected(top->proc)) co_await evacuate(*top);
-  // The locality check is shared with ordinary instance-method dispatch.
-  co_await charge(top->proc, cost_.locality_check, Category::kLocalityCheck);
-  ProcId dest;
-  if (locator_ == nullptr) {
-    dest = objects_->home_of(obj);
-  } else {
-    dest = co_await locator_->resolve(*top, obj);
-  }
-  if (dest == top->proc) {
-    // Already local: the annotation costs nothing (paper §3.1).
-    if (check::Checker* ck = checker()) {
-      ck->on_object_access(top->proc, obj, objects_->home_of(obj),
-                           /*write=*/false);
-    }
-    ++mutable_stats().migrations_local;
-    co_return;
-  }
-
   // Continuation client stub: marshal the live variables of this activation
   // and launch a single message. (§3.2: "the continuation procedure's body
   // is the continuation of the migrating procedure at the point of
@@ -233,88 +126,128 @@ sim::Task<> Runtime::migrate_impl(Ctx* top, std::span<Ctx* const> group,
   // group's message carries the live words of every activation in it:
   // marshaling/unmarshaling scale with the total, but the fixed per-message
   // costs are paid once — the point of multi-activation migration.
-  const ProcId from = top->proc;
-  if (sim::Tracer* tr = tracer()) {
-    if (group.empty()) {
+  if (sim::Tracer* tr = rt->tracer()) {
+    if (group_ == nullptr) {
       tr->record(sim::TraceEvent::kMigrateBegin, from,
-                 {{"obj", obj}, {"dest", dest}, {"words", live_words}});
+                 {{"obj", obj_}, {"dest", dest_}, {"words", live_words_}});
     } else {
       tr->record(sim::TraceEvent::kMigrateBegin, from,
-                 {{"obj", obj},
-                  {"dest", dest},
-                  {"words", live_words},
-                  {"group", group.size()}});
+                 {{"obj", obj_},
+                  {"dest", dest_},
+                  {"words", live_words_},
+                  {"group", group_->size()}});
     }
   }
-  co_await send_path(from, live_words);
-  const bool moved = co_await Transfer{this, from, dest, live_words,
-                                       reliable_cfg_.move_retry_budget};
-  if (!moved) {
+  next<&Migrate::sent>();
+  rt->send_path(from, live_words_).then(this);
+}
+
+void Runtime::Migrate::sent() {
+  transmit<&Migrate::delivered>(top_->proc, dest_, live_words_,
+                                rt->reliable_cfg_.move_retry_budget, &moved_);
+}
+
+void Runtime::Migrate::delivered() {
+  if (!moved_) {
     // Recovery path: the MOVE exhausted its retry budget, so the activation
     // (and its group) stays where it is and subsequent accesses to the
     // object go through plain RPC at its home — the annotation still
     // changes only performance, never semantics, even on a faulty network.
     // A late copy of the MOVE is discarded at the destination by the
     // reliable layer.
-    ++mutable_stats().migration_fallbacks;
-    if (sim::Tracer* tr = tracer()) {
-      tr->record(sim::TraceEvent::kMigrateFallback, from,
-                 {{"obj", obj}, {"dest", dest}});
+    ++rt->stats_.migration_fallbacks;
+    if (sim::Tracer* tr = rt->tracer()) {
+      tr->record(sim::TraceEvent::kMigrateFallback, top_->proc,
+                 {{"obj", obj_}, {"dest", dest_}});
     }
-    co_return;
+    done();
+    return;
   }
-  ++mutable_stats().migrations;
-  mutable_stats().migrated_words += live_words;
-  if (locator_ != nullptr) {
+  ++rt->stats_.migrations;
+  rt->stats_.migrated_words += live_words_;
+  if (LocationService* loc = rt->locator_) {
     // Chase forwarding pointers if the object moved while the continuation
     // was in flight; the activation lands wherever the object now lives.
-    dest = co_await locator_->forward(obj, dest, live_words, from);
-    if (check::Checker* ck = checker()) {
+    after<&Migrate::arrived>(
+        loc->forward(obj_, dest_, live_words_, top_->proc), &dest_);
+    return;
+  }
+  arrived();
+}
+
+void Runtime::Migrate::arrived() {
+  if (rt->locator_ != nullptr) {
+    if (check::Checker* ck = rt->checker()) {
       // Synchronous after the chase: forward()'s claim is testable truth.
-      ck->on_object_access(dest, obj, objects_->home_of(obj),
+      ck->on_object_access(dest_, obj_, rt->objects_->home_of(obj_),
                            /*write=*/false);
     }
   }
-
   // Continuation server stub at the destination: unmarshal the live
   // variables into a fresh activation and a thread to run it. The original
   // thread at the source is destroyed (its linkage information travelled
   // with the message), so the eventual return short-circuits.
-  co_await receive_request(dest, live_words, Dispatch::kContinuation);
-  ++mutable_stats().threads_created;
-  if (sim::Tracer* tr = tracer()) {
-    tr->record(sim::TraceEvent::kMigrateArrive, dest,
-               {{"obj", obj}, {"from", from}, {"words", live_words}});
-  }
-
-  // The activation (with the rest of its group) now runs at the data.
-  top->proc = dest;
-  for (Ctx* c : group) c->proc = dest;
+  next<&Migrate::unpacked>();
+  rt->receive_request(dest_, live_words_, Dispatch::kContinuation).then(this);
 }
 
-sim::Task<> Runtime::return_home_impl(Ctx& ctx, ProcId origin,
-                                      unsigned ret_words) {
-  if (ft_ != nullptr && ft_->suspected(ctx.proc)) co_await evacuate(ctx);
-  if (ctx.proc == origin) co_return;
-  ++mutable_stats().replies;
-  if (sim::Tracer* tr = tracer()) {
-    tr->record(sim::TraceEvent::kShortCircuitReply, ctx.proc,
-               {{"origin", origin}, {"words", ret_words}});
+void Runtime::Migrate::unpacked() {
+  ++rt->stats_.threads_created;
+  if (sim::Tracer* tr = rt->tracer()) {
+    tr->record(sim::TraceEvent::kMigrateArrive, dest_,
+               {{"obj", obj_}, {"from", top_->proc}, {"words", live_words_}});
   }
-  co_await send_path(ctx.proc, ret_words);
-  const bool delivered = co_await transfer(ctx.proc, origin, ret_words);
-  if (!delivered && ft_ != nullptr) {
+  // The activation (with the rest of its group) now runs at the data.
+  top_->proc = dest_;
+  if (group_ != nullptr) {
+    for (Ctx* c : *group_) c->proc = dest_;
+  }
+  done();  // the migrated frame (or its visit's call) runs on, at the data
+}
+
+void Runtime::ReturnHome::await_suspend(std::coroutine_handle<> caller) {
+  done = caller;
+  if (evacuate<&ReturnHome::leave>(*ctx_)) return;
+  leave();
+}
+
+void Runtime::ReturnHome::leave() {
+  if (ctx_->proc == origin_) {
+    done();
+    return;
+  }
+  ++rt->stats_.replies;
+  if (sim::Tracer* tr = rt->tracer()) {
+    tr->record(sim::TraceEvent::kShortCircuitReply, ctx_->proc,
+               {{"origin", origin_}, {"words", ret_words_}});
+  }
+  next<&ReturnHome::sent>();
+  rt->send_path(ctx_->proc, ret_words_).then(this);
+}
+
+void Runtime::ReturnHome::sent() {
+  transmit<&ReturnHome::delivered>(ctx_->proc, origin_, ret_words_,
+                                   /*budget=*/0, &delivered_);
+}
+
+void Runtime::ReturnHome::delivered() {
+  if (!delivered_ && rt->ft_ != nullptr) {
     // The short-circuit reply's source NIC died mid-send: the origin
     // reconstructs the result from the activation's frame, exactly as in
-    // call()'s reply-recovery path. The effects already committed.
-    ++mutable_stats().ft_recovered_replies;
-    if (sim::Tracer* tr = tracer()) {
-      tr->record(sim::TraceEvent::kFtReplyRecovered, origin,
-                 {{"from", ctx.proc}});
+    // call_remote's reply-recovery path. The effects already committed.
+    ++rt->stats_.ft_recovered_replies;
+    if (sim::Tracer* tr = rt->tracer()) {
+      tr->record(sim::TraceEvent::kFtReplyRecovered, origin_,
+                 {{"from", ctx_->proc}});
     }
   }
-  co_await receive_reply(origin, ret_words);
-  ctx.proc = origin;
+  next<&ReturnHome::received>();
+  rt->receive_reply(origin_, ret_words_).then(this);
+}
+
+void Runtime::ReturnHome::received() {
+  ctx_->proc = origin_;
+  done();
 }
 
 }  // namespace cm::core

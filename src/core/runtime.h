@@ -27,15 +27,16 @@
 // multi-activation migration move a parent Ctx along (§6 future work).
 //
 // `migrate`, `migrate_group`, `return_home` and `call` return awaiters that
-// live in the awaiting frame. With no optional service installed they run
-// the protocol without a coroutine frame of their own (`frame_free()`): the
-// suspended frame is the continuation that travels, and a local call resumes
-// straight into the method body. A frame-free protocol completes into a
-// `sim::Wake`, the awaiting coroutine or the next protocol's Continuation,
-// so core::visit (mobile.h) chains a hop and a call with no frame between
-// them. Any service (ft, locator, reliable transport, tracer, checker)
-// selects the pooled coroutines that carry its hooks; both paths book the
-// same costs and schedule the same events.
+// live in the awaiting frame and run their protocol without a coroutine
+// frame of their own: each is a step machine (a `sim::Continuation`), so the
+// suspended frame is the continuation that travels, and a local call
+// resumes straight into the method body. A protocol completes into a
+// `sim::Wake`, the awaiting coroutine or the next protocol's first step, so
+// core::visit (mobile.h) chains a hop and a call with no frame between
+// them. Every optional service (ft, locator, reliable transport, tracer,
+// checker) hooks into these steps, so installing one never changes which
+// code a protocol runs; a hook that takes simulated time runs as a pooled
+// sub-task only when its service is installed.
 #pragma once
 
 #include <coroutine>
@@ -43,7 +44,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -69,6 +69,8 @@ using sim::ProcId;
 
 class Replicated;
 class Runtime;
+template <class F>
+class Visit;
 
 /// Per-activation execution context. `proc` is where the activation is
 /// currently running; computation migration re-binds it.
@@ -175,27 +177,21 @@ class Runtime {
     return replicated_;
   }
 
-  /// Whether the awaiters below run frame-free: no fault-tolerance service,
-  /// locator, reliable transport, tracer or checker is installed. Otherwise
-  /// they run the pooled coroutines (`migrate_impl`, `return_home_impl`,
-  /// `call_impl`), which hold those services' extra steps: evacuation,
-  /// locator chases, retries, checker windows and trace records.
-  [[nodiscard]] bool frame_free() const noexcept {
-    const sim::Engine& eng = machine_->engine();
-    return ft_ == nullptr && locator_ == nullptr && reliable_ == nullptr &&
-           eng.tracer() == nullptr && eng.checker() == nullptr;
-  }
+  // core::visit's awaiter starts OBJ's attraction through `await_hook`.
+  template <class F>
+  friend class Visit;
 
  private:
-  /// The base of each frame-free awaiter below: the Continuation the engine
-  /// wakes, and the wake it completes into when the protocol is done: the
-  /// awaiting coroutine, or the next protocol's Continuation (a visit's
-  /// call after its hop, core::Visit). A step `S` of awaiter `A` is a
-  /// member function; `next<S>()` makes it the one the next wake runs. An
-  /// exception a step throws is parked in the runtime and the protocol
-  /// completes at once; the awaiter's `await_resume` rethrows it, so it
-  /// reaches the awaiting coroutine, as it would from a coroutine, and
-  /// never escapes the engine's run loop.
+  /// The base of each awaiter below: the Continuation the engine wakes, and
+  /// the wake it completes into when the protocol is done: the awaiting
+  /// coroutine, or the next protocol's Continuation (a visit's call after
+  /// its hop, core::Visit). A step `S` of awaiter `A` is a member function;
+  /// `next<S>()` makes it the one the next wake runs. An exception a step
+  /// throws is parked in the runtime and the protocol completes at once;
+  /// the awaiter's `await_resume` rethrows it, so it reaches the awaiting
+  /// coroutine, as it would from a coroutine, and never escapes the
+  /// engine's run loop. The steps below it are the services' hooks that
+  /// more than one protocol shares.
   template <class A>
   struct FrameFree : sim::Continuation {
     Runtime* rt;
@@ -206,10 +202,61 @@ class Runtime {
     template <void (A::*S)()>
     void next() noexcept { run = &guarded<S>; }
 
-    /// First thing in `await_resume`: rethrow what a step parked.
-    void raise_parked() const {
-      if (rt->parked_ != nullptr) [[unlikely]] {
-        std::rethrow_exception(std::exchange(rt->parked_, nullptr));
+    /// ft: an activation stranded on a suspected processor restarts on its
+    /// refuge before it does anything else. The refuge runs it on from its
+    /// frame (host-side state survives a NIC death): a fresh thread plus a
+    /// scheduling pass, charged there, and then step S. The activation is
+    /// bound to its refuge at once; nothing reads its processor before the
+    /// charge completes. Returns false, having done nothing, when `ctx` is
+    /// not stranded.
+    template <void (A::*S)()>
+    bool evacuate(Ctx& ctx) {
+      if (!rt->suspected(ctx.proc)) [[likely]] return false;
+      const ProcId to = rt->ft_->evacuation_target(ctx.proc);
+      ++rt->stats_.ft_evacuations;
+      if (sim::Tracer* tr = rt->tracer()) {
+        tr->record(sim::TraceEvent::kFtEvacuate, ctx.proc, {{"to", to}});
+      }
+      const CostModel& c = rt->cost_;
+      rt->stats_.breakdown.add(Category::kThreadCreation, c.thread_creation);
+      rt->stats_.breakdown.add(Category::kScheduler, c.scheduler);
+      ctx.proc = to;
+      next<S>();
+      rt->machine_->compute(to, c.thread_creation + c.scheduler).then(this);
+      return true;
+    }
+
+    /// Where `ctx`'s dispatcher finds `obj`: the oracle's answer at once, or
+    /// the locator's `resolve`, which takes simulated time. Stores it in
+    /// `*home`, then runs step S.
+    template <void (A::*S)()>
+    void locate(Ctx& ctx, ObjectId obj, ProcId* home) {
+      if (LocationService* loc = rt->locator_) {
+        after<S>(loc->resolve(ctx, obj), home);
+        return;
+      }
+      *home = rt->objects_->home_of(obj);
+      (static_cast<A*>(this)->*S)();
+    }
+
+    /// Await a service's sub-task through `await_hook`: its value goes to
+    /// `*into` and step S runs next; its exception completes the protocol.
+    template <void (A::*S)(), class T>
+    void after(sim::Task<T> hook, std::type_identity_t<T>* into) {
+      next<S>();
+      rt->await_hook(std::move(hook), into, this, done);
+    }
+
+    /// Send one runtime message through `send_message`, then run step S:
+    /// once it is delivered, or once the reliable transport gives up on
+    /// it, or at once when ft fails it before it is sent. `*delivered`
+    /// says which.
+    template <void (A::*S)()>
+    void transmit(ProcId src, ProcId dst, unsigned words, unsigned budget,
+                  bool* delivered) {
+      next<S>();
+      if (!rt->send_message(src, dst, words, budget, delivered, this, done)) {
+        (static_cast<A*>(this)->*S)();
       }
     }
 
@@ -228,26 +275,29 @@ class Runtime {
   };
 
  public:
-  /// The awaiter of one runtime message: `co_await` books its network
-  /// transit, sends it and suspends the caller until it is delivered, then
+  /// The awaiter of one runtime message: `co_await` sends it through
+  /// `send_message` and suspends the caller until it is delivered, then
   /// yields whether it was. It is a plain struct in the caller's frame, not
   /// a coroutine. Without a reliable transport the message is a resume
   /// delivery (`Network::send_resume`), so the caller wakes from one engine
-  /// resume event. With one, a pooled `sim::Detached` coroutine awaits
-  /// `ReliableTransport::send`, writes its result here and resumes the
-  /// caller. A message touching a processor the FaultTolerance service
-  /// suspects yields false at once, without suspending or sending.
+  /// resume event. A message touching a processor the FaultTolerance
+  /// service suspects yields false at once, without suspending or sending.
   struct [[nodiscard]] Transfer {
     Runtime* rt;
     ProcId src;
     ProcId dst;
-    unsigned words;   // payload; the header is added on sending
-    unsigned budget;  // reliable send attempts; 0 = retry forever
+    unsigned words;  // payload; the header is added on sending
     bool delivered = false;
 
     bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> caller);
-    bool await_resume() const noexcept { return delivered; }
+    bool await_suspend(std::coroutine_handle<> caller) {
+      return rt->send_message(src, dst, words, /*budget=*/0, &delivered, caller,
+                              caller);
+    }
+    bool await_resume() const {
+      rt->raise_parked();
+      return delivered;
+    }
   };
   // `co_await rt.transfer(...)` awaits a prvalue: safe from GCC 12.2's
   // double destruction only while this holds (see `suspend_to`, task.h).
@@ -256,21 +306,20 @@ class Runtime {
 
   /// Awaitable runtime message src -> dst carrying `words` payload words;
   /// resumes at delivery time. Yields true once delivered: always, unless a
-  /// FaultTolerance service gives up on it. (Only the bounded migration MOVE
-  /// can fail otherwise.)
+  /// FaultTolerance service gives up on it.
   [[nodiscard]] Transfer transfer(ProcId src, ProcId dst, unsigned words) {
-    return Transfer{this, src, dst, words, /*budget=*/0};
+    return Transfer{this, src, dst, words};
   }
 
   /// The awaiter of `migrate` and `migrate_group`, in the migrating
-  /// activation's frame. Frame-free, it runs `migrate_impl`'s steps as a
-  /// Continuation, one engine event per locality check, stub charge and
-  /// transfer, and the frame it resumes at the destination is the migrated
-  /// continuation itself (§3.2). Otherwise it runs `migrate_impl`.
+  /// activation's frame. It runs the hop as a Continuation, one engine
+  /// event per locality check, stub charge and transfer, and the frame it
+  /// resumes at the destination is the migrated continuation itself (§3.2).
   class [[nodiscard]] Migrate : public FrameFree<Migrate> {
    public:
-    /// `top` is null for an empty group, which makes the hop a no-op.
-    Migrate(Runtime* rt, Ctx* top, std::span<Ctx* const> group, ObjectId obj,
+    /// `top` is null for an empty group, which makes the hop a no-op;
+    /// `group` is null for a hop of `top` alone.
+    Migrate(Runtime* rt, Ctx* top, const std::vector<Ctx*>* group, ObjectId obj,
             unsigned live_words) noexcept
         : FrameFree(rt),
           top_(top),
@@ -279,70 +328,70 @@ class Runtime {
           live_words_(live_words) {}
 
     bool await_ready() const noexcept { return top_ == nullptr; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller);
-    void await_resume() {
-      raise_parked();
-      if (task_.started()) task_.take();
-    }
+    void await_suspend(std::coroutine_handle<> caller) { start(caller); }
+    void await_resume() { rt->raise_parked(); }
 
-    /// Run the hop frame-free (on a frame-free runtime, with a non-empty
-    /// group) and wake `then` once the activation is at the data, or at
-    /// once when a step parks an exception.
+    /// Run the hop (with a non-empty group) and wake `then` once the
+    /// activation is at the data, or has stayed, or at once when a step
+    /// parks an exception.
     void start(sim::Wake then);
 
    private:
-    void checked();    // the locality check is done: go, or stay
-    void sent();       // the client stub ran: launch the message
-    void delivered();  // the message arrived: run the server stub
-    void unpacked();   // the activation is rebuilt at the data
+    // The steps, defined in runtime.cc, the only file that calls them. They
+    // are inline so that each compiles into the handler (`guarded`) that
+    // runs it: out of line, the hop measured 5 % slower on `counting_cp`.
+    inline void check();      // charge the locality check
+    inline void checked();    // the locality check is done: find the object
+    inline void located();    // go, or stay
+    inline void sent();       // the client stub ran: launch the message
+    inline void delivered();  // the message arrived, or the MOVE gave up
+    inline void arrived();    // at the object: run the server stub
+    inline void unpacked();   // the activation is rebuilt at the data
 
     Ctx* top_;
-    std::span<Ctx* const> group_;
+    const std::vector<Ctx*>* group_;
     ObjectId obj_;
     unsigned live_words_;
     ProcId dest_ = 0;
-    sim::Started<void> task_;  // the coroutine path's migrate_impl
+    bool moved_ = false;
   };
   static_assert(std::is_trivially_destructible_v<Migrate>);
 
-  /// The awaiter of `return_home`. Frame-free, a return that has nothing to
-  /// send (the activation never left) does not suspend at all, and one that
-  /// has runs `return_home_impl`'s steps as a Continuation. Otherwise it
-  /// runs `return_home_impl`.
+  /// The awaiter of `return_home`. A return that has nothing to do (the
+  /// activation never left, and its processor is not suspected) does not
+  /// suspend at all; one that has runs its steps as a Continuation.
   class [[nodiscard]] ReturnHome : public FrameFree<ReturnHome> {
    public:
     ReturnHome(Runtime* rt, Ctx* ctx, ProcId origin,
                unsigned ret_words) noexcept
         : FrameFree(rt), ctx_(ctx), origin_(origin), ret_words_(ret_words) {}
 
-    bool await_ready() noexcept {
-      frame_free_ = rt->frame_free();
-      return frame_free_ && ctx_->proc == origin_;
+    bool await_ready() const noexcept {
+      return ctx_->proc == origin_ && !rt->suspected(origin_);
     }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller);
-    void await_resume() {
-      raise_parked();
-      if (task_.started()) task_.take();
-    }
+    void await_suspend(std::coroutine_handle<> caller);
+    void await_resume() { rt->raise_parked(); }
 
    private:
-    void sent();       // the reply stub ran: launch the reply
-    void delivered();  // the reply arrived: deliver it to the thread
-    void received();   // the origin has the result
+    // Defined in runtime.cc and inline, as Migrate's steps are.
+    inline void leave();      // send the reply, or stay: at the origin
+    inline void sent();       // the reply stub ran: launch the reply
+    inline void delivered();  // the reply arrived, or was lost with its NIC
+    inline void received();   // the origin has the result
 
     Ctx* ctx_;
     ProcId origin_;
     unsigned ret_words_;
-    bool frame_free_ = false;
-    sim::Started<void> task_;  // the coroutine path's return_home_impl
+    bool delivered_ = false;
   };
   static_assert(std::is_trivially_destructible_v<ReturnHome>);
 
-  /// The awaiter of `call`. Frame-free, it charges the locality check as a
+  /// The awaiter of `call`. It charges the locality check as a
   /// Continuation, then resumes a local call straight into the body's frame
   /// and a remote one into `call_remote`, so neither adds a frame of the
-  /// call's own. Otherwise it runs `call_impl`. `F` must be trivially
-  /// destructible: the awaiter holds the body callable.
+  /// call's own. `attempt` numbers a call that `call_remote` re-issues.
+  /// `F` must be trivially destructible: the awaiter holds the body
+  /// callable.
   template <class F>
   class [[nodiscard]] Call : public FrameFree<Call<F>> {
    public:
@@ -354,83 +403,97 @@ class Runtime {
                   "method bodies capture only pointers, references and "
                   "integers (see suspend_to, task.h)");
 
-    Call(Runtime* rt, Ctx* caller, ObjectId obj, CallOpts opts, F body) noexcept
+    Call(Runtime* rt, Ctx* caller, ObjectId obj, CallOpts opts, F body,
+         unsigned attempt = 0) noexcept
         : FrameFree<Call>(rt),
           ctx_(caller),
           obj_(obj),
           opts_(opts),
+          attempt_(attempt),
           body_(body),
           callee_(rt, 0) {}
 
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
-      Runtime& rt = *this->rt;
-      if (!rt.frame_free()) {
-        return delegate(rt.call_impl<R>(*ctx_, obj_, opts_, body_, 0), caller);
-      }
-      follow(caller);
-      check();
-      return std::noop_coroutine();
-    }
+    /// A lost object fails the call before it starts, without suspending.
+    bool await_ready() { return lost(); }
+    void await_suspend(std::coroutine_handle<> caller) { follow(caller)(); }
     R await_resume() {
-      this->raise_parked();
+      this->rt->raise_parked();
       return task_.take();
     }
 
-    /// Frame-free: ready the call to run for `caller`, and return the wake
-    /// that runs its first step, for the hop before it (core::Visit) to
-    /// complete into.
+    /// Ready the call to run for `caller`, and return the wake that runs
+    /// its first step, for the hop or attraction before it (core::Visit)
+    /// to complete into.
     sim::Wake follow(std::coroutine_handle<> caller) noexcept {
       caller_ = caller;
       this->done = caller;
-      this->template next<&Call::check>();
+      this->template next<&Call::start>();
       return this;
     }
 
-    /// Hand the call to `protocol` (call_impl, or a visit's coroutine
-    /// path), run for `caller`; returns the handle that starts it, and
-    /// `await_resume` yields its result.
-    std::coroutine_handle<> delegate(sim::Task<R> protocol,
-                                     std::coroutine_handle<> caller) noexcept {
-      return task_.start(std::move(protocol), caller);
-    }
-
    private:
-    void check() {
-      Runtime& rt = *this->rt;
-      if (rt.parked_ != nullptr) {
-        // The hop before this call failed: the call never starts.
-        caller_.resume();
+    void start() {
+      // What ran before the call failed, or left its object lost: the
+      // call never starts.
+      if (this->rt->parked_ != nullptr || lost()) {
+        this->done();
         return;
       }
-      this->template next<&Call::dispatch>();
+      if (this->template evacuate<&Call::check>(*ctx_)) return;
+      check();
+    }
+
+    void check() {
+      Runtime& rt = *this->rt;
+      this->template next<&Call::checked>();
       // Every instance-method call checks locality (so this is not an
       // extra cost for computation migration).
       rt.charge(ctx_->proc, rt.cost_.locality_check, Category::kLocalityCheck)
           .then(this);
     }
 
+    void checked() {
+      this->template locate<&Call::dispatch>(*ctx_, obj_, &callee_.proc);
+    }
+
     void dispatch() {
       Runtime& rt = *this->rt;
-      const ProcId home = rt.objects_->home_of(obj_);
+      const ProcId home = callee_.proc;
       if (home == ctx_->proc) {
+        if (check::Checker* ck = rt.checker()) {
+          // The dispatcher claims locality, so the body is about to touch
+          // the object's state on this processor: the claim must be ground
+          // truth. Sound here because nothing suspends between the
+          // resolution's own truth test and this line.
+          ck->on_object_access(home, obj_, rt.objects_->home_of(obj_),
+                               /*write=*/true);
+        }
         ++rt.stats_.local_calls;
-        callee_.proc = home;
         task_.start(body_(callee_), caller_).resume();
         return;
       }
       sim::Task<R> remote =
-          rt.call_remote<R>(*ctx_, obj_, home, opts_, body_, 0);
+          rt.call_remote<R>(*ctx_, obj_, home, opts_, body_, attempt_);
       task_.start(std::move(remote), caller_).resume();
+    }
+
+    /// ft: a lost object can never serve the call (the typed failure
+    /// surface). Parks the error and returns true when `obj_` is lost.
+    bool lost() {
+      FaultTolerance* const ft = this->rt->ft_;
+      if (ft == nullptr || !ft->object_lost(obj_)) [[likely]] return false;
+      this->rt->parked_ = std::make_exception_ptr(ObjectLostError(obj_));
+      return true;
     }
 
     std::coroutine_handle<> caller_;  // whom the body or call_remote resumes
     Ctx* ctx_;
     ObjectId obj_;
     CallOpts opts_;
+    unsigned attempt_;
     F body_;
-    Ctx callee_;            // the local body's activation
-    sim::Started<R> task_;  // the body, call_remote or call_impl
+    Ctx callee_;            // the body's activation; its home, once located
+    sim::Started<R> task_;  // the body or call_remote
   };
 
   /// THE ANNOTATION (paper §3.1): `co_await rt.migrate(ctx, obj,
@@ -439,7 +502,7 @@ class Runtime {
   /// is already local — the annotation affects performance only, never
   /// semantics, and costs local accesses nothing.
   [[nodiscard]] Migrate migrate(Ctx& ctx, ObjectId obj, unsigned live_words) {
-    return Migrate(this, &ctx, {}, obj, live_words);
+    return Migrate(this, &ctx, nullptr, obj, live_words);
   }
 
   /// Finish a migratory procedure: if the activation ended away from
@@ -458,7 +521,7 @@ class Runtime {
   /// group is a no-op. `group` must outlive the returned awaiter.
   [[nodiscard]] Migrate migrate_group(const std::vector<Ctx*>& group,
                                       ObjectId obj, unsigned live_words) {
-    return Migrate(this, group.empty() ? nullptr : group.front(), group, obj,
+    return Migrate(this, group.empty() ? nullptr : group.front(), &group, obj,
                    live_words);
   }
 
@@ -487,68 +550,69 @@ class Runtime {
   [[nodiscard]] sim::Machine::Compute receive_reply(ProcId at, unsigned words);
   /// Sender-side stub path (linkage + marshal + packet + launch), atomic.
   [[nodiscard]] sim::Machine::Compute send_path(ProcId at, unsigned words);
-  /// Book a runtime message's network transit (Table 5) and return its
-  /// size on the wire, header included.
-  unsigned book_transit(ProcId src, ProcId dst, unsigned words);
-  /// The reliable path of `t`: awaits the transport's send of `total`
-  /// words, stores its result in `t` and resumes `caller`.
-  sim::Detached send_reliably(Transfer& t, std::coroutine_handle<> caller,
-                              unsigned total, Cycles deadline);
-  /// The migration protocol: `top` (null for an empty group) runs the stubs
-  /// and every context in `group` follows it; a non-empty `group` also tags
-  /// kMigrateBegin with its size.
-  [[nodiscard]] sim::Task<> migrate_impl(Ctx* top,
-                                         std::span<Ctx* const> group,
-                                         ObjectId obj, unsigned live_words);
-  /// The short-circuit return protocol behind `return_home`.
-  [[nodiscard]] sim::Task<> return_home_impl(Ctx& ctx, ProcId origin,
-                                             unsigned ret_words);
-  /// Rebind an activation stranded on a suspected processor to its
-  /// evacuation target, charging thread re-creation there. Requires ft_.
-  [[nodiscard]] sim::Task<> evacuate(Ctx& ctx);
-
-  /// The call protocol with every service hook, attempt number `attempt`:
-  /// dispatch (ft checks, locality check, resolution), then the body here
-  /// or `call_remote`.
-  template <class R, class F>
-  sim::Task<R> call_impl(Ctx& caller, ObjectId obj, CallOpts opts, F body,
-                         unsigned attempt) {
-    if (ft_ != nullptr) {
-      // Typed failure surface: a lost object can never serve the call.
-      if (ft_->object_lost(obj)) throw ObjectLostError(obj);
-      // An activation stranded on a dead processor restarts on a live
-      // one before doing anything else.
-      if (ft_->suspected(caller.proc)) co_await evacuate(caller);
+  /// Whether ft suspects processor `p`.
+  [[nodiscard]] bool suspected(ProcId p) const {
+    return ft_ != nullptr && ft_->suspected(p);
+  }
+  /// Rethrow the exception a step or a hook parked, if any: the first
+  /// thing in each awaiter's `await_resume`.
+  void raise_parked() {
+    if (parked_ != nullptr) [[unlikely]] {
+      std::rethrow_exception(std::exchange(parked_, nullptr));
     }
-    co_await charge(caller.proc, cost_.locality_check,
-                    Category::kLocalityCheck);
-    ProcId home;
-    if (locator_ == nullptr) {
-      home = objects_->home_of(obj);
-    } else {
-      home = co_await locator_->resolve(caller, obj);
-    }
-
-    if (home == caller.proc) {
-      if (check::Checker* ck = checker()) {
-        // The dispatcher claims locality, so the body is about to touch
-        // the object's state on this processor: the claim must be ground
-        // truth. Sound here because nothing suspends between the
-        // resolution's own truth test and this line.
-        ck->on_object_access(caller.proc, obj, objects_->home_of(obj),
-                             /*write=*/true);
+  }
+  /// The one send function behind every runtime message: book its network
+  /// transit (Table 5); fail the message at once, sending nothing and
+  /// scheduling nothing, when ft suspects either end (returns false); else
+  /// send it and wake `then` once it is delivered. `*delivered` says
+  /// whether it was. With a reliable transport the send makes `budget`
+  /// attempts (0 = retry forever) and wakes `then` with its verdict, or
+  /// parks its exception and wakes `failed`; without one it is a raw resume
+  /// delivery.
+  bool send_message(ProcId src, ProcId dst, unsigned words, unsigned budget,
+                    bool* delivered, sim::Wake then, sim::Wake failed);
+  /// Await `hook`, the pooled sub-task of a service hook that takes
+  /// simulated time (a locator's resolve or forward, OBJ's attraction, a
+  /// reliable send), store its value in `*into` and wake `then`; or park
+  /// its exception and wake `failed`. Its frame lives only while the hook
+  /// runs, and it schedules no event of its own, so a step machine that
+  /// runs a hook through it keeps the events and labels of a coroutine
+  /// awaiting the hook directly.
+  template <class T>
+  sim::Detached await_hook(sim::Task<T> hook, std::type_identity_t<T>* into,
+                           sim::Wake then, sim::Wake failed) {
+    std::exception_ptr error;
+    try {
+      sim::Task<T> task = std::move(hook);  // freed before the next step
+      if constexpr (std::is_void_v<T>) {
+        co_await std::move(task);
+      } else {
+        *into = co_await std::move(task);
       }
-      ++mutable_stats().local_calls;
-      Ctx callee{this, home};
-      co_return co_await body(callee);
+    } catch (...) {
+      error = std::current_exception();
     }
-    co_return co_await call_remote<R>(caller, obj, home, opts, body, attempt);
+    if (error == nullptr) {
+      then();
+    } else {
+      parked_ = std::move(error);
+      failed();
+    }
   }
 
-  /// The remote half of `call`, from the client stub to the reply, run by
-  /// both paths. A request that could not be delivered (only with a
-  /// FaultTolerance service) waits out the object's recovery and re-issues
-  /// the whole call as attempt `attempt + 1`.
+  /// A call `call_remote` re-issues: a fresh `Call`, numbered `attempt`.
+  /// Its awaiter sits in a frame of its own, made only for a retry, and not
+  /// in every `call_remote` frame.
+  template <class R, class F>
+  sim::Task<R> reissue(Ctx& caller, ObjectId obj, CallOpts opts, F body,
+                       unsigned attempt) {
+    co_return co_await Call<F>(this, &caller, obj, opts, body, attempt);
+  }
+
+  /// The remote half of `call`, from the client stub to the reply. A
+  /// request that could not be delivered (only with a FaultTolerance
+  /// service) waits out the object's recovery and re-issues the whole call
+  /// as attempt `attempt + 1`.
   template <class R, class F>
   sim::Task<R> call_remote(Ctx& caller, ObjectId obj, ProcId home,
                            CallOpts opts, F body, unsigned attempt) {
@@ -573,7 +637,7 @@ class Runtime {
                       " exhausted its retry budget");
       }
       co_await ft_->await_object(obj);
-      co_return co_await call_impl<R>(caller, obj, opts, body, attempt + 1);
+      co_return co_await reissue<R>(caller, obj, opts, body, attempt + 1);
     }
     if (locator_ != nullptr) {
       // The hint we resolved may already be stale: chase the forwarding
@@ -669,7 +733,7 @@ class Runtime {
   LocationService* locator_ = nullptr;   // null = oracle mode
   FaultTolerance* ft_ = nullptr;         // null = crash-free machine
   std::vector<Replicated*> replicated_;  // replica registry for recovery
-  // A frame-free step's exception, parked for its awaiter's await_resume.
+  // A step's or a hook's exception, parked for its awaiter's await_resume.
   std::exception_ptr parked_;
 };
 

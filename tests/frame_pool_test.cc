@@ -20,6 +20,7 @@
 #include "apps/btree.h"
 #include "apps/counting_network.h"
 #include "apps/workload.h"
+#include "check/checker.h"
 #include "core/mechanism.h"
 #include "core/object.h"
 #include "core/runtime.h"
@@ -31,6 +32,7 @@
 #include "sim/machine.h"
 #include "sim/rng.h"
 #include "sim/task.h"
+#include "sim/tracer.h"
 
 namespace {
 
@@ -248,23 +250,58 @@ TEST(FramePool, WarmEngineHoldLoopMakesNoGlobalAllocation) {
 // everything else (the event queue's records and lanes), so what the fresh
 // thread allocates is the operation's frames.
 
-/// The coroutine frames `op(&w)` makes, besides its own, when run to
-/// completion.
-template <class Op>
-std::size_t frames_of(World& w, Op op) {
+/// Runs `op(&w)` to completion once, then again on a fresh host thread,
+/// and returns what `count(allocs0)` reads there once the second run is
+/// done, `allocs0` being the global allocations before it started.
+template <class Op, class Count>
+std::size_t on_fresh_thread(World& w, Op op, Count count) {
   sim::detach(op(&w));
   w.eng.run();
   std::size_t made = 0;
-  std::thread fresh([&w, &op, &made] {
+  std::thread fresh([&w, &op, &count, &made] {
     Task<> t = op(&w);
     const std::size_t allocs0 = allocs();
     t.start();
     w.eng.run();
-    made = allocs() - allocs0;
+    made = count(allocs0);  // `t`'s own frame is still alive
     EXPECT_TRUE(t.done());
   });
   fresh.join();
   return made;
+}
+
+/// The coroutine frames `op(&w)` makes, besides its own, when run to
+/// completion.
+template <class Op>
+std::size_t frames_of(World& w, Op op) {
+  return on_fresh_thread(
+      w, op, [](std::size_t allocs0) { return allocs() - allocs0; });
+}
+
+/// Empties this host thread's frame pool and returns the number of blocks
+/// it held: each block the pool hands out without the global allocator.
+std::size_t drain_frame_pool() {
+  std::size_t held = 0;
+  for (std::size_t n = sim::FramePool::kGranule;
+       n <= sim::FramePool::kMaxPooled; n += sim::FramePool::kGranule) {
+    for (;;) {
+      const std::size_t allocs0 = allocs();
+      void* const block = sim::FramePool::allocate(n);
+      const bool pooled = allocs() == allocs0;
+      ::operator delete(block);
+      if (!pooled) break;
+      ++held;
+    }
+  }
+  return held;
+}
+
+/// frames_of, counting frames instead of global allocations: after the
+/// operation every frame it made sits in the fresh thread's pool. An
+/// observer allocates records and clocks of its own, which this ignores.
+template <class Op>
+std::size_t pooled_frames_of(World& w, Op op) {
+  return on_fresh_thread(w, op, [](std::size_t) { return drain_frame_pool(); });
 }
 
 Task<int> work_at_home(World* w, core::Ctx& callee) {
@@ -272,37 +309,69 @@ Task<int> work_at_home(World* w, core::Ctx& callee) {
   co_return 0;
 }
 
+// The runtime's protocols, one operation each, on a ProtocolWorld.
+
+/// Four processors; object kThere lives on processor 3, kHere on 2.
+struct ProtocolWorld : World {
+  static constexpr core::ObjectId kThere = 0;
+  static constexpr core::ObjectId kHere = 1;
+
+  ProtocolWorld() : World(4) {
+    EXPECT_EQ(objects.create(3), kThere);
+    EXPECT_EQ(objects.create(2), kHere);
+  }
+};
+
+Task<> hop(World* w) {
+  core::Ctx ctx{&w->rt, 0};
+  co_await w->rt.migrate(ctx, ProtocolWorld::kThere, 8);
+  EXPECT_EQ(ctx.proc, 3u);
+}
+
+Task<> group_hop(World* w) {
+  core::Ctx a{&w->rt, 0};
+  core::Ctx b{&w->rt, 0};
+  const std::vector<core::Ctx*> group{&a, &b};
+  co_await w->rt.migrate_group(group, ProtocolWorld::kThere, 8);
+  EXPECT_EQ(b.proc, 3u);
+}
+
+Task<> short_circuit_return(World* w) {
+  core::Ctx ctx{&w->rt, 3};
+  co_await w->rt.return_home(ctx, 0, 2);
+  EXPECT_EQ(ctx.proc, 0u);
+}
+
+Task<> local_call(World* w) {
+  core::Ctx ctx{&w->rt, 2};
+  (void)co_await w->rt.call(ctx, ProtocolWorld::kHere, core::CallOpts{},
+                            [w](core::Ctx& c) { return work_at_home(w, c); });
+}
+
+Task<> remote_call(World* w) {
+  core::Ctx ctx{&w->rt, 0};
+  (void)co_await w->rt.call(ctx, ProtocolWorld::kHere, core::CallOpts{},
+                            [w](core::Ctx& c) { return work_at_home(w, c); });
+}
+
+/// A visit under `mech` to `obj` from processor `from`, or under OBJ from
+/// the processor after the object's current home, so that every run
+/// attracts it.
+auto visit(core::Mechanism mech, core::ObjectId obj, ProcId from = 0) {
+  return [mech, obj, from](World* w) -> Task<> {
+    const ProcId at = mech == core::Mechanism::kObjectMigration
+                          ? (w->objects.home_of(obj) + 1) % 4
+                          : from;
+    core::Ctx ctx{&w->rt, at};
+    core::MobileObject mobile(w->rt, obj, 8);
+    (void)co_await core::visit(
+        ctx, mech, mobile, core::CallOpts{}, 8, 32,
+        [w](core::Ctx& c) { return work_at_home(w, c); });
+  };
+}
+
 TEST(FramePool, FrameFreeHopReturnAndLocalCallMakeNoFrameOfTheirOwn) {
-  World w(4);
-  const core::ObjectId there = w.objects.create(3);
-  const core::ObjectId here = w.objects.create(2);
-  const auto hop = [there](World* w) -> Task<> {
-    core::Ctx ctx{&w->rt, 0};
-    co_await w->rt.migrate(ctx, there, 8);
-    EXPECT_EQ(ctx.proc, 3u);
-  };
-  const auto group_hop = [there](World* w) -> Task<> {
-    core::Ctx a{&w->rt, 0};
-    core::Ctx b{&w->rt, 0};
-    const std::vector<core::Ctx*> group{&a, &b};
-    co_await w->rt.migrate_group(group, there, 8);
-    EXPECT_EQ(b.proc, 3u);
-  };
-  const auto short_circuit_return = [](World* w) -> Task<> {
-    core::Ctx ctx{&w->rt, 3};
-    co_await w->rt.return_home(ctx, 0, 2);
-    EXPECT_EQ(ctx.proc, 0u);
-  };
-  const auto local_call = [here](World* w) -> Task<> {
-    core::Ctx ctx{&w->rt, 2};
-    (void)co_await w->rt.call(ctx, here, core::CallOpts{},
-                              [w](core::Ctx& c) { return work_at_home(w, c); });
-  };
-  const auto remote_call = [here](World* w) -> Task<> {
-    core::Ctx ctx{&w->rt, 0};
-    (void)co_await w->rt.call(ctx, here, core::CallOpts{},
-                              [w](core::Ctx& c) { return work_at_home(w, c); });
-  };
+  ProtocolWorld w;
   EXPECT_EQ(frames_of(w, hop), 0u);
   // The group vector is the one allocation that is not a frame.
   EXPECT_EQ(frames_of(w, group_hop), 1u);
@@ -315,31 +384,55 @@ TEST(FramePool, FrameFreeHopReturnAndLocalCallMakeNoFrameOfTheirOwn) {
 }
 
 TEST(FramePool, FrameFreeVisitMakesOnlyItsBodysFrames) {
-  World w(4);
-  const core::ObjectId there = w.objects.create(3);
-  const core::ObjectId here = w.objects.create(2);
-  const auto visit = [](core::Mechanism mech, core::ObjectId obj,
-                        ProcId from) {
-    return [mech, obj, from](World* w) -> Task<> {
-      core::Ctx ctx{&w->rt, from};
-      core::MobileObject mobile(w->rt, obj, 8);
-      (void)co_await core::visit(
-          ctx, mech, mobile, core::CallOpts{}, 8, 32,
-          [w](core::Ctx& c) { return work_at_home(w, c); });
-    };
-  };
+  using core::Mechanism;
+  constexpr core::ObjectId kThere = ProtocolWorld::kThere;
+  ProtocolWorld w;
   // The body's, after a hop or none.
-  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kMigration, there, 0)), 1u);
-  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kMigration, here, 2)), 1u);
-  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kThreadMigration, there, 0)),
+  EXPECT_EQ(frames_of(w, visit(Mechanism::kMigration, kThere)), 1u);
+  EXPECT_EQ(frames_of(w, visit(Mechanism::kMigration, ProtocolWorld::kHere, 2)),
             1u);
+  EXPECT_EQ(frames_of(w, visit(Mechanism::kThreadMigration, kThere)), 1u);
   // call_remote's and the body's.
-  EXPECT_EQ(frames_of(w, visit(core::Mechanism::kRpc, there, 0)), 2u);
+  EXPECT_EQ(frames_of(w, visit(Mechanism::kRpc, kThere)), 2u);
   const core::RtStats& s = w.rt.stats();
   EXPECT_EQ(s.migrations, 4u);
   EXPECT_EQ(s.migrations_local, 2u);
   EXPECT_EQ(s.local_calls, 6u);
   EXPECT_EQ(s.remote_calls, 2u);
+}
+
+TEST(FramePool, ObserversLeaveEveryProtocolsFramesAsTheyAre) {
+  using core::Mechanism;
+  enum class Observer { kNone, kTracer, kChecker };
+  for (const Observer observer : {Observer::kNone, Observer::kTracer,
+                                   Observer::kChecker}) {
+    SCOPED_TRACE(static_cast<int>(observer));
+    ProtocolWorld w;
+    sim::Tracer tracer(w.eng);
+    check::Checker checker(w.eng, 4);
+    if (observer == Observer::kTracer) w.eng.set_tracer(&tracer);
+    if (observer == Observer::kChecker) w.eng.set_checker(&checker);
+    const auto frames = [&w](auto op) { return pooled_frames_of(w, op); };
+    constexpr core::ObjectId kThere = ProtocolWorld::kThere;
+    EXPECT_EQ(frames(hop), 0u);
+    EXPECT_EQ(frames(group_hop), 0u);
+    EXPECT_EQ(frames(short_circuit_return), 0u);
+    EXPECT_EQ(frames(local_call), 1u);
+    EXPECT_EQ(frames(remote_call), 2u);
+    EXPECT_EQ(frames(visit(Mechanism::kMigration, kThere)), 1u);
+    EXPECT_EQ(frames(visit(Mechanism::kMigration, ProtocolWorld::kHere, 2)),
+              1u);
+    EXPECT_EQ(frames(visit(Mechanism::kThreadMigration, kThere)), 1u);
+    EXPECT_EQ(frames(visit(Mechanism::kRpc, kThere)), 2u);
+    // The attraction's and the hook's that awaits it; the body's reuses a
+    // block one of them freed.
+    EXPECT_EQ(frames(visit(Mechanism::kObjectMigration, kThere)), 2u);
+    EXPECT_EQ(w.rt.stats().object_moves, 2u);
+    if (observer == Observer::kChecker) {
+      checker.finalize();
+      EXPECT_EQ(checker.violations(), 0u);
+    }
+  }
 }
 
 TEST(FramePool, CountingNetworkGetNextMakesAPinnedNumberOfFrames) {

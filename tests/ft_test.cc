@@ -344,6 +344,137 @@ TEST(FtLayer, LostModeCondemnsWithTypedError) {
   EXPECT_EQ(which, obj);
 }
 
+// ---------------------------------------------------------------------------
+// Stranded activations: evacuation and reply recovery in the runtime
+// ---------------------------------------------------------------------------
+
+constexpr ProcId kDead = 2;
+constexpr ProcId kRefuge = 3;  // the dead processor's ring successor
+
+/// Four processors, of which the detector has suspected processor kDead.
+/// The detector is stopped and the engine drained, so that from then on
+/// only what a test runs charges any processor.
+struct StrandedWorld {
+  FtWorld w{4, kill_at(kDead, 1'000)};
+  FtLayer ftl{w.rt, enabled_cfg()};
+
+  StrandedWorld() {
+    ftl.note_plan(w.net.plan());
+    ftl.start();
+    w.eng.run_until(20'000);
+    ftl.stop();
+    w.eng.run();
+  }
+
+  Cycles busy(ProcId p) const { return w.machine.proc(p).busy_cycles(); }
+  Cycles booked(core::Category c) const {
+    return w.rt.stats().breakdown.get(c);
+  }
+};
+
+enum class Stranded { kMigrate, kReturnHome, kCall };
+
+/// Run `how` from an activation on the dead processor against an object
+/// (or origin) on the refuge, so that once evacuated it has nowhere to go.
+Task<> run_stranded(FtWorld* w, Stranded how, ObjectId at_refuge, ProcId* end) {
+  Ctx ctx{&w->rt, kDead};
+  switch (how) {
+    case Stranded::kMigrate:
+      co_await w->rt.migrate(ctx, at_refuge, 8);
+      break;
+    case Stranded::kReturnHome:
+      co_await w->rt.return_home(ctx, kRefuge, 2);
+      break;
+    case Stranded::kCall:
+      (void)co_await w->rt.call(ctx, at_refuge, core::CallOpts{},
+                                [](Ctx&) -> Task<int> { co_return 0; });
+      break;
+  }
+  *end = ctx.proc;
+}
+
+TEST(FtLayer, StrandedActivationEvacuatesBeforeItsNextProtocol) {
+  for (const Stranded how : {Stranded::kMigrate, Stranded::kReturnHome,
+                             Stranded::kCall}) {
+    SCOPED_TRACE(static_cast<int>(how));
+    StrandedWorld s;
+    ASSERT_TRUE(s.ftl.suspected(kDead));
+    ASSERT_EQ(s.ftl.evacuation_target(kDead), kRefuge);
+    const ObjectId obj = s.w.objects.create(kRefuge);
+    const core::CostModel& c = s.w.rt.cost();
+    const Cycles refuge0 = s.busy(kRefuge);
+    const Cycles dead0 = s.busy(kDead);
+    const Cycles threads0 = s.booked(core::Category::kThreadCreation);
+    const Cycles sched0 = s.booked(core::Category::kScheduler);
+    const std::uint64_t messages0 = s.w.net.stats().messages;
+
+    ProcId end = sim::kNoProc;
+    sim::detach(run_stranded(&s.w, how, obj, &end));
+    s.w.eng.run();
+
+    const core::RtStats& st = s.w.rt.stats();
+    EXPECT_EQ(st.ft_evacuations, 1u);
+    EXPECT_EQ(end, kRefuge);
+    // The refuge restarts the activation (a fresh thread and a scheduling
+    // pass), then runs the protocol's locality check, locally.
+    EXPECT_EQ(s.booked(core::Category::kThreadCreation) - threads0,
+              c.thread_creation);
+    EXPECT_EQ(s.booked(core::Category::kScheduler) - sched0, c.scheduler);
+    const Cycles check = how == Stranded::kReturnHome ? 0 : c.locality_check;
+    EXPECT_EQ(s.busy(kRefuge) - refuge0,
+              c.thread_creation + c.scheduler + check);
+    EXPECT_EQ(s.busy(kDead), dead0);
+    EXPECT_EQ(s.w.net.stats().messages, messages0);
+    EXPECT_EQ(st.migrations_local, how == Stranded::kMigrate ? 1u : 0u);
+    EXPECT_EQ(st.local_calls, how == Stranded::kCall ? 1u : 0u);
+    EXPECT_EQ(st.replies, 0u);
+  }
+}
+
+Task<> return_from(FtWorld* w, ProcId at, ProcId origin, ProcId* end) {
+  Ctx ctx{&w->rt, at};
+  co_await w->rt.return_home(ctx, origin, 2);
+  *end = ctx.proc;
+}
+
+TEST(FtLayer, ReplyToASuspectedOriginIsRecoveredAndRebinds) {
+  StrandedWorld s;
+  const core::CostModel& c = s.w.rt.cost();
+  const Cycles sender0 = s.busy(1);
+  const std::uint64_t aborts0 = s.w.rt.stats().ft_suspect_aborts;
+  ProcId end = sim::kNoProc;
+  sim::detach(return_from(&s.w, 1, kDead, &end));
+  s.w.eng.run();
+  const core::RtStats& st = s.w.rt.stats();
+  EXPECT_EQ(st.ft_recovered_replies, 1u);
+  EXPECT_EQ(st.ft_suspect_aborts, aborts0 + 1);
+  EXPECT_EQ(st.ft_evacuations, 0u);
+  EXPECT_EQ(st.replies, 1u);
+  EXPECT_EQ(end, kDead);
+  EXPECT_EQ(s.busy(1) - sender0, c.sender_total(2));
+}
+
+TEST(FtLayer, ActivationAtItsSuspectedOriginEvacuatesThenReplies) {
+  // The activation never left its origin, but the origin is dead: the
+  // return evacuates it and sends the reply from the refuge, which the dead
+  // origin cannot receive, so the reply is recovered.
+  StrandedWorld s;
+  const core::CostModel& c = s.w.rt.cost();
+  const Cycles refuge0 = s.busy(kRefuge);
+  const std::uint64_t aborts0 = s.w.rt.stats().ft_suspect_aborts;
+  ProcId end = sim::kNoProc;
+  sim::detach(return_from(&s.w, kDead, kDead, &end));
+  s.w.eng.run();
+  const core::RtStats& st = s.w.rt.stats();
+  EXPECT_EQ(st.ft_evacuations, 1u);
+  EXPECT_EQ(st.replies, 1u);
+  EXPECT_EQ(st.ft_recovered_replies, 1u);
+  EXPECT_EQ(st.ft_suspect_aborts, aborts0 + 1);
+  EXPECT_EQ(end, kDead);
+  EXPECT_EQ(s.busy(kRefuge) - refuge0,
+            c.thread_creation + c.scheduler + c.sender_total(2));
+}
+
 TEST(FtLayer, EvacuationTargetIsNextLiveRingSuccessor) {
   FtWorld w(4, kill_at(2, 5'000));
   FtLayer ftl(w.rt, enabled_cfg());

@@ -475,7 +475,7 @@ Task<> throwing_local_call(World* w, ObjectId obj, ProcId from,
 }
 
 TEST(Runtime, ExceptionsInLocalBodiesPropagateToCaller) {
-  // On both paths: frame-free (nothing installed) and coroutine (a tracer).
+  // Unobserved, and with a tracer installed.
   for (const bool traced : {false, true}) {
     for (const bool synchronous : {false, true}) {
       SCOPED_TRACE(::testing::Message() << "traced " << traced
@@ -483,7 +483,6 @@ TEST(Runtime, ExceptionsInLocalBodiesPropagateToCaller) {
       World w(4);
       sim::Tracer tracer(w.eng);
       if (traced) w.eng.set_tracer(&tracer);
-      ASSERT_EQ(w.rt.frame_free(), !traced);
       const ObjectId obj = w.objects.create(2);
       bool caught = false;
       sim::detach(throwing_local_call(&w, obj, 2, synchronous, &caught));
@@ -495,7 +494,7 @@ TEST(Runtime, ExceptionsInLocalBodiesPropagateToCaller) {
 }
 
 // ---------------------------------------------------------------------------
-// Errors reach the awaiting coroutine on both paths: an object id that the
+// Errors reach the awaiting coroutine, observed or not: an object id that the
 // ObjectSpace never created fails the dispatch, after its locality check,
 // with std::out_of_range, and never escapes the engine's run loop.
 
@@ -539,7 +538,6 @@ TEST(Runtime, UnknownObjectsThrowOutOfRangeToTheAwaiterOnBothPaths) {
       World w(4);
       sim::Tracer tracer(w.eng);
       if (traced) w.eng.set_tracer(&tracer);
-      ASSERT_EQ(w.rt.frame_free(), !traced);
       const ObjectId known = w.objects.create(1);
       std::string error;
       sim::detach(access_unknown(&w, how, known + 1, &error));
@@ -554,10 +552,11 @@ TEST(Runtime, UnknownObjectsThrowOutOfRangeToTheAwaiterOnBothPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// One protocol, two paths. With nothing installed the runtime runs frame-
-// free; an installed tracer selects the pooled coroutines. A scenario must
-// leave the same events, completion cycle, busy cycles on each processor,
-// runtime counters (Table-5 breakdown included) and traffic on both.
+// One protocol, observed or not. Each `*OnBothPaths` test compares a run
+// with a tracer installed against an unobserved run of the one path. A
+// scenario must leave the same events, completion cycle, busy cycles on
+// each processor, runtime counters (Table-5 breakdown included) and
+// traffic on both.
 
 struct PathOutcome {
   std::size_t events = 0;
@@ -580,7 +579,6 @@ PathOutcome run_on_path(Scenario scenario, bool traced) {
   World w(4);
   sim::Tracer tracer(w.eng);
   if (traced) w.eng.set_tracer(&tracer);
-  EXPECT_EQ(w.rt.frame_free(), !traced);
   for (ProcId p = 0; p < 4; ++p) (void)w.objects.create(p);
   PathOutcome out;
   sim::detach(scenario(&w, &out.seen));
@@ -602,9 +600,9 @@ PathOutcome run_on_path(Scenario scenario, bool traced) {
 }
 
 void expect_paths_agree(Scenario scenario) {
-  const PathOutcome frame_free = run_on_path(scenario, false);
-  EXPECT_GT(frame_free.events, 0u);
-  EXPECT_EQ(frame_free, run_on_path(scenario, true));
+  const PathOutcome unobserved = run_on_path(scenario, false);
+  EXPECT_GT(unobserved.events, 0u);
+  EXPECT_EQ(unobserved, run_on_path(scenario, true));
 }
 
 Task<> hop_scenario(World* w, std::vector<ProcId>* seen) {
@@ -704,12 +702,12 @@ Task<> visit_scenario(World* w, std::vector<ProcId>* seen) {
 }
 
 TEST(Runtime, VisitIsTheSameOnBothPaths) {
-  const PathOutcome frame_free = run_on_path(visit_scenario, false);
-  EXPECT_EQ(frame_free.seen, (std::vector<ProcId>{1, 1, 2, 3, 2, 2, 2, 0}));
+  const PathOutcome unobserved = run_on_path(visit_scenario, false);
+  EXPECT_EQ(unobserved.seen, (std::vector<ProcId>{1, 1, 2, 3, 2, 2, 2, 0}));
   expect_paths_agree(visit_scenario);
 }
 
-// A visit chains a hop and a call; on both paths an error reaches the
+// A visit chains a hop and a call; observed or not, an error reaches the
 // visiting coroutine. One the hop raises ends the visit before the call
 // starts, so only the hop's locality check is charged.
 
@@ -765,7 +763,6 @@ TEST(Runtime, VisitErrorsReachTheAwaiterOnBothPaths) {
       World w(4);
       sim::Tracer tracer(w.eng);
       if (traced) w.eng.set_tracer(&tracer);
-      ASSERT_EQ(w.rt.frame_free(), !traced);
       for (ProcId p = 0; p < 4; ++p) (void)w.objects.create(p);
       std::string error;
       sim::detach(visit_failing(&w, e.how, &error));
