@@ -4,8 +4,8 @@
 // the requester against the node's coherent lines (`RunHere`); under RPC,
 // CP, OBJ and TM it runs as a method at the node's home (`core::visit`,
 // whose awaiter the operation awaits directly, so a visit makes no frame
-// beyond its body's and, for a remote call, `call_remote`'s). Each app
-// writes its operations once, as templates over its two layers.
+// beyond its body's, remote call or not). Each app writes its operations
+// once, as templates over its two layers.
 #pragma once
 
 #include <coroutine>

@@ -55,9 +55,9 @@ class MobileObject {
 /// frame of its own: a CP or TM hop runs `Migrate`'s steps and completes
 /// into the call's first step, OBJ's attraction (a coroutine) completes
 /// into it through the runtime's hook helper, and the call runs `Call`'s
-/// steps, resuming a local call straight into the body's frame and a
-/// remote one into `call_remote`. A hop or an attraction that fails never
-/// starts the call; `await_resume` rethrows its exception.
+/// steps, local or remote, so a visit makes only its body's frame. A hop
+/// or an attraction that fails never starts the call; `await_resume`
+/// rethrows its exception.
 template <class F>
 class [[nodiscard]] Visit {
  public:

@@ -8,7 +8,8 @@ namespace cm::core {
 // interleaving at instruction granularity. The per-category cycles are still
 // recorded individually for the Table-5 breakdown. They are plain functions,
 // not coroutines: each books its categories when called and returns the
-// charge for its caller to await, so a stub takes no coroutine frame.
+// charge, which the protocol step that called it hands its next step to
+// (`Compute::then`), so a stub takes no coroutine frame.
 
 sim::Machine::Compute Runtime::receive_request(ProcId at, unsigned words,
                                                Dispatch how) {
@@ -88,7 +89,8 @@ bool Runtime::send_message(ProcId src, ProcId dst, unsigned words,
 }
 
 // ---- The protocols. Each step below is one engine event, or a hook's
-// sub-task, or a test inside one, in protocol order. ----
+// sub-task, or a test inside one, in protocol order. The call's steps, a
+// template's, are in runtime.h. ----
 
 void Runtime::Migrate::start(sim::Wake then) {
   done = then;
@@ -233,8 +235,8 @@ void Runtime::ReturnHome::sent() {
 void Runtime::ReturnHome::delivered() {
   if (!delivered_ && rt->ft_ != nullptr) {
     // The short-circuit reply's source NIC died mid-send: the origin
-    // reconstructs the result from the activation's frame, exactly as in
-    // call_remote's reply-recovery path. The effects already committed.
+    // reconstructs the result from the activation's frame, exactly as a
+    // remote call recovers its reply. The effects already committed.
     ++rt->stats_.ft_recovered_replies;
     if (sim::Tracer* tr = rt->tracer()) {
       tr->record(sim::TraceEvent::kFtReplyRecovered, origin_,

@@ -29,14 +29,17 @@
 // `migrate`, `migrate_group`, `return_home` and `call` return awaiters that
 // live in the awaiting frame and run their protocol without a coroutine
 // frame of their own: each is a step machine (a `sim::Continuation`), so the
-// suspended frame is the continuation that travels, and a local call
-// resumes straight into the method body. A protocol completes into a
-// `sim::Wake`, the awaiting coroutine or the next protocol's first step, so
-// core::visit (mobile.h) chains a hop and a call with no frame between
-// them. Every optional service (ft, locator, reliable transport, tracer,
-// checker) hooks into these steps, so installing one never changes which
-// code a protocol runs; a hook that takes simulated time runs as a pooled
-// sub-task only when its service is installed.
+// suspended frame is the continuation that travels. A local call resumes
+// straight into the method body; a remote one runs the paper's four RPC
+// steps (client stub, request, server stub and body, reply) as steps of
+// its awaiter, and the body completes into the step that replies. A
+// protocol completes into a `sim::Wake`, the awaiting coroutine or the
+// next protocol's first step, so core::visit (mobile.h) chains a hop and a
+// call with no frame between them. Every optional service (ft, locator,
+// reliable transport, tracer, checker) hooks into these steps, so
+// installing one never changes which code a protocol runs; a hook that
+// takes simulated time runs as a pooled sub-task only when its service is
+// installed.
 #pragma once
 
 #include <coroutine>
@@ -386,12 +389,12 @@ class Runtime {
   };
   static_assert(std::is_trivially_destructible_v<ReturnHome>);
 
-  /// The awaiter of `call`. It charges the locality check as a
-  /// Continuation, then resumes a local call straight into the body's frame
-  /// and a remote one into `call_remote`, so neither adds a frame of the
-  /// call's own. `attempt` numbers a call that `call_remote` re-issues.
-  /// `F` must be trivially destructible: the awaiter holds the body
-  /// callable.
+  /// The awaiter of `call`: the whole call protocol as a Continuation. It
+  /// charges the locality check and resumes a local call straight into the
+  /// body's frame; a remote call runs its stubs, messages and services as
+  /// further steps, and the body completes into the step that replies, so
+  /// neither adds a frame of the call's own. `F` must be trivially
+  /// destructible: the awaiter holds the body callable.
   template <class F>
   class [[nodiscard]] Call : public FrameFree<Call<F>> {
    public:
@@ -403,13 +406,14 @@ class Runtime {
                   "method bodies capture only pointers, references and "
                   "integers (see suspend_to, task.h)");
 
-    Call(Runtime* rt, Ctx* caller, ObjectId obj, CallOpts opts, F body,
-         unsigned attempt = 0) noexcept
+    Call(Runtime* rt, Ctx* caller, ObjectId obj, CallOpts opts,
+         F body) noexcept
         : FrameFree<Call>(rt),
           ctx_(caller),
           obj_(obj),
-          opts_(opts),
-          attempt_(attempt),
+          arg_words_(opts.arg_words),
+          ret_words_(opts.ret_words),
+          short_method_(opts.short_method),
           body_(body),
           callee_(rt, 0) {}
 
@@ -417,6 +421,9 @@ class Runtime {
     bool await_ready() { return lost(); }
     void await_suspend(std::coroutine_handle<> caller) { follow(caller)(); }
     R await_resume() {
+      if (this->rt->parked_ != nullptr && task_.started()) [[unlikely]] {
+        (void)task_.take();  // a step failed after the body returned
+      }
       this->rt->raise_parked();
       return task_.take();
     }
@@ -425,7 +432,6 @@ class Runtime {
     /// its first step, for the hop or attraction before it (core::Visit)
     /// to complete into.
     sim::Wake follow(std::coroutine_handle<> caller) noexcept {
-      caller_ = caller;
       this->done = caller;
       this->template next<&Call::start>();
       return this;
@@ -469,12 +475,156 @@ class Runtime {
                                /*write=*/true);
         }
         ++rt.stats_.local_calls;
-        task_.start(body_(callee_), caller_).resume();
+        task_.start(body_(callee_), this->done).resume();
         return;
       }
-      sim::Task<R> remote =
-          rt.call_remote<R>(*ctx_, obj_, home, opts_, body_, attempt_);
-      task_.start(std::move(remote), caller_).resume();
+      // ---- client stub ----
+      ++rt.stats_.remote_calls;
+      if (sim::Tracer* tr = rt.tracer()) {
+        tr->record(sim::TraceEvent::kRpcIssue, ctx_->proc,
+                   {{"obj", obj_}, {"home", home}, {"words", arg_words_}});
+      }
+      this->template next<&Call::request>();
+      rt.send_path(ctx_->proc, arg_words_).then(this);
+    }
+
+    void request() {  // the client stub ran: send the request
+      reply_to_ = ctx_->proc;
+      this->template transmit<&Call::requested>(
+          reply_to_, callee_.proc, arg_words_, /*budget=*/0, &delivered_);
+    }
+
+    void requested() {  // the request arrived, or ft failed it
+      Runtime& rt = *this->rt;
+      if (!delivered_) {
+        // Only reachable with a FaultTolerance service installed: the
+        // request's peer was suspected (or the send deadline expired)
+        // before delivery. Wait for the object's recovery to commit, then
+        // re-issue the whole call, from its first step: the body never
+        // started, so the retry cannot double-execute anything.
+        ++rt.stats_.ft_call_retries;
+        if (rt.ft_ == nullptr || ++attempt_ >= rt.ft_->max_call_retries()) {
+          throw FtError("call on object " + std::to_string(obj_) +
+                        " exhausted its retry budget");
+        }
+        this->template after<&Call::start>(rt.ft_->await_object(obj_),
+                                           nullptr);
+        return;
+      }
+      if (LocationService* loc = rt.locator_) {
+        // The hint we resolved may already be stale: chase the forwarding
+        // chain until the request reaches the object's current host.
+        this->template after<&Call::forwarded>(
+            loc->forward(obj_, callee_.proc, arg_words_, ctx_->proc),
+            &callee_.proc);
+        return;
+      }
+      serve();
+    }
+
+    void forwarded() {  // the chase ended at the object's current host
+      Runtime& rt = *this->rt;
+      // forward() bails out mid-chase when the object's recovery declares
+      // it lost; surface the typed failure before the server stub could
+      // misread the unreachable binding.
+      if (rt.ft_ != nullptr && rt.ft_->object_lost(obj_)) {
+        throw ObjectLostError(obj_);
+      }
+      if (check::Checker* ck = rt.checker()) {
+        // forward() just returned the object's current host with no
+        // suspension since, so its claim can be tested against ground
+        // truth here. (Under the oracle there is no equivalent promise:
+        // the body executes at the home fixed at resolution time, Prelude
+        // dispatch semantics, even if the object was attracted away
+        // mid-flight.)
+        ck->on_object_access(callee_.proc, obj_, rt.objects_->home_of(obj_),
+                             /*write=*/true);
+      }
+      serve();
+    }
+
+    void serve() {  // ---- server stub, at the object's home ----
+      Runtime& rt = *this->rt;
+      if (check::Checker* ck = rt.checker()) {
+        // Replied-exactly-once window, opened once the request has really
+        // arrived (an aborted request is a retry, not a lost reply): the
+        // reply must be delivered once, from wherever the activation ends.
+        window_ = ck->on_call_begin(reply_to_, obj_);
+      }
+      this->template next<&Call::served>();
+      rt.receive_request(callee_.proc, arg_words_,
+                         short_method_ ? Dispatch::kShortMethod
+                                       : Dispatch::kRpcThread)
+          .then(this);
+    }
+
+    void served() {  // run the body, which completes into `returned`
+      Runtime& rt = *this->rt;
+      if (short_method_) {
+        ++rt.stats_.fast_path_calls;
+      } else {
+        ++rt.stats_.threads_created;
+      }
+      this->template next<&Call::returned>();
+      task_.start(body_(callee_), this).resume();
+    }
+
+    void returned() {  // the body's activation ended
+      Runtime& rt = *this->rt;
+      if (task_.failed()) {
+        // A typed ft failure unwinding out of a nested call: the thrown
+        // error replaces this call's reply, so excuse its window.
+        // `await_resume` rethrows it.
+        if (check::Checker* ck = rt.checker()) ck->on_call_abandoned(window_);
+        this->done();
+        return;
+      }
+      // ---- reply: sent from wherever the method activation ended up. If
+      // it migrated, this short-circuits straight back to the caller. ----
+      ++rt.stats_.replies;
+      this->template next<&Call::reply>();
+      rt.send_path(callee_.proc, ret_words_).then(this);
+    }
+
+    void reply() {  // the reply stub ran: send the reply
+      this->template transmit<&Call::replied>(
+          callee_.proc, reply_to_, ret_words_, /*budget=*/0, &delivered_);
+    }
+
+    void replied() {  // the reply arrived, or was lost with its NIC
+      Runtime& rt = *this->rt;
+      if (!delivered_ && rt.ft_ != nullptr) {
+        // The activation's processor lost its NIC after the body's effects
+        // committed (host state survives a NIC death). Re-running the body
+        // would double-apply those effects; instead the caller waits out
+        // the object's recovery and reconstructs the result: exactly-once
+        // semantics even across the crash.
+        ++rt.stats_.ft_recovered_replies;
+        if (sim::Tracer* tr = rt.tracer()) {
+          tr->record(sim::TraceEvent::kFtReplyRecovered, reply_to_,
+                     {{"obj", obj_}, {"from", callee_.proc}});
+        }
+        this->template after<&Call::receive>(rt.ft_->await_object(obj_),
+                                             nullptr);
+        return;
+      }
+      receive();
+    }
+
+    void receive() {  // ---- back at the caller: the receive stub ----
+      Runtime& rt = *this->rt;
+      this->template next<&Call::received>();
+      rt.receive_reply(reply_to_, ret_words_).then(this);
+    }
+
+    void received() {  // deliver the reply to the blocked thread
+      Runtime& rt = *this->rt;
+      if (check::Checker* ck = rt.checker()) ck->on_reply(window_, reply_to_);
+      if (sim::Tracer* tr = rt.tracer()) {
+        tr->record(sim::TraceEvent::kRpcReply, reply_to_,
+                   {{"obj", obj_}, {"from", callee_.proc}});
+      }
+      this->done();
     }
 
     /// ft: a lost object can never serve the call (the typed failure
@@ -486,14 +636,20 @@ class Runtime {
       return true;
     }
 
-    std::coroutine_handle<> caller_;  // whom the body or call_remote resumes
+    // CallOpts is kept as its fields, so that its flag and the delivery
+    // flag share one word.
     Ctx* ctx_;
+    std::uint64_t window_ = 0;  // the checker's replied-exactly-once window
     ObjectId obj_;
-    CallOpts opts_;
-    unsigned attempt_;
+    unsigned arg_words_;
+    unsigned ret_words_;
+    unsigned attempt_ = 0;  // requests ft failed so far
+    ProcId reply_to_ = 0;   // the caller's processor when it sent
+    bool short_method_;
+    bool delivered_ = false;  // the last request or reply got through
     F body_;
     Ctx callee_;            // the body's activation; its home, once located
-    sim::Started<R> task_;  // the body or call_remote
+    sim::Started<R> task_;  // the body, until the call completes
   };
 
   /// THE ANNOTATION (paper §3.1): `co_await rt.migrate(ctx, obj,
@@ -598,129 +754,6 @@ class Runtime {
       parked_ = std::move(error);
       failed();
     }
-  }
-
-  /// A call `call_remote` re-issues: a fresh `Call`, numbered `attempt`.
-  /// Its awaiter sits in a frame of its own, made only for a retry, and not
-  /// in every `call_remote` frame.
-  template <class R, class F>
-  sim::Task<R> reissue(Ctx& caller, ObjectId obj, CallOpts opts, F body,
-                       unsigned attempt) {
-    co_return co_await Call<F>(this, &caller, obj, opts, body, attempt);
-  }
-
-  /// The remote half of `call`, from the client stub to the reply. A
-  /// request that could not be delivered (only with a FaultTolerance
-  /// service) waits out the object's recovery and re-issues the whole call
-  /// as attempt `attempt + 1`.
-  template <class R, class F>
-  sim::Task<R> call_remote(Ctx& caller, ObjectId obj, ProcId home,
-                           CallOpts opts, F body, unsigned attempt) {
-    // ---- client stub ----
-    ++mutable_stats().remote_calls;
-    if (sim::Tracer* tr = tracer()) {
-      tr->record(sim::TraceEvent::kRpcIssue, caller.proc,
-                 {{"obj", obj}, {"home", home}, {"words", opts.arg_words}});
-    }
-    co_await send_path(caller.proc, opts.arg_words);
-    const ProcId reply_to = caller.proc;
-    const bool arrived = co_await transfer(caller.proc, home, opts.arg_words);
-    if (!arrived) {
-      // Only reachable with a FaultTolerance service installed: the
-      // request's peer was suspected (or the send deadline expired) before
-      // delivery. Wait for the object's recovery to commit, then re-issue
-      // the whole call — the body never started, so the retry cannot
-      // double-execute anything.
-      ++mutable_stats().ft_call_retries;
-      if (ft_ == nullptr || attempt + 1 >= ft_->max_call_retries()) {
-        throw FtError("call on object " + std::to_string(obj) +
-                      " exhausted its retry budget");
-      }
-      co_await ft_->await_object(obj);
-      co_return co_await reissue<R>(caller, obj, opts, body, attempt + 1);
-    }
-    if (locator_ != nullptr) {
-      // The hint we resolved may already be stale: chase the forwarding
-      // chain until the request reaches the object's current host.
-      home = co_await locator_->forward(obj, home, opts.arg_words, caller.proc);
-      // forward() bails out mid-chase when the object's recovery declares
-      // it lost; surface the typed failure before the locality check
-      // below could misread the unreachable binding.
-      if (ft_ != nullptr && ft_->object_lost(obj)) {
-        throw ObjectLostError(obj);
-      }
-      if (check::Checker* ck = checker()) {
-        // forward() just returned the object's current host with no
-        // suspension since, so its claim can be tested against ground
-        // truth here. (Under the oracle there is no equivalent promise:
-        // the body executes at the home fixed at resolution time —
-        // Prelude dispatch semantics — even if the object was attracted
-        // away mid-flight.)
-        ck->on_object_access(home, obj, objects_->home_of(obj), /*write=*/true);
-      }
-    }
-    std::uint64_t check_call = 0;
-    if (check::Checker* ck = checker()) {
-      // Replied-exactly-once window, opened once the request has really
-      // arrived (an aborted request transfer is a retry, not a lost
-      // reply): the short-circuit return must deliver this call's reply
-      // once, from wherever the activation ends up.
-      check_call = ck->on_call_begin(reply_to, obj);
-    }
-
-    // ---- server stub (now executing at `home`) ----
-    co_await receive_request(home, opts.arg_words,
-                             opts.short_method ? Dispatch::kShortMethod
-                                               : Dispatch::kRpcThread);
-    if (opts.short_method) {
-      ++mutable_stats().fast_path_calls;
-    } else {
-      ++mutable_stats().threads_created;
-    }
-
-    Ctx callee{this, home};
-    std::optional<R> result;
-    try {
-      result.emplace(co_await body(callee));
-    } catch (...) {
-      // A typed ft failure unwinding out of a nested call: the thrown
-      // error replaces this call's reply, so excuse its window.
-      if (check::Checker* ck = checker()) {
-        ck->on_call_abandoned(check_call);
-      }
-      throw;
-    }
-
-    // ---- reply: sent from wherever the method activation ended up. If
-    // it migrated, this short-circuits straight back to the caller. ----
-    ++mutable_stats().replies;
-    co_await send_path(callee.proc, opts.ret_words);
-    const bool replied =
-        co_await transfer(callee.proc, reply_to, opts.ret_words);
-    if (!replied && ft_ != nullptr) {
-      // The activation's processor lost its NIC after the body's effects
-      // committed (host state survives a NIC death). Re-running the body
-      // would double-apply those effects; instead the caller waits out the
-      // object's recovery and reconstructs the result — exactly-once
-      // semantics even across the crash.
-      ++mutable_stats().ft_recovered_replies;
-      if (sim::Tracer* tr = tracer()) {
-        tr->record(sim::TraceEvent::kFtReplyRecovered, reply_to,
-                   {{"obj", obj}, {"from", callee.proc}});
-      }
-      co_await ft_->await_object(obj);
-    }
-
-    // ---- back at the caller: deliver the reply to the blocked thread ----
-    co_await receive_reply(reply_to, opts.ret_words);
-    if (check::Checker* ck = checker()) {
-      ck->on_reply(check_call, reply_to);
-    }
-    if (sim::Tracer* tr = tracer()) {
-      tr->record(sim::TraceEvent::kRpcReply, reply_to,
-                 {{"obj", obj}, {"from", callee.proc}});
-    }
-    co_return std::move(*result);
   }
 
   sim::Machine* machine_;

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <cassert>
+#include <coroutine>
 #include <cstdio>
 
 namespace cm::sim {

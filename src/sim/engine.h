@@ -10,18 +10,16 @@
 // sees labels 0, 1, 2, ... — plain insertion order.
 //
 // An event is one of three kinds. A closure is stored in the event arena. A
-// resume event (`resume_at_on`) carries a `Wake` in the queue record itself:
-// either a coroutine handle, or a `Continuation`, the frame-free kind, which
-// steps a protocol one event at a time from an object in a suspended
-// coroutine's frame (the runtime's migration and call awaiters). The
+// resume event (`resume_at_on`) carries a `Wake` (wake.h) in the queue
+// record itself: either a coroutine handle, or a `Continuation`, the
+// frame-free kind, which steps a protocol one event at a time from an
+// object in a suspended coroutine's frame (the runtime's awaiters). The
 // record's 64-bit payload tells the three apart by its two low bits: an
 // arena index shifted left by two with bit 0 set, a Continuation's address
 // (at least 8-byte aligned) with bit 1 set, or a frame address (at least
 // 16-byte aligned) with both clear, so a coroutine resume costs one test.
 #pragma once
 
-#include <cassert>
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -29,6 +27,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/types.h"
+#include "sim/wake.h"
 
 namespace cm::check {
 class Checker;
@@ -37,50 +36,6 @@ class Checker;
 namespace cm::sim {
 
 class Tracer;
-
-/// The frame-free kind of resume event: an object, typically an awaiter in a
-/// suspended coroutine's frame, whose `run` the engine calls with the object
-/// itself when the event fires. Each call runs one step of the object's
-/// protocol and either schedules its next wake or resumes its coroutine;
-/// swapping `run` between steps is how the object keeps its place.
-struct Continuation {
-  void (*run)(Continuation*) = nullptr;
-};
-
-/// What a resume event wakes: a suspended coroutine or a Continuation.
-/// Coroutine handles convert implicitly, so every `resume_at_on`,
-/// `Machine::resume_on` and `Network::send_resume` caller that holds one
-/// passes it as it is.
-class Wake {
- public:
-  template <class P>
-  Wake(std::coroutine_handle<P> h) noexcept  // NOLINT: implicit by design
-      : bits_(reinterpret_cast<std::uintptr_t>(h.address())) {
-    assert((bits_ & kTagMask) == 0 && "coroutine frames are aligned");
-  }
-  Wake(Continuation* c) noexcept  // NOLINT: implicit by design
-      : bits_(reinterpret_cast<std::uintptr_t>(c) | kContinuationTag) {}
-
-  /// Resume the coroutine or run the continuation, as its event would.
-  void operator()() const {
-    if ((bits_ & kContinuationTag) == 0) {
-      void* const frame = reinterpret_cast<void*>(bits_);
-      std::coroutine_handle<>::from_address(frame).resume();
-    } else {
-      auto* const c = reinterpret_cast<Continuation*>(bits_ & ~kTagMask);
-      c->run(c);
-    }
-  }
-
- private:
-  friend class Engine;
-  static constexpr std::uint64_t kClosureTag = 1;  // engine-only
-  static constexpr std::uint64_t kContinuationTag = 2;
-  static constexpr std::uint64_t kTagMask = kClosureTag | kContinuationTag;
-
-  std::uint64_t bits_;
-};
-static_assert(alignof(Continuation) >= 4, "two tag bits stay free");
 
 /// The heart of the Proteus-style simulator. Client code schedules closures
 /// at absolute or relative cycle times; `run()` drains the queue in

@@ -11,7 +11,10 @@
 // `Detached` is a fire-and-forget root used to launch top-level threads.
 // Both take their frames from `FramePool` (frame_pool.h) rather than the
 // global allocator. `Started<T>` lets a trivially destructible awaiter run a
-// Task it starts itself.
+// Task it starts itself. A Task completes into its continuation, a `Wake`
+// (wake.h): an awaiting coroutine, by symmetric transfer, or a frame-free
+// Continuation, whose next step runs inline (the runtime's remote call
+// resumes its own steps when the method body ends).
 // `suspend_to(f)` is the escape hatch: suspends the current coroutine and
 // hands its handle to `f`, which arranges resumption via the event engine.
 #pragma once
@@ -25,6 +28,7 @@
 #include <utility>
 
 #include "sim/frame_pool.h"
+#include "sim/wake.h"
 
 namespace cm::sim {
 
@@ -58,15 +62,16 @@ template <class T>
 class Started;
 
 /// Lazy awaitable coroutine. Created suspended; starts when awaited (or when
-/// `start()` is called by a root). On completion, control transfers
-/// symmetrically to the awaiter. Exceptions propagate to the awaiter.
+/// `start()` is called by a root). On completion it wakes its continuation:
+/// control transfers symmetrically to an awaiter, and a Continuation runs
+/// its next step. Exceptions propagate to the awaiter.
 template <class T = void>
 class [[nodiscard]] Task {
  public:
   using value_type = T;
 
   struct promise_type : detail::ValueStore<T>, detail::PooledFrame {
-    std::coroutine_handle<> continuation;  // who awaits us (may be null)
+    Wake continuation = std::coroutine_handle<>();  // whom we complete into
     std::exception_ptr exception;
 
     Task get_return_object() {
@@ -77,8 +82,10 @@ class [[nodiscard]] Task {
       bool await_ready() noexcept { return false; }
       std::coroutine_handle<> await_suspend(
           std::coroutine_handle<promise_type> h) noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
+        // A Continuation's step may free this frame: read it first, and
+        // touch nothing of it afterwards.
+        const Wake cont = h.promise().continuation;
+        return cont.transfer();
       }
       void await_resume() noexcept {}
     };
@@ -141,24 +148,31 @@ class [[nodiscard]] Task {
 
 /// A Task run by an awaiter that must stay trivially destructible (see
 /// `suspend_to`): the awaiter holds the task's handle instead of the Task.
-/// `start` takes the frame over and makes the awaiting coroutine its
-/// continuation; `take`, called once the task has finished, yields its
-/// value or rethrows its exception and frees the frame. A frame that was
-/// started must be taken, or it leaks.
+/// `start` takes the frame over and names what the task completes into:
+/// the awaiting coroutine, or the awaiter's own next step; `take`, called
+/// once the task has finished, yields its value or rethrows its exception
+/// and frees the frame. A frame that was started must be taken, or it
+/// leaks.
 template <class T>
 class Started {
  public:
-  /// Own `t`'s frame, to run on behalf of `caller`; returns the handle that
-  /// starts it (return it from `await_suspend`, or resume it).
-  std::coroutine_handle<> start(Task<T> t,
-                                std::coroutine_handle<> caller) noexcept {
+  /// Own `t`'s frame, to run on behalf of `then`, which it wakes when it
+  /// completes; returns the handle that starts it (return it from
+  /// `await_suspend`, or resume it).
+  std::coroutine_handle<> start(Task<T> t, Wake then) noexcept {
     h_ = std::exchange(t.handle_, {});
-    h_.promise().continuation = caller;
+    h_.promise().continuation = then;
     return h_;
   }
 
   /// Whether `start` has handed a frame over that `take` has not freed.
   [[nodiscard]] bool started() const noexcept { return h_ != nullptr; }
+
+  /// Whether the finished task ended with an exception, which `take` will
+  /// rethrow.
+  [[nodiscard]] bool failed() const noexcept {
+    return h_.promise().exception != nullptr;
+  }
 
   /// The finished task's value, or its exception rethrown.
   T take() {

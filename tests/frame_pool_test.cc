@@ -377,7 +377,7 @@ TEST(FramePool, FrameFreeHopReturnAndLocalCallMakeNoFrameOfTheirOwn) {
   EXPECT_EQ(frames_of(w, group_hop), 1u);
   EXPECT_EQ(frames_of(w, short_circuit_return), 0u);
   EXPECT_EQ(frames_of(w, local_call), 1u);   // the body's
-  EXPECT_EQ(frames_of(w, remote_call), 2u);  // call_remote's and the body's
+  EXPECT_EQ(frames_of(w, remote_call), 1u);  // the body's
   EXPECT_EQ(w.rt.stats().migrations, 4u);
   EXPECT_EQ(w.rt.stats().local_calls, 2u);
   EXPECT_EQ(w.rt.stats().remote_calls, 2u);
@@ -387,13 +387,12 @@ TEST(FramePool, FrameFreeVisitMakesOnlyItsBodysFrames) {
   using core::Mechanism;
   constexpr core::ObjectId kThere = ProtocolWorld::kThere;
   ProtocolWorld w;
-  // The body's, after a hop or none.
+  // The body's, after a hop or none, and around a remote call.
   EXPECT_EQ(frames_of(w, visit(Mechanism::kMigration, kThere)), 1u);
   EXPECT_EQ(frames_of(w, visit(Mechanism::kMigration, ProtocolWorld::kHere, 2)),
             1u);
   EXPECT_EQ(frames_of(w, visit(Mechanism::kThreadMigration, kThere)), 1u);
-  // call_remote's and the body's.
-  EXPECT_EQ(frames_of(w, visit(Mechanism::kRpc, kThere)), 2u);
+  EXPECT_EQ(frames_of(w, visit(Mechanism::kRpc, kThere)), 1u);
   const core::RtStats& s = w.rt.stats();
   EXPECT_EQ(s.migrations, 4u);
   EXPECT_EQ(s.migrations_local, 2u);
@@ -418,12 +417,12 @@ TEST(FramePool, ObserversLeaveEveryProtocolsFramesAsTheyAre) {
     EXPECT_EQ(frames(group_hop), 0u);
     EXPECT_EQ(frames(short_circuit_return), 0u);
     EXPECT_EQ(frames(local_call), 1u);
-    EXPECT_EQ(frames(remote_call), 2u);
+    EXPECT_EQ(frames(remote_call), 1u);
     EXPECT_EQ(frames(visit(Mechanism::kMigration, kThere)), 1u);
     EXPECT_EQ(frames(visit(Mechanism::kMigration, ProtocolWorld::kHere, 2)),
               1u);
     EXPECT_EQ(frames(visit(Mechanism::kThreadMigration, kThere)), 1u);
-    EXPECT_EQ(frames(visit(Mechanism::kRpc, kThere)), 2u);
+    EXPECT_EQ(frames(visit(Mechanism::kRpc, kThere)), 1u);
     // The attraction's and the hook's that awaits it; the body's reuses a
     // block one of them freed.
     EXPECT_EQ(frames(visit(Mechanism::kObjectMigration, kThere)), 2u);
@@ -585,12 +584,13 @@ TEST(FramePool, BTreeOperationsMakeAPinnedNumberOfFrames) {
   // A frame freed during the operation serves the next one of its size
   // class, so these count the most frames of each class alive at once. The
   // node locks take no frame of their own (8 and 9 when they did), nor
-  // does a message-passing visit around its body and call_remote (7 and 3
-  // when it did). Under shared memory the warm insert's accesses all hit
-  // and make no frame, but each frame that awaits memory holds a 40-byte
-  // Access per co_await, and SeqLock::begin_read moves up into the size
-  // class the access frames used, so the count stays 7.
-  EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kRpc)), 5u);
+  // does a message-passing visit around its body (7 and 3 when it did),
+  // nor a remote call around its body (5 when it did). Under shared memory
+  // the warm insert's accesses all hit and make no frame, but each frame
+  // that awaits memory holds a 40-byte Access per co_await, and
+  // SeqLock::begin_read moves up into the size class the access frames
+  // used, so the count stays 7.
+  EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kRpc)), 3u);
   EXPECT_EQ(frames_of(tw, insert(core::Mechanism::kSharedMemory)), 7u);
   EXPECT_EQ(frames_of(tw, cp_lookup), 2u);
   EXPECT_EQ(bt->num_nodes(), nodes);  // nothing split

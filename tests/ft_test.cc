@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/replication.h"
 #include "net/constant_net.h"
 #include "net/faulty_net.h"
@@ -293,6 +295,125 @@ TEST(FtLayer, CallOnDeadHomeRetriesAndCompletesAfterRecovery) {
   EXPECT_NE(w.objects.home_of(obj), 2u);
   EXPECT_GE(w.rt.stats().ft_call_retries, 1u);
   EXPECT_GE(w.rt.stats().ft_suspect_aborts, 1u);
+  EXPECT_EQ(ftl.stats().recoveries, 1u);
+}
+
+Task<> timed_call(FtWorld* w, ObjectId obj, ProcId from, int* out,
+                  Cycles* done_at) {
+  co_await call_value(w, obj, from, out);
+  *done_at = w->eng.now();
+}
+
+TEST(FtLayer, RequestToADeadHomeIsReissuedOnceAfterRecovery) {
+  // The scenario above, pinned: the first request aborts at suspicion, the
+  // call waits for the re-home to commit and is issued once more, against
+  // the new home, and its reply arrives at a fixed cycle.
+  FtWorld w(4, kill_at(2, 5'000));
+  const ObjectId obj = w.objects.create(2);
+  FtLayer ftl(w.rt, enabled_cfg());
+  ftl.note_plan(w.net.plan());
+  ftl.start();
+
+  int result = 0;
+  Cycles done_at = 0;
+  w.eng.at(6'000,
+           [&] { sim::detach(timed_call(&w, obj, 0, &result, &done_at)); });
+
+  w.eng.run_until(60'000);
+  ftl.stop();
+  w.eng.run();
+
+  const core::RtStats& st = w.rt.stats();
+  EXPECT_EQ(result, 42);
+  EXPECT_EQ(done_at, 13'129u);
+  EXPECT_EQ(st.ft_call_retries, 1u);
+  EXPECT_EQ(st.ft_suspect_aborts, 1u);
+  EXPECT_EQ(st.remote_calls, 2u);  // the request and its re-issue
+  EXPECT_EQ(st.replies, 1u);
+  EXPECT_EQ(st.ft_recovered_replies, 0u);
+}
+
+Task<> call_counting_runs(FtWorld* w, ObjectId obj, ProcId from, Cycles work,
+                          int* runs, int* out, std::string* error,
+                          Cycles* done_at = nullptr) {
+  Ctx ctx{&w->rt, from};
+  try {
+    *out = co_await w->rt.call(ctx, obj, core::CallOpts{2, 2, true},
+                               [w, work, runs](Ctx& c) -> Task<int> {
+                                 ++*runs;
+                                 co_await w->rt.compute(c, work);
+                                 co_return 42;
+                               });
+  } catch (const core::FtError& e) {
+    *error = e.what();
+  }
+  if (done_at != nullptr) *done_at = w->eng.now();
+}
+
+TEST(FtLayer, CallThatExhaustsItsRetryBudgetThrowsFtError) {
+  // With a budget of one attempt, the request that aborts at suspicion is
+  // not re-issued: its awaiter catches the FtError, and the body never ran.
+  FtConfig cfg = enabled_cfg();
+  cfg.max_call_retries = 1;
+  FtWorld w(4, kill_at(2, 5'000));
+  const ObjectId obj = w.objects.create(2);
+  FtLayer ftl(w.rt, cfg);
+  ftl.note_plan(w.net.plan());
+  ftl.start();
+
+  int runs = 0;
+  int result = 0;
+  std::string error;
+  w.eng.at(6'000, [&] {
+    sim::detach(call_counting_runs(&w, obj, 0, 5, &runs, &result, &error));
+  });
+
+  w.eng.run_until(60'000);
+  ftl.stop();
+  w.eng.run();
+
+  EXPECT_NE(error.find("exhausted its retry budget"), std::string::npos)
+      << error;
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(result, 0);
+  const core::RtStats& st = w.rt.stats();
+  EXPECT_EQ(st.ft_call_retries, 1u);
+  EXPECT_EQ(st.remote_calls, 1u);
+  EXPECT_EQ(st.replies, 0u);
+}
+
+TEST(FtLayer, ReplyLostWithTheCalleesNicIsRecoveredWithoutRerunningTheBody) {
+  // The callee's NIC dies while the body runs: the body's effects have
+  // committed, so its reply is recovered once the object is re-homed
+  // instead of the call being re-issued.
+  FtWorld w(4, kill_at(2, 5'000));
+  const ObjectId obj = w.objects.create(2);
+  FtLayer ftl(w.rt, enabled_cfg());
+  ftl.note_plan(w.net.plan());
+  ftl.start();
+
+  int runs = 0;
+  int result = 0;
+  std::string error;
+  Cycles done_at = 0;
+  w.eng.at(1'000, [&] {
+    sim::detach(call_counting_runs(&w, obj, 0, 8'000, &runs, &result, &error,
+                                   &done_at));
+  });
+
+  w.eng.run_until(60'000);
+  ftl.stop();
+  w.eng.run();
+
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(result, 42);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(done_at, 12'639u);
+  const core::RtStats& st = w.rt.stats();
+  EXPECT_EQ(st.ft_recovered_replies, 1u);
+  EXPECT_EQ(st.ft_call_retries, 0u);
+  EXPECT_EQ(st.remote_calls, 1u);
+  EXPECT_EQ(st.replies, 1u);
   EXPECT_EQ(ftl.stats().recoveries, 1u);
 }
 

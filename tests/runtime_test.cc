@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.h"
+#include "core/ft.h"
 #include "core/mechanism.h"
 #include "core/metrics.h"
 #include "core/mobile.h"
@@ -447,6 +449,109 @@ TEST(Runtime, ExceptionsInRemoteBodiesPropagateToCaller) {
   sim::detach(throwing_call(&w, obj, &caught));
   w.eng.run();
   EXPECT_TRUE(caught);
+}
+
+Task<> call_throwing_after(World* w, ObjectId obj, Cycles work,
+                           std::string* error) {
+  Ctx ctx{&w->rt, 0};
+  try {
+    (void)co_await w->rt.call(ctx, obj, CallOpts{4, 2, false},
+                              [w, work](Ctx& callee) -> Task<int> {
+                                if (work > 0) {
+                                  co_await w->rt.compute(callee, work);
+                                }
+                                throw std::runtime_error("server fault");
+                              });
+  } catch (const std::runtime_error& e) {
+    *error = e.what();
+  }
+}
+
+TEST(Runtime, ThrowingRemoteBodyAbandonsItsCheckedCallWindow) {
+  // The body throws at once, or after suspending: the error reaches the
+  // caller instead of a reply, and the checker excuses the call's window.
+  for (const Cycles work : {Cycles{0}, Cycles{50}}) {
+    SCOPED_TRACE(work);
+    World w(4);
+    check::Checker checker(w.eng, 4);
+    w.eng.set_checker(&checker);
+    const ObjectId obj = w.objects.create(2);
+    std::string error;
+    sim::detach(call_throwing_after(&w, obj, work, &error));
+    EXPECT_NO_THROW(w.eng.run());
+    checker.finalize();
+    EXPECT_EQ(error, "server fault");
+    EXPECT_EQ(checker.stats().calls, 1u);
+    EXPECT_EQ(checker.stats().calls_abandoned, 1u);
+    EXPECT_EQ(checker.violations(), 0u);
+    EXPECT_EQ(w.rt.stats().remote_calls, 1u);
+    EXPECT_EQ(w.rt.stats().replies, 0u);
+    EXPECT_EQ(w.net.stats().messages, 1u);  // the request alone
+  }
+}
+
+/// A fault-tolerance service that suspects one processor from a given cycle
+/// on and whose recovery barrier fails.
+struct FailingRecovery final : FaultTolerance {
+  const sim::Engine* eng;
+  ProcId dead;
+  Cycles from;
+
+  FailingRecovery(const sim::Engine* e, ProcId d, Cycles f)
+      : eng(e), dead(d), from(f) {}
+  bool suspected(ProcId p) const override {
+    return p == dead && eng->now() >= from;
+  }
+  Cycles failure_epoch(ProcId p) const override {
+    return suspected(p) ? from : kNoFailureEpoch;
+  }
+  ProcId evacuation_target(ProcId p) const override { return (p + 1) % 4; }
+  bool object_lost(ObjectId) const override { return false; }
+  bool recovery_pending(ObjectId) const override { return false; }
+  Task<> await_object(ObjectId) override {
+    throw FtError("recovery failed");
+    co_return;  // unreachable; makes this a coroutine
+  }
+  Cycles send_deadline() const override { return 0; }
+  unsigned max_call_retries() const override { return 4; }
+};
+
+Task<> call_with_work(World* w, ObjectId obj, Cycles work, int* runs,
+                      std::string* error) {
+  Ctx ctx{&w->rt, 0};
+  try {
+    (void)co_await w->rt.call(ctx, obj, CallOpts{4, 2, false},
+                              [w, work, runs](Ctx& callee) -> Task<int> {
+                                ++*runs;
+                                co_await w->rt.compute(callee, work);
+                                co_return 0;
+                              });
+  } catch (const FtError& e) {
+    *error = e.what();
+  }
+}
+
+TEST(Runtime, FailureAfterTheBodyRanReachesTheAwaiter) {
+  // The callee's processor is suspected while the body runs, so its reply
+  // fails; waiting out the object's recovery then throws. The error
+  // reaches the caller once, and the body's frame is freed (a leak
+  // checker would report it otherwise).
+  World w(4);
+  FailingRecovery ft(&w.eng, 2, 1'000);
+  w.rt.set_fault_tolerance(&ft);
+  const ObjectId obj = w.objects.create(2);
+  int runs = 0;
+  std::string error;
+  sim::detach(call_with_work(&w, obj, 5'000, &runs, &error));
+  EXPECT_NO_THROW(w.eng.run());
+  EXPECT_EQ(error, "recovery failed");
+  EXPECT_EQ(runs, 1);
+  const RtStats& s = w.rt.stats();
+  EXPECT_EQ(s.remote_calls, 1u);
+  EXPECT_EQ(s.replies, 1u);
+  EXPECT_EQ(s.ft_recovered_replies, 1u);
+  EXPECT_EQ(s.ft_suspect_aborts, 1u);
+  EXPECT_EQ(w.net.stats().messages, 1u);  // the request alone
 }
 
 /// A body that throws where it runs, at the object's home.

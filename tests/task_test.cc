@@ -117,6 +117,63 @@ TEST(Task, MoveTransfersOwnership) {
   EXPECT_EQ(out, (std::vector<int>{3}));
 }
 
+/// A Continuation that counts its runs and, if told to, takes the task it
+/// is the continuation of, freeing that task's frame from inside its final
+/// suspension, as the runtime's remote call does when its body throws.
+struct Counted : Continuation {
+  int runs = 0;
+  Started<int>* take_from = nullptr;
+  int taken = 0;
+
+  Counted() : Continuation{&Counted::step} {}
+  static void step(Continuation* c) {
+    auto* const k = static_cast<Counted*>(c);
+    ++k->runs;
+    if (k->take_from != nullptr) k->taken = k->take_from->take();
+  }
+};
+
+Task<int> answer_after(Engine* eng, Cycles d) {
+  co_await suspend_to([eng, d](std::coroutine_handle<> h) {
+    eng->after(d, [h] { h.resume(); });
+  });
+  co_return 42;
+}
+
+TEST(Task, ContinuationRunsOnceAtCompletionAndLeavesTheResultToTake) {
+  Engine eng;
+  Counted k;
+  Started<int> value;
+  value.start(answer_after(&eng, 5), &k).resume();
+  EXPECT_EQ(k.runs, 0);  // suspended until its event
+  eng.run();
+  EXPECT_EQ(k.runs, 1);
+  EXPECT_FALSE(value.failed());
+  EXPECT_EQ(value.take(), 42);
+  EXPECT_FALSE(value.started());
+
+  Started<int> error;
+  error.start(thrower(), &k).resume();  // completes without suspending
+  EXPECT_EQ(k.runs, 2);
+  EXPECT_TRUE(error.failed());
+  EXPECT_THROW((void)error.take(), std::runtime_error);
+  EXPECT_EQ(k.runs, 2);
+}
+
+TEST(Task, ContinuationMayFreeTheFrameItCompletesFrom) {
+  // Under AddressSanitizer, a use of the freed frame after the step would
+  // be reported.
+  Engine eng;
+  Counted k;
+  Started<int> value;
+  k.take_from = &value;
+  value.start(answer_after(&eng, 5), &k).resume();
+  eng.run();
+  EXPECT_EQ(k.runs, 1);
+  EXPECT_EQ(k.taken, 42);
+  EXPECT_FALSE(value.started());
+}
+
 TEST(Task, DroppingUnstartedTaskIsSafe) {
   std::vector<int> out;
   { Task<> t = record(&out, 9); }  // destroyed without running
