@@ -19,13 +19,10 @@
 #include <memory>
 #include <vector>
 
+#include "apps/workload.h"
 #include "core/adaptive.h"
 #include "core/mobile.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
-#include "shmem/coherent_memory.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/rng.h"
 
 #include "bench_util.h"
@@ -48,13 +45,7 @@ struct Obj {
   long value = 0;
 };
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  shmem::CoherentMemory mem;
-  core::ObjectSpace objects;
-  core::Runtime rt;
+struct World : apps::Stack {
   core::AdaptiveChooser chooser;
 
   static core::AdaptiveChooser::Tunables tunables() {
@@ -67,15 +58,15 @@ struct World {
   std::vector<Obj> counters;
   std::vector<Obj> journals;  // one per thread
 
-  World() : machine(eng, 16 + kThreads), net(eng), mem(machine, net),
-            rt(machine, net, objects, core::CostModel::software()),
-            chooser(tunables()) {
+  World()
+      : Stack(16 + kThreads, apps::bare_config(Mechanism::kSharedMemory)),
+        chooser(tunables()) {
     sim::Rng rng(11);
     auto make = [&](std::vector<Obj>& into) {
       Obj o;
       const auto home = static_cast<sim::ProcId>(rng.below(16));
       o.oid = objects.create(home);
-      o.addr = mem.alloc(home, 16);
+      o.addr = mem->alloc(home, 16);
       o.mobile = std::make_unique<core::MobileObject>(rt, o.oid, 8);
       into.push_back(std::move(o));
     };
@@ -97,9 +88,9 @@ sim::Task<> access(World* w, Ctx& ctx, Obj& o, Mechanism mech, bool write,
   switch (mech) {
     case Mechanism::kSharedMemory:
       if (write) {
-        co_await w->mem.write(ctx.proc, o.addr, 16);
+        co_await w->mem->write(ctx.proc, o.addr, 16);
       } else {
-        co_await w->mem.read(ctx.proc, o.addr, 16);
+        co_await w->mem->read(ctx.proc, o.addr, 16);
       }
       co_await w->machine.compute(ctx.proc, 30);
       if (write) ++o.value;

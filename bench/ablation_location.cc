@@ -29,9 +29,6 @@
 #include "core/mobile.h"
 #include "core/runtime.h"
 #include "loc/locator.h"
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/task.h"
 
 #include "bench_util.h"
@@ -152,18 +149,6 @@ void section_directory(cm::core::MetricsRegistry* reg) {
 
 // ---- (d) forwarding-chain microbenchmark -----------------------------------
 
-struct ChaseWorld {
-  cm::sim::Engine eng;
-  cm::sim::Machine machine;
-  cm::net::ConstantNetwork net;
-  cm::core::ObjectSpace objects;
-  cm::core::Runtime rt;
-
-  explicit ChaseWorld(cm::sim::ProcId nprocs)
-      : machine(eng, nprocs), net(eng),
-        rt(machine, net, objects, cm::core::CostModel::software()) {}
-};
-
 cm::sim::Task<> mover_thread(cm::core::Runtime* rt, cm::core::MobileObject* m,
                              cm::sim::ProcId p, int rounds) {
   cm::core::Ctx ctx{rt, p};
@@ -191,12 +176,10 @@ void section_chains(cm::core::MetricsRegistry* reg) {
   std::printf("%-8s%10s%10s%10s%10s%12s%12s\n", "movers", "moves", "chains",
               "mean len", "max len", "compress", "fallbacks");
   for (const unsigned movers : {1u, 2u, 4u, 8u}) {
-    const cm::sim::ProcId nprocs = 2 + movers + 4;
-    ChaseWorld w(nprocs);
-    LocatorConfig lc;
-    lc.mode = Locality::kDistributed;
-    lc.cache_capacity = 8;
-    cm::loc::Locator locator(w.rt, lc);
+    cm::apps::StackConfig cfg = cm::apps::bare_config();
+    cfg.locator.mode = Locality::kDistributed;
+    cfg.locator.cache_capacity = 8;
+    cm::apps::Stack w(2 + movers + 4, cfg);
     const auto oid = w.objects.create(0);
     cm::core::MobileObject mobile(w.rt, oid, 16);
     for (unsigned i = 0; i < movers; ++i) {
@@ -208,7 +191,7 @@ void section_chains(cm::core::MetricsRegistry* reg) {
           &w.rt, oid, static_cast<cm::sim::ProcId>(2 + movers + i), 40));
     }
     w.eng.run();
-    const LocStats& s = locator.stats();
+    const LocStats& s = w.locator->stats();
     std::printf("%-8u%10llu%10llu%10.3f%10llu%12llu%12llu\n", movers,
                 static_cast<unsigned long long>(s.moves),
                 static_cast<unsigned long long>(s.forwarded), s.mean_chain(),

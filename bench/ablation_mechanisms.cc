@@ -19,9 +19,6 @@
 #include "apps/workload.h"
 #include "core/mobile.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 
 #include "bench_util.h"
 
@@ -92,25 +89,21 @@ void affinity_panel() {
   std::printf("%-5s %12s %10s\n", "mech", "cycles", "messages");
   for (const Mechanism m : {Mechanism::kRpc, Mechanism::kMigration,
                             Mechanism::kObjectMigration}) {
-    sim::Engine eng;
-    sim::Machine machine(eng, 8);
-    net::ConstantNetwork net(eng);
-    core::ObjectSpace objects;
-    core::Runtime rt(machine, net, objects, core::CostModel::software());
+    apps::Stack w(8);
     std::vector<core::ObjectId> oids;
     std::vector<std::unique_ptr<core::MobileObject>> mobs;
     for (int t = 0; t < 4; ++t) {
-      oids.push_back(objects.create(static_cast<sim::ProcId>(4 + t)));
-      mobs.push_back(std::make_unique<core::MobileObject>(rt, oids[t], 24));
+      oids.push_back(w.objects.create(static_cast<sim::ProcId>(4 + t)));
+      mobs.push_back(std::make_unique<core::MobileObject>(w.rt, oids[t], 24));
     }
     for (int t = 0; t < 4; ++t) {
-      sim::detach(affinity_run(&rt, mobs[t].get(), oids[t], m,
+      sim::detach(affinity_run(&w.rt, mobs[t].get(), oids[t], m,
                                static_cast<sim::ProcId>(t), 4, 32));
     }
-    eng.run();
+    w.eng.run();
     std::printf("%-5s %12llu %10llu\n", mechanism_name(m),
-                static_cast<unsigned long long>(eng.now()),
-                static_cast<unsigned long long>(net.stats().messages));
+                static_cast<unsigned long long>(w.eng.now()),
+                static_cast<unsigned long long>(w.net.stats().messages));
   }
 }
 

@@ -8,11 +8,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/object.h"
+#include "apps/workload.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 
 #include "bench_util.h"
 
@@ -21,17 +18,7 @@ using core::Ctx;
 
 namespace {
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  core::ObjectSpace objects;
-  core::Runtime rt;
-
-  explicit World(unsigned procs)
-      : machine(eng, procs), net(eng),
-        rt(machine, net, objects, core::CostModel::software()) {}
-};
+using World = apps::Stack;
 
 constexpr unsigned kHops = 8;
 constexpr unsigned kAccessesPerDatum = 2;

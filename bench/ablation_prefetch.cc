@@ -11,12 +11,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/object.h"
+#include "apps/workload.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
-#include "shmem/coherent_memory.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 
 #include "bench_util.h"
 
@@ -30,27 +26,20 @@ constexpr unsigned kBlockBytes = 160;  // 10 lines
 constexpr unsigned kAccesses = 4;
 constexpr sim::Cycles kWork = 150;
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  shmem::CoherentMemory mem;
-  core::ObjectSpace objects;
-  core::Runtime rt;
-
+struct World : apps::Stack {
   World()
-      : machine(eng, kBlocks + 1), net(eng), mem(machine, net),
-        rt(machine, net, objects, core::CostModel::software()) {}
+      : Stack(kBlocks + 1,
+              apps::bare_config(core::Mechanism::kSharedMemory)) {}
 };
 
 sim::Task<> data_migration(World* w, std::vector<shmem::Addr> blocks,
                            bool prefetch) {
   for (unsigned i = 0; i < blocks.size(); ++i) {
     if (prefetch && i + 1 < blocks.size()) {
-      w->mem.prefetch(0, blocks[i + 1], kBlockBytes);
+      w->mem->prefetch(0, blocks[i + 1], kBlockBytes);
     }
     for (unsigned a = 0; a < kAccesses; ++a) {
-      co_await w->mem.read(0, blocks[i], kBlockBytes);
+      co_await w->mem->read(0, blocks[i], kBlockBytes);
       co_await w->machine.compute(0, kWork);
     }
   }
@@ -98,7 +87,7 @@ int main(int argc, char** argv) {
     World w;
     std::vector<shmem::Addr> blocks;
     for (unsigned i = 0; i < kBlocks; ++i) {
-      blocks.push_back(w.mem.alloc(static_cast<sim::ProcId>(i + 1),
+      blocks.push_back(w.mem->alloc(static_cast<sim::ProcId>(i + 1),
                                    kBlockBytes));
     }
     sim::detach(data_migration(&w, blocks, pf));

@@ -11,12 +11,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/object.h"
+#include "apps/workload.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
-#include "shmem/coherent_memory.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 
 #include "bench_util.h"
 
@@ -25,17 +21,9 @@ using core::Ctx;
 
 namespace {
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  shmem::CoherentMemory mem;
-  core::ObjectSpace objects;
-  core::Runtime rt;
-
+struct World : apps::Stack {
   explicit World(unsigned m)
-      : machine(eng, m + 1), net(eng), mem(machine, net),
-        rt(machine, net, objects, core::CostModel::software()) {}
+      : Stack(m + 1, apps::bare_config(core::Mechanism::kSharedMemory)) {}
 };
 
 sim::Task<> rpc_sweep(World* w, std::vector<core::ObjectId> objs, unsigned n) {
@@ -72,7 +60,7 @@ sim::Task<> data_sweep(World* w, std::vector<shmem::Addr> addrs, unsigned n) {
   // accesses hit locally.
   for (const auto a : addrs) {
     for (unsigned i = 0; i < n; ++i) {
-      co_await w->mem.write(0, a, 4);
+      co_await w->mem->write(0, a, 4);
       co_await w->machine.compute(0, 50);
     }
   }
@@ -105,7 +93,7 @@ int main(int argc, char** argv) {
         World w(m);
         std::vector<shmem::Addr> addrs;
         for (unsigned i = 0; i < m; ++i) {
-          addrs.push_back(w.mem.alloc(static_cast<sim::ProcId>(i + 1), 4));
+          addrs.push_back(w.mem->alloc(static_cast<sim::ProcId>(i + 1), 4));
         }
         sim::detach(data_sweep(&w, addrs, n));
         w.eng.run();

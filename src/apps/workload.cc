@@ -1,3 +1,6 @@
+// Stack, the one assembly of a machine, and run_counting and run_btree on
+// it: a Stack, an app through a four-call adapter (CountingApp, BTreeApp),
+// the layers that manage the app's objects, the requesters, one RunStats.
 #include "apps/workload.h"
 
 #include <algorithm>
@@ -10,17 +13,10 @@
 #include "apps/btree.h"
 #include "apps/counting_network.h"
 #include "check/report.h"
-#include "core/object.h"
-#include "core/runtime.h"
 #include "net/constant_net.h"
-#include "net/faulty_net.h"
 #include "net/mesh_net.h"
-#include "shmem/coherent_memory.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/rng.h"
 #include "sim/task.h"
-#include "sim/tracer.h"
 
 namespace cm::apps {
 
@@ -31,6 +27,26 @@ using core::Mechanism;
 using sim::Cycles;
 using sim::ProcId;
 using sim::Task;
+
+StackConfig validated(const StackConfig& cfg) {
+  if (cfg.scheme.mechanism == Mechanism::kSharedMemory &&
+      cfg.faults.active() && cfg.faults.affect_coherence) {
+    // Coherence messages resume their requesters directly, with nothing to
+    // retransmit or deduplicate them: one drop strands a requester, one
+    // duplicate resumes a frame that has already finished.
+    throw std::invalid_argument(
+        "shared memory cannot run under a fault plan that faults coherence "
+        "traffic (FaultPlan::affect_coherence)");
+  }
+  if (!cfg.faults.nic_fail_at.empty() && !cfg.ft.enabled) {
+    // Nothing else detects the death, and the reliable transport re-sends
+    // to the dead NIC forever.
+    throw std::invalid_argument(
+        "a NIC crash plan (FaultPlan::nic_fail_at) needs fail-stop "
+        "tolerance (StackConfig::ft.enabled)");
+  }
+  return cfg;
+}
 
 /// Shared control block for a measurement run. The measurement window is
 /// half-open, [warm_at, end_at), for BOTH the op counter and the traffic
@@ -203,124 +219,105 @@ class BTreeApp {
   DistributedBTree bt_;
 };
 
-/// Assemble the machine for one run, run it, and collect its RunStats. The
-/// construction order is the contract: the tracer and checker precede
-/// everything they observe; the locator precedes the application so its
-/// create hook sees every object; the policy and ft layers follow the
-/// application so every object they manage already exists. Optional layers
-/// are built only when enabled, so an off knob leaves the run bit-identical
-/// to a build without that layer.
+/// Run one app on a Stack and collect its RunStats: the Stack, then the
+/// app, then the layers that manage the app's objects, then the requesters.
 template <class App>
 RunStats run_stack(const typename App::Config& cfg) {
-  if (cfg.scheme.mechanism == Mechanism::kSharedMemory &&
-      cfg.faults.active() && cfg.faults.affect_coherence) {
-    // Coherence messages resume their requesters directly, with nothing to
-    // retransmit or deduplicate them: one drop strands a requester, one
-    // duplicate resumes a frame that has already finished.
-    throw std::invalid_argument(
-        "shared memory cannot run under a fault plan that faults coherence "
-        "traffic (FaultPlan::affect_coherence)");
+  if (cfg.requesters == 0) {
+    // With ft on, only the last requester's exit stops the failure
+    // detector's sweep, so a run without requesters would never drain.
+    throw std::invalid_argument("a run needs at least one requester "
+                                "(requesters = 0)");
   }
-  sim::Engine eng;
   const ProcId app_procs = App::procs(cfg);
-  const auto nprocs = static_cast<ProcId>(app_procs + cfg.requesters);
-  std::unique_ptr<sim::Tracer> tracer;
-  if (!cfg.trace_path.empty()) {
-    tracer = std::make_unique<sim::Tracer>(eng);
-    eng.set_tracer(tracer.get());
-  }
-  sim::Machine machine(eng, nprocs);
-  std::unique_ptr<check::Checker> checker;
-  if (cfg.check) {
-    checker = std::make_unique<check::Checker>(eng, nprocs, cfg.check_cfg);
-    eng.set_checker(checker.get());
-  }
-  std::unique_ptr<net::Network> base_network;
-  if (cfg.mesh) {
-    base_network = std::make_unique<net::MeshNetwork>(eng, nprocs);
-  } else {
-    base_network = std::make_unique<net::ConstantNetwork>(eng);
-  }
-  // Chaos mode: only an active fault plan installs the fault injector and
-  // the reliable transport, so fault-free runs stay bit-identical.
-  std::unique_ptr<net::Network> faulty_net;
-  if (cfg.faults.active()) {
-    faulty_net =
-        std::make_unique<net::FaultyNetwork>(eng, *base_network, cfg.faults);
-  }
-  net::Network& network = faulty_net ? *faulty_net : *base_network;
-  std::unique_ptr<shmem::CoherentMemory> mem;
-  if (cfg.scheme.mechanism == Mechanism::kSharedMemory) {
-    shmem::ProtocolParams pp;
-    pp.hw_sharer_pointers = cfg.limitless_pointers;
-    mem = std::make_unique<shmem::CoherentMemory>(machine, network,
-                                                  shmem::CacheParams{}, pp);
-  }
-  core::ObjectSpace objects;
-  core::Runtime rt(machine, network, objects, cfg.scheme.cost_model());
-  if (faulty_net != nullptr) rt.enable_reliability(cfg.reliable);
-  std::unique_ptr<loc::Locator> locator;
-  if (cfg.locator.mode == loc::Locality::kDistributed) {
-    locator = std::make_unique<loc::Locator>(rt, cfg.locator);
-  }
-  App app(cfg, rt, mem.get());
-  std::unique_ptr<policy::PolicyEngine> pol;
-  if (cfg.policy.enabled) {
-    pol = std::make_unique<policy::PolicyEngine>(rt, cfg.policy);
-    app.set_policy(pol.get());
-    if (locator != nullptr) locator->set_chooser(&pol->chooser());
-    pol->start();
-  }
-  std::unique_ptr<ft::FtLayer> ftl;
-  if (cfg.ft.enabled) {
-    ftl = std::make_unique<ft::FtLayer>(rt, cfg.ft, locator.get());
-    ftl->note_plan(cfg.faults);
-    ftl->start();
-  }
+  Stack stack(static_cast<ProcId>(app_procs + cfg.requesters), cfg);
+  App app(cfg, stack.rt, stack.mem.get());
+  stack.start_layers(app);
 
   const bool fixed = cfg.ops_per_requester > 0;
   RunCtl ctl;
   ctl.warm_at = fixed ? 0 : cfg.window.warmup;
   ctl.end_at = fixed ? ~Cycles{0} : cfg.window.warmup + cfg.window.measure;
   ctl.live = cfg.requesters;
-  ctl.ftl = ftl.get();
+  ctl.ftl = stack.ft.get();
   for (unsigned i = 0; i < cfg.requesters; ++i) {
-    sim::detach(
-        app.requester(rt, i, static_cast<ProcId>(app_procs + i), ctl));
+    sim::detach(app.requester(stack.rt, i,
+                              static_cast<ProcId>(app_procs + i), ctl));
   }
+  net::Network& network = stack.net;
   if (!fixed) {
     // The warm/end traffic snapshots bound the measurement window; the end
     // snapshot also stops the requesters.
-    eng.at(ctl.warm_at, [&network, &ctl] { ctl.at_warm = network.stats(); });
-    eng.at(ctl.end_at, [&network, &ctl] {
+    stack.eng.at(ctl.warm_at,
+                 [&network, &ctl] { ctl.at_warm = network.stats(); });
+    stack.eng.at(ctl.end_at, [&network, &ctl] {
       ctl.at_end = network.stats();
       ctl.stop = true;
     });
   }
-  eng.run();
+  stack.eng.run();
 
   RunStats out;
   out.ops = ctl.ops;
-  out.window = fixed ? eng.now() : cfg.window.measure;
+  out.window = fixed ? stack.eng.now() : cfg.window.measure;
   const net::NetStats& at_end = fixed ? network.stats() : ctl.at_end;
   out.words = at_end.words - ctl.at_warm.words;
   out.messages = at_end.messages - ctl.at_warm.messages;
+  // Exclude the two window-snapshot events so the count covers workload
+  // events only.
+  out.events_executed = stack.eng.events_executed() - (fixed ? 0 : 2);
+  app.end_state(out);
+  stack.collect(out);
+  if (out.ft_enabled) out.ft_lost_ops = ctl.lost_ops;
+  return out;
+}
+
+}  // namespace
+
+Stack::Stack(ProcId nprocs, const StackConfig& config)
+    : cfg(validated(config)),
+      tracer(cfg.trace_path.empty() ? nullptr
+                                    : std::make_unique<sim::Tracer>(eng)),
+      machine(eng, nprocs),
+      checker(cfg.check ? std::make_unique<check::Checker>(eng, nprocs,
+                                                            cfg.check_cfg)
+                        : nullptr),
+      wire(cfg.mesh ? std::unique_ptr<net::Network>(
+                          std::make_unique<net::MeshNetwork>(eng, nprocs))
+                    : std::make_unique<net::ConstantNetwork>(eng)),
+      // Only an active fault plan installs the fault injector and the
+      // reliable transport, so fault-free runs stay bit-identical.
+      faulty(cfg.faults.active()
+                 ? std::make_unique<net::FaultyNetwork>(eng, *wire, cfg.faults)
+                 : nullptr),
+      net(faulty != nullptr ? *faulty : *wire),
+      mem(cfg.scheme.mechanism == Mechanism::kSharedMemory
+              ? std::make_unique<shmem::CoherentMemory>(
+                    machine, net, shmem::CacheParams{},
+                    shmem::ProtocolParams{.hw_sharer_pointers =
+                                              cfg.limitless_pointers})
+              : nullptr),
+      rt(machine, net, objects, cfg.scheme.cost_model()),
+      locator(cfg.locator.mode == loc::Locality::kDistributed
+                  ? std::make_unique<loc::Locator>(rt, cfg.locator)
+                  : nullptr) {
+  // No layer observes anything while it is built, so the observers go on
+  // the engine here, before anything runs.
+  eng.set_tracer(tracer.get());
+  eng.set_checker(checker.get());
+  if (faulty != nullptr) rt.enable_reliability(cfg.reliable);
+}
+
+void Stack::collect(RunStats& out) {
   if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
   out.runtime = rt.stats();
-  out.net = network.stats();
+  out.net = net.stats();
   out.completed_at = eng.now();
-  // Exclude the driver's two snapshot events so the count covers workload
-  // events only.
-  out.events_executed = eng.events_executed() - (fixed ? 0 : 2);
   out.clamped_events = eng.clamped_events();
-  app.end_state(out);
-  out.policy_enabled = pol != nullptr;
-  if (pol != nullptr) out.policy = pol->stats();
-  out.ft_enabled = ftl != nullptr;
-  if (ftl != nullptr) {
-    out.ft = ftl->stats();
-    out.ft_lost_ops = ctl.lost_ops;
-  }
+  out.policy_enabled = policy != nullptr;
+  if (policy != nullptr) out.policy = policy->stats();
+  out.ft_enabled = ft != nullptr;
+  if (ft != nullptr) out.ft = ft->stats();
   out.locator_enabled = locator != nullptr;
   if (locator != nullptr) out.loc = locator->stats();
   if (checker != nullptr) {
@@ -332,10 +329,7 @@ RunStats run_stack(const typename App::Config& cfg) {
   if (tracer != nullptr && tracer->write_chrome_json(cfg.trace_path)) {
     out.trace_path = cfg.trace_path;
   }
-  return out;
 }
-
-}  // namespace
 
 RunStats run_counting(const CountingConfig& cfg) {
   return run_stack<CountingApp>(cfg);

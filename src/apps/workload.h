@@ -1,29 +1,36 @@
-// Experiment drivers reproducing the paper's two workloads:
+// The simulated machine and the runs of the paper's two workloads:
 //  * counting network, 8-64 requester threads, think time 0 / 10,000 cycles
 //    (Figures 2 and 3);
 //  * distributed B-tree, 16 requesters over a 10,000-key tree on 48 node
 //    processors (Tables 1-4 and the branching-factor ablation).
 //
-// Both drivers assemble one simulated machine the same way (engine,
-// processors, network, optional coherent memory, runtime, application; see
-// StackConfig), run requester threads through a warmup + measurement window,
-// and report the paper's two metrics: throughput (operations per 1000
-// cycles) and network bandwidth (words sent per 10 cycles).
+// `Stack` is the one way to assemble a machine (see StackConfig), for the
+// workload runs and for every test or bench that needs one. A run adds its
+// application, runs requester threads through a warmup + measurement
+// window, and reports the paper's two metrics: throughput (operations per
+// 1000 cycles) and network bandwidth (words sent per 10 cycles).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/checker.h"
 #include "core/mechanism.h"
 #include "core/metrics.h"
+#include "core/object.h"
 #include "core/reliable.h"
+#include "core/runtime.h"
 #include "core/stats.h"
 #include "ft/ft.h"
 #include "loc/locator.h"
 #include "net/faulty_net.h"
 #include "policy/policy.h"
+#include "shmem/coherent_memory.h"
+#include "sim/engine.h"
+#include "sim/machine.h"
+#include "sim/tracer.h"
 #include "sim/types.h"
 
 namespace cm::apps {
@@ -96,6 +103,8 @@ struct RunStats {
 /// memory system, network, faults, observers and the optional subsystems.
 /// Every knob defaults to off, and an off knob constructs nothing.
 struct StackConfig {
+  // A bare Stack reads only whether the mechanism is shared memory (which
+  // builds memory) and `hw_support` (the runtime's cost model).
   core::Scheme scheme;
   // Alewife's coherence protocol [CKA91] is LimitLESS with a handful of
   // hardware sharer pointers; 5 matches the Alewife design point the paper
@@ -138,7 +147,8 @@ struct StackConfig {
   // Fail-stop crash tolerance: with `ft.enabled` an ft::FtLayer (failure
   // detector + recovery) is installed and primed with the fault plan's
   // planned NIC deaths. Disabled (default) keeps the run bit-identical to a
-  // build without the layer. Pair with `faults.nic_fail_at` and fixed-work
+  // build without the layer. Nothing else detects a dead NIC, so a plan
+  // with `faults.nic_fail_at` entries needs it; pair it with fixed-work
   // mode so the run drains deterministically.
   ft::FtConfig ft;
   // Placement policy (DESIGN.md §13): with `policy.enabled` a
@@ -148,6 +158,75 @@ struct StackConfig {
   // build without the subsystem.
   policy::PolicyConfig policy;
 };
+
+/// A bare machine's config: every knob off, the constant-latency network,
+/// and under shared memory a full-map directory (ProtocolParams' default)
+/// instead of StackConfig's five LimitLESS pointers.
+[[nodiscard]] inline StackConfig bare_config(
+    core::Mechanism mech = core::Mechanism::kRpc) {
+  StackConfig cfg;
+  cfg.scheme.mechanism = mech;
+  cfg.limitless_pointers = 0;
+  cfg.mesh = false;
+  return cfg;
+}
+
+/// One simulated machine of `nprocs` processors, built from `config` in a
+/// fixed order: engine, tracer, machine, checker, the one network (mesh or
+/// constant, wrapped in a FaultyNetwork only under an active fault plan),
+/// coherent memory (shared memory only), objects, runtime (with the
+/// reliable transport under faults) and locator. An off knob builds
+/// nothing. The observers are installed before anything runs, and the
+/// locator precedes the app so its create hook sees every object. Throws
+/// std::invalid_argument for a config no run can finish: shared memory
+/// under a plan that faults coherence traffic, or a NIC crash plan without
+/// `ft.enabled`.
+struct Stack {
+  explicit Stack(sim::ProcId nprocs,
+                 const StackConfig& config = bare_config());
+
+  /// Build and start the layers that manage the app's objects: the
+  /// placement policy, handed to `app.set_policy`, and the ft layer. Call
+  /// it once, after the app has created every object.
+  template <class App>
+  void start_layers(App& app);
+
+  /// Finalise the checker, write the trace, and copy every layer's counters
+  /// into `out`.
+  void collect(RunStats& out);
+
+  const StackConfig cfg;
+  // A cache line of its own: at the offset after `cfg`, the B-tree
+  // workloads' set-up ran 7-15 % slower (perfbench pairs, 4-core host).
+  alignas(64) sim::Engine eng;
+  std::unique_ptr<sim::Tracer> tracer;
+  sim::Machine machine;
+  std::unique_ptr<check::Checker> checker;
+  std::unique_ptr<net::Network> wire;           // mesh or constant
+  std::unique_ptr<net::FaultyNetwork> faulty;   // active fault plan only
+  net::Network& net;                            // what the machine sends on
+  std::unique_ptr<shmem::CoherentMemory> mem;
+  core::ObjectSpace objects;
+  core::Runtime rt;
+  std::unique_ptr<loc::Locator> locator;
+  std::unique_ptr<policy::PolicyEngine> policy;
+  std::unique_ptr<ft::FtLayer> ft;
+};
+
+template <class App>
+void Stack::start_layers(App& app) {
+  if (cfg.policy.enabled) {
+    policy = std::make_unique<policy::PolicyEngine>(rt, cfg.policy);
+    app.set_policy(policy.get());
+    if (locator != nullptr) locator->set_chooser(&policy->chooser());
+    policy->start();
+  }
+  if (cfg.ft.enabled) {
+    ft = std::make_unique<ft::FtLayer>(rt, cfg.ft, locator.get());
+    ft->note_plan(cfg.faults);
+    ft->start();
+  }
+}
 
 struct CountingConfig : StackConfig {
   unsigned requesters = 8;   // 8..64, each on its own processor

@@ -10,9 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
+#include "apps/workload.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 
@@ -57,21 +55,14 @@ using core::Mechanism;
 using sim::ProcId;
 using sim::Task;
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  shmem::CoherentMemory mem;
-  core::ObjectSpace objects;
-  core::Runtime rt;
+/// A constant-latency machine with a full-map coherent memory, so that one
+/// tree serves every mechanism.
+struct World : Stack {
   DistributedBTree bt;
 
   explicit World(DistributedBTree::Params p, ProcId nprocs = 16)
-      : machine(eng, nprocs),
-        net(eng),
-        mem(machine, net),
-        rt(machine, net, objects, core::CostModel::software()),
-        bt(rt, &mem, p) {}
+      : Stack(nprocs, bare_config(Mechanism::kSharedMemory)),
+        bt(rt, mem.get(), p) {}
 };
 
 DistributedBTree::Params small_params(unsigned max_entries = 4,
@@ -880,10 +871,10 @@ TEST(BTreeSharedMemory, UpperLevelsCacheWell) {
   bool found = false;
   sim::detach(do_lookup(&w, Mechanism::kSharedMemory, 12, 101, &found));
   w.eng.run();
-  const auto miss1 = w.mem.stats().misses();
+  const auto miss1 = w.mem->stats().misses();
   sim::detach(do_lookup(&w, Mechanism::kSharedMemory, 12, 101, &found));
   w.eng.run();
-  const auto miss2 = w.mem.stats().misses() - miss1;
+  const auto miss2 = w.mem->stats().misses() - miss1;
   EXPECT_LT(miss2, miss1 / 4);
 }
 

@@ -17,9 +17,7 @@
 #include "apps/workload.h"
 #include "check/report.h"
 #include "core/mobile.h"
-#include "net/constant_net.h"
 #include "sim/engine.h"
-#include "sim/machine.h"
 
 namespace cm::apps {
 namespace {
@@ -215,42 +213,37 @@ TEST(CheckDeterminism, RealChainChaseIsTracedAndClean) {
   // call through the stale hint. The checker must see the chase, its two
   // hops, and — because the locator really does compress on arrival — no
   // kForwardCycle / kChainNotCompressed violation.
-  sim::Engine eng;
-  sim::Machine machine(eng, 5);
-  net::ConstantNetwork net(eng);
-  core::ObjectSpace objects;
-  core::Runtime rt(machine, net, objects, core::CostModel::software());
-  check::CheckConfig ck_cfg;
-  ck_cfg.abort_on_violation = true;  // any violation should stop this test
-  check::Checker ck(eng, 5, ck_cfg);
-  eng.set_checker(&ck);
-  loc::LocatorConfig loc_cfg;
-  loc_cfg.mode = loc::Locality::kDistributed;
-  loc::Locator locator(rt, loc_cfg);
-  const core::ObjectId id = objects.create(1);
-  core::MobileObject mob(rt, id, 16);
+  StackConfig cfg = bare_config();
+  cfg.check = true;
+  cfg.check_cfg.abort_on_violation = true;  // any violation stops this test
+  cfg.locator.mode = loc::Locality::kDistributed;
+  Stack w(5, cfg);
+  check::Checker& ck = *w.checker;
+  const loc::Locator& locator = *w.locator;
+  const core::ObjectId id = w.objects.create(1);
+  core::MobileObject mob(w.rt, id, 16);
 
   auto call_from = [&](sim::ProcId p) -> sim::Task<> {
-    core::Ctx ctx{&rt, p};
-    (void)co_await rt.call(ctx, id, core::CallOpts{2, 2, true},
-                           [&](core::Ctx& c) -> sim::Task<int> {
-                             co_await rt.compute(c, 5);
-                             co_return 0;
-                           });
+    core::Ctx ctx{&w.rt, p};
+    (void)co_await w.rt.call(ctx, id, core::CallOpts{2, 2, true},
+                             [&](core::Ctx& c) -> sim::Task<int> {
+                               co_await w.rt.compute(c, 5);
+                               co_return 0;
+                             });
   };
   auto attract_from = [&](sim::ProcId p) -> sim::Task<> {
-    core::Ctx ctx{&rt, p};
+    core::Ctx ctx{&w.rt, p};
     co_await mob.attract(ctx);
   };
 
   sim::detach(call_from(0));  // warm proc 0's hint: object at 1
-  eng.run();
+  w.eng.run();
   sim::detach(attract_from(2));
-  eng.run();
+  w.eng.run();
   sim::detach(attract_from(3));
-  eng.run();
+  w.eng.run();
   sim::detach(call_from(0));  // chases the stale hint 1 -> 2 -> 3
-  eng.run();
+  w.eng.run();
   ck.finalize();
 
   EXPECT_EQ(locator.stats().bounces, 2u);

@@ -7,12 +7,11 @@
 
 #include <cstdint>
 
+#include "apps/workload.h"
 #include "check/checker.h"
 #include "core/location.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
 #include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/task.h"
 
 namespace cm::check {
@@ -30,19 +29,15 @@ CheckConfig cfg_with(bool abort_on) {
   return cfg;
 }
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  core::ObjectSpace objects;
-  core::Runtime rt;
-  Checker ck;
+/// A bare machine with a checker.
+struct World : apps::Stack {
+  World(ProcId nprocs, bool abort_on) : Stack(nprocs, checked(abort_on)) {}
 
-  World(ProcId nprocs, bool abort_on)
-      : machine(eng, nprocs), net(eng),
-        rt(machine, net, objects, core::CostModel::software()),
-        ck(eng, nprocs, cfg_with(abort_on)) {
-    eng.set_checker(&ck);
+  static apps::StackConfig checked(bool abort_on) {
+    apps::StackConfig cfg = apps::bare_config();
+    cfg.check = true;
+    cfg.check_cfg = cfg_with(abort_on);
+    return cfg;
   }
 };
 
@@ -78,8 +73,8 @@ std::uint64_t run_stale_host_write(bool abort_on) {
                               });
   }(&w, id));
   w.eng.run();
-  w.ck.finalize();
-  return w.ck.count(Violation::kPhantomWrite);
+  w.checker->finalize();
+  return w.checker->count(Violation::kPhantomWrite);
 }
 
 TEST(CheckFixture, StaleHostWriteIsReported) {
@@ -96,9 +91,9 @@ TEST(CheckFixture, StaleHostWriteIsReported) {
                               });
   }(&w, id));
   w.eng.run();
-  w.ck.finalize();
-  ASSERT_GE(w.ck.count(Violation::kPhantomWrite), 1u);
-  const ViolationRecord& r = w.ck.records()[0];
+  w.checker->finalize();
+  ASSERT_GE(w.checker->count(Violation::kPhantomWrite), 1u);
+  const ViolationRecord& r = w.checker->records()[0];
   EXPECT_EQ(r.kind, Violation::kPhantomWrite);
   EXPECT_EQ(r.proc, 0u);  // the caller ran the body at home=0...
   EXPECT_NE(r.detail.find("hosted on 2"), std::string::npos);  // ...truth: 2
@@ -133,13 +128,13 @@ TEST(CheckFixture, ForwardingToAStaleHostIsReported) {
                               });
   }(&w, id));
   w.eng.run();
-  w.ck.finalize();
-  ASSERT_GE(w.ck.count(Violation::kPhantomWrite), 1u);
-  EXPECT_EQ(w.ck.records()[0].proc, 1u);  // flagged where the request landed
+  w.checker->finalize();
+  ASSERT_GE(w.checker->count(Violation::kPhantomWrite), 1u);
+  EXPECT_EQ(w.checker->records()[0].proc, 1u);  // where the call landed
   // The call itself still completed and replied exactly once: without the
   // checker this run is indistinguishable from a healthy one.
-  EXPECT_EQ(w.ck.count(Violation::kDuplicateReply), 0u);
-  EXPECT_EQ(w.ck.count(Violation::kLostReply), 0u);
+  EXPECT_EQ(w.checker->count(Violation::kDuplicateReply), 0u);
+  EXPECT_EQ(w.checker->count(Violation::kLostReply), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ struct World {
   net::ConstantNetwork net;
   CoherentMemory mem;
 
-  explicit World(ProcId nprocs, CacheParams cp = {})
-      : machine(eng, nprocs), net(eng), mem(machine, net, cp) {}
+  explicit World(ProcId nprocs, CacheParams cp = {}, ProtocolParams pp = {})
+      : machine(eng, nprocs), net(eng), mem(machine, net, cp, pp) {}
 };
 
 Task<> do_read(CoherentMemory* mem, ProcId p, Addr a, unsigned bytes,
@@ -682,40 +682,34 @@ TEST(LimitLess, FullMapNeverTraps) {
 TEST(LimitLess, OverflowingSharersTrapsToSoftware) {
   ProtocolParams pp;
   pp.hw_sharer_pointers = 2;
-  sim::Engine eng;
-  sim::Machine machine(eng, 8);
-  net::ConstantNetwork net(eng);
-  CoherentMemory mem(machine, net, {}, pp);
-  const Addr a = mem.alloc(0, 16);
-  sim::detach(read_all(&mem, a, 8));
-  eng.run();
+  World w(8, {}, pp);
+  const Addr a = w.mem.alloc(0, 16);
+  sim::detach(read_all(&w.mem, a, 8));
+  w.eng.run();
   // Sharers 3..8 each overflow the 2-pointer hardware set.
-  EXPECT_EQ(mem.stats().limitless_traps, 6u);
+  EXPECT_EQ(w.mem.stats().limitless_traps, 6u);
   // The trap handler runs on the home CPU.
-  EXPECT_GE(machine.proc(0).busy_cycles(), 6u * pp.limitless_trap);
+  EXPECT_GE(w.machine.proc(0).busy_cycles(), 6u * pp.limitless_trap);
   // Coherence is unaffected: everyone shares the line.
   for (ProcId p = 0; p < 8; ++p) {
-    EXPECT_EQ(mem.cache(p).lookup(line_of(a)), LineState::kShared);
+    EXPECT_EQ(w.mem.cache(p).lookup(line_of(a)), LineState::kShared);
   }
 }
 
 TEST(LimitLess, InvalidatingOverflowedSetTrapsToo) {
   ProtocolParams pp;
   pp.hw_sharer_pointers = 2;
-  sim::Engine eng;
-  sim::Machine machine(eng, 8);
-  net::ConstantNetwork net(eng);
-  CoherentMemory mem(machine, net, {}, pp);
-  const Addr a = mem.alloc(0, 16);
-  sim::detach(read_all(&mem, a, 8));
-  eng.run();
-  const auto traps = mem.stats().limitless_traps;
-  sim::detach(do_write(&mem, 3, a, 16, nullptr, &eng));
-  eng.run();
-  EXPECT_GT(mem.stats().limitless_traps, traps);
+  World w(8, {}, pp);
+  const Addr a = w.mem.alloc(0, 16);
+  sim::detach(read_all(&w.mem, a, 8));
+  w.eng.run();
+  const auto traps = w.mem.stats().limitless_traps;
+  sim::detach(do_write(&w.mem, 3, a, 16, nullptr, &w.eng));
+  w.eng.run();
+  EXPECT_GT(w.mem.stats().limitless_traps, traps);
   // SWMR still holds after the trap-assisted invalidation.
   for (ProcId p = 0; p < 8; ++p) {
-    EXPECT_EQ(mem.cache(p).lookup(line_of(a)),
+    EXPECT_EQ(w.mem.cache(p).lookup(line_of(a)),
               p == 3 ? LineState::kModified : LineState::kInvalid);
   }
 }
@@ -724,14 +718,11 @@ TEST(LimitLess, TrapsSlowWidelySharedReads) {
   auto total_time = [](unsigned ptrs) {
     ProtocolParams pp;
     pp.hw_sharer_pointers = ptrs;
-    sim::Engine eng;
-    sim::Machine machine(eng, 16);
-    net::ConstantNetwork net(eng);
-    CoherentMemory mem(machine, net, {}, pp);
-    const Addr a = mem.alloc(0, 16);
-    sim::detach(read_all(&mem, a, 16));
-    eng.run();
-    return eng.now();
+    World w(16, {}, pp);
+    const Addr a = w.mem.alloc(0, 16);
+    sim::detach(read_all(&w.mem, a, 16));
+    w.eng.run();
+    return w.eng.now();
   };
   EXPECT_GT(total_time(2), total_time(0));
 }

@@ -7,9 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
+#include "apps/workload.h"
 #include "sim/task.h"
 
 namespace cm::apps {
@@ -87,22 +85,15 @@ TEST(BitonicWiring, RejectsAWidthThatIsNotAPowerOfTwoAtLeastTwo) {
 // Counting semantics under every mechanism
 // ---------------------------------------------------------------------------
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  shmem::CoherentMemory mem;
-  core::ObjectSpace objects;
-  core::Runtime rt;
+/// A constant-latency machine with a full-map coherent memory, so that one
+/// network serves every mechanism.
+struct World : Stack {
   CountingNetwork cn;
 
-  World(unsigned width, unsigned requesters,
-        core::CostModel cost = core::CostModel::software())
-      : machine(eng, static_cast<ProcId>(3 * width + requesters)),
-        net(eng),
-        mem(machine, net),
-        rt(machine, net, objects, cost),
-        cn(rt, &mem, make_params(width)) {}
+  World(unsigned width, unsigned requesters)
+      : Stack(static_cast<ProcId>(3 * width + requesters),
+              bare_config(Mechanism::kSharedMemory)),
+        cn(rt, mem.get(), make_params(width)) {}
 
   static CountingNetwork::Params make_params(unsigned width) {
     CountingNetwork::Params p;
@@ -293,8 +284,8 @@ TEST(CountingNetwork, BalancersAreWriteShared) {
                             w.requester_proc(i), i % 8, 10, &sink));
   }
   w.eng.run();
-  EXPECT_LT(w.mem.stats().hit_rate(), 0.6);
-  EXPECT_GT(w.mem.stats().write_misses, 100u);
+  EXPECT_LT(w.mem->stats().hit_rate(), 0.6);
+  EXPECT_GT(w.mem->stats().write_misses, 100u);
 }
 
 TEST(CountingNetwork, TokensPerBalancerAreBalanced) {

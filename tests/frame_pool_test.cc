@@ -91,21 +91,22 @@ std::size_t frees() { return g_frees.load(std::memory_order_relaxed); }
 constexpr Cycles kWarmup = 200'000;
 constexpr Cycles kMeasured = 200'000;
 
-/// A machine on the 2-D mesh with link contention and the software cost
-/// model, as in the paper's workloads.
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::MeshNetwork mesh;
-  core::ObjectSpace objects;
-  core::Runtime rt;
+/// A bare machine on the 2-D mesh, as in the paper's workloads; under shared
+/// memory, with `pointers` hardware sharer pointers per line (0: full map).
+apps::StackConfig on_mesh(core::Mechanism mech = core::Mechanism::kRpc,
+                          unsigned pointers = 0) {
+  apps::StackConfig cfg = apps::bare_config(mech);
+  cfg.mesh = true;
+  cfg.limitless_pointers = pointers;
+  return cfg;
+}
+
+struct World : apps::Stack {
   bool stop = false;
   long ops = 0;
 
-  explicit World(ProcId nprocs)
-      : machine(eng, nprocs),
-        mesh(eng, nprocs),
-        rt(machine, mesh, objects, core::CostModel::software()) {}
+  explicit World(ProcId nprocs, const apps::StackConfig& cfg = on_mesh())
+      : Stack(nprocs, cfg) {}
 };
 
 struct Measured {
@@ -462,15 +463,12 @@ TEST(FramePool, CountingNetworkGetNextMakesAPinnedNumberOfFrames) {
 struct CoherentWorld : World {
   static constexpr ProcId kHome = 7;
   static constexpr unsigned kBlocks = 32;
-  shmem::CoherentMemory mem;
   std::vector<shmem::Addr> blocks;
   std::size_t taken = 0;
 
-  CoherentWorld()
-      : World(8),
-        mem(machine, mesh, {}, shmem::ProtocolParams{.hw_sharer_pointers = 2}) {
+  CoherentWorld() : World(8, on_mesh(core::Mechanism::kSharedMemory, 2)) {
     for (unsigned i = 0; i < kBlocks; ++i) {
-      blocks.push_back(mem.alloc(kHome, 3 * shmem::kLineBytes));
+      blocks.push_back(mem->alloc(kHome, 3 * shmem::kLineBytes));
     }
   }
   shmem::Addr fresh() { return blocks.at(taken++); }
@@ -482,11 +480,11 @@ TEST(FramePool, CoherentHitsMakeNoFrameAndAMissOnlyAcquires) {
   const shmem::Addr hot = c->fresh();
   // The first run misses on `hot`; the second, the one counted, hits.
   const auto hits = [c, hot](World*) -> Task<> {
-    co_await c->mem.read(0, hot, 3 * shmem::kLineBytes);
-    co_await c->mem.write(0, hot, 3 * shmem::kLineBytes);
+    co_await c->mem->read(0, hot, 3 * shmem::kLineBytes);
+    co_await c->mem->write(0, hot, 3 * shmem::kLineBytes);
   };
   const auto miss = [c](World*) -> Task<> {
-    co_await c->mem.read(0, c->fresh(), 4);
+    co_await c->mem->read(0, c->fresh(), 4);
   };
   EXPECT_EQ(frames_of(cw, hits), 0u);
   EXPECT_EQ(frames_of(cw, miss), 1u);  // acquire's
@@ -501,10 +499,10 @@ TEST(FramePool, CoherentRangeServesEveryMissFromOneFrame) {
   // lines: two misses around a hit.
   const auto write_around_a_hit = [c, &before, &after](World*) -> Task<> {
     const shmem::Addr a = c->fresh();
-    co_await c->mem.write(0, a + shmem::kLineBytes, 4);
-    before = c->mem.stats();
-    co_await c->mem.write(0, a, 3 * shmem::kLineBytes);
-    after = c->mem.stats();
+    co_await c->mem->write(0, a + shmem::kLineBytes, 4);
+    before = c->mem->stats();
+    co_await c->mem->write(0, a, 3 * shmem::kLineBytes);
+    after = c->mem->stats();
   };
   // Each setup access's acquire() frame serves the next one.
   EXPECT_EQ(frames_of(cw, write_around_a_hit), 1u);
@@ -521,28 +519,28 @@ TEST(FramePool, DirectoryServiceMakesNoFrameOfItsOwn) {
   // home fetches it from 1.
   const auto fetch = [c](World*) -> Task<> {
     const shmem::Addr a = c->fresh();
-    co_await c->mem.write(1, a, 4);
-    const std::uint64_t fetches = c->mem.stats().fetches;
-    co_await c->mem.read(0, a, 4);
-    EXPECT_EQ(c->mem.stats().fetches, fetches + 1);
+    co_await c->mem->write(1, a, 4);
+    const std::uint64_t fetches = c->mem->stats().fetches;
+    co_await c->mem->read(0, a, 4);
+    EXPECT_EQ(c->mem->stats().fetches, fetches + 1);
   };
   // Three sharers, one past the two pointers; processor 0's write
   // invalidates them after a trap.
   const auto invalidate_overflow = [c, &traps](World*) -> Task<> {
     const shmem::Addr a = c->fresh();
-    for (ProcId p = 1; p <= 3; ++p) co_await c->mem.read(p, a, 4);
-    const shmem::MemStats before = c->mem.stats();
-    co_await c->mem.write(0, a, 4);
-    EXPECT_EQ(c->mem.stats().invalidations, before.invalidations + 3);
-    traps = c->mem.stats().limitless_traps - before.limitless_traps;
+    for (ProcId p = 1; p <= 3; ++p) co_await c->mem->read(p, a, 4);
+    const shmem::MemStats before = c->mem->stats();
+    co_await c->mem->write(0, a, 4);
+    EXPECT_EQ(c->mem->stats().invalidations, before.invalidations + 3);
+    traps = c->mem->stats().limitless_traps - before.limitless_traps;
   };
   // Two sharers fill the pointers; processor 3's read traps to add itself.
   const auto share_overflow = [c, &traps](World*) -> Task<> {
     const shmem::Addr a = c->fresh();
-    for (ProcId p = 1; p <= 2; ++p) co_await c->mem.read(p, a, 4);
-    const std::uint64_t before = c->mem.stats().limitless_traps;
-    co_await c->mem.read(3, a, 4);
-    traps = c->mem.stats().limitless_traps - before;
+    for (ProcId p = 1; p <= 2; ++p) co_await c->mem->read(p, a, 4);
+    const std::uint64_t before = c->mem->stats().limitless_traps;
+    co_await c->mem->read(3, a, 4);
+    traps = c->mem->stats().limitless_traps - before;
   };
   EXPECT_EQ(frames_of(cw, fetch), 1u);  // acquire's
   // acquire's, and one per invalidation leg.
@@ -555,10 +553,11 @@ TEST(FramePool, DirectoryServiceMakesNoFrameOfItsOwn) {
 /// The benchmark's B-tree (10,000 keys, fanout <= 100, 48 node processors)
 /// on the benchmark's machine, with a coherent memory for shared memory.
 struct TreeWorld : World {
-  shmem::CoherentMemory mem;
   apps::DistributedBTree bt;
 
-  TreeWorld() : World(48 + 16), mem(machine, mesh), bt(rt, &mem, {}) {
+  TreeWorld()
+      : World(48 + 16, on_mesh(core::Mechanism::kSharedMemory)),
+        bt(rt, mem.get(), {}) {
     std::vector<std::uint64_t> keys(10'000);
     for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
     bt.bulk_load(keys);

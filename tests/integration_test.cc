@@ -9,14 +9,10 @@
 
 #include "apps/btree.h"
 #include "apps/counting_network.h"
+#include "apps/workload.h"
 #include "core/adaptive.h"
 #include "core/mobile.h"
 #include "core/replication.h"
-#include "core/runtime.h"
-#include "net/mesh_net.h"
-#include "shmem/coherent_memory.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/rng.h"
 
 namespace cm {
@@ -27,25 +23,23 @@ using core::Mechanism;
 using sim::ProcId;
 using sim::Task;
 
+/// A bare machine on the mesh.
+apps::StackConfig on_mesh(Mechanism mech) {
+  apps::StackConfig cfg = apps::bare_config(mech);
+  cfg.mesh = true;
+  return cfg;
+}
+
 // A machine hosting BOTH applications at once, on a mesh, with coherent
 // memory — runtime messages and coherence traffic share the interconnect.
-struct BigWorld {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::MeshNetwork net;
-  shmem::CoherentMemory mem;
-  core::ObjectSpace objects;
-  core::Runtime rt;
+struct BigWorld : apps::Stack {
   apps::CountingNetwork cn;
   apps::DistributedBTree bt;
 
   BigWorld()
-      : machine(eng, 64),
-        net(eng, 64, {}),
-        mem(machine, net),
-        rt(machine, net, objects, core::CostModel::software()),
-        cn(rt, &mem, cn_params()),
-        bt(rt, &mem, bt_params()) {}
+      : Stack(64, on_mesh(Mechanism::kSharedMemory)),
+        cn(rt, mem.get(), cn_params()),
+        bt(rt, mem.get(), bt_params()) {}
 
   static apps::CountingNetwork::Params cn_params() {
     apps::CountingNetwork::Params p;
@@ -162,16 +156,11 @@ TEST(Integration, DeterministicEndToEnd) {
 
 // Replication, mobility and the chooser working against the same objects.
 TEST(Integration, ReplicationAndMobilityCoexist) {
-  sim::Engine eng;
-  sim::Machine machine(eng, 8);
-  net::MeshNetwork net(eng, 8, {});
-  core::ObjectSpace objects;
-  core::Runtime rt(machine, net, objects, core::CostModel::software());
-
-  const core::ObjectId hot = objects.create(0);
-  core::Replicated repl(rt, hot, 12);
-  const core::ObjectId roving = objects.create(1);
-  core::MobileObject mob(rt, roving, 8);
+  apps::Stack w(8, on_mesh(Mechanism::kRpc));
+  const core::ObjectId hot = w.objects.create(0);
+  core::Replicated repl(w.rt, hot, 12);
+  const core::ObjectId roving = w.objects.create(1);
+  core::MobileObject mob(w.rt, roving, 8);
   core::AdaptiveChooser chooser;
 
   bool done = false;
@@ -186,8 +175,8 @@ TEST(Integration, ReplicationAndMobilityCoexist) {
       ch->record(mob->id(), ctx.proc, true);
     }
     *done = true;
-  }(&rt, &repl, &mob, &chooser, &done));
-  eng.run();
+  }(&w.rt, &repl, &mob, &chooser, &done));
+  w.eng.run();
 
   EXPECT_TRUE(done);
   EXPECT_TRUE(repl.valid_at(5));

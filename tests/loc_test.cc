@@ -4,9 +4,6 @@
 
 #include "apps/workload.h"
 #include "core/mobile.h"
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 
 namespace cm::loc {
 namespace {
@@ -69,17 +66,7 @@ TEST(TranslationCache, CapacityZeroDisablesCaching) {
 // ---------------------------------------------------------------------------
 // Locator over a small world
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  core::ObjectSpace objects;
-  core::Runtime rt;
-
-  explicit World(ProcId nprocs)
-      : machine(eng, nprocs), net(eng),
-        rt(machine, net, objects, core::CostModel::software()) {}
-};
+using World = apps::Stack;
 
 LocatorConfig distributed() {
   LocatorConfig cfg;

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
+#include "apps/workload.h"
 
 namespace cm::core {
 namespace {
@@ -12,17 +10,7 @@ namespace {
 using sim::ProcId;
 using sim::Task;
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  ObjectSpace objects;
-  Runtime rt;
-
-  explicit World(ProcId nprocs)
-      : machine(eng, nprocs), net(eng),
-        rt(machine, net, objects, CostModel::software()) {}
-};
+using World = apps::Stack;
 
 Task<> attract_from(World* w, MobileObject* m, ProcId p) {
   Ctx ctx{&w->rt, p};

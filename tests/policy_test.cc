@@ -12,13 +12,12 @@
 #include <vector>
 
 #include "apps/btree.h"
+#include "apps/workload.h"
 #include "check/checker.h"
 #include "core/adaptive.h"
 #include "core/mechanism.h"
 #include "core/mobile.h"
-#include "net/constant_net.h"
 #include "sim/engine.h"
-#include "sim/machine.h"
 
 namespace cm::policy {
 namespace {
@@ -27,17 +26,7 @@ using core::MobileObject;
 using core::ObjectId;
 using sim::ProcId;
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  core::ObjectSpace objects;
-  core::Runtime rt;
-
-  explicit World(ProcId nprocs)
-      : machine(eng, nprocs), net(eng),
-        rt(machine, net, objects, core::CostModel::software()) {}
-};
+using World = apps::Stack;
 
 PolicyConfig fast_cfg() {
   PolicyConfig cfg;

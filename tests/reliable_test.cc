@@ -10,13 +10,11 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/workload.h"
 #include "core/metrics.h"
 #include "core/object.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
 #include "net/faulty_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/task.h"
 
 namespace cm::core {
@@ -26,19 +24,18 @@ using sim::Cycles;
 using sim::ProcId;
 using sim::Task;
 
-struct ChaosWorld {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork inner;
-  net::FaultyNetwork net;
-  ObjectSpace objects;
-  Runtime rt;
-
+/// A bare machine under an active fault plan: its network is wrapped in a
+/// FaultyNetwork, and the reliable transport is on.
+struct ChaosWorld : apps::Stack {
   explicit ChaosWorld(ProcId nprocs, net::FaultPlan plan,
                       ReliableConfig rcfg = {})
-      : machine(eng, nprocs), inner(eng), net(eng, inner, std::move(plan)),
-        rt(machine, net, objects, CostModel::software()) {
-    rt.enable_reliability(rcfg);
+      : Stack(nprocs, chaos(std::move(plan), rcfg)) {}
+
+  static apps::StackConfig chaos(net::FaultPlan plan, ReliableConfig rcfg) {
+    apps::StackConfig cfg = apps::bare_config();
+    cfg.faults = std::move(plan);
+    cfg.reliable = rcfg;
+    return cfg;
   }
 };
 
@@ -48,10 +45,11 @@ Task<> transfer_once(Runtime* rt, ProcId src, ProcId dst, unsigned words,
 }
 
 TEST(ReliableTransport, CleanNetworkDeliversWithOneDataAndOneAck) {
-  // Plan counts as "active" via a far-future NIC failure, so the wrapper and
+  // The plan is active but its fault window is empty, so the wrapper and
   // the reliable layer engage, but no message is ever perturbed.
   net::FaultPlan plan;
-  plan.nic_fail_at[3] = ~sim::Cycles{0};
+  plan.rates.drop = 1.0;
+  plan.window_end = 0;
   ChaosWorld w(4, plan);
   bool ok = false;
   sim::detach(transfer_once(&w.rt, 0, 1, 8, &ok));
@@ -233,17 +231,13 @@ TEST(Runtime, ReliabilityDisabledAddsNoMessagesOrCycles) {
   // Two identical worlds, one raw and one whose reliable layer exists but is
   // never enabled: identical traffic, identical busy cycles, identical time.
   auto run = [] {
-    sim::Engine eng;
-    sim::Machine machine(eng, 4);
-    net::ConstantNetwork net(eng);
-    ObjectSpace objects;
-    Runtime rt(machine, net, objects, CostModel::software());
-    const ObjectId obj = objects.create(3);
+    apps::Stack w(4);
+    const ObjectId obj = w.objects.create(3);
     ProcId end = 0;
-    sim::detach(migrate_once(&rt, obj, 0, &end));
-    eng.run();
-    return std::tuple{eng.now(), net.stats().messages, net.stats().words,
-                      machine.total_busy()};
+    sim::detach(migrate_once(&w.rt, obj, 0, &end));
+    w.eng.run();
+    return std::tuple{w.eng.now(), w.net.stats().messages,
+                      w.net.stats().words, w.machine.total_busy()};
   };
   const auto a = run();
   const auto b = run();

@@ -6,15 +6,14 @@
 #include <string>
 #include <vector>
 
+#include "apps/workload.h"
 #include "check/checker.h"
 #include "core/ft.h"
 #include "core/mechanism.h"
 #include "core/metrics.h"
 #include "core/mobile.h"
 #include "core/object.h"
-#include "net/constant_net.h"
 #include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/task.h"
 #include "sim/tracer.h"
 
@@ -25,16 +24,7 @@ using sim::Cycles;
 using sim::ProcId;
 using sim::Task;
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  ObjectSpace objects;
-  Runtime rt;
-
-  explicit World(ProcId nprocs, CostModel cost = CostModel::software())
-      : machine(eng, nprocs), net(eng), rt(machine, net, objects, cost) {}
-};
+using World = apps::Stack;
 
 TEST(ObjectSpace, AssignsIdsAndHomes) {
   ObjectSpace os;
@@ -921,16 +911,18 @@ TEST(Runtime, NestedRemoteCallsRelayThroughIntermediateProcessors) {
 }
 
 TEST(Runtime, HwCostModelSpeedsUpMigration) {
-  auto run = [](CostModel cost) {
-    World w(4, cost);
+  auto run = [](bool hw_support) {
+    apps::StackConfig cfg = apps::bare_config();
+    cfg.scheme.hw_support = hw_support;
+    World w(4, cfg);
     const ObjectId obj = w.objects.create(3);
     ProcId end = 0;
     sim::detach(migrate_once(&w, obj, 0, &end));
     w.eng.run();
     return w.eng.now();
   };
-  const Cycles sw = run(CostModel::software());
-  const Cycles hw = run(CostModel::software().with_hw_message().with_hw_oid());
+  const Cycles sw = run(false);
+  const Cycles hw = run(true);
   EXPECT_LT(hw, sw);
   EXPECT_GT(static_cast<double>(sw - hw) / static_cast<double>(sw), 0.2);
 }

@@ -1,4 +1,6 @@
-// One run with every optional subsystem switched on at once: the
+// apps::Stack, the one assembly of a machine: what a bare Stack builds, and
+// the configs no run could finish, which it and the runs refuse. Then
+// one run with every optional subsystem switched on at once: the
 // distributed locator, the placement policy (rebalance and phase), message
 // loss, duplication and delay, a NIC crash with fail-stop recovery, and the
 // checker. The paper's contract — the mechanism and the machinery around it
@@ -6,10 +8,15 @@
 // together, not only for the pairs the other suites combine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "apps/workload.h"
+#include "net/constant_net.h"
+#include "net/mesh_net.h"
+#include "sim/task.h"
 
 namespace cm::apps {
 namespace {
@@ -18,6 +25,121 @@ using core::Mechanism;
 using core::Scheme;
 using sim::Cycles;
 using sim::ProcId;
+
+// ---------------------------------------------------------------------------
+// What a Stack builds
+
+/// An app without objects, recording whether it was handed a policy.
+struct NoApp {
+  bool handed = false;
+  void set_policy(policy::PolicyEngine* /*pol*/) { handed = true; }
+};
+
+TEST(Stack, BareStackBuildsOnlyTheMachine) {
+  // bare_config() is on the constant network, StackConfig's defaults on the
+  // mesh.
+  for (const StackConfig& cfg : {bare_config(), StackConfig{}}) {
+    Stack w(4, cfg);
+    NoApp app;
+    w.start_layers(app);
+    EXPECT_FALSE(app.handed);
+    EXPECT_EQ(w.machine.size(), 4u);
+    EXPECT_EQ(w.eng.tracer(), nullptr);
+    EXPECT_EQ(w.eng.checker(), nullptr);
+    EXPECT_EQ(&w.net, w.wire.get());  // no fault layer
+    EXPECT_EQ(dynamic_cast<net::MeshNetwork*>(&w.net) != nullptr, cfg.mesh);
+    EXPECT_EQ(dynamic_cast<net::ConstantNetwork*>(&w.net) != nullptr,
+              !cfg.mesh);
+    EXPECT_FALSE(w.rt.reliability_enabled());
+    EXPECT_EQ(w.mem, nullptr);
+    EXPECT_EQ(w.rt.locator(), nullptr);
+    EXPECT_EQ(w.policy, nullptr);
+    EXPECT_EQ(w.rt.fault_tolerance(), nullptr);
+  }
+}
+
+sim::Task<> read_in_turn(shmem::CoherentMemory* mem, shmem::Addr a) {
+  for (ProcId p = 0; p < 8; ++p) co_await mem->read(p, a, 16);
+}
+
+/// LimitLESS traps when 8 processors read one line in turn.
+std::uint64_t traps_of_eight_readers(const StackConfig& cfg) {
+  Stack w(8, cfg);
+  const shmem::Addr a = w.mem->alloc(0, 16);
+  sim::detach(read_in_turn(w.mem.get(), a));
+  w.eng.run();
+  return w.mem->stats().limitless_traps;
+}
+
+TEST(Stack, SharedMemoryBuildsMemoryWithItsSharerPointers) {
+  for (const Mechanism mech :
+       {Mechanism::kRpc, Mechanism::kMigration, Mechanism::kObjectMigration,
+        Mechanism::kThreadMigration}) {
+    EXPECT_EQ(Stack(4, bare_config(mech)).mem, nullptr);
+  }
+  // Each sharer past the hardware pointers traps to software; bare_config()
+  // has a full map, StackConfig's default five pointers.
+  StackConfig cfg = bare_config(Mechanism::kSharedMemory);
+  EXPECT_EQ(traps_of_eight_readers(cfg), 0u);
+  cfg.limitless_pointers = 2;
+  EXPECT_EQ(traps_of_eight_readers(cfg), 6u);
+  StackConfig alewife;
+  alewife.scheme.mechanism = Mechanism::kSharedMemory;
+  EXPECT_EQ(traps_of_eight_readers(alewife), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Configs no run could finish are refused before anything runs
+
+TEST(StackConfig, CrashPlanNeedsFt) {
+  // Without the ft layer nothing detects the dead NIC, and the reliable
+  // transport re-sends to it forever.
+  StackConfig bare = bare_config();
+  bare.faults.nic_fail_at[3] = 3'000;
+  EXPECT_THROW(Stack(4, bare), std::invalid_argument);
+  bare.ft.enabled = true;
+  EXPECT_NO_THROW(Stack(4, bare));
+
+  CountingConfig cn;  // in fixed-work mode, and in a timed window
+  cn.scheme = Scheme{Mechanism::kMigration, false, false};
+  cn.requesters = 4;
+  cn.ops_per_requester = 5;
+  cn.faults.nic_fail_at[3] = 3'000;
+  EXPECT_THROW((void)run_counting(cn), std::invalid_argument);
+  cn = CountingConfig{};
+  cn.scheme = Scheme{Mechanism::kMigration, false, false};
+  cn.faults.nic_fail_at[2] = 10'000;
+  EXPECT_THROW((void)run_counting(cn), std::invalid_argument);
+  BTreeConfig bt;  // bench/ablation_faults' crash, without its ft layer
+  bt.scheme = cn.scheme;
+  bt.requesters = 8;
+  bt.nkeys = 1'000;
+  bt.max_entries = 20;
+  bt.ops_per_requester = 50;
+  bt.faults.nic_fail_at[18] = 15'000;
+  EXPECT_THROW((void)run_btree(bt), std::invalid_argument);
+}
+
+TEST(StackConfig, RunsNeedARequester) {
+  // With ft on, only the last requester's exit stops the failure
+  // detector's sweep.
+  for (const bool ft : {false, true}) {
+    CountingConfig cn;
+    cn.requesters = 0;
+    cn.ops_per_requester = 5;
+    cn.ft.enabled = ft;
+    EXPECT_THROW((void)run_counting(cn), std::invalid_argument);
+    BTreeConfig bt;
+    bt.requesters = 0;
+    bt.nkeys = 1'000;
+    bt.ops_per_requester = 5;
+    bt.ft.enabled = ft;
+    EXPECT_THROW((void)run_btree(bt), std::invalid_argument);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every subsystem at once
 
 /// Turn on every optional subsystem of `cfg`, with `crashes` as the planned
 /// NIC deaths the ft layer must recover from.

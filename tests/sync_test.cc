@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/constant_net.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
+#include "apps/workload.h"
 #include "sim/task.h"
 
 namespace cm::shmem {
@@ -20,14 +18,9 @@ using sim::Cycles;
 using sim::ProcId;
 using sim::Task;
 
-struct World {
-  sim::Engine eng;
-  sim::Machine machine;
-  net::ConstantNetwork net;
-  CoherentMemory mem;
-
+struct World : apps::Stack {
   explicit World(ProcId nprocs)
-      : machine(eng, nprocs), net(eng), mem(machine, net) {}
+      : Stack(nprocs, apps::bare_config(core::Mechanism::kSharedMemory)) {}
 };
 
 // A critical section that detects overlap: `inside` must never exceed 1.
@@ -54,7 +47,7 @@ Task<> contender(World* w, SpinLock* lock, CritState* cs, ProcId p,
 
 TEST(SpinLock, UncontendedAcquireRelease) {
   World w(4);
-  SpinLock lock(w.mem, 0);
+  SpinLock lock(*w.mem, 0);
   CritState cs;
   sim::detach(contender(&w, &lock, &cs, 1, 1, 10));
   w.eng.run();
@@ -64,7 +57,7 @@ TEST(SpinLock, UncontendedAcquireRelease) {
 
 TEST(SpinLock, MutualExclusionUnderContention) {
   World w(8);
-  SpinLock lock(w.mem, 0);
+  SpinLock lock(*w.mem, 0);
   CritState cs;
   for (ProcId p = 0; p < 8; ++p) {
     sim::detach(contender(&w, &lock, &cs, p, 5, 20));
@@ -78,7 +71,7 @@ TEST(SpinLock, MutualExclusionUnderContention) {
 
 TEST(SpinLock, EveryContenderEventuallyEnters) {
   World w(8);
-  SpinLock lock(w.mem, 3);
+  SpinLock lock(*w.mem, 3);
   CritState cs;
   for (ProcId p = 0; p < 8; ++p) {
     sim::detach(contender(&w, &lock, &cs, p, 1, 5));
@@ -93,14 +86,14 @@ TEST(SpinLock, ContentionGeneratesCoherenceTraffic) {
   // The paper's key bandwidth observation: a contended lock handoff costs
   // O(spinners) protocol messages.
   World w1(2);
-  SpinLock l1(w1.mem, 0);
+  SpinLock l1(*w1.mem, 0);
   CritState c1;
   sim::detach(contender(&w1, &l1, &c1, 1, 4, 20));
   w1.eng.run();
   const auto solo_words = w1.net.stats().words;
 
   World w2(8);
-  SpinLock l2(w2.mem, 0);
+  SpinLock l2(*w2.mem, 0);
   CritState c2;
   for (ProcId p = 0; p < 8; ++p) sim::detach(contender(&w2, &l2, &c2, p, 4, 20));
   w2.eng.run();
@@ -113,7 +106,7 @@ Task<> seq_reader(World* w, SeqLock* sl, Addr payload, ProcId p, int rounds,
   for (int i = 0; i < rounds; ++i) {
     for (;;) {
       const auto v = co_await sl->begin_read(p);
-      co_await w->mem.read(p, payload, 32);
+      co_await w->mem->read(p, payload, 32);
       if (co_await sl->validate(p, v)) break;
       ++*retries;
     }
@@ -126,7 +119,7 @@ Task<> seq_writer(World* w, SpinLock* guard, SeqLock* sl, Addr payload,
   for (int i = 0; i < rounds; ++i) {
     co_await guard->acquire(p);
     co_await sl->begin_write(p);
-    co_await w->mem.write(p, payload, 32);
+    co_await w->mem->write(p, payload, 32);
     co_await w->machine.compute(p, 30);
     co_await sl->end_write(p);
     co_await guard->release(p);
@@ -136,9 +129,9 @@ Task<> seq_writer(World* w, SpinLock* guard, SeqLock* sl, Addr payload,
 
 TEST(SeqLock, ReadersCompleteAlongsideWriters) {
   World w(6);
-  SpinLock guard(w.mem, 0);
-  SeqLock sl(w.mem, 0);
-  const Addr payload = w.mem.alloc(0, 32);
+  SpinLock guard(*w.mem, 0);
+  SeqLock sl(*w.mem, 0);
+  const Addr payload = w.mem->alloc(0, 32);
   int consistent = 0, retries = 0;
   for (ProcId p = 1; p < 5; ++p) {
     sim::detach(seq_reader(&w, &sl, payload, p, 10, &consistent, &retries));
@@ -154,21 +147,21 @@ TEST(SeqLock, PureReadersHitInCache) {
   // Read-shared data: after the first miss, repeated seqlock reads are
   // local — the "automatic replication" benefit of shared memory.
   World w(4);
-  SeqLock sl(w.mem, 0);
-  const Addr payload = w.mem.alloc(0, 32);
+  SeqLock sl(*w.mem, 0);
+  const Addr payload = w.mem->alloc(0, 32);
   int consistent = 0, retries = 0;
   sim::detach(seq_reader(&w, &sl, payload, 2, 20, &consistent, &retries));
   w.eng.run();
   EXPECT_EQ(consistent, 20);
   EXPECT_EQ(retries, 0);
   // 3 lines (version + 2 payload) missed once each; everything else hit.
-  EXPECT_EQ(w.mem.stats().read_misses, 3u);
-  EXPECT_GT(w.mem.stats().read_hits, 50u);
+  EXPECT_EQ(w.mem->stats().read_misses, 3u);
+  EXPECT_GT(w.mem->stats().read_hits, 50u);
 }
 
 TEST(SeqLock, VersionStartsEven) {
   World w(2);
-  SeqLock sl(w.mem, 0);
+  SeqLock sl(*w.mem, 0);
   EXPECT_EQ(sl.version(), 0u);
 }
 
@@ -192,7 +185,7 @@ struct Footprint {
   std::size_t events;
 
   explicit Footprint(const World& w)
-      : accesses(w.mem.stats().hits() + w.mem.stats().misses()),
+      : accesses(w.mem->stats().hits() + w.mem->stats().misses()),
         messages(w.net.stats().messages),
         events(w.eng.events_executed()) {}
   bool operator==(const Footprint&) const = default;
@@ -200,7 +193,7 @@ struct Footprint {
 
 TEST(SpinLock, ReleaseByANonHolderThrowsToTheAwaiter) {
   World w(4);
-  SpinLock lock(w.mem, 0);
+  SpinLock lock(*w.mem, 0);
   sim::detach(lock.acquire(1));
   w.eng.run();
   ASSERT_TRUE(lock.held());
@@ -225,7 +218,7 @@ TEST(SpinLock, ReleaseByANonHolderThrowsToTheAwaiter) {
 
 TEST(SeqLock, BeginWriteWhileAWriteIsOpenThrowsToTheAwaiter) {
   World w(4);
-  SeqLock sl(w.mem, 0);
+  SeqLock sl(*w.mem, 0);
   sim::detach(sl.begin_write(1));
   w.eng.run();
   ASSERT_EQ(sl.version(), 1u);
@@ -240,7 +233,7 @@ TEST(SeqLock, BeginWriteWhileAWriteIsOpenThrowsToTheAwaiter) {
 
 TEST(SeqLock, EndWriteWithoutAnOpenWriteThrowsToTheAwaiter) {
   World w(4);
-  SeqLock sl(w.mem, 0);
+  SeqLock sl(*w.mem, 0);
   const Footprint before(w);
   bool threw = false;
   sim::detach(catching_logic_error(sl.end_write(1), &threw));

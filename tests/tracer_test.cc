@@ -27,9 +27,7 @@
 #include "core/metrics.h"
 #include "core/object.h"
 #include "core/runtime.h"
-#include "net/constant_net.h"
 #include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/task.h"
 
 namespace cm {
@@ -305,14 +303,10 @@ TEST(Tracer, RecordsCountsAndEmitsValidJson) {
 /// object at processor 3, whether it carries the `group` key. `migrate` is
 /// a group of one without the tag; `migrate_group` tags even a group of one.
 std::vector<bool> migrate_begin_has_group(bool as_group) {
-  sim::Engine eng;
-  sim::Tracer tracer(eng);
-  eng.set_tracer(&tracer);
-  sim::Machine machine(eng, 4);
-  net::ConstantNetwork net(eng);
-  core::ObjectSpace objects;
-  core::Runtime rt(machine, net, objects, core::CostModel::software());
-  const core::ObjectId obj = objects.create(3);
+  apps::Stack w(4);
+  sim::Tracer tracer(w.eng);
+  w.eng.set_tracer(&tracer);
+  const core::ObjectId obj = w.objects.create(3);
   sim::detach([](core::Runtime* rt, core::ObjectId obj,
                  bool as_group) -> sim::Task<> {
     core::Ctx ctx{rt, 0};
@@ -322,8 +316,8 @@ std::vector<bool> migrate_begin_has_group(bool as_group) {
     } else {
       co_await rt->migrate(ctx, obj, 8);
     }
-  }(&rt, obj, as_group));
-  eng.run();
+  }(&w.rt, obj, as_group));
+  w.eng.run();
 
   bool ok = false;
   const std::string json = tracer.chrome_json();  // parser keeps a view

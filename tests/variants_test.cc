@@ -6,10 +6,6 @@
 #include "apps/counting_network.h"
 #include "apps/workload.h"
 #include "core/mechanism.h"
-#include "net/constant_net.h"
-#include "shmem/coherent_memory.h"
-#include "sim/engine.h"
-#include "sim/machine.h"
 
 namespace cm {
 namespace {
@@ -62,14 +58,10 @@ TEST(CostModelEdges, NiRegisterSpillKicksInPastTenWords) {
 // server-side cycles per access, no threads created for the RPC calls.
 TEST(ShortMethods, FastPathSpeedsUpRpcBalancers) {
   auto run = [](bool short_methods) {
-    sim::Engine eng;
-    sim::Machine machine(eng, 24 + 4);
-    net::ConstantNetwork net(eng);
-    core::ObjectSpace objects;
-    core::Runtime rt(machine, net, objects, core::CostModel::software());
+    apps::Stack w(24 + 4);
     apps::CountingNetwork::Params p;
     p.rpc_short_methods = short_methods;
-    apps::CountingNetwork cn(rt, nullptr, p);
+    apps::CountingNetwork cn(w.rt, nullptr, p);
     bool done = false;
     sim::detach([](core::Runtime* rt, apps::CountingNetwork* cn,
                    bool* done) -> sim::Task<> {
@@ -78,10 +70,10 @@ TEST(ShortMethods, FastPathSpeedsUpRpcBalancers) {
         (void)co_await cn->get_next(ctx, Mechanism::kRpc, 0);
       }
       *done = true;
-    }(&rt, &cn, &done));
-    eng.run();
+    }(&w.rt, &cn, &done));
+    w.eng.run();
     EXPECT_TRUE(done);
-    return std::pair{eng.now(), rt.stats().threads_created};
+    return std::pair{w.eng.now(), w.rt.stats().threads_created};
   };
   const auto [slow_t, slow_threads] = run(false);
   const auto [fast_t, fast_threads] = run(true);
