@@ -23,6 +23,18 @@ unsigned log2probes(std::size_t n) {
   return n == 0 ? 0u : static_cast<unsigned>(std::bit_width(n));
 }
 
+constexpr const char* kUnboundChild =
+    "child high key disagrees with parent entry";
+
+/// A stored (key, value) pair's term in digest_host's commutative sum.
+std::uint64_t pair_hash(std::uint64_t key, std::uint64_t value) {
+  std::uint64_t h = key * 0x9e3779b97f4a7c15ULL ^ (value + 0x1ULL);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
 /// Index of the first of the `n` sorted keys at `a` that is >= `key` (`n`
 /// if none), as std::lower_bound finds it. Each step halves the range with
 /// a conditional move instead of a data-dependent branch.
@@ -101,7 +113,8 @@ void DistributedBTree::set_policy(policy::PolicyEngine* pol) {
   if (pol == nullptr) return;
   // Internal nodes are read-mostly routers and may be flipped into
   // replication mode; leaves take the entry writes and only ever move.
-  for (Node& n : nodes_) {
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    Node& n = nodes_[i];
     pol->manage(n.oid, &n.mobile, 2 + 3 * p_.max_entries,
                 /*replicable=*/!n.leaf);
   }
@@ -721,13 +734,10 @@ std::uint64_t DistributedBTree::digest_host() const {
   std::uint64_t acc = 0;
   for (std::uint32_t l = leftmost_leaf(); l != kNone; l = nodes_[l].right) {
     const Node& n = nodes_[l];
-    for (std::size_t i = 0; i < n.maxkey.size(); ++i) {
-      std::uint64_t h =
-          n.maxkey[i] * 0x9e3779b97f4a7c15ULL ^ (n.payload[i] + 0x1ULL);
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-      acc += h;
+    // Pairs only: a broken node's arrays may differ in length.
+    const std::size_t pairs = std::min(n.maxkey.size(), n.payload.size());
+    for (std::size_t i = 0; i < pairs; ++i) {
+      acc += pair_hash(n.maxkey[i], n.payload[i]);
     }
   }
   return acc;
@@ -742,83 +752,121 @@ bool DistributedBTree::contains_host(std::uint64_t key) const {
   }
 }
 
+const char* DistributedBTree::node_flaw(const Node& n) const {
+  if (n.maxkey.size() != n.payload.size()) {
+    return "entry arrays disagree at node ";
+  }
+  if (n.maxkey.size() > p_.max_entries + 1) return "node over capacity at ";
+  // One pass checks that the keys strictly increase. A descent anywhere in
+  // the node is reported before an equal pair anywhere in it.
+  bool duplicate = false;
+  for (std::size_t j = 1; j < n.maxkey.size(); ++j) {
+    if (n.maxkey[j] < n.maxkey[j - 1]) return "unsorted node ";
+    duplicate |= n.maxkey[j] == n.maxkey[j - 1];
+  }
+  if (duplicate) return "duplicate bound in node ";
+  if (!n.maxkey.empty() && n.maxkey.back() > n.high_key) {
+    return "entry exceeds high key at node ";
+  }
+  if (!n.leaf && !n.maxkey.empty() && n.maxkey.back() != n.high_key) {
+    return "internal last bound != high key at ";
+  }
+  return nullptr;
+}
+
+bool DistributedBTree::bounds_children(const Node& n) const {
+  if (n.leaf) return true;
+  for (std::size_t e = 0; e < n.maxkey.size(); ++e) {
+    if (nodes_[static_cast<std::uint32_t>(n.payload[e])].high_key !=
+        n.maxkey[e]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <class Meet>
+const char* DistributedBTree::walk_levels(Meet meet) const {
+  // Keys strictly increase within each node (node_flaw), so a level is in
+  // order when each non-empty node's first key exceeds the last key before
+  // it on the level.
+  std::uint32_t level_head = root_;
+  unsigned expect_level = nodes_[root_].level;
+  for (;;) {
+    const bool leaves = nodes_[level_head].leaf;
+    std::uint64_t prev = 0;
+    bool first = true;
+    std::uint32_t last = kNone;
+    for (std::uint32_t id = level_head; id != kNone; id = nodes_[id].right) {
+      const Node& n = nodes_[id];
+      if (n.level != expect_level) return "ragged level";
+      if (!n.maxkey.empty()) {
+        if (!first && n.maxkey.front() <= prev) {
+          return "cross-node order violation";
+        }
+        prev = n.maxkey.back();
+        first = false;
+      }
+      if (n.right != kNone && n.high_key == kMaxKey) {
+        return "non-rightmost node with open high key";
+      }
+      if (const char* refused = meet(n, leaves)) return refused;
+      last = id;
+    }
+    if (last == kNone || nodes_[last].high_key != kMaxKey) {
+      return "rightmost node must cover the key space";
+    }
+    if (leaves) return nullptr;
+    level_head = static_cast<std::uint32_t>(nodes_[level_head].payload.front());
+    --expect_level;
+  }
+}
+
 bool DistributedBTree::check_invariants(std::string* why) const {
   auto fail = [why](const std::string& msg) {
     if (why != nullptr) *why = msg;
     return false;
   };
   // Per-node structure.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.maxkey.size() != n.payload.size()) {
-      return fail("entry arrays disagree at node " + std::to_string(i));
-    }
-    if (n.maxkey.size() > p_.max_entries + 1) {
-      return fail("node over capacity at " + std::to_string(i));
-    }
-    // One pass checks that the keys strictly increase. A descent anywhere
-    // in the node is reported before an equal pair anywhere in it.
-    bool duplicate = false;
-    for (std::size_t j = 1; j < n.maxkey.size(); ++j) {
-      if (n.maxkey[j] < n.maxkey[j - 1]) {
-        return fail("unsorted node " + std::to_string(i));
-      }
-      duplicate |= n.maxkey[j] == n.maxkey[j - 1];
-    }
-    if (duplicate) {
-      return fail("duplicate bound in node " + std::to_string(i));
-    }
-    if (!n.maxkey.empty() && n.maxkey.back() > n.high_key) {
-      return fail("entry exceeds high key at node " + std::to_string(i));
-    }
-    if (!n.leaf && !n.maxkey.empty() && n.maxkey.back() != n.high_key) {
-      return fail("internal last bound != high key at " + std::to_string(i));
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (const char* flaw = node_flaw(nodes_[i])) {
+      return fail(flaw + std::to_string(i));
     }
   }
   // Reachability, uniform depth, global ordering via each level's chain.
-  // Keys strictly increase within each node (above), so a level is in
-  // order when each non-empty node's first key exceeds the last key before
-  // it on the level.
-  std::uint32_t level_head = root_;
-  unsigned expect_level = nodes_[root_].level;
-  while (true) {
-    std::uint64_t prev = 0;
-    bool first = true;
-    std::uint32_t last = kNone;
-    for (std::uint32_t n = level_head; n != kNone; n = nodes_[n].right) {
-      if (nodes_[n].level != expect_level) return fail("ragged level");
-      const std::vector<std::uint64_t>& keys = nodes_[n].maxkey;
-      if (!keys.empty()) {
-        if (!first && keys.front() <= prev) {
-          return fail("cross-node order violation");
-        }
-        prev = keys.back();
-        first = false;
-      }
-      if (nodes_[n].right != kNone &&
-          nodes_[n].high_key == kMaxKey) {
-        return fail("non-rightmost node with open high key");
-      }
-      last = n;
-    }
-    if (last == kNone || nodes_[last].high_key != kMaxKey) {
-      return fail("rightmost node must cover the key space");
-    }
-    if (nodes_[level_head].leaf) break;
-    level_head = static_cast<std::uint32_t>(nodes_[level_head].payload.front());
-    --expect_level;
-  }
+  const auto pass = [](const Node&, bool) -> const char* { return nullptr; };
+  if (const char* broken = walk_levels(pass)) return fail(broken);
   // Parent entries bound their children.
-  for (const Node& n : nodes_) {
-    if (n.leaf) continue;
-    for (std::size_t e = 0; e < n.maxkey.size(); ++e) {
-      const Node& child = nodes_[static_cast<std::uint32_t>(n.payload[e])];
-      if (child.high_key != n.maxkey[e]) {
-        return fail("child high key disagrees with parent entry");
-      }
-    }
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (!bounds_children(nodes_[i])) return fail(kUnboundChild);
   }
   return true;
+}
+
+std::optional<DistributedBTree::Audit> DistributedBTree::audit_walk() const {
+  Audit a{.ok = true};
+  std::uint32_t met = 0;
+  const char* broken =
+      walk_levels([&](const Node& n, bool leaves) -> const char* {
+        if (const char* flaw = node_flaw(n)) return flaw;
+        if (!bounds_children(n)) return kUnboundChild;
+        ++met;
+        if (leaves) {
+          a.keys += n.maxkey.size();
+          for (std::size_t i = 0; i < n.maxkey.size(); ++i) {
+            a.digest += pair_hash(n.maxkey[i], n.payload[i]);
+          }
+        }
+        return nullptr;
+      });
+  // On a sound tree the walk meets every node once.
+  if (broken != nullptr || met != nodes_.size()) return std::nullopt;
+  return a;
+}
+
+DistributedBTree::Audit DistributedBTree::audit() const {
+  if (const std::optional<Audit> a = audit_walk()) return *a;
+  return Audit{num_keys(), digest_host(), check_invariants()};
 }
 
 }  // namespace cm::apps

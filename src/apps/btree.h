@@ -28,11 +28,13 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mechanism.h"
@@ -121,6 +123,16 @@ class DistributedBTree {
   /// the first violation found in `why`.
   [[nodiscard]] bool check_invariants(std::string* why = nullptr) const;
 
+  /// What a run's end state reads of the tree, bit for bit what num_keys(),
+  /// digest_host() and check_invariants() return: from one walk down the
+  /// levels when it vouches for the tree, else from the three of them.
+  struct Audit {
+    std::size_t keys = 0;
+    std::uint64_t digest = 0;
+    bool ok = false;
+  };
+  [[nodiscard]] Audit audit() const;
+
   /// Put every node under placement-policy management (null detaches).
   /// Internal nodes are read-mostly routers — phase-flip candidates; leaves
   /// absorb the writes and are move-only. Call after bulk_load; nodes born
@@ -133,11 +145,57 @@ class DistributedBTree {
   static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
   static constexpr std::uint64_t kMaxKey = ~0ull;
 
-  // Host representation: nodes are built in place in a std::deque, which
-  // never moves an element, so a reference to a node stays valid across
-  // co_await while other operations allocate nodes. A node's shared-memory
-  // state lives beside it, at the same index, and only in a tree with a
-  // CoherentMemory: message-passing trees carry none of it.
+  /// Elements built in place that never move, so a reference to one stays
+  /// valid across co_await while other operations add more. They sit in
+  /// blocks of kBlock: element i is slot i % kBlock of block i / kBlock.
+  template <class T>
+  class Table {
+   public:
+    Table() = default;
+    Table(const Table&) = delete;
+    Table& operator=(const Table&) = delete;
+    ~Table() { clear(); }
+
+    template <class... Args>
+    T& emplace_back(Args&&... args) {
+      if (size_ == blocks_.size() * kBlock) {
+        blocks_.push_back(std::make_unique_for_overwrite<Block>());
+      }
+      T* const t = ::new (slot(size_)) T(std::forward<Args>(args)...);
+      ++size_;
+      return *t;
+    }
+    T& operator[](std::uint32_t i) {
+      return *std::launder(reinterpret_cast<T*>(slot(i)));
+    }
+    const T& operator[](std::uint32_t i) const {
+      return *std::launder(reinterpret_cast<const T*>(slot(i)));
+    }
+    [[nodiscard]] std::uint32_t size() const { return size_; }
+    /// Destroys the elements, first to last, and keeps the blocks.
+    void clear() {
+      for (std::uint32_t i = 0; i < size_; ++i) (*this)[i].~T();
+      size_ = 0;
+    }
+
+   private:
+    static constexpr unsigned kShift = 5;
+    static constexpr std::uint32_t kBlock = 1u << kShift;
+    struct Block {
+      alignas(T) std::byte bytes[kBlock * sizeof(T)];
+    };
+    std::byte* slot(std::uint32_t i) const {
+      return blocks_[i >> kShift]->bytes + (i & (kBlock - 1)) * sizeof(T);
+    }
+
+    std::vector<std::unique_ptr<Block>> blocks_;
+    std::uint32_t size_ = 0;
+  };
+
+  // Host representation: nodes are built in place in a Table. A node's
+  // shared-memory state lives in a Table of its own, at the same index, and
+  // only in a tree with a CoherentMemory: message-passing trees carry none
+  // of it.
   struct Node {
     Node(bool is_leaf, unsigned lvl, core::ObjectId id, core::Runtime& rt,
          unsigned mobile_words)
@@ -232,6 +290,21 @@ class DistributedBTree {
   std::uint32_t alloc_node(bool leaf, unsigned level);
   void link_level(const std::vector<std::uint32_t>& ids);
   [[nodiscard]] std::uint32_t leftmost_leaf() const;
+  /// check_invariants' checks of one node on its own: the start of the
+  /// first violation's message, which the node's id completes, or null.
+  [[nodiscard]] const char* node_flaw(const Node& n) const;
+  /// Is each entry of `n` its child's high key (true for a leaf)?
+  [[nodiscard]] bool bounds_children(const Node& n) const;
+  /// check_invariants' walk down the levels, each along its right links,
+  /// root level first: it checks each level's order and calls
+  /// `meet(node, on_leaf_level)` on every node it reaches, which returns a
+  /// violation's message or null. Returns the first violation, or null.
+  template <class Meet>
+  const char* walk_levels(Meet meet) const;
+  /// audit()'s one walk: walk_levels, with the per-node and parent-entry
+  /// checks on each node it meets and the leaf level's keys and digest
+  /// summed on the way. Null if it finds a violation or misses a node.
+  [[nodiscard]] std::optional<Audit> audit_walk() const;
   /// update_locked's edits of node `nid`: put (key, value) into the leaf,
   /// take the key out of it, or enter a split child's new sibling in the
   /// parent. An edit that overfills the node splits it.
@@ -285,8 +358,8 @@ class DistributedBTree {
   policy::PolicyEngine* policy_ = nullptr;  // null = no placement policy
   Params p_;
   sim::Rng rng_;
-  std::deque<Node> nodes_;  // stable references
-  std::deque<SmNode> sm_;   // nodes_[i]'s SM bindings; empty without mem_
+  Table<Node> nodes_;
+  Table<SmNode> sm_;  // nodes_[i]'s SM bindings; empty without mem_
   std::uint32_t root_ = kNone;
   sim::AsyncMutex tree_lock_;  // serialises root replacement
   std::unique_ptr<core::Replicated> repl_;

@@ -209,9 +209,10 @@ class BTreeApp {
                            &ctl);
   }
   void end_state(RunStats& out) const {
-    out.btree_keys = bt_.num_keys();
-    out.btree_digest = bt_.digest_host();
-    out.invariants_ok = bt_.check_invariants();
+    const DistributedBTree::Audit a = bt_.audit();
+    out.btree_keys = a.keys;
+    out.btree_digest = a.digest;
+    out.invariants_ok = a.ok;
   }
 
  private:

@@ -196,9 +196,7 @@ struct Stack {
   void collect(RunStats& out);
 
   const StackConfig cfg;
-  // A cache line of its own: at the offset after `cfg`, the B-tree
-  // workloads' set-up ran 7-15 % slower (perfbench pairs, 4-core host).
-  alignas(64) sim::Engine eng;
+  sim::Engine eng;
   std::unique_ptr<sim::Tracer> tracer;
   sim::Machine machine;
   std::unique_ptr<check::Checker> checker;

@@ -1,7 +1,7 @@
 #include "loc/locator.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "check/checker.h"
 #include "core/adaptive.h"
@@ -84,11 +84,9 @@ Locator::~Locator() {
 void Locator::on_create(ObjectId id, ProcId home) {
   // ObjectSpace ids are dense and sequential; the directory mirrors that.
   if (id != dir_.size()) {
-    std::fprintf(stderr,
-                 "Locator::on_create: non-sequential object id %u "
-                 "(directory size %zu)\n",
-                 id, dir_.size());
-    std::abort();
+    throw std::logic_error("Locator::on_create: non-sequential object id " +
+                           std::to_string(id) + " (directory size " +
+                           std::to_string(dir_.size()) + ")");
   }
   dir_.emplace_back();
   DirEntry& e = dir_.back();
@@ -330,11 +328,12 @@ sim::Task<ProcId> Locator::forward(ObjectId id, ProcId at, unsigned words,
           // condition instead of declaring the object lost.
           continue;
         }
-        std::fprintf(stderr,
-                     "Locator::forward: object %u lost (no forwarding "
-                     "pointer at proc %u and directory names it)\n",
-                     id, cur);
-        std::abort();
+        // Without ft nothing loses an object, so the protocol's
+        // bookkeeping is broken: not a lost op for the requester to skip.
+        throw std::logic_error(
+            "Locator::forward: object " + std::to_string(id) +
+            " lost (no forwarding pointer at proc " + std::to_string(cur) +
+            " and directory names it)");
       }
     }
     if (ft_ != nullptr && ft_->suspected(next)) {

@@ -182,6 +182,10 @@ class Locator final : public core::LocationService {
   // ---- LocationService ----
   [[nodiscard]] sim::Task<ProcId> resolve(core::Ctx& ctx,
                                           ObjectId obj) override;
+  /// Without a failure detector, a chase that finds no forwarding pointer
+  /// where the directory names the object throws std::logic_error to its
+  /// awaiter: only something that moved the object behind the locator's
+  /// back leaves it so.
   [[nodiscard]] sim::Task<ProcId> forward(ObjectId obj, ProcId at,
                                           unsigned words,
                                           ProcId requester) override;
@@ -195,6 +199,8 @@ class Locator final : public core::LocationService {
   [[nodiscard]] ProcId directory_owner(ObjectId id) const;
 
  private:
+  friend class LocatorTestPeer;  // feeds on_create ids ObjectSpace never makes
+
   struct DirEntry {
     ProcId shard;            // which processor serves this entry
     ProcId owner;            // last committed owner
@@ -206,6 +212,8 @@ class Locator final : public core::LocationService {
     std::unordered_map<ObjectId, ProcId> fwd;  // forwarding pointers
   };
 
+  /// Throws std::logic_error for an id other than the directory's size:
+  /// ObjectSpace ids are dense and sequential.
   void on_create(ObjectId id, ProcId home);
   void cache_put(ProcId p, ObjectId id, ProcId where);
   void trace(sim::TraceEvent ev, ProcId track,

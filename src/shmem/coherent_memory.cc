@@ -26,19 +26,21 @@ CoherentMemory::CoherentMemory(sim::Machine& machine, net::Network& network,
 
 Addr CoherentMemory::alloc(sim::ProcId home, std::uint64_t bytes) {
   const Addr a = heap_.alloc(home, bytes);
-  // Add chunks until the home's records cover its allocated lines. A chunk
-  // starts as zero bytes (empty sharer bitmaps) with a fresh Dir at the
-  // head of each record; existing chunks never move.
-  auto& chunks = dirs_[home];
+  // The home's chunk table covers its allocated lines; a chunk itself is
+  // made by the first transaction on one of its lines (record()).
   const std::uint64_t lines = heap_.used(home) >> kLineShift;
-  while (chunks.size() * kDirChunk < lines) {
-    auto chunk = std::make_unique<std::byte[]>(kDirChunk * dir_stride_);
-    for (std::uint64_t r = 0; r < kDirChunk; ++r) {
-      new (chunk.get() + r * dir_stride_) Dir{};
-    }
-    chunks.push_back(std::move(chunk));
-  }
+  dirs_[home].resize((lines + kDirChunk - 1) / kDirChunk);
   return a;
+}
+
+void CoherentMemory::make_chunk(std::unique_ptr<std::byte[]>& chunk) {
+  // Zero bytes (empty sharer bitmaps) with a fresh Dir at the head of each
+  // record.
+  chunk = std::make_unique<std::byte[]>(kDirChunk * dir_stride_);
+  for (std::uint64_t r = 0; r < kDirChunk; ++r) {
+    new (chunk.get() + r * dir_stride_) Dir{};
+  }
+  ++dir_chunks_;
 }
 
 bool CoherentMemory::allocated(Line line) const {
@@ -220,7 +222,7 @@ void CoherentMemory::prefetch(sim::ProcId p, Addr a, unsigned bytes) {
 }
 
 void CoherentMemory::enqueue(Txn& t) {
-  Dir& d = dir(t.line);
+  Dir& d = record(t.line);
   t.record = &d;
   if (d.tail != nullptr) {
     d.tail->next_in_dir = &t;
@@ -385,7 +387,7 @@ sim::Detached CoherentMemory::writeback(sim::ProcId p, Line line) {
   const sim::ProcId home = home_of_line(line);
   co_await transfer(p, home, params_.words_data);
   co_await controller(home);
-  Dir& d = dir(line);
+  Dir& d = record(line);  // made by the transaction that dirtied the line
   if (d.modified && d.owner == p) {
     d.modified = false;
     d.owner = sim::kNoProc;
@@ -397,7 +399,10 @@ sim::Detached CoherentMemory::writeback(sim::ProcId p, Line line) {
 
 CoherentMemory::DirSnapshot CoherentMemory::dir_snapshot(Line line) const {
   if (!allocated(line)) return {};
-  Dir& d = dir(line);
+  const std::uint64_t off = line_offset(line);
+  std::byte* const chunk = dirs_[home_of_line(line)][off / kDirChunk].get();
+  if (chunk == nullptr) return {};  // no transaction has touched its chunk
+  Dir& d = record_in(chunk, off % kDirChunk);
   const Sharers s = sharers_of(d);
   DirSnapshot snap{d.modified, d.owner, {}, d.head != nullptr};
   for (sim::ProcId p = 0; p < machine_->size(); ++p) {

@@ -41,13 +41,15 @@
 //  * An invalidation round's ack count lives in the `Txn`; each INV/ACK leg
 //    and each dirty writeback is a coroutine of its own, with a pooled
 //    frame, and the last ack steps the transaction inline.
-//  * The directory is dense and sized to the machine: each allocated line
-//    has a record of its FIFO head and tail, owner, modified flag and a
-//    sharer bitmap of ceil(P/64) words on a P-processor machine (32 bytes
-//    at P = 64), indexed by the line's offset in its home region. Records
-//    sit in chunks of kDirChunk that alloc() adds and that never move,
-//    because a transaction holds its record across suspensions while a
-//    B-tree split allocates.
+//  * The directory is dense and sized to the machine: a line's record
+//    holds its FIFO head and tail, owner, modified flag and a sharer bitmap
+//    of ceil(P/64) words on a P-processor machine (32 bytes at P = 64),
+//    indexed by the line's offset in its home region. Records sit in chunks
+//    of kDirChunk lines. alloc() only extends its home's table of chunks;
+//    the first transaction on a line of a chunk makes the chunk, so a
+//    machine pays for the lines its run misses on, not for every line it
+//    allocates. Chunks never move, because a transaction holds its record
+//    across suspensions while a B-tree split allocates.
 //
 // A processor outside the machine throws std::out_of_range from read,
 // write and prefetch, in every build type.
@@ -199,7 +201,12 @@ class CoherentMemory {
     SharerSet sharers;
     bool busy = false;
   };
+  /// A line no transaction has touched reads as the default state.
   [[nodiscard]] DirSnapshot dir_snapshot(Line line) const;
+  /// Directory records per chunk.
+  static constexpr std::uint64_t kDirChunk = 256;
+  /// Directory chunks made so far, kDirChunk records each.
+  [[nodiscard]] std::size_t dir_chunks() const noexcept { return dir_chunks_; }
 
  private:
   /// An access merged into an in-flight transaction (MSHR merge); lives in
@@ -289,9 +296,6 @@ class CoherentMemory {
     }
   };
 
-  /// Directory records per chunk.
-  static constexpr std::uint64_t kDirChunk = 256;
-
   /// Serve [line, last] at `p`, starting from a miss on `line`.
   [[nodiscard]] sim::Task<> acquire(sim::ProcId p, Line line, Line last,
                                     bool exclusive);
@@ -320,12 +324,20 @@ class CoherentMemory {
   void require_allocated(Line line) const;
   /// `p`'s cache; throws std::out_of_range if `p` is outside the machine.
   [[nodiscard]] Cache& cache_of(sim::ProcId p);
-  [[nodiscard]] Dir& dir(Line line) const {
+  /// `line`'s directory record. The first transaction on a line of a chunk
+  /// makes the chunk.
+  [[nodiscard]] Dir& record(Line line) {
     const std::uint64_t off = line_offset(line);
-    std::byte* const record =
-        dirs_[home_of_line(line)][off / kDirChunk].get() +
-        off % kDirChunk * dir_stride_;
-    return *std::launder(reinterpret_cast<Dir*>(record));
+    std::unique_ptr<std::byte[]>& chunk =
+        dirs_[home_of_line(line)][off / kDirChunk];
+    if (chunk == nullptr) [[unlikely]] make_chunk(chunk);
+    return record_in(chunk.get(), off % kDirChunk);
+  }
+  [[gnu::cold, gnu::noinline]] void make_chunk(
+      std::unique_ptr<std::byte[]>& chunk);
+  /// Record `r` of `chunk`.
+  [[nodiscard]] Dir& record_in(std::byte* chunk, std::uint64_t r) const {
+    return *std::launder(reinterpret_cast<Dir*>(chunk + r * dir_stride_));
   }
   [[nodiscard]] Sharers sharers_of(Dir& d) const {
     return {std::launder(reinterpret_cast<std::uint64_t*>(
@@ -361,8 +373,10 @@ class CoherentMemory {
   sim::ProcessorFile controllers_;  // FCFS memory controllers
   unsigned sharer_words_;            // ceil(P / 64)
   std::size_t dir_stride_;           // bytes per record, bitmap included
-  // Per home: chunks of kDirChunk records, by line offset.
+  // Per home: chunks of kDirChunk records, by line offset; null until a
+  // transaction touches one of the chunk's lines.
   std::vector<std::vector<std::unique_ptr<std::byte[]>>> dirs_;
+  std::size_t dir_chunks_ = 0;  // chunks made
   std::vector<Txn*> in_flight_;        // per processor: its MSHR list
   MemStats stats_;
 };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -43,6 +44,12 @@ class BTreeTestPeer {
     return bt_->nodes_[id].high_key;
   }
   unsigned& level_of(std::uint32_t id) { return bt_->nodes_[id].level; }
+  /// A fresh, empty leaf that no level links to.
+  std::uint32_t orphan_leaf() { return bt_->alloc_node(true, 0); }
+  /// audit()'s one walk, null where it does not vouch for the tree.
+  [[nodiscard]] std::optional<DistributedBTree::Audit> walk() const {
+    return bt_->audit_walk();
+  }
 
  private:
   DistributedBTree* bt_;
@@ -599,6 +606,118 @@ TEST_F(BTreeInvariants, ParentEntryDisagreesWithItsChild) {
   EXPECT_EQ(violation(), "child high key disagrees with parent entry");
 }
 
+// ---------------------------------------------------------------------------
+// audit: the end state from one walk, as the three inspections give it
+// ---------------------------------------------------------------------------
+
+void expect_audit_agrees(const DistributedBTree& bt) {
+  const DistributedBTree::Audit a = bt.audit();
+  EXPECT_EQ(a.keys, bt.num_keys());
+  EXPECT_EQ(a.digest, bt.digest_host());
+  EXPECT_EQ(a.ok, bt.check_invariants());
+}
+
+/// BTreeInvariants' valid tree, for planting one corruption in each.
+struct PlantedTree {
+  PlantedTree() : w(small_params(6)), peer(w.bt) {
+    w.bt.bulk_load(make_keys(40));
+  }
+  std::uint32_t leaf(std::size_t i) const { return peer.level(0).at(i); }
+  std::uint32_t inner(std::size_t i) const { return peer.level(1).at(i); }
+
+  World w;
+  BTreeTestPeer peer;
+};
+
+struct Corruption {
+  const char* name;
+  bool sound;    // check_invariants still holds
+  bool vouched;  // and the one walk shows it by itself
+  void (*plant)(PlantedTree&);
+};
+
+/// Each tree BTreeInvariants' tests build, and one with an unlinked node.
+const Corruption kCorruptions[] = {
+    {"entry arrays of different lengths", false, false,
+     [](PlantedTree& t) { t.peer.payload(t.leaf(2)).pop_back(); }},
+    {"node over capacity", false, false,
+     [](PlantedTree& t) {
+       const std::uint32_t l = t.leaf(2);
+       for (std::uint64_t k = 1; k <= 4; ++k) {
+         t.peer.keys(l).push_back(t.peer.keys(l).back() + 1);
+         t.peer.payload(l).push_back(k);
+       }
+     }},
+    {"unsorted node", false, false,
+     [](PlantedTree& t) {
+       std::vector<std::uint64_t>& k = t.peer.keys(t.leaf(2));
+       std::swap(k[1], k[2]);
+     }},
+    {"duplicate bound", false, false,
+     [](PlantedTree& t) {
+       std::vector<std::uint64_t>& k = t.peer.keys(t.leaf(2));
+       k[2] = k[1];
+     }},
+    {"unsorted after an earlier duplicate", false, false,
+     [](PlantedTree& t) {
+       std::vector<std::uint64_t>& k = t.peer.keys(t.leaf(2));
+       k[1] = k[0];
+       std::swap(k[2], k[3]);
+     }},
+    {"entry above the high key", false, false,
+     [](PlantedTree& t) {
+       const std::uint32_t l = t.leaf(2);
+       t.peer.high_key(l) = t.peer.keys(l).back() - 1;
+     }},
+    {"internal last bound below the high key", false, false,
+     [](PlantedTree& t) {
+       const std::uint32_t n = t.inner(0);
+       t.peer.high_key(n) = t.peer.keys(n).back() + 1;
+     }},
+    {"ragged level", false, false,
+     [](PlantedTree& t) { t.peer.level_of(t.leaf(5)) = 1; }},
+    {"cross-node order", false, false,
+     [](PlantedTree& t) {
+       t.peer.keys(t.leaf(3)).front() = t.peer.keys(t.leaf(2)).back();
+     }},
+    {"empty leaf", true, true,
+     [](PlantedTree& t) {
+       t.peer.keys(t.leaf(3)).clear();
+       t.peer.payload(t.leaf(3)).clear();
+     }},
+    {"cross-node order across an empty leaf", false, false,
+     [](PlantedTree& t) {
+       t.peer.keys(t.leaf(3)).clear();
+       t.peer.payload(t.leaf(3)).clear();
+       t.peer.keys(t.leaf(4)).front() = t.peer.keys(t.leaf(2)).back();
+     }},
+    {"open high key before the rightmost node", false, false,
+     [](PlantedTree& t) { t.peer.high_key(t.leaf(2)) = kReservedKey; }},
+    {"rightmost node short of the key space", false, false,
+     [](PlantedTree& t) {
+       const std::uint32_t l = t.leaf(9);
+       t.peer.high_key(l) = t.peer.keys(l).back();
+     }},
+    {"parent entry disagrees with its child", false, false,
+     [](PlantedTree& t) { t.peer.keys(t.inner(0)).front() -= 1; }},
+    {"a leaf no level links to", true, false,
+     [](PlantedTree& t) { (void)t.peer.orphan_leaf(); }},
+};
+
+TEST(BTreeAudit, AgreesWithTheInspectionsOnEveryCorruptedTree) {
+  for (const Corruption& c : kCorruptions) {
+    SCOPED_TRACE(c.name);
+    PlantedTree t;
+    ASSERT_TRUE(t.peer.walk().has_value());
+    c.plant(t);
+    EXPECT_EQ(t.w.bt.check_invariants(), c.sound);
+    // The walk vouches only for a tree whose every node it met and passed.
+    const std::optional<DistributedBTree::Audit> walk = t.peer.walk();
+    EXPECT_EQ(walk.has_value(), c.vouched);
+    expect_audit_agrees(t.w.bt);
+  }
+}
+
 TEST(BTreeInspection, NumKeysAgreesWithKeysHostAfterSplits) {
   for (const Mechanism mech : {Mechanism::kRpc, Mechanism::kMigration}) {
     World w(small_params(4));
@@ -789,6 +908,38 @@ TEST(BTreeSemantics, MechanismsProduceIdenticalTrees) {
       ASSERT_EQ(rpc.results[t].size(), 40u);
       EXPECT_EQ(others[i].results[t], rpc.results[t])
           << "run " << i << ", requester " << t;
+    }
+  }
+}
+
+TEST(BTreeAudit, OneWalkAgreesWithTheInspectionsAfterMixedOps) {
+  // Inserts that split, removes and lookups from four requesters, under
+  // every mechanism, with and without root replication.
+  constexpr unsigned kThreads = 4;
+  for (const Mechanism mech :
+       {Mechanism::kRpc, Mechanism::kMigration, Mechanism::kSharedMemory,
+        Mechanism::kObjectMigration, Mechanism::kThreadMigration}) {
+    for (const bool repl : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "mechanism " << static_cast<int>(mech) << ", repl "
+                   << repl);
+      World w(small_params(4, repl));
+      w.bt.bulk_load(make_keys(30, 3));
+      const std::size_t nodes0 = w.bt.num_nodes();
+      std::vector<std::uint64_t> results[kThreads];
+      for (unsigned t = 0; t < kThreads; ++t) {
+        sim::detach(own_stream(&w, mech, static_cast<ProcId>(8 + t), t,
+                               kThreads, &results[t]));
+      }
+      w.eng.run();
+      EXPECT_GT(w.bt.num_nodes(), nodes0);
+      const std::optional<DistributedBTree::Audit> walk =
+          BTreeTestPeer(w.bt).walk();
+      ASSERT_TRUE(walk.has_value());
+      EXPECT_TRUE(walk->ok);
+      EXPECT_EQ(walk->keys, w.bt.num_keys());
+      EXPECT_EQ(walk->digest, w.bt.digest_host());
+      expect_audit_agrees(w.bt);
     }
   }
 }

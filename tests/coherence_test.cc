@@ -482,6 +482,39 @@ TEST(Directory, AllocGrowsTheTableUnderQueuedTransactions) {
   EXPECT_EQ(e.owner, 4u);
 }
 
+TEST(Directory, TheFirstMissInAChunkMakesItsRecords) {
+  World w(4);
+  constexpr std::uint64_t kChunkBytes = CoherentMemory::kDirChunk * kLineBytes;
+  // Two chunks' worth of lines on home 1, one line on home 2.
+  const Addr a = w.mem.alloc(1, 2 * kChunkBytes);
+  const Addr b = w.mem.alloc(2, 16);
+  EXPECT_EQ(w.mem.dir_chunks(), 0u);
+  // The first miss in a's first chunk makes it.
+  sim::detach(do_read(&w.mem, 0, a, 16, nullptr, &w.eng));
+  w.eng.run();
+  EXPECT_EQ(w.mem.dir_chunks(), 1u);
+  // Another line of that chunk, its last, makes none.
+  sim::detach(do_write(&w.mem, 3, a + kChunkBytes - 16, 16, nullptr, &w.eng));
+  w.eng.run();
+  EXPECT_EQ(w.mem.dir_chunks(), 1u);
+  // The next line is the first of a's second chunk; b's is on another home.
+  sim::detach(do_read(&w.mem, 0, a + kChunkBytes, 16, nullptr, &w.eng));
+  sim::detach(do_read(&w.mem, 0, b, 16, nullptr, &w.eng));
+  w.eng.run();
+  EXPECT_EQ(w.mem.dir_chunks(), 3u);
+  // The records keep their state beside each other.
+  EXPECT_TRUE(w.mem.dir_snapshot(line_of(a)).sharers.test(0));
+  const auto last = w.mem.dir_snapshot(line_of(a + kChunkBytes - 16));
+  EXPECT_TRUE(last.modified);
+  EXPECT_EQ(last.owner, 3u);
+  // A line the run never touched, in a chunk it made, reads as clean.
+  const auto untouched = w.mem.dir_snapshot(line_of(a + 16));
+  EXPECT_FALSE(untouched.modified);
+  EXPECT_EQ(untouched.owner, sim::kNoProc);
+  EXPECT_TRUE(untouched.sharers.none());
+  EXPECT_FALSE(untouched.busy);
+}
+
 // ---------------------------------------------------------------------------
 // Configuration and address errors are typed, in every build type
 // ---------------------------------------------------------------------------

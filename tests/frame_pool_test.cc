@@ -744,7 +744,7 @@ TEST(FramePool, BTreeBulkLoadMakesAtMostFiveAllocationsPerNode) {
 }
 
 TEST(FramePool, BTreeBulkLoadMakesAtMostThreeAllocationsPerNode) {
-  // Per node: its two entry arrays, and a share of the deque's blocks.
+  // Per node: its two entry arrays, and a share of the node table's blocks.
   World w(48 + 16);
   std::vector<std::uint64_t> keys(10'000);
   for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
@@ -842,6 +842,70 @@ TEST(FramePool, BTreeSizedDirectoryMakesAtMost250Allocations) {
   EXPECT_LE(made, 250u) << made << " allocations for " << kNodes * 104
                         << " lines";
   EXPECT_EQ(mem.dir_snapshot(shmem::line_of(last)).owner, sim::kNoProc);
+}
+
+/// The B-tree-sized directory's machine, after allocating the blocks of
+/// its 192 nodes; the last node's spin-lock word is `*last`.
+struct BTreeSizedMemory {
+  static constexpr ProcId kHomes = 48;
+  static constexpr unsigned kNodes = 192;
+
+  BTreeSizedMemory() {
+    for (unsigned i = 0; i < kNodes; ++i) {
+      const ProcId home = i % kHomes;
+      (void)mem.alloc(home, 16 + 16 * 101);
+      (void)mem.alloc(home, 8);
+      last = mem.alloc(home, 4);
+    }
+  }
+
+  sim::Engine eng;
+  sim::Machine machine{eng, kHomes + 16};
+  net::MeshNetwork mesh{eng, kHomes + 16};
+  shmem::CoherentMemory mem{machine, mesh};
+  shmem::Addr last = 0;
+};
+
+TEST(FramePool, AllocatingBTreeSizedBlocksMakesNoDirectoryChunk) {
+  const BTreeSizedMemory m;
+  EXPECT_EQ(m.mem.dir_chunks(), 0u);
+}
+
+TEST(FramePool, SnapshotOfAnUntouchedLineIsCleanAndAllocatesNothing) {
+  const BTreeSizedMemory m;
+  const std::size_t allocs0 = allocs();
+  const auto snap = m.mem.dir_snapshot(shmem::line_of(m.last));
+  const auto first = m.mem.dir_snapshot(shmem::line_of(0));
+  EXPECT_EQ(allocs() - allocs0, 0u);
+  for (const auto& s : {snap, first}) {
+    EXPECT_FALSE(s.modified);
+    EXPECT_EQ(s.owner, sim::kNoProc);
+    EXPECT_TRUE(s.sharers.none());
+    EXPECT_FALSE(s.busy);
+  }
+  EXPECT_EQ(m.mem.dir_chunks(), 0u);
+}
+
+TEST(FramePool, WarmEmptyWindowSmBTreeCallMakesAtMost550Allocations) {
+  // perfbench's set-up call on btree_sm: the benchmark's shape with an
+  // empty window, so each requester starts one op and the engine drains.
+  // It made 651 allocations while alloc() made every directory chunk and
+  // the nodes sat in a std::deque, 505 since.
+  apps::BTreeConfig cfg;
+  cfg.scheme = core::Scheme{core::Mechanism::kSharedMemory, false, false};
+  cfg.requesters = 16;
+  cfg.nkeys = 10'000;
+  cfg.node_procs = 48;
+  cfg.window = apps::Window{0, 0};
+  cfg.seed = 4097;
+  const apps::RunStats first = apps::run_btree(cfg);
+  ASSERT_TRUE(first.invariants_ok);
+  const std::size_t allocs0 = allocs();
+  const apps::RunStats warm = apps::run_btree(cfg);
+  const std::size_t made = allocs() - allocs0;
+  EXPECT_TRUE(warm.invariants_ok);
+  EXPECT_EQ(warm.events_executed, first.events_executed);
+  EXPECT_LE(made, 550u) << made << " allocations";
 }
 
 // ---------------------------------------------------------------------------

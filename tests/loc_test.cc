@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <stdexcept>
+
 #include "apps/workload.h"
+#include "core/ft.h"
 #include "core/mobile.h"
 
 namespace cm::loc {
+
+class LocatorTestPeer {
+ public:
+  static void on_create(Locator& loc, ObjectId id, ProcId home) {
+    loc.on_create(id, home);
+  }
+};
+
 namespace {
 
 using core::Ctx;
@@ -242,6 +254,57 @@ TEST(Locator, RacingMoversFromOneProcessorMoveOnce) {
   EXPECT_EQ(w.rt.stats().moved_object_words, 16u);
   EXPECT_EQ(w.objects.home_of(id), 0u);
   EXPECT_EQ(loc.directory_owner(id), 0u);
+}
+
+TEST(Locator, NonSequentialObjectIdThrowsLogicError) {
+  World w(4);
+  Locator loc(w.rt, distributed());
+  (void)w.objects.create(1);
+  try {
+    LocatorTestPeer::on_create(loc, 5, 2);
+    FAIL() << "no exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Locator::on_create: non-sequential object id 5 "
+                 "(directory size 1)");
+  }
+  // The directory is as it was: the next sequential id still registers.
+  const ObjectId next = w.objects.create(3);
+  EXPECT_EQ(next, 1u);
+  EXPECT_EQ(loc.directory_owner(next), 3u);
+}
+
+/// A call from `p` to `id` that reports the exception it ends with.
+Task<> call_catching(World* w, ObjectId id, ProcId p,
+                     std::exception_ptr* error) {
+  try {
+    co_await call_from(w, id, p);
+  } catch (...) {
+    *error = std::current_exception();
+  }
+}
+
+TEST(Locator, ObjectLostWithoutFtThrowsLogicErrorToTheCaller) {
+  World w(4);
+  Locator loc(w.rt, distributed());
+  const ObjectId id = w.objects.create(1);
+  // Moved behind the locator's back: the directory still names 1, and 1
+  // holds no forwarding pointer, so the chase from 1 finds nothing.
+  w.objects.move(id, 3);
+  std::exception_ptr error;
+  sim::detach(call_catching(&w, id, 2, &error));
+  w.eng.run();
+  ASSERT_NE(error, nullptr);
+  try {
+    std::rethrow_exception(error);
+  } catch (const core::FtError& e) {
+    FAIL() << "a lost op, not a broken invariant: " << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Locator::forward: object 0 lost (no forwarding pointer at "
+                 "proc 1 and directory names it)");
+  }
+  EXPECT_EQ(loc.stats().fwd_fallbacks, 1u);
 }
 
 TEST(Locator, OwnerHomePolicyPlacesShardAtCreationHome) {

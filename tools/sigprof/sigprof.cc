@@ -6,7 +6,9 @@
 // `sigprof.<pid>.out` to the working directory: a header, one
 // `<hex pc> <count>` line per distinct pc, and a copy of /proc/self/maps,
 // from which tools/profile_report maps each pc to a binary and an address
-// addr2line understands.
+// addr2line understands. The header's `rusage` line holds the process's
+// user and system CPU time and its minor page faults (getrusage), which
+// tell time the kernel spent faulting pages in from time spent in code.
 //
 //   LD_PRELOAD=build/tools/libcm_sigprof.so build/examples/mobile_objects
 //   python3 tools/profile_report sigprof.*.out
@@ -15,6 +17,7 @@
 // samples past the array's end are counted as dropped. A program that exits
 // through _exit or a fatal signal writes nothing.
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -87,6 +90,14 @@ void copy_maps(std::FILE* out) {
   if (out == nullptr) return;
   std::fprintf(out, "# sigprof 1\ninterval_us %ld\n", kIntervalUs);
   std::fprintf(out, "samples %zu\ndropped %zu\n", kept, taken - kept);
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+    const auto us = [](const timeval& t) {
+      return static_cast<long long>(t.tv_sec) * 1'000'000 + t.tv_usec;
+    };
+    std::fprintf(out, "rusage utime_us %lld stime_us %lld minflt %ld\n",
+                 us(ru.ru_utime), us(ru.ru_stime), ru.ru_minflt);
+  }
   for (std::size_t i = 0; i < kept;) {
     std::size_t j = i;
     while (j < kept && g_pcs[j] == g_pcs[i]) ++j;
