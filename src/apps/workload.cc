@@ -315,6 +315,7 @@ void Stack::collect(RunStats& out) {
   out.net = net.stats();
   out.completed_at = eng.now();
   out.clamped_events = eng.clamped_events();
+  out.event_hash = eng.event_hash();
   out.policy_enabled = policy != nullptr;
   if (policy != nullptr) out.policy = policy->stats();
   out.ft_enabled = ft != nullptr;

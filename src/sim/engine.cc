@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstdio>
@@ -36,6 +37,11 @@ void Engine::step() {
   now_ = k.t;
   current_home_ = static_cast<ProcId>(k.home);
   ++executed_;
+  // One multiply per event. The label's count and the home sit above the
+  // time's bits before the mix, and the rotation carries high bits down.
+  const std::uint64_t x = k.t ^ std::rotl(k.seq, 24) ^
+                          (std::uint64_t{k.home} << 48);
+  event_hash_ = std::rotl((event_hash_ ^ x) * 0x9e3779b97f4a7c15ULL, 29);
   if ((k.payload & kTagMask) == 0) {
     void* const frame = reinterpret_cast<void*>(k.payload);
     std::coroutine_handle<>::from_address(frame).resume();
