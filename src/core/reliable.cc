@@ -4,115 +4,105 @@
 #include <coroutine>
 
 #include "check/checker.h"
-#include "sim/task.h"
-#include "sim/timer.h"
 #include "sim/tracer.h"
 
 namespace cm::core {
 
-struct ReliableTransport::SendState {
-  sim::ProcId src = 0;
-  sim::ProcId dst = 0;
-  unsigned words = 0;
-  unsigned budget = 0;  // 0 = unbounded
-  std::uint64_t seq = 0;
-  unsigned attempts = 0;
-  sim::Cycles timeout = 0;
-  sim::Cycles deadline = 0;  // absolute give-up cycle; 0 = none
-  bool acked = false;
-  bool done = false;       // the awaiter has been resumed...
-  bool delivered = false;  // ...because a copy arrived (vs. giving up)
-  std::coroutine_handle<> waiter;
-  sim::Timer timer;
-
-  explicit SendState(sim::Engine& e) : timer(e) {}
-};
+void ReliableTransport::Send::arrived(sim::Continuation* c) {
+  Send& s = *static_cast<Leg*>(c)->send;
+  if (c == &s.data) {
+    s.transport->on_data(s);
+  } else {
+    s.acked = true;
+    s.timer.cancel();
+  }
+}
 
 sim::Task<bool> ReliableTransport::send(sim::ProcId src, sim::ProcId dst,
                                         unsigned words, unsigned budget,
                                         sim::Cycles deadline) {
-  auto st = std::make_shared<SendState>(*engine_);
-  st->src = src;
-  st->dst = dst;
-  st->words = words;
-  st->budget = budget;
-  st->deadline = deadline;
-  st->seq = channel(src, dst).next_seq++;
-  st->timeout = cfg_.base_timeout;
+  std::deque<Send>& sends = channels_[{src, dst}];
+  const std::uint64_t seq = sends.size();
+  Send& s = sends.emplace_back(this, src, dst, words, budget, seq,
+                               cfg_.base_timeout, deadline,
+                               sim::Timer(*engine_));
   ++stats_->reliable_sends;
   if (check::Checker* ck = engine_->checker()) {
-    ck->on_seq_sent(src, dst, st->seq);
+    ck->on_seq_sent(src, dst, seq);
   }
-  // The awaiter is bound to a named local before awaiting: the capture owns
-  // a shared_ptr, and `co_await` on a prvalue awaiter miscounts the
-  // temporary's lifetime under GCC 12.2 (destroys the captured state twice).
-  // See the note on suspend_to in sim/task.h.
-  auto arm_and_wait = sim::suspend_to([this, st](std::coroutine_handle<> h) {
-    st->waiter = h;
-    attempt(st);
+  co_await sim::suspend_to([this, &s](std::coroutine_handle<> h) {
+    s.waiter = h;
+    attempt(s);
   });
-  co_await arm_and_wait;
-  co_return st->delivered;
+  co_return s.delivered;
 }
 
-void ReliableTransport::attempt(const std::shared_ptr<SendState>& st) {
-  ++st->attempts;
-  if (st->attempts > 1) {
+void ReliableTransport::attempt(Send& s) {
+  ++s.attempts;
+  if (s.attempts > 1) {
     ++stats_->retransmits;
     if (sim::Tracer* tr = engine_->tracer()) {
-      tr->record(sim::TraceEvent::kRetransmit, st->src,
-                 {{"dst", st->dst}, {"seq", st->seq}, {"attempt", st->attempts}});
+      tr->record(sim::TraceEvent::kRetransmit, s.src,
+                 {{"dst", s.dst}, {"seq", s.seq}, {"attempt", s.attempts}});
     }
     // The retransmitted copy's wire time is real overhead the fault-free
     // figures never pay; account it like any other transit.
     stats_->breakdown.add(Category::kNetworkTransit,
-                          network_->latency(st->src, st->dst, st->words));
+                          network_->latency(s.src, s.dst, s.words));
   }
-  network_->send(st->src, st->dst, st->words, net::Traffic::kRuntime,
-                 [this, st] { on_data(st); });
-  st->timer.arm(st->timeout, [this, st] { on_timeout(st); });
+  network_->send(s.src, s.dst, s.words, net::Traffic::kRuntime, &s.data);
+  s.timer.arm(s.timeout, [this, &s] { on_timeout(s); });
 }
 
-void ReliableTransport::on_data(const std::shared_ptr<SendState>& st) {
-  const bool fresh = channel(st->src, st->dst).delivered.insert(st->seq).second;
+void ReliableTransport::on_data(Send& s) {
+  const bool fresh = !s.received;
+  s.received = true;
   if (check::Checker* ck = engine_->checker()) {
     // The checker replays the delivery history independently and flags any
     // disagreement with the transport's own dedup verdict.
-    ck->on_seq_delivered(st->src, st->dst, st->seq, fresh);
+    ck->on_seq_delivered(s.src, s.dst, s.seq, fresh);
   }
   if (!fresh) {
     ++stats_->dedup_hits;
     if (sim::Tracer* tr = engine_->tracer()) {
-      tr->record(sim::TraceEvent::kDedup, st->dst,
-                 {{"src", st->src}, {"seq", st->seq}});
+      tr->record(sim::TraceEvent::kDedup, s.dst,
+                 {{"src", s.src}, {"seq", s.seq}});
     }
   }
   // Ack every copy: the ack for an earlier copy may itself have been lost.
   ++stats_->acks_sent;
-  network_->send(st->dst, st->src, cfg_.ack_words, net::Traffic::kRuntime,
-                 [st] {
-                   st->acked = true;
-                   st->timer.cancel();
-                 });
+  network_->send(s.dst, s.src, cfg_.ack_words, net::Traffic::kRuntime,
+                 &s.ack);
   if (!fresh) return;
-  if (st->done) {
+  if (s.done) {
     // The sender already exhausted its budget and took the recovery path;
     // the receiving runtime discards the stale activation instead of
     // running it a second time.
     ++stats_->stale_deliveries;
     return;
   }
-  st->done = true;
-  st->delivered = true;
-  st->waiter.resume();
+  s.done = true;
+  s.delivered = true;
+  s.waiter.resume();
 }
 
-void ReliableTransport::on_timeout(const std::shared_ptr<SendState>& st) {
-  if (st->acked) return;
+void ReliableTransport::give_up(Send& s) {
+  ++stats_->delivery_failures;
+  if (check::Checker* ck = engine_->checker()) {
+    ck->on_seq_abandoned(s.src, s.dst, s.seq);
+  }
+  if (!s.done) {
+    s.done = true;
+    s.waiter.resume();
+  }
+}
+
+void ReliableTransport::on_timeout(Send& s) {
+  if (s.acked) return;
   ++stats_->timeouts_fired;
   if (sim::Tracer* tr = engine_->tracer()) {
-    tr->record(sim::TraceEvent::kTimeout, st->src,
-               {{"dst", st->dst}, {"seq", st->seq}});
+    tr->record(sim::TraceEvent::kTimeout, s.src,
+               {{"dst", s.dst}, {"seq", s.seq}});
   }
   if (ft_ != nullptr) {
     // Fail-stop cancellation: stop retrying once the peer is suspected or
@@ -120,49 +110,26 @@ void ReliableTransport::on_timeout(const std::shared_ptr<SendState>& st) {
     // but the ack died with the receiver's NIC), the send has succeeded —
     // just stop retransmitting silently; resuming or failing it now would
     // double-settle the awaiter.
-    const bool suspect = ft_->suspected(st->dst) || ft_->suspected(st->src);
-    const bool expired =
-        st->deadline != 0 && engine_->now() >= st->deadline;
+    const bool suspect = ft_->suspected(s.dst) || ft_->suspected(s.src);
+    const bool expired = s.deadline != 0 && engine_->now() >= s.deadline;
     if (suspect || expired) {
-      if (suspect) {
-        ++stats_->ft_suspect_aborts;
-      } else {
-        ++stats_->ft_deadline_aborts;
-      }
+      ++(suspect ? stats_->ft_suspect_aborts : stats_->ft_deadline_aborts);
       if (sim::Tracer* tr = engine_->tracer()) {
-        tr->record(sim::TraceEvent::kFtAbort, st->src,
-                   {{"dst", st->dst},
-                    {"seq", st->seq},
+        tr->record(sim::TraceEvent::kFtAbort, s.src,
+                   {{"dst", s.dst},
+                    {"seq", s.seq},
                     {"why", suspect ? 0u : 1u}});
       }
-      if (!st->done) {
-        ++stats_->delivery_failures;
-        if (check::Checker* ck = engine_->checker()) {
-          // Excuse the seq from the end-of-run gapless check, exactly like
-          // a bounded-budget give-up: recovery owns correctness from here.
-          ck->on_seq_abandoned(st->src, st->dst, st->seq);
-        }
-        st->done = true;
-        st->waiter.resume();
-      }
+      if (!s.done) give_up(s);
       return;
     }
   }
-  if (st->budget != 0 && st->attempts >= st->budget) {
-    ++stats_->delivery_failures;
-    if (check::Checker* ck = engine_->checker()) {
-      // Bounded-budget give-up: excuse this seq from the end-of-run gapless
-      // check — the migration fallback path owns correctness from here.
-      ck->on_seq_abandoned(st->src, st->dst, st->seq);
-    }
-    if (!st->done) {
-      st->done = true;  // gave up before any copy arrived: wake the sender
-      st->waiter.resume();
-    }
+  if (s.budget != 0 && s.attempts >= s.budget) {
+    give_up(s);  // the migration fallback path owns correctness from here
     return;
   }
-  st->timeout = std::min(st->timeout * 2, cfg_.max_timeout);
-  attempt(st);
+  s.timeout = std::min(s.timeout * 2, cfg_.max_timeout);
+  attempt(s);
 }
 
 }  // namespace cm::core

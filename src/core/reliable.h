@@ -28,10 +28,10 @@
 // hang — is bit-identical, which is exactly the no-overhead guarantee.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "core/ft.h"
@@ -39,6 +39,7 @@
 #include "net/network.h"
 #include "sim/engine.h"
 #include "sim/task.h"
+#include "sim/timer.h"
 #include "sim/types.h"
 
 namespace cm::core {
@@ -78,33 +79,53 @@ class ReliableTransport {
   /// Install the fail-stop suspicion source (null = crash-free behaviour).
   void set_fault_tolerance(const FaultTolerance* ft) noexcept { ft_ = ft; }
 
-  [[nodiscard]] const ReliableConfig& config() const noexcept { return cfg_; }
-
  private:
-  struct SendState;  // shared by the delivery / ack / timer callbacks
+  /// One seq's send record. Every copy of its data message wakes `data`,
+  /// and every copy of its ack wakes `ack`: both re-runnable and as
+  /// long-lived as the transport, so the fault layer may drop, duplicate or
+  /// delay either, and a late copy re-runs a step the flags have settled.
+  struct Send {
+    struct Leg : sim::Continuation {
+      Send* send;
+    };
+    ~Send() { timer.cancel(); }  // its pending event refers to this record
 
-  void attempt(const std::shared_ptr<SendState>& st);
-  void on_data(const std::shared_ptr<SendState>& st);
-  void on_timeout(const std::shared_ptr<SendState>& st);
+    ReliableTransport* transport;
+    sim::ProcId src;
+    sim::ProcId dst;
+    unsigned words;
+    unsigned budget;  // 0 = unbounded
+    std::uint64_t seq;
+    sim::Cycles timeout;
+    sim::Cycles deadline;  // absolute give-up cycle; 0 = none
+    sim::Timer timer;
+    unsigned attempts = 0;
+    bool acked = false;
+    bool received = false;   // a copy of the data has arrived
+    bool done = false;       // the awaiter has been resumed...
+    bool delivered = false;  // ...because a copy arrived (vs. giving up)
+    std::coroutine_handle<> waiter;
+    Leg data{{&arrived}, this};
+    Leg ack{{&arrived}, this};
 
-  /// Per-directed-link transport state. `delivered` remembers every seq
-  /// accepted so duplicates are recognised for the whole run — fine at
-  /// simulation scale; a real implementation would prune via cumulative
-  /// acks.
-  struct Channel {
-    std::uint64_t next_seq = 0;
-    std::unordered_set<std::uint64_t> delivered;
+    static void arrived(sim::Continuation* c);  // a copy of data or ack
   };
-  Channel& channel(sim::ProcId src, sim::ProcId dst) {
-    return channels_[{src, dst}];
-  }
+
+  void attempt(Send& s);
+  void on_data(Send& s);
+  void on_timeout(Send& s);
+  /// Count a delivery failure, excuse the seq from the checker's end-of-run
+  /// gapless check, and wake the sender if it still waits.
+  void give_up(Send& s);
 
   sim::Engine* engine_;
   net::Network* network_;
   RtStats* stats_;
   ReliableConfig cfg_;
   const FaultTolerance* ft_ = nullptr;  // null = never suspect anyone
-  std::map<std::pair<sim::ProcId, sim::ProcId>, Channel> channels_;
+  // Per directed link, every seq's record, seq i at index i — fine at
+  // simulation scale; a real implementation would prune via cumulative acks.
+  std::map<std::pair<sim::ProcId, sim::ProcId>, std::deque<Send>> channels_;
 };
 
 }  // namespace cm::core

@@ -91,44 +91,13 @@ sim::Task<> Replicated::invalidate_all(Ctx& ctx) {
   }
 
   // Broadcast invalidations from the writer's processor and gather acks.
+  // Each round trip is a pair of runtime transfers, so under a fault plan it
+  // rides the reliable transport and a drop cannot strand this barrier.
   AckRound round{static_cast<int>(targets.size())};
-  if (rt_->reliability_enabled()) {
-    // Faulty network: raw fire-and-forget sends can drop an invalidation
-    // or its ack, stranding this barrier (and the writer's call) forever.
-    // Ride the reliable transport instead — unbounded retransmission
-    // guarantees every round trip completes. Fault-free runs never take
-    // this branch, so their event sequence is unchanged.
-    for (const ProcId t : targets) {
-      valid_[t] = false;
-      co_await rt_->charge(ctx.proc, c.sender_total(1),
-                           Category::kReplication);
-      sim::detach(invalidate_one(ctx.proc, t, &round));
-    }
-    co_await round;
-    co_await rt_->charge(ctx.proc, c.reply_receive(1),
-                         Category::kReplication);
-    co_return;
-  }
   for (const ProcId t : targets) {
     valid_[t] = false;
     co_await rt_->charge(ctx.proc, c.sender_total(1), Category::kReplication);
-    // Raw sends are safe on this branch only: reliability_enabled() runs
-    // return above, so reaching here means no FaultPlan is installed and
-    // the network is lossless by construction (the PR 9 bug lived in
-    // taking this path under faults).
-    // simlint: allow SS002
-    rt_->network().send(
-        ctx.proc, t, 1 + c.header_words, net::Traffic::kRuntime,
-        [this, t, from = ctx.proc, r = &round, &c] {
-          // At the replica holder: cheap handler, then ack.
-          rt_->machine().exec(
-              t, c.receiver_total(1, false), [this, t, from, r, &c] {
-                // Ack on the same lossless-by-construction branch.
-                // simlint: allow SS002
-                rt_->network().send(t, from, 1 + c.header_words,
-                                    net::Traffic::kRuntime, [r] { r->ack(); });
-              });
-        });
+    sim::detach(invalidate_one(ctx.proc, t, &round));
   }
   co_await round;
   co_await rt_->charge(ctx.proc, c.reply_receive(1), Category::kReplication);

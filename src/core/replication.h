@@ -32,9 +32,9 @@ class Replicated {
   /// primary. Afterwards the caller reads the object locally.
   [[nodiscard]] sim::Task<> ensure(Ctx& ctx);
 
-  /// Invalidate every remote replica (broadcast + gathered acks). Called by
-  /// a writer before it modifies the primary; the writer should be running
-  /// at the primary's home.
+  /// Invalidate every remote replica (broadcast + gathered acks, one
+  /// `invalidate_one` per replica). Called by a writer before it modifies
+  /// the primary; the writer should be running at the primary's home.
   [[nodiscard]] sim::Task<> invalidate_all(Ctx& ctx);
 
   /// Point the replica set at a different primary (e.g. after a root split
@@ -64,8 +64,8 @@ class Replicated {
   };
   static_assert(std::is_trivially_destructible_v<AckRound>);
 
-  /// One invalidate/ack round trip over the reliable transport (the
-  /// drop-safe branch of invalidate_all; detached, one per target).
+  /// One invalidate/ack round trip (detached, one per target): two runtime
+  /// transfers, reliable under a fault plan, around the holder's handler.
   [[nodiscard]] sim::Task<> invalidate_one(ProcId from, ProcId target,
                                            AckRound* round);
 

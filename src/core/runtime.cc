@@ -75,7 +75,11 @@ bool Runtime::send_message(ProcId src, ProcId dst, unsigned words,
   }
   if (reliable_ == nullptr) {
     *delivered = true;
-    network_->send_resume(src, dst, total, net::Traffic::kRuntime, then);
+    // A raw send: the network is lossless here, because a Stack installs
+    // the reliable transport whenever a fault plan is active, and a drop is
+    // then the transport's to repair, not this branch's.
+    // simlint: allow SS002
+    network_->send(src, dst, total, net::Traffic::kRuntime, then);
     return true;
   }
   Cycles deadline = 0;

@@ -281,9 +281,8 @@ class Runtime {
   /// The awaiter of one runtime message: `co_await` sends it through
   /// `send_message` and suspends the caller until it is delivered, then
   /// yields whether it was. It is a plain struct in the caller's frame, not
-  /// a coroutine. Without a reliable transport the message is a resume
-  /// delivery (`Network::send_resume`), so the caller wakes from one engine
-  /// resume event. A message touching a processor the FaultTolerance
+  /// a coroutine. Without a reliable transport the message wakes the
+  /// caller itself (`Network::send`), from one engine resume event. A message touching a processor the FaultTolerance
   /// service suspects yields false at once, without suspending or sending.
   struct [[nodiscard]] Transfer {
     Runtime* rt;

@@ -19,6 +19,9 @@ FtLayer::FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator)
       epoch_(nprocs_, core::kNoFailureEpoch),
       last_heard_(nprocs_, 0),
       sweep_timer_(rt.machine().engine()) {
+  for (ProcId p = 0; p < nprocs_; ++p) {
+    heartbeats_.push_back({{&Heartbeat::arrive}, this, p});
+  }
   if (!cfg_.enabled) return;
   rt_->set_fault_tolerance(this);
   if (locator_ != nullptr && locator_->attached()) {
@@ -83,10 +86,11 @@ void FtLayer::sweep() {
       ++stats_.heartbeats_sent;
       // Heartbeats must ride the raw lossy network: a dead NIC silently
       // eating them is the failure signal itself, and a retransmitting
-      // transport would mask exactly what the detector measures.
+      // transport would mask exactly what the detector measures. A lost
+      // heartbeat only lets a lease age; a duplicate renews it twice.
       // simlint: allow SS002
       rt_->network().send(p, mon, hb_words, net::Traffic::kRuntime,
-                          [this, p] { on_heartbeat(p); });
+                          &heartbeats_[p]);
     }
   }
   // Lease expiry: anyone silent for `lease_misses` whole intervals is
@@ -98,6 +102,11 @@ void FtLayer::sweep() {
     if (now - last_heard_[p] > lease) suspect(p, now);
   }
   arm_sweep();
+}
+
+void FtLayer::Heartbeat::arrive(sim::Continuation* c) {
+  const auto* hb = static_cast<Heartbeat*>(c);
+  hb->ft->on_heartbeat(hb->from);
 }
 
 void FtLayer::on_heartbeat(ProcId from) {

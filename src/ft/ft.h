@@ -111,7 +111,7 @@ class FtLayer final : public core::FaultTolerance {
   /// With `cfg.enabled` the layer installs itself on both; otherwise the
   /// constructor does nothing and the run is bit-identical to a build
   /// without fault tolerance. Destroy only after the engine has drained
-  /// (in-flight heartbeat deliveries capture `this`).
+  /// (in-flight heartbeats wake records the layer owns).
   FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator = nullptr);
   ~FtLayer() override;
 
@@ -167,6 +167,13 @@ class FtLayer final : public core::FaultTolerance {
   void sweep();
   /// Heartbeat delivery at a monitor: renew the sender's lease.
   void on_heartbeat(ProcId from);
+  /// What every heartbeat from one processor wakes: re-runnable and as
+  /// long-lived as the layer, so a drop or a duplicate is harmless.
+  struct Heartbeat : sim::Continuation {
+    FtLayer* ft;
+    ProcId from;
+    static void arrive(sim::Continuation* c);  // on_heartbeat(from)
+  };
   /// Publish `p`'s failure epoch and kick off recovery of its objects.
   void suspect(ProcId p, Cycles now);
   /// Detached recovery driver for one dead processor (must not throw).
@@ -192,6 +199,7 @@ class FtLayer final : public core::FaultTolerance {
   ProcId nprocs_;
   std::vector<Cycles> epoch_;       // kNoFailureEpoch until suspected
   std::vector<Cycles> last_heard_;  // last lease renewal per processor
+  std::vector<Heartbeat> heartbeats_;  // one per processor, built once
   std::map<ProcId, Cycles> planned_;
   std::set<ObjectId> pending_;  // recovery enqueued, not yet committed
   std::set<ObjectId> lost_;     // condemned objects

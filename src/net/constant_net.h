@@ -20,9 +20,14 @@ class ConstantNetwork final : public Network {
       : engine_(&engine), cfg_(cfg) {}
 
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
-            std::function<void()> deliver) override;
-  void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                   Traffic kind, sim::Wake w) override;
+            sim::Wake w) override;
+
+  /// `send` for a callable: `deliver()` runs at arrival (network.h).
+  template <Callback F>
+  void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
+            F deliver) {
+    detail::deliver_to(*this, src, dst, words, kind, std::move(deliver));
+  }
 
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;

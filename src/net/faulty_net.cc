@@ -10,25 +10,17 @@ const FaultRates& FaultyNetwork::rates_for(sim::ProcId src,
   return it != plan_.link_overrides.end() ? it->second : plan_.rates;
 }
 
-bool FaultyNetwork::in_window() const noexcept {
-  const sim::Cycles now = engine_->now();
-  return now >= plan_.window_start && now < plan_.window_end;
-}
-
 bool FaultyNetwork::nic_dead(sim::ProcId p) const noexcept {
   const auto it = plan_.nic_fail_at.find(p);
   return it != plan_.nic_fail_at.end() && engine_->now() >= it->second;
 }
 
-bool FaultyNetwork::faultable(sim::ProcId src, sim::ProcId dst,
-                              Traffic kind) const noexcept {
-  return src != dst && (kind == Traffic::kRuntime || plan_.affect_coherence);
-}
-
 void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
-                         Traffic kind, std::function<void()> deliver) {
-  if (!faultable(src, dst, kind)) {
-    inner_->send(src, dst, words, kind, std::move(deliver));
+                         Traffic kind, sim::Wake w) {
+  // Loopback is never faulted, coherence traffic only under
+  // `affect_coherence`.
+  if (src == dst || (kind == Traffic::kCoherence && !plan_.affect_coherence)) {
+    inner_->send(src, dst, words, kind, w);
     return;
   }
   sim::Tracer* tr = engine_->tracer();
@@ -41,8 +33,9 @@ void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     }
     return;
   }
-  if (!in_window()) {
-    inner_->send(src, dst, words, kind, std::move(deliver));
+  const sim::Cycles now = engine_->now();
+  if (now < plan_.window_start || now >= plan_.window_end) {
+    inner_->send(src, dst, words, kind, w);
     return;
   }
   const FaultRates& r = rates_for(src, dst);
@@ -54,49 +47,33 @@ void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     }
     return;
   }
+  // A duplicate or a delayed message is the same wake sent again to the
+  // inner network from a deferred event, 1..max_extra_delay cycles on.
   const sim::Cycles span = std::max<sim::Cycles>(plan_.max_extra_delay, 1);
-  if (r.duplicate > 0.0 && rng_.chance(r.duplicate)) {
-    // The clone crosses the wire as a real (later) message with its own
-    // copy of the delivery callback; receivers must dedup.
-    ++faults_.faults_duplicated;
+  const auto send_later = [&](sim::TraceEvent ev) {
     const sim::Cycles extra = 1 + rng_.below(span);
     if (tr) {
-      tr->record(sim::TraceEvent::kFaultDuplicate, src,
-                 {{"dst", dst}, {"words", words}, {"extra", extra}});
+      tr->record(ev, src, {{"dst", dst}, {"words", words}, {"extra", extra}});
     }
-    engine_->after(extra,
-                   [this, src, dst, words, kind, d = deliver]() mutable {
-                     inner_->send(src, dst, words, kind, std::move(d));
-                   });
+    engine_->after(extra, [this, src, dst, words, kind, w] {
+      inner_->send(src, dst, words, kind, w);
+    });
+  };
+  if (r.duplicate > 0.0 && rng_.chance(r.duplicate)) {
+    // The clone crosses the wire as a real (later) message; receivers must
+    // dedup.
+    ++faults_.faults_duplicated;
+    send_later(sim::TraceEvent::kFaultDuplicate);
   }
   if (r.delay > 0.0 && rng_.chance(r.delay)) {
     // Holding the message back reorders it w.r.t. anything sent on the link
     // in the meantime (the inner network has no ordering guarantee across
     // injection times).
     ++faults_.faults_delayed;
-    const sim::Cycles extra = 1 + rng_.below(span);
-    if (tr) {
-      tr->record(sim::TraceEvent::kFaultDelay, src,
-                 {{"dst", dst}, {"words", words}, {"extra", extra}});
-    }
-    engine_->after(extra,
-                   [this, src, dst, words, kind,
-                    d = std::move(deliver)]() mutable {
-                     inner_->send(src, dst, words, kind, std::move(d));
-                   });
+    send_later(sim::TraceEvent::kFaultDelay);
     return;
   }
-  inner_->send(src, dst, words, kind, std::move(deliver));
-}
-
-void FaultyNetwork::send_resume(sim::ProcId src, sim::ProcId dst,
-                                unsigned words, Traffic kind,
-                                sim::Wake w) {
-  if (!faultable(src, dst, kind)) {
-    inner_->send_resume(src, dst, words, kind, w);
-    return;
-  }
-  send(src, dst, words, kind, [w] { w(); });
+  inner_->send(src, dst, words, kind, w);
 }
 
 const NetStats& FaultyNetwork::stats() const noexcept {

@@ -7,13 +7,12 @@
 // By default only kRuntime traffic is faulted: the coherence protocol models
 // a hardware network with link-level retry, while the software runtime layer
 // must survive an unreliable interconnect via core::ReliableTransport. A
-// duplicated message invokes its `deliver` callback twice — layers above
-// must deduplicate (the reliable transport does). So never point a raw
-// wake at traffic a plan can fault: `send_resume` wraps such a message in a
-// closure, and its duplicate would resume a frame that has already finished
-// (or rerun a Continuation that has moved on). For that reason the
-// workload harness rejects shared memory under a plan that sets
-// `affect_coherence`.
+// dropped message wakes nothing; a duplicated or delayed one is its wake
+// sent again. So every wake on traffic a plan can fault must be re-runnable
+// and outlive every copy in flight, as the reliable transport's and ft's
+// records are: a coroutine handle would be resumed after it finished. For
+// that reason the workload harness rejects shared memory under a plan that
+// sets `affect_coherence`.
 //
 // With an inactive plan (all rates zero, no overrides, no NIC failures) the
 // decorator forwards every message untouched and draws no random numbers, so
@@ -77,12 +76,10 @@ class FaultyNetwork final : public Network {
         plan_(std::move(plan)),
         rng_(plan_.seed) {}
 
+  /// A message this plan can never fault goes to the inner network
+  /// untouched; any other may be dropped, duplicated or delayed.
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
-            std::function<void()> deliver) override;
-  /// A message this plan can never fault goes to the inner network's
-  /// `send_resume` untouched; any other is wrapped in a closure and sent.
-  void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                   Traffic kind, sim::Wake w) override;
+            sim::Wake w) override;
 
   /// Timing queries see the fault-free network: faults change delivery, not
   /// the zero-load latency model.
@@ -98,13 +95,8 @@ class FaultyNetwork final : public Network {
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
  private:
-  /// Whether this plan may perturb the message: loopback never, coherence
-  /// traffic only under `affect_coherence`.
-  [[nodiscard]] bool faultable(sim::ProcId src, sim::ProcId dst,
-                               Traffic kind) const noexcept;
   [[nodiscard]] const FaultRates& rates_for(sim::ProcId src,
                                             sim::ProcId dst) const;
-  [[nodiscard]] bool in_window() const noexcept;
   [[nodiscard]] bool nic_dead(sim::ProcId p) const noexcept;
 
   sim::Engine* engine_;

@@ -71,32 +71,16 @@ void MeshNetwork::throw_outside(sim::ProcId src, sim::ProcId dst) const {
 }
 
 void MeshNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
-                       Traffic kind, std::function<void()> deliver) {
+                       Traffic kind, sim::Wake w) {
   check_endpoints(src, dst);
   if (src == dst) {
     // Loopback: local delivery, not network traffic.
-    engine_->after(0, std::move(deliver));
-    return;
-  }
-  depart(*engine_, src, dst, words, kind, deliver);
-  // Home the delivery at the destination, as ConstantNetwork does.
-  const sim::Cycles arrive = route(src, dst, words, engine_->now());
-  engine_->at_on(dst, arrive, std::move(deliver));
-}
-
-void MeshNetwork::send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                              Traffic kind, sim::Wake w) {
-  if (observed(*engine_)) {
-    send(src, dst, words, kind, [w] { w(); });
-    return;
-  }
-  check_endpoints(src, dst);
-  if (src == dst) {
     engine_->resume_at_on(engine_->current_home(), engine_->now(), w);
     return;
   }
-  record(kind, words);
-  engine_->resume_at_on(dst, route(src, dst, words, engine_->now()), w);
+  const sim::Wake arrive = depart(*engine_, src, dst, words, kind, w);
+  // Home the delivery at the destination, as ConstantNetwork does.
+  engine_->resume_at_on(dst, route(src, dst, words, engine_->now()), arrive);
 }
 
 sim::Cycles MeshNetwork::latency(sim::ProcId src, sim::ProcId dst,

@@ -31,12 +31,19 @@ class MeshNetwork final : public Network {
   /// std::invalid_argument if `cfg.width` is 0.
   MeshNetwork(sim::Engine& engine, unsigned nprocs, MeshConfig cfg = {});
 
-  /// Both delivery kinds throw std::out_of_range when `src` or `dst` is not
-  /// below the machine's processor count.
+  /// Throws std::out_of_range when `src` or `dst` is not below the
+  /// machine's processor count.
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
-            std::function<void()> deliver) override;
-  void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                   Traffic kind, sim::Wake w) override;
+            sim::Wake w) override;
+
+  /// `send` for a callable (network.h); throws as the wake send does,
+  /// before anything is sent.
+  template <Callback F>
+  void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
+            F deliver) {
+    check_endpoints(src, dst);
+    detail::deliver_to(*this, src, dst, words, kind, std::move(deliver));
+  }
 
   [[nodiscard]] sim::Cycles latency(sim::ProcId src, sim::ProcId dst,
                                     unsigned words) const override;

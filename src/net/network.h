@@ -3,18 +3,25 @@
 // the same Network object, so the bandwidth numbers reported for Figure 3 /
 // Tables 2 and 4 account for *all* traffic, exactly as in the paper.
 //
-// A message is delivered in one of two ways. `send` runs a closure at the
-// arrival time. `send_resume` wakes a `sim::Wake` instead, a suspended
-// coroutine or a frame-free Continuation, as an engine resume event
-// (Engine::resume_at_on): no `std::function`, no arena slot. Both count and
-// time a message alike, and the arrival event has the same cycle, home and
-// label either way.
+// A message has one way to be delivered: `send` wakes a `sim::Wake` (a
+// suspended coroutine or a frame-free Continuation) as an engine resume
+// event at the arrival time, observed or not. With a tracer or checker
+// installed, `depart` runs their send hooks and the event wakes a pooled
+// `Observed` record instead, which runs their deliver hooks, then the wake.
+// ConstantNetwork and MeshNetwork also take a callable through a thin
+// adapter (`detail::deliver_to`); `Network&` and FaultyNetwork do not, as a
+// dropped copy would leak the adapter's frame and a duplicate would resume
+// a finished one.
 #pragma once
 
+#include <concepts>
+#include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <deque>
+#include <utility>
 
 #include "sim/engine.h"
+#include "sim/task.h"
 #include "sim/types.h"
 
 namespace cm::net {
@@ -59,22 +66,19 @@ struct NetStats {
 
 class Network {
  public:
+  Network() = default;
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
   virtual ~Network() = default;
 
-  /// Send a `words`-word message from `src` to `dst`; `deliver` runs at the
-  /// arrival time (in an engine event at the destination). The destination
-  /// CPU is NOT implicitly occupied — message-handling software costs are
-  /// charged by the runtime layer; hardware protocol handling is charged to
-  /// the memory controller by the coherence layer.
+  /// Send a `words`-word message from `src` to `dst`; `w` wakes at the
+  /// arrival time, in an event homed at `dst` (a loopback message wakes at
+  /// once, homed where the sender runs, and is not traffic). The destination
+  /// CPU is NOT occupied: the runtime and the coherence layer charge the
+  /// handling. On traffic a FaultyNetwork can fault, `w` must be re-runnable
+  /// and outlive every copy in flight.
   virtual void send(sim::ProcId src, sim::ProcId dst, unsigned words,
-                    Traffic kind, std::function<void()> deliver) = 0;
-
-  /// `send` for a receiver that is a suspended coroutine or a
-  /// Continuation: `w` wakes at the arrival time, as if `deliver` were
-  /// `[w] { w(); }`. With a tracer or checker installed the message takes
-  /// that closure path, so the observers see every message as before.
-  virtual void send_resume(sim::ProcId src, sim::ProcId dst, unsigned words,
-                           Traffic kind, sim::Wake w) = 0;
+                    Traffic kind, sim::Wake w) = 0;
 
   /// Pure timing query: cycles a `words`-word message takes src -> dst under
   /// zero load. Used by analytic checks and tests.
@@ -88,26 +92,63 @@ class Network {
   }
 
  protected:
-  /// Concrete networks count each wire message here.
-  void record(Traffic kind, unsigned words) noexcept {
+  /// Count a message that crosses the wire and run the observers' send
+  /// hooks; return what its arrival event wakes: `w`, or an `Observed`
+  /// record when a tracer or checker is installed. The caller routes.
+  [[nodiscard]] sim::Wake depart(sim::Engine& engine, sim::ProcId src,
+                                 sim::ProcId dst, unsigned words, Traffic kind,
+                                 sim::Wake w) {
     stats_.record(kind, words);
+    if (engine.tracer() == nullptr && engine.checker() == nullptr) return w;
+    return observe(engine, src, dst, words, kind, w);
   }
-
-  /// Whether a resume delivery must take the closure path: a tracer or
-  /// checker is installed and hooks every message.
-  [[nodiscard]] static bool observed(const sim::Engine& engine) noexcept {
-    return engine.tracer() != nullptr || engine.checker() != nullptr;
-  }
-
-  /// Count a message that crosses the wire and run the installed observers'
-  /// send hooks. The tracer records the send and the checker snapshots the
-  /// sender's clock; each wraps `deliver` so that its deliver hook runs
-  /// first at arrival. Routing and scheduling stay with the caller.
-  void depart(sim::Engine& engine, sim::ProcId src, sim::ProcId dst,
-              unsigned words, Traffic kind, std::function<void()>& deliver);
 
  private:
+  /// An observed message's wake: the observers' deliver hooks, then the
+  /// message's own; it runs once and goes back to the pool.
+  struct Observed : sim::Continuation {
+    Network* net = nullptr;
+    Observed* next_free = nullptr;
+    sim::Wake wake = std::coroutine_handle<>();
+    sim::Tracer* tracer;
+    check::Checker* checker;
+    std::uint64_t msg;  // the tracer's msg id
+    std::uint64_t hb;   // the checker's happens-before token
+    sim::ProcId dst;
+
+    static void deliver(sim::Continuation* c);
+  };
+
+  /// `depart`'s observed half: the tracer's `msg.send`, then the checker's
+  /// `on_send`, noted in a pooled `Observed`.
+  [[nodiscard]] sim::Wake observe(sim::Engine& engine, sim::ProcId src,
+                                  sim::ProcId dst, unsigned words,
+                                  Traffic kind, sim::Wake w);
+
   NetStats stats_;
+  std::deque<Observed> observed_;  // every record made; freed with the network
+  Observed* free_ = nullptr;       // records not in flight
 };
+
+namespace detail {
+
+/// The callable send's adapter: a detached coroutine that parks on `net`'s
+/// wake send and calls `deliver` when the message arrives.
+template <class Net, class F>
+sim::Detached deliver_to(Net& net, sim::ProcId src, sim::ProcId dst,
+                         unsigned words, Traffic kind, F deliver) {
+  co_await sim::suspend_to(
+      [&net, src, dst, words, kind](std::coroutine_handle<> h) {
+        net.send(src, dst, words, kind, h);
+      });
+  deliver();
+}
+
+}  // namespace detail
+
+/// What the callable send takes: a callable that is not a wake, so a
+/// coroutine handle or a `Continuation*` picks the wake send.
+template <class F>
+concept Callback = std::invocable<F&> && !std::convertible_to<F, sim::Wake>;
 
 }  // namespace cm::net

@@ -8,6 +8,16 @@
 
 namespace cm::policy {
 
+// The policy's fixed parameters (DESIGN.md §13).
+constexpr Cycles kLoadQuantum = 2'000;  // backlog cycles per digest level
+constexpr ProcId kCoordinator = 0;      // collects reports, sends digests
+constexpr unsigned kReportWords = 2;    // load-report message payload
+constexpr unsigned kDigestWords = 4;    // digest message payload
+constexpr unsigned kLoadSlack = 2;      // levels a target may exceed ours by
+constexpr unsigned kCtlWords = 2;       // rebalance-order message payload
+constexpr double kReadPhaseRatio = 0.05;    // write ratio at/below: READ
+constexpr double kUpdatePhaseRatio = 0.25;  // write ratio at/above: UPDATE
+
 void put_policy_stats(core::Metrics& m, const PolicyStats& s) {
   m.put("policy.samples", s.samples);
   m.put("policy.global_passes", s.global_passes);
@@ -186,9 +196,9 @@ void PolicyEngine::tick(ProcId p) {
   if (global) {
     ++stats_.global_passes;
     const auto level = static_cast<std::uint8_t>(
-        std::min<Cycles>(backlog / cfg_.load_quantum, 255));
+        std::min<Cycles>(backlog / kLoadQuantum, 255));
     ++stats_.load_reports;
-    if (p == cfg_.coordinator) {
+    if (p == kCoordinator) {
       board_note(p, level);
     } else {
       sim::detach(send_report(p, level));
@@ -213,10 +223,10 @@ void PolicyEngine::evaluate_phase(ProcId p, Managed& m, std::uint64_t total) {
   const double wr =
       static_cast<double>(m.win_writes) / static_cast<double>(total);
   Phase next = m.phase;
-  if (total >= cfg_.phase_min_accesses && wr <= cfg_.read_phase_ratio) {
+  if (total >= cfg_.phase_min_accesses && wr <= kReadPhaseRatio) {
     next = Phase::kRead;
   } else if (m.win_writes >= cfg_.update_min_writes &&
-             wr >= cfg_.update_phase_ratio) {
+             wr >= kUpdatePhaseRatio) {
     next = Phase::kUpdate;
   }
   if (next == m.phase) return;
@@ -284,7 +294,7 @@ void PolicyEngine::maybe_move(ProcId p, Managed& m, std::uint64_t total,
     return;
   }
   const View& v = views_[p];
-  if (v.round > 0 && v.levels[m.win_top] > v.levels[p] + cfg_.load_slack) {
+  if (v.round > 0 && v.levels[m.win_top] > v.levels[p] + kLoadSlack) {
     ++stats_.suppressed_load;  // digest says the target is already overloaded
     return;
   }
@@ -326,7 +336,7 @@ void PolicyEngine::board_note(ProcId from, std::uint8_t level) {
   ++stats_.broadcast_rounds;
   for (ProcId q = 0; q < nprocs_; ++q) {
     ++stats_.digests;
-    if (q == cfg_.coordinator) {
+    if (q == kCoordinator) {
       views_[q].round = round_;
       views_[q].levels = board_levels_;
     } else {
@@ -340,10 +350,10 @@ sim::Task<> PolicyEngine::do_move(Managed* m, ProcId from, ProcId to) {
   // protocol pulls the object there (charges, checker move hooks and stats
   // all live in MobileObject::attract / the locator's move path).
   const core::CostModel& c = rt_->cost();
-  co_await rt_->charge(from, c.sender_total(cfg_.ctl_words),
+  co_await rt_->charge(from, c.sender_total(kCtlWords),
                        core::Category::kObjectMove);
-  co_await rt_->transfer(from, to, cfg_.ctl_words);
-  co_await rt_->charge(to, c.receiver_total(cfg_.ctl_words, false),
+  co_await rt_->transfer(from, to, kCtlWords);
+  co_await rt_->charge(to, c.receiver_total(kCtlWords, false),
                        core::Category::kObjectMove);
   core::Ctx ctx{rt_, to};
   co_await m->mobile->attract(ctx);
@@ -354,14 +364,14 @@ sim::Task<> PolicyEngine::do_move(Managed* m, ProcId from, ProcId to) {
 }
 
 sim::Task<> PolicyEngine::send_report(ProcId from, std::uint8_t level) {
-  co_await rt_->transfer(from, cfg_.coordinator, cfg_.report_words);
+  co_await rt_->transfer(from, kCoordinator, kReportWords);
   // Delivered: this continuation runs at the coordinator's events.
   board_note(from, level);
 }
 
 sim::Task<> PolicyEngine::send_digest(ProcId to, std::uint32_t round,
                                       std::vector<std::uint8_t> levels) {
-  co_await rt_->transfer(cfg_.coordinator, to, cfg_.digest_words);
+  co_await rt_->transfer(kCoordinator, to, kDigestWords);
   View& v = views_[to];
   if (round > v.round) {
     v.round = round;

@@ -13,8 +13,8 @@
 //  * DECIDING — a two-tier rebalancer in the spirit of two-level NUMA
 //    schedulers: every sample is a local pass over the objects homed at
 //    that processor; every `global_every`-th sample is a global pass that
-//    reports a quantized load level to a coordinator, which broadcasts a
-//    digest back (all cross-processor load knowledge travels in messages,
+//    reports a quantized load level to a coordinator (processor 0), which
+//    broadcasts a digest back (all cross-processor load knowledge travels in messages,
 //    never via host-side shared reads). Moves respect migration hysteresis: a
 //    per-object cooldown, a `degree_of_migration` cap per pass, a chooser
 //    bounce-rate veto, and a digest-based target-overload veto.
@@ -65,10 +65,6 @@ struct PolicyConfig {
   Cycles sample_interval = 5'000;  // local pass period per processor
   unsigned global_every = 4;       // every Nth local pass is a global pass
   unsigned idle_stop_after = 3;    // idle samples before a sampler parks
-  Cycles load_quantum = 2'000;     // backlog cycles per digest load level
-  ProcId coordinator = 0;          // collects reports, broadcasts digests
-  unsigned report_words = 2;       // load-report message payload
-  unsigned digest_words = 4;       // digest broadcast message payload
 
   // ---- rebalancer ----
   bool rebalance = true;
@@ -76,14 +72,10 @@ struct PolicyConfig {
   Cycles cooldown = 30'000;          // per-object migration hysteresis
   std::uint64_t min_accesses = 8;    // window accesses before deciding
   double attract_share = 0.6;        // dominant remote share to move
-  unsigned load_slack = 2;           // digest levels a target may exceed us
-  unsigned ctl_words = 2;            // rebalance-order message payload
 
   // ---- phase detector ----
   bool phase_adaptive = false;
   std::uint64_t phase_min_accesses = 12;  // window accesses for a READ edge
-  double read_phase_ratio = 0.05;    // write ratio at/below this -> READ
-  double update_phase_ratio = 0.25;  // write ratio at/above this -> UPDATE
   std::uint64_t update_min_writes = 3;  // window writes for an UPDATE edge
 
   /// Tunables for the chooser the policy feeds (accesses, rebalance

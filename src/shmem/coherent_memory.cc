@@ -90,9 +90,10 @@ void CoherentMemory::send(sim::ProcId src, sim::ProcId dst, unsigned words,
   // never faults Traffic::kCoherence unless a plan opts in with
   // affect_coherence (pinned by
   // FaultyNetwork.CoherenceTrafficUntouchedByDefault), and the workload
-  // harness rejects shared memory under a plan that does. The delivery is a
-  // resume event: no closure, no arena slot.
-  network_->send_resume(src, dst, words, net::Traffic::kCoherence, w);
+  // harness rejects shared memory under a plan that does. So no copy of
+  // this message is ever lost or repeated.
+  // simlint: allow SS002
+  network_->send(src, dst, words, net::Traffic::kCoherence, w);
 }
 
 auto CoherentMemory::transfer(sim::ProcId src, sim::ProcId dst,

@@ -1,9 +1,10 @@
-// The simulated multiprocessor: P processors sharing one event engine.
+// The simulated multiprocessor: P processors sharing one event engine. Work
+// runs on a processor as a wake (`resume_on`, `compute`): a coroutine or a
+// Continuation woken once the CPU has served its cost.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <utility>
 
 #include "sim/engine.h"
 #include "sim/processor.h"
@@ -23,17 +24,10 @@ class Machine {
     return ProcessorView(procs_, p);
   }
 
-  /// Run `fn` on processor `p`: the CPU is occupied for `cost` cycles
-  /// starting when it is free, and `fn` runs at the completion time, in an
-  /// event homed at `p`.
-  template <class F>
-  void exec(ProcId p, Cycles cost, F&& fn) {
-    engine_->at_on(p, procs_.acquire(p, engine_->now(), cost),
-                   std::forward<F>(fn));
-  }
-
-  /// Wake `w` (a suspended coroutine or a Continuation) on processor `p`,
-  /// charging `cost` cycles of CPU first (e.g. scheduler/dispatch overhead).
+  /// Wake `w` (a suspended coroutine or a Continuation) on processor `p`:
+  /// the CPU is occupied for `cost` cycles starting when it is free (e.g.
+  /// scheduler/dispatch overhead), and `w` wakes at the completion time, in
+  /// an event homed at `p`.
   void resume_on(ProcId p, Cycles cost, Wake w) {
     engine_->resume_at_on(p, procs_.acquire(p, engine_->now(), cost), w);
   }

@@ -22,7 +22,7 @@ struct Continuation {
 
 /// A suspended coroutine or a Continuation. Coroutine handles convert
 /// implicitly, so every `resume_at_on`, `Machine::resume_on` and
-/// `Network::send_resume` caller that holds one passes it as it is. A null
+/// `Network::send` caller that holds one passes it as it is. A null
 /// coroutine handle makes a wake that `transfer` ignores.
 class Wake {
  public:

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/constant_net.h"
+#include "net/faulty_net.h"
 #include "net/mesh_net.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
@@ -21,8 +22,9 @@ using sim::Cycles;
 using sim::Engine;
 using sim::ProcId;
 
-/// The ways a network delivers a message: `send` runs a closure, and
-/// `send_resume` resumes a suspended coroutine or runs a Continuation.
+/// The ways a message is delivered: the fault-free wires' callable send
+/// runs a closure (through its adapter), and the one wake send resumes a
+/// suspended coroutine or runs a Continuation.
 enum class Delivery { kClosure, kResume, kContinuation };
 constexpr Delivery kDeliveries[] = {Delivery::kClosure, Delivery::kResume,
                                     Delivery::kContinuation};
@@ -47,7 +49,7 @@ sim::Detached receive(Network& net, ProcId src, ProcId dst, unsigned words,
                       Traffic kind, F on_arrival) {
   co_await sim::suspend_to(
       [&net, src, dst, words, kind](std::coroutine_handle<> h) {
-        net.send_resume(src, dst, words, kind, h);
+        net.send(src, dst, words, kind, h);
       });
   on_arrival();
 }
@@ -66,10 +68,11 @@ struct Arrival : sim::Continuation {
   }
 };
 
-/// Send one message by `how`; `on_arrival` runs when it is delivered.
-template <class F>
-void send_by(Delivery how, Network& net, ProcId src, ProcId dst,
-             unsigned words, Traffic kind, F on_arrival) {
+/// Send one message by `how` on a fault-free wire (`Net` is
+/// ConstantNetwork or MeshNetwork); `on_arrival` runs when it is delivered.
+template <class Net, class F>
+void send_by(Delivery how, Net& net, ProcId src, ProcId dst, unsigned words,
+             Traffic kind, F on_arrival) {
   switch (how) {
     case Delivery::kClosure:
       net.send(src, dst, words, kind, on_arrival);
@@ -78,10 +81,33 @@ void send_by(Delivery how, Network& net, ProcId src, ProcId dst,
       receive(net, src, dst, words, kind, on_arrival);
       return;
     case Delivery::kContinuation:
-      net.send_resume(src, dst, words, kind, new Arrival<F>(on_arrival));
+      net.send(src, dst, words, kind, new Arrival<F>(on_arrival));
       return;
   }
 }
+
+/// A callable receiver, for the checks below.
+struct Nothing {
+  void operator()() const {}
+};
+
+/// Whether `Net` offers the callable send.
+template <class Net>
+constexpr bool kTakesCallable = requires(Net& net) {
+  net.send(ProcId{0}, ProcId{1}, 4u, Traffic::kRuntime, Nothing{});
+};
+
+// The callable send exists on the two fault-free wires only: through
+// `Network&` or a FaultyNetwork a dropped copy would leak its adapter's
+// frame and a duplicate would resume a finished one.
+static_assert(kTakesCallable<ConstantNetwork>);
+static_assert(kTakesCallable<MeshNetwork>);
+static_assert(!kTakesCallable<Network>);
+static_assert(!kTakesCallable<FaultyNetwork>);
+// A coroutine handle or a Continuation is a wake, never a callable.
+static_assert(!Callback<std::coroutine_handle<>>);
+static_assert(!Callback<sim::Continuation*>);
+static_assert(Callback<Nothing>);
 
 /// What a test observes of one run: arrival cycles and traffic counters.
 struct Seen {
@@ -150,7 +176,8 @@ TEST(ConstantNetwork, CountsMessagesAndWordsByKind) {
 /// A loopback message 4 -> 4 sent at cycle 5 by an event homed at
 /// processor 2: delivered at once, in an event homed where the sender's
 /// event was, and never counted as traffic.
-Seen loopback(Delivery how, Engine& eng, Network& net) {
+template <class Net>
+Seen loopback(Delivery how, Engine& eng, Net& net) {
   Cycles delivered = 99;
   ProcId home = 99;
   eng.at_on(2, 5, [&] {
@@ -343,7 +370,7 @@ TEST(MeshNetwork, RejectsProcessorsOutsideTheMachine) {
   for (const auto& [src, dst] : outside) {
     EXPECT_THROW(net.send(src, dst, 2, Traffic::kRuntime, [] {}),
                  std::out_of_range);
-    EXPECT_THROW(net.send_resume(src, dst, 2, Traffic::kCoherence, never),
+    EXPECT_THROW(net.send(src, dst, 2, Traffic::kCoherence, never),
                  std::out_of_range);
   }
   EXPECT_EQ(net.stats().messages, 0u);

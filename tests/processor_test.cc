@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -56,13 +57,30 @@ TEST(Processor, AccountsAreIndependent) {
   EXPECT_EQ(v.requests(), 1u);
 }
 
+/// A Continuation that logs its processor and the cycle it wakes at.
+struct Logged : Continuation {
+  ProcId p;
+  Engine* eng;
+  std::vector<std::pair<ProcId, Cycles>>* log;
+
+  Logged(ProcId at, Engine& e, std::vector<std::pair<ProcId, Cycles>>& l)
+      : p(at), eng(&e), log(&l) {
+    run = [](Continuation* c) {
+      const auto* self = static_cast<Logged*>(c);
+      self->log->emplace_back(self->p, self->eng->now());
+    };
+  }
+};
+
 TEST(Machine, ExecChargesCpuBeforeRunning) {
+  // `resume_on` occupies the processor first, then wakes the work.
   Engine eng;
   Machine m(eng, 2);
   std::vector<std::pair<ProcId, Cycles>> log;
-  m.exec(0, 100, [&] { log.emplace_back(0, eng.now()); });
-  m.exec(0, 50, [&] { log.emplace_back(0, eng.now()); });   // queues
-  m.exec(1, 30, [&] { log.emplace_back(1, eng.now()); });   // parallel
+  Logged first(0, eng, log), second(0, eng, log), other(1, eng, log);
+  m.resume_on(0, 100, &first);
+  m.resume_on(0, 50, &second);  // queues
+  m.resume_on(1, 30, &other);   // parallel
   eng.run();
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0], (std::pair<ProcId, Cycles>{1, 30}));

@@ -14,6 +14,7 @@
 #include "core/metrics.h"
 #include "core/object.h"
 #include "core/runtime.h"
+#include "net/constant_net.h"
 #include "net/faulty_net.h"
 #include "sim/task.h"
 
@@ -110,6 +111,68 @@ TEST(ReliableTransport, DuplicateStormResumesOnce) {
   w.eng.run();
   EXPECT_EQ(resumes, 1);
   EXPECT_GE(w.rt.stats().dedup_hits, 1u);
+}
+
+/// One reliable send from 0 to 1: note what it returned, and count the
+/// sender's resumes.
+Task<> send_once(ReliableTransport* t, unsigned budget, bool* ok,
+                 int* resumes) {
+  *ok = co_await t->send(0, 1, 8, budget);
+  ++*resumes;
+}
+
+TEST(ReliableTransport, DuplicateAfterTheAckIsDedupedByItsRecord) {
+  // A wire without latency: the data copy and its ack land at cycle 0, and
+  // the duplicate the fault layer defers arrives later, on the same seq
+  // record, which the ack has already settled.
+  sim::Engine eng;
+  net::ConstantNetwork wire(eng, {.launch = 0, .per_word = 0});
+  net::FaultPlan plan;
+  plan.link_overrides[{0, 1}] = net::FaultRates{.duplicate = 1.0};
+  net::FaultyNetwork net(eng, wire, plan);
+  RtStats stats;
+  ReliableTransport transport(eng, net, stats, {});
+  bool ok = false;
+  int resumes = 0;
+  sim::detach(send_once(&transport, 0, &ok, &resumes));
+  eng.run_until(0);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_EQ(stats.acks_sent, 1u);
+  EXPECT_EQ(stats.dedup_hits, 0u);
+  eng.run();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_EQ(stats.dedup_hits, 1u);
+  EXPECT_EQ(stats.acks_sent, 2u);  // the duplicate is acked too
+  EXPECT_EQ(stats.stale_deliveries, 0u);
+  EXPECT_EQ(stats.retransmits, 0u);
+}
+
+TEST(ReliableTransport, CopiesAfterTheSenderGaveUpAreDiscarded) {
+  // One attempt allowed and a 5-cycle ack deadline, while the fault layer
+  // holds the data back and duplicates it: the sender gives up first and
+  // resumes once, with false. The first copy to arrive is then a stale
+  // delivery, the second a dedup hit, and both are acked.
+  sim::Engine eng;
+  net::ConstantNetwork wire(eng);
+  net::FaultPlan plan;
+  plan.link_overrides[{0, 1}] =
+      net::FaultRates{.duplicate = 1.0, .delay = 1.0};
+  net::FaultyNetwork net(eng, wire, plan);
+  RtStats stats;
+  ReliableTransport transport(eng, net, stats, {.base_timeout = 5});
+  bool ok = true;
+  int resumes = 0;
+  sim::detach(send_once(&transport, /*budget=*/1, &ok, &resumes));
+  eng.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_EQ(stats.delivery_failures, 1u);
+  EXPECT_EQ(stats.stale_deliveries, 1u);
+  EXPECT_EQ(stats.dedup_hits, 1u);
+  EXPECT_EQ(stats.acks_sent, 2u);
+  EXPECT_EQ(net.stats().faults_duplicated, 1u);
+  EXPECT_EQ(net.stats().faults_delayed, 1u);
 }
 
 Task<> migrate_once(Runtime* rt, ObjectId obj, ProcId from, ProcId* end) {

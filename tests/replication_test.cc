@@ -69,9 +69,9 @@ TEST(Replicated, InvalidateAllClearsEveryRemoteReplica) {
 }
 
 TEST(Replicated, WriterResumesAfterTheLastAckOnBothBranches) {
-  // Raw sends (no transport) and the reliable transport's round trips: on
-  // either branch the writer waits for every ack, then finishes with one
-  // reply-receive charge on its own processor, the run's last work.
+  // Without a transport and over the reliable transport: either way the
+  // writer waits for every ack, then finishes with one reply-receive charge
+  // on its own processor, the run's last work.
   for (const bool reliable : {false, true}) {
     SCOPED_TRACE(reliable ? "reliable" : "raw");
     World w(8);
@@ -98,6 +98,42 @@ TEST(Replicated, WriterResumesAfterTheLastAckOnBothBranches) {
                              c.receiver_total(1, false) + c.reply_receive(1));
     }
   }
+}
+
+TEST(Replicated, FaultFreeRoundBooksWhatTheReliableRoundBooks) {
+  // An invalidation round is the same transfers and charges with or without
+  // the reliable transport: each books the messages' network transit and
+  // the holders' handler cycles under `replication`.
+  const CostModel c = CostModel::software();
+  std::uint64_t transit[2] = {};
+  std::uint64_t replication[2] = {};
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "without a transport");
+    World w(8);
+    if (reliable) w.rt.enable_reliability();
+    Replicated r(w.rt, w.objects.create(0), 12);
+    for (ProcId p = 1; p < 5; ++p) {
+      sim::detach(ensure_at(&w, &r, p));
+      w.eng.run();
+    }
+    const Breakdown before = w.rt.stats().breakdown;
+    sim::detach(invalidate_from(&w, &r, 0));
+    w.eng.run();
+    const Breakdown& after = w.rt.stats().breakdown;
+    transit[reliable] = after.get(Category::kNetworkTransit) -
+                        before.get(Category::kNetworkTransit);
+    replication[reliable] = after.get(Category::kReplication) -
+                            before.get(Category::kReplication);
+    EXPECT_EQ(w.rt.stats().retransmits, 0u);
+    // Four round trips of one-word messages on the constant network ...
+    EXPECT_EQ(transit[reliable], 8 * w.net.latency(0, 1, 1 + c.header_words));
+  }
+  // ... four invalidation sends, four handlers and the writer's receive.
+  EXPECT_EQ(replication[0], 4 * c.sender_total(1) +
+                                4 * c.receiver_total(1, false) +
+                                c.reply_receive(1));
+  EXPECT_EQ(transit[0], transit[1]);
+  EXPECT_EQ(replication[0], replication[1]);
 }
 
 TEST(Replicated, InvalidateWithNoReplicasIsFree) {

@@ -1,16 +1,17 @@
-// simlint fixture: the send shapes SS002 must not flag — a delivery
-// callback that resumes a suspended sender (an awaited send: the caller
-// observes completion), and sends routed through the reliable transport.
-// NOT compiled.
+// simlint fixture: the send shapes SS002 must not flag — a send whose wake
+// is the handle of the coroutine suspending on it (an awaited send: the
+// caller observes completion), and sends routed through the reliable
+// transport. NOT compiled.
 #include <coroutine>
-#include <cstdint>
-#include <functional>
 
 namespace fixture {
 
+struct Wake {
+  Wake(std::coroutine_handle<> h);
+};
+
 struct Network {
-  void send(unsigned src, unsigned dst, unsigned words, int kind,
-            std::function<void()> deliver);
+  void send(unsigned src, unsigned dst, unsigned words, int kind, Wake w);
 };
 
 struct Reliable {
@@ -29,16 +30,16 @@ struct Transport {
   }
 };
 
-void* suspend_point(std::coroutine_handle<> h);
+template <class F>
+void* suspend_to(F f);
 
 void* Transport::good_awaited_delivery(unsigned src, unsigned dst,
                                        unsigned total) {
-  // The sender suspends until the delivery callback resumes it: a drop
-  // cannot strand silently because the reliable layer above this one is
-  // what decides to use the raw path (fault-free runs only).
-  return suspend_point([this, src, dst, total](std::coroutine_handle<> h) {
-    network_->send(src, dst, total, 0, [h] { h.resume(); });
-    return nullptr;
+  // The sender suspends until the network wakes it: a drop cannot strand
+  // silently because the reliable layer above this one is what decides to
+  // use the raw path (fault-free runs only).
+  return suspend_to([this, src, dst, total](std::coroutine_handle<> h) {
+    network_->send(src, dst, total, 0, h);
   });
 }
 

@@ -1,14 +1,17 @@
-// simlint fixture: an awaited send whose delivery is a resume event. The
-// awaiter hands the suspended caller's handle to `send_resume`, and the
-// network resumes it at the arrival time: the caller observes completion,
-// so SS002 must not flag it. NOT compiled.
+// simlint fixture: an awaited send on the one wake send. The awaiter hands
+// the suspended caller's handle to `send`, and the network resumes it at
+// the arrival time: the caller observes completion, so SS002 must not flag
+// it. NOT compiled.
 #include <coroutine>
 
 namespace fixture {
 
+struct Wake {
+  Wake(std::coroutine_handle<> h);
+};
+
 struct Network {
-  void send_resume(unsigned src, unsigned dst, unsigned words, int kind,
-                   std::coroutine_handle<> h);
+  void send(unsigned src, unsigned dst, unsigned words, int kind, Wake w);
 };
 
 struct Runtime {
@@ -23,7 +26,7 @@ struct Runtime {
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> caller) {
-      rt->network_->send_resume(src, dst, words, 0, caller);
+      rt->network_->send(src, dst, words, 0, caller);
     }
     void await_resume() const noexcept {}
   };
@@ -38,7 +41,7 @@ struct Coherence {
 
   void good_resume_delivery(unsigned src, unsigned dst,
                             std::coroutine_handle<> h) {
-    network_->send_resume(src, dst, 4, 1, h);
+    network_->send(src, dst, 4, 1, h);
   }
 };
 
