@@ -91,10 +91,8 @@ void ReliableTransport::give_up(Send& s) {
   if (check::Checker* ck = engine_->checker()) {
     ck->on_seq_abandoned(s.src, s.dst, s.seq);
   }
-  if (!s.done) {
-    s.done = true;
-    s.waiter.resume();
-  }
+  s.done = true;
+  s.waiter.resume();
 }
 
 void ReliableTransport::on_timeout(Send& s) {
@@ -125,7 +123,10 @@ void ReliableTransport::on_timeout(Send& s) {
     }
   }
   if (s.budget != 0 && s.attempts >= s.budget) {
-    give_up(s);  // the migration fallback path owns correctness from here
+    // A copy that already arrived settled the send (only its acks were
+    // lost): stop retransmitting. Otherwise the migration fallback path
+    // owns correctness from here.
+    if (!s.done) give_up(s);
     return;
   }
   s.timeout = std::min(s.timeout * 2, cfg_.max_timeout);

@@ -115,7 +115,8 @@ class ReliableTransport {
   void on_data(Send& s);
   void on_timeout(Send& s);
   /// Count a delivery failure, excuse the seq from the checker's end-of-run
-  /// gapless check, and wake the sender if it still waits.
+  /// gapless check, and wake the sender with false. Only for a send no copy
+  /// of which has arrived (`!s.done`).
   void give_up(Send& s);
 
   sim::Engine* engine_;

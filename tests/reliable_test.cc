@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/workload.h"
+#include "check/checker.h"
 #include "core/metrics.h"
 #include "core/object.h"
 #include "core/runtime.h"
@@ -173,6 +174,33 @@ TEST(ReliableTransport, CopiesAfterTheSenderGaveUpAreDiscarded) {
   EXPECT_EQ(stats.acks_sent, 2u);
   EXPECT_EQ(net.stats().faults_duplicated, 1u);
   EXPECT_EQ(net.stats().faults_delayed, 1u);
+}
+
+TEST(ReliableTransport, ExhaustedBudgetAfterADeliveredCopyIsNoFailure) {
+  // Two attempts allowed, and every ack on the reverse link is lost: the
+  // first data copy arrives and resumes the sender with true, the second is
+  // a dedup hit, and the budget then runs out on a send that already
+  // succeeded. That is no delivery failure, and the checker excuses no seq.
+  sim::Engine eng;
+  net::ConstantNetwork wire(eng);
+  check::Checker checker(eng, 2);
+  eng.set_checker(&checker);
+  net::FaultPlan plan;
+  plan.link_overrides[{1, 0}] = net::FaultRates{.drop = 1.0};
+  net::FaultyNetwork net(eng, wire, plan);
+  RtStats stats;
+  ReliableTransport transport(eng, net, stats, {.base_timeout = 100});
+  bool ok = false;
+  int resumes = 0;
+  sim::detach(send_once(&transport, /*budget=*/2, &ok, &resumes));
+  eng.run();
+  checker.finalize();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_EQ(stats.delivery_failures, 0u);
+  EXPECT_EQ(stats.dedup_hits, 1u);
+  EXPECT_EQ(checker.stats().seqs_abandoned, 0u);
+  EXPECT_EQ(checker.stats().total_violations, 0u);
 }
 
 Task<> migrate_once(Runtime* rt, ObjectId obj, ProcId from, ProcId* end) {
