@@ -67,42 +67,57 @@ bool Cache::hit(Line line, bool exclusive) {
   return false;
 }
 
+void Cache::allocate_ways() {
+  const std::uint32_t ways = params_.associativity;
+  const std::size_t sets = params_.num_sets();
+  ways_.resize(sets * ways);
+  Way* w = ways_.data();
+  for (std::size_t set = 0; set < sets; ++set) {
+    for (std::uint32_t rank = 0; rank < ways; ++rank) {
+      *w++ = static_cast<Way>(rank) << kRankShift;
+    }
+  }
+}
+
 std::optional<Eviction> Cache::install(Line line, LineState state) {
   assert(state != LineState::kInvalid);
   assert(find(line) == nullptr && "line already present");
-  if (line > kTagMask) {
-    throw std::invalid_argument("Cache::install: line wider than kTagBits");
-  }
-  const std::uint32_t ways = params_.associativity;
-  if (ways_.empty()) {
-    // Every way starts invalid, way w of each set ranked w.
-    const std::size_t sets = params_.num_sets();
-    ways_.resize(sets * ways);
-    Way* w = ways_.data();
-    for (std::size_t set = 0; set < sets; ++set) {
-      for (std::uint32_t rank = 0; rank < ways; ++rank) {
-        *w++ = static_cast<Way>(rank) << kRankShift;
-      }
-    }
-  }
-  Way* const set = set_of(line);
+  return fill(line, state == LineState::kModified);
+}
 
-  // The first invalid way, else the least recently used.
-  Way* victim = nullptr;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if ((set[w] & kStateMask) == 0) {
-      victim = &set[w];
-      break;
-    }
-    if (rank_of(set[w]) == ways - 1) victim = &set[w];
+std::optional<Eviction> Cache::fill(Line line, bool exclusive) {
+  if (line > kTagMask) {
+    throw std::invalid_argument("Cache: line wider than kTagBits");
   }
+  if (ways_.empty()) allocate_ways();
+  Way* const set = set_of(line);
+  const std::uint32_t ways = params_.associativity;
+
+  // The line's way if present; else the first invalid way, else the least
+  // recently used.
+  Way* invalid = nullptr;
+  Way* lru = nullptr;
+  for (std::uint32_t w = 0; w < ways; ++w) {
+    const Way k = set[w];
+    if ((k & kStateMask) == 0) {
+      if (invalid == nullptr) invalid = &set[w];
+    } else if ((k & kTagMask) == line) {
+      if (exclusive) set[w] = (k & ~kStateMask) | key(0, LineState::kModified);
+      promote(set, &set[w]);
+      return std::nullopt;
+    } else if (rank_of(k) == ways - 1) {
+      lru = &set[w];
+    }
+  }
+  Way* const victim = invalid != nullptr ? invalid : lru;
 
   std::optional<Eviction> evicted;
   if (const LineState old = state_of(*victim); old != LineState::kInvalid) {
     evicted = Eviction{*victim & kTagMask, old == LineState::kModified};
     --present_;
   }
-  *victim = (*victim & ~kKeyMask) | key(line, state);
+  *victim = (*victim & ~kKeyMask) |
+            key(line, exclusive ? LineState::kModified : LineState::kShared);
   promote(set, victim);
   ++present_;
   return evicted;

@@ -63,6 +63,13 @@ class Cache {
   /// std::invalid_argument if `line` is wider than kTagBits.
   std::optional<Eviction> install(Line line, LineState state);
 
+  /// A grant's fill, in one scan of the line's set: an absent line is
+  /// installed Modified (`exclusive`) or Shared, as `install` does; a
+  /// present one turns Modified if `exclusive`, and is marked most recently
+  /// used either way. Throws std::invalid_argument if `line` is wider than
+  /// kTagBits.
+  std::optional<Eviction> fill(Line line, bool exclusive);
+
   /// Change the state of a present line (e.g. S->M on upgrade, M->S on a
   /// directory fetch, ->I on invalidation). Returns false if absent (stale
   /// directory information; the caller acks anyway).
@@ -109,6 +116,8 @@ class Cache {
   [[nodiscard]] Way* find(Line line);
   /// Make `way` of `set` the most recently used.
   void promote(Way* set, Way* way);
+  /// Allocate the ways, each invalid and way w of each set ranked w.
+  void allocate_ways();
 
   CacheParams params_;
   std::uint64_t set_mask_ = 0;
