@@ -22,8 +22,11 @@ class Timer {
 
   /// Arm the timer: `fn` runs `d` cycles from now unless `cancel()` or a
   /// newer `arm()` intervenes first. The scheduled event holds the control
-  /// block alive, so destroying the Timer while armed is safe (the pending
-  /// event then fires as a no-op).
+  /// block alive, so destroying the Timer while armed does not touch freed
+  /// memory; but nothing cancels on destruction, so the pending event still
+  /// runs `fn` (Timer.SafeToDestroyWhileArmed). An owner whose `fn` refers
+  /// to itself must `cancel()` before it goes, as the reliable transport's
+  /// per-seq records do in their destructor.
   void arm(Cycles d, std::function<void()> fn) {
     const std::uint64_t gen = ++ctl_->gen;
     ctl_->armed = true;

@@ -171,6 +171,29 @@ TEST(Cache, FourWayLruEvictsInRecencyOrder) {
   }
 }
 
+TEST(Cache, FillUpgradesOrTouchesAPresentLineAndInstallsAnAbsentOne) {
+  Cache c(CacheParams{.size_bytes = 48, .associativity = 3});  // one set
+  // Absent: installed like install, Shared or Modified.
+  EXPECT_FALSE(c.fill(0, false).has_value());
+  EXPECT_FALSE(c.fill(1, true).has_value());
+  EXPECT_FALSE(c.fill(2, false).has_value());  // most recent first: 2 1 0
+  EXPECT_EQ(c.lookup(0), LineState::kShared);
+  EXPECT_EQ(c.lookup(1), LineState::kModified);
+  // Present: a write's fill turns Shared to Modified in place, a read's
+  // keeps the state; both mark the line most recently used.
+  EXPECT_FALSE(c.fill(0, true).has_value());   // 0 2 1
+  EXPECT_FALSE(c.fill(1, false).has_value());  // 1 0 2
+  EXPECT_EQ(c.lookup(0), LineState::kModified);
+  EXPECT_EQ(c.lookup(1), LineState::kModified);
+  EXPECT_EQ(c.occupancy(), 3u);
+  const auto ev = c.fill(3, false);  // evicts the LRU line, 2
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line, 2u);
+  EXPECT_FALSE(ev->dirty);
+  EXPECT_THROW((void)c.fill(Line{1} << Cache::kTagBits, false),
+               std::invalid_argument);
+}
+
 TEST(Cache, InvalidatedWayIsReusedBeforeAnyEviction) {
   Cache c(CacheParams{.size_bytes = 48, .associativity = 3});  // one set
   c.install(0, LineState::kShared);
