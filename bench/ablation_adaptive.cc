@@ -194,7 +194,8 @@ sim::Cycles run_adaptive(std::vector<Mechanism>* picks_out) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Adaptive mechanism selection: profile-guided chooser vs fixed mechanisms on both workloads.");
+                         "Adaptive mechanism selection: profile-guided chooser "
+                         "vs fixed mechanisms on both workloads.");
 
   std::printf("Adaptive mechanism selection on a mixed application\n"
               "(message-passing machine: no coherent-memory hardware)\n");

@@ -18,7 +18,8 @@ using cm::core::Scheme;
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Branching-factor ablation (sec 4.2): B-tree schemes with node fanout capped at 10 vs 100.");
+                         "Branching-factor ablation (sec 4.2): B-tree schemes "
+                         "with node fanout capped at 10 vs 100.");
 
   std::printf("B-tree branching-factor ablation (0 think time)\n");
   std::printf("%-10s %-18s %12s %14s\n", "branching", "Scheme", "thr/1000cy",

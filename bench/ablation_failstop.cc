@@ -29,7 +29,7 @@ namespace {
 
 constexpr unsigned kCrashCounts[] = {0, 1, 2, 4};
 
-// Victims are pairwise non-adjacent on the monitor ring (monitors = 2), so
+// Victims are pairwise non-adjacent on the monitor ring (ft.cc kMonitors), so
 // simultaneous deaths never falsely expire a live processor's lease.
 // Counting: balancer processors (procs 0..23 at width 8; requesters on
 // 24..39). B-tree: node processors that host nodes under seed 1
@@ -152,7 +152,9 @@ void write_json(const char* path, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "[out.json]",
-                         "Fail-stop ablation: fixed work while 0/1/2/4 processors crash mid-run; availability, detection and recovery latency, JSON export.");
+                         "Fail-stop ablation: fixed work while 0/1/2/4 "
+                         "processors crash mid-run; availability, detection "
+                         "and recovery latency, JSON export.");
   std::printf("Fail-stop ablation: fixed work under processor crashes\n");
   std::printf("counting: 16 requesters x 50 ops; B-tree: 8 requesters x 50"
               " ops, 1000 keys\n");

@@ -126,7 +126,9 @@ void write_json(const char* path, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "[out.json [trace.json]]",
-                         "Fault-injection sweep: fixed work under rising drop/duplicate/delay rates with the reliable transport; JSON export and optional Chrome trace.");
+                         "Fault-injection sweep: fixed work under rising "
+                         "drop/duplicate/delay rates with the reliable "
+                         "transport; JSON export and optional Chrome trace.");
   std::printf("Fault-injection sweep: fixed work under message loss\n");
   std::printf("counting: 16 requesters x 50 ops; B-tree: 8 requesters x 50"
               " ops, 1000 keys\n");

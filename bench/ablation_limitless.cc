@@ -19,7 +19,8 @@ using core::Scheme;
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "LimitLESS directory ablation: shared-memory schemes vs hardware sharer-pointer count.");
+                         "LimitLESS directory ablation: shared-memory schemes "
+                         "vs hardware sharer-pointer count.");
 
   std::printf("LimitLESS directory ablation (SM scheme; message-passing "
               "schemes shown for reference)\n");

@@ -111,7 +111,8 @@ void affinity_panel() {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Five-way mechanism comparison (RPC/CP/TM/OBJ/SM) on both paper workloads.");
+                         "Five-way mechanism comparison (RPC/CP/TM/OBJ/SM) on "
+                         "both paper workloads.");
 
   std::printf("Mechanism design space (§2): RPC, computation migration,\n"
               "shared memory, object migration, thread migration\n");

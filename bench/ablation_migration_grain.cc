@@ -106,7 +106,9 @@ sim::Task<> nested_group(World* w, std::vector<core::ObjectId> objs,
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Migration-grain ablation: live-state size sweep, thread- vs computation-migration, and group migration.");
+                         "Migration-grain ablation: live-state size sweep, "
+                         "thread- vs computation-migration, and group "
+                         "migration.");
 
   std::printf("(a) Migration cost vs. live-frame size (%u-hop chain, %u "
               "accesses per datum)\n", kHops, kAccessesPerDatum);

@@ -60,7 +60,8 @@ void btree_panel(bool mesh) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Network-model sensitivity: uniform-latency vs 2-D mesh interconnect across mechanisms.");
+                         "Network-model sensitivity: uniform-latency vs 2-D "
+                         "mesh interconnect across mechanisms.");
 
   std::printf("Network-model sensitivity (throughput, ops/1000 cycles)\n");
   std::printf("\nCounting network, 32 requesters, think 0:\n");

@@ -16,7 +16,8 @@ using core::Scheme;
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Counting-network width scalability: throughput vs network width per mechanism.");
+                         "Counting-network width scalability: throughput vs "
+                         "network width per mechanism.");
 
   std::printf("Counting-network width sweep, 48 requesters, think 0\n\n");
   std::printf("%-7s %-9s %-7s | %12s %12s\n", "width", "balancers", "depth",

@@ -64,7 +64,8 @@ sim::Task<> comp_migration(World* w, std::vector<core::ObjectId> objs) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Prefetching ablation (sec 2.5): latency hiding lowering the relative cost of data migration.");
+                         "Prefetching ablation (sec 2.5): latency hiding "
+                         "lowering the relative cost of data migration.");
 
   std::printf("Latency hiding: %u remote blocks x %u accesses, %llu cycles "
               "of work per access\n\n", kBlocks, kAccesses,

@@ -19,7 +19,8 @@ using core::Scheme;
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Write-sharing ablation: per-mechanism sensitivity to the fraction of writes.");
+                         "Write-sharing ablation: per-mechanism sensitivity to "
+                         "the fraction of writes.");
 
   std::printf("B-tree insert-ratio sweep, 16 requesters, think 0\n\n");
   std::printf("%-8s | %12s %14s | %12s %14s | %8s\n", "inserts",

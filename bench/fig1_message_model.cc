@@ -70,7 +70,9 @@ sim::Task<> data_sweep(World* w, std::vector<shmem::Addr> addrs, unsigned n) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Figure 1 (sec 2.5): predicted vs simulated message counts for n accesses to each of m remote items, per mechanism.");
+                         "Figure 1 (sec 2.5): predicted vs simulated message "
+                         "counts for n accesses to each of m remote items, per "
+                         "mechanism.");
 
   std::printf("Figure 1: messages for one thread making n accesses to each "
               "of m remote data items\n");

@@ -82,7 +82,11 @@ void run_panel(cm::sim::Cycles think, cm::core::MetricsRegistry* reg,
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "[--check] [out.json]",
-                         "Figure 2: counting-network throughput vs requesters for SM/CP/RPC at think 0 and 10k cycles; optional unified-schema JSON export. --check runs every point under the invariant checker (stdout unchanged; exits nonzero on any violation).");
+                         "Figure 2: counting-network throughput vs requesters "
+                         "for SM/CP/RPC at think 0 and 10k cycles; optional "
+                         "unified-schema JSON export. --check runs every point "
+                         "under the invariant checker (stdout unchanged; exits "
+                         "nonzero on any violation).");
   cm::core::MetricsRegistry reg;
   CheckTotals check;
   check.enabled = cm::bench::take_flag(argc, argv, "--check");

@@ -50,7 +50,9 @@ void run_panel(cm::sim::Cycles think) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Figure 3: counting-network bandwidth (words/10 cycles) vs requesters for SM/CP/RPC at both think times.");
+                         "Figure 3: counting-network bandwidth (words/10 "
+                         "cycles) vs requesters for SM/CP/RPC at both think "
+                         "times.");
 
   std::printf(
       "Figure 3: counting-network bandwidth (words sent / 10 cycles)\n");

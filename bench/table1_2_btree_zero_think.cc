@@ -20,7 +20,11 @@ using cm::core::Scheme;
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "[--check] [out.json]",
-                         "Tables 1-2: distributed B-tree throughput and bandwidth at zero think time, all schemes; optional unified-schema JSON export. --check runs every scheme under the invariant checker (stdout unchanged; exits nonzero on any violation).");
+                         "Tables 1-2: distributed B-tree throughput and "
+                         "bandwidth at zero think time, all schemes; optional "
+                         "unified-schema JSON export. --check runs every "
+                         "scheme under the invariant checker (stdout "
+                         "unchanged; exits nonzero on any violation).");
   const bool check_on = cm::bench::take_flag(argc, argv, "--check");
   std::uint64_t check_violations = 0;
   std::uint64_t check_hb_edges = 0;

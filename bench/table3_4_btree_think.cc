@@ -16,7 +16,9 @@ using cm::core::Scheme;
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Tables 3-4: distributed B-tree throughput and bandwidth with 10,000-cycle think time, all schemes.");
+                         "Tables 3-4: distributed B-tree throughput and "
+                         "bandwidth with 10,000-cycle think time, all "
+                         "schemes.");
 
   const Scheme schemes[] = {
       {Mechanism::kSharedMemory, false, false},

@@ -85,7 +85,8 @@ void print_breakdown(const RunStats& r, const char* title) {
 
 int main(int argc, char** argv) {
   cm::bench::maybe_usage(argc, argv, "",
-                         "Table 5: per-category cycle breakdown of one migrated activation in the counting network.");
+                         "Table 5: per-category cycle breakdown of one "
+                         "migrated activation in the counting network.");
 
   std::printf("Table 5: approximate costs for migration in the counting "
               "network\n(per-category cycles divided by migrations)\n");

@@ -18,9 +18,42 @@ using sim::ProcId;
 using sim::Task;
 
 namespace {
+// User code, charged under every mechanism.
+constexpr sim::Cycles kSearchBase = 20;     // per node visit
+constexpr sim::Cycles kSearchPerProbe = 6;  // per binary-search probe
+constexpr sim::Cycles kSearchPerEntry = 8;  // scan/compare over the entries
+constexpr sim::Cycles kModifyWork = 40;     // leaf/parent entry insertion
+constexpr sim::Cycles kModifyPerEntry = 4;  // shifting the entry array
+constexpr sim::Cycles kSplitWork = 120;     // building a sibling
+constexpr unsigned kFrameWords = 10;        // migrated activation size
+constexpr unsigned kThreadStateWords = 96;  // whole-thread migration payload
+// General-stub RPC envelopes (key, op descriptor, linkage, result
+// record): the paper's Table 1+2 bandwidth/throughput quotients imply
+// ~30 words per RPC message vs ~12 per migration message.
+constexpr unsigned kRpcArgWords = 12;
+constexpr unsigned kRpcRetWords = 12;
+
 /// ceil(log2(n+1)): binary-search probes into an n-entry node.
 unsigned log2probes(std::size_t n) {
   return n == 0 ? 0u : static_cast<unsigned>(std::bit_width(n));
+}
+
+/// User-code cycles to search an `entries`-entry node. Search work scales
+/// with the node: the binary-search probes plus the dense scan/compare over
+/// the located region. For the paper's 100-entry nodes this dominates
+/// ("activations accessing smaller nodes require less time to service",
+/// §4.2).
+sim::Cycles search_cycles(std::size_t entries) {
+  return kSearchBase + kSearchPerProbe * log2probes(entries) +
+         kSearchPerEntry * static_cast<sim::Cycles>(entries);
+}
+
+/// User-code cycles to modify a node of `entries` entries, counted after
+/// the change, plus the sibling's build when it split: shifting the entry
+/// array costs work proportional to the node size.
+sim::Cycles modify_cycles(std::size_t entries, bool split) {
+  return kModifyWork + kModifyPerEntry * static_cast<sim::Cycles>(entries) +
+         (split ? kSplitWork : 0);
 }
 
 constexpr const char* kUnboundChild =
@@ -209,22 +242,6 @@ DistributedBTree::Step DistributedBTree::search_step(
               static_cast<std::uint32_t>(n.payload[idx]), false, 0};
 }
 
-sim::Cycles DistributedBTree::search_cycles(const Node& n) const {
-  // Search work scales with the node: the binary-search probes plus the
-  // dense scan/compare over the located region. For the paper's 100-entry
-  // nodes this dominates ("activations accessing smaller nodes require less
-  // time to service", §4.2).
-  return p_.search_base + p_.search_per_probe * log2probes(n.maxkey.size()) +
-         p_.search_per_entry * static_cast<sim::Cycles>(n.maxkey.size());
-}
-
-sim::Cycles DistributedBTree::modify_cycles(const Node& n, bool split) const {
-  // Shifting the entry array costs work proportional to the node size.
-  return p_.modify_work +
-         p_.modify_per_entry * static_cast<sim::Cycles>(n.maxkey.size()) +
-         (split ? p_.split_work : 0);
-}
-
 DistributedBTree::Update DistributedBTree::insert_entry(std::uint32_t nid,
                                                        std::uint64_t key,
                                                        std::uint64_t value) {
@@ -339,7 +356,7 @@ class DistributedBTree::Coherent {
     const Node& n = bt.nodes_[nid];
     SmNode& sm = bt.sm_[nid];
     const unsigned np = log2probes(n.maxkey.size());
-    const sim::Cycles cycles = bt.search_cycles(n);
+    const sim::Cycles cycles = search_cycles(n.maxkey.size());
     // The requester reads the node's lines coherently. The search touches
     // the header plus a dense slice of the entry array — a binary search's
     // probes plus the final scan/copy region; for the 100-entry nodes of
@@ -384,7 +401,7 @@ class DistributedBTree::Coherent {
     const Node& n = bt.nodes_[nid];
     const shmem::Addr base = bt.sm_[nid].base;
     const ProcId p = ctx.proc;
-    co_await bt.rt_->compute(ctx, bt.modify_cycles(n, split));
+    co_await bt.rt_->compute(ctx, modify_cycles(n.maxkey.size(), split));
     co_await bt.mem_->write(p, base, 16);
     const auto entries = static_cast<unsigned>(n.maxkey.size());
     const unsigned shifted = std::max(2u, entries / 4);
@@ -420,10 +437,9 @@ class DistributedBTree::Messages {
 
   template <class F>
   auto at_node(Ctx& ctx, Id n, F body) const {
-    const Params& p = bt_->p_;
     return core::visit(ctx, mech_, node(n).mobile,
-                       core::CallOpts{p.rpc_arg_words, p.rpc_ret_words, false},
-                       p.frame_words, p.thread_state_words, body);
+                       core::CallOpts{kRpcArgWords, kRpcRetWords, false},
+                       kFrameWords, kThreadStateWords, body);
   }
   sim::AsyncMutex::Awaiter lock(Ctx&, Id n) const {
     return node(n).mutex.lock();
@@ -435,10 +451,10 @@ class DistributedBTree::Messages {
   std::suspend_never begin_write(Ctx&, Id) const { return {}; }
   std::suspend_never end_write(Ctx&, Id) const { return {}; }
   sim::Machine::Compute charge_search(Ctx& at, Id n, bool) const {
-    return bt_->rt_->compute(at, bt_->search_cycles(node(n)));
+    return bt_->rt_->compute(at, search_cycles(node(n).maxkey.size()));
   }
   sim::Machine::Compute charge_modify(Ctx& at, Id n, bool split) const {
-    return bt_->rt_->compute(at, bt_->modify_cycles(node(n), split));
+    return bt_->rt_->compute(at, modify_cycles(node(n).maxkey.size(), split));
   }
   std::suspend_never read_root(Ctx&) const { return {}; }
   std::suspend_never write_root(Ctx&) const { return {}; }
@@ -498,7 +514,7 @@ Task<DistributedBTree::Step> DistributedBTree::read_replica(
   const ProcId requester = ctx.proc;
   co_await copy.ensure(ctx);
   const Node& n = nodes_[nid];
-  co_await rt_->compute(ctx, search_cycles(n));
+  co_await rt_->compute(ctx, search_cycles(n.maxkey.size()));
   policy_->on_access(n.oid, requester, /*write=*/false);
   co_return search_step(n, key);
 }
@@ -585,7 +601,7 @@ Task<bool> DistributedBTree::lookup_via(Ctx& ctx, A acc, std::uint64_t key,
       // recover).
       co_await root_copy->ensure(ctx);
       const Node& r = nodes_[root_];
-      co_await rt_->compute(ctx, search_cycles(r));
+      co_await rt_->compute(ctx, search_cycles(r.maxkey.size()));
       s = search_step(r, key);
     } else if (core::Replicated* copy = start_visit(ctx, acc, cur)) {
       s = co_await read_replica(ctx, *copy, cur, key);
@@ -595,7 +611,7 @@ Task<bool> DistributedBTree::lookup_via(Ctx& ctx, A acc, std::uint64_t key,
     if (s.kind == Step::Kind::kLeaf) break;
     cur = s.next;
   }
-  co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
+  co_await rt_->return_home(ctx, origin, kRpcRetWords);
   if (value_out != nullptr && s.found) *value_out = s.value;
   co_return s.found;
 }
@@ -632,7 +648,7 @@ Task<bool> DistributedBTree::write_via(Ctx& ctx, A acc, std::uint64_t key,
   if (u.split.has_value()) {
     co_await install_split(ctx, acc, std::move(path), *u.split);
   }
-  co_await rt_->return_home(ctx, origin, p_.rpc_ret_words);
+  co_await rt_->return_home(ctx, origin, kRpcRetWords);
   co_return u.changed;
 }
 
@@ -683,7 +699,7 @@ Task<> DistributedBTree::split_root(Ctx& ctx, A acc, SplitInfo info) {
   r.maxkey = {info.left_max, info.right_max};
   r.payload = {info.left, info.right};
   r.high_key = kMaxKey;
-  co_await rt_->compute(ctx, p_.modify_work + p_.split_work);
+  co_await rt_->compute(ctx, kModifyWork + kSplitWork);
   co_await acc.write_node(ctx, nr, 48);
   co_await acc.write_root(ctx);  // publish the new root
   root_ = nr;

@@ -15,13 +15,29 @@ using sim::Task;
 
 namespace {
 
-/// Deterministic per-visit work variance (SplitMix64 of the visit identity).
-sim::Cycles jitter(sim::Cycles amount, std::uint64_t a, std::uint64_t b) {
-  if (amount == 0) return 0;
+// User code per balancer visit (Table 5: ~150 incl. counter share) and at
+// the output counter.
+constexpr sim::Cycles kBalancerWork = 120;
+constexpr sim::Cycles kCounterWork = 30;
+constexpr sim::Cycles kWorkJitter = 24;  // the most jitter() adds
+constexpr unsigned kFrameWords = 8;  // migrated activation: 32 bytes (Table 5)
+// Whole-thread migration payload (stack + TCB; §2.3 "the amount of state
+// to be moved is large").
+constexpr unsigned kThreadStateWords = 96;
+// General-stub RPC envelopes are much larger than migration frames: the
+// paper's measured bandwidth (Tables 1/2) implies ~30 words per RPC message
+// vs ~11 per migration message.
+constexpr unsigned kRpcArgWords = 10;
+constexpr unsigned kRpcRetWords = 8;
+
+/// Deterministic per-visit work variance in [0, kWorkJitter] (cache effects,
+/// branches; SplitMix64 of the visit identity): without it identical-cost
+/// threads convoy in ways a real machine never sustains.
+sim::Cycles jitter(std::uint64_t a, std::uint64_t b) {
   std::uint64_t z = (a * 0x9e3779b97f4a7c15ULL) ^ (b + 0xbf58476d1ce4e5b9ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return (z ^ (z >> 31)) % (amount + 1);
+  return (z ^ (z >> 31)) % (kWorkJitter + 1);
 }
 
 /// A yet-unconnected balancer output port during construction.
@@ -218,11 +234,10 @@ class CountingNetwork::Messages {
 
   template <class F>
   auto at_node(Ctx& ctx, core::MobileObject& obj, F body) const {
-    const Params& p = cn_->p_;
     return core::visit(ctx, mech_, obj,
-                       core::CallOpts{p.rpc_arg_words, p.rpc_ret_words,
-                                      p.rpc_short_methods},
-                       p.frame_words, p.thread_state_words, body);
+                       core::CallOpts{kRpcArgWords, kRpcRetWords,
+                                      cn_->p_.rpc_short_methods},
+                       kFrameWords, kThreadStateWords, body);
   }
   std::suspend_never lock(Ctx&, BalancerRt&) const { return {}; }
   std::suspend_never unlock(Ctx&, BalancerRt&) const { return {}; }
@@ -274,9 +289,8 @@ Task<long> CountingNetwork::traverse(Ctx& ctx, A acc, unsigned enter_wire) {
           co_await acc.read(at, rtb.config_addr, 16);
           co_await acc.write(at, rtb.toggle_addr, 4);
           co_await rt_->compute(
-              at, p_.balancer_work +
-                      jitter(p_.work_jitter, b,
-                             static_cast<std::uint64_t>(rtb.passed)));
+              at, kBalancerWork +
+                      jitter(b, static_cast<std::uint64_t>(rtb.passed)));
           const int toggle = rtb.toggle;
           rtb.toggle ^= 1;
           ++rtb.passed;
@@ -293,7 +307,7 @@ Task<long> CountingNetwork::traverse(Ctx& ctx, A acc, unsigned enter_wire) {
       [this, acc, wire, &c, requester](Ctx& at) -> Task<long> {
         acc.note_write(c.oid, requester);
         co_await acc.write(at, c.addr, 4);
-        co_await rt_->compute(at, p_.counter_work);
+        co_await rt_->compute(at, kCounterWork);
         co_return static_cast<long>(wire) +
             static_cast<long>(p_.width) * counts_[wire]++;
       });

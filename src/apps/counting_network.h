@@ -20,6 +20,10 @@
 //    toggle update is an exclusive (read-modify-write) acquisition of its
 //    cache line — balancers are write-shared, so this line migrates from
 //    cache to cache, and the wiring configuration is read-shared.
+//
+// The user-code costs and the message payloads are the paper's fixed
+// workload and live as constants in counting_network.cc; Params holds what
+// an experiment varies: width, placement and the RPC fast path.
 #pragma once
 
 #include <cstdint>
@@ -70,22 +74,6 @@ class CountingNetwork {
   struct Params {
     unsigned width = 8;
     sim::ProcId first_balancer_proc = 0;  // balancer i on proc first + i
-    sim::Cycles balancer_work = 120;  // user code per balancer visit
-                                      // (Table 5: ~150 incl. counter share)
-    sim::Cycles counter_work = 30;   // user code at the output counter
-    sim::Cycles work_jitter = 24;    // deterministic per-visit variance
-                                     // (cache effects, branches); without it
-                                     // identical-cost threads convoy in ways
-                                     // a real machine never sustains
-    unsigned frame_words = 8;        // migrated activation: 32 bytes (Table 5)
-    unsigned thread_state_words = 96;  // whole-thread migration payload
-                                       // (stack + TCB; §2.3 "the amount of
-                                       // state to be moved is large")
-    // General-stub RPC envelopes are much larger than migration frames:
-    // the paper's measured bandwidth (Tables 1/2) implies ~30 words per RPC
-    // message vs ~11 per migration message.
-    unsigned rpc_arg_words = 10;
-    unsigned rpc_ret_words = 8;
     bool rpc_short_methods = false;  // Prelude "creates a new thread for
                                      // most remote calls" (§4.3); set true
                                      // to model the Active-Messages fast

@@ -29,15 +29,6 @@ using sim::ProcId;
 using sim::Task;
 
 StackConfig validated(const StackConfig& cfg) {
-  if (cfg.scheme.mechanism == Mechanism::kSharedMemory &&
-      cfg.faults.active() && cfg.faults.affect_coherence) {
-    // Coherence messages resume their requesters directly, with nothing to
-    // retransmit or deduplicate them: one drop strands a requester, one
-    // duplicate resumes a frame that has already finished.
-    throw std::invalid_argument(
-        "shared memory cannot run under a fault plan that faults coherence "
-        "traffic (FaultPlan::affect_coherence)");
-  }
   if (!cfg.faults.nic_fail_at.empty() && !cfg.ft.enabled) {
     // Nothing else detects the death, and the reliable transport re-sends
     // to the dead NIC forever.

@@ -42,29 +42,33 @@ namespace cm::core {
 using sim::Cycles;
 
 struct CostModel {
+  // The Table 5 numbers are constants: the paper fixes them, and only the
+  // two hardware-support flags below vary between its machine variants.
+
   // --- receiver side ------------------------------------------------------
-  Cycles copy_base = 12;        // copy packet: base ...
-  Cycles copy_per_word = 8;     // ... + per word (76 @ 8 words)
-  Cycles thread_creation = 66;  // create a thread to run the request
-  Cycles recv_linkage = 66;     // procedure linkage at the receiver
-  Cycles unmarshal_base = 19;   // unmarshal: base ...
-  Cycles unmarshal_per_word = 4;  // ... + per word (51 @ 8 words)
-  Cycles oid_translation = 36;  // global object-ID -> local pointer
-  Cycles scheduler = 36;        // dispatch the handler / wake a thread
-  Cycles forwarding_check = 23; // has the object moved?
-  Cycles recv_alloc_packet = 16;
+  static constexpr Cycles copy_base = 12;          // copy packet: base ...
+  static constexpr Cycles copy_per_word = 8;       // ... + per word (76 @ 8)
+  static constexpr Cycles thread_creation = 66;    // thread for the request
+  static constexpr Cycles recv_linkage = 66;       // linkage at the receiver
+  static constexpr Cycles unmarshal_base = 19;     // unmarshal: base ...
+  static constexpr Cycles unmarshal_per_word = 4;  // ... + per word (51 @ 8)
+  static constexpr Cycles oid_translation = 36;    // global ID -> pointer
+  static constexpr Cycles scheduler = 36;          // dispatch / wake thread
+  static constexpr Cycles forwarding_check = 23;   // has the object moved?
+  static constexpr Cycles recv_alloc_packet = 16;
 
   // --- sender side ---------------------------------------------------------
-  Cycles send_linkage = 44;
-  Cycles send_alloc_packet = 35;
-  Cycles message_send = 23;
-  Cycles marshal_base = 6;      // marshal: base ...
-  Cycles marshal_per_word = 2;  // ... + per word (22 @ 8 words)
+  static constexpr Cycles send_linkage = 44;
+  static constexpr Cycles send_alloc_packet = 35;
+  static constexpr Cycles message_send = 23;
+  static constexpr Cycles marshal_base = 6;      // marshal: base ...
+  static constexpr Cycles marshal_per_word = 2;  // ... + per word (22 @ 8)
 
   // --- misc ---------------------------------------------------------------
-  Cycles locality_check = 3;  // per instance-method call; paid by every
-                              // mechanism ("not an extra cost" for CM)
-  unsigned header_words = 2;  // message header size
+  // Per instance-method call; paid by every mechanism ("not an extra cost"
+  // for CM).
+  static constexpr Cycles locality_check = 3;
+  static constexpr unsigned header_words = 2;  // message header size
 
   /// Extra server-side cost of a general (thread-creating) RPC dispatch,
   /// per §4.3: Prelude's "general-purpose stubs for all remote calls" copy
@@ -76,24 +80,25 @@ struct CostModel {
   /// (Active-Messages fast path) skip it along with thread creation.
   /// The duplicate argument copy + re-walk is ordinary CPU memory work, so
   /// hardware network-interface support does not shrink it.
-  Cycles general_dispatch = 240;
-  [[nodiscard]] Cycles rpc_stub_extra(unsigned words) const {
+  static constexpr Cycles general_dispatch = 240;
+  [[nodiscard]] static Cycles rpc_stub_extra(unsigned words) {
     return general_dispatch + (copy_base + copy_per_word * words) +
            (unmarshal_base + unmarshal_per_word * words);
   }
 
-  bool hw_message = false;  // register-mapped network interface
-  bool hw_oid = false;      // hardware object-ID translation
-
   /// Words the register-mapped network interface can hold (Henry-Joerg map
   /// the NI into "ten additional registers in the register file"): packets
   /// beyond this spill back to memory-to-memory copying.
-  unsigned ni_register_words = 10;
+  static constexpr unsigned ni_register_words = 10;
+
+  bool hw_message = false;  // register-mapped network interface
+  bool hw_oid = false;      // hardware object-ID translation
 
   // --- derived ------------------------------------------------------------
   [[nodiscard]] Cycles copy(unsigned words) const {
     if (!hw_message) return copy_base + copy_per_word * words;
-    const unsigned spill = words > ni_register_words ? words - ni_register_words : 0;
+    const unsigned spill =
+        words > ni_register_words ? words - ni_register_words : 0;
     return copy_base + copy_per_word * spill;
   }
   [[nodiscard]] Cycles marshal(unsigned words) const {
@@ -120,18 +125,12 @@ struct CostModel {
   /// Receiver-side total for a request carrying `words` payload words.
   /// `create_thread` is false on the short-method (Active-Messages-style)
   /// fast path and on reply delivery to a blocked thread.
-  [[nodiscard]] Cycles receiver_total(unsigned words, bool create_thread) const {
+  [[nodiscard]] Cycles receiver_total(unsigned words,
+                                      bool create_thread) const {
     Cycles c = copy(words) + recv_linkage + unmarshal(words) + oid() +
                scheduler + forwarding_check + alloc_packet_recv();
     if (create_thread) c += thread_creation;
     return c;
-  }
-
-  /// Receiver-side total for a general RPC request (thread per call through
-  /// the general-purpose stub path; see rpc_stub_extra).
-  [[nodiscard]] Cycles receiver_total_rpc(unsigned words) const {
-    return receiver_total(words, /*create_thread=*/true) +
-           rpc_stub_extra(words);
   }
 
   /// Reply-delivery cost at the original caller. A reply is a message like

@@ -8,6 +8,9 @@
 
 namespace cm::core {
 
+constexpr sim::Cycles kMaxTimeout = 6400;  // exponential-backoff cap
+constexpr unsigned kAckWords = 2;  // ack size on the wire (incl. header)
+
 void ReliableTransport::Send::arrived(sim::Continuation* c) {
   Send& s = *static_cast<Leg*>(c)->send;
   if (c == &s.data) {
@@ -71,8 +74,7 @@ void ReliableTransport::on_data(Send& s) {
   }
   // Ack every copy: the ack for an earlier copy may itself have been lost.
   ++stats_->acks_sent;
-  network_->send(s.dst, s.src, cfg_.ack_words, net::Traffic::kRuntime,
-                 &s.ack);
+  network_->send(s.dst, s.src, kAckWords, net::Traffic::kRuntime, &s.ack);
   if (!fresh) return;
   if (s.done) {
     // The sender already exhausted its budget and took the recovery path;
@@ -129,7 +131,7 @@ void ReliableTransport::on_timeout(Send& s) {
     if (!s.done) give_up(s);
     return;
   }
-  s.timeout = std::min(s.timeout * 2, cfg_.max_timeout);
+  s.timeout = std::min(s.timeout * 2, kMaxTimeout);
   attempt(s);
 }
 

@@ -47,8 +47,6 @@ namespace cm::core {
 struct ReliableConfig {
   sim::Cycles base_timeout = 400;   // first ack deadline; must exceed the
                                     // loaded round-trip time
-  sim::Cycles max_timeout = 6400;   // exponential-backoff cap
-  unsigned ack_words = 2;           // ack size on the wire (incl. header)
   unsigned move_retry_budget = 10;  // attempts for migration MOVE messages
                                     // before falling back to RPC
 };
@@ -88,7 +86,6 @@ class ReliableTransport {
     struct Leg : sim::Continuation {
       Send* send;
     };
-    ~Send() { timer.cancel(); }  // its pending event refers to this record
 
     ReliableTransport* transport;
     sim::ProcId src;

@@ -282,8 +282,9 @@ class Runtime {
   /// `send_message` and suspends the caller until it is delivered, then
   /// yields whether it was. It is a plain struct in the caller's frame, not
   /// a coroutine. Without a reliable transport the message wakes the
-  /// caller itself (`Network::send`), from one engine resume event. A message touching a processor the FaultTolerance
-  /// service suspects yields false at once, without suspending or sending.
+  /// caller itself (`Network::send`), from one engine resume event. A
+  /// message touching a processor the FaultTolerance service suspects
+  /// yields false at once, without suspending or sending.
   struct [[nodiscard]] Transfer {
     Runtime* rt;
     ProcId src;

@@ -11,6 +11,12 @@ using core::Category;
 using core::CostModel;
 using sim::TraceEvent;
 
+constexpr unsigned kHeartbeatWords = 1;  // keepalive payload
+constexpr unsigned kMonitors = 2;        // ring successors each proc heartbeats
+constexpr unsigned kDirReplicas = 2;     // directory shard replication degree
+constexpr unsigned kRestoreWords = 16;   // simulated backup-restore payload
+constexpr unsigned kControlWords = 1;    // promotion/control payload
+
 FtLayer::FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator)
     : rt_(&rt),
       cfg_(cfg),
@@ -25,7 +31,7 @@ FtLayer::FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator)
   if (!cfg_.enabled) return;
   rt_->set_fault_tolerance(this);
   if (locator_ != nullptr && locator_->attached()) {
-    locator_->set_fault_tolerance(this, cfg_.dir_replicas);
+    locator_->set_fault_tolerance(this, kDirReplicas);
   }
 }
 
@@ -77,10 +83,10 @@ void FtLayer::sweep() {
   // are NIC-level keepalives — zero CPU cycles, but real messages, so a
   // planned NIC death silently eats them (net::FaultyNetwork) and the
   // sender's lease stops renewing.
-  const unsigned hb_words = cfg_.heartbeat_words + rt_->cost().header_words;
+  const unsigned hb_words = kHeartbeatWords + rt_->cost().header_words;
   for (ProcId p = 0; p < nprocs_; ++p) {
     if (suspected(p)) continue;
-    for (unsigned i = 0; i < cfg_.monitors; ++i) {
+    for (unsigned i = 0; i < kMonitors; ++i) {
       const auto mon = static_cast<ProcId>((p + 1 + i) % nprocs_);
       if (mon == p) continue;
       ++stats_.heartbeats_sent;
@@ -206,11 +212,11 @@ sim::Task<> FtLayer::recover_object(ObjectId id, ProcId dead, ProcId coord,
     }
     if (target == sim::kNoProc) break;  // no live copy; fall through
     if (coord != target) {
-      co_await rt_->charge(coord, c.sender_total(cfg_.control_words),
+      co_await rt_->charge(coord, c.sender_total(kControlWords),
                            Category::kReplication);
-      co_await rt_->transfer(coord, target, cfg_.control_words);
+      co_await rt_->transfer(coord, target, kControlWords);
       co_await rt_->charge(target,
-                           c.receiver_total(cfg_.control_words,
+                           c.receiver_total(kControlWords,
                                             /*create_thread=*/false),
                            Category::kReplication);
     }
@@ -220,17 +226,17 @@ sim::Task<> FtLayer::recover_object(ObjectId id, ProcId dead, ProcId coord,
     commit(id, dead, target, epoch);
     co_return;
   }
-  // 2. Backup restore: re-materialise the object's state (restore_words of
+  // 2. Backup restore: re-materialise the object's state (kRestoreWords of
   // simulated stable storage) on a deterministic refuge processor.
   if (cfg_.rehome_unreplicated) {
     const ProcId target = rehome_target(id, dead);
     if (coord != target) {
-      co_await rt_->charge(coord, c.sender_total(cfg_.restore_words),
+      co_await rt_->charge(coord, c.sender_total(kRestoreWords),
                            Category::kReplication);
-      co_await rt_->transfer(coord, target, cfg_.restore_words);
+      co_await rt_->transfer(coord, target, kRestoreWords);
     }
     co_await rt_->charge(target,
-                         c.receiver_total(cfg_.restore_words,
+                         c.receiver_total(kRestoreWords,
                                           /*create_thread=*/true),
                          Category::kReplication);
     ++stats_.rehomes;

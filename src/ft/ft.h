@@ -1,7 +1,7 @@
 // Fail-stop crash tolerance: the ft::FtLayer is the repo's implementation of
 // core::FaultTolerance. It is built from three deterministic pieces:
 //
-//  * FAILURE DETECTION — every processor heartbeats its `monitors` ring
+//  * FAILURE DETECTION — every processor heartbeats its `kMonitors` ring
 //    successors each `heartbeat_interval` cycles (zero-CPU NIC keepalives).
 //    A planned NIC death (net::FaultPlan::nic_fail_at) silently eats those
 //    heartbeats, so the sender's lease expires after `lease_misses` silent
@@ -18,7 +18,7 @@
 //  * RECOVERY — suspecting a processor enqueues every object homed there.
 //    A detached recovery task re-homes each one: promote a valid
 //    core::Replicated copy when one exists (the replica mirrors state the
-//    NIC death could not touch), otherwise restore `restore_words` from a
+//    NIC death could not touch), otherwise restore `kRestoreWords` from a
 //    simulated backup onto a deterministic refuge — or, with
 //    `rehome_unreplicated` off, condemn the object (ObjectLostError for all
 //    later calls). Each commit flips ObjectSpace, patches the Locator's
@@ -32,9 +32,11 @@
 // and the run is byte-identical to a build without it.
 //
 // Known limitation (documented in DESIGN.md §11): monitors are ring
-// successors, so `monitors` adjacent simultaneous crashes can expire the
-// lease of the processor between them. Crash plans in the benches use
-// non-adjacent victims; raise `monitors` to tolerate adjacency.
+// successors, so `kMonitors` adjacent simultaneous crashes can expire the
+// lease of the processor before them. `kMonitors` (2), the directory's
+// `kDirReplicas` (2) and `FtConfig::lease_misses` (3) are constants, the
+// first two in ft.cc. Crash plans in the benches use non-adjacent victims;
+// to tolerate k adjacent crashes, raise `kMonitors` above k.
 #pragma once
 
 #include <coroutine>
@@ -63,15 +65,10 @@ struct FtConfig {
 
   // Failure detector.
   Cycles heartbeat_interval = 2000;  // sweep period, in cycles
-  unsigned heartbeat_words = 1;      // keepalive payload
-  unsigned monitors = 2;             // ring successors each proc heartbeats
-  unsigned lease_misses = 3;         // silent intervals before suspicion
+  static constexpr unsigned lease_misses = 3;  // silent intervals to suspect
 
   // Recovery.
-  unsigned dir_replicas = 2;        // directory shard replication degree
   bool rehome_unreplicated = true;  // restore from backup vs. declare lost
-  unsigned restore_words = 16;      // simulated backup-restore payload
-  unsigned control_words = 1;       // promotion/control payload
 
   // Cancellation policy (see core::FaultTolerance).
   Cycles send_deadline = 0;        // relative per-send deadline; 0 = none

@@ -13,6 +13,10 @@ using core::CostModel;
 using sim::Cycles;
 using sim::TraceEvent;
 
+constexpr unsigned kLookupWords = 1;   // directory query payload
+constexpr unsigned kReplyWords = 1;    // directory reply payload
+constexpr unsigned kControlWords = 1;  // move-protocol control payload
+
 // ---------------------------------------------------------------------------
 // TranslationCache
 
@@ -262,13 +266,13 @@ sim::Task<ProcId> Locator::dir_query(ProcId p, ObjectId id) {
     cache_put(p, id, owner);
     co_return owner;
   }
-  co_await send_ctl(p, cfg_.lookup_words);
-  co_await rt_->transfer(p, shard, cfg_.lookup_words);
-  co_await recv_ctl(shard, cfg_.lookup_words);
+  co_await send_ctl(p, kLookupWords);
+  co_await rt_->transfer(p, shard, kLookupWords);
+  co_await recv_ctl(shard, kLookupWords);
   const ProcId owner = e.owner;  // read at the shard, at shard time
-  co_await send_ctl(shard, cfg_.reply_words);
-  co_await rt_->transfer(shard, p, cfg_.reply_words);
-  co_await recv_reply(p, cfg_.reply_words);
+  co_await send_ctl(shard, kReplyWords);
+  co_await rt_->transfer(shard, p, kReplyWords);
+  co_await recv_reply(p, kReplyWords);
   cache_put(p, id, owner);
   co_return owner;
 }
@@ -405,13 +409,12 @@ sim::Task<bool> Locator::move_object(core::Ctx& ctx, ObjectId id,
   // to the same (replica) entry host or the movers queue would split.
   const ProcId shard = live_shard(id);
   const CostModel& c = rt_->cost();
-  const unsigned ctl = cfg_.control_words;
 
   // MOVE-REQUEST: tell the object's directory shard we want it here.
   if (shard != mover) {
-    co_await send_ctl(mover, ctl);
-    co_await rt_->transfer(mover, shard, ctl);
-    co_await recv_ctl(shard, ctl);
+    co_await send_ctl(mover, kControlWords);
+    co_await rt_->transfer(mover, shard, kControlWords);
+    co_await recv_ctl(shard, kControlWords);
   } else {
     const Cycles req_cost =
         add_parts({{Category::kOidTranslation, c.oid()}});
@@ -431,9 +434,9 @@ sim::Task<bool> Locator::move_object(core::Ctx& ctx, ObjectId id,
     if (ck != nullptr) ck->on_lock_released(&ctx, &e.movers);
     e.movers.unlock();
     if (shard != mover) {
-      co_await send_ctl(shard, cfg_.reply_words);
-      co_await rt_->transfer(shard, mover, cfg_.reply_words);
-      co_await recv_reply(mover, cfg_.reply_words);
+      co_await send_ctl(shard, kReplyWords);
+      co_await rt_->transfer(shard, mover, kReplyWords);
+      co_await recv_reply(mover, kReplyWords);
     }
     co_return false;
   }
@@ -446,9 +449,9 @@ sim::Task<bool> Locator::move_object(core::Ctx& ctx, ObjectId id,
     if (ck != nullptr) ck->on_lock_released(&ctx, &e.movers);
     e.movers.unlock();
     if (shard != mover) {
-      co_await send_ctl(shard, cfg_.reply_words);
-      co_await rt_->transfer(shard, mover, cfg_.reply_words);
-      co_await recv_reply(mover, cfg_.reply_words);
+      co_await send_ctl(shard, kReplyWords);
+      co_await rt_->transfer(shard, mover, kReplyWords);
+      co_await recv_reply(mover, kReplyWords);
     }
     co_return false;
   }
@@ -456,9 +459,9 @@ sim::Task<bool> Locator::move_object(core::Ctx& ctx, ObjectId id,
   // FETCH: the shard asks the current owner to ship the object.
   if (ck != nullptr) ck->on_move_begin(id, mover);
   if (shard != owner) {
-    co_await send_ctl(shard, ctl);
-    co_await rt_->transfer(shard, owner, ctl);
-    co_await recv_ctl(owner, ctl);
+    co_await send_ctl(shard, kControlWords);
+    co_await rt_->transfer(shard, owner, kControlWords);
+    co_await recv_ctl(owner, kControlWords);
   } else {
     const Cycles fetch_cost =
         add_parts({{Category::kOidTranslation, c.oid()}});
@@ -508,9 +511,9 @@ sim::Task<bool> Locator::move_object(core::Ctx& ctx, ObjectId id,
   // COMMIT: tell the shard where the object landed; the entry flips and
   // the next queued mover (if any) proceeds against the new owner.
   if (shard != mover) {
-    co_await send_ctl(mover, ctl);
-    co_await rt_->transfer(mover, shard, ctl);
-    co_await recv_ctl(shard, ctl);
+    co_await send_ctl(mover, kControlWords);
+    co_await rt_->transfer(mover, shard, kControlWords);
+    co_await recv_ctl(shard, kControlWords);
   } else {
     const Cycles commit_cost =
         add_parts({{Category::kOidTranslation, c.oid()}});

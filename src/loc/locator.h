@@ -69,9 +69,6 @@ struct LocatorConfig {
   Locality mode = Locality::kOracle;
   DirectoryPolicy directory = DirectoryPolicy::kHashHome;
   unsigned cache_capacity = 64;  // per-processor LRU entries; 0 = no cache
-  unsigned lookup_words = 1;     // directory query payload
-  unsigned reply_words = 1;      // directory reply payload
-  unsigned control_words = 1;    // move-protocol control payload
 };
 
 struct LocStats {

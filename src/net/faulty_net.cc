@@ -17,9 +17,8 @@ bool FaultyNetwork::nic_dead(sim::ProcId p) const noexcept {
 
 void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
                          Traffic kind, sim::Wake w) {
-  // Loopback is never faulted, coherence traffic only under
-  // `affect_coherence`.
-  if (src == dst || (kind == Traffic::kCoherence && !plan_.affect_coherence)) {
+  // Neither loopback nor coherence traffic is ever faulted.
+  if (src == dst || kind == Traffic::kCoherence) {
     inner_->send(src, dst, words, kind, w);
     return;
   }

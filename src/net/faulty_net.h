@@ -4,15 +4,15 @@
 // driven by its own seeded sim::Rng so every chaos run is bit-for-bit
 // reproducible and independent of workload RNG draws.
 //
-// By default only kRuntime traffic is faulted: the coherence protocol models
-// a hardware network with link-level retry, while the software runtime layer
+// Only kRuntime traffic is ever faulted: the coherence protocol models a
+// hardware network with link-level retry, while the software runtime layer
 // must survive an unreliable interconnect via core::ReliableTransport. A
 // dropped message wakes nothing; a duplicated or delayed one is its wake
 // sent again. So every wake on traffic a plan can fault must be re-runnable
 // and outlive every copy in flight, as the reliable transport's and ft's
-// records are: a coroutine handle would be resumed after it finished. For
-// that reason the workload harness rejects shared memory under a plan that
-// sets `affect_coherence`.
+// records are: a coroutine handle would be resumed after it finished. The
+// coherence protocol's wakes are neither, so its traffic is exempt by
+// construction and shared memory runs under any plan.
 //
 // With an inactive plan (all rates zero, no overrides, no NIC failures) the
 // decorator forwards every message untouched and draws no random numbers, so
@@ -55,7 +55,6 @@ struct FaultPlan {
   // Fail-stop: from the given cycle on, the processor's NIC silently eats
   // every message it would send or receive.
   std::map<sim::ProcId, sim::Cycles> nic_fail_at;
-  bool affect_coherence = false;  // also fault kCoherence traffic
   std::uint64_t seed = 0x5eedfa17;
 
   /// Whether this plan can ever perturb a message.
@@ -76,8 +75,8 @@ class FaultyNetwork final : public Network {
         plan_(std::move(plan)),
         rng_(plan_.seed) {}
 
-  /// A message this plan can never fault goes to the inner network
-  /// untouched; any other may be dropped, duplicated or delayed.
+  /// Loopback and coherence messages go to the inner network untouched;
+  /// any other may be dropped, duplicated or delayed.
   void send(sim::ProcId src, sim::ProcId dst, unsigned words, Traffic kind,
             sim::Wake w) override;
 

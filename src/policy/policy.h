@@ -14,10 +14,11 @@
 //    schedulers: every sample is a local pass over the objects homed at
 //    that processor; every `global_every`-th sample is a global pass that
 //    reports a quantized load level to a coordinator (processor 0), which
-//    broadcasts a digest back (all cross-processor load knowledge travels in messages,
-//    never via host-side shared reads). Moves respect migration hysteresis: a
-//    per-object cooldown, a `degree_of_migration` cap per pass, a chooser
-//    bounce-rate veto, and a digest-based target-overload veto.
+//    broadcasts a digest back (all cross-processor load knowledge travels
+//    in messages, never via host-side shared reads). Moves respect
+//    migration hysteresis: a per-object cooldown, a `degree_of_migration`
+//    cap per pass, a chooser bounce-rate veto, and a digest-based
+//    target-overload veto.
 //  * ACTUATING — a bounded batch of MobileObject::attract re-homes, and a
 //    phase detector (PHASE_READ / PHASE_UPDATE) that flips hot read-mostly
 //    objects into core::Replicated mode and back on write bursts.
@@ -162,9 +163,6 @@ class PolicyEngine {
   [[nodiscard]] core::AdaptiveChooser& chooser() noexcept { return chooser_; }
 
   // ---- introspection for tests --------------------------------------------
-  [[nodiscard]] std::size_t managed_count() const noexcept {
-    return objects_.size();
-  }
   [[nodiscard]] Phase phase_of(core::ObjectId id) const;
   /// True while the phase detector has `id` flipped into replication mode.
   [[nodiscard]] bool replicated_mode(core::ObjectId id) const;

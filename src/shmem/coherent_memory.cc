@@ -7,6 +7,11 @@
 
 namespace cm::shmem {
 
+// Per protocol message handled (directory lookup + state update).
+constexpr sim::Cycles kControllerOccupancy = 12;
+constexpr unsigned kWordsRequest = 2;  // REQ_R / REQ_W / INV / ACK / FETCH
+constexpr unsigned kWordsData = 2 + kLineBytes / 4;  // header + 16-byte line
+
 CoherentMemory::CoherentMemory(sim::Machine& machine, net::Network& network,
                                CacheParams cache_params, ProtocolParams params)
     : machine_(&machine),
@@ -75,26 +80,24 @@ void CoherentMemory::check_line(Line line, const Dir& d, Sharers s) const {
 
 void CoherentMemory::occupy(sim::ProcId p, sim::Wake w) {
   sim::Engine& engine = machine_->engine();
-  const sim::Cycles occupancy = params_.controller_occupancy;
-  const sim::Cycles done = controllers_.acquire(p, engine.now(), occupancy);
+  const sim::Cycles done =
+      controllers_.acquire(p, engine.now(), kControllerOccupancy);
   engine.resume_at_on(engine.current_home(), done, w);
 }
 
 void CoherentMemory::send(sim::ProcId src, sim::ProcId dst, unsigned words,
                           sim::Wake w) {
   // Coherence traffic models the lossless hardware fabric: FaultyNetwork
-  // never faults Traffic::kCoherence unless a plan opts in with
-  // affect_coherence (pinned by
-  // FaultyNetwork.CoherenceTrafficUntouchedByDefault), and the workload
-  // harness rejects shared memory under a plan that does. So no copy of
-  // this message is ever lost or repeated.
+  // never faults Traffic::kCoherence (pinned by
+  // FaultyNetwork.CoherenceTrafficUntouchedByDefault), so no copy of this
+  // message is ever lost, repeated or held back.
   // simlint: allow SS002
   network_->send(src, dst, words, net::Traffic::kCoherence, w);
 }
 
 void CoherentMemory::trap(sim::ProcId home, sim::Wake w) {
   ++stats_.limitless_traps;
-  machine_->compute(home, params_.limitless_trap).then(w);
+  machine_->compute(home, ProtocolParams::limitless_trap).then(w);
 }
 
 bool CoherentMemory::Access::await_ready() {
@@ -157,7 +160,7 @@ void CoherentMemory::look(Txn& t) {
   t.next_in_flight = in_flight_[p];
   in_flight_[p] = &t;
   next<&CoherentMemory::arrive>(t);
-  send(p, home_of_line(t.line), params_.words_request, &t);
+  send(p, home_of_line(t.line), kWordsRequest, &t);
 }
 
 void CoherentMemory::recheck(Txn& t) {
@@ -191,7 +194,7 @@ void CoherentMemory::request(Txn& t) {
     ++stats_.fetches;
     t.owner = d.owner;
     next<&CoherentMemory::fetch>(t);
-    return send(home, t.owner, params_.words_request, &t);
+    return send(home, t.owner, kWordsRequest, &t);
   }
   if (!t.exclusive) {
     if (d.modified) {
@@ -228,7 +231,7 @@ void CoherentMemory::fetched(Txn& t) {
   caches_[t.owner].set_state(
       t.line, t.exclusive ? LineState::kInvalid : LineState::kShared);
   next<&CoherentMemory::data_home>(t);
-  send(t.owner, home_of_line(t.line), params_.words_data, &t);
+  send(t.owner, home_of_line(t.line), kWordsData, &t);
 }
 
 void CoherentMemory::data_home(Txn& t) {
@@ -277,7 +280,7 @@ void CoherentMemory::grant_write(Txn& t) {
   check_line(t.line, d, sharers);
   next<&CoherentMemory::granted>(t);
   send(home_of_line(t.line), t.requester,
-       upgrade ? params_.words_request : params_.words_data, &t);
+       upgrade ? kWordsRequest : kWordsData, &t);
 }
 
 void CoherentMemory::share(Txn& t) {
@@ -293,7 +296,7 @@ void CoherentMemory::share(Txn& t) {
 
 void CoherentMemory::grant_read(Txn& t) {
   next<&CoherentMemory::granted>(t);
-  send(home_of_line(t.line), t.requester, params_.words_data, &t);
+  send(home_of_line(t.line), t.requester, kWordsData, &t);
 }
 
 void CoherentMemory::granted(Txn& t) {
@@ -373,7 +376,7 @@ void CoherentMemory::start_invalidation(Txn& t, sim::ProcId sharer) {
   l.line = t.line;
   l.at = sharer;
   next<&CoherentMemory::inv_arrived>(l);
-  send(home_of_line(t.line), sharer, params_.words_request, &l);
+  send(home_of_line(t.line), sharer, kWordsRequest, &l);
 }
 
 void CoherentMemory::inv_arrived(Leg& l) {
@@ -386,7 +389,7 @@ void CoherentMemory::inv_handled(Leg& l) {
   // A stale sharer (silent eviction) acks without effect.
   caches_[l.at].set_state(l.line, LineState::kInvalid);
   next<&CoherentMemory::ack_arrived>(l);
-  send(l.at, home_of_line(l.line), params_.words_request, &l);
+  send(l.at, home_of_line(l.line), kWordsRequest, &l);
 }
 
 void CoherentMemory::ack_arrived(Leg& l) {
@@ -403,7 +406,7 @@ void CoherentMemory::start_writeback(sim::ProcId p, Line line) {
   l.line = line;
   l.at = p;
   next<&CoherentMemory::wb_arrived>(l);
-  send(p, home_of_line(line), params_.words_data, &l);
+  send(p, home_of_line(line), kWordsData, &l);
 }
 
 void CoherentMemory::wb_arrived(Leg& l) {

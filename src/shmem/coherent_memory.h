@@ -88,18 +88,13 @@
 namespace cm::shmem {
 
 struct ProtocolParams {
-  sim::Cycles controller_occupancy = 12;  // per protocol message handled
-                                          // (directory lookup + state update)
-  unsigned words_request = 2;            // REQ_R / REQ_W / INV / ACK / FETCH
-  unsigned words_data = 2 + kLineBytes / 4;  // header + one 16-byte line
-
   /// LimitLESS directories [CKA91]: the hardware holds only this many
   /// sharer pointers per line; overflow traps to software on the home
   /// node's CPU, both when a sharer beyond the limit is added and when an
   /// overflowed line must be invalidated. 0 = full-map in hardware (the
   /// default used by the paper-reproduction benches).
   unsigned hw_sharer_pointers = 0;
-  sim::Cycles limitless_trap = 150;  // software directory-extension handler
+  static constexpr sim::Cycles limitless_trap = 150;  // software trap handler
 };
 
 struct MemStats {
@@ -123,7 +118,9 @@ struct MemStats {
   }
   [[nodiscard]] double hit_rate() const {
     const auto total = hits() + misses();
-    return total == 0 ? 0.0 : static_cast<double>(hits()) / static_cast<double>(total);
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits()) /
+                            static_cast<double>(total);
   }
 };
 
@@ -208,7 +205,9 @@ class CoherentMemory {
   void prefetch(sim::ProcId p, Addr a, unsigned bytes);
 
   [[nodiscard]] const MemStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const Cache& cache(sim::ProcId p) const { return caches_.at(p); }
+  [[nodiscard]] const Cache& cache(sim::ProcId p) const {
+    return caches_.at(p);
+  }
 
   /// Test hooks: observable directory state for invariant checks.
   struct DirSnapshot {

@@ -155,9 +155,9 @@ class FramePool {
 
   // Per host thread by design: a thread pops and pushes only its own lists,
   // so two threads running simulations never share one, and no simulated
-  // result depends on which block a frame gets. Zero-initialised and trivially destructible,
-  // so the hot path needs no TLS guard and the lists stay readable after
-  // the thread's destructors have run.
+  // result depends on which block a frame gets. Zero-initialised and
+  // trivially destructible, so the hot path needs no TLS guard and the
+  // lists stay readable after the thread's destructors have run.
   // simlint: allow SS001
   inline static thread_local Lists lists_{};
 };

@@ -114,12 +114,14 @@ class [[nodiscard]] Task {
     struct Awaiter {
       std::coroutine_handle<promise_type> h;
       bool await_ready() const noexcept { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
+      std::coroutine_handle<> await_suspend(
+          std::coroutine_handle<> cont) noexcept {
         h.promise().continuation = cont;
         return h;  // symmetric transfer into the child
       }
       T await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
+        if (h.promise().exception)
+          std::rethrow_exception(h.promise().exception);
         return h.promise().take();
       }
     };

@@ -20,13 +20,17 @@ class Timer {
   explicit Timer(Engine& engine)
       : engine_(&engine), ctl_(std::make_shared<Ctl>()) {}
 
-  /// Arm the timer: `fn` runs `d` cycles from now unless `cancel()` or a
-  /// newer `arm()` intervenes first. The scheduled event holds the control
-  /// block alive, so destroying the Timer while armed does not touch freed
-  /// memory; but nothing cancels on destruction, so the pending event still
-  /// runs `fn` (Timer.SafeToDestroyWhileArmed). An owner whose `fn` refers
-  /// to itself must `cancel()` before it goes, as the reliable transport's
-  /// per-seq records do in their destructor.
+  /// Destroying a Timer cancels it; a moved-from Timer owns no control
+  /// block and cancels nothing.
+  ~Timer() {
+    if (ctl_) cancel();
+  }
+  Timer(Timer&&) noexcept = default;
+
+  /// Arm the timer: `fn` runs `d` cycles from now unless `cancel()`, a
+  /// newer `arm()` or the Timer's destruction intervenes first. The
+  /// scheduled event holds the control block alive, so a Timer destroyed
+  /// while armed touches no freed memory (Timer.SafeToDestroyWhileArmed).
   void arm(Cycles d, std::function<void()> fn) {
     const std::uint64_t gen = ++ctl_->gen;
     ctl_->armed = true;

@@ -575,7 +575,8 @@ Task<> write_catching(CoherentMemory* mem, ProcId p, Addr a, bool* threw) {
 TEST(CoherenceConfig, RejectsAProcessorOutsideTheMachine) {
   World w(2);
   const Addr a = w.mem.alloc(1, 16);
-  for (const ProcId bad : {ProcId{2}, ProcId{7}, ProcId{100'000}, sim::kNoProc}) {
+  for (const ProcId bad :
+       {ProcId{2}, ProcId{7}, ProcId{100'000}, sim::kNoProc}) {
     bool read_threw = false;
     bool write_threw = false;
     sim::detach(read_catching(&w.mem, bad, a, &read_threw));

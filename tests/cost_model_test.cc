@@ -89,8 +89,8 @@ TEST(CostModel, HwMessageRemovesAboutTwentyPercentOfMigration) {
 TEST(CostModel, OverheadDominatesAsInTable5) {
   // Table 5: message overhead is ~74% of the end-to-end migration time.
   const CostModel m = CostModel::software();
-  const double overhead =
-      static_cast<double>(m.sender_total(kFrame) + m.receiver_total(kFrame, true));
+  const double overhead = static_cast<double>(m.sender_total(kFrame) +
+                                              m.receiver_total(kFrame, true));
   const double total = 150.0 + 17.0 + overhead;
   EXPECT_GT(overhead / total, 0.65);
   EXPECT_LT(overhead / total, 0.85);

@@ -177,7 +177,9 @@ TEST(Engine, InterleavedTimesAndInsertions) {
   for (int i = 0; i < 500; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     const Cycles t = (x >> 33) % 97;
-    eng.at(t, [&fired, &eng, t, me = id++] { fired.emplace_back(eng.now(), me); });
+    eng.at(t, [&fired, &eng, t, me = id++] {
+      fired.emplace_back(eng.now(), me);
+    });
   }
   eng.run();
   ASSERT_EQ(fired.size(), 500u);

@@ -6,7 +6,7 @@
 //
 // Crash plans only kill non-adjacent balancer/node processors: monitors are
 // ring successors, so adjacent simultaneous deaths could falsely expire the
-// lease of the processor between them (documented detector limitation).
+// lease of the processor just before them (documented detector limitation).
 // Requester processors are never killed — fail-stop tolerance recovers
 // objects, not the requesters' own program state.
 #include <gtest/gtest.h>

@@ -84,23 +84,31 @@ TEST(FaultyNetwork, CertainDropEatsRuntimeMessages) {
 }
 
 TEST(FaultyNetwork, CoherenceTrafficUntouchedByDefault) {
-  World w;
-  FaultPlan plan;
-  plan.rates.drop = 1.0;
-  FaultyNetwork net(w.eng, w.inner, plan);
-  int delivered = 0;
-  OnWake arrive([&] { ++delivered; });
-  net.send(0, 1, 4, Traffic::kCoherence, &arrive);
-  w.eng.run();
-  EXPECT_EQ(delivered, 1);
-
-  plan.affect_coherence = true;
-  FaultyNetwork net2(w.eng, w.inner, plan);
-  int delivered2 = 0;
-  OnWake arrive2([&] { ++delivered2; });
-  net2.send(0, 1, 4, Traffic::kCoherence, &arrive2);
-  w.eng.run();
-  EXPECT_EQ(delivered2, 0);
+  // No plan faults coherence traffic: under a certain drop, a certain delay
+  // and a receiver NIC dead from cycle 0 alike, one coherence message
+  // arrives exactly once, at its zero-load latency, and no fault counter
+  // moves.
+  FaultPlan drop;
+  drop.rates.drop = 1.0;
+  FaultPlan delay;
+  delay.rates.delay = 1.0;
+  FaultPlan dead_nic;
+  dead_nic.nic_fail_at[1] = 0;
+  for (const FaultPlan& plan : {drop, delay, dead_nic}) {
+    World w;
+    FaultyNetwork net(w.eng, w.inner, plan);
+    std::vector<sim::Cycles> arrivals;
+    OnWake arrive([&] { arrivals.push_back(w.eng.now()); });
+    net.send(0, 1, 4, Traffic::kCoherence, &arrive);
+    w.eng.run();
+    EXPECT_EQ(arrivals, std::vector<sim::Cycles>{w.inner.latency(0, 1, 4)});
+    const NetStats& s = net.stats();
+    EXPECT_EQ(s.coherence_messages, 1u);
+    EXPECT_EQ(s.faults_dropped, 0u);
+    EXPECT_EQ(s.faults_duplicated, 0u);
+    EXPECT_EQ(s.faults_delayed, 0u);
+    EXPECT_EQ(s.faults_nic_dropped, 0u);
+  }
 }
 
 /// A receiver coroutine woken by a resume delivery of one message.

@@ -146,7 +146,8 @@ TEST_P(FcfsProperty, SerialisesEqualWork) {
   EXPECT_EQ(f.busy_cycles(0), static_cast<Cycles>(7 * n));
 }
 
-INSTANTIATE_TEST_SUITE_P(Counts, FcfsProperty, ::testing::Values(1, 2, 8, 64, 1000));
+INSTANTIATE_TEST_SUITE_P(Counts, FcfsProperty,
+                         ::testing::Values(1, 2, 8, 64, 1000));
 
 }  // namespace
 }  // namespace cm::sim

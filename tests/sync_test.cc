@@ -95,7 +95,8 @@ TEST(SpinLock, ContentionGeneratesCoherenceTraffic) {
   World w2(8);
   SpinLock l2(*w2.mem, 0);
   CritState c2;
-  for (ProcId p = 0; p < 8; ++p) sim::detach(contender(&w2, &l2, &c2, p, 4, 20));
+  for (ProcId p = 0; p < 8; ++p)
+    sim::detach(contender(&w2, &l2, &c2, p, 4, 20));
   w2.eng.run();
   const auto contended_words = w2.net.stats().words;
   EXPECT_GT(contended_words, 4 * solo_words);

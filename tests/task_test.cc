@@ -111,7 +111,8 @@ TEST(Task, MoveTransfersOwnership) {
   std::vector<int> out;
   Task<> a = record(&out, 3);
   Task<> b = std::move(a);
-  EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move): testing move semantics
+  // NOLINTNEXTLINE(bugprone-use-after-move): testing move semantics
+  EXPECT_FALSE(a.valid());
   EXPECT_TRUE(b.valid());
   b.start();
   EXPECT_EQ(out, (std::vector<int>{3}));

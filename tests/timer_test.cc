@@ -124,8 +124,9 @@ TEST(Timer, SafeToDestroyWhileArmed) {
     t.arm(50, [&] { fired = true; });
   }  // Timer gone; the queued event must not crash
   eng.run();
-  // The control block survives via shared_ptr, so the callback still runs.
-  EXPECT_TRUE(fired);
+  // The control block survives via shared_ptr, and the destructor defused
+  // the pending event.
+  EXPECT_FALSE(fired);
 }
 
 }  // namespace

@@ -279,7 +279,9 @@ TEST(Tracer, RecordsCountsAndEmitsValidJson) {
     tracer.record(sim::TraceEvent::kMsgSend, 1,
                   {{"dst", 2}, {"msg", tracer.next_msg_id()}});
   });
-  eng.at(9, [&] { tracer.record(sim::TraceEvent::kMsgDeliver, 2, {{"msg", 1}}); });
+  eng.at(9, [&] {
+    tracer.record(sim::TraceEvent::kMsgDeliver, 2, {{"msg", 1}});
+  });
   eng.run();
 
   EXPECT_EQ(tracer.size(), 2u);

@@ -152,36 +152,19 @@ TEST(BTreeWorkload, ReplicationHelpsMigration) {
   EXPECT_GT(repl.throughput_per_1000(), plain.throughput_per_1000());
 }
 
-TEST(StackConfig, SharedMemoryRejectsPlansThatFaultCoherence) {
-  // The coherence protocol has no transport to retransmit or deduplicate
-  // its messages: a drop would strand a requester and a duplicate would
-  // resume a finished frame. Such a plan is refused before anything runs.
+TEST(StackConfig, SharedMemoryAndRpcFinishUnderADuplicatePlan) {
+  // An active plan never faults coherence traffic, so shared memory, which
+  // has no transport to retransmit or deduplicate its messages, finishes
+  // its fixed work under it; message passing keeps its reliable transport
+  // under the same plan.
   BTreeConfig bt;
   bt.scheme = Scheme{Mechanism::kSharedMemory, false, false};
   bt.requesters = 4;
   bt.nkeys = 1'000;
   bt.ops_per_requester = 20;
   bt.seed = 7;
-  bt.faults.affect_coherence = true;
-  bt.faults.rates.drop = 0.05;
-  EXPECT_THROW((void)run_btree(bt), std::invalid_argument);
-  bt.faults.rates = net::FaultRates{.duplicate = 0.05};
-  EXPECT_THROW((void)run_btree(bt), std::invalid_argument);
-  CountingConfig cn;
-  cn.scheme = bt.scheme;
-  cn.ops_per_requester = 5;
-  cn.faults = bt.faults;
-  EXPECT_THROW((void)run_counting(cn), std::invalid_argument);
-
-  // The flag alone, with no fault to inject, and the same faults with
-  // coherence traffic exempt, both run.
-  bt.faults.rates = {};
-  EXPECT_EQ(run_btree(bt).ops, 80);
   bt.faults.rates.duplicate = 0.05;
-  bt.faults.affect_coherence = false;
   EXPECT_EQ(run_btree(bt).ops, 80);
-  // Message passing keeps its reliable transport under the same plan.
-  bt.faults.affect_coherence = true;
   bt.scheme = Scheme{Mechanism::kRpc, false, false};
   EXPECT_EQ(run_btree(bt).ops, 80);
 }

@@ -13,7 +13,8 @@ struct State {
 cm::sim::Task<> bad_shared_ptr_capture(std::shared_ptr<State> st) {
   // The lambda copies a shared_ptr into a prvalue awaiter: its destructor
   // runs twice under GCC 12.2 and the refcount goes wrong silently.
-  co_await cm::sim::suspend_to([st](std::coroutine_handle<> h) {  // EXPECT-LINT: CL001
+  // EXPECT-LINT: CL001 (the next line)
+  co_await cm::sim::suspend_to([st](std::coroutine_handle<> h) {
     st->waiter = h;
   });
 }

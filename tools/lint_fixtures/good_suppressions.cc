@@ -23,7 +23,8 @@ unsigned directive_does_not_bleed_to_later_lines() {
 }
 
 std::uint64_t wrong_rule_id_silences_nothing() {
-  static std::uint64_t calls = 0;  // simlint: allow DS002  // EXPECT-LINT: SS001
+  // EXPECT-LINT: SS001 (the next line's allow names another rule)
+  static std::uint64_t calls = 0;  // simlint: allow DS002
   return ++calls;
 }
 
