@@ -1,7 +1,6 @@
 #include "core/reliable.h"
 
 #include <algorithm>
-#include <coroutine>
 
 #include "check/checker.h"
 #include "sim/tracer.h"
@@ -15,29 +14,25 @@ void ReliableTransport::Send::arrived(sim::Continuation* c) {
   Send& s = *static_cast<Leg*>(c)->send;
   if (c == &s.data) {
     s.transport->on_data(s);
-  } else {
+  } else if (c == &s.ack) {
     s.acked = true;
-    s.timer.cancel();
+  } else {
+    s.transport->on_timeout(s);
   }
 }
 
-sim::Task<bool> ReliableTransport::send(sim::ProcId src, sim::ProcId dst,
-                                        unsigned words, unsigned budget,
-                                        sim::Cycles deadline) {
+void ReliableTransport::send(sim::ProcId src, sim::ProcId dst, unsigned words,
+                             unsigned budget, sim::Cycles deadline,
+                             bool* delivered, sim::Wake then) {
   std::deque<Send>& sends = channels_[{src, dst}];
   const std::uint64_t seq = sends.size();
   Send& s = sends.emplace_back(this, src, dst, words, budget, seq,
-                               cfg_.base_timeout, deadline,
-                               sim::Timer(*engine_));
+                               cfg_.base_timeout, deadline, delivered, then);
   ++stats_->reliable_sends;
   if (check::Checker* ck = engine_->checker()) {
     ck->on_seq_sent(src, dst, seq);
   }
-  co_await sim::suspend_to([this, &s](std::coroutine_handle<> h) {
-    s.waiter = h;
-    attempt(s);
-  });
-  co_return s.delivered;
+  attempt(s);
 }
 
 void ReliableTransport::attempt(Send& s) {
@@ -54,7 +49,8 @@ void ReliableTransport::attempt(Send& s) {
                           network_->latency(s.src, s.dst, s.words));
   }
   network_->send(s.src, s.dst, s.words, net::Traffic::kRuntime, &s.data);
-  s.timer.arm(s.timeout, [this, &s] { on_timeout(s); });
+  engine_->resume_at_on(engine_->current_home(), engine_->now() + s.timeout,
+                        &s.expiry);
 }
 
 void ReliableTransport::on_data(Send& s) {
@@ -84,8 +80,8 @@ void ReliableTransport::on_data(Send& s) {
     return;
   }
   s.done = true;
-  s.delivered = true;
-  s.waiter.resume();
+  *s.delivered = true;
+  s.then();
 }
 
 void ReliableTransport::give_up(Send& s) {
@@ -94,7 +90,8 @@ void ReliableTransport::give_up(Send& s) {
     ck->on_seq_abandoned(s.src, s.dst, s.seq);
   }
   s.done = true;
-  s.waiter.resume();
+  *s.delivered = false;
+  s.then();
 }
 
 void ReliableTransport::on_timeout(Send& s) {

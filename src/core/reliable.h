@@ -18,17 +18,16 @@
 //
 // Interaction with fail-stop crashes (FaultPlan::nic_fail_at): a dead NIC
 // never delivers and never acks, so an unbounded send (`budget = 0`) to it
-// would retransmit forever — the sender's coroutine hangs and the event
-// queue never drains. With a FaultTolerance service installed
-// (set_fault_tolerance), such a send instead resolves as a
-// `delivery_failures` outcome the moment the peer is suspected (or its
-// send_deadline expires, whichever is first): the timer path stops
-// retransmitting, excuses the seq with the checker, and wakes the sender
-// with false. Without the service the pre-crash behaviour — including the
-// hang — is bit-identical, which is exactly the no-overhead guarantee.
+// would retransmit forever — the sender hangs and the event queue never
+// drains. With a FaultTolerance service installed (set_fault_tolerance),
+// such a send instead resolves as a `delivery_failures` outcome the moment
+// the peer is suspected (or its send_deadline expires, whichever is first):
+// the deadline leg stops retransmitting, excuses the seq with the checker,
+// and wakes the sender with false. Without the service the pre-crash
+// behaviour — including the hang — is bit-identical, which is exactly the
+// no-overhead guarantee.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -38,9 +37,8 @@
 #include "core/stats.h"
 #include "net/network.h"
 #include "sim/engine.h"
-#include "sim/task.h"
-#include "sim/timer.h"
 #include "sim/types.h"
+#include "sim/wake.h"
 
 namespace cm::core {
 
@@ -60,28 +58,30 @@ class ReliableTransport {
   ReliableTransport(const ReliableTransport&) = delete;
   ReliableTransport& operator=(const ReliableTransport&) = delete;
 
-  /// Ship `words` from `src` to `dst`. Resumes the awaiter at first
-  /// delivery; retransmission machinery keeps running in the background
+  /// Ship `words` from `src` to `dst`, then set `*delivered` and wake
+  /// `then`, once: at first delivery, with true; or with false once the
+  /// send gives up before any copy arrived, after which a late copy is
+  /// discarded at the receiver rather than run. Retransmission keeps going
   /// until the message is acked. `budget` caps total send attempts
-  /// (0 = retry forever); returns false only when the budget was exhausted
-  /// before any copy arrived, in which case a late copy is discarded at the
-  /// receiver rather than resuming anything. `deadline` (absolute cycle,
-  /// 0 = none) bounds how long an unacked send may keep retrying when a
-  /// FaultTolerance service is installed; it is ignored otherwise. The
-  /// caller refuses a send to an endpoint already suspected (Runtime's
-  /// `Transfer` fails it fast), so every send reaches the wire.
-  [[nodiscard]] sim::Task<bool> send(sim::ProcId src, sim::ProcId dst,
-                                     unsigned words, unsigned budget = 0,
-                                     sim::Cycles deadline = 0);
+  /// (0 = retry forever). `deadline` (absolute cycle, 0 = none) bounds how
+  /// long an unacked send may keep retrying when a FaultTolerance service
+  /// is installed; it is ignored otherwise. The caller refuses a send to an
+  /// endpoint already suspected (Runtime's `Transfer` fails it fast), so
+  /// every send reaches the wire.
+  void send(sim::ProcId src, sim::ProcId dst, unsigned words, unsigned budget,
+            sim::Cycles deadline, bool* delivered, sim::Wake then);
 
   /// Install the fail-stop suspicion source (null = crash-free behaviour).
   void set_fault_tolerance(const FaultTolerance* ft) noexcept { ft_ = ft; }
 
  private:
-  /// One seq's send record. Every copy of its data message wakes `data`,
-  /// and every copy of its ack wakes `ack`: both re-runnable and as
-  /// long-lived as the transport, so the fault layer may drop, duplicate or
-  /// delay either, and a late copy re-runs a step the flags have settled.
+  /// One seq's send record, which settles the sender: a send makes no
+  /// coroutine frame. Every copy of its data message wakes `data`, every
+  /// copy of its ack `ack`, and each attempt's ack deadline `expiry`: all
+  /// re-runnable and as long-lived as the transport, so the fault layer may
+  /// drop, duplicate or delay a copy, and a late copy re-runs a step the
+  /// flags have settled. Nothing is cancelled: an ack sets `acked`, and the
+  /// pending deadline (at most one, armed by the attempt) then does nothing.
   struct Send {
     struct Leg : sim::Continuation {
       Send* send;
@@ -95,17 +95,17 @@ class ReliableTransport {
     std::uint64_t seq;
     sim::Cycles timeout;
     sim::Cycles deadline;  // absolute give-up cycle; 0 = none
-    sim::Timer timer;
+    bool* delivered;       // the sender's verdict...
+    sim::Wake then;        // ...and what is woken once it is set
     unsigned attempts = 0;
     bool acked = false;
-    bool received = false;   // a copy of the data has arrived
-    bool done = false;       // the awaiter has been resumed...
-    bool delivered = false;  // ...because a copy arrived (vs. giving up)
-    std::coroutine_handle<> waiter;
+    bool received = false;  // a copy of the data has arrived
+    bool done = false;      // the sender has been woken
     Leg data{{&arrived}, this};
     Leg ack{{&arrived}, this};
+    Leg expiry{{&arrived}, this};
 
-    static void arrived(sim::Continuation* c);  // a copy of data or ack
+    static void arrived(sim::Continuation* c);  // a copy, or the deadline
   };
 
   void attempt(Send& s);

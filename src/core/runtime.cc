@@ -55,8 +55,7 @@ sim::Machine::Compute Runtime::send_path(ProcId at, unsigned words) {
 }
 
 bool Runtime::send_message(ProcId src, ProcId dst, unsigned words,
-                           unsigned budget, bool* delivered, sim::Wake then,
-                           sim::Wake failed) {
+                           unsigned budget, bool* delivered, sim::Wake then) {
   // Table 5's network transit, booked for every message, sent or not.
   const unsigned total = words + cost_.header_words;
   stats_.breakdown.add(Category::kNetworkTransit,
@@ -87,8 +86,7 @@ bool Runtime::send_message(ProcId src, ProcId dst, unsigned words,
     deadline = machine_->engine().now() + ft_->send_deadline();
   }
   // A later delivery or timeout event wakes `then`.
-  await_hook(reliable_->send(src, dst, total, budget, deadline), delivered,
-             then, failed);
+  reliable_->send(src, dst, total, budget, deadline, delivered, then);
   return true;
 }
 

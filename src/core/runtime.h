@@ -258,7 +258,7 @@ class Runtime {
     void transmit(ProcId src, ProcId dst, unsigned words, unsigned budget,
                   bool* delivered) {
       next<S>();
-      if (!rt->send_message(src, dst, words, budget, delivered, this, done)) {
+      if (!rt->send_message(src, dst, words, budget, delivered, this)) {
         (static_cast<A*>(this)->*S)();
       }
     }
@@ -282,7 +282,8 @@ class Runtime {
   /// `send_message` and suspends the caller until it is delivered, then
   /// yields whether it was. It is a plain struct in the caller's frame, not
   /// a coroutine. Without a reliable transport the message wakes the
-  /// caller itself (`Network::send`), from one engine resume event. A
+  /// caller itself (`Network::send`), from one engine resume event; with
+  /// one, the transport's send record does. A
   /// message touching a processor the FaultTolerance service suspects
   /// yields false at once, without suspending or sending.
   struct [[nodiscard]] Transfer {
@@ -294,7 +295,7 @@ class Runtime {
 
     bool await_ready() const noexcept { return false; }
     bool await_suspend(std::coroutine_handle<> caller) {
-      return rt->send_message(src, dst, words, /*budget=*/0, &delivered, caller,
+      return rt->send_message(src, dst, words, /*budget=*/0, &delivered,
                               caller);
     }
     bool await_resume() const {
@@ -722,14 +723,13 @@ class Runtime {
   /// scheduling nothing, when ft suspects either end (returns false); else
   /// send it and wake `then` once it is delivered. `*delivered` says
   /// whether it was. With a reliable transport the send makes `budget`
-  /// attempts (0 = retry forever) and wakes `then` with its verdict, or
-  /// parks its exception and wakes `failed`; without one it is a raw resume
-  /// delivery.
+  /// attempts (0 = retry forever) and wakes `then` with its verdict from
+  /// the transport's record; without one it is a raw resume delivery.
   bool send_message(ProcId src, ProcId dst, unsigned words, unsigned budget,
-                    bool* delivered, sim::Wake then, sim::Wake failed);
+                    bool* delivered, sim::Wake then);
   /// Await `hook`, the pooled sub-task of a service hook that takes
-  /// simulated time (a locator's resolve or forward, OBJ's attraction, a
-  /// reliable send), store its value in `*into` and wake `then`; or park
+  /// simulated time (a locator's resolve or forward, OBJ's attraction),
+  /// store its value in `*into` and wake `then`; or park
   /// its exception and wake `failed`. Its frame lives only while the hook
   /// runs, and it schedules no event of its own, so a step machine that
   /// runs a hook through it keeps the events and labels of a coroutine

@@ -13,7 +13,6 @@ using sim::TraceEvent;
 
 constexpr unsigned kHeartbeatWords = 1;  // keepalive payload
 constexpr unsigned kMonitors = 2;        // ring successors each proc heartbeats
-constexpr unsigned kDirReplicas = 2;     // directory shard replication degree
 constexpr unsigned kRestoreWords = 16;   // simulated backup-restore payload
 constexpr unsigned kControlWords = 1;    // promotion/control payload
 
@@ -23,24 +22,22 @@ FtLayer::FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator)
       locator_(locator),
       nprocs_(rt.machine().size()),
       epoch_(nprocs_, core::kNoFailureEpoch),
-      last_heard_(nprocs_, 0),
-      sweep_timer_(rt.machine().engine()) {
+      last_heard_(nprocs_, 0) {
   for (ProcId p = 0; p < nprocs_; ++p) {
     heartbeats_.push_back({{&Heartbeat::arrive}, this, p});
   }
   if (!cfg_.enabled) return;
   rt_->set_fault_tolerance(this);
   if (locator_ != nullptr && locator_->attached()) {
-    locator_->set_fault_tolerance(this, kDirReplicas);
+    locator_->set_fault_tolerance(this);
   }
 }
 
 FtLayer::~FtLayer() {
-  stop();
   if (!cfg_.enabled) return;
   if (rt_->fault_tolerance() == this) rt_->set_fault_tolerance(nullptr);
   if (locator_ != nullptr && locator_->attached()) {
-    locator_->set_fault_tolerance(nullptr, 1);
+    locator_->set_fault_tolerance(nullptr);
   }
 }
 
@@ -66,14 +63,15 @@ void FtLayer::start() {
   arm_sweep();
 }
 
-void FtLayer::stop() {
-  if (!running_) return;
-  running_ = false;
-  sweep_timer_.cancel();
+void FtLayer::arm_sweep() {
+  sim::Engine& eng = engine();
+  sweep_.due = eng.now() + cfg_.heartbeat_interval;
+  eng.resume_at_on(eng.current_home(), sweep_.due, &sweep_);
 }
 
-void FtLayer::arm_sweep() {
-  sweep_timer_.arm(cfg_.heartbeat_interval, [this] { sweep(); });
+void FtLayer::Sweep::fire(sim::Continuation* c) {
+  auto* const s = static_cast<Sweep*>(c);
+  if (s->ft->engine().now() == s->due) s->ft->sweep();
 }
 
 void FtLayer::sweep() {

@@ -25,18 +25,19 @@
 //    directory/pointers/caches (loc::Locator::on_rehome) and resumes every
 //    activation parked in await_object.
 //
-// Determinism: the detector runs off sim::Timer at fixed intervals, ring
-// orders and object ids give every choice a deterministic scan order, and no
+// Determinism: the detector's sweep wakes at fixed intervals, ring orders
+// and object ids give every choice a deterministic scan order, and no
 // random numbers are drawn — two same-seed runs crash, detect and recover
 // bit-identically. With `enabled == false` the layer never installs itself
 // and the run is byte-identical to a build without it.
 //
 // Known limitation (documented in DESIGN.md §11): monitors are ring
 // successors, so `kMonitors` adjacent simultaneous crashes can expire the
-// lease of the processor before them. `kMonitors` (2), the directory's
-// `kDirReplicas` (2) and `FtConfig::lease_misses` (3) are constants, the
-// first two in ft.cc. Crash plans in the benches use non-adjacent victims;
-// to tolerate k adjacent crashes, raise `kMonitors` above k.
+// lease of the processor before them. `kMonitors` (2, ft.cc), the
+// directory's `kDirReplicas` (2, loc/locator.cc) and
+// `FtConfig::lease_misses` (3) are constants. Crash plans in the benches
+// use non-adjacent victims; to tolerate k adjacent crashes, raise
+// `kMonitors` above k.
 #pragma once
 
 #include <coroutine>
@@ -51,7 +52,6 @@
 #include "loc/locator.h"
 #include "net/faulty_net.h"
 #include "sim/task.h"
-#include "sim/timer.h"
 #include "sim/types.h"
 
 namespace cm::ft {
@@ -107,8 +107,8 @@ class FtLayer final : public core::FaultTolerance {
   /// Construct over a runtime (and the locator, when the run uses one).
   /// With `cfg.enabled` the layer installs itself on both; otherwise the
   /// constructor does nothing and the run is bit-identical to a build
-  /// without fault tolerance. Destroy only after the engine has drained
-  /// (in-flight heartbeats wake records the layer owns).
+  /// without fault tolerance. The engine must not run after the layer is
+  /// destroyed: a pending sweep or heartbeat wakes a record the layer owns.
   FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator = nullptr);
   ~FtLayer() override;
 
@@ -128,10 +128,11 @@ class FtLayer final : public core::FaultTolerance {
   /// Begin heartbeating and lease sweeps at the current cycle. No-op when
   /// disabled or already running.
   void start();
-  /// Stop the periodic sweep (in-flight recoveries drain on their own).
-  /// Call before draining the engine at the end of a run, or the detector
-  /// keeps the event queue alive forever.
-  void stop();
+  /// Stop the periodic sweep (in-flight recoveries drain on their own): the
+  /// pending sweep wake then does nothing. Call before draining the engine
+  /// at the end of a run, or the detector keeps the event queue alive
+  /// forever.
+  void stop() { running_ = false; }
 
   // ---- core::FaultTolerance ----
   [[nodiscard]] bool suspected(ProcId p) const override {
@@ -162,6 +163,15 @@ class FtLayer final : public core::FaultTolerance {
   void arm_sweep();
   /// One detector round: send heartbeats, expire leases, re-arm.
   void sweep();
+  /// The sweep's wake. It remembers the cycle it was armed for, so a wake
+  /// that `stop()` left pending does nothing after `start()` armed a new
+  /// one: it fires before that cycle, or at it, where the first of the two
+  /// wakes sweeps and moves `due` on.
+  struct Sweep : sim::Continuation {
+    FtLayer* ft;
+    Cycles due = 0;
+    static void fire(sim::Continuation* c);  // sweep() if `due` is now
+  };
   /// Heartbeat delivery at a monitor: renew the sender's lease.
   void on_heartbeat(ProcId from);
   /// What every heartbeat from one processor wakes: re-runnable and as
@@ -201,7 +211,7 @@ class FtLayer final : public core::FaultTolerance {
   std::set<ObjectId> pending_;  // recovery enqueued, not yet committed
   std::set<ObjectId> lost_;     // condemned objects
   std::map<ObjectId, std::vector<std::coroutine_handle<>>> waiters_;
-  sim::Timer sweep_timer_;
+  Sweep sweep_{{&Sweep::fire}, this};
   bool running_ = false;
   FtStats stats_;
 };

@@ -16,6 +16,7 @@ using sim::TraceEvent;
 constexpr unsigned kLookupWords = 1;   // directory query payload
 constexpr unsigned kReplyWords = 1;    // directory reply payload
 constexpr unsigned kControlWords = 1;  // move-protocol control payload
+constexpr unsigned kDirReplicas = 2;   // shard replication degree under ft
 
 // ---------------------------------------------------------------------------
 // TranslationCache
@@ -238,7 +239,7 @@ sim::Task<ProcId> Locator::resolve(core::Ctx& ctx, ObjectId id) {
 ProcId Locator::live_shard(ObjectId id) {
   const ProcId shard = dir_[id].shard;
   if (ft_ == nullptr || !ft_->suspected(shard)) return shard;
-  for (unsigned r = 1; r < replicas_; ++r) {
+  for (unsigned r = 1; r < kDirReplicas; ++r) {
     const auto rep = static_cast<ProcId>((shard + r) % nprocs_);
     if (!ft_->suspected(rep)) {
       ++stats_.dir_failovers;

@@ -156,18 +156,14 @@ class Locator final : public core::LocationService {
   /// Directory shard serving `id` under the configured policy.
   [[nodiscard]] ProcId shard_of(ObjectId id) const;
 
-  /// Install a failure detector and the shard replication degree. With a
-  /// detector installed, queries whose primary shard is suspected re-route
-  /// to the first live replica `(shard + r) % nprocs` (r = 1..replicas-1),
-  /// forwarding chains passing through dead hosts are cut and re-resolved,
-  /// and moves involving a dead party abort instead of hanging. Passing
-  /// nullptr (the default state) keeps every path bit-identical to a
-  /// build without fault tolerance.
-  void set_fault_tolerance(core::FaultTolerance* ft,
-                           unsigned dir_replicas) noexcept {
-    ft_ = ft;
-    replicas_ = dir_replicas == 0 ? 1 : dir_replicas;
-  }
+  /// Install a failure detector. With one installed, queries whose primary
+  /// shard is suspected re-route to the first live replica
+  /// `(shard + r) % nprocs` (r = 1..kDirReplicas-1, locator.cc), forwarding
+  /// chains passing through dead hosts are cut and re-resolved, and moves
+  /// involving a dead party abort instead of hanging. Passing nullptr (the
+  /// default state) keeps every path bit-identical to a build without
+  /// fault tolerance.
+  void set_fault_tolerance(core::FaultTolerance* ft) noexcept { ft_ = ft; }
 
   /// Crash recovery committed `id`'s re-home from `from` (the dead host) to
   /// `to`. Flips the directory entry and scrubs metadata that names the dead
@@ -253,7 +249,6 @@ class Locator final : public core::LocationService {
   LocStats stats_;
   core::AdaptiveChooser* chooser_ = nullptr;
   core::FaultTolerance* ft_ = nullptr;
-  unsigned replicas_ = 1;  // directory shard replication degree
 };
 
 /// Metrics schema helper: exports LocStats under "loc." keys.

@@ -54,9 +54,10 @@ void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     if (tr) {
       tr->record(ev, src, {{"dst", dst}, {"words", words}, {"extra", extra}});
     }
-    engine_->after(extra, [this, src, dst, words, kind, w] {
-      inner_->send(src, dst, words, kind, w);
-    });
+    Deferred* d = free_ != nullptr ? std::exchange(free_, free_->next_free)
+                                   : &deferred_.emplace_back();
+    *d = {{&Deferred::send_on}, this, nullptr, src, dst, words, kind, w};
+    engine_->resume_at_on(engine_->current_home(), now + extra, d);
   };
   if (r.duplicate > 0.0 && rng_.chance(r.duplicate)) {
     // The clone crosses the wire as a real (later) message; receivers must
@@ -73,6 +74,16 @@ void FaultyNetwork::send(sim::ProcId src, sim::ProcId dst, unsigned words,
     return;
   }
   inner_->send(src, dst, words, kind, w);
+}
+
+void FaultyNetwork::Deferred::send_on(sim::Continuation* c) {
+  auto* const d = static_cast<Deferred*>(c);
+  // Copy the record out and free it first: the inner send may defer again.
+  const Deferred copy = *d;
+  d->next_free = copy.net->free_;
+  copy.net->free_ = d;
+  copy.net->inner_->send(copy.src, copy.dst, copy.words, copy.kind,
+                         copy.wake);
 }
 
 const NetStats& FaultyNetwork::stats() const noexcept {

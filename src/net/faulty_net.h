@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <utility>
 
@@ -98,12 +99,28 @@ class FaultyNetwork final : public Network {
                                             sim::ProcId dst) const;
   [[nodiscard]] bool nic_dead(sim::ProcId p) const noexcept;
 
+  /// A duplicated or delayed copy on its way to the inner network: it runs
+  /// once, `extra` cycles after the send, and goes back to the pool.
+  struct Deferred : sim::Continuation {
+    FaultyNetwork* net = nullptr;
+    Deferred* next_free = nullptr;
+    sim::ProcId src;
+    sim::ProcId dst;
+    unsigned words;
+    Traffic kind;
+    sim::Wake wake = std::coroutine_handle<>();
+
+    static void send_on(sim::Continuation* c);
+  };
+
   sim::Engine* engine_;
   Network* inner_;
   FaultPlan plan_;
   sim::Rng rng_;
   NetStats faults_;          // only the faults_* counters are ever touched
   mutable NetStats merged_;  // snapshot storage for stats()
+  std::deque<Deferred> deferred_;  // every record made; freed with the layer
+  Deferred* free_ = nullptr;       // records not in flight
 };
 
 }  // namespace cm::net

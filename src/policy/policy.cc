@@ -49,8 +49,11 @@ PolicyEngine::PolicyEngine(core::Runtime& rt, PolicyConfig cfg)
       chooser_(cfg.chooser),
       views_(rt.machine().size()),
       board_levels_(rt.machine().size(), 0) {
-  for (Sampler& s : samplers_) {
-    s.timer = std::make_unique<sim::Timer>(rt.machine().engine());
+  for (ProcId p = 0; p < nprocs_; ++p) {
+    Sampler& s = samplers_[p];
+    s.run = &Sampler::fire;
+    s.policy = this;
+    s.proc = p;
   }
 }
 
@@ -75,10 +78,9 @@ void PolicyEngine::start() {
   if (check::Checker* ck = rt_->checker()) {
     ck->on_policy_config(cfg_.cooldown);
   }
-  sim::Engine& eng = engine();
   for (ProcId p = 0; p < nprocs_; ++p) {
     samplers_[p].parked = false;
-    eng.at_on(p, cfg_.sample_interval, [this, p] { tick(p); });
+    engine().resume_at_on(p, cfg_.sample_interval, &samplers_[p]);
   }
 }
 
@@ -114,9 +116,7 @@ void PolicyEngine::on_access(core::ObjectId id, ProcId accessor, bool write) {
     // method body executes there), homing the tick at the home.
     s.parked = false;
     s.idle = 0;
-    engine().after_on(home, cfg_.sample_interval, [this, home] {
-      tick(home);
-    });
+    engine().resume_at_on(home, engine().now() + cfg_.sample_interval, &s);
   }
 }
 
@@ -147,6 +147,11 @@ PolicyEngine::Phase PolicyEngine::phase_of(core::ObjectId id) const {
 bool PolicyEngine::replicated_mode(core::ObjectId id) const {
   auto it = index_.find(id);
   return it != index_.end() && objects_[it->second].flipped;
+}
+
+void PolicyEngine::Sampler::fire(sim::Continuation* c) {
+  auto* const s = static_cast<Sampler*>(c);
+  s->policy->tick(s->proc);
 }
 
 void PolicyEngine::tick(ProcId p) {
@@ -213,7 +218,7 @@ void PolicyEngine::tick(ProcId p) {
     ++s.idle;
   }
   if (s.idle < cfg_.idle_stop_after) {
-    s.timer->arm(cfg_.sample_interval, [this, p] { tick(p); });
+    eng.resume_at_on(p, now + cfg_.sample_interval, &s);
   } else {
     s.parked = true;  // the next on_access at p re-arms
   }

@@ -4,12 +4,13 @@
 // The paper's annotation moves one activation to its data; this layer
 // decides *where objects and computations should live over time*:
 //
-//  * SENSING — a per-processor load sampler on the engine clock
-//    (sim::Timer): queue backlog from the processor account, per-object
-//    windowed access profiles fed by the apps' instance-method bodies, and
-//    the locator's bounce feedback via the shared AdaptiveChooser. Samplers
-//    park after a few idle windows and are revived by the next access at
-//    their processor, so a drained machine drains the policy too.
+//  * SENSING — a per-processor load sampler on the engine clock (each
+//    sampler is its own tick's wake): queue backlog from the processor
+//    account, per-object windowed access profiles fed by the apps'
+//    instance-method bodies, and the locator's bounce feedback via the
+//    shared AdaptiveChooser. Samplers park after a few idle windows and are
+//    revived by the next access at their processor, so a drained machine
+//    drains the policy too.
 //  * DECIDING — a two-tier rebalancer in the spirit of two-level NUMA
 //    schedulers: every sample is a local pass over the objects homed at
 //    that processor; every `global_every`-th sample is a global pass that
@@ -45,7 +46,6 @@
 #include "core/replication.h"
 #include "core/runtime.h"
 #include "sim/task.h"
-#include "sim/timer.h"
 #include "sim/types.h"
 
 namespace cm::core {
@@ -191,13 +191,18 @@ class PolicyEngine {
   };
 
   /// One processor's sampler. Touched only from events homed at that
-  /// processor.
-  struct Sampler {
-    std::unique_ptr<sim::Timer> timer;
+  /// processor. It is its own tick's wake: at most one tick is pending,
+  /// scheduled by `start()`, by the access that revives a parked sampler,
+  /// or by the tick before it, so none is ever cancelled.
+  struct Sampler : sim::Continuation {
+    PolicyEngine* policy = nullptr;
+    ProcId proc = 0;
     bool parked = true;
     unsigned idle = 0;
     std::uint64_t ticks = 0;
     std::uint64_t accesses_since = 0;  // activity since the last sample
+
+    static void fire(sim::Continuation* c);  // policy->tick(proc)
   };
 
   /// A processor's private copy of the last load digest it received.

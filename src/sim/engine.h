@@ -18,9 +18,11 @@
 // arena index shifted left by two with bit 0 set, a Continuation's address
 // (at least 8-byte aligned) with bit 1 set, or a frame address (at least
 // 16-byte aligned) with both clear, so a coroutine resume costs one test.
-// Messages and the runtime's and directory's steps are resume events;
-// closures remain for timers, the policy's ticks, the fault layer's
-// deferred copies, the drivers' window markers, tests and bench rows.
+// Every layer under src/ schedules resume events only: messages, the
+// runtime's and directory's steps, deadlines, ticks and deferred copies.
+// Closures remain for the drivers' two window markers, tests and bench
+// rows. A pending wake is plain data that the engine cannot cancel, so
+// every record one names must outlive the engine's last run.
 #pragma once
 
 #include <cstddef>

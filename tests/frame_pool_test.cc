@@ -401,6 +401,27 @@ TEST(FramePool, FrameFreeVisitMakesOnlyItsBodysFrames) {
   EXPECT_EQ(s.remote_calls, 2u);
 }
 
+Task<> reliable_transfer(World* w) {
+  const bool delivered = co_await w->rt.transfer(0, 3, 8);
+  EXPECT_TRUE(delivered);
+}
+
+TEST(FramePool, ReliableTransferMakesNoFrameOfItsOwn) {
+  // Under an active plan a runtime message rides the reliable transport,
+  // whose send record settles the transfer, whether the plan perturbs
+  // nothing (its window is empty) or duplicates every data and ack copy.
+  for (const bool perturbed : {false, true}) {
+    SCOPED_TRACE(perturbed);
+    apps::StackConfig cfg = on_mesh();
+    cfg.faults.rates.duplicate = 1.0;
+    if (!perturbed) cfg.faults.window_end = 0;
+    World w(4, cfg);
+    EXPECT_EQ(pooled_frames_of(w, reliable_transfer), 0u);
+    EXPECT_EQ(w.rt.stats().reliable_sends, 2u);
+    EXPECT_EQ(w.rt.stats().dedup_hits, perturbed ? 2u : 0u);
+  }
+}
+
 TEST(FramePool, ObserversLeaveEveryProtocolsFramesAsTheyAre) {
   using core::Mechanism;
   enum class Observer { kNone, kTracer, kChecker };

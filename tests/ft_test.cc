@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/replication.h"
@@ -124,6 +125,42 @@ TEST(FtLayer, HeartbeatsKeepLiveProcessorsUnsuspected) {
   EXPECT_GT(ftl.stats().leases_renewed, 0u);
   EXPECT_EQ(ftl.stats().suspicions, 0u);
   for (ProcId p = 0; p < 4; ++p) EXPECT_FALSE(ftl.suspected(p));
+}
+
+/// Heartbeats a detector on a fault-free 4-processor machine has sent by
+/// cycle 11,000 when it runs from cycle `at`: started there, or, with
+/// `restart`, started at 0 and stopped and started again at `at`.
+std::uint64_t heartbeats_from(Cycles at, bool restart) {
+  FtWorld w(4, net::FaultPlan{});
+  FtLayer ftl(w.rt, enabled_cfg());
+  if (restart) ftl.start();
+  w.eng.at(at, [&ftl] {
+    ftl.stop();
+    ftl.start();
+  });
+  w.eng.at(11'000, [&ftl] { ftl.stop(); });
+  w.eng.run();
+  return ftl.stats().heartbeats_sent;
+}
+
+TEST(FtLayer, RestartWithinAnIntervalRunsOneSweepChain) {
+  // The sweep that stop() left pending does nothing once start() armed a
+  // new one, whether it falls before the new sweep (a restart at 500) or
+  // on its cycle (a restart at 0).
+  EXPECT_EQ(heartbeats_from(500, false), 5u * 8u);  // 2,500 ... 10,500
+  EXPECT_EQ(heartbeats_from(500, true), heartbeats_from(500, false));
+  EXPECT_EQ(heartbeats_from(0, true), heartbeats_from(0, false));
+}
+
+TEST(FtLayer, AStoppedLayersPendingSweepSendsNothing) {
+  FtWorld w(4, net::FaultPlan{});
+  FtLayer ftl(w.rt, enabled_cfg());
+  ftl.start();
+  w.eng.at(2'500, [&ftl] { ftl.stop(); });
+  w.eng.run();
+  EXPECT_EQ(ftl.stats().heartbeats_sent, 8u);  // the sweep at 2,000
+  EXPECT_EQ(w.eng.now(), 4'000u);  // the pending sweep ran, and did nothing
+  EXPECT_TRUE(w.eng.idle());
 }
 
 TEST(FtLayer, DetectorSuspectsPlannedFailureDeterministically) {

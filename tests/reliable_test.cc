@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -114,12 +115,62 @@ TEST(ReliableTransport, DuplicateStormResumesOnce) {
   EXPECT_GE(w.rt.stats().dedup_hits, 1u);
 }
 
-/// One reliable send from 0 to 1: note what it returned, and count the
-/// sender's resumes.
+/// One reliable send of 8 words from `src` to `dst`: note what it
+/// returned, and count the sender's resumes.
 Task<> send_once(ReliableTransport* t, unsigned budget, bool* ok,
-                 int* resumes) {
-  *ok = co_await t->send(0, 1, 8, budget);
+                 int* resumes, ProcId src = 0, ProcId dst = 1) {
+  auto sent = sim::suspend_to([=](std::coroutine_handle<> h) {
+    t->send(src, dst, 8, budget, /*deadline=*/0, ok, h);
+  });
+  co_await sent;
   ++*resumes;
+}
+
+/// A send whose ack lands on its deadline's cycle: data and ack take 10
+/// cycles each, and the deadline is 20. The sender runs in an event homed
+/// at `src`, so the deadline takes lane src + 1 and the ack, sent from the
+/// data's arrival at `dst`, lane dst + 1: label order puts the ack ahead
+/// of the deadline when src > dst, behind it when src < dst.
+struct AckOnItsDeadline {
+  sim::Engine eng;
+  net::ConstantNetwork wire{eng, {.launch = 10, .per_word = 0}};
+  RtStats stats;
+  ReliableTransport transport{eng, wire, stats, {.base_timeout = 20}};
+  bool ok = false;
+  int resumes = 0;
+
+  AckOnItsDeadline(ProcId src, ProcId dst) {
+    eng.at_on(src, 0, [this, src, dst] {
+      sim::detach(send_once(&transport, 0, &ok, &resumes, src, dst));
+    });
+    eng.run();
+  }
+};
+
+TEST(ReliableTransport, AnAckAheadOfItsDeadlineStopsTheRetransmission) {
+  AckOnItsDeadline w(/*src=*/1, /*dst=*/0);
+  EXPECT_TRUE(w.ok);
+  EXPECT_EQ(w.resumes, 1);
+  EXPECT_EQ(w.eng.now(), 20u);  // the deadline ran, after the ack
+  EXPECT_EQ(w.stats.timeouts_fired, 0u);
+  EXPECT_EQ(w.stats.retransmits, 0u);
+  EXPECT_EQ(w.stats.acks_sent, 1u);
+  EXPECT_EQ(w.stats.dedup_hits, 0u);
+}
+
+TEST(ReliableTransport, AnAckBehindItsDeadlineLetsOneRetransmissionGo) {
+  // The deadline at 20 retransmits and doubles the timeout; the ack then
+  // settles the send, the copy (arriving at 30) is deduped and acked, and
+  // the next deadline (60) finds the send acked.
+  AckOnItsDeadline w(/*src=*/0, /*dst=*/1);
+  EXPECT_TRUE(w.ok);
+  EXPECT_EQ(w.resumes, 1);
+  EXPECT_EQ(w.eng.now(), 60u);
+  EXPECT_EQ(w.stats.timeouts_fired, 1u);
+  EXPECT_EQ(w.stats.retransmits, 1u);
+  EXPECT_EQ(w.stats.dedup_hits, 1u);
+  EXPECT_EQ(w.stats.acks_sent, 2u);
+  EXPECT_EQ(w.stats.stale_deliveries, 0u);
 }
 
 TEST(ReliableTransport, DuplicateAfterTheAckIsDedupedByItsRecord) {
